@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .potentials import PotentialSpec, SmoothedPotential
 from .quadrature import DEFAULT_TOL, sqrt_endpoint_quad
 from .radial import (Case, RadialProblem, TurningPoints, case_anchor,
@@ -123,11 +125,12 @@ def increment_ratio(potential: PotentialSpec, eps: float,
 
 
 def desingularized_factor(rp: RadialProblem, beta: float, v_sq: float,
-                          rho: float) -> float:
+                          rho: float | np.ndarray) -> float | np.ndarray:
     """The factor left under the square root of the angle integrand after the
     endpoint zeros (rho - 1) and (beta - rho R-) are extracted.
 
-    rho is the radius in units of the pericentre, in (1, beta/R-); v_sq is the
+    rho is the radius in units of the pericentre, in (1, beta/R-), a scalar or
+    an array (the turning points are found once per call); v_sq is the
     squared radial velocity at beta (zero when beta is the apocenter).  For
     admissible potentials and eps small enough the factor is bounded by beta
     throughout its domain.
@@ -136,7 +139,7 @@ def desingularized_factor(rp: RadialProblem, beta: float, v_sq: float,
     rm = tp.pericenter
     if rm <= 0:
         raise ValueError("needs a positive pericentre")
-    if not (1.0 < rho < beta / rm):
+    if not np.all((1.0 < rho) & (rho < beta / rm)):
         raise ValueError("rho outside (1, beta/pericentre)")
     sm = rp.potential
     num = (beta - rho * rm) * (rho - 1.0)

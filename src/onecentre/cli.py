@@ -190,9 +190,9 @@ def cmd_bounds_audit(args, out: Path) -> bool:
         rp = RadialProblem(sm, float(cfg["energy"]) + 0.5 * l * l, l)
         tp = turning_points(rp)
         beta = tp.apocenter
-        for _ in range(int(cfg["samples"])):
-            rho = 1.0 + (beta / tp.pericenter - 1.0) * rng.uniform(1e-9, 1.0 - 1e-9)
-            val = desingularized_factor(rp, beta, 0.0, rho)
+        rhos = 1.0 + (beta / tp.pericenter - 1.0) * rng.uniform(1e-9, 1.0 - 1e-9,
+                                                                 size=int(cfg["samples"]))
+        for rho, val in zip(rhos, desingularized_factor(rp, beta, 0.0, rhos)):
             margin = beta - val
             table.add("factor", eps, rho, tp.pericenter, beta, val, margin)
             if margin < -tol:

@@ -79,10 +79,24 @@ class TransmissionPath:
             return PhaseState(-mirror.position, mirror.velocity)
         if t <= self.abort_time:
             return self.pre.state_at(t)
-        # sub-threshold window
-        r = self.abort_radius * (T0 - t) / (T0 - self.abort_time)
+        r = self._window_radius(t)
         speed = math.sqrt(2.0 * (self.energy + self.pre.potential.value(r)))
         return PhaseState(r * self.direction, -speed * self.direction)
+
+    def _window_radius(self, t):
+        """Radius at times t (scalar or array) in the sub-threshold window."""
+        T0 = self.collision_time
+        return self.abort_radius * (T0 - t) / (T0 - self.abort_time)
+
+    def symmetric_positions(self, t: np.ndarray) -> np.ndarray:
+        """Positions at the ascending pre-collision times t (0 <= t < T0), then
+        at T0 (the origin), then at the reflected times 2 T0 - t in ascending
+        order: a (2 len(t) + 1, 2) array, exactly antisymmetric about its
+        middle row.  One dense-output evaluation covers the integrated leg."""
+        inside = t <= self.abort_time
+        before = np.concatenate([self.pre.dense(t[inside])[0:2].T,
+                                 np.outer(self._window_radius(t[~inside]), self.direction)])
+        return np.concatenate([before, np.zeros((1, 2)), -before[::-1]])
 
     def theta_at(self, t: float) -> float:
         """Continuous angular lift: constant on each leg, +pi across collision."""

@@ -21,7 +21,7 @@ singularity the dynamics can reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -296,7 +296,7 @@ def check_admissible(p: PotentialSpec, probe_grid: np.ndarray | None = None,
     return ClassReport(
         admissible=admissible,
         weak_singularity=weak,
-        monotone_radius=monotone_radius if admissible else monotone_radius,
+        monotone_radius=monotone_radius,
         ratio_radius=ratio_radius,
         safe_radius=safe_radius,
         slope_at_origin=slope,
@@ -370,14 +370,4 @@ def classify(p: PotentialSpec, probe_grid: np.ndarray | None = None) -> ClassRep
         sv, _ = check_slowly_varying(p)
     else:
         sv = False  # slow variation is only claimed within the admissible class
-    return ClassReport(
-        admissible=report.admissible,
-        weak_singularity=report.weak_singularity,
-        monotone_radius=report.monotone_radius,
-        ratio_radius=report.ratio_radius,
-        safe_radius=report.safe_radius,
-        slope_at_origin=report.slope_at_origin,
-        slowly_varying=sv,
-        witness=report.witness,
-        notes=report.notes,
-    )
+    return replace(report, slowly_varying=sv)

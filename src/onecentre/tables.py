@@ -14,11 +14,12 @@ from typing import Iterable, Sequence
 
 
 def format_value(v) -> str:
-    """Round-trip decimal formatting: repr for floats, str otherwise."""
+    """Round-trip decimal formatting: repr for floats (numpy float64 included,
+    written as a plain number), str otherwise."""
     if isinstance(v, float):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 

@@ -9,7 +9,9 @@ evaluated with the exact kinetic energy of the piecewise-linear path and a
 midpoint rule for the potential.  The midpoint rule never samples the exact
 collision node; cells where the path passes near the origin are refined
 dyadically until their contribution settles, so the (integrable) blow-up of V
-along a collision path is captured.
+along a collision path is captured.  The refinement runs a whole level at a
+time on coordinate arrays, with one potential call per level for both
+half-cell midpoints of every unsettled cell; only unsettled cells split.
 
 The probe displaces a straight transmission path orthogonally by the plateau
 profile
@@ -25,7 +27,6 @@ minimizer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,44 +75,44 @@ class DiscretePath:
         return np.hypot(self.values[:, 0], self.values[:, 1])
 
 
-def _cell_potential(V, u_a: np.ndarray, u_b: np.ndarray, dt: float,
-                    tol: float, depth: int = 0) -> tuple[float, int]:
-    """Midpoint quadrature of V(|u(t)|) over one linear segment, with dyadic
-    refinement until the contribution settles (never samples the endpoints,
-    so an exact-zero node is harmless)."""
-    mid = 0.5 * (u_a + u_b)
-    coarse = V(math.hypot(mid[0], mid[1])) * dt
-    if depth >= MAX_DEPTH:
-        return coarse, depth
-    m = mid
-    left, dl = _cell_midpoint(V, u_a, m, 0.5 * dt)
-    right, dr = _cell_midpoint(V, m, u_b, 0.5 * dt)
-    fine = left + right
-    if abs(fine - coarse) < tol:
-        return fine, depth + 1
-    l_val, l_depth = _cell_potential(V, u_a, m, 0.5 * dt, tol, depth + 1)
-    r_val, r_depth = _cell_potential(V, m, u_b, 0.5 * dt, tol, depth + 1)
-    return l_val + r_val, max(l_depth, r_depth)
+def _midpoint_refine(g, xs: np.ndarray, ys: np.ndarray, dt: float,
+                     tol: float) -> tuple[float, int]:
+    """Midpoint quadrature of g(|u(t)|) along the segments joining consecutive
+    nodes (xs[i], ys[i]) with time step dt; returns (value, max depth).
 
-
-def _cell_midpoint(V, u_a, u_b, dt) -> tuple[float, int]:
-    mid = 0.5 * (u_a + u_b)
-    return V(math.hypot(mid[0], mid[1])) * dt, 0
+    Each live cell compares its midpoint value (coarse) with the sum of its
+    two half-cell values (fine): settled cells add fine, the others split,
+    each half keeping its value as its coarse, and cells still live at
+    MAX_DEPTH add coarse.  Endpoints are never sampled, so an exact-zero node
+    is harmless.
+    """
+    xa, ya, xb, yb = xs[:-1], ys[:-1], xs[1:], ys[1:]
+    xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
+    coarse = g(np.hypot(xm, ym)) * dt
+    total, depth = 0.0, 0
+    while coarse.size:
+        if depth >= MAX_DEPTH:
+            return total + float(np.sum(coarse)), depth
+        dt *= 0.5
+        left = g(np.hypot(0.5 * (xa + xm), 0.5 * (ya + ym))) * dt
+        right = g(np.hypot(0.5 * (xm + xb), 0.5 * (ym + yb))) * dt
+        fine = left + right
+        settled = np.abs(fine - coarse) < tol
+        total += float(np.sum(fine[settled]))
+        depth += 1
+        live = ~settled
+        xa, xb = np.concatenate((xa[live], xm[live])), np.concatenate((xm[live], xb[live]))
+        ya, yb = np.concatenate((ya[live], ym[live])), np.concatenate((ym[live], yb[live]))
+        xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
+        coarse = np.concatenate((left[live], right[live]))
+    return total, depth
 
 
 def potential_action(path: DiscretePath, potential: PotentialSpec,
                      tol: float = REFINE_TOL) -> tuple[float, int]:
     """Integral of V(|u|) along the path; returns (value, max refinement depth)."""
-    V = potential.value
-    total = 0.0
-    max_depth = 0
-    vals = path.values
-    dt = path.dt
-    for i in range(len(vals) - 1):
-        contrib, depth = _cell_potential(V, vals[i], vals[i + 1], dt, tol)
-        total += contrib
-        max_depth = max(max_depth, depth)
-    return total, max_depth
+    return _midpoint_refine(potential.value, path.values[:, 0], path.values[:, 1],
+                            path.dt, tol)
 
 
 def action(path: DiscretePath, potential: PotentialSpec,
@@ -129,7 +130,9 @@ def transmission_discrete_path(potential: PotentialSpec, energy: float,
     The drop starts at rest at the outer rest radius, collides at t = 0 (a
     grid node, with value exactly 0) and continues to the reflected rest
     point.  n_cells must be divisible by 4 so that t = 0 and T1 = T0/2 are
-    grid nodes.
+    grid nodes.  The pre-collision nodes are evaluated in one call and the
+    t > 0 half is their point reflection, so the path is exactly
+    antisymmetric.
     """
     if n_cells % 4:
         raise ValueError("n_cells must be divisible by 4")
@@ -143,13 +146,7 @@ def transmission_discrete_path(potential: PotentialSpec, energy: float,
     T0 = path.collision_time
 
     times = np.linspace(-T0, T0, n_cells + 1)
-    values = np.empty((n_cells + 1, 2))
-    for i, t in enumerate(times):
-        if i == n_cells // 2:
-            values[i] = (0.0, 0.0)   # collision node, known exactly
-        else:
-            values[i] = path.state_at(T0 + t).position
-    return DiscretePath(times, values)
+    return DiscretePath(times, path.symmetric_positions(T0 + times[:n_cells // 2]))
 
 
 def _collinear_axis(path: DiscretePath, tol: float = 1e-9) -> np.ndarray:
@@ -228,14 +225,9 @@ def delta_action(path: DiscretePath, delta: float, T1: float,
     V = potential.value
     half = len(path.times) // 2
     i_T1 = int(np.argmin(np.abs(path.times - T1_snap)))
-    sur = 0.0
-    depth_s = 0
-    for i in range(half, i_T1):
-        u_a, u_b = path.values[i], path.values[i + 1]
-        g = lambda r: V(r) - V(math.hypot(r, delta))
-        contrib, depth = _cell_potential(g, u_a, u_b, path.dt, tol)
-        sur += contrib
-        depth_s = max(depth_s, depth)
+    nodes = path.values[half:i_T1 + 1]
+    sur, depth_s = _midpoint_refine(lambda r: V(r) - V(np.hypot(r, delta)),
+                                    nodes[:, 0], nodes[:, 1], path.dt, tol)
 
     return ActionComparison(
         delta=delta, T1=T1_snap,

@@ -162,6 +162,19 @@ def test_desingularized_factor_bounded_by_cutoff():
             assert val <= beta + 1e-9
 
 
+def test_desingularized_factor_array_matches_scalar_calls():
+    rp = log_problem(0.0, 1e-2, 1e-2)
+    tp = turning_points(rp)
+    beta = tp.apocenter
+    rhos = 1.0 + (beta / tp.pericenter - 1.0) * np.random.default_rng(7).uniform(
+        1e-9, 1.0 - 1e-9, size=50)
+    vals = desingularized_factor(rp, beta, 0.0, rhos)
+    assert vals.shape == rhos.shape
+    assert np.array_equal(vals, [desingularized_factor(rp, beta, 0.0, float(r)) for r in rhos])
+    with pytest.raises(ValueError):
+        desingularized_factor(rp, beta, 0.0, np.append(rhos, 0.5))
+
+
 def test_desingularized_factor_endpoints():
     # at the outer endpoint with beta < apocenter the factor vanishes; at the
     # inner endpoint both numerator and denominator vanish and the limit is

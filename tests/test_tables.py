@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from onecentre.tables import (ConvergenceTable, aitken_limit, is_decreasing,
-                              limit_verdict, richardson_limit)
+from onecentre.tables import (ConvergenceTable, aitken_limit, format_value,
+                              is_decreasing, limit_verdict, richardson_limit)
 
 
 def test_aitken_exact_on_geometric_sequences():
@@ -75,3 +76,13 @@ def test_table_deterministic_output(tmp_path):
     build().write_csv(p1)
     build().write_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_numpy_floats_written_as_plain_numbers(tmp_path):
+    assert format_value(np.float64(0.011006158657879572)) == "0.011006158657879572"
+    assert format_value(np.float64(-np.inf)) == "-inf"
+    t = ConvergenceTable(("a", "b"))
+    t.add(np.int64(3), np.float64(0.1))
+    path = tmp_path / "t.csv"
+    t.write_csv(path)
+    assert path.read_text().splitlines()[1] == "3,0.1"

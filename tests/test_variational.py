@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from onecentre.potentials import homogeneous, logarithmic
+from onecentre import variational
+from onecentre.flow import transmission_extend
+from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
+from onecentre.radial import DropFromRest, RadialProblem, case_anchor, collision_time
+from onecentre.simulator import PhaseState, integrate
 from onecentre.variational import (DiscretePath, action, delta_action,
                                    plateau_profile, potential_action,
                                    standard_variation,
@@ -144,3 +148,110 @@ def test_nonuniform_grid_rejected():
     ts = np.array([0.0, 0.1, 0.3])
     with pytest.raises(ValueError):
         DiscretePath(ts, np.zeros((3, 2)))
+
+
+# --- level-wise refinement against the per-cell recursion -------------------
+
+def _scalar_cell(g, u_a, u_b, dt, tol, depth=0):
+    """Per-cell dyadic midpoint recursion on scalars: the reference oracle."""
+    mid = 0.5 * (u_a + u_b)
+    coarse = g(math.hypot(mid[0], mid[1])) * dt
+    if depth >= variational.MAX_DEPTH:
+        return coarse, depth
+    left, right = 0.5 * (u_a + mid), 0.5 * (mid + u_b)
+    fine = (g(math.hypot(left[0], left[1])) * (0.5 * dt)
+            + g(math.hypot(right[0], right[1])) * (0.5 * dt))
+    if abs(fine - coarse) < tol:
+        return fine, depth + 1
+    l_val, l_depth = _scalar_cell(g, u_a, mid, 0.5 * dt, tol, depth + 1)
+    r_val, r_depth = _scalar_cell(g, mid, u_b, 0.5 * dt, tol, depth + 1)
+    return l_val + r_val, max(l_depth, r_depth)
+
+
+def _scalar_integral(g, nodes, dt, tol=variational.REFINE_TOL):
+    total, depth = 0.0, 0
+    for u_a, u_b in zip(nodes[:-1], nodes[1:]):
+        val, d = _scalar_cell(g, u_a, u_b, dt, tol)
+        total += val
+        depth = max(depth, d)
+    return total, depth
+
+
+@pytest.fixture(scope="module", params=["logarithmic", "homogeneous(0.5)"])
+def probe_case(request):
+    pot = logarithmic() if request.param == "logarithmic" else homogeneous(0.5)
+    return pot, transmission_discrete_path(pot, -1.0, n_cells=2 ** 12)
+
+
+def test_potential_action_matches_scalar_recursion(probe_case):
+    pot, path = probe_case
+    val, depth = potential_action(path, pot)
+    ref, ref_depth = _scalar_integral(pot.value, path.values, path.dt)
+    assert depth == ref_depth
+    assert depth > 5
+    assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_delta_action_matches_scalar_recursion(probe_case):
+    pot, path = probe_case
+    V = pot.value
+    half = len(path.times) // 2
+    pot0, depth0 = _scalar_integral(V, path.values, path.dt)
+    for delta in (1e-2, 1e-4):
+        cmp_ = delta_action(path, delta, 0.5 * path.half_span, pot)
+        varied = standard_variation(path, delta, 0.5 * path.half_span)
+        pot1, depth1 = _scalar_integral(V, varied.values, path.dt)
+        i_T1 = int(np.argmin(np.abs(path.times - cmp_.T1)))
+        sur, depth_s = _scalar_integral(lambda r: V(r) - V(math.hypot(r, delta)),
+                                        path.values[half:i_T1 + 1], path.dt)
+        assert cmp_.collision_cell_depth == max(depth0, depth1, depth_s)
+        # dV is a difference of two O(1) integrals: compare it on their scale
+        assert abs(cmp_.dV - (pot0 - pot1)) <= 1e-12 * abs(pot0)
+        assert cmp_.dV_lower_bound == pytest.approx(sur, rel=1e-12, abs=0.0)
+
+
+def test_refinement_stops_at_max_depth(monkeypatch, log_path):
+    # the collision cell never settles within three levels; the far cells
+    # settle at the first, so only a few cells stay live
+    monkeypatch.setattr(variational, "MAX_DEPTH", 3)
+    val, depth = potential_action(log_path, logarithmic())
+    ref, ref_depth = _scalar_integral(logarithmic().value, log_path.values, log_path.dt)
+    assert depth == ref_depth == 3
+    assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def _log_transmission(energy=0.0):
+    pot = logarithmic()
+    bare = SmoothedPotential(pot, 0.0)
+    anchor, _ = case_anchor(DropFromRest(energy), pot)
+    horizon = 10.0 * collision_time(RadialProblem(bare, energy, 0.0), anchor)
+    pre = integrate(PhaseState((anchor, 0.0), (0.0, 0.0)), bare, horizon=horizon,
+                    rtol=1e-12)
+    return transmission_extend(pre)
+
+
+def test_transmission_path_matches_per_node_states(log_path):
+    tpath = _log_transmission()
+    T0 = tpath.collision_time
+    n = len(log_path.times) - 1
+    assert np.all(log_path.values[n // 2] == 0.0)
+    assert np.array_equal(log_path.values, -log_path.values[::-1])
+    for i, t in enumerate(log_path.times):
+        if i != n // 2:
+            assert np.max(np.abs(log_path.values[i] - tpath.state_at(T0 + t).position)) <= 1e-12
+
+
+def test_symmetric_positions_inside_collision_window():
+    # grid nodes never fall in the ~1e-9 window below the abort radius;
+    # sample it directly, both halves, against the scalar state
+    tpath = _log_transmission()
+    T0, ta = tpath.collision_time, tpath.abort_time
+    t = np.array([0.0, 0.5 * ta, ta, ta + 0.25 * (T0 - ta), ta + 0.75 * (T0 - ta)])
+    pos = tpath.symmetric_positions(t)
+    assert pos.shape == (11, 2)
+    assert np.all(pos[5] == 0.0)
+    for k, tk in enumerate(t):
+        assert np.array_equal(pos[k], tpath.state_at(tk).position)
+        assert np.array_equal(pos[10 - k], -pos[k])
+        # 2 T0 - tk reflects back to tk only up to rounding
+        assert np.max(np.abs(pos[10 - k] - tpath.state_at(2.0 * T0 - tk).position)) <= 1e-12
