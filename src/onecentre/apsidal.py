@@ -150,6 +150,42 @@ def desingularized_factor(rp: RadialProblem, beta: float, v_sq: float,
     return num / den
 
 
+def bounds_audit(potential: PotentialSpec, eps_values, samples: int, seed: int,
+                 energy: float = 0.0, violation_tol: float = 1e-9) -> ConvergenceTable:
+    """Seeded audit of both integrand bounds, per eps in `eps_values`.
+
+    `samples` envelope draws 0 < y < x < r_outer <= 1 (rows "envelope", p =
+    (y, x, r_outer), margin = envelope - r_outer), then `samples` factor draws
+    of rho for the orbit with l = eps at energy + l^2/2, cut off at its
+    apocenter beta (rows "factor", p = (rho, R-, beta), margin = beta -
+    factor).  meta["violations"] lists the samples with margin < -violation_tol.
+    """
+    rng = np.random.default_rng(seed)
+    table = ConvergenceTable(("kind", "epsilon", "p1", "p2", "p3", "value", "margin"))
+    violations = []
+    for eps in eps_values:
+        for _ in range(samples):
+            r_outer = rng.uniform(0.05, 1.0)
+            y = rng.uniform(1e-3, 0.999 * r_outer)
+            x = rng.uniform(y * (1 + 1e-7), r_outer * (1 - 1e-7))
+            val = integrand_envelope(potential, eps, y, x, r_outer)
+            margin = val - r_outer
+            table.add("envelope", eps, y, x, r_outer, val, margin)
+            if margin < -violation_tol:
+                violations.append(("envelope", eps, y, x, r_outer, margin))
+        rp = RadialProblem(SmoothedPotential(potential, eps), energy + 0.5 * eps * eps, eps)
+        tp = turning_points(rp)
+        beta = tp.apocenter
+        rhos = 1.0 + (beta / tp.pericenter - 1.0) * rng.uniform(1e-9, 1.0 - 1e-9, size=samples)
+        for rho, val in zip(rhos, desingularized_factor(rp, beta, 0.0, rhos)):
+            margin = beta - val
+            table.add("factor", eps, rho, tp.pericenter, beta, val, margin)
+            if margin < -violation_tol:
+                violations.append(("factor", eps, rho, margin))
+    table.meta["violations"] = violations
+    return table
+
+
 def smoothed_ratio_limit(potential: PotentialSpec, rho: float,
                          schedule: list[tuple[float, float]] | None = None) -> ConvergenceTable:
     """Table of V_eps(rho*delta)/V_eps(delta) along a (delta, eps) -> (0,0) schedule.
@@ -210,31 +246,17 @@ def _sweep_cell(potential: PotentialSpec, case: Case, eps: float, l: float,
     return tp, ang
 
 
-def _cell_worker(args) -> tuple:
-    """Process-pool entry: rebuild the potential from its config and run a cell."""
-    from .potentials import from_config
-    cfg, case, eps, l, rel_tol = args
-    try:
-        tp, ang = _sweep_cell(from_config(cfg), case, eps, l, rel_tol)
-        return (tp.pericenter, ang.cutoff, ang.angle, ang.quad_error,
-                ang.inner_part, ang.outer_part, None)
-    except (ValueError, RuntimeError) as exc:
-        return (math.nan,) * 6 + (str(exc),)
-
-
 def convergence_sweep(potential: PotentialSpec, case: Case,
                       paths: list[SweepPath] | None = None,
                       rel_tol: float = DEFAULT_TOL,
                       target: float = math.pi / 2.0,
-                      uniformity_tol: float = 1e-2,
-                      jobs: int = 1) -> ConvergenceTable:
+                      uniformity_tol: float = 1e-2) -> ConvergenceTable:
     """Apsidal angles over (eps, l) schedules, with per-path limit verdicts.
 
     Individual cell failures are recorded in the table (angle = nan) and the
     sweep continues.  meta carries, per path, the Aitken limit estimate and
     the convergence verdict, plus a uniformity verdict: all path estimates
-    within `uniformity_tol` of each other.  jobs > 1 runs cells in a process
-    pool (built-in potential families only); rows stay in schedule order.
+    within `uniformity_tol` of each other.
     """
     if paths is None:
         paths = default_paths()
@@ -244,33 +266,19 @@ def convergence_sweep(potential: PotentialSpec, case: Case,
         meta={"case": type(case).__name__, "energy": case.energy,
               "ball_radius": case.ball_radius, "target": target})
 
-    flat = [(path, k, eps, l) for path in paths for k, (eps, l) in enumerate(path.cells)]
-    if jobs > 1 and potential.config is not None:
-        from concurrent.futures import ProcessPoolExecutor
-        args = [(potential.config, case, eps, l, rel_tol) for _, _, eps, l in flat]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker, args))
-    else:
-        results = [None] * len(flat)
-
     estimates: dict[str, LimitVerdict] = {}
     angles_by_path: dict[str, list[float]] = {p.path_id: [] for p in paths}
-    for i, (path, k, eps, l) in enumerate(flat):
-        if results[i] is None:
+    for path in paths:
+        for k, (eps, l) in enumerate(path.cells):
             try:
                 tp, ang = _sweep_cell(potential, case, eps, l, rel_tol)
-                row = (tp.pericenter, ang.cutoff, ang.angle, ang.quad_error,
-                       ang.inner_part, ang.outer_part, None)
             except (ValueError, RuntimeError) as exc:
-                row = (math.nan,) * 6 + (str(exc),)
-        else:
-            row = results[i]
-        pericenter, cutoff, angle, err, i1, i2, failure = row
-        table.add(path.path_id, k, eps, l, pericenter, cutoff, angle, err, i1, i2)
-        if failure is None:
-            angles_by_path[path.path_id].append(angle)
-        else:
-            table.meta.setdefault("cell_errors", []).append((path.path_id, k, failure))
+                table.add(path.path_id, k, eps, l, *(math.nan,) * 6)
+                table.meta.setdefault("cell_errors", []).append((path.path_id, k, str(exc)))
+                continue
+            table.add(path.path_id, k, eps, l, tp.pericenter, ang.cutoff, ang.angle,
+                      ang.quad_error, ang.inner_part, ang.outer_part)
+            angles_by_path[path.path_id].append(ang.angle)
 
     for path in paths:
         angles = angles_by_path[path.path_id]

@@ -21,14 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .apsidal import (calibration_integral, convergence_sweep,
-                      default_paths, desingularized_factor,
-                      integrand_envelope)
+from .apsidal import (bounds_audit, calibration_integral, convergence_sweep,
+                      default_paths)
 from .flow import continuity_experiment, diagonal_cells, poincare_section, transmission_extend
 from .potentials import SmoothedPotential, classify, from_config
 from .radial import (DropFromRest, InwardCrossing, RadialProblem, case_anchor,
-                     collision_time, time_of_flight, turning_points)
-from .simulator import PhaseState, conserved_drift, integrate, make_initial_data
+                     collision_time)
+from .simulator import integrate, make_initial_data, oracle_crosscheck
 from .tables import ConvergenceTable, format_value, is_decreasing
 from .variational import delta_action, transmission_discrete_path
 
@@ -147,7 +146,7 @@ def cmd_apsidal_sweep(args, out: Path) -> bool:
     case = _case_from(cfg)
     paths = default_paths(cfg["exponents"])
     tol = args.tol_quad if args.tol_quad is not None else 1e-10
-    table = convergence_sweep(potential, case, paths, rel_tol=tol, jobs=args.jobs)
+    table = convergence_sweep(potential, case, paths, rel_tol=tol)
     table.write_csv(out_path(out, "apsidal_sweep.csv"))
     limits = table.meta.get("path_limits", {})
     est = {pid: v["estimate"] for pid, v in limits.items()}
@@ -170,38 +169,13 @@ def cmd_bounds_audit(args, out: Path) -> bool:
         "violation_tol": 1e-9,
         "energy": 0.0,
     })
-    potential = from_config(cfg["potential"])
-    rng = np.random.default_rng(args.seed)
-    tol = float(cfg["violation_tol"])
-    table = ConvergenceTable(("kind", "epsilon", "p1", "p2", "p3", "value", "margin"))
-    violations = []
-    for eps in cfg["eps"]:
-        for _ in range(int(cfg["samples"])):
-            r_outer = rng.uniform(0.05, 1.0)
-            y = rng.uniform(1e-3, 0.999 * r_outer)
-            x = rng.uniform(y * (1 + 1e-7), r_outer * (1 - 1e-7))
-            val = integrand_envelope(potential, eps, y, x, r_outer)
-            margin = val - r_outer
-            table.add("envelope", eps, y, x, r_outer, val, margin)
-            if margin < -tol:
-                violations.append(("envelope", eps, y, x, r_outer, margin))
-        sm = SmoothedPotential(potential, eps)
-        l = eps
-        rp = RadialProblem(sm, float(cfg["energy"]) + 0.5 * l * l, l)
-        tp = turning_points(rp)
-        beta = tp.apocenter
-        rhos = 1.0 + (beta / tp.pericenter - 1.0) * rng.uniform(1e-9, 1.0 - 1e-9,
-                                                                 size=int(cfg["samples"]))
-        for rho, val in zip(rhos, desingularized_factor(rp, beta, 0.0, rhos)):
-            margin = beta - val
-            table.add("factor", eps, rho, tp.pericenter, beta, val, margin)
-            if margin < -tol:
-                violations.append(("factor", eps, rho, margin))
+    table = bounds_audit(from_config(cfg["potential"]), cfg["eps"], int(cfg["samples"]),
+                         args.seed, float(cfg["energy"]), float(cfg["violation_tol"]))
     table.write_csv(out_path(out, "bounds_audit.csv"))
     return _emit(out, "bounds_audit",
                  "envelope >= r_outer and factor <= beta on seeded samples",
-                 not violations,
-                 {"violations": violations, "samples_per_audit": cfg["samples"],
+                 not table.meta["violations"],
+                 {"violations": table.meta["violations"], "samples_per_audit": cfg["samples"],
                   "seed": args.seed}, cfg)
 
 
@@ -310,12 +284,10 @@ def cmd_variational_probe(args, out: Path) -> bool:
     T1 = float(cfg["T1_factor"]) * path.half_span
     table = ConvergenceTable(("delta", "T1", "dK_closed", "dK_discrete",
                               "dV", "dA", "collision_cell_depth"))
-    rows = []
-    for delta in cfg["deltas"]:
-        cmp_ = delta_action(path, float(delta), T1, potential)
-        rows.append(cmp_)
-        table.add(cmp_.delta, cmp_.T1, cmp_.dK_closed, cmp_.dK_discrete,
-                  cmp_.dV, cmp_.dA, cmp_.collision_cell_depth)
+    rows = delta_action(path, [float(d) for d in cfg["deltas"]], T1, potential)
+    for r in rows:
+        table.add(r.delta, r.T1, r.dK_closed, r.dK_discrete, r.dV, r.dA,
+                  r.collision_cell_depth)
     table.write_csv(out_path(out, "variational_probe.csv"))
     all_positive = all(r.dA > 0 for r in rows)
     kinetic_exact = max(abs(r.dK_discrete - r.dK_closed) for r in rows)
@@ -336,43 +308,16 @@ def cmd_oracle_crosscheck(args, out: Path) -> bool:
         "period_tol": 1e-6,
         "drift_budget": 1e-8,
     })
-    potential = from_config(cfg["potential"])
-    rng = np.random.default_rng(args.seed)
     rtol = args.tol_ode if args.tol_ode is not None else 1e-12
-    table = ConvergenceTable(("orbit", "E", "l", "period_ode", "period_quad",
-                              "mismatch", "dE", "dl"))
-    worst_period, worst_drift = 0.0, 0.0
-    failing = None
-    for i in range(int(cfg["orbits"])):
-        E = rng.uniform(-0.5, 1.0)
-        sm = SmoothedPotential(potential, 0.0)
-        probe = RadialProblem(sm, E, 0.0)
-        grid = np.geomspace(1e-6, 50.0, 4000)
-        fmax = float(np.max(probe.f(grid)))
-        l = math.sqrt(fmax) * rng.uniform(0.2, 0.9)
-        rp = RadialProblem(sm, E, l)
-        tp = turning_points(rp)
-        half = time_of_flight(rp, tp.pericenter, tp.apocenter, tp)
-        state = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
-        traj = integrate(state, sm, horizon=4.1 * half, rtol=rtol)
-        peri = traj.events_of("pericenter")
-        if len(peri) < 2:
-            failing = (i, "fewer than two pericentre passages")
-            continue
-        period_ode = peri[1].time - peri[0].time
-        mism = abs(period_ode - 2.0 * half)
-        dE, dl = conserved_drift(traj)
-        table.add(i, E, l, period_ode, 2.0 * half, mism, dE, dl)
-        worst_period = max(worst_period, mism)
-        worst_drift = max(worst_drift, dE, dl)
+    table = oracle_crosscheck(from_config(cfg["potential"]), int(cfg["orbits"]),
+                              args.seed, rtol)
     table.write_csv(out_path(out, "oracle_crosscheck.csv"))
-    verdict = failing is None and worst_period <= cfg["period_tol"] \
-        and worst_drift <= cfg["drift_budget"]
+    meta = table.meta
+    verdict = meta["failing"] is None and meta["worst_period_mismatch"] <= cfg["period_tol"] \
+        and meta["worst_drift"] <= cfg["drift_budget"]
     return _emit(out, "oracle_crosscheck",
                  "radial quadrature and plane integration agree on orbit periods",
-                 verdict, {"worst_period_mismatch": worst_period,
-                           "worst_drift": worst_drift, "failing": failing,
-                           "seed": args.seed}, cfg)
+                 verdict, {**meta, "seed": args.seed}, cfg)
 
 
 def _scaled_T(potential, case, factor: float) -> float:
@@ -410,7 +355,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--tol-quad", type=float, default=None)
     parser.add_argument("--tol-ode", type=float, default=None)
     parser.add_argument("--xi", type=float, default=None,

@@ -139,16 +139,34 @@ def is_collision_datum(state: PhaseState, eps: float) -> bool:
     return eps == 0.0 and abs(state.ang_momentum) <= COLLISION_L_TOL
 
 
-def _collision_flow(state: PhaseState, potential: PotentialSpec,
-                    t_max: float, ball_radius: float,
-                    rtol: float) -> TransmissionPath:
-    bare = SmoothedPotential(potential, 0.0)
-    pre = integrate(state, bare, horizon=4.0 * t_max + 10.0,
-                    ball_radius=ball_radius, rtol=rtol)
-    exit_ev = pre.first_event(EXIT_BALL)
-    if exit_ev is not None:
+def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
+                  horizon: float, ball_radius: float = math.inf,
+                  rtol: float = 1e-12) -> Trajectory | TransmissionPath:
+    """The orbit of the extended flow from `state`, valid on [0, horizon].
+
+    A collision datum (eps = 0, l = 0) gets its transmission path: the fall
+    is integrated for up to 4 horizon + 10 until its collision event; leaving
+    the ball on the way raises ExitedBall, and 2 T0 < horizon ValueError.
+    Any other datum is integrated plainly up to the horizon; leaving the ball
+    before it raises ExitedBall, stopping short of it RuntimeError.
+    """
+    collision = is_collision_datum(state, eps)
+    orbit = integrate(state, SmoothedPotential(potential, eps),
+                      horizon=4.0 * horizon + 10.0 if collision else horizon,
+                      ball_radius=ball_radius, rtol=rtol)
+    exit_ev = orbit.first_event(EXIT_BALL)
+    if exit_ev is not None and (collision or exit_ev.time < horizon):
         raise ExitedBall(exit_ev.time)
-    return transmission_extend(pre)
+    if not collision:
+        if orbit.t_end < horizon:
+            raise RuntimeError(
+                f"integration stopped at t={orbit.t_end!r} before T={horizon!r}")
+        return orbit
+    path = transmission_extend(orbit)
+    if horizon > 2.0 * path.collision_time:
+        raise ValueError(f"T={horizon!r} beyond the transmission domain "
+                         f"(2 T0 = {2.0 * path.collision_time!r})")
+    return path
 
 
 def extended_poincare_map(state: PhaseState, eps: float, T: float,
@@ -157,26 +175,16 @@ def extended_poincare_map(state: PhaseState, eps: float, T: float,
                           rtol: float = 1e-12) -> PhaseState:
     """The time-T map of the extended flow.
 
-    Collision data (eps = 0, l = 0) are transported with the transmission
-    path; everything else by plain integration.  T equal to the collision
-    time is rejected (the velocity has no limit there); orbits leaving the
-    ball before T raise ExitedBall.
+    T equal to the collision time of a collision datum is rejected (the
+    velocity has no limit there); orbits leaving the ball before T raise
+    ExitedBall.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    if is_collision_datum(state, eps):
-        path = _collision_flow(state, potential, T, ball_radius, rtol)
-        if abs(T - path.collision_time) < 1e-12:
-            raise ValueError("the Poincare map is not defined at the collision time")
-        return path.state_at(T)
-    traj = integrate(state, SmoothedPotential(potential, eps), horizon=T,
-                     ball_radius=ball_radius, rtol=rtol)
-    exit_ev = traj.first_event(EXIT_BALL)
-    if exit_ev is not None and exit_ev.time < T:
-        raise ExitedBall(exit_ev.time)
-    if traj.t_end < T:
-        raise RuntimeError(f"integration stopped at t={traj.t_end!r} before T={T!r}")
-    return traj.state_at(T)
+    orbit = extended_flow(state, eps, potential, T, ball_radius, rtol)
+    if isinstance(orbit, TransmissionPath) and abs(T - orbit.collision_time) < 1e-12:
+        raise ValueError("the Poincare map is not defined at the collision time")
+    return orbit.state_at(T)
 
 
 def diagonal_cells(exponents=range(2, 7)) -> list[tuple[float, Perturbation]]:
@@ -190,8 +198,9 @@ def continuity_experiment(potential: PotentialSpec, case: Case, T: float,
                           cells: list[tuple[float, Perturbation]] | None = None,
                           rtol: float = 1e-12,
                           speed_floor: float = 1e-8) -> ConvergenceTable:
-    """Distance between perturbed smoothed orbits and the transmission path at
-    time T, along a schedule of (eps, perturbation) cells tending to zero.
+    """Distance at time T between the extended flow of perturbed data and the
+    transmission path, along a schedule of (eps, perturbation) cells tending
+    to zero.
 
     Cells whose orbit leaves the ball before T are marked (nan distances), not
     failed.  meta records the reference state, whether the distances are
@@ -200,11 +209,9 @@ def continuity_experiment(potential: PotentialSpec, case: Case, T: float,
     """
     if cells is None:
         cells = diagonal_cells()
-    y_bar = make_initial_data(case, potential)
-    ref_path = _collision_flow(y_bar, potential, T, case.ball_radius, rtol)
+    ref_path = extended_flow(make_initial_data(case, potential), 0.0, potential,
+                             T, case.ball_radius, rtol)
     T0 = ref_path.collision_time
-    if T > 2.0 * T0:
-        raise ValueError(f"T={T!r} beyond the transmission domain (2 T0 = {2*T0!r})")
     ref = ref_path.state_at(T)
     ref_speed = float(np.linalg.norm(ref.velocity))
     table = ConvergenceTable(
@@ -222,20 +229,17 @@ def continuity_experiment(potential: PotentialSpec, case: Case, T: float,
     for k, (eps, pert) in enumerate(cells):
         y_k = make_initial_data(case, potential, pert)
         try:
-            traj = integrate(y_k, SmoothedPotential(potential, eps), horizon=T,
-                             ball_radius=case.ball_radius, rtol=rtol)
-            exit_ev = traj.first_event(EXIT_BALL)
-            if exit_ev is not None and exit_ev.time < T:
-                raise ExitedBall(exit_ev.time)
+            orbit = extended_flow(y_k, eps, potential, T, case.ball_radius, rtol)
         except ExitedBall as exc:
             table.add(k, eps, pert.l, math.hypot(*pert.dq), pert.dv1,
                       math.nan, math.nan, math.nan, math.nan)
             table.meta.setdefault("marked_cells", []).append((k, str(exc)))
             continue
-        st = traj.state_at(T)
+        st = orbit.state_at(T)
         d_pos = float(np.linalg.norm(st.position - ref.position))
         d_vel = float(np.linalg.norm(st.velocity - ref.velocity))
-        theta_inc = traj.theta_at(T)
+        # a transmission path's angle is absolute, a trajectory's lift starts at 0
+        theta_inc = orbit.theta_at(T) - orbit.theta_at(0.0)
         table.add(k, eps, pert.l, math.hypot(*pert.dq), pert.dv1,
                   math.hypot(d_pos, d_vel), d_pos, d_vel, theta_inc)
         dists.append(math.hypot(d_pos, d_vel))
@@ -322,8 +326,8 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
     flow near the section, which the bracket search relies on.
     """
     rng = np.random.default_rng(seed)
-    y_bar = make_initial_data(case, potential)
-    ref_path = _collision_flow(y_bar, potential, T, case.ball_radius, rtol)
+    ref_path = extended_flow(make_initial_data(case, potential), 0.0, potential,
+                             T, case.ball_radius, rtol)
     if not (ref_path.collision_time < T < 2.0 * ref_path.collision_time):
         raise ValueError("T must lie strictly between the collision time and twice it")
     y1 = ref_path.state_at(T)
@@ -346,18 +350,8 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
     for i, (eps, pert) in enumerate(cells):
         y0 = make_initial_data(case, potential, pert)
         try:
-            if is_collision_datum(y0, eps):
-                path = _collision_flow(y0, potential, t_hi, case.ball_radius, rtol)
-                if t_hi >= 2.0 * path.collision_time:
-                    raise RuntimeError("transmission domain too short for the bracket")
-                flow_at = path.state_at
-            else:
-                traj = integrate(y0, SmoothedPotential(potential, eps),
-                                 horizon=t_hi, ball_radius=case.ball_radius, rtol=rtol)
-                exit_ev = traj.first_event(EXIT_BALL)
-                if exit_ev is not None and exit_ev.time < t_hi:
-                    raise ExitedBall(exit_ev.time)
-                flow_at = traj.state_at
+            flow_at = extended_flow(y0, eps, potential, t_hi, case.ball_radius,
+                                    rtol).state_at
 
             def H(t):
                 return section.offset(flow_at(t))

@@ -21,15 +21,13 @@ singularity the dynamics can reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .tables import ConvergenceTable, aitken_limit, is_decreasing
 
-#: default tolerance for limit checks on grids
-LIMIT_TOL = 1e-6
 #: default tolerance for the slow-variation sup at the finest lambda
 SLOW_VARIATION_TOL = 0.25
 #: tolerance below which x^2 V(x) counts as vanishing at the finest grid point
@@ -49,7 +47,6 @@ class PotentialSpec:
     value: Callable
     deriv: Callable
     deriv2: Callable
-    config: dict | None = field(default=None, compare=False)
 
     def __repr__(self) -> str:  # keep reprs short: callables are noise
         return f"PotentialSpec({self.name!r})"
@@ -61,7 +58,6 @@ def logarithmic() -> PotentialSpec:
         value=lambda x: -np.log(x),
         deriv=lambda x: -1.0 / x,
         deriv2=lambda x: 1.0 / (x * x),
-        config={"family": "logarithmic"},
     )
 
 
@@ -74,7 +70,6 @@ def homogeneous(alpha: float) -> PotentialSpec:
         value=lambda x: x ** (-a),
         deriv=lambda x: -a * x ** (-a - 1.0),
         deriv2=lambda x: a * (a + 1.0) * x ** (-a - 2.0),
-        config={"family": "homogeneous", "alpha": a},
     )
 
 

@@ -54,12 +54,6 @@ class RadialProblem:
         l = self.ang_momentum
         return 2.0 * (self.energy + self.potential.value(r)) - (l * l) / (r * r)
 
-    def radial_speed(self, r: float) -> float:
-        v2 = self.radicand(r)
-        if v2 < 0:
-            raise ValueError(f"radius {r!r} is outside the allowed region")
-        return math.sqrt(v2)
-
 
 @dataclass(frozen=True)
 class TurningPoints:

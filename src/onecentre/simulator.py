@@ -21,7 +21,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .potentials import PotentialSpec, SmoothedPotential
-from .radial import Case, case_anchor
+from .radial import (Case, RadialProblem, case_anchor, time_of_flight,
+                     turning_points)
+from .tables import ConvergenceTable
 
 #: ODE solver defaults; the drift budget of the experiments assumes these
 DEFAULT_RTOL = 1e-12
@@ -33,7 +35,6 @@ PERICENTER = "pericenter"
 APOCENTER = "apocenter"
 COLLISION = "collision"
 EXIT_BALL = "exit_ball"
-SECTION_HIT = "section_hit"
 
 
 @dataclass(frozen=True)
@@ -136,10 +137,6 @@ class Trajectory:
                     wr.writerow([repr(ev.time), ev.kind])
 
 
-class CollisionAbort(RuntimeError):
-    """Raised when an eps = 0, l = 0 run would need to cross the singularity."""
-
-
 def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
               ball_radius: float = math.inf,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
@@ -221,6 +218,47 @@ def conserved_drift(traj: Trajectory) -> tuple[float, float]:
     l = s[:, 0] * s[:, 3] - s[:, 1] * s[:, 2]
     return (float(np.max(np.abs(E - traj.energy0))),
             float(np.max(np.abs(l - traj.ang_momentum0))))
+
+
+def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int,
+                      rtol: float = DEFAULT_RTOL) -> ConvergenceTable:
+    """Pericentre-to-pericentre periods of seeded eps = 0 orbits against twice
+    the radial quadrature flight time, with conservation drift.
+
+    Each orbit draws E in [-0.5, 1) and l in [0.2, 0.9] times the largest
+    admissible l (max of f on a grid), starts at its apocenter and runs for
+    4.1 half periods.  meta carries worst_period_mismatch, worst_drift and
+    failing: (orbit, reason) of the last orbit with fewer than two pericentre
+    passages, or None.
+    """
+    rng = np.random.default_rng(seed)
+    sm = SmoothedPotential(potential, 0.0)
+    table = ConvergenceTable(("orbit", "E", "l", "period_ode", "period_quad",
+                              "mismatch", "dE", "dl"))
+    worst_period, worst_drift = 0.0, 0.0
+    failing = None
+    for i in range(orbits):
+        E = rng.uniform(-0.5, 1.0)
+        fmax = float(np.max(RadialProblem(sm, E, 0.0).f(np.geomspace(1e-6, 50.0, 4000))))
+        l = math.sqrt(fmax) * rng.uniform(0.2, 0.9)
+        rp = RadialProblem(sm, E, l)
+        tp = turning_points(rp)
+        half = time_of_flight(rp, tp.pericenter, tp.apocenter, tp)
+        state = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
+        traj = integrate(state, sm, horizon=4.1 * half, rtol=rtol)
+        peri = traj.events_of(PERICENTER)
+        if len(peri) < 2:
+            failing = (i, "fewer than two pericentre passages")
+            continue
+        period_ode = peri[1].time - peri[0].time
+        mism = abs(period_ode - 2.0 * half)
+        dE, dl = conserved_drift(traj)
+        table.add(i, E, l, period_ode, 2.0 * half, mism, dE, dl)
+        worst_period = max(worst_period, mism)
+        worst_drift = max(worst_drift, dE, dl)
+    table.meta.update(worst_period_mismatch=worst_period, worst_drift=worst_drift,
+                      failing=failing)
+    return table
 
 
 @dataclass(frozen=True)

@@ -70,22 +70,6 @@ def aitken_limit(values: Sequence[float]) -> float:
     return x2 - d2 * d2 / denom
 
 
-def richardson_limit(step_ratio: float, values: Sequence[float]) -> float:
-    """Classic Richardson table assuming error = sum of C_m * h^m, h shrinking
-    by `step_ratio` between consecutive values."""
-    level = list(values)
-    n = len(level)
-    if n == 1:
-        return level[0]
-    for m in range(1, n):
-        nxt = []
-        mult = step_ratio ** m
-        for i in range(n - m):
-            nxt.append((mult * level[i + 1] - level[i]) / (mult - 1.0))
-        level = nxt
-    return level[0]
-
-
 @dataclass(frozen=True)
 class LimitVerdict:
     estimate: float

@@ -207,32 +207,34 @@ class ActionComparison:
     collision_cell_depth: int
 
 
-def delta_action(path: DiscretePath, delta: float, T1: float,
-                 potential: PotentialSpec, tol: float = REFINE_TOL) -> ActionComparison:
-    """Compare the action of a transmission path and its plateau displacement."""
-    varied = standard_variation(path, delta, T1)
-    T1_snap = float(path.times[int(np.argmin(np.abs(path.times - T1)))])
+def delta_action(path: DiscretePath, deltas, T1: float, potential: PotentialSpec,
+                 tol: float = REFINE_TOL) -> list[ActionComparison]:
+    """Compare the action of a transmission path with each of its plateau
+    displacements, one ActionComparison per delta; the potential action of
+    the unvaried path is refined once."""
+    i_T1 = int(np.argmin(np.abs(path.times - T1)))
+    T1_snap = float(path.times[i_T1])
     T = path.half_span
-
-    dK_closed = -delta * delta / (T - T1_snap)
-    dK_discrete = path.kinetic_action() - varied.kinetic_action()
+    kin0 = path.kinetic_action()
     pot0, depth0 = potential_action(path, potential, tol)
-    pot1, depth1 = potential_action(varied, potential, tol)
-    dV = pot0 - pot1
-
-    # one-sided surrogate on t in [0, T1]: the displaced radius there is
-    # exactly sqrt(u0^2 + delta^2)
     V = potential.value
-    half = len(path.times) // 2
-    i_T1 = int(np.argmin(np.abs(path.times - T1_snap)))
-    nodes = path.values[half:i_T1 + 1]
-    sur, depth_s = _midpoint_refine(lambda r: V(r) - V(np.hypot(r, delta)),
-                                    nodes[:, 0], nodes[:, 1], path.dt, tol)
+    nodes = path.values[len(path.times) // 2:i_T1 + 1]
 
-    return ActionComparison(
-        delta=delta, T1=T1_snap,
-        dK_closed=dK_closed, dK_discrete=dK_discrete,
-        dV=dV, dA=dK_discrete + dV,
-        dV_lower_bound=sur,
-        collision_cell_depth=max(depth0, depth1, depth_s),
-    )
+    results = []
+    for delta in deltas:
+        varied = standard_variation(path, delta, T1)
+        dK_discrete = kin0 - varied.kinetic_action()
+        pot1, depth1 = potential_action(varied, potential, tol)
+        dV = pot0 - pot1
+        # one-sided surrogate on t in [0, T1]: the displaced radius there is
+        # exactly sqrt(u0^2 + delta^2)
+        sur, depth_s = _midpoint_refine(lambda r: V(r) - V(np.hypot(r, delta)),
+                                        nodes[:, 0], nodes[:, 1], path.dt, tol)
+        results.append(ActionComparison(
+            delta=delta, T1=T1_snap,
+            dK_closed=-delta * delta / (T - T1_snap), dK_discrete=dK_discrete,
+            dV=dV, dA=dK_discrete + dV,
+            dV_lower_bound=sur,
+            collision_cell_depth=max(depth0, depth1, depth_s),
+        ))
+    return results

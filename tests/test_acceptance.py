@@ -10,17 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from onecentre.apsidal import (apsidal_angle, calibration_integral,
-                               convergence_sweep, default_paths,
-                               desingularized_factor, integrand_envelope)
+from onecentre.apsidal import (apsidal_angle, bounds_audit,
+                               calibration_integral, convergence_sweep,
+                               default_paths)
 from onecentre.flow import continuity_experiment, diagonal_cells, poincare_section
 from onecentre.potentials import (SmoothedPotential, check_slowly_varying,
                                   check_admissible, homogeneous, logarithmic,
                                   weak_singularity_check)
-from onecentre.radial import (DropFromRest, RadialProblem, time_of_flight,
-                              turning_points)
-from onecentre.simulator import (PERICENTER, PhaseState, conserved_drift,
-                                 integrate)
+from onecentre.radial import DropFromRest, RadialProblem
+from onecentre.simulator import (PhaseState, conserved_drift, integrate,
+                                 oracle_crosscheck)
 from onecentre.tables import aitken_limit, is_decreasing
 from onecentre.variational import delta_action, transmission_discrete_path
 
@@ -148,30 +147,12 @@ def test_criterion_04_smoothing_limit_desk_scale():
 
 def test_criterion_05_bound_audits():
     t0 = time.time()
-    rng = np.random.default_rng(777)
-    p = logarithmic()
-    violations = 0
-    worst_env = math.inf
-    for eps in (1e-2, 1e-4):
-        for _ in range(1000):
-            r_outer = rng.uniform(0.05, 1.0)
-            y = rng.uniform(1e-3, 0.999 * r_outer)
-            x = rng.uniform(y * (1 + 1e-7), r_outer * (1 - 1e-7))
-            margin = integrand_envelope(p, eps, y, x, r_outer) - r_outer
-            worst_env = min(worst_env, margin)
-            if margin < -1e-9:
-                violations += 1
-    worst_fac = -math.inf
-    for eps in (1e-2, 1e-4):
-        rp = RadialProblem(SmoothedPotential(p, eps), 0.5 * eps * eps, eps)
-        tp = turning_points(rp)
-        beta = tp.apocenter
-        for _ in range(1000):
-            rho = 1.0 + (beta / tp.pericenter - 1.0) * rng.uniform(1e-9, 1 - 1e-9)
-            excess = desingularized_factor(rp, beta, 0.0, rho) - beta
-            worst_fac = max(worst_fac, excess)
-            if excess > 1e-9:
-                violations += 1
+    table = bounds_audit(logarithmic(), (1e-2, 1e-4), 1000, seed=777,
+                         violation_tol=1e-9)
+    violations = len(table.meta["violations"])
+    worst_env = min(row[6] for row in table.rows if row[0] == "envelope")
+    # the factor rows' margin is beta - factor
+    worst_fac = -min(row[6] for row in table.rows if row[0] == "factor")
     elapsed = time.time() - t0
     ok = violations == 0 and elapsed < 10.0
     report(5, ok, elapsed,
@@ -189,20 +170,9 @@ def test_criterion_06_conservation_and_oracle_equivalence():
                      rtol=1e-12)
     dE, dl = conserved_drift(traj)
     # pericentre-to-pericentre vs twice the radial flight time, 20 orbits
-    rng = np.random.default_rng(42)
-    worst_period = 0.0
-    for _ in range(20):
-        E = rng.uniform(-0.5, 1.0)
-        l_max = math.exp(E - 0.5)   # sqrt of max f for the log potential
-        l = l_max * rng.uniform(0.2, 0.9)
-        rp = RadialProblem(bare, E, l)
-        tp = turning_points(rp)
-        half = time_of_flight(rp, tp.pericenter, tp.apocenter, tp)
-        st = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
-        orbit = integrate(st, bare, horizon=4.2 * half, rtol=1e-12)
-        peri = orbit.events_of(PERICENTER)
-        assert len(peri) >= 2
-        worst_period = max(worst_period, abs(peri[1].time - peri[0].time - 2.0 * half))
+    oracle = oracle_crosscheck(logarithmic(), 20, seed=42, rtol=1e-12)
+    assert oracle.meta["failing"] is None
+    worst_period = oracle.meta["worst_period_mismatch"]
     elapsed = time.time() - t0
     ok = dE < 1e-8 and dl < 1e-8 and worst_period < 1e-6 and elapsed < 60.0
     report(6, ok, elapsed,
@@ -276,8 +246,7 @@ def test_criterion_09_variational_non_minimality():
     t0 = time.time()
     path = transmission_discrete_path(logarithmic(), 0.0)   # 2^14 cells
     T1 = 0.5 * path.half_span
-    results = [delta_action(path, d, T1, logarithmic())
-               for d in (1e-2, 1e-3, 1e-4)]
+    results = delta_action(path, (1e-2, 1e-3, 1e-4), T1, logarithmic())
     elapsed = time.time() - t0
     all_positive = all(r.dA > 0 for r in results)
     kinetic_mismatch = max(abs(r.dK_discrete - r.dK_closed) for r in results)

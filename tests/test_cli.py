@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from onecentre.cli import main
 
 
@@ -131,18 +133,20 @@ def test_poincare_section_command(tmp_path):
     assert (tmp_path / "poincare_section_delta0.csv").exists()
 
 
-def test_deterministic_outputs(tmp_path):
+@pytest.mark.parametrize("subcommand, cfg, csv_names", [
+    ("bounds-audit", None, ["bounds_audit.csv"]),
+    ("oracle-crosscheck", {"orbits": 4}, ["oracle_crosscheck.csv"]),
+    ("poincare-section", {"deltas": [1e-2, 1e-3], "samples": 8},
+     ["poincare_section_delta0.csv", "poincare_section_delta1.csv"]),
+], ids=["bounds-audit", "oracle-crosscheck", "poincare-section"])
+def test_deterministic_outputs(tmp_path, subcommand, cfg, csv_names):
+    args = [subcommand, "--seed", "9"]
+    if cfg is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        args += ["--config", str(cfg_path)]
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        assert run_cli(["bounds-audit", "--out", str(out), "--seed", "9"]) == 0
-    assert (a / "bounds_audit.csv").read_bytes() == (b / "bounds_audit.csv").read_bytes()
-
-
-def test_sweep_jobs_flag_matches_sequential(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"exponents": [2, 3, 4]}))
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli(["apsidal-sweep", "--config", str(cfg), "--out", str(a)]) == 0
-    assert run_cli(["apsidal-sweep", "--config", str(cfg), "--out", str(b),
-                    "--jobs", "2"]) == 0
-    assert (a / "apsidal_sweep.csv").read_bytes() == (b / "apsidal_sweep.csv").read_bytes()
+        assert run_cli(args + ["--out", str(out)]) == 0
+    for name in csv_names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()

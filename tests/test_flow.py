@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from onecentre.flow import (ExitedBall, continuity_experiment, diagonal_cells,
+from onecentre.flow import (ExitedBall, TransmissionPath, continuity_experiment,
+                            diagonal_cells, extended_flow,
                             extended_poincare_map, phase_field,
                             poincare_section, section_through,
                             transmission_extend)
@@ -152,6 +153,38 @@ def test_continuity_control_before_collision():
     d = table.column("dist_total")
     assert d[-1] < 1e-3
     assert d[-1] < d[0] / 50.0
+
+
+def test_continuity_collision_cells_follow_the_extended_map():
+    # eps = 0, l = 0 cells are collision data: transported by their own
+    # transmission paths, not read off an integration aborted at collision
+    case = DropFromRest(0.0)
+    T = 1.5 * T0_LOG
+    cells = [(0.0, Perturbation(dq=(s, 0.0))) for s in (1e-2, 1e-3, 1e-4)]
+    table = continuity_experiment(logarithmic(), case, T, cells)
+    ref = extended_poincare_map(make_initial_data(case, logarithmic()), 0.0, T,
+                                logarithmic())
+    for (_, pert), d, theta in zip(cells, table.column("dist_total"),
+                                   table.column("theta_increment")):
+        st = extended_poincare_map(make_initial_data(case, logarithmic(), pert), 0.0, T,
+                                   logarithmic())
+        assert d == pytest.approx(st.distance(ref), abs=1e-10)
+        assert theta == math.pi
+
+
+def test_extended_flow_covers_the_horizon():
+    y0 = PhaseState((1.0, 0.0), (0.0, 0.0))
+    path = extended_flow(y0, 0.0, logarithmic(), 1.5 * T0_LOG)
+    assert isinstance(path, TransmissionPath)
+    with pytest.raises(ValueError, match="beyond the transmission domain"):
+        extended_flow(y0, 0.0, logarithmic(), 2.5 * T0_LOG)
+    traj = extended_flow(y0, 1e-3, logarithmic(), 1.5 * T0_LOG)
+    assert traj.t_end == 1.5 * T0_LOG
+    # l = 1e-11 is no collision datum, but its pericentre lies below the
+    # collision threshold, where the eps = 0 integration stops short
+    with pytest.raises(RuntimeError, match="stopped"):
+        extended_flow(PhaseState((1.0, 0.0), (0.0, 1e-11)), 0.0, logarithmic(),
+                      1.5 * T0_LOG)
 
 
 def test_continuity_marks_exiting_cells():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from onecentre.tables import (ConvergenceTable, aitken_limit, format_value,
-                              is_decreasing, limit_verdict, richardson_limit)
+                              is_decreasing, limit_verdict)
 
 
 def test_aitken_exact_on_geometric_sequences():
@@ -16,15 +16,6 @@ def test_aitken_exact_on_geometric_sequences():
 def test_aitken_needs_three_points():
     with pytest.raises(ValueError):
         aitken_limit([1.0, 2.0])
-
-
-def test_richardson_cancels_power_terms():
-    # values with error c1 h + c2 h^2, h shrinking by 2
-    def v(h):
-        return 5.0 + 3.0 * h + 1.5 * h * h
-    vals = [v(1.0 / 2 ** k) for k in range(4)]
-    assert richardson_limit(2.0, vals) == pytest.approx(5.0, abs=1e-12)
-    assert richardson_limit(2.0, [7.5]) == 7.5
 
 
 def test_limit_verdict_with_target():

@@ -117,15 +117,14 @@ def test_standard_variation_rejects_noncollinear():
 def test_kinetic_cost_closed_form(log_path):
     T = log_path.half_span
     for delta in (1e-2, 1e-3, 1e-4):
-        cmp_ = delta_action(log_path, delta, 0.5 * T, logarithmic())
+        cmp_, = delta_action(log_path, [delta], 0.5 * T, logarithmic())
         assert cmp_.dK_closed == pytest.approx(-delta * delta / (T - cmp_.T1), rel=1e-12)
         assert abs(cmp_.dK_discrete - cmp_.dK_closed) < 1e-10
 
 
 def test_action_gain_positive_and_ratio_increasing(log_path):
     T = log_path.half_span
-    results = [delta_action(log_path, d, 0.5 * T, logarithmic())
-               for d in (1e-2, 1e-3, 1e-4)]
+    results = delta_action(log_path, [1e-2, 1e-3, 1e-4], 0.5 * T, logarithmic())
     assert all(r.dA > 0 for r in results)
     ratios = [r.dV / r.delta ** 2 for r in results]
     assert ratios[0] < ratios[1] < ratios[2]
@@ -140,7 +139,7 @@ def test_varied_action_finite_for_all_deltas(log_path):
 def test_lower_bound_surrogate_below_exact(log_path):
     # the one-sided surrogate drops a factor 2 and end corrections: it stays
     # below the exact potential gain but remains positive
-    cmp_ = delta_action(log_path, 1e-3, 0.5 * log_path.half_span, logarithmic())
+    cmp_, = delta_action(log_path, [1e-3], 0.5 * log_path.half_span, logarithmic())
     assert 0.0 < cmp_.dV_lower_bound < cmp_.dV
 
 
@@ -198,7 +197,7 @@ def test_delta_action_matches_scalar_recursion(probe_case):
     half = len(path.times) // 2
     pot0, depth0 = _scalar_integral(V, path.values, path.dt)
     for delta in (1e-2, 1e-4):
-        cmp_ = delta_action(path, delta, 0.5 * path.half_span, pot)
+        cmp_, = delta_action(path, [delta], 0.5 * path.half_span, pot)
         varied = standard_variation(path, delta, 0.5 * path.half_span)
         pot1, depth1 = _scalar_integral(V, varied.values, path.dt)
         i_T1 = int(np.argmin(np.abs(path.times - cmp_.T1)))
@@ -208,6 +207,25 @@ def test_delta_action_matches_scalar_recursion(probe_case):
         # dV is a difference of two O(1) integrals: compare it on their scale
         assert abs(cmp_.dV - (pot0 - pot1)) <= 1e-12 * abs(pot0)
         assert cmp_.dV_lower_bound == pytest.approx(sur, rel=1e-12, abs=0.0)
+
+
+def test_delta_action_refines_the_unvaried_path_once(monkeypatch, log_path):
+    deltas = [1e-2, 1e-3, 1e-4]
+    T1 = 0.5 * log_path.half_span
+    singles = [delta_action(log_path, [d], T1, logarithmic())[0] for d in deltas]
+    calls = []
+    original = variational.potential_action
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "potential_action", counting)
+    rows = delta_action(log_path, deltas, T1, logarithmic())
+    # one unvaried refinement plus one per displaced path
+    assert len(calls) == len(deltas) + 1
+    assert sum(path is log_path for path in calls) == 1
+    assert rows == singles
 
 
 def test_refinement_stops_at_max_depth(monkeypatch, log_path):
