@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import PotentialSpec, SmoothedPotential
-from .quadrature import DEFAULT_TOL, sqrt_endpoint_quad
+from .quadrature import sqrt_endpoint_quad
 from .radial import (Case, RadialProblem, TurningPoints, case_anchor,
                      turning_points)
 from .tables import ConvergenceTable, LimitVerdict, limit_verdict
@@ -47,8 +47,7 @@ class ApsidalAngle:
 
 
 def apsidal_angle(rp: RadialProblem, safe_radius: float = math.inf,
-                  turning: TurningPoints | None = None,
-                  rel_tol: float = DEFAULT_TOL) -> ApsidalAngle:
+                  turning: TurningPoints | None = None) -> ApsidalAngle:
     """Apsidal angle of the orbit described by rp, integrated up to the cutoff.
 
     Requires l > 0 and a positive pericentre; circular orbits are rejected
@@ -70,14 +69,12 @@ def apsidal_angle(rp: RadialProblem, safe_radius: float = math.inf,
 
     res = sqrt_endpoint_quad(lambda r: l / r, turning.pericenter, beta,
                              lambda r: rp.f(r) - l2,
-                             lower_singular=True, upper_singular=upper_singular,
-                             split=math.sqrt(turning.pericenter * beta),
-                             rel_tol=rel_tol)
+                             lower_singular=True, upper_singular=upper_singular)
     return ApsidalAngle(res.value, turning.pericenter, beta,
                         res.lower_part, res.upper_part, res.error)
 
 
-def calibration_integral(xi: float, rel_tol: float = DEFAULT_TOL) -> float:
+def calibration_integral(xi: float) -> float:
     """Exact-pi self test of the quadrature engine, for any xi > 1.
 
     The reduced weight of (x-1)(1-x/xi) is the constant 1/xi, so the engine
@@ -88,8 +85,7 @@ def calibration_integral(xi: float, rel_tol: float = DEFAULT_TOL) -> float:
     res = sqrt_endpoint_quad(
         lambda x: 1.0 / x, 1.0, xi,
         lambda x: (x - 1.0) * (1.0 - x / xi),
-        reduced=lambda x: 1.0 / xi,
-        rel_tol=rel_tol)
+        reduced=lambda x: 1.0 / xi)
     return res.value
 
 
@@ -229,8 +225,7 @@ def default_paths(exponents=range(2, 7)) -> list[SweepPath]:
             SweepPath("l_first", l_first)]
 
 
-def _sweep_cell(potential: PotentialSpec, case: Case, eps: float, l: float,
-                rel_tol: float):
+def _sweep_cell(potential: PotentialSpec, case: Case, eps: float, l: float):
     """One sweep cell: initial-data-consistent energy, turning points, angle.
 
     The cell energy is the energy of the perturbed datum (nominal anchor,
@@ -242,21 +237,19 @@ def _sweep_cell(potential: PotentialSpec, case: Case, eps: float, l: float,
     energy = 0.5 * v1_bar * v1_bar + 0.5 * l * l / (anchor * anchor) - sm.value(anchor)
     rp = RadialProblem(sm, energy, l)
     tp = turning_points(rp, case.ball_radius)
-    ang = apsidal_angle(rp, case.ball_radius, turning=tp, rel_tol=rel_tol)
+    ang = apsidal_angle(rp, case.ball_radius, turning=tp)
     return tp, ang
 
 
 def convergence_sweep(potential: PotentialSpec, case: Case,
-                      paths: list[SweepPath] | None = None,
-                      rel_tol: float = DEFAULT_TOL,
-                      target: float = math.pi / 2.0,
-                      uniformity_tol: float = 1e-2) -> ConvergenceTable:
-    """Apsidal angles over (eps, l) schedules, with per-path limit verdicts.
+                      paths: list[SweepPath] | None = None) -> ConvergenceTable:
+    """Apsidal angles over (eps, l) schedules, with per-path limit verdicts
+    against pi/2.
 
     Individual cell failures are recorded in the table (angle = nan) and the
     sweep continues.  meta carries, per path, the Aitken limit estimate and
     the convergence verdict, plus a uniformity verdict: all path estimates
-    within `uniformity_tol` of each other.
+    within 1e-2 of each other.
     """
     if paths is None:
         paths = default_paths()
@@ -264,14 +257,14 @@ def convergence_sweep(potential: PotentialSpec, case: Case,
         ("path_id", "k", "epsilon", "l", "R_minus", "beta", "delta_theta",
          "quad_err", "I1", "I2"),
         meta={"case": type(case).__name__, "energy": case.energy,
-              "ball_radius": case.ball_radius, "target": target})
+              "ball_radius": case.ball_radius, "target": math.pi / 2.0})
 
     estimates: dict[str, LimitVerdict] = {}
     angles_by_path: dict[str, list[float]] = {p.path_id: [] for p in paths}
     for path in paths:
         for k, (eps, l) in enumerate(path.cells):
             try:
-                tp, ang = _sweep_cell(potential, case, eps, l, rel_tol)
+                tp, ang = _sweep_cell(potential, case, eps, l)
             except (ValueError, RuntimeError) as exc:
                 table.add(path.path_id, k, eps, l, *(math.nan,) * 6)
                 table.meta.setdefault("cell_errors", []).append((path.path_id, k, str(exc)))
@@ -283,12 +276,12 @@ def convergence_sweep(potential: PotentialSpec, case: Case,
     for path in paths:
         angles = angles_by_path[path.path_id]
         if len(angles) >= 3:
-            estimates[path.path_id] = limit_verdict(angles, target=target)
+            estimates[path.path_id] = limit_verdict(angles, target=math.pi / 2.0)
 
     table.meta["path_limits"] = {
         pid: {"estimate": v.estimate, "converged": v.converged}
         for pid, v in estimates.items()}
     if estimates:
         vals = [v.estimate for v in estimates.values()]
-        table.meta["uniform"] = (max(vals) - min(vals)) <= uniformity_tol
+        table.meta["uniform"] = (max(vals) - min(vals)) <= 1e-2
     return table

@@ -29,7 +29,7 @@ from .radial import (DropFromRest, InwardCrossing, RadialProblem, case_anchor,
                      collision_time)
 from .simulator import integrate, make_initial_data, oracle_crosscheck
 from .tables import ConvergenceTable, format_value, is_decreasing
-from .variational import delta_action, transmission_discrete_path
+from .variational import MAX_DEPTH, delta_action, transmission_discrete_path
 
 
 class ConfigError(Exception):
@@ -86,8 +86,6 @@ def _jsonable(v):
         return float(v)
     if isinstance(v, np.ndarray):
         return v.tolist()
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
     return str(v)
 
 
@@ -119,8 +117,8 @@ def cmd_check_potential(args, out: Path) -> bool:
 def cmd_pi_identity(args, out: Path) -> bool:
     cfg = _load_config(args.config, {"xi": [1.0001, 1.5, 2.0, 10.0, 1e6],
                                      "tol": 1e-8})
-    xis = [float(args.xi)] if args.xi is not None else [float(x) for x in cfg["xi"]]
-    tol = args.tol_quad if args.tol_quad is not None else cfg["tol"]
+    xis = [float(x) for x in cfg["xi"]]
+    tol = cfg["tol"]
     table = ConvergenceTable(("xi", "value", "abs_error"))
     worst = 0.0
     for xi in xis:
@@ -145,8 +143,7 @@ def cmd_apsidal_sweep(args, out: Path) -> bool:
     potential = from_config(cfg["potential"])
     case = _case_from(cfg)
     paths = default_paths(cfg["exponents"])
-    tol = args.tol_quad if args.tol_quad is not None else 1e-10
-    table = convergence_sweep(potential, case, paths, rel_tol=tol)
+    table = convergence_sweep(potential, case, paths)
     table.write_csv(out_path(out, "apsidal_sweep.csv"))
     limits = table.meta.get("path_limits", {})
     est = {pid: v["estimate"] for pid, v in limits.items()}
@@ -190,8 +187,7 @@ def cmd_poincare_continuity(args, out: Path) -> bool:
     case = _case_from(cfg)
     T = _scaled_T(potential, case, float(cfg["T_factor"]))
     cells = diagonal_cells(cfg["exponents"])
-    rtol = args.tol_ode if args.tol_ode is not None else 1e-12
-    table = continuity_experiment(potential, case, T, cells, rtol=rtol)
+    table = continuity_experiment(potential, case, T, cells)
     table.write_csv(out_path(out, "poincare_continuity.csv"))
     meta = table.meta
     verdict = bool(meta.get("nonincreasing")) and bool(meta.get("theta_converged")) \
@@ -216,12 +212,11 @@ def cmd_poincare_section(args, out: Path) -> bool:
     potential = from_config(cfg["potential"])
     case = _case_from(cfg)
     T = _scaled_T(potential, case, float(cfg["T_factor"]))
-    rtol = args.tol_ode if args.tol_ode is not None else 1e-12
     tau_devs, trace_devs, found = [], [], []
     for j, delta in enumerate(cfg["deltas"]):
         table = poincare_section(potential, case, T, float(delta),
                                  sample_count=int(cfg["samples"]),
-                                 seed=args.seed, rtol=rtol)
+                                 seed=args.seed)
         table.write_csv(out_path(out, f"poincare_section_delta{j}.csv"))
         tau_devs.append(table.meta["max_tau_dev"])
         trace_devs.append(table.meta["max_trace_dev"])
@@ -293,7 +288,9 @@ def cmd_variational_probe(args, out: Path) -> bool:
     kinetic_exact = max(abs(r.dK_discrete - r.dK_closed) for r in rows)
     ratios = [r.dV / r.delta**2 for r in rows]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
-    verdict = all_positive and kinetic_exact < 1e-10 and increasing
+    # a cell still unsettled at MAX_DEPTH adds its coarse value: not converged
+    settled = all(r.collision_cell_depth < MAX_DEPTH for r in rows)
+    verdict = all_positive and kinetic_exact < 1e-10 and increasing and settled
     return _emit(out, "variational_probe",
                  "the transmission path is not a local action minimizer",
                  verdict, {"dA": [r.dA for r in rows],
@@ -308,9 +305,7 @@ def cmd_oracle_crosscheck(args, out: Path) -> bool:
         "period_tol": 1e-6,
         "drift_budget": 1e-8,
     })
-    rtol = args.tol_ode if args.tol_ode is not None else 1e-12
-    table = oracle_crosscheck(from_config(cfg["potential"]), int(cfg["orbits"]),
-                              args.seed, rtol)
+    table = oracle_crosscheck(from_config(cfg["potential"]), int(cfg["orbits"]), args.seed)
     table.write_csv(out_path(out, "oracle_crosscheck.csv"))
     meta = table.meta
     verdict = meta["failing"] is None and meta["worst_period_mismatch"] <= cfg["period_tol"] \
@@ -355,10 +350,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol-quad", type=float, default=None)
-    parser.add_argument("--tol-ode", type=float, default=None)
-    parser.add_argument("--xi", type=float, default=None,
-                        help="single xi for pi-identity")
     args = parser.parse_args(argv)
 
     try:

@@ -25,7 +25,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .potentials import PotentialSpec, SmoothedPotential
-from .quadrature import DEFAULT_TOL
 from .radial import Case, RadialProblem, collision_time
 from .simulator import (COLLISION, EXIT_BALL, PhaseState, Perturbation,
                         Trajectory, integrate, make_initial_data)
@@ -105,7 +104,7 @@ class TransmissionPath:
         return self.theta0 if t < self.collision_time else self.theta0 + math.pi
 
 
-def transmission_extend(pre: Trajectory, rel_tol: float = DEFAULT_TOL) -> TransmissionPath:
+def transmission_extend(pre: Trajectory) -> TransmissionPath:
     """Extend a collision leg through the origin by reflection.
 
     `pre` must be an eps = 0 trajectory whose angular momentum vanishes (within
@@ -123,7 +122,7 @@ def transmission_extend(pre: Trajectory, rel_tol: float = DEFAULT_TOL) -> Transm
     r_abort = end.r
     direction = end.position / r_abort
     rp = RadialProblem(pre.potential, pre.energy0, 0.0)
-    tail = collision_time(rp, r_abort, rel_tol=rel_tol)
+    tail = collision_time(rp, r_abort)
     return TransmissionPath(
         pre=pre,
         collision_time=ev.time + tail,
@@ -140,8 +139,7 @@ def is_collision_datum(state: PhaseState, eps: float) -> bool:
 
 
 def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
-                  horizon: float, ball_radius: float = math.inf,
-                  rtol: float = 1e-12) -> Trajectory | TransmissionPath:
+                  horizon: float, ball_radius: float = math.inf) -> Trajectory | TransmissionPath:
     """The orbit of the extended flow from `state`, valid on [0, horizon].
 
     A collision datum (eps = 0, l = 0) gets its transmission path: the fall
@@ -153,7 +151,7 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
     collision = is_collision_datum(state, eps)
     orbit = integrate(state, SmoothedPotential(potential, eps),
                       horizon=4.0 * horizon + 10.0 if collision else horizon,
-                      ball_radius=ball_radius, rtol=rtol)
+                      ball_radius=ball_radius)
     exit_ev = orbit.first_event(EXIT_BALL)
     if exit_ev is not None and (collision or exit_ev.time < horizon):
         raise ExitedBall(exit_ev.time)
@@ -171,8 +169,7 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
 
 def extended_poincare_map(state: PhaseState, eps: float, T: float,
                           potential: PotentialSpec,
-                          ball_radius: float = math.inf,
-                          rtol: float = 1e-12) -> PhaseState:
+                          ball_radius: float = math.inf) -> PhaseState:
     """The time-T map of the extended flow.
 
     T equal to the collision time of a collision datum is rejected (the
@@ -181,7 +178,7 @@ def extended_poincare_map(state: PhaseState, eps: float, T: float,
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    orbit = extended_flow(state, eps, potential, T, ball_radius, rtol)
+    orbit = extended_flow(state, eps, potential, T, ball_radius)
     if isinstance(orbit, TransmissionPath) and abs(T - orbit.collision_time) < 1e-12:
         raise ValueError("the Poincare map is not defined at the collision time")
     return orbit.state_at(T)
@@ -195,9 +192,8 @@ def diagonal_cells(exponents=range(2, 7)) -> list[tuple[float, Perturbation]]:
 
 
 def continuity_experiment(potential: PotentialSpec, case: Case, T: float,
-                          cells: list[tuple[float, Perturbation]] | None = None,
-                          rtol: float = 1e-12,
-                          speed_floor: float = 1e-8) -> ConvergenceTable:
+                          cells: list[tuple[float, Perturbation]] | None = None
+                          ) -> ConvergenceTable:
     """Distance at time T between the extended flow of perturbed data and the
     transmission path, along a schedule of (eps, perturbation) cells tending
     to zero.
@@ -210,7 +206,7 @@ def continuity_experiment(potential: PotentialSpec, case: Case, T: float,
     if cells is None:
         cells = diagonal_cells()
     ref_path = extended_flow(make_initial_data(case, potential), 0.0, potential,
-                             T, case.ball_radius, rtol)
+                             T, case.ball_radius)
     T0 = ref_path.collision_time
     ref = ref_path.state_at(T)
     ref_speed = float(np.linalg.norm(ref.velocity))
@@ -220,16 +216,16 @@ def continuity_experiment(potential: PotentialSpec, case: Case, T: float,
         meta={"T": T, "collision_time": T0,
               "reference": ref.as_vector().tolist(),
               "reference_theta_increment": math.pi})
-    if ref_speed <= speed_floor:
+    if ref_speed <= 1e-8:
         # rest point on the extended path: continuity is not claimed there
-        table.meta["skipped"] = f"|velocity(T)| = {ref_speed!r} below {speed_floor!r}"
+        table.meta["skipped"] = f"|velocity(T)| = {ref_speed!r} below 1e-8"
         return table
 
     dists, thetas, scales = [], [], []
     for k, (eps, pert) in enumerate(cells):
         y_k = make_initial_data(case, potential, pert)
         try:
-            orbit = extended_flow(y_k, eps, potential, T, case.ball_radius, rtol)
+            orbit = extended_flow(y_k, eps, potential, T, case.ball_radius)
         except ExitedBall as exc:
             table.add(k, eps, pert.l, math.hypot(*pert.dq), pert.dv1,
                       math.nan, math.nan, math.nan, math.nan)
@@ -276,15 +272,14 @@ def phase_field(state: PhaseState, potential: PotentialSpec, eps: float = 0.0) -
 
 
 def section_through(anchor: PhaseState, potential: PotentialSpec,
-                    normal: np.ndarray | None = None,
-                    min_margin: float = 1e-10) -> SectionSpec:
+                    normal: np.ndarray | None = None) -> SectionSpec:
     """Section through `anchor`, by default normal to the flow direction there.
 
-    The transversality margin normal . field(anchor) must be positive."""
+    The transversality margin normal . field(anchor) must exceed 1e-10."""
     field = phase_field(anchor, potential)
     normal = field if normal is None else np.asarray(normal, float)
     margin = float(np.dot(normal, field))
-    if margin <= min_margin:
+    if margin <= 1e-10:
         raise ValueError(f"section not transversal: margin {margin!r}")
     return SectionSpec(anchor, normal)
 
@@ -312,29 +307,26 @@ def _sample_cloud(case: Case, potential: PotentialSpec, delta: float,
 
 
 def poincare_section(potential: PotentialSpec, case: Case, T: float,
-                     delta: float, sample_count: int = 50, seed: int = 0,
-                     section: SectionSpec | None = None,
-                     xi_start_factor: float = 0.1,
-                     rtol: float = 1e-12) -> ConvergenceTable:
+                     delta: float, sample_count: int = 50,
+                     seed: int = 0) -> ConvergenceTable:
     """Hitting times and section traces for samples near the collision datum.
 
-    The section defaults to the plane through y1 = extended flow at time T of
-    the collision datum, normal to the flow direction there.  For each sample
-    the crossing time tau solves H(y, t) = (flow(y, t) - y1) . normal = 0 by
-    bracketing around T (bracket half-width halved from xi_start_factor * T
-    until the signs differ) and root refinement; H is increasing along the
-    flow near the section, which the bracket search relies on.
+    The section is the plane through y1 = extended flow at time T of the
+    collision datum, normal to the flow direction there.  For each sample the
+    crossing time tau solves H(y, t) = (flow(y, t) - y1) . normal = 0 by
+    bracketing around T (bracket half-width halved from 0.1 T until the signs
+    differ) and root refinement; H is increasing along the flow near the
+    section, which the bracket search relies on.
     """
     rng = np.random.default_rng(seed)
     ref_path = extended_flow(make_initial_data(case, potential), 0.0, potential,
-                             T, case.ball_radius, rtol)
+                             T, case.ball_radius)
     if not (ref_path.collision_time < T < 2.0 * ref_path.collision_time):
         raise ValueError("T must lie strictly between the collision time and twice it")
     y1 = ref_path.state_at(T)
-    if section is None:
-        section = section_through(y1, potential)
+    section = section_through(y1, potential)
 
-    xi0 = xi_start_factor * T
+    xi0 = 0.1 * T
     t_hi = T + xi0
 
     table = ConvergenceTable(
@@ -350,8 +342,8 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
     for i, (eps, pert) in enumerate(cells):
         y0 = make_initial_data(case, potential, pert)
         try:
-            flow_at = extended_flow(y0, eps, potential, t_hi, case.ball_radius,
-                                    rtol).state_at
+            flow_at = extended_flow(y0, eps, potential, t_hi,
+                                    case.ball_radius).state_at
 
             def H(t):
                 return section.offset(flow_at(t))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .tables import ConvergenceTable, aitken_limit, is_decreasing
 
-#: default tolerance for the slow-variation sup at the finest lambda
+#: tolerance for the slow-variation sup at the finest lambda
 SLOW_VARIATION_TOL = 0.25
 #: tolerance below which x^2 V(x) counts as vanishing at the finest grid point
 WEAK_SINGULARITY_TOL = 1e-4
@@ -165,10 +165,10 @@ class ClassReport:
     notes: tuple[str, ...] = ()
 
 
-def default_probe_grid(x_max: float = 10.0, x_min: float = 1e-8,
-                       n: int = 512) -> np.ndarray:
-    """Geometric grid strictly decreasing toward 0, as the checks expect."""
-    return np.geomspace(x_max, x_min, n)
+def default_probe_grid() -> np.ndarray:
+    """Geometric grid of 512 points from 10 down to 1e-8, strictly decreasing
+    toward 0 as the checks expect."""
+    return np.geomspace(10.0, 1e-8, 512)
 
 
 def _slope_at_origin(p: PotentialSpec, xs: np.ndarray) -> tuple[float, float]:
@@ -189,8 +189,7 @@ def _slope_at_origin(p: PotentialSpec, xs: np.ndarray) -> tuple[float, float]:
     return float(est), float(err)
 
 
-def check_admissible(p: PotentialSpec, probe_grid: np.ndarray | None = None,
-                     x_scan_max: float = 1e6) -> ClassReport:
+def check_admissible(p: PotentialSpec, probe_grid: np.ndarray | None = None) -> ClassReport:
     """Certify the admissibility properties of a potential on a grid.
 
     Checks, in order: blow-up of V at 0 (monotone increase toward 0 beyond a
@@ -265,7 +264,7 @@ def check_admissible(p: PotentialSpec, probe_grid: np.ndarray | None = None,
     admissible = blowup_ok and monotone_radius > 0.0 and slope_ok
 
     # ratio radius: first sign change of g(x) = V'/V'' + x/2, by bracket
-    # doubling and bisection; +inf when g < 0 all the way to the scan cap.
+    # doubling and bisection; +inf when g < 0 all the way to the scan cap 1e6.
     ratio_radius = 0.0
     if admissible:
         def g(x):
@@ -278,7 +277,7 @@ def check_admissible(p: PotentialSpec, probe_grid: np.ndarray | None = None,
             witness = witness or ("ratio-bound", x)
         else:
             ratio_radius = math.inf
-            while x < x_scan_max:
+            while x < 1e6:
                 x_next = 2.0 * x
                 if g(x_next) >= 0:
                     from scipy.optimize import brentq
@@ -300,9 +299,9 @@ def check_admissible(p: PotentialSpec, probe_grid: np.ndarray | None = None,
     )
 
 
-def weak_singularity_check(p: PotentialSpec, probe_grid: np.ndarray | None = None,
-                           tol: float = WEAK_SINGULARITY_TOL) -> bool:
-    """True iff x^2 V(x) decreases below `tol` along the grid toward 0.
+def weak_singularity_check(p: PotentialSpec, probe_grid: np.ndarray | None = None) -> bool:
+    """True iff x^2 V(x) decreases below WEAK_SINGULARITY_TOL along the grid
+    toward 0.
 
     This is a finite certificate: potentials whose x^2 V decays slower than
     the grid reaches (e.g. x^0.1) are reported False with the default grid.
@@ -310,34 +309,23 @@ def weak_singularity_check(p: PotentialSpec, probe_grid: np.ndarray | None = Non
     grid = default_probe_grid() if probe_grid is None else np.asarray(probe_grid, float)
     vals = np.abs(grid * grid * p.value(grid))
     tail = vals[len(vals) // 2:]
-    return bool(is_decreasing(tail, slack=1e-15) and tail[-1] < tol)
+    return bool(is_decreasing(tail, slack=1e-15) and tail[-1] < WEAK_SINGULARITY_TOL)
 
 
-def check_slowly_varying(p: PotentialSpec,
-                         lam_schedule: np.ndarray | None = None,
-                         M: float = 10.0,
-                         tol: float = SLOW_VARIATION_TOL,
-                         n_grid: int = 256) -> tuple[bool | None, ConvergenceTable]:
-    """Check sup_{x in [1,M]} |V(lam x)/V(lam) - 1| -> 0 along a lam schedule.
+def check_slowly_varying(p: PotentialSpec) -> tuple[bool | None, ConvergenceTable]:
+    """Check sup_{x in [1,10]} |V(lam x)/V(lam) - 1| -> 0 along the schedule
+    lam = 1e-1, 1e-2, ..., 1e-8 (the sup taken on 256 geometric points).
 
     Returns (verdict, table).  Verdict True when the sup is decreasing along
-    the schedule and below `tol` at the finest lam; False when it clearly is
-    not; None (inconclusive) when the sequence is non-monotone within noise
-    but still small.
+    the schedule and below SLOW_VARIATION_TOL at the finest lam; False when
+    it clearly is not; None (inconclusive) when the sequence is non-monotone
+    within noise but still small.
     """
-    if lam_schedule is None:
-        lam_schedule = 10.0 ** -np.arange(1, 9, dtype=float)
-    lam_schedule = np.asarray(lam_schedule, float)
-    if not np.all(np.diff(lam_schedule) < 0):
-        raise ValueError("lambda schedule must decrease toward 0")
-    if M <= 1:
-        raise ValueError("M must exceed 1")
-
-    xs = np.geomspace(1.0, M, n_grid)
+    xs = np.geomspace(1.0, 10.0, 256)
     table = ConvergenceTable(("lam", "sup_dev"),
-                             meta={"M": M, "tol": tol, "quantity": "sup |V(lam x)/V(lam) - 1|"})
+                             meta={"quantity": "sup |V(lam x)/V(lam) - 1|"})
     sups = []
-    for lam in lam_schedule:
+    for lam in 10.0 ** -np.arange(1, 9, dtype=float):
         ratio = p.value(lam * xs) / p.value(lam)
         sup = float(np.max(np.abs(ratio - 1.0)))
         sups.append(sup)
@@ -347,9 +335,9 @@ def check_slowly_varying(p: PotentialSpec,
     tiny = all(s <= 1e-12 for s in sups)
     if tiny:
         verdict: bool | None = True
-    elif decreasing and sups[-1] < tol:
+    elif decreasing and sups[-1] < SLOW_VARIATION_TOL:
         verdict = True
-    elif is_decreasing(sups, slack=1e-9) and sups[-1] < tol:
+    elif is_decreasing(sups, slack=1e-9) and sups[-1] < SLOW_VARIATION_TOL:
         verdict = None  # monotone only within noise: inconclusive
     else:
         verdict = False
@@ -357,9 +345,9 @@ def check_slowly_varying(p: PotentialSpec,
     return verdict, table
 
 
-def classify(p: PotentialSpec, probe_grid: np.ndarray | None = None) -> ClassReport:
+def classify(p: PotentialSpec) -> ClassReport:
     """Full classification: admissibility, weak singularity and slow variation."""
-    report = check_admissible(p, probe_grid)
+    report = check_admissible(p)
     sv: bool | None
     if report.admissible:
         sv, _ = check_slowly_varying(p)

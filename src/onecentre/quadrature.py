@@ -33,8 +33,9 @@ from scipy.integrate import IntegrationWarning, quad
 
 _EPS = float(np.finfo(float).eps)
 
-#: default relative tolerance of all singular quadratures
+#: relative tolerance of all singular quadratures
 DEFAULT_TOL = 1e-10
+_QUAD_OPTS = dict(epsabs=0.0, epsrel=DEFAULT_TOL, limit=200)
 
 
 class QuadratureError(RuntimeError):
@@ -47,20 +48,17 @@ class QuadResult:
     error: float          # quadrature error estimate (sum over legs)
     lower_part: float     # contribution of [a, split]
     upper_part: float     # contribution of [split, b]
-    split: float
 
 
 def sqrt_endpoint_quad(g: Callable, a: float, b: float, w: Callable, *,
                        lower_singular: bool = True, upper_singular: bool = True,
-                       reduced: Callable | None = None,
-                       split: float | None = None,
-                       rel_tol: float = DEFAULT_TOL,
-                       limit: int = 200) -> QuadResult:
-    """integral_a^b g(r)/sqrt(w(r)) dr with simple w-zeros at flagged endpoints.
+                       reduced: Callable | None = None) -> QuadResult:
+    """integral_a^b g(r)/sqrt(w(r)) dr with simple w-zeros at flagged endpoints,
+    to relative tolerance DEFAULT_TOL.
 
-    split: interior split point; defaults to the geometric mean of the
-        endpoints when both are singular and a > 0 (which resolves the
-        multi-scale structure of near-collision integrals), else the midpoint.
+    The interval is split at the geometric mean of the endpoints when the
+    lower one is singular and a > 0 (which resolves the multi-scale structure
+    of near-collision integrals), else at the midpoint.
     reduced: optional smooth omega(r) = w(r)/((r-a)^La (b-r)^Lb).
     """
     if not (b > a):
@@ -110,36 +108,30 @@ def sqrt_endpoint_quad(g: Callable, a: float, b: float, w: Callable, *,
             raise QuadratureError(f"radicand negative at r={r!r} inside [{a!r}, {b!r}]")
         return g(r) / math.sqrt(val)
 
-    if split is None:
-        split = math.sqrt(a * b) if (La and Lb and a > 0) else 0.5 * (a + b)
-    if not (a < split < b):
-        raise ValueError("split must be interior")
-
-    opts = dict(epsabs=0.0, epsrel=rel_tol, limit=limit)
+    split = math.sqrt(a * b) if (La and a > 0) else 0.5 * (a + b)
     # near machine precision the adaptive rule may report that roundoff stops
     # it short of the requested tolerance; the returned error estimate is
     # still trustworthy, so judge by it instead of the warning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         if La:
-            I1, e1 = quad(leg_lower, 0.0, math.sqrt(split - a), **opts)
+            I1, e1 = quad(leg_lower, 0.0, math.sqrt(split - a), **_QUAD_OPTS)
         else:
-            I1, e1 = quad(leg_plain, a, split, **opts)
+            I1, e1 = quad(leg_plain, a, split, **_QUAD_OPTS)
         if Lb:
-            I2, e2 = quad(leg_upper, 0.0, math.sqrt(b - split), **opts)
+            I2, e2 = quad(leg_upper, 0.0, math.sqrt(b - split), **_QUAD_OPTS)
         else:
-            I2, e2 = quad(leg_plain, split, b, **opts)
+            I2, e2 = quad(leg_plain, split, b, **_QUAD_OPTS)
     value = I1 + I2
     err = e1 + e2
-    if not math.isfinite(value) or err > 1e4 * rel_tol * max(abs(value), 1e-12):
+    if not math.isfinite(value) or err > 1e4 * DEFAULT_TOL * max(abs(value), 1e-12):
         raise QuadratureError(
             f"quadrature did not converge on [{a!r}, {b!r}]: value {value!r}, "
             f"error estimate {err!r}")
-    return QuadResult(value, err, I1, I2, split)
+    return QuadResult(value, err, I1, I2)
 
 
-def regularized_lower_quad(g: Callable, r0: float, *, at_rest: bool,
-                           rel_tol: float = DEFAULT_TOL) -> float:
+def regularized_lower_quad(g: Callable, r0: float, *, at_rest: bool) -> float:
     """integral_0^r0 g(rho) drho where g vanishes at 0 like sqrt(rho) but has
     unbounded derivatives there (fall-time integrands of weak singularities).
 
@@ -154,15 +146,15 @@ def regularized_lower_quad(g: Callable, r0: float, *, at_rest: bool,
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        I1, e1 = quad(low, 0.0, math.sqrt(m), epsabs=0.0, epsrel=rel_tol, limit=200)
+        I1, e1 = quad(low, 0.0, math.sqrt(m), **_QUAD_OPTS)
         if at_rest:
             def up(t: float) -> float:
                 return 2.0 * t * g(r0 - t * t)
-            I2, e2 = quad(up, 0.0, math.sqrt(r0 - m), epsabs=0.0, epsrel=rel_tol, limit=200)
+            I2, e2 = quad(up, 0.0, math.sqrt(r0 - m), **_QUAD_OPTS)
         else:
-            I2, e2 = quad(g, m, r0, epsabs=0.0, epsrel=rel_tol, limit=200)
+            I2, e2 = quad(g, m, r0, **_QUAD_OPTS)
     value = I1 + I2
-    if not math.isfinite(value) or e1 + e2 > 1e4 * rel_tol * max(abs(value), 1e-12):
+    if not math.isfinite(value) or e1 + e2 > 1e4 * DEFAULT_TOL * max(abs(value), 1e-12):
         raise QuadratureError(
             f"fall-time quadrature did not converge on [0, {r0!r}]")
     return value

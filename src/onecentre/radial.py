@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .potentials import PotentialSpec, SmoothedPotential
-from .quadrature import DEFAULT_TOL, regularized_lower_quad, sqrt_endpoint_quad
+from .quadrature import regularized_lower_quad, sqrt_endpoint_quad
 
 #: roots closer than this (relative to the peak of f) count as a double root
 DEGENERATE_TOL = 1e-12
@@ -119,16 +119,16 @@ def case_anchor(case: Case, potential: PotentialSpec) -> tuple[float, float]:
     return case.ball_radius, -math.sqrt(speed_sq)
 
 
-def first_zero(rp: RadialProblem, r_start: float = 1.0, r_cap: float = 1e9) -> float:
+def first_zero(rp: RadialProblem) -> float:
     """First positive zero of f, i.e. the radius where E + V_eps = 0.
 
-    Since E + V_eps decreases in r, a doubling scan from r_start locates the
-    sign change; +inf when none exists below r_cap.
+    Since E + V_eps decreases in r, a doubling scan from r = 1 locates the
+    sign change; +inf when none exists below 1e9.
     """
     def g(r):
         return rp.energy + rp.potential.value(r)
 
-    x = r_start
+    x = 1.0
     while g(x) <= 0:
         x *= 0.5
         if x < 1e-14:
@@ -136,7 +136,7 @@ def first_zero(rp: RadialProblem, r_start: float = 1.0, r_cap: float = 1e9) -> f
     while g(x) > 0:
         x_prev = x
         x *= 2.0
-        if x > r_cap:
+        if x > 1e9:
             return math.inf
     return float(brentq(g, x_prev, x, xtol=1e-15, rtol=8.9e-16))
 
@@ -209,8 +209,7 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
 
 
 def time_of_flight(rp: RadialProblem, r_a: float, r_b: float,
-                   turning: TurningPoints | None = None,
-                   rel_tol: float = DEFAULT_TOL) -> float:
+                   turning: TurningPoints | None = None) -> float:
     """Time for the radial coordinate to move from r_a to r_b (monotonically).
 
     Endpoints equal to the pericentre/apocenter carry inverse-square-root
@@ -236,31 +235,27 @@ def time_of_flight(rp: RadialProblem, r_a: float, r_b: float,
     if rp.ang_momentum == 0.0 and turning.pericenter == 0.0:
         # radial fall: difference of fall times from the origin, each computed
         # with the substitution that tames the integrand near 0
-        upper = _fall_time_to_zero(rp, r_b, at_rest=upper_sing, rel_tol=rel_tol)
-        lower = 0.0 if r_a == 0.0 else _fall_time_to_zero(rp, r_a, at_rest=False,
-                                                          rel_tol=rel_tol)
+        upper = _fall_time_to_zero(rp, r_b, at_rest=upper_sing)
+        lower = 0.0 if r_a == 0.0 else _fall_time_to_zero(rp, r_a, at_rest=False)
         return upper - lower
 
     # integrand 1/sqrt(radicand) = r/sqrt(f - l^2)
     res = sqrt_endpoint_quad(lambda r: r, r_a, r_b, w,
-                             lower_singular=lower_sing, upper_singular=upper_sing,
-                             rel_tol=rel_tol)
+                             lower_singular=lower_sing, upper_singular=upper_sing)
     return res.value
 
 
-def _fall_time_to_zero(rp: RadialProblem, r0: float, at_rest: bool,
-                       rel_tol: float) -> float:
+def _fall_time_to_zero(rp: RadialProblem, r0: float, at_rest: bool) -> float:
     def g(rho):
         rad = 2.0 * (rp.energy + rp.potential.value(rho))
         if rad <= 0:
             raise ValueError(f"E + V not positive at rho={rho!r}")
         return 1.0 / math.sqrt(rad)
 
-    return regularized_lower_quad(g, r0, at_rest=at_rest, rel_tol=rel_tol)
+    return regularized_lower_quad(g, r0, at_rest=at_rest)
 
 
-def collision_time(rp: RadialProblem, r0: float,
-                   rel_tol: float = DEFAULT_TOL) -> float:
+def collision_time(rp: RadialProblem, r0: float) -> float:
     """Time to fall from r0 into the origin on a zero-angular-momentum orbit.
 
     T0 = integral_0^r0 drho / sqrt(2 (E + V(rho))), finite whenever the
@@ -274,4 +269,4 @@ def collision_time(rp: RadialProblem, r0: float,
     if r0 > P * (1.0 + 1e-12):
         raise ValueError(f"r0={r0!r} is beyond the zero-velocity radius {P!r}")
     at_rest = math.isfinite(P) and math.isclose(r0, P, rel_tol=1e-12)
-    return _fall_time_to_zero(rp, r0, at_rest=at_rest, rel_tol=rel_tol)
+    return _fall_time_to_zero(rp, r0, at_rest=at_rest)

@@ -25,7 +25,7 @@ from .radial import (Case, RadialProblem, case_anchor, time_of_flight,
                      turning_points)
 from .tables import ConvergenceTable
 
-#: ODE solver defaults; the drift budget of the experiments assumes these
+#: ODE solver tolerances; the drift budget of the experiments assumes these
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
 #: radius below which an eps = 0 run is aborted with a collision event
@@ -138,9 +138,7 @@ class Trajectory:
 
 
 def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
-              ball_radius: float = math.inf,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-              collision_radius: float = COLLISION_RADIUS) -> Trajectory:
+              ball_radius: float = math.inf) -> Trajectory:
     """Integrate the smoothed system from `state` for `horizon` time units.
 
     eps = 0 runs are legitimate while the orbit stays away from the origin
@@ -150,7 +148,7 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     eps = potential.epsilon
     l0 = state.ang_momentum
     E0 = state.energy(potential)
-    if eps == 0.0 and state.r <= collision_radius:
+    if eps == 0.0 and state.r <= COLLISION_RADIUS:
         raise ValueError("initial state inside the collision threshold with eps = 0")
 
     Vp = potential.base.deriv
@@ -168,7 +166,7 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     events = [radial_turn]
 
     def near_collision(t, y):
-        return math.hypot(y[0], y[1]) - collision_radius
+        return math.hypot(y[0], y[1]) - COLLISION_RADIUS
     near_collision.terminal = True
     near_collision.direction = -1.0
     if eps == 0.0:
@@ -183,7 +181,8 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
 
     y0 = [state.position[0], state.position[1], state.velocity[0], state.velocity[1], 0.0]
     sol = solve_ivp(rhs, (0.0, horizon), y0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=events)
+                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, dense_output=True,
+                    events=events)
     if not sol.success and sol.status != 1:
         raise RuntimeError(f"integration failed: {sol.message}")
 
@@ -220,8 +219,7 @@ def conserved_drift(traj: Trajectory) -> tuple[float, float]:
             float(np.max(np.abs(l - traj.ang_momentum0))))
 
 
-def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int,
-                      rtol: float = DEFAULT_RTOL) -> ConvergenceTable:
+def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> ConvergenceTable:
     """Pericentre-to-pericentre periods of seeded eps = 0 orbits against twice
     the radial quadrature flight time, with conservation drift.
 
@@ -245,7 +243,7 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int,
         tp = turning_points(rp)
         half = time_of_flight(rp, tp.pericenter, tp.apocenter, tp)
         state = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
-        traj = integrate(state, sm, horizon=4.1 * half, rtol=rtol)
+        traj = integrate(state, sm, horizon=4.1 * half)
         peri = traj.events_of(PERICENTER)
         if len(peri) < 2:
             failing = (i, "fewer than two pericentre passages")

@@ -79,13 +79,12 @@ class LimitVerdict:
     note: str = ""
 
 
-def limit_verdict(values: Sequence[float], target: float | None = None,
-                  slack: float = 10.0) -> LimitVerdict:
+def limit_verdict(values: Sequence[float], target: float | None = None) -> LimitVerdict:
     """Certify a finite schedule as evidence for a limit.
 
     The extrapolant comes from Aitken on the last three points.  When a target
     is given, "converged" requires the extrapolant to lie within
-    slack * |last increment| of the target; with no target it requires the
+    10 |last increment| of the target; with no target it requires the
     increments themselves to be shrinking.
     """
     vals = [float(v) for v in values]
@@ -94,7 +93,7 @@ def limit_verdict(values: Sequence[float], target: float | None = None,
     est = aitken_limit(vals)
     inc = abs(vals[-1] - vals[-2])
     if target is not None:
-        ok = abs(est - target) <= slack * max(inc, 1e-300)
+        ok = abs(est - target) <= 10.0 * max(inc, 1e-300)
         return LimitVerdict(est, ok, target, inc)
     prev = abs(vals[-2] - vals[-3])
     ok = inc < prev or inc == 0.0

@@ -75,16 +75,15 @@ class DiscretePath:
         return np.hypot(self.values[:, 0], self.values[:, 1])
 
 
-def _midpoint_refine(g, xs: np.ndarray, ys: np.ndarray, dt: float,
-                     tol: float) -> tuple[float, int]:
+def _midpoint_refine(g, xs: np.ndarray, ys: np.ndarray, dt: float) -> tuple[float, int]:
     """Midpoint quadrature of g(|u(t)|) along the segments joining consecutive
     nodes (xs[i], ys[i]) with time step dt; returns (value, max depth).
 
     Each live cell compares its midpoint value (coarse) with the sum of its
-    two half-cell values (fine): settled cells add fine, the others split,
-    each half keeping its value as its coarse, and cells still live at
-    MAX_DEPTH add coarse.  Endpoints are never sampled, so an exact-zero node
-    is harmless.
+    two half-cell values (fine): cells with |fine - coarse| < REFINE_TOL
+    settle and add fine, the others split, each half keeping its value as its
+    coarse, and cells still live at MAX_DEPTH add coarse.  Endpoints are
+    never sampled, so an exact-zero node is harmless.
     """
     xa, ya, xb, yb = xs[:-1], ys[:-1], xs[1:], ys[1:]
     xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
@@ -97,7 +96,7 @@ def _midpoint_refine(g, xs: np.ndarray, ys: np.ndarray, dt: float,
         left = g(np.hypot(0.5 * (xa + xm), 0.5 * (ya + ym))) * dt
         right = g(np.hypot(0.5 * (xm + xb), 0.5 * (ym + yb))) * dt
         fine = left + right
-        settled = np.abs(fine - coarse) < tol
+        settled = np.abs(fine - coarse) < REFINE_TOL
         total += float(np.sum(fine[settled]))
         depth += 1
         live = ~settled
@@ -108,23 +107,20 @@ def _midpoint_refine(g, xs: np.ndarray, ys: np.ndarray, dt: float,
     return total, depth
 
 
-def potential_action(path: DiscretePath, potential: PotentialSpec,
-                     tol: float = REFINE_TOL) -> tuple[float, int]:
+def potential_action(path: DiscretePath, potential: PotentialSpec) -> tuple[float, int]:
     """Integral of V(|u|) along the path; returns (value, max refinement depth)."""
     return _midpoint_refine(potential.value, path.values[:, 0], path.values[:, 1],
-                            path.dt, tol)
+                            path.dt)
 
 
-def action(path: DiscretePath, potential: PotentialSpec,
-           tol: float = REFINE_TOL) -> float:
+def action(path: DiscretePath, potential: PotentialSpec) -> float:
     """A(u) = kinetic + potential action of the discrete path."""
-    pot, _ = potential_action(path, potential, tol)
+    pot, _ = potential_action(path, potential)
     return path.kinetic_action() + pot
 
 
 def transmission_discrete_path(potential: PotentialSpec, energy: float,
-                               n_cells: int = DEFAULT_CELLS,
-                               rtol: float = 1e-12) -> DiscretePath:
+                               n_cells: int = DEFAULT_CELLS) -> DiscretePath:
     """Discretize the transmission path of the rest-to-rest drop on [-T0, T0].
 
     The drop starts at rest at the outer rest radius, collides at t = 0 (a
@@ -140,8 +136,7 @@ def transmission_discrete_path(potential: PotentialSpec, energy: float,
     anchor, _ = case_anchor(case, potential)
     bare = SmoothedPotential(potential, 0.0)
     pre = integrate(PhaseState((anchor, 0.0), (0.0, 0.0)), bare,
-                    horizon=10.0 * collision_time(RadialProblem(bare, energy, 0.0), anchor),
-                    rtol=rtol)
+                    horizon=10.0 * collision_time(RadialProblem(bare, energy, 0.0), anchor))
     path = transmission_extend(pre)
     T0 = path.collision_time
 
@@ -149,14 +144,14 @@ def transmission_discrete_path(potential: PotentialSpec, energy: float,
     return DiscretePath(times, path.symmetric_positions(T0 + times[:n_cells // 2]))
 
 
-def _collinear_axis(path: DiscretePath, tol: float = 1e-9) -> np.ndarray:
+def _collinear_axis(path: DiscretePath) -> np.ndarray:
     """Unit vector of the line of motion; error if the path is not collinear."""
     vals = path.values
     norms = np.hypot(vals[:, 0], vals[:, 1])
     i_far = int(np.argmax(norms))
     axis = vals[i_far] / norms[i_far]
     cross = np.abs(vals[:, 0] * axis[1] - vals[:, 1] * axis[0])
-    if np.max(cross) > tol * max(norms.max(), 1.0):
+    if np.max(cross) > 1e-9 * max(norms.max(), 1.0):
         raise ValueError("path is not collinear: orthogonal variation direction is ambiguous")
     return axis
 
@@ -207,8 +202,8 @@ class ActionComparison:
     collision_cell_depth: int
 
 
-def delta_action(path: DiscretePath, deltas, T1: float, potential: PotentialSpec,
-                 tol: float = REFINE_TOL) -> list[ActionComparison]:
+def delta_action(path: DiscretePath, deltas, T1: float,
+                 potential: PotentialSpec) -> list[ActionComparison]:
     """Compare the action of a transmission path with each of its plateau
     displacements, one ActionComparison per delta; the potential action of
     the unvaried path is refined once."""
@@ -216,7 +211,7 @@ def delta_action(path: DiscretePath, deltas, T1: float, potential: PotentialSpec
     T1_snap = float(path.times[i_T1])
     T = path.half_span
     kin0 = path.kinetic_action()
-    pot0, depth0 = potential_action(path, potential, tol)
+    pot0, depth0 = potential_action(path, potential)
     V = potential.value
     nodes = path.values[len(path.times) // 2:i_T1 + 1]
 
@@ -224,12 +219,12 @@ def delta_action(path: DiscretePath, deltas, T1: float, potential: PotentialSpec
     for delta in deltas:
         varied = standard_variation(path, delta, T1)
         dK_discrete = kin0 - varied.kinetic_action()
-        pot1, depth1 = potential_action(varied, potential, tol)
+        pot1, depth1 = potential_action(varied, potential)
         dV = pot0 - pot1
         # one-sided surrogate on t in [0, T1]: the displaced radius there is
         # exactly sqrt(u0^2 + delta^2)
         sur, depth_s = _midpoint_refine(lambda r: V(r) - V(np.hypot(r, delta)),
-                                        nodes[:, 0], nodes[:, 1], path.dt, tol)
+                                        nodes[:, 0], nodes[:, 1], path.dt)
         results.append(ActionComparison(
             delta=delta, T1=T1_snap,
             dK_closed=-delta * delta / (T - T1_snap), dK_discrete=dK_discrete,

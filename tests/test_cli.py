@@ -1,8 +1,10 @@
+import inspect
 import json
 import math
 
 import pytest
 
+import onecentre
 from onecentre.cli import main
 
 
@@ -44,13 +46,34 @@ def test_check_potential_with_expectations(tmp_path):
 
 
 def test_pi_identity_command(tmp_path):
-    rc = run_cli(["pi-identity", "--out", str(tmp_path), "--xi", "2.0"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xi": [2.0]}))
+    rc = run_cli(["pi-identity", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
     s = read_summary(tmp_path, "pi_identity")
     assert s["verdict"] is True
     assert s["evidence"]["worst_abs_error"] < 1e-8
     csv_lines = (tmp_path / "pi_identity.csv").read_text().splitlines()
     assert csv_lines[0] == "xi,value,abs_error"
+
+
+def test_tolerances_are_not_options(tmp_path):
+    for flag, value in (("--tol-ode", "1e-6"), ("--tol-quad", "1"), ("--xi", "2.0")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["pi-identity", "--out", str(tmp_path), flag, value])
+        assert exc.value.code == 2
+    # xi comes from the config, which the summary echoes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xi": [2.0]}))
+    assert run_cli(["pi-identity", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "pi_identity.csv").read_text().splitlines()) == 1 + 1
+    assert read_summary(tmp_path, "pi_identity")["config"]["xi"] == [2.0]
+    # the numerical tolerances are module constants, not parameters
+    knobs = {"rtol", "atol", "rel_tol", "tol", "split", "limit"}
+    for name in onecentre.__all__:
+        obj = getattr(onecentre, name)
+        if callable(obj):
+            assert not knobs & set(inspect.signature(obj).parameters), name
 
 
 def test_config_error_exit_code(tmp_path):
@@ -91,6 +114,16 @@ def test_variational_probe_command(tmp_path):
     s = read_summary(tmp_path, "variational_probe")
     assert all(d > 0 for d in s["evidence"]["dA"])
     assert s["evidence"]["kinetic_mismatch"] < 1e-10
+
+
+def test_variational_probe_fails_on_unsettled_collision_cell(tmp_path):
+    # homogeneous(0.5) at 2^12 cells: the collision cell reaches MAX_DEPTH
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": {"family": "homogeneous", "alpha": 0.5},
+                               "energy": -1.0, "n_cells": 4096}))
+    rc = run_cli(["variational-probe", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert read_summary(tmp_path, "variational_probe")["verdict"] is False
 
 
 def test_transmission_demo_command(tmp_path):

@@ -61,12 +61,6 @@ def test_negative_radicand_rejected():
                            lower_singular=False, upper_singular=False)
 
 
-def test_split_must_be_interior():
-    with pytest.raises(ValueError):
-        sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0, lambda x: x * (1 - x),
-                           split=2.0)
-
-
 def test_regularized_lower_quad_power_law():
     # int_0^1 rho^(1/4) drho = 4/5, integrand with unbounded derivative at 0
     val = regularized_lower_quad(lambda r: r ** 0.25, 1.0, at_rest=False)

@@ -57,12 +57,13 @@ def test_action_time_reversal_invariance(log_path):
         action(log_path, logarithmic()), abs=1e-11)
 
 
-def test_action_refinement_second_order():
+def test_action_refinement_second_order(monkeypatch):
     # with the adaptive refinement disabled (infinite settling tolerance) the
     # potential quadrature is a plain midpoint rule: second order in dt
     pot = homogeneous(0.5)
-    vals = [action(straight_path((0.4, 0.0), n=n), pot, tol=math.inf)
-            for n in (128, 256, 512)]
+    with monkeypatch.context() as m:
+        m.setattr(variational, "REFINE_TOL", math.inf)
+        vals = [action(straight_path((0.4, 0.0), n=n), pot) for n in (128, 256, 512)]
     d1, d2 = vals[1] - vals[0], vals[2] - vals[1]
     assert d1 / d2 == pytest.approx(4.0, rel=0.1)
     # the adaptive rule instead settles to one value on every grid
@@ -243,8 +244,7 @@ def _log_transmission(energy=0.0):
     bare = SmoothedPotential(pot, 0.0)
     anchor, _ = case_anchor(DropFromRest(energy), pot)
     horizon = 10.0 * collision_time(RadialProblem(bare, energy, 0.0), anchor)
-    pre = integrate(PhaseState((anchor, 0.0), (0.0, 0.0)), bare, horizon=horizon,
-                    rtol=1e-12)
+    pre = integrate(PhaseState((anchor, 0.0), (0.0, 0.0)), bare, horizon=horizon)
     return transmission_extend(pre)
 
 
