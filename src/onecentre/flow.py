@@ -160,7 +160,11 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
             raise RuntimeError(
                 f"integration stopped at t={orbit.t_end!r} before T={horizon!r}")
         return orbit
-    path = transmission_extend(orbit)
+    return _covering(transmission_extend(orbit), horizon)
+
+
+def _covering(path: TransmissionPath, horizon: float) -> TransmissionPath:
+    """`path`, after checking that its domain [0, 2 T0] covers the horizon."""
     if horizon > 2.0 * path.collision_time:
         raise ValueError(f"T={horizon!r} beyond the transmission domain "
                          f"(2 T0 = {2.0 * path.collision_time!r})")
@@ -316,7 +320,8 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
     crossing time tau solves H(y, t) = (flow(y, t) - y1) . normal = 0 by
     bracketing around T (bracket half-width halved from 0.1 T until the signs
     differ) and root refinement; H is increasing along the flow near the
-    section, which the bracket search relies on.
+    section, which the bracket search relies on.  Sample 0 is the collision
+    datum itself, so its orbit is the reference orbit, not integrated again.
     """
     rng = np.random.default_rng(seed)
     ref_path = extended_flow(make_initial_data(case, potential), 0.0, potential,
@@ -342,8 +347,9 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
     for i, (eps, pert) in enumerate(cells):
         y0 = make_initial_data(case, potential, pert)
         try:
-            flow_at = extended_flow(y0, eps, potential, t_hi,
-                                    case.ball_radius).state_at
+            orbit = (_covering(ref_path, t_hi) if i == 0 else
+                     extended_flow(y0, eps, potential, t_hi, case.ball_radius))
+            flow_at = orbit.state_at
 
             def H(t):
                 return section.offset(flow_at(t))

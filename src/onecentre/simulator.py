@@ -3,10 +3,12 @@
 The equations of motion are  u'' = grad V_eps(|u|)  in the plane.  The state
 carries a fifth component, the continuous angular lift theta with
 theta' = l0 / r^2 (l0 the conserved angular momentum of the initial data), so
-swept angles are available without unwrapping.  Integration uses an adaptive
-high-order Runge-Kutta scheme (DOP853) with dense output; pericentre,
-apocentre, ball-exit and near-collision events are located on the dense
-output by root finding.
+swept angles are available without unwrapping.  The stepper is the in-house
+DOP853 of `_dop853`: the Dormand-Prince 8(5,3) pair with scipy's tableau and
+scipy's step-size control, written out over Python floats, with the 7th-order
+interpolant of every accepted step as dense output.  Pericentre, apocentre,
+ball-exit and near-collision events are found step by step, by root finding
+on the step's interpolant.  scipy's integrators serve only as test oracles.
 
 Energy E = |u'|^2/2 - V_eps(|u|) and l = u x u' are conserved by the dynamics;
 their numerical drift is monitored, never corrected.
@@ -15,11 +17,13 @@ their numerical drift is monitored, never corrected.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
+from . import _dop853
 from .potentials import PotentialSpec, SmoothedPotential
 from .radial import (Case, RadialProblem, case_anchor, time_of_flight,
                      turning_points)
@@ -30,6 +34,8 @@ DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
 #: radius below which an eps = 0 run is aborted with a collision event
 COLLISION_RADIUS = 1e-8
+#: absolute and relative tolerance of event roots on the dense output
+_ROOT_TOL = 4 * np.finfo(float).eps
 
 PERICENTER = "pericenter"
 APOCENTER = "apocenter"
@@ -55,14 +61,6 @@ class PhaseState:
     @property
     def theta(self) -> float:
         return math.atan2(self.position[1], self.position[0])
-
-    @property
-    def r_dot(self) -> float:
-        return float(np.dot(self.position, self.velocity)) / self.r
-
-    @property
-    def theta_dot(self) -> float:
-        return self.ang_momentum / self.r**2
 
     @property
     def ang_momentum(self) -> float:
@@ -96,7 +94,7 @@ class Trajectory:
     events: list[Event]
     energy0: float
     ang_momentum0: float
-    dense: object = field(repr=False, default=None)
+    dense: _dop853.DenseOutput = field(repr=False, default=None)
 
     @property
     def t_end(self) -> float:
@@ -118,24 +116,6 @@ class Trajectory:
     def events_of(self, kind: str) -> list[Event]:
         return [ev for ev in self.events if ev.kind == kind]
 
-    def export_csv(self, path, events_path=None) -> None:
-        """CSV of samples (t, x, y, vx, vy, r, theta, E, l); events separately."""
-        import csv as _csv
-        with open(path, "w", newline="") as fh:
-            wr = _csv.writer(fh)
-            wr.writerow(["t", "x", "y", "vx", "vy", "r", "theta", "E", "l"])
-            for t, s in zip(self.times, self.states):
-                r = math.hypot(s[0], s[1])
-                E = 0.5 * (s[2]**2 + s[3]**2) - self.potential.value(r)
-                l = s[0] * s[3] - s[1] * s[2]
-                wr.writerow([repr(float(v)) for v in (t, s[0], s[1], s[2], s[3], r, s[4], E, l)])
-        if events_path is not None:
-            with open(events_path, "w", newline="") as fh:
-                wr = _csv.writer(fh)
-                wr.writerow(["t", "kind"])
-                for ev in self.events:
-                    wr.writerow([repr(ev.time), ev.kind])
-
 
 def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
               ball_radius: float = math.inf) -> Trajectory:
@@ -143,70 +123,83 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
 
     eps = 0 runs are legitimate while the orbit stays away from the origin
     (l != 0 keeps it away; radial runs stop at the collision event).  A finite
-    ball radius makes leaving the ball a terminal event.
+    ball radius makes leaving the ball a terminal event.  Events are located
+    on each accepted step's interpolant as it is taken; a terminal event
+    truncates the run at its time.  A step size below 10 ulp(t) raises
+    RuntimeError.
     """
     eps = potential.epsilon
     l0 = state.ang_momentum
     E0 = state.energy(potential)
     if eps == 0.0 and state.r <= COLLISION_RADIUS:
         raise ValueError("initial state inside the collision threshold with eps = 0")
+    if not horizon > 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon!r}")
 
     Vp = potential.base.deriv
 
-    def rhs(t, y):
-        x, yy, vx, vy, th = y
-        r2 = x * x + yy * yy
+    def rhs(x, y):
+        r2 = x * x + y * y
         h = math.sqrt(r2 + eps * eps)
         scale = Vp(h) / h
-        return (vx, vy, scale * x, scale * yy, l0 / r2)
+        return scale * x, scale * y, l0 / r2
 
-    def radial_turn(t, y):
-        return y[0] * y[2] + y[1] * y[3]
-
-    events = [radial_turn]
-
-    def near_collision(t, y):
-        return math.hypot(y[0], y[1]) - COLLISION_RADIUS
-    near_collision.terminal = True
-    near_collision.direction = -1.0
+    # (g, direction, kind): a kind marks a terminal event, None the radial
+    # turning points (zeros of r rdot), classified when found
+    events = [(lambda s: s[0] * s[2] + s[1] * s[3], 0, None)]
     if eps == 0.0:
-        events.append(near_collision)
-
-    def exit_ball(t, y):
-        return math.hypot(y[0], y[1]) - ball_radius
-    exit_ball.terminal = True
-    exit_ball.direction = 1.0
+        events.append((lambda s: math.hypot(s[0], s[1]) - COLLISION_RADIUS, -1, COLLISION))
     if math.isfinite(ball_radius):
-        events.append(exit_ball)
+        events.append((lambda s: math.hypot(s[0], s[1]) - ball_radius, 1, EXIT_BALL))
 
-    y0 = [state.position[0], state.position[1], state.velocity[0], state.velocity[1], 0.0]
-    sol = solve_ivp(rhs, (0.0, horizon), y0, method="DOP853",
-                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, dense_output=True,
-                    events=events)
-    if not sol.success and sol.status != 1:
-        raise RuntimeError(f"integration failed: {sol.message}")
+    t = 0.0
+    y = (float(state.position[0]), float(state.position[1]),
+         float(state.velocity[0]), float(state.velocity[1]), 0.0)
+    f = (y[2], y[3], *rhs(y[0], y[1]))
+    h_abs = _dop853.initial_step(rhs, y, f, horizon, DEFAULT_RTOL, DEFAULT_ATOL)
+    times, states, segments, found = [t], array("d", y), array("d"), []
+    g = [ev(y) for ev, _, _ in events]
+    while t < horizon:
+        t_old = t
+        t, y, f, h_abs, seg = _dop853.step(rhs, t, y, f, h_abs, horizon,
+                                           DEFAULT_RTOL, DEFAULT_ATOL)
+        segments.extend(seg)
+        g_new = [ev(y) for ev, _, _ in events]
+        hits = []
+        for (ev, direction, kind), a, b in zip(events, g, g_new):
+            if (direction >= 0 and a <= 0.0 <= b) or (direction <= 0 and a >= 0.0 >= b):
+                t_ev = brentq(lambda s: ev(_dop853.interpolate(seg, s)), t_old, t,
+                              xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                hits.append((t_ev, kind))
+        g = g_new
+        stop = None
+        # in time order, up to the first terminal event of the step
+        for t_ev, kind in sorted(hits, key=lambda hit: hit[0]):
+            if kind is None:
+                s = _dop853.interpolate(seg, t_ev)
+                r2 = s[0] ** 2 + s[1] ** 2
+                h = math.sqrt(r2 + eps * eps)
+                # d/dt (r rdot) = |v|^2 + u.a ; minimum of r when positive
+                curv = s[2] ** 2 + s[3] ** 2 + Vp(h) / h * r2
+                found.append(Event(t_ev, PERICENTER if curv > 0 else APOCENTER))
+            else:
+                found.append(Event(t_ev, kind))
+                stop = t_ev
+                break
+        if stop is not None:
+            if stop == t_old:
+                del segments[-_dop853.SEGMENT:]
+            else:
+                times.append(stop)
+                states.extend(_dop853.interpolate(seg, stop))
+            break
+        times.append(t)
+        states.extend(y)
 
-    found: list[Event] = []
-    # classify radial turning points by the sign change of r rdot
-    for t_ev, y_ev in zip(sol.t_events[0], sol.y_events[0]):
-        r2 = y_ev[0]**2 + y_ev[1]**2
-        h = math.sqrt(r2 + eps * eps)
-        # d/dt (r rdot) = |v|^2 + u.a ; minimum of r when positive
-        acc = Vp(h) / h
-        curv = y_ev[2]**2 + y_ev[3]**2 + acc * r2
-        found.append(Event(float(t_ev), PERICENTER if curv > 0 else APOCENTER))
-    idx = 1
-    if eps == 0.0:
-        for t_ev in sol.t_events[idx]:
-            found.append(Event(float(t_ev), COLLISION))
-        idx += 1
-    if math.isfinite(ball_radius):
-        for t_ev in sol.t_events[idx]:
-            found.append(Event(float(t_ev), EXIT_BALL))
-    found.sort(key=lambda ev: ev.time)
-
-    return Trajectory(potential=potential, times=sol.t, states=sol.y.T,
-                      events=found, energy0=E0, ang_momentum0=l0, dense=sol.sol)
+    return Trajectory(potential=potential, times=np.array(times),
+                      states=np.frombuffer(states).reshape(-1, 5),
+                      events=found, energy0=E0, ang_momentum0=l0,
+                      dense=_dop853.DenseOutput(times, segments))
 
 
 def conserved_drift(traj: Trajectory) -> tuple[float, float]:

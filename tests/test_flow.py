@@ -263,3 +263,23 @@ def test_section_offset_monotone_through_crossing():
         anchor, logarithmic())
     hs = [spec.offset(traj.state_at(t)) for t in np.linspace(T - 0.02, T + 0.02, 10)]
     assert all(b > a for a, b in zip(hs, hs[1:]))
+
+
+def test_section_sample_zero_reuses_the_reference_orbit():
+    # sample 0 is the collision datum itself; its fall ends at the collision
+    # event, long before either horizon, so it does not depend on the horizon
+    case = DropFromRest(0.0)
+    T = 1.5 * T0_LOG
+    y0 = make_initial_data(case, logarithmic())
+    ref = extended_flow(y0, 0.0, logarithmic(), T, case.ball_radius)
+    own = extended_flow(y0, 0.0, logarithmic(), 1.1 * T, case.ball_radius)
+    assert np.array_equal(ref.pre.times, own.pre.times)
+    assert np.array_equal(ref.pre.states, own.pre.states)
+    assert ref.collision_time == own.collision_time
+    # beyond 2 T0 the reused orbit fails like every other collision sample
+    T = 1.95 * T0_LOG
+    table = poincare_section(logarithmic(), case, T, delta=1e-3, sample_count=2, seed=0)
+    failed = dict(table.meta["failed_samples"])
+    assert sorted(failed) == [0, 1]
+    assert failed[0] == (f"T={T + 0.1 * T!r} beyond the transmission domain "
+                         f"(2 T0 = {2.0 * ref.collision_time!r})")

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853, solve_ivp
 
-from onecentre.potentials import SmoothedPotential, logarithmic
+from onecentre import _dop853
+from onecentre.flow import diagonal_cells
+from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem,
                               time_of_flight, turning_points)
-from onecentre.simulator import (COLLISION, PERICENTER, Perturbation,
-                                 PhaseState, conserved_drift, integrate,
-                                 make_initial_data)
+from onecentre.simulator import (APOCENTER, COLLISION, COLLISION_RADIUS,
+                                 DEFAULT_ATOL, DEFAULT_RTOL, EXIT_BALL,
+                                 PERICENTER, Perturbation, PhaseState,
+                                 conserved_drift, integrate, make_initial_data)
 
 BARE_LOG = SmoothedPotential(logarithmic(), 0.0)
 
@@ -18,10 +22,6 @@ def test_phase_state_polar_accessors():
     assert st.r == 5.0
     assert st.theta == pytest.approx(math.atan2(4.0, 3.0))
     assert st.ang_momentum == pytest.approx(3.0 * 0.2 - 4.0 * 0.1)
-    assert st.r_dot == pytest.approx((3.0 * 0.1 + 4.0 * 0.2) / 5.0)
-    assert st.theta_dot == pytest.approx(st.ang_momentum / 25.0)
-    # polar consistency: l = r^2 theta_dot
-    assert st.ang_momentum == pytest.approx(st.r ** 2 * st.theta_dot)
 
 
 def test_circular_orbit_stays_circular():
@@ -177,12 +177,181 @@ def test_trajectory_sample_and_event_invariants():
         assert traj.times[0] <= ev.time <= traj.times[-1]
 
 
-def test_trajectory_export_csv(tmp_path):
-    st = PhaseState((1.0, 0.0), (0.0, 1.0))
-    traj = integrate(st, BARE_LOG, horizon=1.0)
-    main = tmp_path / "traj.csv"
-    side = tmp_path / "events.csv"
-    traj.export_csv(main, side)
-    header = main.read_text().splitlines()[0]
-    assert header == "t,x,y,vx,vy,r,theta,E,l"
-    assert side.read_text().splitlines()[0] == "t,kind"
+# --- the DOP853 kernel against scipy ------------------------------------------
+
+def _field(potential: SmoothedPotential, l0: float):
+    """(vx', vy', theta') at (x, y), as `integrate` builds it."""
+    Vp, eps = potential.base.deriv, potential.epsilon
+
+    def rhs(x, y):
+        r2 = x * x + y * y
+        h = math.sqrt(r2 + eps * eps)
+        scale = Vp(h) / h
+        return scale * x, scale * y, l0 / r2
+
+    return rhs
+
+
+def _in_kernel_order(coeffs, rows):
+    """sum_j c_j rows[j] over the nonzero c_j, left to right: the kernel's order."""
+    total = None
+    for c, row in zip(coeffs, rows):
+        if c != 0.0:
+            total = c * row if total is None else total + c * row
+    return total
+
+
+def _rk_step_in_kernel_order(fun, t, y, f, h, A, B, C, K):
+    K[0] = f
+    for s in range(1, len(C)):
+        K[s] = fun(t + C[s] * h, y + _in_kernel_order(A[s, :s], K[:s]) * h)
+    y_new = y + h * _in_kernel_order(B, K[:-1])
+    f_new = fun(t + h, y_new)
+    K[-1] = f_new
+    return y_new, f_new
+
+
+class _KernelOrderDOP853(DOP853):
+    """scipy's DOP853 (tableau, control law, interpolant) with every tableau
+    sum taken in the kernel's order, so the two agree bitwise."""
+
+    def _estimate_error_norm(self, K, h, scale):
+        err5 = (_in_kernel_order(self.E5, K) / scale).tolist()
+        err3 = (_in_kernel_order(self.E3, K) / scale).tolist()
+        e5 = sum(v * v for v in err5)
+        e3 = sum(v * v for v in err3)
+        if e5 == 0 and e3 == 0:
+            return 0.0
+        return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale))
+
+    def rows(self) -> np.ndarray:
+        """The 7 x 5 interpolant of the last step (scipy's F)."""
+        K, h = self.K_extended, self.h_previous
+        for s, (a, c) in enumerate(zip(self.A_EXTRA, self.C_EXTRA), start=self.n_stages + 1):
+            K[s] = self.fun(self.t_old + c * h, self.y_old + _in_kernel_order(a[:s], K[:s]) * h)
+        dy = self.y - self.y_old
+        return np.array([dy, h * K[0] - dy, 2 * dy - h * (self.f + K[0]),
+                         *(h * _in_kernel_order(d, K) for d in self.D)])
+
+
+@pytest.mark.parametrize("potential, eps, y0", [
+    (logarithmic(), 0.0, (1.2, 0.1, -0.05, 0.7, 0.0)),
+    (homogeneous(0.5), 1e-2, (1.0, 0.0, 0.0, 0.3, 0.0)),
+])
+def test_kernel_steps_equal_scipy_dop853(monkeypatch, potential, eps, y0):
+    # the first 20 accepted steps from a fixed state, against scipy's stepper
+    # summing in the kernel's order: step sizes, proposals, states and
+    # interpolants agree bitwise, which pins every tableau entry it uses and the
+    # control law.  (In numpy's summation order the sizes differ by ~1e-8
+    # relative at rtol 1e-12: the error estimate cancels O(|K|) terms down
+    # to the tolerance, so rounding noise reaches the step-size proposals.)
+    import scipy.integrate._ivp.rk as rk
+    monkeypatch.setattr(rk, "rk_step", _rk_step_in_kernel_order)
+    rhs = _field(SmoothedPotential(potential, eps), y0[0] * y0[3] - y0[1] * y0[2])
+    t, y = 0.0, y0
+    f = (y[2], y[3], *rhs(y[0], y[1]))
+    h_abs = _dop853.initial_step(rhs, y, f, 100.0, DEFAULT_RTOL, DEFAULT_ATOL)
+
+    def fun(t, y):
+        return np.array([y[2], y[3], *rhs(y[0], y[1])])
+
+    assert h_abs == pytest.approx(
+        DOP853(fun, 0.0, np.array(y0), 100.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL).h_abs,
+        rel=1e-14)
+    ref = _KernelOrderDOP853(fun, 0.0, np.array(y0), 100.0, rtol=DEFAULT_RTOL,
+                             atol=DEFAULT_ATOL, first_step=h_abs)
+    for _ in range(20):
+        t, y, f, h_abs, seg = _dop853.step(rhs, t, y, f, h_abs, 100.0,
+                                           DEFAULT_RTOL, DEFAULT_ATOL)
+        ref.step()
+        assert (t, h_abs, seg[1]) == (ref.t, ref.h_abs, ref.t - ref.t_old)
+        assert np.array_equal(y, ref.y) and np.array_equal(f, ref.f)
+        assert np.array_equal(np.reshape(seg[7:], (7, 5)), ref.rows())
+
+
+def _solve_ivp_oracle(state, potential, horizon, ball_radius=math.inf):
+    """(times, event kinds, event times, dense) of the same run by solve_ivp."""
+    eps = potential.epsilon
+    rhs = _field(potential, state.ang_momentum)
+
+    def radial_turn(t, y):
+        return y[0] * y[2] + y[1] * y[3]
+
+    def near_collision(t, y):
+        return math.hypot(y[0], y[1]) - COLLISION_RADIUS
+    near_collision.terminal, near_collision.direction = True, -1.0
+
+    def exit_ball(t, y):
+        return math.hypot(y[0], y[1]) - ball_radius
+    exit_ball.terminal, exit_ball.direction = True, 1.0
+
+    terminal = []
+    if eps == 0.0:
+        terminal.append((near_collision, COLLISION))
+    if math.isfinite(ball_radius):
+        terminal.append((exit_ball, EXIT_BALL))
+    sol = solve_ivp(lambda t, y: (y[2], y[3], *rhs(y[0], y[1])), (0.0, horizon),
+                    [*state.position, *state.velocity, 0.0], method="DOP853",
+                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, dense_output=True,
+                    events=[radial_turn] + [g for g, _ in terminal])
+    found = []
+    for t_ev, y_ev in zip(sol.t_events[0], sol.y_events[0]):
+        r2 = y_ev[0] ** 2 + y_ev[1] ** 2
+        h = math.sqrt(r2 + eps * eps)
+        curv = y_ev[2] ** 2 + y_ev[3] ** 2 + potential.base.deriv(h) / h * r2
+        found.append((t_ev, PERICENTER if curv > 0 else APOCENTER))
+    for (_, kind), times in zip(terminal, sol.t_events[1:]):
+        found += [(t_ev, kind) for t_ev in times]
+    found.sort()
+    return sol.t, [k for _, k in found], np.array([t for t, _ in found]), sol.sol
+
+
+@pytest.mark.parametrize("potential", [logarithmic(), homogeneous(0.5)], ids=["log", "hom"])
+@pytest.mark.parametrize("eps, state, horizon, ball, last_kind", [
+    (0.0, PhaseState((1.2, 0.0), (0.0, 0.7)), 20.0, math.inf, None),
+    (1e-2, PhaseState((1.0, 0.0), (0.0, 0.0)), 3.0, math.inf, None),
+    (0.0, PhaseState((1.0, 0.0), (0.0, 0.0)), 5.0, math.inf, COLLISION),
+    (0.0, PhaseState((1.0, 0.0), (0.9, 0.0)), 50.0, 1.3, EXIT_BALL),
+], ids=["eps0-l", "eps-drop", "collision-drop", "ball"])
+def test_integrate_matches_solve_ivp(potential, eps, state, horizon, ball, last_kind):
+    sm = SmoothedPotential(potential, eps)
+    traj = integrate(state, sm, horizon, ball_radius=ball)
+    times, kinds, event_times, dense = _solve_ivp_oracle(state, sm, horizon, ball)
+    assert [ev.kind for ev in traj.events] == kinds
+    # each case ends as it claims to: at its terminal event or at an apsis
+    assert kinds[-1] == last_kind or (last_kind is None and kinds[-1] in (PERICENTER, APOCENTER))
+    assert np.max(np.abs([ev.time for ev in traj.events] - event_times)) <= 1e-12
+    assert abs(len(traj.times) - len(times)) <= 2
+    # up to 0.9 t_end: at the collision threshold the acceleration is ~1/r =
+    # 1e8, so a rounding-level shift of the abort time moves the velocity by 1e-8
+    for t in np.linspace(0.0, 0.9 * traj.t_end, 10):
+        assert np.max(np.abs(traj.dense(t) - dense(t))) <= 1e-10
+
+
+def test_step_too_small_raises():
+    # the eps = l = 1e-12 diagonal continuity cell of the unit drop: the
+    # orbit grazes the centre and the step size falls below 10 ulp(t)
+    (eps, pert), = diagonal_cells([12])
+    state = make_initial_data(DropFromRest(0.0), logarithmic(), pert)
+    with pytest.raises(RuntimeError, match="step size"):
+        integrate(state, SmoothedPotential(logarithmic(), eps), horizon=2.0)
+
+
+def test_dense_array_equals_scalar_calls():
+    traj = integrate(PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, horizon=10.0)
+    # step boundaries, interior points and both ends, unsorted
+    t = np.concatenate([traj.times[::7], np.linspace(0.0, 10.0, 101)[::-1]])
+    many = traj.dense(t)
+    assert many.shape == (5, len(t))
+    assert np.array_equal(many, np.array([traj.dense(s) for s in t]).T)
+    assert traj.dense(float(t[3])).shape == (5,)
+
+
+@pytest.mark.parametrize("state, ball, kind", [
+    (PhaseState((1.0, 0.0), (0.0, 0.0)), math.inf, COLLISION),
+    (PhaseState((1.0, 0.0), (0.9, 0.0)), 1.3, EXIT_BALL),
+])
+def test_terminal_run_ends_at_its_event(state, ball, kind):
+    traj = integrate(state, BARE_LOG, horizon=50.0, ball_radius=ball)
+    assert traj.events[-1].kind == kind and traj.events[-1].time == traj.t_end
+    assert np.array_equal(traj.dense(traj.t_end), traj.states[-1])
