@@ -7,21 +7,20 @@ __version__ = "0.1.0"
 
 from .potentials import (ClassReport, PotentialSpec, SmoothedPotential,
                          check_admissible, check_slowly_varying, classify,
-                         custom, from_config, homogeneous, logarithmic,
+                         from_config, homogeneous, logarithmic,
                          weak_singularity_check)
 from .radial import (Case, DropFromRest, InwardCrossing, RadialProblem,
                      TurningPoints, case_anchor, collision_time, first_zero,
                      time_of_flight, turning_points)
 from .apsidal import (ApsidalAngle, SweepPath, apsidal_angle, bounds_audit,
                       calibration_integral, convergence_sweep, default_paths,
-                      desingularized_factor, increment_ratio,
-                      integrand_envelope, smoothed_ratio_limit)
+                      desingularized_factor, integrand_envelope)
 from .simulator import (PhaseState, Perturbation, Trajectory, conserved_drift,
                         integrate, make_initial_data, oracle_crosscheck)
 from .flow import (ExitedBall, SectionSpec, TransmissionPath,
                    continuity_experiment, diagonal_cells, extended_flow,
-                   extended_poincare_map, phase_field, poincare_section,
-                   section_through, transmission_extend)
+                   phase_field, poincare_section, section_through,
+                   transmission_extend)
 from .variational import (ActionComparison, DiscretePath, action,
                           delta_action, potential_action, standard_variation,
                           transmission_discrete_path)

@@ -109,17 +109,6 @@ def integrand_envelope(potential: PotentialSpec, eps: float,
     return (r_outer + x) / (x / y - 1.0) * bracket
 
 
-def increment_ratio(potential: PotentialSpec, eps: float,
-                    y: float, x: float, r_outer: float) -> float:
-    """(V_eps(x) - V_eps(r_outer)) / (V_eps(y) - V_eps(r_outer)) for y < x < r_outer.
-
-    For admissible potentials this is >= its eps = 0 value once eps is small
-    enough, which is the monotonicity step behind the envelope bound.
-    """
-    sm = SmoothedPotential(potential, eps)
-    return (sm.value(x) - sm.value(r_outer)) / (sm.value(y) - sm.value(r_outer))
-
-
 def desingularized_factor(rp: RadialProblem, beta: float, v_sq: float,
                           rho: float | np.ndarray) -> float | np.ndarray:
     """The factor left under the square root of the angle integrand after the
@@ -179,29 +168,6 @@ def bounds_audit(potential: PotentialSpec, eps_values, samples: int, seed: int,
             if margin < -violation_tol:
                 violations.append(("factor", eps, rho, margin))
     table.meta["violations"] = violations
-    return table
-
-
-def smoothed_ratio_limit(potential: PotentialSpec, rho: float,
-                         schedule: list[tuple[float, float]] | None = None) -> ConvergenceTable:
-    """Table of V_eps(rho*delta)/V_eps(delta) along a (delta, eps) -> (0,0) schedule.
-
-    For slowly varying potentials the ratio tends to 1; homogeneous potentials
-    settle at rho^(-alpha) instead.
-    """
-    if rho < 1.0:
-        raise ValueError("rho must be >= 1")
-    if schedule is None:
-        schedule = [(10.0 ** -k, 10.0 ** -k) for k in range(1, 9)]
-    table = ConvergenceTable(("delta", "eps", "ratio"),
-                             meta={"rho": rho, "quantity": "V_eps(rho d)/V_eps(d)"})
-    for delta, eps in schedule:
-        sm = SmoothedPotential(potential, eps)
-        table.add(float(delta), float(eps), float(sm.value(rho * delta) / sm.value(delta)))
-    ratios = table.column("ratio")
-    verdict = limit_verdict(ratios, target=1.0)
-    table.meta["limit_estimate"] = verdict.estimate
-    table.meta["converges_to_one"] = verdict.converged
     return table
 
 

@@ -23,11 +23,12 @@ import numpy as np
 from . import __version__
 from .apsidal import (bounds_audit, calibration_integral, convergence_sweep,
                       default_paths)
-from .flow import continuity_experiment, diagonal_cells, poincare_section, transmission_extend
+from .flow import (continuity_experiment, diagonal_cells, extended_flow,
+                   poincare_section)
 from .potentials import SmoothedPotential, classify, from_config
 from .radial import (DropFromRest, InwardCrossing, RadialProblem, case_anchor,
                      collision_time)
-from .simulator import integrate, make_initial_data, oracle_crosscheck
+from .simulator import make_initial_data, oracle_crosscheck
 from .tables import ConvergenceTable, format_value, is_decreasing
 from .variational import MAX_DEPTH, delta_action, transmission_discrete_path
 
@@ -54,13 +55,55 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _number(cfg: dict, key: str) -> float:
+    """The number at `key` of cfg, as a float; a dotted key like "case.energy"
+    reads cfg["case"]["energy"].  A missing or non-numeric value is a
+    ConfigError naming the key."""
+    value = cfg
+    for part in key.split("."):
+        if not isinstance(value, dict) or part not in value:
+            raise ConfigError(f"missing key {key!r}")
+        value = value[part]
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+
+
+def _numbers(cfg: dict, key: str) -> list[float]:
+    """The list of numbers cfg[key], as floats, or a ConfigError naming the key."""
+    values = cfg.get(key)
+    if isinstance(values, list):
+        try:
+            return [float(v) for v in values]
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key!r} must be a list of numbers, got {values!r}")
+
+
+def _potential(cfg: dict):
+    """The potential of cfg["potential"]; an unknown family or a missing or
+    bad parameter is a ConfigError."""
+    spec = cfg["potential"]
+    try:
+        return from_config(spec)
+    except KeyError as exc:
+        raise ConfigError(f"missing key 'potential.{exc.args[0]}'") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"'potential' {spec!r}: {exc}") from None
+
+
 def _case_from(cfg: dict):
     c = cfg["case"]
+    if not isinstance(c, dict):
+        raise ConfigError(f"'case' must be an object, got {c!r}")
     kind = c.get("type", "drop")
     if kind == "drop":
-        return DropFromRest(float(c["energy"]), float(c.get("ball_radius", math.inf)))
+        return DropFromRest(_number(cfg, "case.energy"),
+                            _number(cfg, "case.ball_radius") if "ball_radius" in c
+                            else math.inf)
     if kind == "entry":
-        return InwardCrossing(float(c["energy"]), float(c["ball_radius"]))
+        return InwardCrossing(_number(cfg, "case.energy"), _number(cfg, "case.ball_radius"))
     raise ConfigError(f"unknown case type {kind!r} (use 'drop' or 'entry')")
 
 
@@ -93,7 +136,7 @@ def _jsonable(v):
 
 def cmd_check_potential(args, out: Path) -> bool:
     cfg = _load_config(args.config, {"potential": {"family": "logarithmic"}})
-    report = classify(from_config(cfg["potential"]))
+    report = classify(_potential(cfg))
     evidence = {
         "admissible": report.admissible,
         "slowly_varying": report.slowly_varying,
@@ -117,8 +160,8 @@ def cmd_check_potential(args, out: Path) -> bool:
 def cmd_pi_identity(args, out: Path) -> bool:
     cfg = _load_config(args.config, {"xi": [1.0001, 1.5, 2.0, 10.0, 1e6],
                                      "tol": 1e-8})
-    xis = [float(x) for x in cfg["xi"]]
-    tol = cfg["tol"]
+    xis = _numbers(cfg, "xi")
+    tol = _number(cfg, "tol")
     table = ConvergenceTable(("xi", "value", "abs_error"))
     worst = 0.0
     for xi in xis:
@@ -140,15 +183,16 @@ def cmd_apsidal_sweep(args, out: Path) -> bool:
         "exponents": [2, 3, 4, 5, 6],
         "strong_tol": 1e-2,
     })
-    potential = from_config(cfg["potential"])
+    potential = _potential(cfg)
     case = _case_from(cfg)
-    paths = default_paths(cfg["exponents"])
+    paths = default_paths(_numbers(cfg, "exponents"))
+    strong_tol = _number(cfg, "strong_tol")
     table = convergence_sweep(potential, case, paths)
     table.write_csv(out_path(out, "apsidal_sweep.csv"))
     limits = table.meta.get("path_limits", {})
     est = {pid: v["estimate"] for pid, v in limits.items()}
     converged = all(v["converged"] for v in limits.values()) and bool(limits)
-    strong = bool(est) and all(abs(e - math.pi / 2) <= cfg["strong_tol"] for e in est.values()) \
+    strong = bool(est) and all(abs(e - math.pi / 2) <= strong_tol for e in est.values()) \
         and table.meta.get("uniform", False)
     evidence = {"path_limits": limits, "uniform": table.meta.get("uniform"),
                 "strong_regularizable": strong,
@@ -166,8 +210,9 @@ def cmd_bounds_audit(args, out: Path) -> bool:
         "violation_tol": 1e-9,
         "energy": 0.0,
     })
-    table = bounds_audit(from_config(cfg["potential"]), cfg["eps"], int(cfg["samples"]),
-                         args.seed, float(cfg["energy"]), float(cfg["violation_tol"]))
+    table = bounds_audit(_potential(cfg), _numbers(cfg, "eps"),
+                         int(_number(cfg, "samples")), args.seed,
+                         _number(cfg, "energy"), _number(cfg, "violation_tol"))
     table.write_csv(out_path(out, "bounds_audit.csv"))
     return _emit(out, "bounds_audit",
                  "envelope >= r_outer and factor <= beta on seeded samples",
@@ -183,10 +228,10 @@ def cmd_poincare_continuity(args, out: Path) -> bool:
         "T_factor": 1.5,
         "exponents": [2, 3, 4, 5, 6],
     })
-    potential = from_config(cfg["potential"])
+    potential = _potential(cfg)
     case = _case_from(cfg)
-    T = _scaled_T(potential, case, float(cfg["T_factor"]))
-    cells = diagonal_cells(cfg["exponents"])
+    T = _scaled_T(potential, case, _number(cfg, "T_factor"))
+    cells = diagonal_cells(_numbers(cfg, "exponents"))
     table = continuity_experiment(potential, case, T, cells)
     table.write_csv(out_path(out, "poincare_continuity.csv"))
     meta = table.meta
@@ -209,13 +254,13 @@ def cmd_poincare_section(args, out: Path) -> bool:
         "deltas": [1e-2, 1e-3, 1e-4],
         "samples": 50,
     })
-    potential = from_config(cfg["potential"])
+    potential = _potential(cfg)
     case = _case_from(cfg)
-    T = _scaled_T(potential, case, float(cfg["T_factor"]))
+    T = _scaled_T(potential, case, _number(cfg, "T_factor"))
     tau_devs, trace_devs, found = [], [], []
-    for j, delta in enumerate(cfg["deltas"]):
-        table = poincare_section(potential, case, T, float(delta),
-                                 sample_count=int(cfg["samples"]),
+    samples = int(_number(cfg, "samples"))
+    for j, delta in enumerate(_numbers(cfg, "deltas")):
+        table = poincare_section(potential, case, T, delta, sample_count=samples,
                                  seed=args.seed)
         table.write_csv(out_path(out, f"poincare_section_delta{j}.csv"))
         tau_devs.append(table.meta["max_tau_dev"])
@@ -237,12 +282,11 @@ def cmd_transmission_demo(args, out: Path) -> bool:
         "potential": {"family": "logarithmic"},
         "case": {"type": "drop", "energy": 0.0},
     })
-    potential = from_config(cfg["potential"])
+    potential = _potential(cfg)
     case = _case_from(cfg)
     y0 = make_initial_data(case, potential)
-    bare = SmoothedPotential(potential, 0.0)
-    pre = integrate(y0, bare, horizon=100.0, ball_radius=case.ball_radius)
-    path = transmission_extend(pre)
+    path = extended_flow(y0, 0.0, potential, _scaled_T(potential, case, 1.0),
+                         case.ball_radius)
     T0 = path.collision_time
     end = path.state_at(2.0 * T0)
     table = ConvergenceTable(("t", "x", "y", "vx", "vy", "r"))
@@ -273,13 +317,13 @@ def cmd_variational_probe(args, out: Path) -> bool:
         "T1_factor": 0.5,
         "n_cells": 2 ** 14,
     })
-    potential = from_config(cfg["potential"])
-    path = transmission_discrete_path(potential, float(cfg["energy"]),
-                                      n_cells=int(cfg["n_cells"]))
-    T1 = float(cfg["T1_factor"]) * path.half_span
+    potential = _potential(cfg)
+    path = transmission_discrete_path(potential, _number(cfg, "energy"),
+                                      n_cells=int(_number(cfg, "n_cells")))
+    T1 = _number(cfg, "T1_factor") * path.half_span
     table = ConvergenceTable(("delta", "T1", "dK_closed", "dK_discrete",
                               "dV", "dA", "collision_cell_depth"))
-    rows = delta_action(path, [float(d) for d in cfg["deltas"]], T1, potential)
+    rows = delta_action(path, _numbers(cfg, "deltas"), T1, potential)
     for r in rows:
         table.add(r.delta, r.T1, r.dK_closed, r.dK_discrete, r.dV, r.dA,
                   r.collision_cell_depth)
@@ -289,8 +333,11 @@ def cmd_variational_probe(args, out: Path) -> bool:
     ratios = [r.dV / r.delta**2 for r in rows]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     # a cell still unsettled at MAX_DEPTH adds its coarse value: not converged
-    settled = all(r.collision_cell_depth < MAX_DEPTH for r in rows)
-    verdict = all_positive and kinetic_exact < 1e-10 and increasing and settled
+    unsettled = [r for r in rows if r.collision_cell_depth >= MAX_DEPTH]
+    for r in unsettled:
+        print(f"collision cell unsettled: delta={r.delta!r} reached refinement "
+              f"depth {r.collision_cell_depth} (MAX_DEPTH)", file=sys.stderr)
+    verdict = all_positive and kinetic_exact < 1e-10 and increasing and not unsettled
     return _emit(out, "variational_probe",
                  "the transmission path is not a local action minimizer",
                  verdict, {"dA": [r.dA for r in rows],
@@ -305,11 +352,12 @@ def cmd_oracle_crosscheck(args, out: Path) -> bool:
         "period_tol": 1e-6,
         "drift_budget": 1e-8,
     })
-    table = oracle_crosscheck(from_config(cfg["potential"]), int(cfg["orbits"]), args.seed)
+    period_tol, drift_budget = _number(cfg, "period_tol"), _number(cfg, "drift_budget")
+    table = oracle_crosscheck(_potential(cfg), int(_number(cfg, "orbits")), args.seed)
     table.write_csv(out_path(out, "oracle_crosscheck.csv"))
     meta = table.meta
-    verdict = meta["failing"] is None and meta["worst_period_mismatch"] <= cfg["period_tol"] \
-        and meta["worst_drift"] <= cfg["drift_budget"]
+    verdict = meta["failing"] is None and meta["worst_period_mismatch"] <= period_tol \
+        and meta["worst_drift"] <= drift_budget
     return _emit(out, "oracle_crosscheck",
                  "radial quadrature and plane integration agree on orbit periods",
                  verdict, {**meta, "seed": args.seed}, cfg)

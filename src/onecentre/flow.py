@@ -1,4 +1,4 @@
-"""The extended flow: transmission through collision, Poincare map and section.
+"""The extended flow: transmission through collision, continuity and Poincare section.
 
 A zero-angular-momentum orbit of the unsmoothed system reaches the origin at a
 finite time T0 with unbounded speed.  The extension adopted here reflects the
@@ -10,8 +10,9 @@ which is the pointwise limit of the smoothed orbits as the smoothing length
 and the angular momentum vanish together.  The continuous angular lift jumps
 by exactly pi at the collision instant.
 
-The extended time-T map agrees with plain integration for non-collision data
-and evaluates the transmission path for collision data; it is continuous in
+`extended_flow` is the one flow primitive: it returns the plain integration
+of a non-collision datum and the transmission path of a collision datum, and
+its `state_at(T)` is the extended time-T map.  That map is continuous in
 (datum, smoothing) at every T != T0 -- the experiments in this module measure
 that continuity and the induced Poincare section with its hitting-time map.
 """
@@ -62,10 +63,6 @@ class TransmissionPath:
     direction: np.ndarray      # unit vector of the fall line
     energy: float
     theta0: float
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return (0.0, 2.0 * self.collision_time)
 
     def state_at(self, t: float) -> PhaseState:
         T0 = self.collision_time
@@ -171,23 +168,6 @@ def _covering(path: TransmissionPath, horizon: float) -> TransmissionPath:
     return path
 
 
-def extended_poincare_map(state: PhaseState, eps: float, T: float,
-                          potential: PotentialSpec,
-                          ball_radius: float = math.inf) -> PhaseState:
-    """The time-T map of the extended flow.
-
-    T equal to the collision time of a collision datum is rejected (the
-    velocity has no limit there); orbits leaving the ball before T raise
-    ExitedBall.
-    """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    orbit = extended_flow(state, eps, potential, T, ball_radius)
-    if isinstance(orbit, TransmissionPath) and abs(T - orbit.collision_time) < 1e-12:
-        raise ValueError("the Poincare map is not defined at the collision time")
-    return orbit.state_at(T)
-
-
 def diagonal_cells(exponents=range(2, 7)) -> list[tuple[float, Perturbation]]:
     """Schedule cells perturbing (eps, l, dq, dv1) all at scale 10^-k."""
     return [(10.0 ** -k, Perturbation(dq=(10.0 ** -k, 0.0), l=10.0 ** -k,
@@ -269,9 +249,10 @@ class SectionSpec:
         return float(np.dot(state.as_vector() - self.anchor.as_vector(), self.normal))
 
 
-def phase_field(state: PhaseState, potential: PotentialSpec, eps: float = 0.0) -> np.ndarray:
-    """The phase-space vector field (velocity, grad V_eps) at a state."""
-    sm = SmoothedPotential(potential, eps)
+def phase_field(state: PhaseState, potential: PotentialSpec) -> np.ndarray:
+    """The phase-space vector field (velocity, grad V) of the unsmoothed
+    system at a state."""
+    sm = SmoothedPotential(potential, 0.0)
     return np.concatenate([state.velocity, sm.gradient(state.position)])
 
 

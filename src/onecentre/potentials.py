@@ -73,11 +73,6 @@ def homogeneous(alpha: float) -> PotentialSpec:
     )
 
 
-def custom(value, deriv, deriv2, name: str = "custom") -> PotentialSpec:
-    """User-supplied triple (V, V', V''); no symbolic differentiation is done."""
-    return PotentialSpec(name=name, value=value, deriv=deriv, deriv2=deriv2)
-
-
 def from_config(cfg: dict) -> PotentialSpec:
     """Build a potential from a configuration mapping.
 
@@ -189,8 +184,8 @@ def _slope_at_origin(p: PotentialSpec, xs: np.ndarray) -> tuple[float, float]:
     return float(est), float(err)
 
 
-def check_admissible(p: PotentialSpec, probe_grid: np.ndarray | None = None) -> ClassReport:
-    """Certify the admissibility properties of a potential on a grid.
+def check_admissible(p: PotentialSpec) -> ClassReport:
+    """Certify the admissibility properties of a potential on the probe grid.
 
     Checks, in order: blow-up of V at 0 (monotone increase toward 0 beyond a
     threshold index), V' < 0 and V'' > 0, V'/V'' decreasing, and the one-sided
@@ -198,19 +193,15 @@ def check_admissible(p: PotentialSpec, probe_grid: np.ndarray | None = None) -> 
     ratio radii and their min.  Reports a witness instead of raising on
     well-defined potentials.
     """
-    grid = default_probe_grid() if probe_grid is None else np.asarray(probe_grid, float)
-    if len(grid) < 64:
-        raise ValueError("probe grid needs at least 64 points")
-    if not np.all(np.diff(grid) < 0):
-        raise ValueError("probe grid must be strictly decreasing toward 0")
-
+    grid = default_probe_grid()
     vals = p.value(grid)
     d1 = p.deriv(grid)
     d2 = p.deriv2(grid)
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+    finite = np.isfinite(vals) & np.isfinite(d1) & np.isfinite(d2)
+    if not finite.all():
+        # the witness is the largest grid point where V, V' or V'' is not finite
         return ClassReport(False, False, 0.0, 0.0, 0.0, math.nan,
-                           witness=("finite", float(grid[~np.isfinite(vals)][0]
-                                                    if not np.all(np.isfinite(vals)) else grid[0])),
+                           witness=("finite", float(grid[~finite][0])),
                            notes=("non-finite values on grid",))
 
     notes: list[str] = []
@@ -286,7 +277,7 @@ def check_admissible(p: PotentialSpec, probe_grid: np.ndarray | None = None) -> 
                 x = x_next
 
     safe_radius = min(monotone_radius, ratio_radius) if admissible else 0.0
-    weak = weak_singularity_check(p, grid)
+    weak = weak_singularity_check(p)
     return ClassReport(
         admissible=admissible,
         weak_singularity=weak,
@@ -299,14 +290,14 @@ def check_admissible(p: PotentialSpec, probe_grid: np.ndarray | None = None) -> 
     )
 
 
-def weak_singularity_check(p: PotentialSpec, probe_grid: np.ndarray | None = None) -> bool:
-    """True iff x^2 V(x) decreases below WEAK_SINGULARITY_TOL along the grid
-    toward 0.
+def weak_singularity_check(p: PotentialSpec) -> bool:
+    """True iff x^2 V(x) decreases below WEAK_SINGULARITY_TOL along the probe
+    grid toward 0.
 
     This is a finite certificate: potentials whose x^2 V decays slower than
-    the grid reaches (e.g. x^0.1) are reported False with the default grid.
+    the grid reaches (e.g. x^0.1) are reported False.
     """
-    grid = default_probe_grid() if probe_grid is None else np.asarray(probe_grid, float)
+    grid = default_probe_grid()
     vals = np.abs(grid * grid * p.value(grid))
     tail = vals[len(vals) // 2:]
     return bool(is_decreasing(tail, slack=1e-15) and tail[-1] < WEAK_SINGULARITY_TOL)

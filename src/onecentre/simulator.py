@@ -59,10 +59,6 @@ class PhaseState:
         return math.hypot(self.position[0], self.position[1])
 
     @property
-    def theta(self) -> float:
-        return math.atan2(self.position[1], self.position[0])
-
-    @property
     def ang_momentum(self) -> float:
         """Signed angular momentum u x u'."""
         return float(self.position[0] * self.velocity[1] - self.position[1] * self.velocity[0])

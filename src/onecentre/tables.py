@@ -74,30 +74,20 @@ def aitken_limit(values: Sequence[float]) -> float:
 class LimitVerdict:
     estimate: float
     converged: bool
-    target: float | None
-    last_increment: float
-    note: str = ""
 
 
-def limit_verdict(values: Sequence[float], target: float | None = None) -> LimitVerdict:
+def limit_verdict(values: Sequence[float], target: float) -> LimitVerdict:
     """Certify a finite schedule as evidence for a limit.
 
-    The extrapolant comes from Aitken on the last three points.  When a target
-    is given, "converged" requires the extrapolant to lie within
-    10 |last increment| of the target; with no target it requires the
-    increments themselves to be shrinking.
+    The extrapolant comes from Aitken on the last three points; "converged"
+    requires it to lie within 10 |last increment| of the target.
     """
     vals = [float(v) for v in values]
     if len(vals) < 3:
         raise ValueError("need at least three schedule points")
     est = aitken_limit(vals)
     inc = abs(vals[-1] - vals[-2])
-    if target is not None:
-        ok = abs(est - target) <= 10.0 * max(inc, 1e-300)
-        return LimitVerdict(est, ok, target, inc)
-    prev = abs(vals[-2] - vals[-3])
-    ok = inc < prev or inc == 0.0
-    return LimitVerdict(est, ok, None, inc)
+    return LimitVerdict(est, abs(est - target) <= 10.0 * max(inc, 1e-300))
 
 
 def is_decreasing(values: Iterable[float], slack: float = 0.0) -> bool:

@@ -33,8 +33,8 @@ import numpy as np
 
 from .potentials import PotentialSpec, SmoothedPotential
 from .radial import DropFromRest, RadialProblem, case_anchor, collision_time
-from .simulator import PhaseState, integrate
-from .flow import transmission_extend
+from .simulator import make_initial_data
+from .flow import extended_flow
 
 #: per-cell refinement tolerance of the potential quadrature
 REFINE_TOL = 1e-10
@@ -70,9 +70,6 @@ class DiscretePath:
         """Exact integral of |u'|^2/2 for the piecewise-linear path."""
         du = np.diff(self.values, axis=0)
         return float(0.5 * np.sum(du[:, 0]**2 + du[:, 1]**2) / self.dt)
-
-    def radii(self) -> np.ndarray:
-        return np.hypot(self.values[:, 0], self.values[:, 1])
 
 
 def _midpoint_refine(g, xs: np.ndarray, ys: np.ndarray, dt: float) -> tuple[float, int]:
@@ -134,10 +131,10 @@ def transmission_discrete_path(potential: PotentialSpec, energy: float,
         raise ValueError("n_cells must be divisible by 4")
     case = DropFromRest(energy)
     anchor, _ = case_anchor(case, potential)
-    bare = SmoothedPotential(potential, 0.0)
-    pre = integrate(PhaseState((anchor, 0.0), (0.0, 0.0)), bare,
-                    horizon=10.0 * collision_time(RadialProblem(bare, energy, 0.0), anchor))
-    path = transmission_extend(pre)
+    fall = collision_time(RadialProblem(SmoothedPotential(potential, 0.0), energy, 0.0),
+                          anchor)
+    path = extended_flow(make_initial_data(case, potential), 0.0, potential, fall,
+                         case.ball_radius)
     T0 = path.collision_time
 
     times = np.linspace(-T0, T0, n_cells + 1)

@@ -5,8 +5,7 @@ import pytest
 
 from onecentre.apsidal import (apsidal_angle, calibration_integral,
                                convergence_sweep, default_paths,
-                               desingularized_factor, increment_ratio,
-                               integrand_envelope, smoothed_ratio_limit)
+                               desingularized_factor, integrand_envelope)
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.radial import (DropFromRest, InwardCrossing,
                               RadialProblem, turning_points)
@@ -137,19 +136,6 @@ def test_envelope_domain_errors():
         integrand_envelope(p, 0.0, 0.1, 0.95, 0.9)  # x > r_outer
 
 
-def test_increment_ratio_monotone_in_smoothing():
-    # Q(eps, x) >= Q(0, x) for small eps: smoothing only helps the bound
-    rng = np.random.default_rng(11)
-    p = logarithmic()
-    for eps in (1e-1, 1e-2, 1e-4):
-        for _ in range(200):
-            r_outer = rng.uniform(0.05, 1.0)
-            y = rng.uniform(1e-3, 0.99 * r_outer)
-            x = rng.uniform(y * 1.000001, r_outer * 0.999999)
-            assert increment_ratio(p, eps, y, x, r_outer) >= \
-                increment_ratio(p, 0.0, y, x, r_outer) - 1e-12
-
-
 def test_desingularized_factor_bounded_by_cutoff():
     rng = np.random.default_rng(202)
     for eps, l in ((1e-2, 1e-2), (1e-4, 1e-4)):
@@ -196,31 +182,6 @@ def test_desingularized_factor_domain():
     tp = turning_points(rp)
     with pytest.raises(ValueError):
         desingularized_factor(rp, tp.apocenter, 0.0, 0.5)
-
-
-def test_smoothed_ratio_limit_logarithmic():
-    table = smoothed_ratio_limit(logarithmic(), 2.0)
-    # closed form at delta = eps = 10^-k: log(5 d^2)/log(2 d^2), tending to 1
-    # harmonically, so the extrapolant is only ~1e-2 accurate
-    for (delta, eps, ratio) in table.rows:
-        expected = math.log(5.0 * delta * delta) / math.log(2.0 * delta * delta)
-        assert ratio == pytest.approx(expected, rel=1e-12)
-    assert table.meta["converges_to_one"]
-    assert abs(table.meta["limit_estimate"] - 1.0) < 2e-2
-
-
-def test_smoothed_ratio_limit_homogeneous_misses_one():
-    table = smoothed_ratio_limit(homogeneous(0.5), 2.0)
-    ratios = table.column("ratio")
-    # on the delta = eps diagonal the smoothed ratio settles at
-    # ((rho^2+1)/2)^(-alpha/2), well away from 1
-    assert ratios[-1] == pytest.approx(2.5 ** -0.25, rel=1e-6)
-    assert abs(table.meta["limit_estimate"] - 1.0) > 0.1
-
-
-def test_smoothed_ratio_limit_rho_one_trivial():
-    table = smoothed_ratio_limit(logarithmic(), 1.0)
-    assert all(row[2] == 1.0 for row in table.rows)
 
 
 def test_convergence_sweep_logarithmic_drop():

@@ -6,6 +6,7 @@ import pytest
 
 import onecentre
 from onecentre.cli import main
+from onecentre.variational import MAX_DEPTH
 
 
 def run_cli(args):
@@ -83,6 +84,35 @@ def test_config_error_exit_code(tmp_path):
     assert rc == 2
 
 
+def _config_error(tmp_path, capsys, subcommand, cfg):
+    """Run a subcommand on a bad config: exit code and the stderr line."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = run_cli([subcommand, "--config", str(path), "--out", str(tmp_path)])
+    return rc, capsys.readouterr().err.strip()
+
+
+def test_config_error_missing_case_energy(tmp_path, capsys):
+    rc, err = _config_error(tmp_path, capsys, "transmission-demo",
+                            {"case": {"type": "drop"}})
+    assert rc == 2
+    assert err == "config error: missing key 'case.energy'"
+
+
+def test_config_error_non_numeric_tol(tmp_path, capsys):
+    rc, err = _config_error(tmp_path, capsys, "pi-identity", {"tol": "abc"})
+    assert rc == 2
+    assert err == "config error: 'tol' must be a number, got 'abc'"
+
+
+def test_config_error_unknown_potential_family(tmp_path, capsys):
+    rc, err = _config_error(tmp_path, capsys, "check-potential",
+                            {"potential": {"family": "nope"}})
+    assert rc == 2
+    assert err.startswith("config error: 'potential' {'family': 'nope'}")
+    assert "unknown potential family" in err
+
+
 def test_apsidal_sweep_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"exponents": [2, 3, 4]}))
@@ -116,7 +146,7 @@ def test_variational_probe_command(tmp_path):
     assert s["evidence"]["kinetic_mismatch"] < 1e-10
 
 
-def test_variational_probe_fails_on_unsettled_collision_cell(tmp_path):
+def test_variational_probe_fails_on_unsettled_collision_cell(tmp_path, capsys):
     # homogeneous(0.5) at 2^12 cells: the collision cell reaches MAX_DEPTH
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"potential": {"family": "homogeneous", "alpha": 0.5},
@@ -124,6 +154,13 @@ def test_variational_probe_fails_on_unsettled_collision_cell(tmp_path):
     rc = run_cli(["variational-probe", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 1
     assert read_summary(tmp_path, "variational_probe")["verdict"] is False
+    # the summary evidence passes its own tests; stderr names the cause
+    depths = (tmp_path / "variational_probe.csv").read_text().splitlines()[1:]
+    unsettled = [row.split(",")[0] for row in depths if int(row.split(",")[-1]) >= MAX_DEPTH]
+    assert unsettled
+    assert capsys.readouterr().err.splitlines() == [
+        f"collision cell unsettled: delta={d} reached refinement depth {MAX_DEPTH} "
+        f"(MAX_DEPTH)" for d in unsettled]
 
 
 def test_transmission_demo_command(tmp_path):
@@ -132,6 +169,19 @@ def test_transmission_demo_command(tmp_path):
     s = read_summary(tmp_path, "transmission_demo")
     assert s["verdict"] is True
     assert abs(float(s["evidence"]["collision_time"]) - math.sqrt(math.pi / 2)) < 1e-8
+
+
+def test_transmission_demo_long_fall(tmp_path):
+    # the drop from rest at E = 5 falls from r = e^5 for e^5 sqrt(pi/2) ~ 186:
+    # the path must cover the whole fall, whatever its length
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": {"type": "drop", "energy": 5.0}}))
+    rc = run_cli(["transmission-demo", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    s = read_summary(tmp_path, "transmission_demo")
+    assert s["verdict"] is True
+    T0 = float(s["evidence"]["collision_time"])
+    assert T0 == pytest.approx(math.exp(5.0) * math.sqrt(math.pi / 2), rel=1e-9)
 
 
 def test_oracle_crosscheck_command(tmp_path):
@@ -171,7 +221,10 @@ def test_poincare_section_command(tmp_path):
     ("oracle-crosscheck", {"orbits": 4}, ["oracle_crosscheck.csv"]),
     ("poincare-section", {"deltas": [1e-2, 1e-3], "samples": 8},
      ["poincare_section_delta0.csv", "poincare_section_delta1.csv"]),
-], ids=["bounds-audit", "oracle-crosscheck", "poincare-section"])
+    ("transmission-demo", None, ["transmission_path.csv"]),
+    ("variational-probe", {"n_cells": 4096}, ["variational_probe.csv"]),
+], ids=["bounds-audit", "oracle-crosscheck", "poincare-section",
+        "transmission-demo", "variational-probe"])
 def test_deterministic_outputs(tmp_path, subcommand, cfg, csv_names):
     args = [subcommand, "--seed", "9"]
     if cfg is not None:
@@ -181,5 +234,6 @@ def test_deterministic_outputs(tmp_path, subcommand, cfg, csv_names):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert run_cli(args + ["--out", str(out)]) == 0
-    for name in csv_names:
+    summary = subcommand.replace("-", "_") + "_summary.json"
+    for name in csv_names + [summary]:
         assert (a / name).read_bytes() == (b / name).read_bytes()

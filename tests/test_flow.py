@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from onecentre.flow import (ExitedBall, TransmissionPath, continuity_experiment,
-                            diagonal_cells, extended_flow,
-                            extended_poincare_map, phase_field,
+                            diagonal_cells, extended_flow, phase_field,
                             poincare_section, section_through,
                             transmission_extend)
 from onecentre.potentials import SmoothedPotential, logarithmic
@@ -93,14 +92,15 @@ def test_transmission_rejects_smoothed():
 def test_extended_map_before_collision_is_plain_integration(drop_path):
     T = 0.5 * T0_LOG
     y0 = PhaseState((1.0, 0.0), (0.0, 0.0))
-    st = extended_poincare_map(y0, 0.0, T, logarithmic())
+    st = extended_flow(y0, 0.0, logarithmic(), T).state_at(T)
     ref = drop_path.state_at(T)
     assert st.position == pytest.approx(ref.position, abs=1e-10)
 
 
 def test_extended_map_at_double_collision_time(drop_path):
     y0 = PhaseState((1.0, 0.0), (0.0, 0.0))
-    st = extended_poincare_map(y0, 0.0, 2.0 * drop_path.collision_time, logarithmic())
+    T = 2.0 * drop_path.collision_time
+    st = extended_flow(y0, 0.0, logarithmic(), T).state_at(T)
     assert st.position == pytest.approx([-1.0, 0.0], abs=1e-9)
     assert st.velocity == pytest.approx([0.0, 0.0], abs=1e-7)
 
@@ -108,20 +108,22 @@ def test_extended_map_at_double_collision_time(drop_path):
 def test_extended_map_mid_transmission_radius(drop_path):
     T0 = drop_path.collision_time
     y0 = PhaseState((1.0, 0.0), (0.0, 0.0))
-    st = extended_poincare_map(y0, 0.0, 1.5 * T0, logarithmic())
+    st = extended_flow(y0, 0.0, logarithmic(), 1.5 * T0).state_at(1.5 * T0)
     assert st.r == pytest.approx(drop_path.state_at(0.5 * T0).r, abs=1e-10)
     assert st.position[0] < 0   # transmitted to the far side
 
 
 def test_extended_map_rejects_collision_instant(drop_path):
-    y0 = PhaseState((1.0, 0.0), (0.0, 0.0))
-    with pytest.raises(ValueError):
-        extended_poincare_map(y0, 0.0, drop_path.collision_time, logarithmic())
+    T0 = drop_path.collision_time
+    path = extended_flow(PhaseState((1.0, 0.0), (0.0, 0.0)), 0.0, logarithmic(), T0)
+    assert path.collision_time == T0
+    with pytest.raises(ValueError, match="unbounded"):
+        path.state_at(T0)
 
 
 def test_extended_map_noncollision_data_delegates():
     y0 = PhaseState((1.0, 0.0), (0.0, 0.3))
-    st = extended_poincare_map(y0, 1e-3, 1.0, logarithmic())
+    st = extended_flow(y0, 1e-3, logarithmic(), 1.0).state_at(1.0)
     sm = SmoothedPotential(logarithmic(), 1e-3)
     ref = integrate(y0, sm, horizon=1.0).state_at(1.0)
     assert st.position == pytest.approx(ref.position)
@@ -130,7 +132,7 @@ def test_extended_map_noncollision_data_delegates():
 def test_extended_map_reports_ball_exit():
     y0 = PhaseState((1.0, 0.0), (0.9, 0.0))
     with pytest.raises(ExitedBall):
-        extended_poincare_map(y0, 1e-3, 10.0, logarithmic(), ball_radius=1.3)
+        extended_flow(y0, 1e-3, logarithmic(), 10.0, ball_radius=1.3)
 
 
 def test_continuity_distances_decrease():
@@ -162,12 +164,12 @@ def test_continuity_collision_cells_follow_the_extended_map():
     T = 1.5 * T0_LOG
     cells = [(0.0, Perturbation(dq=(s, 0.0))) for s in (1e-2, 1e-3, 1e-4)]
     table = continuity_experiment(logarithmic(), case, T, cells)
-    ref = extended_poincare_map(make_initial_data(case, logarithmic()), 0.0, T,
-                                logarithmic())
+    ref = extended_flow(make_initial_data(case, logarithmic()), 0.0, logarithmic(),
+                        T).state_at(T)
     for (_, pert), d, theta in zip(cells, table.column("dist_total"),
                                    table.column("theta_increment")):
-        st = extended_poincare_map(make_initial_data(case, logarithmic(), pert), 0.0, T,
-                                   logarithmic())
+        st = extended_flow(make_initial_data(case, logarithmic(), pert), 0.0,
+                           logarithmic(), T).state_at(T)
         assert d == pytest.approx(st.distance(ref), abs=1e-10)
         assert theta == math.pi
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from onecentre.potentials import (SmoothedPotential, check_admissible,
-                                  check_slowly_varying, classify, custom,
-                                  default_probe_grid, from_config,
+from onecentre.potentials import (PotentialSpec, SmoothedPotential,
+                                  check_admissible, check_slowly_varying,
+                                  classify, default_probe_grid, from_config,
                                   homogeneous, logarithmic,
                                   weak_singularity_check)
 
@@ -132,9 +132,9 @@ def test_slow_variation_homogeneous_false():
 
 
 def test_slow_variation_constant_potential_trivially_true():
-    flat = custom(lambda x: np.ones_like(np.asarray(x, float)),
-                  lambda x: np.zeros_like(np.asarray(x, float)),
-                  lambda x: np.zeros_like(np.asarray(x, float)), name="constant")
+    flat = PotentialSpec("constant", lambda x: np.ones_like(np.asarray(x, float)),
+                         lambda x: np.zeros_like(np.asarray(x, float)),
+                         lambda x: np.zeros_like(np.asarray(x, float)))
     verdict, _ = check_slowly_varying(flat)
     assert verdict is True
     # but it is not an admissible potential (no blow-up, V'' not positive)
@@ -168,9 +168,22 @@ def test_from_config_families():
 
 
 def test_probe_grid_requirements():
-    with pytest.raises(ValueError):
-        check_admissible(logarithmic(), np.geomspace(10, 1e-8, 10))
-    with pytest.raises(ValueError):
-        check_admissible(logarithmic(), np.geomspace(1e-8, 10, 100))
+    # the checks read the finest decade and the finest six points of the grid
     grid = default_probe_grid()
-    assert len(grid) >= 64 and grid[0] > grid[-1]
+    assert len(grid) >= 64 and np.all(np.diff(grid) < 0)
+    assert grid[0] == 10.0 and grid[-1] == pytest.approx(1e-8, rel=1e-12)
+
+
+def test_finite_witness_names_first_nonfinite_derivative():
+    # V is finite everywhere on the grid, V' is NaN below 1e-3: the witness
+    # is the largest grid point below 1e-3, not the first grid point
+    def deriv(x):
+        x = np.asarray(x, float)
+        return np.where(x < 1e-3, np.nan, -1.0 / x)
+
+    broken = PotentialSpec("nan-derivative", lambda x: -np.log(x), deriv,
+                           lambda x: 1.0 / (np.asarray(x, float) ** 2))
+    rep = check_admissible(broken)
+    grid = default_probe_grid()
+    assert not rep.admissible
+    assert rep.witness == ("finite", float(grid[grid < 1e-3][0]))

@@ -20,7 +20,6 @@ BARE_LOG = SmoothedPotential(logarithmic(), 0.0)
 def test_phase_state_polar_accessors():
     st = PhaseState((3.0, 4.0), (0.1, 0.2))
     assert st.r == 5.0
-    assert st.theta == pytest.approx(math.atan2(4.0, 3.0))
     assert st.ang_momentum == pytest.approx(3.0 * 0.2 - 4.0 * 0.1)
 
 

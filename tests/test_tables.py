@@ -28,12 +28,6 @@ def test_limit_verdict_with_target():
     assert not v.converged
 
 
-def test_limit_verdict_without_target_checks_contraction():
-    assert limit_verdict([1.0, 0.5, 0.25, 0.125]).converged
-    assert limit_verdict([1.0, 0.9, 0.9, 0.9]).converged      # settled sequence
-    assert not limit_verdict([1.0, 0.9, 0.7, 0.3]).converged  # growing increments
-
-
 def test_is_decreasing():
     assert is_decreasing([3.0, 2.0, 2.0, 1.0])
     assert not is_decreasing([1.0, 2.0])
