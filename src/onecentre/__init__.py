@@ -21,8 +21,8 @@ from .flow import (ExitedBall, SectionSpec, TransmissionPath,
                    continuity_experiment, diagonal_cells, extended_flow,
                    phase_field, poincare_section, section_through,
                    transmission_extend)
-from .variational import (ActionComparison, DiscretePath, action,
-                          delta_action, potential_action, standard_variation,
+from .variational import (ActionComparison, DiscretePath, delta_action,
+                          potential_action, standard_variation,
                           transmission_discrete_path)
 from .tables import ConvergenceTable, aitken_limit, limit_verdict
 

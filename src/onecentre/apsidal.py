@@ -29,7 +29,7 @@ import numpy as np
 
 from .potentials import PotentialSpec, SmoothedPotential
 from .quadrature import sqrt_endpoint_quad
-from .radial import (Case, RadialProblem, TurningPoints, case_anchor,
+from .radial import (Case, RadialProblem, TurningPoints, _radicand, case_anchor,
                      turning_points)
 from .tables import ConvergenceTable, LimitVerdict, limit_verdict
 
@@ -65,10 +65,8 @@ def apsidal_angle(rp: RadialProblem, safe_radius: float = math.inf,
 
     beta = min(safe_radius, turning.apocenter)
     upper_singular = beta == turning.apocenter
-    l2 = l * l
 
-    res = sqrt_endpoint_quad(lambda r: l / r, turning.pericenter, beta,
-                             lambda r: rp.f(r) - l2,
+    res = sqrt_endpoint_quad(lambda r: l / r, turning.pericenter, beta, _radicand(rp),
                              lower_singular=True, upper_singular=upper_singular)
     return ApsidalAngle(res.value, turning.pericenter, beta,
                         res.lower_part, res.upper_part, res.error)

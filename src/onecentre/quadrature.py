@@ -72,23 +72,25 @@ def sqrt_endpoint_quad(g: Callable, a: float, b: float, w: Callable, *,
         """Reduced weight at the point with the given (exact) endpoint offsets."""
         if reduced is not None:
             return reduced(a + d_lower)
-        dl, du = d_lower, d_upper
-        for _ in range(8):
-            dl = max(dl, guard)
-            du = max(du, guard)
-            r = a + dl if La else b - du
-            val = w(r)
+        dl = d_lower if d_lower > guard else guard
+        du = d_upper if d_upper > guard else guard
+        retries = 0
+        while True:
+            val = w(a + dl if La else b - du)
             if La:
                 val /= dl
             if Lb:
                 val /= du
-            if math.isfinite(val) and val > 0.0:
+            if 0.0 < val < math.inf:
                 return val
             # rounding noise at the zero: back the offsets away and retry
+            retries += 1
+            if retries == 8:
+                raise QuadratureError(
+                    f"radicand not positive near r={a + d_lower!r} "
+                    f"(interval [{a!r}, {b!r}])")
             dl *= 4.0
             du *= 4.0
-        raise QuadratureError(
-            f"radicand not positive near r={a + d_lower!r} (interval [{a!r}, {b!r}])")
 
     def leg_lower(s: float) -> float:
         d = s * s

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -49,10 +50,26 @@ class RadialProblem:
         r = np.asarray(r, float) if np.ndim(r) else r
         return 2.0 * r * r * (self.energy + self.potential.value(r))
 
-    def radicand(self, r: float) -> float:
-        """rdot^2 = 2 (E + V_eps(r)) - l^2/r^2."""
-        l = self.ang_momentum
-        return 2.0 * (self.energy + self.potential.value(r)) - (l * l) / (r * r)
+
+def _radicand(rp: RadialProblem) -> Callable[[float], float]:
+    """w(r) = f(r) - l^2 at a float r, as straight-line float arithmetic.
+
+    The integrand of every singular quadrature; it keeps the operation order
+    of `RadialProblem.f(r) - l^2` and calls the base potential once per node,
+    without numpy's scalar dispatch.  Array callers use `RadialProblem.f`.
+    """
+    V = rp.potential.base.value
+    energy, eps = rp.energy, rp.potential.epsilon
+    l = rp.ang_momentum
+    l2 = l * l
+
+    def w(r: float) -> float:
+        h = math.hypot(r, eps)
+        if not h:
+            raise ValueError("x = 0 requires eps > 0")
+        return 2.0 * r * r * (energy + V(h)) - l2
+
+    return w
 
 
 @dataclass(frozen=True)
@@ -223,10 +240,6 @@ def time_of_flight(rp: RadialProblem, r_a: float, r_b: float,
         turning = turning_points(rp)
     if turning.degenerate:
         raise ValueError("circular orbit: no radial motion between distinct radii")
-    l2 = rp.ang_momentum ** 2
-
-    def w(r):
-        return rp.f(r) - l2
 
     lower_sing = math.isclose(r_a, turning.pericenter, rel_tol=1e-12, abs_tol=1e-300)
     upper_sing = math.isfinite(turning.apocenter) and math.isclose(
@@ -240,14 +253,20 @@ def time_of_flight(rp: RadialProblem, r_a: float, r_b: float,
         return upper - lower
 
     # integrand 1/sqrt(radicand) = r/sqrt(f - l^2)
-    res = sqrt_endpoint_quad(lambda r: r, r_a, r_b, w,
+    res = sqrt_endpoint_quad(lambda r: r, r_a, r_b, _radicand(rp),
                              lower_singular=lower_sing, upper_singular=upper_sing)
     return res.value
 
 
 def _fall_time_to_zero(rp: RadialProblem, r0: float, at_rest: bool) -> float:
-    def g(rho):
-        rad = 2.0 * (rp.energy + rp.potential.value(rho))
+    V = rp.potential.base.value
+    energy, eps = rp.energy, rp.potential.epsilon
+
+    def g(rho: float) -> float:
+        h = math.hypot(rho, eps)
+        if not h:
+            raise ValueError("x = 0 requires eps > 0")
+        rad = 2.0 * (energy + V(h))
         if rad <= 0:
             raise ValueError(f"E + V not positive at rho={rho!r}")
         return 1.0 / math.sqrt(rad)

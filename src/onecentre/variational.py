@@ -110,12 +110,6 @@ def potential_action(path: DiscretePath, potential: PotentialSpec) -> tuple[floa
                             path.dt)
 
 
-def action(path: DiscretePath, potential: PotentialSpec) -> float:
-    """A(u) = kinetic + potential action of the discrete path."""
-    pot, _ = potential_action(path, potential)
-    return path.kinetic_action() + pot
-
-
 def transmission_discrete_path(potential: PotentialSpec, energy: float,
                                n_cells: int = DEFAULT_CELLS) -> DiscretePath:
     """Discretize the transmission path of the rest-to-rest drop on [-T0, T0].

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from onecentre.apsidal import (apsidal_angle, calibration_integral,
+from onecentre.apsidal import (_sweep_cell, apsidal_angle, calibration_integral,
                                convergence_sweep, default_paths,
                                desingularized_factor, integrand_envelope)
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
@@ -168,7 +169,8 @@ def test_desingularized_factor_endpoints():
     rp = log_problem(1.0, 1e-3, 1e-3)
     beta = 1.0
     tp = turning_points(rp, beta)
-    v_sq = rp.radicand(beta)
+    l = rp.ang_momentum
+    v_sq = rp.f(beta) / beta**2 - l**2 / beta**2
     near_outer = desingularized_factor(rp, beta, v_sq, beta / tp.pericenter * (1 - 1e-9))
     assert abs(near_outer) < 1e-6
     rp2 = log_problem(0.0, 1e-2, 1e-2)
@@ -234,6 +236,28 @@ def test_convergence_sweep_diagonal_matches_40_digit_quadrature():
         assert exact == pytest.approx(published, rel=1e-15)
         assert row[2] == row[3] == 10.0 ** -k
         assert abs(row[6] - exact) <= 1e-10 * exact
+
+
+@pytest.mark.parametrize("spec, case, k, angle, value_calls", [
+    (logarithmic(), DropFromRest(0.0), 3, 1.6083389031073103, 414),
+    (logarithmic(), DropFromRest(0.0), 6, 1.5824390234289023, 916),
+    (homogeneous(0.5), DropFromRest(-1.0), 3, 1.6378447349569982, 498),
+    (homogeneous(0.5), DropFromRest(-1.0), 6, 1.5816116531328357, 1543),
+], ids=["log-3", "log-6", "hom-3", "hom-6"])
+def test_sweep_cell_quadrature_nodes_pinned(spec, case, k, angle, value_calls):
+    # the float integrands evaluate the base potential at the same nodes, as
+    # often, as the numpy path they replaced: same angle bits, same count
+    calls = 0
+
+    def value(x):
+        nonlocal calls
+        calls += 1
+        return spec.value(x)
+
+    _, ang = _sweep_cell(dataclasses.replace(spec, value=value), case,
+                         10.0 ** -k, 10.0 ** -k)
+    assert ang.angle == angle
+    assert calls == value_calls
 
 
 def test_convergence_sweep_case2_entry():

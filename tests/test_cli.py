@@ -217,13 +217,14 @@ def test_poincare_section_command(tmp_path):
 
 
 @pytest.mark.parametrize("subcommand, cfg, csv_names", [
+    ("apsidal-sweep", {"exponents": [2, 3, 4]}, ["apsidal_sweep.csv"]),
     ("bounds-audit", None, ["bounds_audit.csv"]),
     ("oracle-crosscheck", {"orbits": 4}, ["oracle_crosscheck.csv"]),
     ("poincare-section", {"deltas": [1e-2, 1e-3], "samples": 8},
      ["poincare_section_delta0.csv", "poincare_section_delta1.csv"]),
     ("transmission-demo", None, ["transmission_path.csv"]),
     ("variational-probe", {"n_cells": 4096}, ["variational_probe.csv"]),
-], ids=["bounds-audit", "oracle-crosscheck", "poincare-section",
+], ids=["apsidal-sweep", "bounds-audit", "oracle-crosscheck", "poincare-section",
         "transmission-demo", "variational-probe"])
 def test_deterministic_outputs(tmp_path, subcommand, cfg, csv_names):
     args = [subcommand, "--seed", "9"]

@@ -72,3 +72,33 @@ def test_regularized_lower_quad_turning_upper_end():
     val = regularized_lower_quad(lambda r: 1.0 / math.sqrt(1.0 - r), 1.0,
                                  at_rest=True)
     assert val == pytest.approx(2.0, abs=1e-10)
+
+
+def test_reduced_weight_backs_away_from_a_zero_at_the_first_offset():
+    # w(r) = r has the constant reduced weight 1 at the singular end a = 0,
+    # but this radicand reads 0 within 1e-5 of it, so every node that close
+    # fails its first offset and must be backed away before it counts
+    zeros = []
+
+    def w(r):
+        if r < 1e-5:
+            zeros.append(r)
+            return 0.0
+        return r
+
+    res = sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0, w, upper_singular=False)
+    assert zeros
+    assert res.value == pytest.approx(2.0, abs=1e-12)
+
+
+def test_reduced_weight_gives_up_after_eight_offsets():
+    offsets = []
+
+    def w(r):
+        offsets.append(r)
+        return 0.0
+
+    with pytest.raises(QuadratureError, match=r"radicand not positive near r="):
+        sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0, w, upper_singular=False)
+    assert len(offsets) == 8
+    assert all(b == 4.0 * a for a, b in zip(offsets, offsets[1:]))

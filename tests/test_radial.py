@@ -5,8 +5,8 @@ import pytest
 
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem,
-                              case_anchor, collision_time, first_zero,
-                              time_of_flight, turning_points)
+                              _radicand, case_anchor, collision_time,
+                              first_zero, time_of_flight, turning_points)
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -38,6 +38,36 @@ def test_f_tends_to_zero_at_origin_for_weak_type():
     vals = np.abs([rp.f(r) for r in rs])
     assert vals[0] < 1e-17
     assert np.all(np.diff(vals) > 0)
+
+
+@pytest.mark.parametrize("spec", [logarithmic(), homogeneous(0.5)], ids=["log", "hom"])
+@pytest.mark.parametrize("eps, l, E", [(1e-3, 1e-3, 0.2), (1e-6, 1e-6, 0.2),
+                                       (0.0, 0.2, 0.5), (0.3, 0.2, 0.5)])
+def test_float_radicand_matches_array_f(spec, eps, l, E):
+    # the quadratures' float radicand and the array f differ only in rounding:
+    # math.hypot against np.hypot (1 ulp) and, for powers, libm pow against
+    # numpy's vectorised power (1 ulp each).  Where the terms cancel (turning
+    # points, E + V = 0) that bounds the difference by the largest term, not
+    # by the result.
+    rp = RadialProblem(SmoothedPotential(spec, eps), E, l)
+    w = _radicand(rp)
+    l2 = l * l
+    for r in np.geomspace(1e-9, 10.0, 2000):
+        r = float(r)
+        ref = rp.f(np.array([r]))[0] - l2
+        V = rp.potential.value(np.array([r]))[0]
+        largest = max(2.0 * r * r * (abs(E) + abs(V)), l2)
+        assert abs(w(r) - ref) <= 4.0 * math.ulp(largest)
+        if eps == 0.0 and spec.name == "logarithmic":
+            assert w(r) == ref   # exact hypot, one log ufunc: same bits
+
+
+@pytest.mark.parametrize("spec", [logarithmic(), homogeneous(0.5)], ids=["log", "hom"])
+def test_float_radicand_rejects_zero_radius_without_smoothing(spec):
+    w = _radicand(RadialProblem(SmoothedPotential(spec, 0.0), 0.5, 0.2))
+    with pytest.raises(ValueError, match="eps > 0"):
+        w(0.0)
+    assert math.isfinite(_radicand(RadialProblem(SmoothedPotential(spec, 1e-3), 0.5, 0.2))(0.0))
 
 
 def test_zero_angular_momentum_is_collision_orbit():

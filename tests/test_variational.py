@@ -8,12 +8,17 @@ from onecentre.flow import transmission_extend
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.radial import DropFromRest, RadialProblem, case_anchor, collision_time
 from onecentre.simulator import PhaseState, integrate
-from onecentre.variational import (DiscretePath, action, delta_action,
+from onecentre.variational import (DiscretePath, delta_action,
                                    plateau_profile, potential_action,
                                    standard_variation,
                                    transmission_discrete_path)
 
 T0_LOG = math.sqrt(math.pi / 2.0)
+
+
+def action(path, potential):
+    """Kinetic plus potential action of a discrete path."""
+    return path.kinetic_action() + potential_action(path, potential)[0]
 
 
 @pytest.fixture(scope="module")
