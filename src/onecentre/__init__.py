@@ -10,8 +10,8 @@ from .potentials import (ClassReport, PotentialSpec, SmoothedPotential,
                          from_config, homogeneous, logarithmic,
                          weak_singularity_check)
 from .radial import (Case, DropFromRest, InwardCrossing, RadialProblem,
-                     TurningPoints, case_anchor, collision_time, first_zero,
-                     time_of_flight, turning_points)
+                     TurningPoints, case_anchor, collision_time, fall_time,
+                     first_zero, time_of_flight, turning_points)
 from .apsidal import (ApsidalAngle, SweepPath, apsidal_angle, bounds_audit,
                       calibration_integral, convergence_sweep, default_paths,
                       desingularized_factor, integrand_envelope)
@@ -21,9 +21,8 @@ from .flow import (ExitedBall, SectionSpec, TransmissionPath,
                    continuity_experiment, diagonal_cells, extended_flow,
                    phase_field, poincare_section, section_through,
                    transmission_extend)
-from .variational import (ActionComparison, DiscretePath, delta_action,
-                          potential_action, standard_variation,
-                          transmission_discrete_path)
+from .variational import (DiscretePath, delta_action, potential_action,
+                          standard_variation, transmission_discrete_path)
 from .tables import ConvergenceTable, aitken_limit, limit_verdict
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,9 +25,8 @@ from .apsidal import (bounds_audit, calibration_integral, convergence_sweep,
                       default_paths)
 from .flow import (continuity_experiment, diagonal_cells, extended_flow,
                    poincare_section)
-from .potentials import SmoothedPotential, classify, from_config
-from .radial import (DropFromRest, InwardCrossing, RadialProblem, case_anchor,
-                     collision_time)
+from .potentials import classify, from_config
+from .radial import DropFromRest, InwardCrossing, fall_time
 from .simulator import make_initial_data, oracle_crosscheck
 from .tables import ConvergenceTable, format_value, is_decreasing
 from .variational import MAX_DEPTH, delta_action, transmission_discrete_path
@@ -70,15 +69,25 @@ def _number(cfg: dict, key: str) -> float:
         raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
 
 
+def _count(cfg: dict, key: str) -> int:
+    """The positive integral number at `key` of cfg, as an int, or a
+    ConfigError naming the key."""
+    value = _number(cfg, key)
+    if not (value >= 1 and value.is_integer()):
+        raise ConfigError(f"{key!r} must be a positive integer, got {cfg[key]!r}")
+    return int(value)
+
+
 def _numbers(cfg: dict, key: str) -> list[float]:
-    """The list of numbers cfg[key], as floats, or a ConfigError naming the key."""
+    """The non-empty list of numbers cfg[key], as floats, or a ConfigError
+    naming the key."""
     values = cfg.get(key)
-    if isinstance(values, list):
+    if isinstance(values, list) and values:
         try:
             return [float(v) for v in values]
         except (TypeError, ValueError):
             pass
-    raise ConfigError(f"{key!r} must be a list of numbers, got {values!r}")
+    raise ConfigError(f"{key!r} must be a non-empty list of numbers, got {values!r}")
 
 
 def _potential(cfg: dict):
@@ -211,7 +220,7 @@ def cmd_bounds_audit(args, out: Path) -> bool:
         "energy": 0.0,
     })
     table = bounds_audit(_potential(cfg), _numbers(cfg, "eps"),
-                         int(_number(cfg, "samples")), args.seed,
+                         _count(cfg, "samples"), args.seed,
                          _number(cfg, "energy"), _number(cfg, "violation_tol"))
     table.write_csv(out_path(out, "bounds_audit.csv"))
     return _emit(out, "bounds_audit",
@@ -230,7 +239,7 @@ def cmd_poincare_continuity(args, out: Path) -> bool:
     })
     potential = _potential(cfg)
     case = _case_from(cfg)
-    T = _scaled_T(potential, case, _number(cfg, "T_factor"))
+    T = _number(cfg, "T_factor") * fall_time(case, potential)
     cells = diagonal_cells(_numbers(cfg, "exponents"))
     table = continuity_experiment(potential, case, T, cells)
     table.write_csv(out_path(out, "poincare_continuity.csv"))
@@ -256,9 +265,9 @@ def cmd_poincare_section(args, out: Path) -> bool:
     })
     potential = _potential(cfg)
     case = _case_from(cfg)
-    T = _scaled_T(potential, case, _number(cfg, "T_factor"))
+    T = _number(cfg, "T_factor") * fall_time(case, potential)
     tau_devs, trace_devs, found = [], [], []
-    samples = int(_number(cfg, "samples"))
+    samples = _count(cfg, "samples")
     for j, delta in enumerate(_numbers(cfg, "deltas")):
         table = poincare_section(potential, case, T, delta, sample_count=samples,
                                  seed=args.seed)
@@ -285,7 +294,7 @@ def cmd_transmission_demo(args, out: Path) -> bool:
     potential = _potential(cfg)
     case = _case_from(cfg)
     y0 = make_initial_data(case, potential)
-    path = extended_flow(y0, 0.0, potential, _scaled_T(potential, case, 1.0),
+    path = extended_flow(y0, 0.0, potential, fall_time(case, potential),
                          case.ball_radius)
     T0 = path.collision_time
     end = path.state_at(2.0 * T0)
@@ -318,31 +327,25 @@ def cmd_variational_probe(args, out: Path) -> bool:
         "n_cells": 2 ** 14,
     })
     potential = _potential(cfg)
+    deltas = _numbers(cfg, "deltas")
     path = transmission_discrete_path(potential, _number(cfg, "energy"),
-                                      n_cells=int(_number(cfg, "n_cells")))
+                                      n_cells=_count(cfg, "n_cells"))
     T1 = _number(cfg, "T1_factor") * path.half_span
-    table = ConvergenceTable(("delta", "T1", "dK_closed", "dK_discrete",
-                              "dV", "dA", "collision_cell_depth"))
-    rows = delta_action(path, _numbers(cfg, "deltas"), T1, potential)
-    for r in rows:
-        table.add(r.delta, r.T1, r.dK_closed, r.dK_discrete, r.dV, r.dA,
-                  r.collision_cell_depth)
+    table = delta_action(path, deltas, T1, potential)
     table.write_csv(out_path(out, "variational_probe.csv"))
-    all_positive = all(r.dA > 0 for r in rows)
-    kinetic_exact = max(abs(r.dK_discrete - r.dK_closed) for r in rows)
-    ratios = [r.dV / r.delta**2 for r in rows]
+    meta = table.meta
+    ratios = meta["dV_over_delta_sq"]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     # a cell still unsettled at MAX_DEPTH adds its coarse value: not converged
-    unsettled = [r for r in rows if r.collision_cell_depth >= MAX_DEPTH]
-    for r in unsettled:
-        print(f"collision cell unsettled: delta={r.delta!r} reached refinement "
-              f"depth {r.collision_cell_depth} (MAX_DEPTH)", file=sys.stderr)
-    verdict = all_positive and kinetic_exact < 1e-10 and increasing and not unsettled
+    for delta in meta["unsettled"]:
+        print(f"collision cell unsettled: delta={delta!r} reached refinement "
+              f"depth {MAX_DEPTH} (MAX_DEPTH)", file=sys.stderr)
+    verdict = all(dA > 0 for dA in meta["dA"]) and meta["kinetic_mismatch"] < 1e-10 \
+        and increasing and not meta["unsettled"]
+    evidence = {k: meta[k] for k in ("dA", "kinetic_mismatch", "dV_over_delta_sq")}
     return _emit(out, "variational_probe",
                  "the transmission path is not a local action minimizer",
-                 verdict, {"dA": [r.dA for r in rows],
-                           "kinetic_mismatch": kinetic_exact,
-                           "dV_over_delta_sq": ratios}, cfg)
+                 verdict, evidence, cfg)
 
 
 def cmd_oracle_crosscheck(args, out: Path) -> bool:
@@ -353,7 +356,7 @@ def cmd_oracle_crosscheck(args, out: Path) -> bool:
         "drift_budget": 1e-8,
     })
     period_tol, drift_budget = _number(cfg, "period_tol"), _number(cfg, "drift_budget")
-    table = oracle_crosscheck(_potential(cfg), int(_number(cfg, "orbits")), args.seed)
+    table = oracle_crosscheck(_potential(cfg), _count(cfg, "orbits"), args.seed)
     table.write_csv(out_path(out, "oracle_crosscheck.csv"))
     meta = table.meta
     verdict = meta["failing"] is None and meta["worst_period_mismatch"] <= period_tol \
@@ -361,15 +364,6 @@ def cmd_oracle_crosscheck(args, out: Path) -> bool:
     return _emit(out, "oracle_crosscheck",
                  "radial quadrature and plane integration agree on orbit periods",
                  verdict, {**meta, "seed": args.seed}, cfg)
-
-
-def _scaled_T(potential, case, factor: float) -> float:
-    """factor times the fall time of the case's nominal collision orbit."""
-    anchor, v1 = case_anchor(case, potential)
-    bare = SmoothedPotential(potential, 0.0)
-    energy = 0.5 * v1 * v1 - bare.value(anchor)
-    T0 = collision_time(RadialProblem(bare, energy, 0.0), anchor)
-    return factor * T0
 
 
 def out_path(out: Path, name: str) -> Path:

@@ -97,26 +97,10 @@ class SmoothedPotential:
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
 
-    def _arg(self, x):
-        return np.hypot(x, self.epsilon)
-
     def value(self, x):
         """V_eps(x) for x >= 0 (x > 0 required when eps = 0)."""
         self._check_domain(x)
-        return self.base.value(self._arg(x))
-
-    def deriv(self, x):
-        """d/dx V_eps(x) = V'(h) * x/h with h = sqrt(x^2 + eps^2)."""
-        self._check_domain(x)
-        h = self._arg(x)
-        return self.base.deriv(h) * (x / h)
-
-    def deriv2(self, x):
-        """d^2/dx^2 V_eps(x) = V''(h) x^2/h^2 + V'(h) eps^2/h^3."""
-        self._check_domain(x)
-        h = self._arg(x)
-        e2 = self.epsilon * self.epsilon
-        return self.base.deriv2(h) * (x * x) / (h * h) + self.base.deriv(h) * e2 / h**3
+        return self.base.value(np.hypot(x, self.epsilon))
 
     def _check_domain(self, x) -> None:
         if self.epsilon == 0.0 and np.any(np.asarray(x) == 0.0):

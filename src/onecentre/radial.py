@@ -289,3 +289,12 @@ def collision_time(rp: RadialProblem, r0: float) -> float:
         raise ValueError(f"r0={r0!r} is beyond the zero-velocity radius {P!r}")
     at_rest = math.isfinite(P) and math.isclose(r0, P, rel_tol=1e-12)
     return _fall_time_to_zero(rp, r0, at_rest=at_rest)
+
+
+def fall_time(case: Case, potential: PotentialSpec) -> float:
+    """Collision time of the case's nominal orbit in the bare potential, at
+    the energy of its anchor (radius and radial speed of case_anchor)."""
+    anchor, v1 = case_anchor(case, potential)
+    bare = SmoothedPotential(potential, 0.0)
+    energy = 0.5 * v1 * v1 - bare.value(anchor)
+    return collision_time(RadialProblem(bare, energy, 0.0), anchor)

@@ -31,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import PotentialSpec, SmoothedPotential
-from .radial import DropFromRest, RadialProblem, case_anchor, collision_time
+from .potentials import PotentialSpec
+from .radial import DropFromRest, fall_time
 from .simulator import make_initial_data
 from .flow import extended_flow
+from .tables import ConvergenceTable
 
 #: per-cell refinement tolerance of the potential quadrature
 REFINE_TOL = 1e-10
@@ -72,9 +73,8 @@ class DiscretePath:
         return float(0.5 * np.sum(du[:, 0]**2 + du[:, 1]**2) / self.dt)
 
 
-def _midpoint_refine(g, xs: np.ndarray, ys: np.ndarray, dt: float) -> tuple[float, int]:
-    """Midpoint quadrature of g(|u(t)|) along the segments joining consecutive
-    nodes (xs[i], ys[i]) with time step dt; returns (value, max depth).
+def potential_action(path: DiscretePath, potential: PotentialSpec) -> tuple[float, int]:
+    """Integral of V(|u|) along the path; returns (value, max refinement depth).
 
     Each live cell compares its midpoint value (coarse) with the sum of its
     two half-cell values (fine): cells with |fine - coarse| < REFINE_TOL
@@ -82,16 +82,18 @@ def _midpoint_refine(g, xs: np.ndarray, ys: np.ndarray, dt: float) -> tuple[floa
     coarse, and cells still live at MAX_DEPTH add coarse.  Endpoints are
     never sampled, so an exact-zero node is harmless.
     """
+    V, dt = potential.value, path.dt
+    xs, ys = path.values[:, 0], path.values[:, 1]
     xa, ya, xb, yb = xs[:-1], ys[:-1], xs[1:], ys[1:]
     xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
-    coarse = g(np.hypot(xm, ym)) * dt
+    coarse = V(np.hypot(xm, ym)) * dt
     total, depth = 0.0, 0
     while coarse.size:
         if depth >= MAX_DEPTH:
             return total + float(np.sum(coarse)), depth
         dt *= 0.5
-        left = g(np.hypot(0.5 * (xa + xm), 0.5 * (ya + ym))) * dt
-        right = g(np.hypot(0.5 * (xm + xb), 0.5 * (ym + yb))) * dt
+        left = V(np.hypot(0.5 * (xa + xm), 0.5 * (ya + ym))) * dt
+        right = V(np.hypot(0.5 * (xm + xb), 0.5 * (ym + yb))) * dt
         fine = left + right
         settled = np.abs(fine - coarse) < REFINE_TOL
         total += float(np.sum(fine[settled]))
@@ -102,12 +104,6 @@ def _midpoint_refine(g, xs: np.ndarray, ys: np.ndarray, dt: float) -> tuple[floa
         xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
         coarse = np.concatenate((left[live], right[live]))
     return total, depth
-
-
-def potential_action(path: DiscretePath, potential: PotentialSpec) -> tuple[float, int]:
-    """Integral of V(|u|) along the path; returns (value, max refinement depth)."""
-    return _midpoint_refine(potential.value, path.values[:, 0], path.values[:, 1],
-                            path.dt)
 
 
 def transmission_discrete_path(potential: PotentialSpec, energy: float,
@@ -124,11 +120,8 @@ def transmission_discrete_path(potential: PotentialSpec, energy: float,
     if n_cells % 4:
         raise ValueError("n_cells must be divisible by 4")
     case = DropFromRest(energy)
-    anchor, _ = case_anchor(case, potential)
-    fall = collision_time(RadialProblem(SmoothedPotential(potential, 0.0), energy, 0.0),
-                          anchor)
-    path = extended_flow(make_initial_data(case, potential), 0.0, potential, fall,
-                         case.ball_radius)
+    path = extended_flow(make_initial_data(case, potential), 0.0, potential,
+                         fall_time(case, potential), case.ball_radius)
     T0 = path.collision_time
 
     times = np.linspace(-T0, T0, n_cells + 1)
@@ -172,55 +165,41 @@ def standard_variation(path: DiscretePath, delta: float, T1: float) -> DiscreteP
     return DiscretePath(path.times, path.values + offsets[:, None] * normal)
 
 
-@dataclass(frozen=True)
-class ActionComparison:
-    """A(u0) - A(u1) split into kinetic and potential parts.
+def delta_action(path: DiscretePath, deltas, T1: float,
+                 potential: PotentialSpec) -> ConvergenceTable:
+    """Compare the action of a transmission path with each of its plateau
+    displacements: one row of A(u0) - A(u1), split into kinetic and potential
+    parts, per delta.
 
     dA > 0 means the displaced path has smaller action than the transmission
-    path.  dK_closed is the exact taper cost -delta^2/(T - T1);
-    dV_lower_bound is the one-sided surrogate integral_0^T1
-    (V(|u0|) - V(sqrt(u0^2 + delta^2))) dt, a deliberately loose bound kept
-    for comparison with the exact dV.
+    path.  dK_closed is the exact taper cost -delta^2/(T - T1), dK_discrete
+    the kinetic difference of the grid paths, and collision_cell_depth the
+    deeper of the two refinements.  meta holds the evidence of the
+    non-minimality claim: "dA", "kinetic_mismatch" (max |dK_discrete -
+    dK_closed|), "dV_over_delta_sq" and "unsettled" (the deltas whose depth
+    reached MAX_DEPTH, where a cell added its coarse value).  The potential
+    action of the unvaried path is refined once.
     """
-
-    delta: float
-    T1: float
-    dK_closed: float
-    dK_discrete: float
-    dV: float
-    dA: float
-    dV_lower_bound: float
-    collision_cell_depth: int
-
-
-def delta_action(path: DiscretePath, deltas, T1: float,
-                 potential: PotentialSpec) -> list[ActionComparison]:
-    """Compare the action of a transmission path with each of its plateau
-    displacements, one ActionComparison per delta; the potential action of
-    the unvaried path is refined once."""
     i_T1 = int(np.argmin(np.abs(path.times - T1)))
     T1_snap = float(path.times[i_T1])
     T = path.half_span
     kin0 = path.kinetic_action()
     pot0, depth0 = potential_action(path, potential)
-    V = potential.value
-    nodes = path.values[len(path.times) // 2:i_T1 + 1]
 
-    results = []
+    table = ConvergenceTable(("delta", "T1", "dK_closed", "dK_discrete",
+                              "dV", "dA", "collision_cell_depth"))
     for delta in deltas:
         varied = standard_variation(path, delta, T1)
         dK_discrete = kin0 - varied.kinetic_action()
         pot1, depth1 = potential_action(varied, potential)
         dV = pot0 - pot1
-        # one-sided surrogate on t in [0, T1]: the displaced radius there is
-        # exactly sqrt(u0^2 + delta^2)
-        sur, depth_s = _midpoint_refine(lambda r: V(r) - V(np.hypot(r, delta)),
-                                        nodes[:, 0], nodes[:, 1], path.dt)
-        results.append(ActionComparison(
-            delta=delta, T1=T1_snap,
-            dK_closed=-delta * delta / (T - T1_snap), dK_discrete=dK_discrete,
-            dV=dV, dA=dK_discrete + dV,
-            dV_lower_bound=sur,
-            collision_cell_depth=max(depth0, depth1, depth_s),
-        ))
-    return results
+        table.add(delta, T1_snap, -delta * delta / (T - T1_snap), dK_discrete,
+                  dV, dK_discrete + dV, max(depth0, depth1))
+    col = table.column
+    table.meta.update(
+        dA=col("dA"),
+        kinetic_mismatch=max(abs(d - c) for d, c in zip(col("dK_discrete"), col("dK_closed"))),
+        dV_over_delta_sq=[v / d**2 for v, d in zip(col("dV"), col("delta"))],
+        unsettled=[d for d, k in zip(col("delta"), col("collision_cell_depth"))
+                   if k >= MAX_DEPTH])
+    return table

@@ -1,12 +1,15 @@
+import ast
 import inspect
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 import onecentre
 from onecentre.cli import main
-from onecentre.variational import MAX_DEPTH
+from onecentre.potentials import logarithmic
+from onecentre.variational import MAX_DEPTH, delta_action, transmission_discrete_path
 
 
 def run_cli(args):
@@ -77,6 +80,22 @@ def test_tolerances_are_not_options(tmp_path):
             assert not knobs & set(inspect.signature(obj).parameters), name
 
 
+def test_every_export_is_used_inside_the_package():
+    # an export that no module uses serves only tests: delete it instead
+    used = set()
+    for path in Path(onecentre.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update([node.module, *(alias.name for alias in node.names)])
+    assert sorted(set(onecentre.__all__) - used) == []
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -113,6 +132,29 @@ def test_config_error_unknown_potential_family(tmp_path, capsys):
     assert "unknown potential family" in err
 
 
+@pytest.mark.parametrize("subcommand, cfg, message", [
+    ("pi-identity", {"xi": []}, "'xi' must be a non-empty list of numbers, got []"),
+    ("poincare-section", {"deltas": []},
+     "'deltas' must be a non-empty list of numbers, got []"),
+    ("bounds-audit", {"eps": []}, "'eps' must be a non-empty list of numbers, got []"),
+    ("bounds-audit", {"samples": 0}, "'samples' must be a positive integer, got 0"),
+    ("apsidal-sweep", {"exponents": []},
+     "'exponents' must be a non-empty list of numbers, got []"),
+    ("variational-probe", {"deltas": []},
+     "'deltas' must be a non-empty list of numbers, got []"),
+    ("variational-probe", {"n_cells": 4096.5},
+     "'n_cells' must be a positive integer, got 4096.5"),
+    ("oracle-crosscheck", {"orbits": 0}, "'orbits' must be a positive integer, got 0"),
+    ("oracle-crosscheck", {"orbits": 2.7}, "'orbits' must be a positive integer, got 2.7"),
+], ids=["xi-empty", "deltas-empty", "eps-empty", "samples-zero", "exponents-empty",
+        "probe-deltas-empty", "n_cells-fractional", "orbits-zero", "orbits-fractional"])
+def test_config_error_empty_or_nonintegral(tmp_path, capsys, subcommand, cfg, message):
+    # an empty schedule or a fractional count gives no evidence for a verdict
+    rc, err = _config_error(tmp_path, capsys, subcommand, cfg)
+    assert rc == 2
+    assert err == f"config error: {message}"
+
+
 def test_apsidal_sweep_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"exponents": [2, 3, 4]}))
@@ -144,6 +186,10 @@ def test_variational_probe_command(tmp_path):
     s = read_summary(tmp_path, "variational_probe")
     assert all(d > 0 for d in s["evidence"]["dA"])
     assert s["evidence"]["kinetic_mismatch"] < 1e-10
+    # the evidence is the meta of the library call, not a second computation
+    path = transmission_discrete_path(logarithmic(), 0.0, n_cells=4096)
+    meta = delta_action(path, [1e-2, 1e-3], 0.5 * path.half_span, logarithmic()).meta
+    assert s["evidence"] == {k: meta[k] for k in ("dA", "kinetic_mismatch", "dV_over_delta_sq")}
 
 
 def test_variational_probe_fails_on_unsettled_collision_cell(tmp_path, capsys):

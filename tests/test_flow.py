@@ -8,7 +8,7 @@ from onecentre.flow import (ExitedBall, TransmissionPath, continuity_experiment,
                             poincare_section, section_through,
                             transmission_extend)
 from onecentre.potentials import SmoothedPotential, logarithmic
-from onecentre.radial import DropFromRest, InwardCrossing
+from onecentre.radial import DropFromRest, InwardCrossing, fall_time
 from onecentre.simulator import PhaseState, Perturbation, integrate, make_initial_data
 
 BARE_LOG = SmoothedPotential(logarithmic(), 0.0)
@@ -200,9 +200,7 @@ def test_continuity_marks_exiting_cells():
 
 
 def _entry_T0():
-    from onecentre.radial import RadialProblem, collision_time
-    rp = RadialProblem(BARE_LOG, 0.5 * 2.0 - 0.0, 0.0)   # E = 1: |p|^2 = 2
-    return collision_time(rp, 1.0)
+    return fall_time(InwardCrossing(1.0, 1.0), logarithmic())   # E = 1: |p|^2 = 2
 
 
 def test_section_anchor_hits_exactly():

@@ -6,7 +6,7 @@ import pytest
 from onecentre import variational
 from onecentre.flow import transmission_extend
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
-from onecentre.radial import DropFromRest, RadialProblem, case_anchor, collision_time
+from onecentre.radial import DropFromRest, case_anchor, fall_time
 from onecentre.simulator import PhaseState, integrate
 from onecentre.variational import (DiscretePath, delta_action,
                                    plateau_profile, potential_action,
@@ -122,31 +122,26 @@ def test_standard_variation_rejects_noncollinear():
 
 def test_kinetic_cost_closed_form(log_path):
     T = log_path.half_span
-    for delta in (1e-2, 1e-3, 1e-4):
-        cmp_, = delta_action(log_path, [delta], 0.5 * T, logarithmic())
-        assert cmp_.dK_closed == pytest.approx(-delta * delta / (T - cmp_.T1), rel=1e-12)
-        assert abs(cmp_.dK_discrete - cmp_.dK_closed) < 1e-10
+    table = delta_action(log_path, [1e-2, 1e-3, 1e-4], 0.5 * T, logarithmic())
+    for delta, T1, dK_closed, dK_discrete, *_ in table.rows:
+        assert dK_closed == pytest.approx(-delta * delta / (T - T1), rel=1e-12)
+        assert abs(dK_discrete - dK_closed) < 1e-10
+    assert table.meta["kinetic_mismatch"] < 1e-10
 
 
 def test_action_gain_positive_and_ratio_increasing(log_path):
     T = log_path.half_span
-    results = delta_action(log_path, [1e-2, 1e-3, 1e-4], 0.5 * T, logarithmic())
-    assert all(r.dA > 0 for r in results)
-    ratios = [r.dV / r.delta ** 2 for r in results]
+    meta = delta_action(log_path, [1e-2, 1e-3, 1e-4], 0.5 * T, logarithmic()).meta
+    assert all(dA > 0 for dA in meta["dA"])
+    ratios = meta["dV_over_delta_sq"]
     assert ratios[0] < ratios[1] < ratios[2]
+    assert meta["unsettled"] == []
 
 
 def test_varied_action_finite_for_all_deltas(log_path):
     for d in (1e-2, 1e-4):
         varied = standard_variation(log_path, d, 0.5 * log_path.half_span)
         assert math.isfinite(action(varied, logarithmic()))
-
-
-def test_lower_bound_surrogate_below_exact(log_path):
-    # the one-sided surrogate drops a factor 2 and end corrections: it stays
-    # below the exact potential gain but remains positive
-    cmp_, = delta_action(log_path, [1e-3], 0.5 * log_path.half_span, logarithmic())
-    assert 0.0 < cmp_.dV_lower_bound < cmp_.dV
 
 
 def test_nonuniform_grid_rejected():
@@ -199,26 +194,20 @@ def test_potential_action_matches_scalar_recursion(probe_case):
 
 def test_delta_action_matches_scalar_recursion(probe_case):
     pot, path = probe_case
-    V = pot.value
-    half = len(path.times) // 2
-    pot0, depth0 = _scalar_integral(V, path.values, path.dt)
-    for delta in (1e-2, 1e-4):
-        cmp_, = delta_action(path, [delta], 0.5 * path.half_span, pot)
+    pot0, depth0 = _scalar_integral(pot.value, path.values, path.dt)
+    table = delta_action(path, [1e-2, 1e-4], 0.5 * path.half_span, pot)
+    for delta, _T1, _dKc, _dKd, dV, _dA, depth in table.rows:
         varied = standard_variation(path, delta, 0.5 * path.half_span)
-        pot1, depth1 = _scalar_integral(V, varied.values, path.dt)
-        i_T1 = int(np.argmin(np.abs(path.times - cmp_.T1)))
-        sur, depth_s = _scalar_integral(lambda r: V(r) - V(math.hypot(r, delta)),
-                                        path.values[half:i_T1 + 1], path.dt)
-        assert cmp_.collision_cell_depth == max(depth0, depth1, depth_s)
+        pot1, depth1 = _scalar_integral(pot.value, varied.values, path.dt)
+        assert depth == max(depth0, depth1)
         # dV is a difference of two O(1) integrals: compare it on their scale
-        assert abs(cmp_.dV - (pot0 - pot1)) <= 1e-12 * abs(pot0)
-        assert cmp_.dV_lower_bound == pytest.approx(sur, rel=1e-12, abs=0.0)
+        assert abs(dV - (pot0 - pot1)) <= 1e-12 * abs(pot0)
 
 
 def test_delta_action_refines_the_unvaried_path_once(monkeypatch, log_path):
     deltas = [1e-2, 1e-3, 1e-4]
     T1 = 0.5 * log_path.half_span
-    singles = [delta_action(log_path, [d], T1, logarithmic())[0] for d in deltas]
+    singles = [delta_action(log_path, [d], T1, logarithmic()).rows[0] for d in deltas]
     calls = []
     original = variational.potential_action
 
@@ -227,11 +216,11 @@ def test_delta_action_refines_the_unvaried_path_once(monkeypatch, log_path):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(variational, "potential_action", counting)
-    rows = delta_action(log_path, deltas, T1, logarithmic())
+    table = delta_action(log_path, deltas, T1, logarithmic())
     # one unvaried refinement plus one per displaced path
     assert len(calls) == len(deltas) + 1
     assert sum(path is log_path for path in calls) == 1
-    assert rows == singles
+    assert table.rows == singles
 
 
 def test_refinement_stops_at_max_depth(monkeypatch, log_path):
@@ -246,10 +235,11 @@ def test_refinement_stops_at_max_depth(monkeypatch, log_path):
 
 def _log_transmission(energy=0.0):
     pot = logarithmic()
-    bare = SmoothedPotential(pot, 0.0)
-    anchor, _ = case_anchor(DropFromRest(energy), pot)
-    horizon = 10.0 * collision_time(RadialProblem(bare, energy, 0.0), anchor)
-    pre = integrate(PhaseState((anchor, 0.0), (0.0, 0.0)), bare, horizon=horizon)
+    case = DropFromRest(energy)
+    anchor, _ = case_anchor(case, pot)
+    horizon = 10.0 * fall_time(case, pot)
+    pre = integrate(PhaseState((anchor, 0.0), (0.0, 0.0)), SmoothedPotential(pot, 0.0),
+                    horizon=horizon)
     return transmission_extend(pre)
 
 
