@@ -107,24 +107,21 @@ def integrand_envelope(potential: PotentialSpec, eps: float,
     return (r_outer + x) / (x / y - 1.0) * bracket
 
 
-def desingularized_factor(rp: RadialProblem, beta: float, v_sq: float,
-                          rho: float | np.ndarray) -> float | np.ndarray:
+def desingularized_factor(sm: SmoothedPotential, rm: float, beta: float,
+                          v_sq: float, rho: float | np.ndarray) -> float | np.ndarray:
     """The factor left under the square root of the angle integrand after the
     endpoint zeros (rho - 1) and (beta - rho R-) are extracted.
 
-    rho is the radius in units of the pericentre, in (1, beta/R-), a scalar or
-    an array (the turning points are found once per call); v_sq is the
+    rm is the orbit's pericentre R- in the smoothed potential sm, and rho the
+    radius in units of it, in (1, beta/R-), a scalar or an array; v_sq is the
     squared radial velocity at beta (zero when beta is the apocenter).  For
     admissible potentials and eps small enough the factor is bounded by beta
     throughout its domain.
     """
-    tp = turning_points(rp, beta)
-    rm = tp.pericenter
     if rm <= 0:
         raise ValueError("needs a positive pericentre")
     if not np.all((1.0 < rho) & (rho < beta / rm)):
         raise ValueError("rho outside (1, beta/pericentre)")
-    sm = rp.potential
     num = (beta - rho * rm) * (rho - 1.0)
     incr = (sm.value(rho * rm) - sm.value(beta) + 0.5 * v_sq) / \
            (sm.value(rm) - sm.value(beta) + 0.5 * v_sq)
@@ -158,11 +155,11 @@ def bounds_audit(potential: PotentialSpec, eps_values, samples: int, seed: int,
                 violations.append(("envelope", eps, y, x, r_outer, margin))
         rp = RadialProblem(SmoothedPotential(potential, eps), energy + 0.5 * eps * eps, eps)
         tp = turning_points(rp)
-        beta = tp.apocenter
-        rhos = 1.0 + (beta / tp.pericenter - 1.0) * rng.uniform(1e-9, 1.0 - 1e-9, size=samples)
-        for rho, val in zip(rhos, desingularized_factor(rp, beta, 0.0, rhos)):
+        rm, beta = tp.pericenter, tp.apocenter
+        rhos = 1.0 + (beta / rm - 1.0) * rng.uniform(1e-9, 1.0 - 1e-9, size=samples)
+        for rho, val in zip(rhos, desingularized_factor(rp.potential, rm, beta, 0.0, rhos)):
             margin = beta - val
-            table.add("factor", eps, rho, tp.pericenter, beta, val, margin)
+            table.add("factor", eps, rho, rm, beta, val, margin)
             if margin < -violation_tol:
                 violations.append(("factor", eps, rho, margin))
     table.meta["violations"] = violations

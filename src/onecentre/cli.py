@@ -26,7 +26,7 @@ from .apsidal import (bounds_audit, calibration_integral, convergence_sweep,
 from .flow import (continuity_experiment, diagonal_cells, extended_flow,
                    poincare_section)
 from .potentials import classify, from_config
-from .radial import DropFromRest, InwardCrossing, fall_time
+from .radial import DropFromRest, InwardCrossing, case_anchor, fall_time
 from .simulator import make_initial_data, oracle_crosscheck
 from .tables import ConvergenceTable, format_value, is_decreasing
 from .variational import MAX_DEPTH, delta_action, transmission_discrete_path
@@ -102,18 +102,30 @@ def _potential(cfg: dict):
         raise ConfigError(f"'potential' {spec!r}: {exc}") from None
 
 
-def _case_from(cfg: dict):
+def _case_from(cfg: dict, potential):
+    """The collision case of cfg["case"], which `potential` must realise."""
     c = cfg["case"]
     if not isinstance(c, dict):
         raise ConfigError(f"'case' must be an object, got {c!r}")
     kind = c.get("type", "drop")
     if kind == "drop":
-        return DropFromRest(_number(cfg, "case.energy"),
+        case = DropFromRest(_number(cfg, "case.energy"),
                             _number(cfg, "case.ball_radius") if "ball_radius" in c
                             else math.inf)
-    if kind == "entry":
-        return InwardCrossing(_number(cfg, "case.energy"), _number(cfg, "case.ball_radius"))
-    raise ConfigError(f"unknown case type {kind!r} (use 'drop' or 'entry')")
+    elif kind == "entry":
+        case = InwardCrossing(_number(cfg, "case.energy"), _number(cfg, "case.ball_radius"))
+    else:
+        raise ConfigError(f"unknown case type {kind!r} (use 'drop' or 'entry')")
+    return _anchored(case, potential, cfg, "case")
+
+
+def _anchored(case, potential, cfg: dict, key: str):
+    """case, if `case_anchor` accepts it, else a ConfigError naming `key`."""
+    try:
+        case_anchor(case, potential)
+    except ValueError as exc:
+        raise ConfigError(f"{key!r} {cfg[key]!r}: {exc}") from None
+    return case
 
 
 def _emit(out: Path, name: str, claim: str, verdict: bool, evidence: dict,
@@ -193,7 +205,7 @@ def cmd_apsidal_sweep(args, out: Path) -> bool:
         "strong_tol": 1e-2,
     })
     potential = _potential(cfg)
-    case = _case_from(cfg)
+    case = _case_from(cfg, potential)
     paths = default_paths(_numbers(cfg, "exponents"))
     strong_tol = _number(cfg, "strong_tol")
     table = convergence_sweep(potential, case, paths)
@@ -238,7 +250,7 @@ def cmd_poincare_continuity(args, out: Path) -> bool:
         "exponents": [2, 3, 4, 5, 6],
     })
     potential = _potential(cfg)
-    case = _case_from(cfg)
+    case = _case_from(cfg, potential)
     T = _number(cfg, "T_factor") * fall_time(case, potential)
     cells = diagonal_cells(_numbers(cfg, "exponents"))
     table = continuity_experiment(potential, case, T, cells)
@@ -264,7 +276,7 @@ def cmd_poincare_section(args, out: Path) -> bool:
         "samples": 50,
     })
     potential = _potential(cfg)
-    case = _case_from(cfg)
+    case = _case_from(cfg, potential)
     T = _number(cfg, "T_factor") * fall_time(case, potential)
     tau_devs, trace_devs, found = [], [], []
     samples = _count(cfg, "samples")
@@ -292,7 +304,7 @@ def cmd_transmission_demo(args, out: Path) -> bool:
         "case": {"type": "drop", "energy": 0.0},
     })
     potential = _potential(cfg)
-    case = _case_from(cfg)
+    case = _case_from(cfg, potential)
     y0 = make_initial_data(case, potential)
     path = extended_flow(y0, 0.0, potential, fall_time(case, potential),
                          case.ball_radius)
@@ -328,8 +340,11 @@ def cmd_variational_probe(args, out: Path) -> bool:
     })
     potential = _potential(cfg)
     deltas = _numbers(cfg, "deltas")
-    path = transmission_discrete_path(potential, _number(cfg, "energy"),
-                                      n_cells=_count(cfg, "n_cells"))
+    case = _anchored(DropFromRest(_number(cfg, "energy")), potential, cfg, "energy")
+    n_cells = _count(cfg, "n_cells")
+    if n_cells % 4:
+        raise ConfigError(f"'n_cells' must be divisible by 4, got {cfg['n_cells']!r}")
+    path = transmission_discrete_path(potential, case.energy, n_cells=n_cells)
     T1 = _number(cfg, "T1_factor") * path.half_span
     table = delta_action(path, deltas, T1, potential)
     table.write_csv(out_path(out, "variational_probe.csv"))

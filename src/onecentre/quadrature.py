@@ -1,13 +1,16 @@
 """Adaptive quadrature for integrands with inverse-square-root endpoint zeros.
 
-All the singular integrals in this package have the form
+All the singular integrals in this package (apsidal angles, flight times,
+the fall to the centre) go through one engine and have the form
 
     integral_a^b  g(r) / sqrt(w(r)) dr
 
 where the radicand w is positive inside (a, b) and has a simple zero at one or
-both endpoints (turning points of the radial motion).  The substitution
-r = a + s^2 (resp. r = b - t^2) turns the endpoint behaviour into a smooth
-integrand, which is then fed to adaptive Gauss-Kronrod quadrature.
+both endpoints (turning points of the radial motion), or a double zero at
+a = 0 where g vanishes like r (the radial fall, w = 2 r^2 (E + V), g = r).
+The substitution r = a + s^2 (resp. r = b - t^2) turns the endpoint behaviour
+into a smooth integrand, which is then fed to adaptive Gauss-Kronrod
+quadrature; the fall's lower leg becomes 2 s / sqrt(2 (E + V(s^2))).
 
 Evaluating w near its zero by subtraction is noisy; the engine therefore works
 with the *reduced weight*
@@ -56,9 +59,9 @@ def sqrt_endpoint_quad(g: Callable, a: float, b: float, w: Callable, *,
     """integral_a^b g(r)/sqrt(w(r)) dr with simple w-zeros at flagged endpoints,
     to relative tolerance DEFAULT_TOL.
 
-    The interval is split at the geometric mean of the endpoints when the
-    lower one is singular and a > 0 (which resolves the multi-scale structure
-    of near-collision integrals), else at the midpoint.
+    The interval is split at the geometric mean of the endpoints when a > 0
+    (which resolves the multi-scale structure of near-collision integrals,
+    whether or not the lower end is a turning point), else at the midpoint.
     reduced: optional smooth omega(r) = w(r)/((r-a)^La (b-r)^Lb).
     """
     if not (b > a):
@@ -110,7 +113,7 @@ def sqrt_endpoint_quad(g: Callable, a: float, b: float, w: Callable, *,
             raise QuadratureError(f"radicand negative at r={r!r} inside [{a!r}, {b!r}]")
         return g(r) / math.sqrt(val)
 
-    split = math.sqrt(a * b) if (La and a > 0) else 0.5 * (a + b)
+    split = math.sqrt(a * b) if a > 0 else 0.5 * (a + b)
     # near machine precision the adaptive rule may report that roundoff stops
     # it short of the requested tolerance; the returned error estimate is
     # still trustworthy, so judge by it instead of the warning
@@ -132,31 +135,3 @@ def sqrt_endpoint_quad(g: Callable, a: float, b: float, w: Callable, *,
             f"error estimate {err!r}")
     return QuadResult(value, err, I1, I2)
 
-
-def regularized_lower_quad(g: Callable, r0: float, *, at_rest: bool) -> float:
-    """integral_0^r0 g(rho) drho where g vanishes at 0 like sqrt(rho) but has
-    unbounded derivatives there (fall-time integrands of weak singularities).
-
-    The substitution rho = s^2 tames the derivative blow-up at 0.  When
-    `at_rest` the integrand has an inverse-square-root singularity at r0
-    (start from a turning point), handled by rho = r0 - t^2.
-    """
-    m = 0.5 * r0
-
-    def low(s: float) -> float:
-        return 2.0 * s * g(s * s)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        I1, e1 = quad(low, 0.0, math.sqrt(m), **_QUAD_OPTS)
-        if at_rest:
-            def up(t: float) -> float:
-                return 2.0 * t * g(r0 - t * t)
-            I2, e2 = quad(up, 0.0, math.sqrt(r0 - m), **_QUAD_OPTS)
-        else:
-            I2, e2 = quad(g, m, r0, **_QUAD_OPTS)
-    value = I1 + I2
-    if not math.isfinite(value) or e1 + e2 > 1e4 * DEFAULT_TOL * max(abs(value), 1e-12):
-        raise QuadratureError(
-            f"fall-time quadrature did not converge on [0, {r0!r}]")
-    return value

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .potentials import PotentialSpec, SmoothedPotential
-from .quadrature import regularized_lower_quad, sqrt_endpoint_quad
+from .quadrature import sqrt_endpoint_quad
 
 #: roots closer than this (relative to the peak of f) count as a double root
 DEGENERATE_TOL = 1e-12
@@ -230,7 +230,9 @@ def time_of_flight(rp: RadialProblem, r_a: float, r_b: float,
     """Time for the radial coordinate to move from r_a to r_b (monotonically).
 
     Endpoints equal to the pericentre/apocenter carry inverse-square-root
-    singularities, removed by the quadratic substitutions of the engine.
+    singularities, removed by the quadratic substitutions of the engine.  The
+    fall to the centre (l = 0, pericentre 0) is no special case: the factor r
+    of the integrand cancels the double zero of f at 0.
     """
     if not (0.0 <= r_a <= r_b):
         raise ValueError("need 0 <= r_a <= r_b")
@@ -245,50 +247,26 @@ def time_of_flight(rp: RadialProblem, r_a: float, r_b: float,
     upper_sing = math.isfinite(turning.apocenter) and math.isclose(
         r_b, turning.apocenter, rel_tol=1e-12, abs_tol=0.0)
 
-    if rp.ang_momentum == 0.0 and turning.pericenter == 0.0:
-        # radial fall: difference of fall times from the origin, each computed
-        # with the substitution that tames the integrand near 0
-        upper = _fall_time_to_zero(rp, r_b, at_rest=upper_sing)
-        lower = 0.0 if r_a == 0.0 else _fall_time_to_zero(rp, r_a, at_rest=False)
-        return upper - lower
-
     # integrand 1/sqrt(radicand) = r/sqrt(f - l^2)
     res = sqrt_endpoint_quad(lambda r: r, r_a, r_b, _radicand(rp),
                              lower_singular=lower_sing, upper_singular=upper_sing)
     return res.value
 
 
-def _fall_time_to_zero(rp: RadialProblem, r0: float, at_rest: bool) -> float:
-    V = rp.potential.base.value
-    energy, eps = rp.energy, rp.potential.epsilon
-
-    def g(rho: float) -> float:
-        h = math.hypot(rho, eps)
-        if not h:
-            raise ValueError("x = 0 requires eps > 0")
-        rad = 2.0 * (energy + V(h))
-        if rad <= 0:
-            raise ValueError(f"E + V not positive at rho={rho!r}")
-        return 1.0 / math.sqrt(rad)
-
-    return regularized_lower_quad(g, r0, at_rest=at_rest)
-
-
 def collision_time(rp: RadialProblem, r0: float) -> float:
     """Time to fall from r0 into the origin on a zero-angular-momentum orbit.
 
     T0 = integral_0^r0 drho / sqrt(2 (E + V(rho))), finite whenever the
-    singularity is weak (the integrand vanishes like sqrt(rho) near 0).  When
-    r0 is the first zero of f the start is at rest and the upper endpoint is a
-    turning point.
+    singularity is weak: the flight time from pericentre 0.  When r0 is the
+    first zero of f the start is at rest and the upper endpoint is a turning
+    point.
     """
     if rp.ang_momentum != 0.0:
         raise ValueError("collision time is defined for zero angular momentum")
-    P = first_zero(rp)
-    if r0 > P * (1.0 + 1e-12):
-        raise ValueError(f"r0={r0!r} is beyond the zero-velocity radius {P!r}")
-    at_rest = math.isfinite(P) and math.isclose(r0, P, rel_tol=1e-12)
-    return _fall_time_to_zero(rp, r0, at_rest=at_rest)
+    tp = turning_points(rp)
+    if r0 > tp.first_zero * (1.0 + 1e-12):
+        raise ValueError(f"r0={r0!r} is beyond the zero-velocity radius {tp.first_zero!r}")
+    return time_of_flight(rp, 0.0, r0, tp)
 
 
 def fall_time(case: Case, potential: PotentialSpec) -> float:

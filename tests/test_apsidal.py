@@ -145,7 +145,7 @@ def test_desingularized_factor_bounded_by_cutoff():
         beta = tp.apocenter
         for _ in range(500):
             rho = 1.0 + (beta / tp.pericenter - 1.0) * rng.uniform(1e-9, 1.0 - 1e-9)
-            val = desingularized_factor(rp, beta, 0.0, rho)
+            val = desingularized_factor(rp.potential, tp.pericenter, beta, 0.0, rho)
             assert val <= beta + 1e-9
 
 
@@ -155,11 +155,13 @@ def test_desingularized_factor_array_matches_scalar_calls():
     beta = tp.apocenter
     rhos = 1.0 + (beta / tp.pericenter - 1.0) * np.random.default_rng(7).uniform(
         1e-9, 1.0 - 1e-9, size=50)
-    vals = desingularized_factor(rp, beta, 0.0, rhos)
+    vals = desingularized_factor(rp.potential, tp.pericenter, beta, 0.0, rhos)
     assert vals.shape == rhos.shape
-    assert np.array_equal(vals, [desingularized_factor(rp, beta, 0.0, float(r)) for r in rhos])
+    assert np.array_equal(vals, [desingularized_factor(rp.potential, tp.pericenter, beta,
+                                                       0.0, float(r)) for r in rhos])
     with pytest.raises(ValueError):
-        desingularized_factor(rp, beta, 0.0, np.append(rhos, 0.5))
+        desingularized_factor(rp.potential, tp.pericenter, beta, 0.0,
+                              np.append(rhos, 0.5))
 
 
 def test_desingularized_factor_endpoints():
@@ -171,19 +173,23 @@ def test_desingularized_factor_endpoints():
     tp = turning_points(rp, beta)
     l = rp.ang_momentum
     v_sq = rp.f(beta) / beta**2 - l**2 / beta**2
-    near_outer = desingularized_factor(rp, beta, v_sq, beta / tp.pericenter * (1 - 1e-9))
+    near_outer = desingularized_factor(rp.potential, tp.pericenter, beta, v_sq,
+                                       beta / tp.pericenter * (1 - 1e-9))
     assert abs(near_outer) < 1e-6
     rp2 = log_problem(0.0, 1e-2, 1e-2)
     tp2 = turning_points(rp2)
-    near_inner = desingularized_factor(rp2, tp2.apocenter, 0.0, 1.0 + 1e-9)
+    near_inner = desingularized_factor(rp2.potential, tp2.pericenter, tp2.apocenter, 0.0,
+                                        1.0 + 1e-9)
     assert 0.0 < near_inner <= tp2.apocenter
 
 
 def test_desingularized_factor_domain():
     rp = log_problem(0.0, 1e-2, 1e-2)
     tp = turning_points(rp)
-    with pytest.raises(ValueError):
-        desingularized_factor(rp, tp.apocenter, 0.0, 0.5)
+    with pytest.raises(ValueError, match="rho outside"):
+        desingularized_factor(rp.potential, tp.pericenter, tp.apocenter, 0.0, 0.5)
+    with pytest.raises(ValueError, match="positive pericentre"):
+        desingularized_factor(rp.potential, 0.0, tp.apocenter, 0.0, 1.5)
 
 
 def test_convergence_sweep_logarithmic_drop():

@@ -81,19 +81,24 @@ def test_tolerances_are_not_options(tmp_path):
 
 
 def test_every_export_is_used_inside_the_package():
-    # an export that no module uses serves only tests: delete it instead
-    used = set()
+    # an export, or a public function or class of any module, that no module
+    # uses serves only tests: delete it instead
+    public, used = set(onecentre.__all__), set()
     for path in Path(onecentre.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        public.update(node.name for node in tree.body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      and not node.name.startswith("_"))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update([node.module, *(alias.name for alias in node.names)])
-    assert sorted(set(onecentre.__all__) - used) == []
+    assert sorted(public - used) == []
 
 
 def test_config_error_exit_code(tmp_path):
@@ -153,6 +158,37 @@ def test_config_error_empty_or_nonintegral(tmp_path, capsys, subcommand, cfg, me
     rc, err = _config_error(tmp_path, capsys, subcommand, cfg)
     assert rc == 2
     assert err == f"config error: {message}"
+
+
+_HOM = {"family": "homogeneous", "alpha": 0.5}
+_NO_REST = "drop case needs the rest radius inf inside the ball inf"
+
+
+@pytest.mark.parametrize("subcommand, cfg, message", [
+    ("variational-probe", {"n_cells": 4098}, "'n_cells' must be divisible by 4, got 4098"),
+    ("variational-probe", {"potential": _HOM, "energy": 0.0}, f"'energy' 0.0: {_NO_REST}"),
+    ("poincare-continuity", {"potential": _HOM, "case": {"type": "drop", "energy": 0.0}},
+     f"'case' {{'type': 'drop', 'energy': 0.0}}: {_NO_REST}"),
+    ("transmission-demo", {"potential": _HOM, "case": {"type": "drop", "energy": 0.0}},
+     f"'case' {{'type': 'drop', 'energy': 0.0}}: {_NO_REST}"),
+    ("apsidal-sweep", {"potential": _HOM, "case": {"type": "drop", "energy": 0.0}},
+     f"'case' {{'type': 'drop', 'energy': 0.0}}: {_NO_REST}"),
+    ("poincare-section", {"case": {"type": "drop", "energy": 0, "ball_radius": 0.5}},
+     "'case' {'type': 'drop', 'energy': 0, 'ball_radius': 0.5}: drop case needs the "
+     "rest radius 1.0 inside the ball 0.5"),
+    ("transmission-demo", {"case": {"type": "entry", "energy": 0, "ball_radius": 2}},
+     "'case' {'type': 'entry', 'energy': 0, 'ball_radius': 2}: crossing case needs the "
+     "rest radius 1.0 at or beyond the ball 2.0"),
+], ids=["n_cells-not-divisible-by-4", "probe-no-rest-radius", "continuity-no-rest-radius",
+        "demo-no-rest-radius", "sweep-no-rest-radius", "section-rest-outside-ball",
+        "demo-entry-inside-rest-radius"])
+def test_config_error_impossible_config(tmp_path, capsys, subcommand, cfg, message):
+    # a case the potential cannot realise, or a grid without the nodes the
+    # probe needs, is caught before any computation
+    rc, err = _config_error(tmp_path, capsys, subcommand, cfg)
+    assert rc == 2
+    assert err == f"config error: {message}"
+    assert not (tmp_path / f"{subcommand.replace('-', '_')}_summary.json").exists()
 
 
 def test_apsidal_sweep_command(tmp_path):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from onecentre.quadrature import (QuadratureError, regularized_lower_quad,
-                                  sqrt_endpoint_quad)
+from onecentre.quadrature import QuadratureError, sqrt_endpoint_quad
 
 
 def test_arcsine_integral_both_endpoints():
@@ -61,17 +60,13 @@ def test_negative_radicand_rejected():
                            lower_singular=False, upper_singular=False)
 
 
-def test_regularized_lower_quad_power_law():
-    # int_0^1 rho^(1/4) drho = 4/5, integrand with unbounded derivative at 0
-    val = regularized_lower_quad(lambda r: r ** 0.25, 1.0, at_rest=False)
-    assert val == pytest.approx(0.8, abs=1e-12)
-
-
-def test_regularized_lower_quad_turning_upper_end():
-    # int_0^1 dr/sqrt(1-r) = 2 with the at_rest upper substitution
-    val = regularized_lower_quad(lambda r: 1.0 / math.sqrt(1.0 - r), 1.0,
-                                 at_rest=True)
-    assert val == pytest.approx(2.0, abs=1e-10)
+def test_lower_zero_of_order_three_halves_with_vanishing_g():
+    # int_0^1 r/sqrt(r^1.5) dr = int_0^1 r^(1/4) dr = 4/5: w vanishes faster
+    # than simply at a = 0 and g like r, as in the fall to the centre; the
+    # integrand has an unbounded derivative at 0
+    res = sqrt_endpoint_quad(lambda r: r, 0.0, 1.0, lambda r: r ** 1.5,
+                             upper_singular=False)
+    assert res.value == pytest.approx(0.8, abs=1e-12)
 
 
 def test_reduced_weight_backs_away_from_a_zero_at_the_first_offset():

@@ -5,7 +5,7 @@ import pytest
 
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem,
-                              _radicand, case_anchor, collision_time,
+                              _radicand, case_anchor, collision_time, fall_time,
                               first_zero, time_of_flight, turning_points)
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -157,6 +157,37 @@ def test_collision_time_homogeneous_closed_form():
     # int_0^1 rho^(1/4)/sqrt(2) drho = (4/5)/sqrt(2)
     rp = RadialProblem(SmoothedPotential(homogeneous(0.5), 0.0), 0.0, 0.0)
     assert collision_time(rp, 1.0) == pytest.approx(0.8 / math.sqrt(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("E", [-1.0, -0.5, 0.0, 0.5])
+def test_fall_time_at_rest_log_closed_form(E):
+    # rho = e^E x turns T0 into e^E int_0^1 dx/sqrt(-2 log x) = e^E sqrt(pi/2)
+    assert fall_time(DropFromRest(E), logarithmic()) == pytest.approx(
+        math.exp(E) * SQRT_HALF_PI, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0 / 3.0, 0.5, 0.9])
+@pytest.mark.parametrize("E", [-2.0, -1.0, -0.5])
+def test_fall_time_at_rest_homogeneous_closed_form(alpha, E):
+    # rho = P u^(1/alpha) with P = (-E)^(-1/alpha) turns T0 into a beta function
+    P = (-E) ** (-1.0 / alpha)
+    a, b = 0.5 + 1.0 / alpha, 0.5
+    beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    assert fall_time(DropFromRest(E), homogeneous(alpha)) == pytest.approx(
+        P / math.sqrt(-2.0 * E) * beta / alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("potential, E", [(logarithmic(), 0.0), (homogeneous(0.5), -1.0)],
+                         ids=["log", "hom"])
+@pytest.mark.parametrize("where", ["1e-8", "1e-3", "half"])
+def test_time_of_flight_additivity_from_the_centre(potential, E, where):
+    # the fall splits at m into a leg from pericentre 0 and a leg at rest
+    rp = RadialProblem(SmoothedPotential(potential, 0.0), E, 0.0)
+    tp = turning_points(rp)
+    P = tp.apocenter
+    m = 0.5 * P if where == "half" else float(where)
+    parts = time_of_flight(rp, 0.0, m, tp) + time_of_flight(rp, m, P, tp)
+    assert parts == pytest.approx(collision_time(rp, P), rel=1e-12)
 
 
 def test_collision_time_decreases_with_energy():
