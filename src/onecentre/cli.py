@@ -27,7 +27,7 @@ from .flow import (continuity_experiment, diagonal_cells, extended_flow,
                    poincare_section)
 from .potentials import classify, from_config
 from .radial import DropFromRest, InwardCrossing, case_anchor, fall_time
-from .simulator import make_initial_data, oracle_crosscheck
+from .simulator import make_initial_data, oracle_crosscheck, oracle_energy_cap
 from .tables import ConvergenceTable, format_value, is_decreasing
 from .variational import MAX_DEPTH, delta_action, transmission_discrete_path
 
@@ -371,7 +371,12 @@ def cmd_oracle_crosscheck(args, out: Path) -> bool:
         "drift_budget": 1e-8,
     })
     period_tol, drift_budget = _number(cfg, "period_tol"), _number(cfg, "drift_budget")
-    table = oracle_crosscheck(_potential(cfg), _count(cfg, "orbits"), args.seed)
+    potential = _potential(cfg)
+    try:
+        oracle_energy_cap(potential)
+    except ValueError as exc:
+        raise ConfigError(f"'potential' {cfg['potential']!r}: {exc}") from None
+    table = oracle_crosscheck(potential, _count(cfg, "orbits"), args.seed)
     table.write_csv(out_path(out, "oracle_crosscheck.csv"))
     meta = table.meta
     verdict = meta["failing"] is None and meta["worst_period_mismatch"] <= period_tol \

@@ -6,9 +6,11 @@ theta' = l0 / r^2 (l0 the conserved angular momentum of the initial data), so
 swept angles are available without unwrapping.  The stepper is the in-house
 DOP853 of `_dop853`: the Dormand-Prince 8(5,3) pair with scipy's tableau and
 scipy's step-size control, written out over Python floats, with the 7th-order
-interpolant of every accepted step as dense output.  Pericentre, apocentre,
-ball-exit and near-collision events are found step by step, by root finding
-on the step's interpolant.  scipy's integrators serve only as test oracles.
+interpolant of each accepted step as dense output.  Each step keeps only its
+stages; its interpolant is built when something reads it.  Pericentre,
+apocentre, ball-exit and near-collision events are found step by step, by
+root finding on the interpolant of a step where an event function changes
+sign.  scipy's integrators serve only as test oracles.
 
 Energy E = |u'|^2/2 - V_eps(|u|) and l = u x u' are conserved by the dynamics;
 their numerical drift is monitored, never corrected.
@@ -34,6 +36,8 @@ DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
 #: radius below which an eps = 0 run is aborted with a collision event
 COLLISION_RADIUS = 1e-8
+#: upper end of the radius grid on which `oracle_crosscheck` bounds l
+ORACLE_RADIUS = 50.0
 #: absolute and relative tolerance of event roots on the dense output
 _ROOT_TOL = 4 * np.finfo(float).eps
 
@@ -120,7 +124,9 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     eps = 0 runs are legitimate while the orbit stays away from the origin
     (l != 0 keeps it away; radial runs stop at the collision event).  A finite
     ball radius makes leaving the ball a terminal event.  Events are located
-    on each accepted step's interpolant as it is taken; a terminal event
+    as each step is taken, on the interpolant of a step where an event
+    function changes sign, which is the only interpolant built here; the
+    dense output builds any other step's on its first read.  A terminal event
     truncates the run at its time.  A step size below 10 ulp(t) raises
     RuntimeError.
     """
@@ -153,17 +159,21 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
          float(state.velocity[0]), float(state.velocity[1]), 0.0)
     f = (y[2], y[3], *rhs(y[0], y[1]))
     h_abs = _dop853.initial_step(rhs, y, f, horizon, DEFAULT_RTOL, DEFAULT_ATOL)
-    times, states, segments, found = [t], array("d", y), array("d"), []
+    # records: every step's stages; built: step index -> interpolant
+    times, states, records, built, found = [t], array("d", y), array("d"), {}, []
     g = [ev(y) for ev, _, _ in events]
     while t < horizon:
         t_old = t
-        t, y, f, h_abs, seg = _dop853.step(rhs, t, y, f, h_abs, horizon,
+        t, y, f, h_abs, rec = _dop853.step(rhs, t, y, f, h_abs, horizon,
                                            DEFAULT_RTOL, DEFAULT_ATOL)
-        segments.extend(seg)
+        records.extend(rec)
         g_new = [ev(y) for ev, _, _ in events]
         hits = []
+        seg = None
         for (ev, direction, kind), a, b in zip(events, g, g_new):
             if (direction >= 0 and a <= 0.0 <= b) or (direction <= 0 and a >= 0.0 >= b):
+                if seg is None:
+                    seg = built[len(times) - 1] = _dop853.segment(rhs, rec)
                 t_ev = brentq(lambda s: ev(_dop853.interpolate(seg, s)), t_old, t,
                               xtol=_ROOT_TOL, rtol=_ROOT_TOL)
                 hits.append((t_ev, kind))
@@ -184,7 +194,8 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
                 break
         if stop is not None:
             if stop == t_old:
-                del segments[-_dop853.SEGMENT:]
+                del records[-_dop853.STAGES:]
+                del built[len(times) - 1]
             else:
                 times.append(stop)
                 states.extend(_dop853.interpolate(seg, stop))
@@ -195,7 +206,7 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     return Trajectory(potential=potential, times=np.array(times),
                       states=np.frombuffer(states).reshape(-1, 5),
                       events=found, energy0=E0, ang_momentum0=l0,
-                      dense=_dop853.DenseOutput(times, segments))
+                      dense=_dop853.DenseOutput(rhs, times, records, built))
 
 
 def conserved_drift(traj: Trajectory) -> tuple[float, float]:
@@ -208,16 +219,30 @@ def conserved_drift(traj: Trajectory) -> tuple[float, float]:
             float(np.max(np.abs(l - traj.ang_momentum0))))
 
 
+def oracle_energy_cap(potential: PotentialSpec) -> float:
+    """Upper end of the energies `oracle_crosscheck` draws: min(1, -V(R)), with
+    R = `ORACLE_RADIUS`, so every orbit turns back inside the grid on which l
+    is bounded (a positive potential has no bounded orbit at E >= 0).
+    ValueError when that leaves no energy above -0.5."""
+    cap = min(1.0, -potential.value(ORACLE_RADIUS))
+    if cap <= -0.5:
+        raise ValueError(f"{potential.name} leaves the oracle no energy to draw: "
+                         f"-V({ORACLE_RADIUS:g}) = {cap!r} <= -0.5")
+    return cap
+
+
 def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> ConvergenceTable:
     """Pericentre-to-pericentre periods of seeded eps = 0 orbits against twice
     the radial quadrature flight time, with conservation drift.
 
-    Each orbit draws E in [-0.5, 1) and l in [0.2, 0.9] times the largest
-    admissible l (max of f on a grid), starts at its apocenter and runs for
-    4.1 half periods.  meta carries worst_period_mismatch, worst_drift and
-    failing: (orbit, reason) of the last orbit with fewer than two pericentre
-    passages, or None.
+    Each orbit draws E in [-0.5, `oracle_energy_cap`) and l in [0.2, 0.9]
+    times the largest admissible l (max of f on a grid up to
+    `ORACLE_RADIUS`), starts at its apocenter and runs for 4.1 half periods.
+    meta carries worst_period_mismatch, worst_drift and failing: (orbit,
+    reason) of the last orbit with fewer than two pericentre passages, or
+    None.
     """
+    cap = oracle_energy_cap(potential)
     rng = np.random.default_rng(seed)
     sm = SmoothedPotential(potential, 0.0)
     table = ConvergenceTable(("orbit", "E", "l", "period_ode", "period_quad",
@@ -225,8 +250,9 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> Conve
     worst_period, worst_drift = 0.0, 0.0
     failing = None
     for i in range(orbits):
-        E = rng.uniform(-0.5, 1.0)
-        fmax = float(np.max(RadialProblem(sm, E, 0.0).f(np.geomspace(1e-6, 50.0, 4000))))
+        E = rng.uniform(-0.5, cap)
+        fmax = float(np.max(RadialProblem(sm, E, 0.0).f(
+            np.geomspace(1e-6, ORACLE_RADIUS, 4000))))
         l = math.sqrt(fmax) * rng.uniform(0.2, 0.9)
         rp = RadialProblem(sm, E, l)
         tp = turning_points(rp)

@@ -179,9 +179,12 @@ _NO_REST = "drop case needs the rest radius inf inside the ball inf"
     ("transmission-demo", {"case": {"type": "entry", "energy": 0, "ball_radius": 2}},
      "'case' {'type': 'entry', 'energy': 0, 'ball_radius': 2}: crossing case needs the "
      "rest radius 1.0 at or beyond the ball 2.0"),
+    ("oracle-crosscheck", {"potential": {"family": "homogeneous", "alpha": 0.1}},
+     "'potential' {'family': 'homogeneous', 'alpha': 0.1}: homogeneous(alpha=0.1) leaves "
+     "the oracle no energy to draw: -V(50) = -0.6762433378062414 <= -0.5"),
 ], ids=["n_cells-not-divisible-by-4", "probe-no-rest-radius", "continuity-no-rest-radius",
         "demo-no-rest-radius", "sweep-no-rest-radius", "section-rest-outside-ball",
-        "demo-entry-inside-rest-radius"])
+        "demo-entry-inside-rest-radius", "oracle-no-bound-energy"])
 def test_config_error_impossible_config(tmp_path, capsys, subcommand, cfg, message):
     # a case the potential cannot realise, or a grid without the nodes the
     # probe needs, is caught before any computation
@@ -267,13 +270,15 @@ def test_transmission_demo_long_fall(tmp_path):
 
 
 def test_oracle_crosscheck_command(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"orbits": 4}))
-    rc = run_cli(["oracle-crosscheck", "--config", str(cfg), "--out", str(tmp_path),
-                  "--seed", "3"])
-    assert rc == 0
-    s = read_summary(tmp_path, "oracle_crosscheck")
-    assert s["evidence"]["worst_period_mismatch"] < 1e-6
+    # a positive potential has bounded orbits only below -V: the draws stay there
+    for potential, seed in [({"family": "logarithmic"}, 3), *((_HOM, s) for s in range(4))]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": potential, "orbits": 4}))
+        rc = run_cli(["oracle-crosscheck", "--config", str(cfg), "--out", str(tmp_path),
+                      "--seed", str(seed)])
+        assert rc == 0, (potential, seed)
+        s = read_summary(tmp_path, "oracle_crosscheck")
+        assert s["evidence"]["worst_period_mismatch"] < 1e-6, (potential, seed)
 
 
 def test_poincare_continuity_command(tmp_path):

@@ -260,12 +260,12 @@ def test_kernel_steps_equal_scipy_dop853(monkeypatch, potential, eps, y0):
     ref = _KernelOrderDOP853(fun, 0.0, np.array(y0), 100.0, rtol=DEFAULT_RTOL,
                              atol=DEFAULT_ATOL, first_step=h_abs)
     for _ in range(20):
-        t, y, f, h_abs, seg = _dop853.step(rhs, t, y, f, h_abs, 100.0,
+        t, y, f, h_abs, rec = _dop853.step(rhs, t, y, f, h_abs, 100.0,
                                            DEFAULT_RTOL, DEFAULT_ATOL)
         ref.step()
-        assert (t, h_abs, seg[1]) == (ref.t, ref.h_abs, ref.t - ref.t_old)
+        assert (t, h_abs, rec[1]) == (ref.t, ref.h_abs, ref.t - ref.t_old)
         assert np.array_equal(y, ref.y) and np.array_equal(f, ref.f)
-        assert np.array_equal(np.reshape(seg[7:], (7, 5)), ref.rows())
+        assert np.array_equal(np.reshape(_dop853.segment(rhs, rec)[7:], (7, 5)), ref.rows())
 
 
 def _solve_ivp_oracle(state, potential, horizon, ball_radius=math.inf):
@@ -336,13 +336,60 @@ def test_step_too_small_raises():
         integrate(state, SmoothedPotential(logarithmic(), eps), horizon=2.0)
 
 
+def test_interpolants_are_built_only_where_read(monkeypatch):
+    # integrate builds a step's interpolant only where an event function
+    # changes sign; the dense output builds another one per step it reads,
+    # once
+    built = []
+    segment = _dop853.segment
+
+    def counting(field, record):
+        built.append(record[0])
+        return segment(field, record)
+
+    monkeypatch.setattr(_dop853, "segment", counting)
+    traj = integrate(PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, horizon=20.0)
+    s = traj.states
+    g = s[:, 0] * s[:, 2] + s[:, 1] * s[:, 3]
+    sign_changes = sum((a <= 0.0 <= b) or (a >= 0.0 >= b) for a, b in zip(g, g[1:]))
+    assert len(built) == sign_changes == len(traj.events) > 0
+    assert len(built) * 10 < len(traj.times)
+    i = next(i for i, t in enumerate(traj.times) if t not in built)
+    t = 0.5 * (traj.times[i] + traj.times[i + 1])
+    traj.dense(t)
+    assert built[-1] == traj.times[i] and len(built) == sign_changes + 1
+    traj.dense(t)
+    traj.state_at(traj.times[i + 1])
+    traj.theta_at(traj.events[0].time)
+    assert len(built) == sign_changes + 1
+
+
 def test_dense_array_equals_scalar_calls():
-    traj = integrate(PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, horizon=10.0)
-    # step boundaries, interior points and both ends, unsorted
-    t = np.concatenate([traj.times[::7], np.linspace(0.0, 10.0, 101)[::-1]])
+    def run():
+        return integrate(PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, horizon=10.0)
+
+    traj = run()
+    # step boundaries, interior points, both ends and the event times (whose
+    # steps' interpolants integrate built), unsorted
+    t = np.concatenate([traj.times[::7], np.linspace(0.0, 10.0, 101)[::-1],
+                        [ev.time for ev in traj.events]])
+
+    def scalars(tr):
+        return np.array([tr.dense(s) for s in t]).T
+
+    # an array read before any scalar read, then repeated reads of both kinds
     many = traj.dense(t)
     assert many.shape == (5, len(t))
-    assert np.array_equal(many, np.array([traj.dense(s) for s in t]).T)
+    assert np.array_equal(many, scalars(traj))
+    assert np.array_equal(traj.dense(t), many) and np.array_equal(scalars(traj), many)
+    # scalar reads before an array read
+    traj = run()
+    assert np.array_equal(scalars(traj), many) and np.array_equal(traj.dense(t), many)
+    # an array read over steps of which every other one is built
+    traj = run()
+    for s in t[::2]:
+        traj.dense(s)
+    assert np.array_equal(traj.dense(t), many)
     assert traj.dense(float(t[3])).shape == (5,)
 
 
