@@ -17,10 +17,9 @@ from .apsidal import (ApsidalAngle, SweepPath, apsidal_angle, bounds_audit,
                       desingularized_factor, integrand_envelope)
 from .simulator import (PhaseState, Perturbation, Trajectory, conserved_drift,
                         integrate, make_initial_data, oracle_crosscheck)
-from .flow import (ExitedBall, SectionSpec, TransmissionPath,
-                   continuity_experiment, diagonal_cells, extended_flow,
-                   phase_field, poincare_section, section_through,
-                   transmission_extend)
+from .flow import (ExitedBall, TransmissionPath, continuity_experiment,
+                   diagonal_cells, extended_flow, phase_field,
+                   poincare_section, transmission_extend)
 from .variational import (DiscretePath, delta_action, potential_action,
                           standard_variation, transmission_discrete_path)
 from .tables import ConvergenceTable, aitken_limit, limit_verdict

@@ -36,7 +36,9 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path: str | None, defaults: dict) -> dict:
+def _load_config(path: str | None, defaults: dict, optional: tuple = ()) -> dict:
+    """The defaults updated by the JSON object at `path`.  A key that is
+    neither a default nor `optional` is a ConfigError naming it."""
     cfg = dict(defaults)
     if path is not None:
         try:
@@ -46,6 +48,9 @@ def _load_config(path: str | None, defaults: dict) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be an object")
+        for key in user:
+            if key not in defaults and key not in optional:
+                raise ConfigError(f"unknown key {key!r}")
         cfg.update(user)
     return cfg
 
@@ -54,40 +59,45 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _number(cfg: dict, key: str) -> float:
+def _is_number(value) -> bool:
+    """A JSON number: bools and strings are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(cfg: dict, key: str, ok=None, domain: str = "a number") -> float:
     """The number at `key` of cfg, as a float; a dotted key like "case.energy"
-    reads cfg["case"]["energy"].  A missing or non-numeric value is a
-    ConfigError naming the key."""
+    reads cfg["case"]["energy"].  A missing value, or one that is not a
+    number for which `ok` holds, is a ConfigError naming the key."""
     value = cfg
     for part in key.split("."):
         if not isinstance(value, dict) or part not in value:
             raise ConfigError(f"missing key {key!r}")
         value = value[part]
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+    if not (_is_number(value) and (ok is None or ok(float(value)))):
+        raise ConfigError(f"{key!r} must be {domain}, got {value!r}")
+    return float(value)
 
 
 def _count(cfg: dict, key: str) -> int:
     """The positive integral number at `key` of cfg, as an int, or a
     ConfigError naming the key."""
-    value = _number(cfg, key)
-    if not (value >= 1 and value.is_integer()):
-        raise ConfigError(f"{key!r} must be a positive integer, got {cfg[key]!r}")
-    return int(value)
+    return int(_number(cfg, key, lambda v: v >= 1 and v.is_integer(),
+                       "a positive integer"))
 
 
-def _numbers(cfg: dict, key: str) -> list[float]:
+def _numbers(cfg: dict, key: str, ok=None, domain: str = "") -> list[float]:
     """The non-empty list of numbers cfg[key], as floats, or a ConfigError
-    naming the key."""
+    naming the key; with `ok`, every number must be one of `domain`."""
     values = cfg.get(key)
-    if isinstance(values, list) and values:
-        try:
-            return [float(v) for v in values]
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{key!r} must be a non-empty list of numbers, got {values!r}")
+    if not (isinstance(values, list) and values and all(map(_is_number, values))):
+        raise ConfigError(f"{key!r} must be a non-empty list of numbers, got {values!r}")
+    if ok is not None and not all(ok(float(v)) for v in values):
+        raise ConfigError(f"{key!r} must hold only {domain}, got {values!r}")
+    return [float(v) for v in values]
+
+
+def _positive(v: float) -> bool:
+    return v > 0
 
 
 def _potential(cfg: dict):
@@ -156,7 +166,8 @@ def _jsonable(v):
 # --- subcommands -------------------------------------------------------------
 
 def cmd_check_potential(args, out: Path) -> bool:
-    cfg = _load_config(args.config, {"potential": {"family": "logarithmic"}})
+    cfg = _load_config(args.config, {"potential": {"family": "logarithmic"}},
+                       optional=("expect",))
     report = classify(_potential(cfg))
     evidence = {
         "admissible": report.admissible,
@@ -181,7 +192,7 @@ def cmd_check_potential(args, out: Path) -> bool:
 def cmd_pi_identity(args, out: Path) -> bool:
     cfg = _load_config(args.config, {"xi": [1.0001, 1.5, 2.0, 10.0, 1e6],
                                      "tol": 1e-8})
-    xis = _numbers(cfg, "xi")
+    xis = _numbers(cfg, "xi", lambda v: v > 1, "numbers above 1")
     tol = _number(cfg, "tol")
     table = ConvergenceTable(("xi", "value", "abs_error"))
     worst = 0.0
@@ -231,7 +242,8 @@ def cmd_bounds_audit(args, out: Path) -> bool:
         "violation_tol": 1e-9,
         "energy": 0.0,
     })
-    table = bounds_audit(_potential(cfg), _numbers(cfg, "eps"),
+    table = bounds_audit(_potential(cfg),
+                         _numbers(cfg, "eps", _positive, "positive numbers"),
                          _count(cfg, "samples"), args.seed,
                          _number(cfg, "energy"), _number(cfg, "violation_tol"))
     table.write_csv(out_path(out, "bounds_audit.csv"))
@@ -251,7 +263,8 @@ def cmd_poincare_continuity(args, out: Path) -> bool:
     })
     potential = _potential(cfg)
     case = _case_from(cfg, potential)
-    T = _number(cfg, "T_factor") * fall_time(case, potential)
+    T = _number(cfg, "T_factor", lambda v: 0 < v < 2,
+                "a number in (0, 2)") * fall_time(case, potential)
     cells = diagonal_cells(_numbers(cfg, "exponents"))
     table = continuity_experiment(potential, case, T, cells)
     table.write_csv(out_path(out, "poincare_continuity.csv"))
@@ -277,10 +290,11 @@ def cmd_poincare_section(args, out: Path) -> bool:
     })
     potential = _potential(cfg)
     case = _case_from(cfg, potential)
-    T = _number(cfg, "T_factor") * fall_time(case, potential)
+    T = _number(cfg, "T_factor", lambda v: 1 < v < 2,
+                "a number in (1, 2)") * fall_time(case, potential)
     tau_devs, trace_devs, found = [], [], []
     samples = _count(cfg, "samples")
-    for j, delta in enumerate(_numbers(cfg, "deltas")):
+    for j, delta in enumerate(_numbers(cfg, "deltas", _positive, "positive numbers")):
         table = poincare_section(potential, case, T, delta, sample_count=samples,
                                  seed=args.seed)
         table.write_csv(out_path(out, f"poincare_section_delta{j}.csv"))
@@ -339,14 +353,14 @@ def cmd_variational_probe(args, out: Path) -> bool:
         "n_cells": 2 ** 14,
     })
     potential = _potential(cfg)
-    deltas = _numbers(cfg, "deltas")
+    deltas = _numbers(cfg, "deltas", _positive, "positive numbers")
+    T1_factor = _number(cfg, "T1_factor", lambda v: 0 < v < 1, "a number in (0, 1)")
     case = _anchored(DropFromRest(_number(cfg, "energy")), potential, cfg, "energy")
     n_cells = _count(cfg, "n_cells")
     if n_cells % 4:
         raise ConfigError(f"'n_cells' must be divisible by 4, got {cfg['n_cells']!r}")
     path = transmission_discrete_path(potential, case.energy, n_cells=n_cells)
-    T1 = _number(cfg, "T1_factor") * path.half_span
-    table = delta_action(path, deltas, T1, potential)
+    table = delta_action(path, deltas, T1_factor * path.half_span, potential)
     table.write_csv(out_path(out, "variational_probe.csv"))
     meta = table.meta
     ratios = meta["dV_over_delta_sq"]

@@ -198,14 +198,13 @@ def continuity_experiment(potential: PotentialSpec, case: Case, T: float,
         ("k", "epsilon", "l", "dq", "dv1", "dist_total", "dist_pos",
          "dist_vel", "theta_increment"),
         meta={"T": T, "collision_time": T0,
-              "reference": ref.as_vector().tolist(),
-              "reference_theta_increment": math.pi})
+              "reference": ref.as_vector().tolist()})
     if ref_speed <= 1e-8:
         # rest point on the extended path: continuity is not claimed there
         table.meta["skipped"] = f"|velocity(T)| = {ref_speed!r} below 1e-8"
         return table
 
-    dists, thetas, scales = [], [], []
+    dists, thetas = [], []
     for k, (eps, pert) in enumerate(cells):
         y_k = make_initial_data(case, potential, pert)
         try:
@@ -224,7 +223,6 @@ def continuity_experiment(potential: PotentialSpec, case: Case, T: float,
                   math.hypot(d_pos, d_vel), d_pos, d_vel, theta_inc)
         dists.append(math.hypot(d_pos, d_vel))
         thetas.append(theta_inc)
-        scales.append(max(eps, pert.scale))
 
     if len(dists) >= 3:
         table.meta["nonincreasing"] = is_decreasing(dists)
@@ -232,21 +230,7 @@ def continuity_experiment(potential: PotentialSpec, case: Case, T: float,
         verdict = limit_verdict(thetas, target=math.pi)
         table.meta["theta_limit"] = verdict.estimate
         table.meta["theta_converged"] = verdict.converged
-        # informational probe: the flow is continuous but not Lipschitz at the
-        # collision datum, so d/scale is expected to grow; logged, not asserted
-        table.meta["dist_over_scale"] = [d / s for d, s in zip(dists, scales)]
     return table
-
-
-@dataclass(frozen=True)
-class SectionSpec:
-    """A transversal hyperplane in phase space through the anchor point."""
-
-    anchor: PhaseState
-    normal: np.ndarray          # phase-space 4-vector
-
-    def offset(self, state: PhaseState) -> float:
-        return float(np.dot(state.as_vector() - self.anchor.as_vector(), self.normal))
 
 
 def phase_field(state: PhaseState, potential: PotentialSpec) -> np.ndarray:
@@ -254,19 +238,6 @@ def phase_field(state: PhaseState, potential: PotentialSpec) -> np.ndarray:
     system at a state."""
     sm = SmoothedPotential(potential, 0.0)
     return np.concatenate([state.velocity, sm.gradient(state.position)])
-
-
-def section_through(anchor: PhaseState, potential: PotentialSpec,
-                    normal: np.ndarray | None = None) -> SectionSpec:
-    """Section through `anchor`, by default normal to the flow direction there.
-
-    The transversality margin normal . field(anchor) must exceed 1e-10."""
-    field = phase_field(anchor, potential)
-    normal = field if normal is None else np.asarray(normal, float)
-    margin = float(np.dot(normal, field))
-    if margin <= 1e-10:
-        raise ValueError(f"section not transversal: margin {margin!r}")
-    return SectionSpec(anchor, normal)
 
 
 def _sample_cloud(case: Case, potential: PotentialSpec, delta: float,
@@ -297,7 +268,8 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
     """Hitting times and section traces for samples near the collision datum.
 
     The section is the plane through y1 = extended flow at time T of the
-    collision datum, normal to the flow direction there.  For each sample the
+    collision datum, normal to the flow direction there; its transversality
+    margin |field(y1)|^2 must exceed 1e-10.  For each sample the
     crossing time tau solves H(y, t) = (flow(y, t) - y1) . normal = 0 by
     bracketing around T (bracket half-width halved from 0.1 T until the signs
     differ) and root refinement; H is increasing along the flow near the
@@ -310,7 +282,11 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
     if not (ref_path.collision_time < T < 2.0 * ref_path.collision_time):
         raise ValueError("T must lie strictly between the collision time and twice it")
     y1 = ref_path.state_at(T)
-    section = section_through(y1, potential)
+    y1v = y1.as_vector()
+    normal = phase_field(y1, potential)
+    margin = float(np.dot(normal, normal))
+    if margin <= 1e-10:
+        raise ValueError(f"section not transversal: margin {margin!r}")
 
     xi0 = 0.1 * T
     t_hi = T + xi0
@@ -318,9 +294,8 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
     table = ConvergenceTable(
         ("sample_id", "q0x", "q0y", "v0x", "v0y", "epsilon", "l",
          "tau", "Sx", "Sy", "Svx", "Svy", "bracket_xi"),
-        meta={"T": T, "delta": delta, "anchor": y1.as_vector().tolist(),
-              "transversality_margin": float(np.dot(section.normal,
-                                                    phase_field(y1, potential)))})
+        meta={"T": T, "delta": delta, "anchor": y1v.tolist(),
+              "transversality_margin": margin})
 
     cells = [(0.0, Perturbation())] + _sample_cloud(case, potential, delta,
                                                     sample_count - 1, rng)
@@ -333,7 +308,7 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
             flow_at = orbit.state_at
 
             def H(t):
-                return section.offset(flow_at(t))
+                return float(np.dot(flow_at(t).as_vector() - y1v, normal))
 
             xi = xi0
             for _ in range(25):

@@ -45,18 +45,20 @@ class RadialProblem:
         if self.ang_momentum < 0:
             raise ValueError("angular momentum magnitude must be nonnegative")
 
-    def f(self, r):
-        """f(r) = 2 r^2 (E + V_eps(r)); motion needs f(r) >= l^2."""
-        r = np.asarray(r, float) if np.ndim(r) else r
+    def f(self, r: np.ndarray) -> np.ndarray:
+        """f(r) = 2 r^2 (E + V_eps(r)) on a grid of radii; motion needs
+        f(r) >= l^2.  Scalar evaluations of f - l^2 use `_radicand`."""
+        r = np.asarray(r, float)
         return 2.0 * r * r * (self.energy + self.potential.value(r))
 
 
 def _radicand(rp: RadialProblem) -> Callable[[float], float]:
-    """w(r) = f(r) - l^2 at a float r, as straight-line float arithmetic.
+    """w(r) = f(r) - l^2 at a scalar r, with one base-potential call per node.
 
-    The integrand of every singular quadrature; it keeps the operation order
-    of `RadialProblem.f(r) - l^2` and calls the base potential once per node,
-    without numpy's scalar dispatch.  Array callers use `RadialProblem.f`.
+    The turning-point refinement and every singular quadrature evaluate it.
+    It keeps the operation order of `RadialProblem.f(r) - l^2`, which serves
+    the grids.  The arithmetic is on floats except where the base potential
+    returns a numpy scalar (the logarithm's `-np.log`), and then w does too.
     """
     V = rp.potential.base.value
     energy, eps = rp.energy, rp.potential.epsilon
@@ -79,14 +81,12 @@ class TurningPoints:
     pericenter: smallest radius (0 for collision orbits, i.e. l = 0, eps = 0).
     apocenter: largest radius (+inf for unbounded orbits).
     first_zero: first positive zero of f (+inf when f stays positive).
-    cutoff: min(safe_radius, apocenter) -- the upper limit of every integral.
     degenerate: True for circular orbits (double root).
     """
 
     pericenter: float
     apocenter: float
     first_zero: float
-    cutoff: float
     degenerate: bool = False
 
 
@@ -165,6 +165,8 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
     increasing (convention 0 when there is none, e.g. l = 0 with eps = 0); the
     apocenter is the next root crossed with f decreasing (convention +inf).
     Raises when l^2 exceeds the maximum of f on the scan range (no orbit).
+    For an unbounded orbit (no zero of f) the scan ends at
+    max(1e3, 10 safe_radius); safe_radius has no other use here.
     """
     l = rp.ang_momentum
     l2 = l * l
@@ -176,8 +178,9 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
         # V_eps decreases, an energy below the core value admits no motion.
         if rp.potential.epsilon > 0.0 and rp.energy + rp.potential.value(0.0) <= 0.0:
             raise ValueError("no orbit: energy below the smoothed core potential")
-        return TurningPoints(0.0, P, P, min(safe_radius, P))
+        return TurningPoints(0.0, P, P)
 
+    w = _radicand(rp)
     hi = P if math.isfinite(P) else max(1e3, 10.0 * safe_radius if math.isfinite(safe_radius) else 0.0)
     grid = np.geomspace(1e-12, hi * (1.0 - 1e-12), SCAN_POINTS)
     with np.errstate(all="ignore"):
@@ -190,7 +193,7 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
     # grid points, and the degeneracy test needs the true maximum
     if 0 < i_max < len(grid) - 1:
         from scipy.optimize import minimize_scalar
-        res = minimize_scalar(lambda r: l2 - rp.f(r),
+        res = minimize_scalar(lambda r: -w(r),
                               bounds=(grid[i_max - 1], grid[i_max + 1]),
                               method="bounded", options={"xatol": 1e-14})
         r_peak, f_peak = float(res.x), float(-res.fun)
@@ -200,10 +203,10 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
     if f_peak < -DEGENERATE_TOL:
         raise ValueError(f"no orbit: l^2 = {l2!r} exceeds max f = {f_peak + l2!r} on the scan range")
     if f_peak < DEGENERATE_TOL:
-        return TurningPoints(r_peak, r_peak, P, min(safe_radius, r_peak), degenerate=True)
+        return TurningPoints(r_peak, r_peak, P, degenerate=True)
 
     def refine(lo: float, hi_: float) -> float:
-        return float(brentq(lambda r: rp.f(r) - l2, lo, hi_, xtol=1e-15, rtol=8.9e-16))
+        return float(brentq(w, lo, hi_, xtol=1e-15, rtol=8.9e-16))
 
     below_left = np.where(fvals[:i_max + 1] < 0)[0]
     if len(below_left) == 0:
@@ -221,8 +224,7 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
     else:
         apocenter = math.inf
 
-    return TurningPoints(pericenter, apocenter, P,
-                         min(safe_radius, apocenter), degenerate=False)
+    return TurningPoints(pericenter, apocenter, P)
 
 
 def time_of_flight(rp: RadialProblem, r_a: float, r_b: float,

@@ -283,10 +283,6 @@ class Perturbation:
     l: float = 0.0
     dv1: float = 0.0
 
-    @property
-    def scale(self) -> float:
-        return max(abs(self.dq[0]), abs(self.dq[1]), abs(self.l), abs(self.dv1))
-
 
 def make_initial_data(case: Case, potential: PotentialSpec,
                       perturbation: Perturbation | None = None) -> PhaseState:

@@ -182,12 +182,44 @@ _NO_REST = "drop case needs the rest radius inf inside the ball inf"
     ("oracle-crosscheck", {"potential": {"family": "homogeneous", "alpha": 0.1}},
      "'potential' {'family': 'homogeneous', 'alpha': 0.1}: homogeneous(alpha=0.1) leaves "
      "the oracle no energy to draw: -V(50) = -0.6762433378062414 <= -0.5"),
+    ("poincare-section", {"deltas": [-0.01], "samples": 2},
+     "'deltas' must hold only positive numbers, got [-0.01]"),
+    ("bounds-audit", {"eps": [-0.01]}, "'eps' must hold only positive numbers, got [-0.01]"),
+    ("bounds-audit", {"eps": [0.0]}, "'eps' must hold only positive numbers, got [0.0]"),
+    ("pi-identity", {"xi": [0.5]}, "'xi' must hold only numbers above 1, got [0.5]"),
+    ("variational-probe", {"deltas": [-0.01]},
+     "'deltas' must hold only positive numbers, got [-0.01]"),
+    ("variational-probe", {"T1_factor": 1.5}, "'T1_factor' must be a number in (0, 1), got 1.5"),
+    ("poincare-continuity", {"T_factor": 2.5}, "'T_factor' must be a number in (0, 2), got 2.5"),
+    ("poincare-section", {"T_factor": 0.5}, "'T_factor' must be a number in (1, 2), got 0.5"),
+    ("bounds-audit", {"samples": True}, "'samples' must be a positive integer, got True"),
+    ("pi-identity", {"xi": ["2.0"]}, "'xi' must be a non-empty list of numbers, got ['2.0']"),
+    ("pi-identity", {"tol": "1e-8"}, "'tol' must be a number, got '1e-8'"),
+    ("check-potential", {"expected": {"admissible": True}}, "unknown key 'expected'"),
+    ("pi-identity", {"xis": [2.0]}, "unknown key 'xis'"),
+    ("apsidal-sweep", {"exponent": [2, 3]}, "unknown key 'exponent'"),
+    ("bounds-audit", {"samples": 10, "seed": 3}, "unknown key 'seed'"),
+    ("poincare-continuity", {"exponents": [2, 3], "T": 2.0}, "unknown key 'T'"),
+    ("poincare-section", {"samples": 4, "sample": 99}, "unknown key 'sample'"),
+    ("transmission-demo", {"energy": 1.0}, "unknown key 'energy'"),
+    ("variational-probe", {"n_cells": 4096, "case": {"type": "drop", "energy": 0.0}},
+     "unknown key 'case'"),
+    ("oracle-crosscheck", {"orbits": 2, "orbit": 4}, "unknown key 'orbit'"),
 ], ids=["n_cells-not-divisible-by-4", "probe-no-rest-radius", "continuity-no-rest-radius",
         "demo-no-rest-radius", "sweep-no-rest-radius", "section-rest-outside-ball",
-        "demo-entry-inside-rest-radius", "oracle-no-bound-energy"])
+        "demo-entry-inside-rest-radius", "oracle-no-bound-energy",
+        "section-negative-delta", "audit-negative-eps", "audit-zero-eps", "xi-below-1",
+        "probe-negative-delta", "T1_factor-above-1", "continuity-T_factor-above-2",
+        "section-T_factor-below-1", "samples-bool", "xi-string", "tol-string",
+        "check-potential-unknown-key", "pi-identity-unknown-key", "apsidal-sweep-unknown-key",
+        "bounds-audit-unknown-key", "poincare-continuity-unknown-key",
+        "poincare-section-unknown-key", "transmission-demo-unknown-key",
+        "variational-probe-unknown-key", "oracle-crosscheck-unknown-key"])
 def test_config_error_impossible_config(tmp_path, capsys, subcommand, cfg, message):
-    # a case the potential cannot realise, or a grid without the nodes the
-    # probe needs, is caught before any computation
+    # a key the subcommand does not read, a value the library would reject (a
+    # bool or string posing as a number among them), a case the potential
+    # cannot realise, or a grid without the nodes the probe needs, is caught
+    # before any computation
     rc, err = _config_error(tmp_path, capsys, subcommand, cfg)
     assert rc == 2
     assert err == f"config error: {message}"

@@ -5,8 +5,7 @@ import pytest
 
 from onecentre.flow import (ExitedBall, TransmissionPath, continuity_experiment,
                             diagonal_cells, extended_flow, phase_field,
-                            poincare_section, section_through,
-                            transmission_extend)
+                            poincare_section, transmission_extend)
 from onecentre.potentials import SmoothedPotential, logarithmic
 from onecentre.radial import DropFromRest, InwardCrossing, fall_time
 from onecentre.simulator import PhaseState, Perturbation, integrate, make_initial_data
@@ -216,14 +215,13 @@ def test_section_anchor_hits_exactly():
 
 
 def test_section_transversality_margin_is_field_norm():
-    case = DropFromRest(0.0)
-    y0 = make_initial_data(case, logarithmic())
-    pre = integrate(y0, BARE_LOG, horizon=5.0)
-    path = transmission_extend(pre)
-    y1 = path.state_at(1.5 * path.collision_time)
-    spec = section_through(y1, logarithmic())
-    f = phase_field(y1, logarithmic())
-    assert float(np.dot(spec.normal, f)) == pytest.approx(float(np.dot(f, f)))
+    # the section is normal to the flow at its anchor: the margin is |field|^2
+    table = poincare_section(logarithmic(), DropFromRest(0.0), 1.5 * T0_LOG,
+                             delta=1e-3, sample_count=2, seed=0)
+    anchor = table.meta["anchor"]
+    f = phase_field(PhaseState(anchor[:2], anchor[2:]), logarithmic())
+    assert table.meta["transversality_margin"] == float(np.dot(f, f))
+    assert table.meta["transversality_margin"] > 1e-10
 
 
 def test_section_crossings_and_shrinking_neighbourhood():
@@ -240,15 +238,6 @@ def test_section_crossings_and_shrinking_neighbourhood():
     assert traces[1] < traces[0]
 
 
-def test_section_custom_normal_and_transversality_guard():
-    anchor = PhaseState((-0.8, 0.0), (-0.7, 0.0))
-    spec = section_through(anchor, logarithmic(), normal=np.array([-1.0, 0.0, 0.0, 0.0]))
-    assert spec.offset(anchor) == 0.0
-    # a normal orthogonal to the flow direction is rejected
-    with pytest.raises(ValueError):
-        section_through(anchor, logarithmic(), normal=np.array([0.0, 1.0, 0.0, 0.0]))
-
-
 def test_section_offset_monotone_through_crossing():
     # H(y, t) increases through the located crossing
     case = DropFromRest(0.0)
@@ -258,10 +247,10 @@ def test_section_offset_monotone_through_crossing():
     traj = integrate(y0, sm, horizon=1.2 * T)
     ref = poincare_section(logarithmic(), case, T, delta=1e-3,
                            sample_count=2, seed=0)
-    anchor = PhaseState(ref.meta["anchor"][:2], ref.meta["anchor"][2:])
-    spec = section_through(
-        anchor, logarithmic())
-    hs = [spec.offset(traj.state_at(t)) for t in np.linspace(T - 0.02, T + 0.02, 10)]
+    anchor = np.array(ref.meta["anchor"])
+    normal = phase_field(PhaseState(anchor[:2], anchor[2:]), logarithmic())
+    hs = [float(np.dot(traj.state_at(t).as_vector() - anchor, normal))
+          for t in np.linspace(T - 0.02, T + 0.02, 10)]
     assert all(b > a for a, b in zip(hs, hs[1:]))
 
 

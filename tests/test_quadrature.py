@@ -21,6 +21,15 @@ def test_shifted_arcsine_with_reduced_weight():
     assert res.value == pytest.approx(math.pi, abs=1e-14)
 
 
+@pytest.mark.parametrize("xi", [1.5, 2.0, 10.0, 1e6])
+def test_calibration_pi_through_the_guarded_reduced_weight(xi):
+    # the calibration integral without its closed-form reduced weight: omega
+    # comes from the radicand, as for every apsidal angle and flight time
+    res = sqrt_endpoint_quad(lambda x: 1.0 / x, 1.0, xi,
+                             lambda x: (x - 1.0) * (1.0 - x / xi))
+    assert res.value == pytest.approx(math.pi, rel=1e-10, abs=0.0)
+
+
 def test_one_sided_singularity():
     # int_0^1 dx/sqrt(x) = 2
     res = sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0, lambda x: x,

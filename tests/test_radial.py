@@ -124,8 +124,6 @@ def test_unbounded_orbit_has_infinite_apocenter():
     tp = turning_points(rp)
     assert tp.apocenter == math.inf
     assert tp.first_zero == math.inf
-    assert tp.cutoff == math.inf
-    assert turning_points(rp, safe_radius=2.0).cutoff == 2.0
 
 
 def test_smoothed_zero_l_pericentre_depends_on_core_energy():
