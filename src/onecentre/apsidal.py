@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .potentials import PotentialSpec, SmoothedPotential
 from .quadrature import sqrt_endpoint_quad
@@ -140,7 +141,7 @@ def bounds_audit(potential: PotentialSpec, eps_values, samples: int, seed: int,
     apocenter beta (rows "factor", p = (rho, R-, beta), margin = beta -
     factor).  meta["violations"] lists the samples with margin < -violation_tol.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     table = ConvergenceTable(("kind", "epsilon", "p1", "p2", "p3", "value", "margin"))
     violations = []
     for eps in eps_values:

@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.random import default_rng
 
+from ._brent import brentq
 from .potentials import PotentialSpec, SmoothedPotential
 from .radial import Case, RadialProblem, collision_time
 from .simulator import (COLLISION, EXIT_BALL, PhaseState, Perturbation,
@@ -276,7 +277,7 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
     section, which the bracket search relies on.  Sample 0 is the collision
     datum itself, so its orbit is the reference orbit, not integrated again.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     ref_path = extended_flow(make_initial_data(case, potential), 0.0, potential,
                              T, case.ball_radius)
     if not (ref_path.collision_time < T < 2.0 * ref_path.collision_time):
@@ -318,7 +319,7 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
             else:
                 raise RuntimeError(
                     f"no sign change of the section offset in [T-xi, T+xi] down to xi={xi!r}")
-            tau = float(brentq(H, T - xi, T + xi, xtol=1e-12, rtol=8.9e-16))
+            tau = brentq(H, T - xi, T + xi, xtol=1e-12, rtol=8.9e-16)
             trace = flow_at(tau)
         except (ExitedBall, RuntimeError, ValueError) as exc:
             table.meta.setdefault("failed_samples", []).append((i, str(exc)))

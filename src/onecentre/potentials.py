@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._brent import brentq
 from .tables import ConvergenceTable, aitken_limit, is_decreasing
 
 #: tolerance for the slow-variation sup at the finest lambda
@@ -52,10 +53,16 @@ class PotentialSpec:
         return f"PotentialSpec({self.name!r})"
 
 
+def _neg_log(x):
+    """-log x: `math.log` on a Python float, so the radicand's nodes stay in
+    float arithmetic; `np.log` on arrays and numpy scalars."""
+    return -math.log(x) if type(x) is float else -np.log(x)
+
+
 def logarithmic() -> PotentialSpec:
     return PotentialSpec(
         name="logarithmic",
-        value=lambda x: -np.log(x),
+        value=_neg_log,
         deriv=lambda x: -1.0 / x,
         deriv2=lambda x: 1.0 / (x * x),
     )
@@ -255,8 +262,7 @@ def check_admissible(p: PotentialSpec) -> ClassReport:
             while x < 1e6:
                 x_next = 2.0 * x
                 if g(x_next) >= 0:
-                    from scipy.optimize import brentq
-                    ratio_radius = float(brentq(g, x, x_next, xtol=1e-12, rtol=8.9e-16))
+                    ratio_radius = brentq(g, x, x_next, xtol=1e-12, rtol=8.9e-16)
                     break
                 x = x_next
 

@@ -10,7 +10,8 @@ both endpoints (turning points of the radial motion), or a double zero at
 a = 0 where g vanishes like r (the radial fall, w = 2 r^2 (E + V), g = r).
 The substitution r = a + s^2 (resp. r = b - t^2) turns the endpoint behaviour
 into a smooth integrand, which is then fed to adaptive Gauss-Kronrod
-quadrature; the fall's lower leg becomes 2 s / sqrt(2 (E + V(s^2))).
+quadrature (QUADPACK's `dqagse`, ported in `_quadpack`); the fall's lower
+leg becomes 2 s / sqrt(2 (E + V(s^2))).
 
 Evaluating w near its zero by subtraction is noisy; the engine therefore works
 with the *reduced weight*
@@ -27,22 +28,34 @@ floor.
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from ._quadpack import qagse
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 #: relative tolerance of all singular quadratures
 DEFAULT_TOL = 1e-10
-_QUAD_OPTS = dict(epsabs=0.0, epsrel=DEFAULT_TOL, limit=200)
+#: most subintervals of one adaptive quadrature
+_LIMIT = 200
 
 
 class QuadratureError(RuntimeError):
     pass
+
+
+def _leg(fn: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """(value, error estimate) of integral_lo^hi fn to DEFAULT_TOL.
+
+    Near machine precision QUADPACK may report (ier) that roundoff stops it
+    short of the requested tolerance; the returned error estimate is still
+    trustworthy, so the caller judges by it and ier is dropped.  The values
+    are floats even where fn returns numpy scalars.
+    """
+    value, error, _, _ = qagse(fn, lo, hi, 0.0, DEFAULT_TOL, _LIMIT)
+    return float(value), float(error)
 
 
 @dataclass(frozen=True)
@@ -63,9 +76,14 @@ def sqrt_endpoint_quad(g: Callable, a: float, b: float, w: Callable, *,
     (which resolves the multi-scale structure of near-collision integrals,
     whether or not the lower end is a turning point), else at the midpoint.
     reduced: optional smooth omega(r) = w(r)/((r-a)^La (b-r)^Lb).
+    Both ends must be finite: QUADPACK's `dqagse` integrates over a finite
+    interval, so an unbounded orbit needs a finite cutoff.
     """
     if not (b > a):
         raise ValueError("need b > a")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise QuadratureError(
+            f"infinite interval [{a!r}, {b!r}]: the quadrature needs finite ends")
     span = b - a
     guard = 64.0 * _EPS * max(abs(a), abs(b), 1e-300)
     La = 1 if lower_singular else 0
@@ -114,19 +132,14 @@ def sqrt_endpoint_quad(g: Callable, a: float, b: float, w: Callable, *,
         return g(r) / math.sqrt(val)
 
     split = math.sqrt(a * b) if a > 0 else 0.5 * (a + b)
-    # near machine precision the adaptive rule may report that roundoff stops
-    # it short of the requested tolerance; the returned error estimate is
-    # still trustworthy, so judge by it instead of the warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if La:
-            I1, e1 = quad(leg_lower, 0.0, math.sqrt(split - a), **_QUAD_OPTS)
-        else:
-            I1, e1 = quad(leg_plain, a, split, **_QUAD_OPTS)
-        if Lb:
-            I2, e2 = quad(leg_upper, 0.0, math.sqrt(b - split), **_QUAD_OPTS)
-        else:
-            I2, e2 = quad(leg_plain, split, b, **_QUAD_OPTS)
+    if La:
+        I1, e1 = _leg(leg_lower, 0.0, math.sqrt(split - a))
+    else:
+        I1, e1 = _leg(leg_plain, a, split)
+    if Lb:
+        I2, e2 = _leg(leg_upper, 0.0, math.sqrt(b - split))
+    else:
+        I2, e2 = _leg(leg_plain, split, b)
     value = I1 + I2
     err = e1 + e2
     if not math.isfinite(value) or err > 1e4 * DEFAULT_TOL * max(abs(value), 1e-12):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq, minimize_bounded
 from .potentials import PotentialSpec, SmoothedPotential
 from .quadrature import sqrt_endpoint_quad
 
@@ -57,13 +57,13 @@ def _radicand(rp: RadialProblem) -> Callable[[float], float]:
 
     The turning-point refinement and every singular quadrature evaluate it.
     It keeps the operation order of `RadialProblem.f(r) - l^2`, which serves
-    the grids.  The arithmetic is on floats except where the base potential
-    returns a numpy scalar (the logarithm's `-np.log`), and then w does too.
+    the grids.  The constants are bound as floats (the energy often arrives
+    as a numpy scalar), so every node is evaluated in float arithmetic.
     """
     V = rp.potential.base.value
-    energy, eps = rp.energy, rp.potential.epsilon
+    energy, eps = float(rp.energy), rp.potential.epsilon
     l = rp.ang_momentum
-    l2 = l * l
+    l2 = float(l * l)
 
     def w(r: float) -> float:
         h = math.hypot(r, eps)
@@ -155,7 +155,7 @@ def first_zero(rp: RadialProblem) -> float:
         x *= 2.0
         if x > 1e9:
             return math.inf
-    return float(brentq(g, x_prev, x, xtol=1e-15, rtol=8.9e-16))
+    return brentq(g, x_prev, x, xtol=1e-15, rtol=8.9e-16)
 
 
 def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningPoints:
@@ -192,11 +192,9 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
     # refine the peak: near-circular orbits keep the allowed region between
     # grid points, and the degeneracy test needs the true maximum
     if 0 < i_max < len(grid) - 1:
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(lambda r: -w(r),
-                              bounds=(grid[i_max - 1], grid[i_max + 1]),
-                              method="bounded", options={"xatol": 1e-14})
-        r_peak, f_peak = float(res.x), float(-res.fun)
+        r_peak, f_low = minimize_bounded(lambda r: -w(r), grid[i_max - 1],
+                                         grid[i_max + 1], xatol=1e-14)
+        f_peak = float(-f_low)
     else:
         r_peak, f_peak = float(grid[i_max]), float(fvals[i_max])
 
@@ -206,7 +204,7 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
         return TurningPoints(r_peak, r_peak, P, degenerate=True)
 
     def refine(lo: float, hi_: float) -> float:
-        return float(brentq(w, lo, hi_, xtol=1e-15, rtol=8.9e-16))
+        return brentq(w, lo, hi_, xtol=1e-15, rtol=8.9e-16)
 
     below_left = np.where(fvals[:i_max + 1] < 0)[0]
     if len(below_left) == 0:

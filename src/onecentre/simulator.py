@@ -23,9 +23,10 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.random import default_rng
 
 from . import _dop853
+from ._brent import brentq
 from .potentials import PotentialSpec, SmoothedPotential
 from .radial import (Case, RadialProblem, case_anchor, time_of_flight,
                      turning_points)
@@ -243,7 +244,7 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> Conve
     None.
     """
     cap = oracle_energy_cap(potential)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     sm = SmoothedPotential(potential, 0.0)
     table = ConvergenceTable(("orbit", "E", "l", "period_ode", "period_quad",
                               "mismatch", "dE", "dl"))

@@ -2,6 +2,9 @@ import ast
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -357,3 +360,17 @@ def test_deterministic_outputs(tmp_path, subcommand, cfg, csv_names):
     summary = subcommand.replace("-", "_") + "_summary.json"
     for name in csv_names + [summary]:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime's quadrature and root finders are in-house; scipy is only a
+    # test oracle
+    src = str(Path(onecentre.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, onecentre.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        check=True)
+    assert out.stdout.strip() == "[]"

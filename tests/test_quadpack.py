@@ -1,0 +1,119 @@
+"""`_quadpack.qagse` against `scipy.integrate.quad`, bit for bit."""
+
+import math
+import warnings
+
+import pytest
+
+from onecentre import quadrature
+from onecentre._quadpack import qagse
+from onecentre.apsidal import _sweep_cell
+from onecentre.potentials import homogeneous, logarithmic
+from onecentre.radial import DropFromRest, fall_time
+
+integrate = pytest.importorskip("scipy.integrate")
+
+#: quad's message for each ier from 1 to 5 (full_output=1 returns the
+#: message in place of ier)
+_MESSAGES = {
+    "The maximum number of subdivisions": 1,
+    "The occurrence of roundoff error": 2,
+    "Extremely bad integrand behavior": 3,
+    "The algorithm does not converge": 4,
+    "The integral is probably divergent": 5,
+}
+
+#: name -> (f, a, b): smooth, endpoint-singular, logarithmic, peaked, step
+#: and interior-singular integrands
+INTEGRANDS = {
+    "gauss": (lambda x: math.exp(-3.0 * x * x), -1.0, 2.0),
+    "cubic": (lambda x: x ** 3 - 2.0 * x, 0.0, 1.5),
+    "oscillating": (lambda x: math.sin(40.0 * x) * math.exp(-x), 0.0, 3.0),
+    "inverse-sqrt": (lambda x: 1.0 / math.sqrt(x) if x > 0 else 0.0, 0.0, 1.0),
+    "inverse-power-0.9": (lambda x: x ** -0.9 if x > 0 else 0.0, 0.0, 1.0),
+    "log": (lambda x: math.log(x) if x > 0 else 0.0, 0.0, 1.0),
+    "log-over-sqrt": (lambda x: math.log(x) / math.sqrt(x) if x > 0 else 0.0, 0.0, 1.0),
+    "peak": (lambda x: 1.0 / (1e-6 + (x - 0.3) ** 2), 0.0, 1.0),
+    "step": (lambda x: 1.0 if x > 1.0 / 3.0 else 0.0, 0.0, 1.0),
+    "interior-power": (lambda x: abs(x) ** -0.94 if x else 0.0, -1.0, 3.75),
+    "interior-pole": (lambda x: 1.0 / (x - 0.3) if x != 0.3 else 0.0, 0.0, 1.0),
+    "interior-abs-pole": (lambda x: 1.0 / abs(x - 1.0 / 3.0) if x != 1.0 / 3.0 else 0.0,
+                          0.0, 1.0),
+    "sin-inverse": (lambda x: math.sin(1.0 / x) if x > 0 else 0.0, 0.0, 1.0),
+}
+LIMITS = (1, 2, 5, 50, 200, 1000)
+#: (epsabs, epsrel): the engine's request, quad's defaults, a tight one
+TOLERANCES = ((0.0, 1e-10), (1.49e-8, 1.49e-8), (0.0, 1e-13))
+
+
+def scipy_qagse(f, a, b, epsabs, epsrel, limit):
+    """(result, abserr, neval, ier) of scipy's quad on [a, b]."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        out = integrate.quad(f, a, b, full_output=1, epsabs=epsabs,
+                             epsrel=epsrel, limit=limit)
+    if len(out) == 3:
+        ier = 0
+    else:
+        ier = next(code for prefix, code in _MESSAGES.items()
+                   if out[3].startswith(prefix))
+    return out[0], out[1], out[2]["neval"], ier
+
+
+@pytest.mark.parametrize("name", list(INTEGRANDS))
+def test_qagse_equals_quad(name):
+    f, a, b = INTEGRANDS[name]
+    for limit in LIMITS:
+        for epsabs, epsrel in TOLERANCES:
+            assert qagse(f, a, b, epsabs, epsrel, limit) == \
+                scipy_qagse(f, a, b, epsabs, epsrel, limit), (limit, epsabs, epsrel)
+
+
+def test_the_grid_reaches_every_ier():
+    seen = {qagse(f, a, b, epsabs, epsrel, limit)[3]
+            for f, a, b in INTEGRANDS.values()
+            for limit in LIMITS for epsabs, epsrel in TOLERANCES}
+    assert seen == {0, 1, 2, 3, 4, 5}
+
+
+def test_invalid_tolerances_are_ier_6():
+    f, a, b = INTEGRANDS["gauss"]
+    assert qagse(f, a, b, 0.0, 1e-15, 50)[3] == 6
+    with pytest.raises(ValueError):
+        integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-15, limit=50)
+
+
+def test_integrand_exception_propagates():
+    def f(x):
+        if x > 0.5:
+            raise ZeroDivisionError("boom")
+        return x
+
+    with pytest.raises(ZeroDivisionError, match="boom"):
+        qagse(f, 0.0, 1.0, 0.0, 1e-10, 50)
+
+
+@pytest.mark.parametrize("spec, case, k", [
+    (logarithmic(), DropFromRest(0.0), 2),
+    (logarithmic(), DropFromRest(0.0), 3),
+    (logarithmic(), DropFromRest(0.0), 6),
+    (homogeneous(0.5), DropFromRest(-1.0), 3),
+    (homogeneous(0.5), DropFromRest(-1.0), 6),
+], ids=["log-2", "log-3", "log-6", "hom-3", "hom-6"])
+def test_engine_legs_replay_bitwise(monkeypatch, spec, case, k):
+    # every leg the engine integrates for the angle of the 40-digit reference
+    # cells of tests/test_apsidal.py (and of the pinned homogeneous cells)
+    # and for the case's fall time, against scipy's quad on the same
+    # integrand, interval and options
+    legs = []
+
+    def both(f, a, b, epsabs, epsrel, limit):
+        got = qagse(f, a, b, epsabs, epsrel, limit)
+        assert got == scipy_qagse(f, a, b, epsabs, epsrel, limit)
+        legs.append(got)
+        return got
+
+    monkeypatch.setattr(quadrature, "qagse", both)
+    _sweep_cell(spec, case, 10.0 ** -k, 10.0 ** -k)
+    fall_time(case, spec)
+    assert len(legs) == 4  # the angle and the fall time, two legs each

@@ -106,3 +106,10 @@ def test_reduced_weight_gives_up_after_eight_offsets():
         sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0, w, upper_singular=False)
     assert len(offsets) == 8
     assert all(b == 4.0 * a for a, b in zip(offsets, offsets[1:]))
+
+
+def test_infinite_interval_rejected():
+    # an unbounded orbit's integral to r = inf: rejected before any node
+    with pytest.raises(QuadratureError, match="infinite interval"):
+        sqrt_endpoint_quad(lambda r: 1.0 / (r * r), 1.0, math.inf,
+                           lambda r: 1.0 - 1.0 / (r * r), upper_singular=False)
