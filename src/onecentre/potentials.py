@@ -110,7 +110,8 @@ class SmoothedPotential:
         return self.base.value(np.hypot(x, self.epsilon))
 
     def _check_domain(self, x) -> None:
-        if self.epsilon == 0.0 and np.any(np.asarray(x) == 0.0):
+        if self.epsilon == 0.0 and (x == 0.0 if type(x) is float
+                                    else np.any(np.asarray(x) == 0.0)):
             raise ValueError("x = 0 requires eps > 0")
 
     def gradient(self, u: np.ndarray) -> np.ndarray:

@@ -89,14 +89,15 @@ def sqrt_endpoint_quad(g: Callable, a: float, b: float, w: Callable, *,
     La = 1 if lower_singular else 0
     Lb = 1 if upper_singular else 0
 
-    def omega(d_lower: float, d_upper: float) -> float:
-        """Reduced weight at the point with the given (exact) endpoint offsets."""
-        if reduced is not None:
-            return reduced(a + d_lower)
-        dl = d_lower if d_lower > guard else guard
-        du = d_upper if d_upper > guard else guard
-        retries = 0
-        while True:
+    # The legs compute the reduced weight at a node's first offsets inline,
+    # which saves a Python call per node; a node whose value there is not
+    # positive and finite continues in backed_off.
+    def backed_off(dl: float, du: float, r: float) -> float:
+        """omega after the offsets (dl, du) gave rounding noise at the zero:
+        back the offsets away by 4x, at most 8 offsets in all."""
+        for _ in range(7):
+            dl *= 4.0
+            du *= 4.0
             val = w(a + dl if La else b - du)
             if La:
                 val /= dl
@@ -104,25 +105,40 @@ def sqrt_endpoint_quad(g: Callable, a: float, b: float, w: Callable, *,
                 val /= du
             if 0.0 < val < math.inf:
                 return val
-            # rounding noise at the zero: back the offsets away and retry
-            retries += 1
-            if retries == 8:
-                raise QuadratureError(
-                    f"radicand not positive near r={a + d_lower!r} "
-                    f"(interval [{a!r}, {b!r}])")
-            dl *= 4.0
-            du *= 4.0
+        raise QuadratureError(
+            f"radicand not positive near r={r!r} (interval [{a!r}, {b!r}])")
 
     def leg_lower(s: float) -> float:
         d = s * s
-        om = omega(d, span - d)
-        rad = om * (span - d) if Lb else om
+        e = span - d
+        if reduced is not None:
+            om = reduced(a + d)
+        else:
+            dl = d if d > guard else guard
+            du = e if e > guard else guard
+            om = w(a + dl) / dl
+            if Lb:
+                om /= du
+            if not 0.0 < om < math.inf:
+                om = backed_off(dl, du, a + d)
+        rad = om * e if Lb else om
         return 2.0 * g(a + d) / math.sqrt(rad)
 
     def leg_upper(t: float) -> float:
         d = t * t
-        om = omega(span - d, d)
-        rad = om * (span - d) if La else om
+        e = span - d
+        if reduced is not None:
+            om = reduced(a + e)
+        else:
+            dl = e if e > guard else guard
+            du = d if d > guard else guard
+            om = w(a + dl if La else b - du)
+            if La:
+                om /= dl
+            om /= du
+            if not 0.0 < om < math.inf:
+                om = backed_off(dl, du, a + e)
+        rad = om * e if La else om
         return 2.0 * g(b - d) / math.sqrt(rad)
 
     def leg_plain(r: float) -> float:

@@ -186,7 +186,8 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
     with np.errstate(all="ignore"):
         fvals = rp.f(grid) - l2
     finite = np.isfinite(fvals)
-    grid, fvals = grid[finite], fvals[finite]
+    if not finite.all():
+        grid, fvals = grid[finite], fvals[finite]
     i_max = int(np.argmax(fvals))
 
     # refine the peak: near-circular orbits keep the allowed region between

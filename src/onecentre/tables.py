@@ -8,7 +8,6 @@ formatting) and limit verdicts are produced by one shared rule.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -17,8 +16,6 @@ def format_value(v) -> str:
     """Round-trip decimal formatting: repr for floats (numpy float64 included,
     written as a plain number), str otherwise."""
     if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
         return repr(float(v))
     return str(v)
 

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import json
 import math
@@ -374,3 +375,31 @@ def test_cli_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
         check=True)
     assert out.stdout.strip() == "[]"
+
+
+# sha256 of the CSVs of small seeded runs, recorded before the reduced weight
+# was inlined into the quadrature legs: a change meant to leave the numbers
+# alone must leave every byte of these files alone
+_CSV_DIGESTS = {
+    "apsidal-sweep-log": ("apsidal-sweep", {
+        "potential": {"family": "logarithmic"},
+        "case": {"type": "drop", "energy": 0.0}, "exponents": [2, 3, 4, 6]},
+        "apsidal_sweep.csv",
+        "38b0a42897aab861a904284ecd645d96db5f8bab86e10f7995bd21a50748795e"),
+    "apsidal-sweep-hom": ("apsidal-sweep", {
+        "potential": {"family": "homogeneous", "alpha": 0.5},
+        "case": {"type": "drop", "energy": -1.0}, "exponents": [2, 3, 4, 6]},
+        "apsidal_sweep.csv",
+        "89ca4b2d89e66094cfddc5d96a736f566db37f55ef2523656ff65d470a3b7a82"),
+    "bounds-audit": ("bounds-audit", {"samples": 50}, "bounds_audit.csv",
+                     "260209592a1b75a31f56baf9675090b1ab1cc7f2e044f5f272fba12a634d5b94"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_DIGESTS))
+def test_csv_bytes_pinned(tmp_path, name):
+    subcommand, config, csv_name, digest = _CSV_DIGESTS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest() == digest

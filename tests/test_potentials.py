@@ -27,10 +27,21 @@ def test_smoothed_eval_pythagorean_case():
     assert sm.value(4.0) == pytest.approx(0.2, abs=1e-15)
 
 
-def test_smoothed_eval_eps_zero_at_origin_rejected():
+@pytest.mark.parametrize("x", [0.0, -0.0, np.float64(0.0), 0, np.array([1.0, 0.0])],
+                         ids=["float", "negative-zero", "float64", "int", "array"])
+def test_smoothed_eval_eps_zero_at_origin_rejected(x):
     sm = SmoothedPotential(logarithmic(), 0.0)
-    with pytest.raises(ValueError):
-        sm.value(0.0)
+    with pytest.raises(ValueError, match=r"x = 0 requires eps > 0"):
+        sm.value(x)
+
+
+@pytest.mark.parametrize("spec", [logarithmic(), homogeneous(0.5)], ids=repr)
+def test_smoothed_eval_eps_zero_float_path_matches_array_path(spec):
+    # a Python float skips numpy in the domain check; its value is the bits
+    # of the same point evaluated through an array
+    sm = SmoothedPotential(spec, 0.0)
+    for x in (1e-300, 1e-12, 0.37, 1.0, 2.5, 1e9):
+        assert sm.value(x).hex() == float(sm.value(np.array([x]))[0]).hex()
 
 
 def test_smoothed_below_base_for_decreasing_potential():

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from onecentre import apsidal, radial
+from onecentre.apsidal import apsidal_angle, convergence_sweep, default_paths
+from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.quadrature import QuadratureError, sqrt_endpoint_quad
+from onecentre.radial import (DropFromRest, RadialProblem, case_anchor, fall_time,
+                              time_of_flight, turning_points)
 
 
 def test_arcsine_integral_both_endpoints():
@@ -28,6 +33,7 @@ def test_calibration_pi_through_the_guarded_reduced_weight(xi):
     res = sqrt_endpoint_quad(lambda x: 1.0 / x, 1.0, xi,
                              lambda x: (x - 1.0) * (1.0 - x / xi))
     assert res.value == pytest.approx(math.pi, rel=1e-10, abs=0.0)
+    assert _hexes(res) == _CALIBRATION_GOLDEN[xi]
 
 
 def test_one_sided_singularity():
@@ -113,3 +119,151 @@ def test_infinite_interval_rejected():
     with pytest.raises(QuadratureError, match="infinite interval"):
         sqrt_endpoint_quad(lambda r: 1.0 / (r * r), 1.0, math.inf,
                            lambda r: 1.0 - 1.0 / (r * r), upper_singular=False)
+
+
+# --- bitwise goldens ---------------------------------------------------------
+# float.hex of (value, error, lower_part, upper_part) of every QuadResult, as
+# recorded before the reduced weight was inlined into the legs: any change to
+# the order of operations of the engine moves at least one of these bits.
+
+# per potential: the diagonal, eps_first and l_first cells k = 0 ... 4, then
+# the fall time
+_SWEEP_GOLDEN = {
+    "logarithmic": [
+        "0x1.a5c97b1676d45p+0 0x1.fce559ab47800p-38 0x1.8e23f048f81ccp+0 0x1.7a58acd7eb78ap-4",
+        "0x1.9bbc192dbafc3p+0 0x1.3b03a9cc644a0p-35 0x1.95363b83d2224p+0 0x1.a1776a7a367dap-6",
+        "0x1.97ee0cade91eap+0 0x1.90ac464a0b1d0p-35 0x1.9612c404b7d65p+0 0x1.db48a93148494p-8",
+        "0x1.96200056a4b05p+0 0x1.a9eaefc283022p-37 0x1.9594f5455759bp+0 0x1.1616229aad399p-9",
+        "0x1.951ab94d8a938p+0 0x1.96cccd4431f80p-37 0x1.94f14714c81e1p+0 0x1.4b91c613ab679p-11",
+        "0x1.c0e408e530e8cp+0 0x1.4a84a9e01cf00p-34 0x1.a814122b26091p+0 0x1.8cff6ba0adfb8p-4",
+        "0x1.af82872fede9ep+0 0x1.26195b1183500p-35 0x1.a8b923bd40b11p+0 0x1.b258dcab4e341p-6",
+        "0x1.a791bc11a49b1p+0 0x1.da7c0ac839f86p-35 0x1.a5a5e008d8601p+0 0x1.ebdc08cc3aff7p-8",
+        "0x1.a16458c858ef3p+0 0x1.1fafde814cfb4p-36 0x1.a0d54fe0e3f5dp+0 0x1.1e11cee9f2bf2p-9",
+        "0x1.951ab94d8a938p+0 0x1.96cccd4431f80p-37 0x1.94f14714c81e1p+0 0x1.4b91c613ab679p-11",
+        "0x1.92203a0da4b4cp+0 0x1.3a20d49f4d500p-46 0x1.91fa187779062p+0 0x1.310cb15d74e61p-11",
+        "0x1.92223acb4ea22p+0 0x1.0da325b433252p-32 0x1.91fe08bc1cf7ap+0 0x1.2190798d53ee1p-11",
+        "0x1.922ee20fbbb63p+0 0x1.3d5c49404fddep-33 0x1.920919e8aa592p+0 0x1.2e41388ae8621p-11",
+        "0x1.9287f2e49cd8fp+0 0x1.b891f58143f00p-41 0x1.926031d60c8d6p+0 0x1.3e0874825c8f2p-11",
+        "0x1.951ab94d8a938p+0 0x1.96cccd4431f80p-37 0x1.94f14714c81e1p+0 0x1.4b91c613ab679p-11",
+        "0x1.40d931ff6276dp+0 0x1.873f7e2a75e89p-39 0x1.32c5a2f8a71b3p-2 0x1.e84f928271600p-1",
+    ],
+    "homogeneous": [
+        "0x1.b6550e83a3d97p+0 0x1.11496d7c39600p-38 0x1.98a32504183a6p+0 0x1.db1e97f8b9f0ap-4",
+        "0x1.a349cae490ebap+0 0x1.47a45e766f600p-46 0x1.9b4f5f8a7cd41p+0 0x1.fe9ad68505e21p-6",
+        "0x1.9b25faba3e7a3p+0 0x1.41902b2087d00p-46 0x1.98f03be21b836p+0 0x1.1adf6c117b682p-7",
+        "0x1.97157363f11cdp+0 0x1.abc04538d1058p-33 0x1.96748b141ac24p+0 0x1.41d09facb52ecp-9",
+        "0x1.94e480552d931p+0 0x1.3f20ddeffc109p-38 0x1.94b5fce1bc0cbp+0 0x1.741b9b8c32cd1p-11",
+        "0x1.136dfdbfb57a2p+1 0x1.d668d506c0000p-46 0x1.01b3b6ba2bdb9p+1 0x1.1ba4705899e94p-3",
+        "0x1.0db43d5dc164ep+1 0x1.04588e86c0000p-43 0x1.089c1c6f9c6f5p+1 0x1.46083b893d65dp-5",
+        "0x1.08599d017c784p+1 0x1.a2cb26d136000p-40 0x1.06d6cd30b9098p+1 0x1.82cfd0c36ebb3p-7",
+        "0x1.ad6723f7212c0p+0 0x1.ad94e1f5db000p-42 0x1.aca0c2fbf354dp+0 0x1.8cc1f65bae503p-9",
+        "0x1.94e480552d931p+0 0x1.3f20ddeffc109p-38 0x1.94b5fce1bc0cbp+0 0x1.741b9b8c32cd1p-11",
+        "0x1.9220a5bfb8726p+0 0x1.04bacbe999dc5p-30 0x1.91ffe6bd46ccbp+0 0x1.05f8138d2d5ecp-11",
+        "0x1.92241f4108783p+0 0x1.e589390588432p-37 0x1.9208a9363aa25p+0 0x1.b760acdd5d9f8p-12",
+        "0x1.923726243dd63p+0 0x1.ab1ab79e3e3d0p-34 0x1.9218acc4cb3dep+0 0x1.e795f729848c1p-12",
+        "0x1.929ebe1f8f9a7p+0 0x1.09a683d3dbfecp-33 0x1.92792b3224976p+0 0x1.2c976b5818b84p-11",
+        "0x1.94e480552d931p+0 0x1.3f20ddeffc109p-38 0x1.94b5fce1bc0cbp+0 0x1.741b9b8c32cd1p-11",
+        "0x1.aa844a84c0f3ep+0 0x1.8badc96cb56c6p-45 0x1.65acf286a350ep-2 0x1.51190de3181fap+0",
+    ],
+}
+_CALIBRATION_GOLDEN = {
+    1.5:
+        "0x1.921fb54442e5ap+1 0x1.7faa3ccf1934ap-39 0x1.ac0780435c96ap+0 0x1.7837ea4529349p+0",
+    2.0:
+        "0x1.921fb54442e2cp+1 0x1.733a34bf691cdp-36 0x1.be43d1796b201p+0 0x1.65fb990f1aa56p+0",
+    10.0:
+        "0x1.921fb54442d6ep+1 0x1.7e4919ef52615p-41 0x1.0efba70435cecp+1 0x1.06481c801a104p+0",
+    1000000.0:
+        "0x1.921fb54442ce3p+1 0x1.2b3558cc06ea0p-35 0x1.8a07f7dabbec8p+1 0x1.02f7ad30dc359p-4",
+}
+_ONE_SIDED_FLAGS = [(True, False), (True, False), (False, True), (False, False)]
+_ONE_SIDED_GOLDEN = {
+    "logarithmic": [
+        "0x1.bb0682e793108p+0 0x1.07ab0b3d7a284p-35 0x1.9e48a8f230208p+0 0x1.cbdd9f562effep-4",
+        "0x1.3463be6eede63p-2 0x1.4cda51a03d53bp-36 0x1.bce5e49c36dd8p-7 0x1.267c8f4a0c2f4p-2",
+        "0x1.e7b381151c49ap-1 0x1.7d043cd87e198p-47 0x1.aa4957a1c4d94p-3 0x1.7d212b2cab135p-1",
+        "0x1.6f50abd487784p-3 0x1.1ef7063e09d5fp-49 0x1.12afe9156c066p-4 0x1.cbf16e93a2ea2p-4",
+    ],
+    "homogeneous": [
+        "0x1.03244573ea547p+1 0x1.2cef933c2d700p-34 0x1.dfc7256713d08p+0 0x1.340b2c0606c2dp-3",
+        "0x1.66ebf534db8dep-2 0x1.a79f42ca4bcc8p-43 0x1.c41d562e112e6p-8 0x1.5fdb7fdc23492p-2",
+        "0x1.50edbaf72b15cp+0 0x1.0739ba1119a90p-46 0x1.1addca1741086p-2 0x1.0a3648715ad3ap+0",
+        "0x1.c99bfee28fac1p-3 0x1.6581df21003e6p-49 0x1.4bd7a88e1ecfep-4 0x1.23b02a9b80442p-3",
+    ],
+}
+_BACKED_OFF_GOLDEN = {
+    (True, False):
+        "0x1.0000000000000p+1 0x1.9000000000000p-46 0x1.6a09e667f3bcdp+0 0x1.2bec333018866p-1",
+    (False, True):
+        "0x1.ffffffffffff0p+0 0x1.8fffffffffff4p-46 0x1.2bec333018866p-1 0x1.6a09e667f3bbdp+0",
+}
+
+
+_GOLDEN_CASES = {
+    "logarithmic": (logarithmic(), DropFromRest(0.0)),
+    "homogeneous": (homogeneous(0.5), DropFromRest(-1.0)),
+}
+
+
+def _hexes(res) -> str:
+    return " ".join(x.hex() for x in (res.value, res.error, res.lower_part, res.upper_part))
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """(flags, hexes) of every engine call made by apsidal and radial."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        res = sqrt_endpoint_quad(*args, **kwargs)
+        calls.append(((kwargs["lower_singular"], kwargs["upper_singular"]), _hexes(res)))
+        return res
+
+    monkeypatch.setattr(apsidal, "sqrt_endpoint_quad", recording)
+    monkeypatch.setattr(radial, "sqrt_endpoint_quad", recording)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CASES))
+def test_sweep_cells_and_collision_time_bitwise(recorded, name):
+    # every apsidal_angle cell of the three default paths, in schedule order,
+    # then the collision time of the drop
+    potential, case = _GOLDEN_CASES[name]
+    convergence_sweep(potential, case, default_paths(range(2, 7)))
+    fall_time(case, potential)
+    assert [flags for flags, _ in recorded] == [(True, True)] * 16
+    assert [h for _, h in recorded] == _SWEEP_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CASES))
+def test_one_sided_and_plain_legs_bitwise(recorded, name):
+    # an angle cut off inside the orbit, flights from the pericentre and to
+    # the apocentre, and a flight between two inner radii
+    potential, case = _GOLDEN_CASES[name]
+    anchor, _ = case_anchor(case, potential)
+    sm = SmoothedPotential(potential, 1e-3)
+    l = 1e-2
+    rp = RadialProblem(sm, 0.5 * l * l / (anchor * anchor) - sm.value(anchor), l)
+    tp = turning_points(rp)
+    mid = 0.5 * (tp.pericenter + tp.apocenter)
+    apsidal_angle(rp, mid, turning=tp)
+    time_of_flight(rp, tp.pericenter, mid, tp)
+    time_of_flight(rp, mid, tp.apocenter, tp)
+    time_of_flight(rp, 0.5 * (tp.pericenter + mid), mid, tp)
+    assert [flags for flags, _ in recorded] == _ONE_SIDED_FLAGS
+    assert [h for _, h in recorded] == _ONE_SIDED_GOLDEN[name]
+
+
+@pytest.mark.parametrize("flags", sorted(_BACKED_OFF_GOLDEN))
+def test_backed_off_offsets_bitwise(flags):
+    # the radicand reads 0 within 1e-5 of the singular end, so the nodes there
+    # take the backed-off offsets
+    lower, upper = flags
+
+    def w(r):
+        x = r if lower else 1.0 - r
+        return 0.0 if x < 1e-5 else x
+
+    res = sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0, w,
+                             lower_singular=lower, upper_singular=upper)
+    assert _hexes(res) == _BACKED_OFF_GOLDEN[flags]

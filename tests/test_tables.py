@@ -63,6 +63,25 @@ def test_table_deterministic_output(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("value, text", [
+    (0.1, "0.1"),
+    (-0.0, "-0.0"),
+    (1e-300, "1e-300"),
+    (np.float64(0.011006158657879572), "0.011006158657879572"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    (np.float64(np.inf), "inf"),
+    (np.float64(-np.inf), "-inf"),
+    (math.nan, "nan"),
+    (np.float64(np.nan), "nan"),
+    (3, "3"),
+    (np.int64(3), "3"),
+    ("diagonal", "diagonal"),
+])
+def test_format_value_exact_strings(value, text):
+    assert format_value(value) == text
+
+
 def test_numpy_floats_written_as_plain_numbers(tmp_path):
     assert format_value(np.float64(0.011006158657879572)) == "0.011006158657879572"
     assert format_value(np.float64(-np.inf)) == "-inf"
