@@ -20,8 +20,7 @@ from .simulator import (PhaseState, Perturbation, Trajectory, conserved_drift,
 from .flow import (ExitedBall, TransmissionPath, continuity_experiment,
                    diagonal_cells, extended_flow, phase_field,
                    poincare_section, transmission_extend)
-from .variational import (DiscretePath, delta_action, potential_action,
-                          standard_variation, transmission_discrete_path)
+from .variational import delta_action, kinetic_action, potential_action
 from .tables import ConvergenceTable, aitken_limit, limit_verdict
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -30,8 +30,7 @@ from numpy.random import default_rng
 
 from .potentials import PotentialSpec, SmoothedPotential
 from .quadrature import sqrt_endpoint_quad
-from .radial import (Case, RadialProblem, TurningPoints, _radicand, case_anchor,
-                     turning_points)
+from .radial import Case, RadialProblem, _radicand, case_anchor, turning_points
 from .tables import ConvergenceTable, LimitVerdict, limit_verdict
 
 
@@ -47,8 +46,7 @@ class ApsidalAngle:
     quad_error: float
 
 
-def apsidal_angle(rp: RadialProblem, safe_radius: float = math.inf,
-                  turning: TurningPoints | None = None) -> ApsidalAngle:
+def apsidal_angle(rp: RadialProblem, safe_radius: float = math.inf) -> ApsidalAngle:
     """Apsidal angle of the orbit described by rp, integrated up to the cutoff.
 
     Requires l > 0 and a positive pericentre; circular orbits are rejected
@@ -57,8 +55,7 @@ def apsidal_angle(rp: RadialProblem, safe_radius: float = math.inf,
     l = rp.ang_momentum
     if l <= 0:
         raise ValueError("apsidal angle needs positive angular momentum")
-    if turning is None:
-        turning = turning_points(rp, safe_radius)
+    turning = turning_points(rp, safe_radius)
     if turning.degenerate:
         raise ValueError("circular orbit: apsidal angle undefined by the turning-point formula")
     if turning.pericenter <= 0:
@@ -187,20 +184,18 @@ def default_paths(exponents=range(2, 7)) -> list[SweepPath]:
             SweepPath("l_first", l_first)]
 
 
-def _sweep_cell(potential: PotentialSpec, case: Case, eps: float, l: float):
-    """One sweep cell: initial-data-consistent energy, turning points, angle.
+def _sweep_cell(potential: PotentialSpec, case: Case, anchor: float, v1_bar: float,
+                eps: float, l: float) -> ApsidalAngle:
+    """One sweep cell: the angle of the orbit at the initial-data-consistent
+    energy.
 
-    The cell energy is the energy of the perturbed datum (nominal anchor,
-    angular momentum l, smoothing eps), which tends to the case energy as the
-    schedule refines.
+    The cell energy is the energy of the perturbed datum (the case's anchor
+    and radial speed v1_bar from `case_anchor`, angular momentum l,
+    smoothing eps), which tends to the case energy as the schedule refines.
     """
     sm = SmoothedPotential(potential, eps)
-    anchor, v1_bar = case_anchor(case, potential)
     energy = 0.5 * v1_bar * v1_bar + 0.5 * l * l / (anchor * anchor) - sm.value(anchor)
-    rp = RadialProblem(sm, energy, l)
-    tp = turning_points(rp, case.ball_radius)
-    ang = apsidal_angle(rp, case.ball_radius, turning=tp)
-    return tp, ang
+    return apsidal_angle(RadialProblem(sm, energy, l), case.ball_radius)
 
 
 def convergence_sweep(potential: PotentialSpec, case: Case,
@@ -208,10 +203,11 @@ def convergence_sweep(potential: PotentialSpec, case: Case,
     """Apsidal angles over (eps, l) schedules, with per-path limit verdicts
     against pi/2.
 
-    Individual cell failures are recorded in the table (angle = nan) and the
-    sweep continues.  meta carries, per path, the Aitken limit estimate and
-    the convergence verdict, plus a uniformity verdict: all path estimates
-    within 1e-2 of each other.
+    The case is solved once, by `case_anchor`; a case the potential cannot
+    realise fails every cell.  Individual cell failures are recorded in the
+    table (angle = nan) and the sweep continues.  meta carries, per path, the
+    Aitken limit estimate and the convergence verdict, plus a uniformity
+    verdict: all path estimates within 1e-2 of each other.
     """
     if paths is None:
         paths = default_paths()
@@ -221,17 +217,26 @@ def convergence_sweep(potential: PotentialSpec, case: Case,
         meta={"case": type(case).__name__, "energy": case.energy,
               "ball_radius": case.ball_radius, "target": math.pi / 2.0})
 
+    case_error = None
+    try:
+        anchor, v1_bar = case_anchor(case, potential)
+    except (ValueError, RuntimeError) as exc:
+        case_error = str(exc)
     estimates: dict[str, LimitVerdict] = {}
     angles_by_path: dict[str, list[float]] = {p.path_id: [] for p in paths}
     for path in paths:
         for k, (eps, l) in enumerate(path.cells):
-            try:
-                tp, ang = _sweep_cell(potential, case, eps, l)
-            except (ValueError, RuntimeError) as exc:
+            error = case_error
+            if error is None:
+                try:
+                    ang = _sweep_cell(potential, case, anchor, v1_bar, eps, l)
+                except (ValueError, RuntimeError) as exc:
+                    error = str(exc)
+            if error is not None:
                 table.add(path.path_id, k, eps, l, *(math.nan,) * 6)
-                table.meta.setdefault("cell_errors", []).append((path.path_id, k, str(exc)))
+                table.meta.setdefault("cell_errors", []).append((path.path_id, k, error))
                 continue
-            table.add(path.path_id, k, eps, l, tp.pericenter, ang.cutoff, ang.angle,
+            table.add(path.path_id, k, eps, l, ang.pericenter, ang.cutoff, ang.angle,
                       ang.quad_error, ang.inner_part, ang.outer_part)
             angles_by_path[path.path_id].append(ang.angle)
 

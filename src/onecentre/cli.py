@@ -29,7 +29,7 @@ from .potentials import classify, from_config
 from .radial import DropFromRest, InwardCrossing, case_anchor, fall_time
 from .simulator import make_initial_data, oracle_crosscheck, oracle_energy_cap
 from .tables import ConvergenceTable, format_value, is_decreasing
-from .variational import MAX_DEPTH, delta_action, transmission_discrete_path
+from .variational import MAX_DEPTH, delta_action
 
 
 class ConfigError(Exception):
@@ -60,8 +60,14 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: bools and strings are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: bools, strings, NaN, the infinities and integers
+    beyond the float range are not numbers."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _number(cfg: dict, key: str, ok=None, domain: str = "a number") -> float:
@@ -108,7 +114,7 @@ def _potential(cfg: dict):
         return from_config(spec)
     except KeyError as exc:
         raise ConfigError(f"missing key 'potential.{exc.args[0]}'") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"'potential' {spec!r}: {exc}") from None
 
 
@@ -359,8 +365,7 @@ def cmd_variational_probe(args, out: Path) -> bool:
     n_cells = _count(cfg, "n_cells")
     if n_cells % 4:
         raise ConfigError(f"'n_cells' must be divisible by 4, got {cfg['n_cells']!r}")
-    path = transmission_discrete_path(potential, case.energy, n_cells=n_cells)
-    table = delta_action(path, deltas, T1_factor * path.half_span, potential)
+    table = delta_action(potential, case.energy, deltas, T1_factor, n_cells)
     table.write_csv(out_path(out, "variational_probe.csv"))
     meta = table.meta
     ratios = meta["dV_over_delta_sq"]

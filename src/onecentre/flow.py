@@ -241,8 +241,8 @@ def phase_field(state: PhaseState, potential: PotentialSpec) -> np.ndarray:
     return np.concatenate([state.velocity, sm.gradient(state.position)])
 
 
-def _sample_cloud(case: Case, potential: PotentialSpec, delta: float,
-                  count: int, rng: np.random.Generator) -> list[tuple[float, Perturbation]]:
+def _sample_cloud(delta: float, count: int,
+                  rng: np.random.Generator) -> list[tuple[float, Perturbation]]:
     """Seeded samples in the delta-neighbourhood of the collision datum.
 
     Every fifth sample is an exact collision datum (l = 0, eps = 0, transported
@@ -298,8 +298,7 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
         meta={"T": T, "delta": delta, "anchor": y1v.tolist(),
               "transversality_margin": margin})
 
-    cells = [(0.0, Perturbation())] + _sample_cloud(case, potential, delta,
-                                                    sample_count - 1, rng)
+    cells = [(0.0, Perturbation())] + _sample_cloud(delta, sample_count - 1, rng)
     tau_devs, trace_devs = [], []
     for i, (eps, pert) in enumerate(cells):
         y0 = make_initial_data(case, potential, pert)

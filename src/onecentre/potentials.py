@@ -69,8 +69,8 @@ def logarithmic() -> PotentialSpec:
 
 
 def homogeneous(alpha: float) -> PotentialSpec:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
     a = float(alpha)
     return PotentialSpec(
         name=f"homogeneous(alpha={a:g})",

@@ -140,8 +140,12 @@ def first_zero(rp: RadialProblem) -> float:
     """First positive zero of f, i.e. the radius where E + V_eps = 0.
 
     Since E + V_eps decreases in r, a doubling scan from r = 1 locates the
-    sign change; +inf when none exists below 1e9.
+    sign change; +inf when none exists below 1e9.  A NaN energy is a
+    ValueError.
     """
+    if math.isnan(rp.energy):
+        raise ValueError("energy is NaN")
+
     def g(r):
         return rp.energy + rp.potential.value(r)
 

@@ -9,7 +9,7 @@ from onecentre.apsidal import (_sweep_cell, apsidal_angle, calibration_integral,
                                desingularized_factor, integrand_envelope)
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.radial import (DropFromRest, InwardCrossing,
-                              RadialProblem, turning_points)
+                              RadialProblem, case_anchor, turning_points)
 from onecentre.tables import aitken_limit
 
 
@@ -260,8 +260,9 @@ def test_sweep_cell_quadrature_nodes_pinned(spec, case, k, angle, value_calls):
         calls += 1
         return spec.value(x)
 
-    _, ang = _sweep_cell(dataclasses.replace(spec, value=value), case,
-                         10.0 ** -k, 10.0 ** -k)
+    counting = dataclasses.replace(spec, value=value)
+    anchor, v1_bar = case_anchor(case, counting)
+    ang = _sweep_cell(counting, case, anchor, v1_bar, 10.0 ** -k, 10.0 ** -k)
     assert ang.angle == angle
     assert calls == value_calls
 
@@ -298,3 +299,15 @@ def test_convergence_sweep_records_cell_errors_and_continues():
     assert len(table.meta["cell_errors"]) == len(table.rows)
     assert all(math.isnan(row[6]) for row in table.rows)
     assert table.meta["path_limits"] == {}
+
+
+def test_convergence_sweep_records_nan_cells_and_continues():
+    # 10^-nan makes a NaN eps or l, hence a NaN cell energy: those cells
+    # fail with a ValueError from first_zero, the finite cells are swept
+    table = convergence_sweep(logarithmic(), DropFromRest(0.0),
+                              default_paths([2, 3, math.nan]))
+    errors = table.meta["cell_errors"]
+    assert [(pid, k) for pid, k, _ in errors] == [
+        ("diagonal", 2), *((pid, k) for pid in ("eps_first", "l_first") for k in range(3))]
+    assert all(msg == "energy is NaN" for *_, msg in errors)
+    assert [math.isnan(row[6]) for row in table.rows[:3]] == [False, False, True]

@@ -13,7 +13,7 @@ import pytest
 import onecentre
 from onecentre.cli import main
 from onecentre.potentials import logarithmic
-from onecentre.variational import MAX_DEPTH, delta_action, transmission_discrete_path
+from onecentre.variational import MAX_DEPTH, delta_action
 
 
 def run_cli(args):
@@ -209,6 +209,24 @@ _NO_REST = "drop case needs the rest radius inf inside the ball inf"
     ("variational-probe", {"n_cells": 4096, "case": {"type": "drop", "energy": 0.0}},
      "unknown key 'case'"),
     ("oracle-crosscheck", {"orbits": 2, "orbit": 4}, "unknown key 'orbit'"),
+    ("apsidal-sweep", {"case": {"type": "drop", "energy": math.nan}},
+     "'case.energy' must be a number, got nan"),
+    ("apsidal-sweep", {"exponents": [2, 3, math.nan]},
+     "'exponents' must be a non-empty list of numbers, got [2, 3, nan]"),
+    ("apsidal-sweep", {"strong_tol": math.nan}, "'strong_tol' must be a number, got nan"),
+    ("bounds-audit", {"energy": math.nan}, "'energy' must be a number, got nan"),
+    ("bounds-audit", {"samples": 10 ** 400},
+     f"'samples' must be a positive integer, got {10 ** 400}"),
+    ("transmission-demo", {"case": {"type": "drop", "energy": 0.0, "ball_radius": math.inf}},
+     "'case.ball_radius' must be a number, got inf"),
+    ("variational-probe", {"deltas": [1e-2, -math.inf]},
+     "'deltas' must be a non-empty list of numbers, got [0.01, -inf]"),
+    ("check-potential", {"potential": {"family": "homogeneous", "alpha": math.nan}},
+     "'potential' {'family': 'homogeneous', 'alpha': nan}: alpha must be a positive "
+     "finite number, got nan"),
+    ("check-potential", {"potential": {"family": "homogeneous", "alpha": 10 ** 400}},
+     f"'potential' {{'family': 'homogeneous', 'alpha': {10 ** 400}}}: int too large to "
+     "convert to float"),
 ], ids=["n_cells-not-divisible-by-4", "probe-no-rest-radius", "continuity-no-rest-radius",
         "demo-no-rest-radius", "sweep-no-rest-radius", "section-rest-outside-ball",
         "demo-entry-inside-rest-radius", "oracle-no-bound-energy",
@@ -218,12 +236,16 @@ _NO_REST = "drop case needs the rest radius inf inside the ball inf"
         "check-potential-unknown-key", "pi-identity-unknown-key", "apsidal-sweep-unknown-key",
         "bounds-audit-unknown-key", "poincare-continuity-unknown-key",
         "poincare-section-unknown-key", "transmission-demo-unknown-key",
-        "variational-probe-unknown-key", "oracle-crosscheck-unknown-key"])
+        "variational-probe-unknown-key", "oracle-crosscheck-unknown-key",
+        "sweep-nan-energy", "sweep-nan-exponent", "strong_tol-nan", "audit-nan-energy",
+        "samples-beyond-float", "drop-infinite-ball", "probe-infinite-delta", "alpha-nan",
+        "alpha-beyond-float"])
 def test_config_error_impossible_config(tmp_path, capsys, subcommand, cfg, message):
     # a key the subcommand does not read, a value the library would reject (a
-    # bool or string posing as a number among them), a case the potential
-    # cannot realise, or a grid without the nodes the probe needs, is caught
-    # before any computation
+    # bool or string posing as a number among them, and NaN, the infinities
+    # and integers beyond the float range, which Python's json reads), a case
+    # the potential cannot realise, or a grid without the nodes the probe
+    # needs, is caught before any computation
     rc, err = _config_error(tmp_path, capsys, subcommand, cfg)
     assert rc == 2
     assert err == f"config error: {message}"
@@ -262,8 +284,7 @@ def test_variational_probe_command(tmp_path):
     assert all(d > 0 for d in s["evidence"]["dA"])
     assert s["evidence"]["kinetic_mismatch"] < 1e-10
     # the evidence is the meta of the library call, not a second computation
-    path = transmission_discrete_path(logarithmic(), 0.0, n_cells=4096)
-    meta = delta_action(path, [1e-2, 1e-3], 0.5 * path.half_span, logarithmic()).meta
+    meta = delta_action(logarithmic(), 0.0, [1e-2, 1e-3], 0.5, 4096).meta
     assert s["evidence"] == {k: meta[k] for k in ("dA", "kinetic_mismatch", "dV_over_delta_sq")}
 
 
@@ -403,3 +424,27 @@ def test_csv_bytes_pinned(tmp_path, name):
     cfg.write_text(json.dumps(config))
     assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest() == digest
+
+
+# sha256 of the variational-probe CSV and summary at 2^12 cells, recorded
+# before the probe's general-path layer was folded into delta_action: the
+# homogeneous run's collision cell reaches MAX_DEPTH, so it exits 1
+_PROBE_DIGESTS = {
+    "log": ({"n_cells": 4096}, 0,
+            "6fc157aa271fc391b84723ed523f9ece06a83319a2db801f2e971a5e41d7df24",
+            "3e9206180abdf49d2b637bfcdcacb0451521537bccf1baa08d0240332ad7de8c"),
+    "hom": ({"potential": _HOM, "energy": -1.0, "n_cells": 4096}, 1,
+            "f6db8c11052e00b3d250c5eb6c9131406941e55e713d71bd8e78aba0b79f35b2",
+            "dfbd054d20c0536da1f4b0fdc23faa09266934dbfb3db1c2fbaeedff0b344a49"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROBE_DIGESTS))
+def test_variational_probe_bytes_pinned(tmp_path, name):
+    config, rc, csv_digest, summary_digest = _PROBE_DIGESTS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["variational-probe", "--config", str(cfg), "--out", str(tmp_path)]) == rc
+    digests = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in ("variational_probe.csv", "variational_probe_summary.json")]
+    assert digests == [csv_digest, summary_digest]

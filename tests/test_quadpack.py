@@ -9,7 +9,7 @@ from onecentre import quadrature
 from onecentre._quadpack import qagse
 from onecentre.apsidal import _sweep_cell
 from onecentre.potentials import homogeneous, logarithmic
-from onecentre.radial import DropFromRest, fall_time
+from onecentre.radial import DropFromRest, case_anchor, fall_time
 
 integrate = pytest.importorskip("scipy.integrate")
 
@@ -114,6 +114,6 @@ def test_engine_legs_replay_bitwise(monkeypatch, spec, case, k):
         return got
 
     monkeypatch.setattr(quadrature, "qagse", both)
-    _sweep_cell(spec, case, 10.0 ** -k, 10.0 ** -k)
+    _sweep_cell(spec, case, *case_anchor(case, spec), 10.0 ** -k, 10.0 ** -k)
     fall_time(case, spec)
     assert len(legs) == 4  # the angle and the fall time, two legs each

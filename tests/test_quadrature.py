@@ -246,7 +246,7 @@ def test_one_sided_and_plain_legs_bitwise(recorded, name):
     rp = RadialProblem(sm, 0.5 * l * l / (anchor * anchor) - sm.value(anchor), l)
     tp = turning_points(rp)
     mid = 0.5 * (tp.pericenter + tp.apocenter)
-    apsidal_angle(rp, mid, turning=tp)
+    apsidal_angle(rp, mid)
     time_of_flight(rp, tp.pericenter, mid, tp)
     time_of_flight(rp, mid, tp.apocenter, tp)
     time_of_flight(rp, 0.5 * (tp.pericenter + mid), mid, tp)

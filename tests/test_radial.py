@@ -25,6 +25,17 @@ def test_f_vanishes_at_one_for_zero_energy_log():
     assert first_zero(rp) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_first_zero_rejects_nan_energy():
+    # NaN compares false both ways, so the doubling scan would find no
+    # bracket; the error names the cause instead
+    for rp in (log_problem(math.nan, 0.0), log_problem(math.nan, 0.1, 1e-3),
+               RadialProblem(SmoothedPotential(homogeneous(0.5), 0.0), math.nan, 0.0)):
+        with pytest.raises(ValueError, match="energy is NaN"):
+            first_zero(rp)
+    with pytest.raises(ValueError, match="energy is NaN"):
+        case_anchor(DropFromRest(math.nan), logarithmic())
+
+
 def test_f_maximum_at_exp_minus_half():
     # f(r) = -2 r^2 log r peaks at r = e^(-1/2) with value e^(-1)
     rp = log_problem(0.0, 0.0)

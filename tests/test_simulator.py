@@ -76,7 +76,7 @@ def test_apsidal_angle_crosscheck_with_theta_lift():
     traj = integrate(st, BARE_LOG, horizon=5.0)
     peri = traj.first_event(PERICENTER)
     swept = traj.theta_at(peri.time)
-    assert swept == pytest.approx(apsidal_angle(rp, turning=tp).angle, abs=1e-6)
+    assert swept == pytest.approx(apsidal_angle(rp).angle, abs=1e-6)
 
 
 def test_rotational_equivariance():

@@ -8,43 +8,59 @@ from onecentre.flow import transmission_extend
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.radial import DropFromRest, case_anchor, fall_time
 from onecentre.simulator import PhaseState, integrate
-from onecentre.variational import (DiscretePath, delta_action,
-                                   plateau_profile, potential_action,
-                                   standard_variation,
-                                   transmission_discrete_path)
+from onecentre.variational import delta_action, kinetic_action, potential_action
 
 T0_LOG = math.sqrt(math.pi / 2.0)
 
 
-def action(path, potential):
-    """Kinetic plus potential action of a discrete path."""
-    return path.kinetic_action() + potential_action(path, potential)[0]
+def action(values, dt, potential):
+    """Kinetic plus potential action of the piecewise-linear path through values."""
+    return kinetic_action(values, dt) + potential_action(values, dt, potential)[0]
+
+
+def probe(potential, energy, deltas, n_cells=2 ** 12):
+    """delta_action's table and the (values, dt) of every path it integrated,
+    in call order: the transmission path first, then one per delta."""
+    paths = []
+
+    def recording(values, dt, pot):
+        paths.append((values, dt))
+        return potential_action(values, dt, pot)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(variational, "potential_action", recording)
+        table = delta_action(potential, energy, deltas, 0.5, n_cells)
+    return table, paths
 
 
 @pytest.fixture(scope="module")
-def log_path():
+def log_probe():
     # moderate grid: keeps the module's tests fast, the acceptance suite uses
     # the full default resolution
-    return transmission_discrete_path(logarithmic(), 0.0, n_cells=2 ** 12)
+    return probe(logarithmic(), 0.0, [1e-2, 1e-3, 1e-4])
+
+
+@pytest.fixture(scope="module")
+def log_path(log_probe):
+    return log_probe[1][0]
 
 
 def straight_path(v, T=1.0, n=64, offset=(3.0, 0.0)):
     ts = np.linspace(-T, T, n + 1)
     vals = np.stack([offset[0] + v[0] * ts, offset[1] + v[1] * ts], axis=1)
-    return DiscretePath(ts, vals)
+    return vals, float(ts[1] - ts[0])
 
 
 def test_kinetic_action_of_uniform_motion():
-    p = straight_path((0.4, 0.2), T=1.5)
     v2 = 0.4 ** 2 + 0.2 ** 2
-    assert p.kinetic_action() == pytest.approx(0.5 * v2 * 3.0, rel=1e-12)
+    assert kinetic_action(*straight_path((0.4, 0.2), T=1.5)) == pytest.approx(
+        0.5 * v2 * 3.0, rel=1e-12)
 
 
 def test_action_against_fine_grid_oracle():
     # straight motion far from the centre in the alpha = 1/2 potential
-    p = straight_path((0.4, 0.0), T=1.0, n=512, offset=(3.0, 1.0))
     pot = homogeneous(0.5)
-    a = action(p, pot)
+    a = action(*straight_path((0.4, 0.0), T=1.0, n=512, offset=(3.0, 1.0)), pot)
 
     ts = np.linspace(-1.0, 1.0, 2_000_001)
     xs = 3.0 + 0.4 * ts
@@ -57,9 +73,9 @@ def test_action_against_fine_grid_oracle():
 
 
 def test_action_time_reversal_invariance(log_path):
-    rev = DiscretePath(log_path.times, log_path.values[::-1].copy())
-    assert action(rev, logarithmic()) == pytest.approx(
-        action(log_path, logarithmic()), abs=1e-11)
+    values, dt = log_path
+    assert action(values[::-1].copy(), dt, logarithmic()) == pytest.approx(
+        action(values, dt, logarithmic()), abs=1e-11)
 
 
 def test_action_refinement_second_order(monkeypatch):
@@ -68,86 +84,65 @@ def test_action_refinement_second_order(monkeypatch):
     pot = homogeneous(0.5)
     with monkeypatch.context() as m:
         m.setattr(variational, "REFINE_TOL", math.inf)
-        vals = [action(straight_path((0.4, 0.0), n=n), pot) for n in (128, 256, 512)]
+        vals = [action(*straight_path((0.4, 0.0), n=n), pot) for n in (128, 256, 512)]
     d1, d2 = vals[1] - vals[0], vals[2] - vals[1]
     assert d1 / d2 == pytest.approx(4.0, rel=0.1)
     # the adaptive rule instead settles to one value on every grid
-    adaptive = [action(straight_path((0.4, 0.0), n=n), pot) for n in (128, 512)]
+    adaptive = [action(*straight_path((0.4, 0.0), n=n), pot) for n in (128, 512)]
     assert abs(adaptive[1] - adaptive[0]) < 1e-8
 
 
 def test_transmission_path_nodes(log_path):
-    n = len(log_path.times) - 1
-    assert log_path.times[0] == pytest.approx(-T0_LOG, abs=1e-9)
-    assert log_path.times[-1] == pytest.approx(T0_LOG, abs=1e-9)
+    values, dt = log_path
+    n = len(values) - 1
+    assert n == 2 ** 12
+    assert 0.5 * n * dt == pytest.approx(T0_LOG, abs=1e-9)
     # collision node is exact
-    assert log_path.values[n // 2] == pytest.approx([0.0, 0.0], abs=0.0)
+    assert values[n // 2] == pytest.approx([0.0, 0.0], abs=0.0)
     # endpoints at the rest radius, reflected
-    assert log_path.values[0] == pytest.approx([1.0, 0.0], abs=1e-9)
-    assert log_path.values[-1] == pytest.approx([-1.0, 0.0], abs=1e-9)
+    assert values[0] == pytest.approx([1.0, 0.0], abs=1e-9)
+    assert values[-1] == pytest.approx([-1.0, 0.0], abs=1e-9)
 
 
 def test_transmission_action_finite(log_path):
-    val, depth = potential_action(log_path, logarithmic())
+    val, depth = potential_action(*log_path, logarithmic())
     assert math.isfinite(val)
     assert depth > 5   # the collision cell really was refined
 
 
-def test_plateau_profile_shape():
-    ts = np.linspace(-1.0, 1.0, 9)
-    v = plateau_profile(ts, 0.1, 0.5, 1.0)
-    assert v[4] == 0.1                     # centre
-    assert v[0] == v[-1] == 0.0            # endpoints
-    assert v[1] == pytest.approx(0.05)     # halfway down the taper
-
-
-def test_standard_variation_geometry(log_path):
-    delta, T1 = 1e-3, 0.5 * log_path.half_span
-    varied = standard_variation(log_path, delta, T1)
-    n = len(log_path.times) - 1
-    # collision node displaced to distance delta: collision removed
-    mid = varied.values[n // 2]
-    assert np.hypot(mid[0], mid[1]) == pytest.approx(delta, abs=0.0)
-    # endpoints fixed
-    assert varied.values[0] == pytest.approx(log_path.values[0], abs=0.0)
-    assert varied.values[-1] == pytest.approx(log_path.values[-1], abs=0.0)
-
-
-def test_standard_variation_rejects_noncollinear():
-    ts = np.linspace(-1.0, 1.0, 65)
-    vals = np.stack([np.cos(ts), np.sin(ts)], axis=1)
-    with pytest.raises(ValueError):
-        standard_variation(DiscretePath(ts, vals), 1e-3, 0.5)
-
-
-def test_kinetic_cost_closed_form(log_path):
-    T = log_path.half_span
-    table = delta_action(log_path, [1e-2, 1e-3, 1e-4], 0.5 * T, logarithmic())
+def test_kinetic_cost_closed_form(log_probe):
+    table, ((values, dt), *_) = log_probe
+    T = 0.5 * (len(values) - 1) * dt
     for delta, T1, dK_closed, dK_discrete, *_ in table.rows:
+        assert T1 == pytest.approx(0.5 * T, rel=1e-12)
         assert dK_closed == pytest.approx(-delta * delta / (T - T1), rel=1e-12)
         assert abs(dK_discrete - dK_closed) < 1e-10
     assert table.meta["kinetic_mismatch"] < 1e-10
 
 
-def test_action_gain_positive_and_ratio_increasing(log_path):
-    T = log_path.half_span
-    meta = delta_action(log_path, [1e-2, 1e-3, 1e-4], 0.5 * T, logarithmic()).meta
+def test_action_gain_positive_and_ratio_increasing(log_probe):
+    meta = log_probe[0].meta
     assert all(dA > 0 for dA in meta["dA"])
     ratios = meta["dV_over_delta_sq"]
     assert ratios[0] < ratios[1] < ratios[2]
     assert meta["unsettled"] == []
 
 
-def test_varied_action_finite_for_all_deltas(log_path):
-    for d in (1e-2, 1e-4):
-        varied = standard_variation(log_path, d, 0.5 * log_path.half_span)
-        assert math.isfinite(action(varied, logarithmic()))
+def test_varied_action_finite_for_all_deltas(log_probe):
+    table, paths = log_probe
+    assert len(paths) == 1 + len(table.rows)
+    for values, dt in paths[1:]:
+        assert math.isfinite(action(values, dt, logarithmic()))
 
 
-def test_nonuniform_grid_rejected():
-    ts = np.array([0.0, 0.1, 0.3])
-    with pytest.raises(ValueError):
-        DiscretePath(ts, np.zeros((3, 2)))
+def test_delta_action_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="divisible by 4"):
+        delta_action(logarithmic(), 0.0, [1e-3], 0.5, 66)
+    for T1_factor in (0.0, 1.0):
+        with pytest.raises(ValueError, match="T1_factor"):
+            delta_action(logarithmic(), 0.0, [1e-3], T1_factor, 64)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        delta_action(logarithmic(), 0.0, [1e-3, 0.0], 0.5, 64)
 
 
 # --- level-wise refinement against the per-cell recursion -------------------
@@ -180,46 +175,47 @@ def _scalar_integral(g, nodes, dt, tol=variational.REFINE_TOL):
 @pytest.fixture(scope="module", params=["logarithmic", "homogeneous(0.5)"])
 def probe_case(request):
     pot = logarithmic() if request.param == "logarithmic" else homogeneous(0.5)
-    return pot, transmission_discrete_path(pot, -1.0, n_cells=2 ** 12)
+    return (pot, *probe(pot, -1.0, [1e-2, 1e-4]))
 
 
 def test_potential_action_matches_scalar_recursion(probe_case):
-    pot, path = probe_case
-    val, depth = potential_action(path, pot)
-    ref, ref_depth = _scalar_integral(pot.value, path.values, path.dt)
+    pot, _table, ((values, dt), *_) = probe_case
+    val, depth = potential_action(values, dt, pot)
+    ref, ref_depth = _scalar_integral(pot.value, values, dt)
     assert depth == ref_depth
     assert depth > 5
     assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_delta_action_matches_scalar_recursion(probe_case):
-    pot, path = probe_case
-    pot0, depth0 = _scalar_integral(pot.value, path.values, path.dt)
-    table = delta_action(path, [1e-2, 1e-4], 0.5 * path.half_span, pot)
-    for delta, _T1, _dKc, _dKd, dV, _dA, depth in table.rows:
-        varied = standard_variation(path, delta, 0.5 * path.half_span)
-        pot1, depth1 = _scalar_integral(pot.value, varied.values, path.dt)
+    pot, table, ((values, dt), *displaced) = probe_case
+    pot0, depth0 = _scalar_integral(pot.value, values, dt)
+    n = len(values) - 1
+    T = 0.5 * n * dt
+    a = np.abs(np.linspace(-T, T, n + 1))
+    for (delta, T1, _dKc, _dKd, dV, _dA, depth), (recorded, _) in zip(table.rows, displaced):
+        # the plateau displacement along the normal (0, 1) of the fall line
+        profile = np.where(a < T1, delta, delta * (T - a) / (T - T1))
+        varied = values + np.outer(profile, [0.0, 1.0])
+        assert np.max(np.abs(recorded - varied)) <= 1e-15
+        # the collision node moves to distance delta; the endpoints stay
+        assert np.hypot(*recorded[n // 2]) == delta
+        assert np.array_equal(recorded[[0, -1]], values[[0, -1]])
+        pot1, depth1 = _scalar_integral(pot.value, varied, dt)
         assert depth == max(depth0, depth1)
         # dV is a difference of two O(1) integrals: compare it on their scale
         assert abs(dV - (pot0 - pot1)) <= 1e-12 * abs(pot0)
 
 
-def test_delta_action_refines_the_unvaried_path_once(monkeypatch, log_path):
+def test_delta_action_refines_the_unvaried_path_once(log_probe):
     deltas = [1e-2, 1e-3, 1e-4]
-    T1 = 0.5 * log_path.half_span
-    singles = [delta_action(log_path, [d], T1, logarithmic()).rows[0] for d in deltas]
-    calls = []
-    original = variational.potential_action
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(variational, "potential_action", counting)
-    table = delta_action(log_path, deltas, T1, logarithmic())
-    # one unvaried refinement plus one per displaced path
-    assert len(calls) == len(deltas) + 1
-    assert sum(path is log_path for path in calls) == 1
+    singles = [delta_action(logarithmic(), 0.0, [d], 0.5, 2 ** 12).rows[0] for d in deltas]
+    table, paths = log_probe
+    # one unvaried refinement plus one per displaced path; only the first
+    # passes through the centre
+    assert len(paths) == len(deltas) + 1
+    assert [bool(np.any(np.all(values == 0.0, axis=1))) for values, _ in paths] == \
+        [True] + [False] * len(deltas)
     assert table.rows == singles
 
 
@@ -227,8 +223,8 @@ def test_refinement_stops_at_max_depth(monkeypatch, log_path):
     # the collision cell never settles within three levels; the far cells
     # settle at the first, so only a few cells stay live
     monkeypatch.setattr(variational, "MAX_DEPTH", 3)
-    val, depth = potential_action(log_path, logarithmic())
-    ref, ref_depth = _scalar_integral(logarithmic().value, log_path.values, log_path.dt)
+    val, depth = potential_action(*log_path, logarithmic())
+    ref, ref_depth = _scalar_integral(logarithmic().value, *log_path)
     assert depth == ref_depth == 3
     assert val == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -246,12 +242,13 @@ def _log_transmission(energy=0.0):
 def test_transmission_path_matches_per_node_states(log_path):
     tpath = _log_transmission()
     T0 = tpath.collision_time
-    n = len(log_path.times) - 1
-    assert np.all(log_path.values[n // 2] == 0.0)
-    assert np.array_equal(log_path.values, -log_path.values[::-1])
-    for i, t in enumerate(log_path.times):
+    values, _ = log_path
+    n = len(values) - 1
+    assert np.all(values[n // 2] == 0.0)
+    assert np.array_equal(values, -values[::-1])
+    for i, t in enumerate(np.linspace(-T0, T0, n + 1)):
         if i != n // 2:
-            assert np.max(np.abs(log_path.values[i] - tpath.state_at(T0 + t).position)) <= 1e-12
+            assert np.max(np.abs(values[i] - tpath.state_at(T0 + t).position)) <= 1e-12
 
 
 def test_symmetric_positions_inside_collision_window():
