@@ -8,8 +8,12 @@ extrapolate over the intervals that stay the smallest.  It is the routine
 behind `scipy.integrate.quad` on a finite interval.  Each routine is a
 line-by-line port: the same branches, the same operation order, the rule's
 constants as QUADPACK states them, and `d1mach` as the IEEE double limits.
+One interface differs: the integrand is a panel function, which `qk21`
+calls once with a panel's 21 abscissae, in the order `dqk21` evaluates
+them, so a caller can compute a whole panel in one loop.
 tests/test_quadpack.py checks value, error estimate, evaluation count and
-`ier` bitwise against `scipy.integrate.quad`.
+`ier` bitwise against `scipy.integrate.quad`, and the abscissae against the
+points quad evaluates.
 
 The lists keep QUADPACK's 1-based indices (entry 0 unused), so the
 translation can be read against the Fortran.
@@ -60,80 +64,67 @@ def qk21(f, a, b):
     """21-point Gauss-Kronrod rule on [a, b]: (result, abserr, resabs, resasc).
 
     resabs approximates the integral of |f|, resasc that of |f - mean f|.
-    f is called at the centre, then at the Gauss pairs, then at the
-    Kronrod-only pairs, left node first, as `dqk21` calls it.
+    f is a panel function: one call receives the 21 abscissae in the order
+    `dqk21` evaluates them (the centre, then the Gauss pairs, then the
+    Kronrod-only pairs, left node first) and returns the values there, in
+    the same order.
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
+    absc1 = hlgth * _XGK1
+    absc2 = hlgth * _XGK2
+    absc3 = hlgth * _XGK3
+    absc4 = hlgth * _XGK4
+    absc5 = hlgth * _XGK5
+    absc6 = hlgth * _XGK6
+    absc7 = hlgth * _XGK7
+    absc8 = hlgth * _XGK8
+    absc9 = hlgth * _XGK9
+    absc10 = hlgth * _XGK10
+    (fc, u2, v2, u4, v4, u6, v6, u8, v8, u10, v10,
+     u1, v1, u3, v3, u5, v5, u7, v7, u9, v9) = f((
+         centr, centr - absc2, centr + absc2, centr - absc4, centr + absc4,
+         centr - absc6, centr + absc6, centr - absc8, centr + absc8,
+         centr - absc10, centr + absc10, centr - absc1, centr + absc1,
+         centr - absc3, centr + absc3, centr - absc5, centr + absc5,
+         centr - absc7, centr + absc7, centr - absc9, centr + absc9))
 
-    fc = f(centr)
     resk = _WGK11 * fc
     resabs = abs(resk)
-
-    absc = hlgth * _XGK2
-    u2 = f(centr - absc)
-    v2 = f(centr + absc)
     fsum = u2 + v2
     resg = _WG1 * fsum
     resk += _WGK2 * fsum
     resabs += _WGK2 * (abs(u2) + abs(v2))
-    absc = hlgth * _XGK4
-    u4 = f(centr - absc)
-    v4 = f(centr + absc)
     fsum = u4 + v4
     resg += _WG2 * fsum
     resk += _WGK4 * fsum
     resabs += _WGK4 * (abs(u4) + abs(v4))
-    absc = hlgth * _XGK6
-    u6 = f(centr - absc)
-    v6 = f(centr + absc)
     fsum = u6 + v6
     resg += _WG3 * fsum
     resk += _WGK6 * fsum
     resabs += _WGK6 * (abs(u6) + abs(v6))
-    absc = hlgth * _XGK8
-    u8 = f(centr - absc)
-    v8 = f(centr + absc)
     fsum = u8 + v8
     resg += _WG4 * fsum
     resk += _WGK8 * fsum
     resabs += _WGK8 * (abs(u8) + abs(v8))
-    absc = hlgth * _XGK10
-    u10 = f(centr - absc)
-    v10 = f(centr + absc)
     fsum = u10 + v10
     resg += _WG5 * fsum
     resk += _WGK10 * fsum
     resabs += _WGK10 * (abs(u10) + abs(v10))
 
-    absc = hlgth * _XGK1
-    u1 = f(centr - absc)
-    v1 = f(centr + absc)
     fsum = u1 + v1
     resk += _WGK1 * fsum
     resabs += _WGK1 * (abs(u1) + abs(v1))
-    absc = hlgth * _XGK3
-    u3 = f(centr - absc)
-    v3 = f(centr + absc)
     fsum = u3 + v3
     resk += _WGK3 * fsum
     resabs += _WGK3 * (abs(u3) + abs(v3))
-    absc = hlgth * _XGK5
-    u5 = f(centr - absc)
-    v5 = f(centr + absc)
     fsum = u5 + v5
     resk += _WGK5 * fsum
     resabs += _WGK5 * (abs(u5) + abs(v5))
-    absc = hlgth * _XGK7
-    u7 = f(centr - absc)
-    v7 = f(centr + absc)
     fsum = u7 + v7
     resk += _WGK7 * fsum
     resabs += _WGK7 * (abs(u7) + abs(v7))
-    absc = hlgth * _XGK9
-    u9 = f(centr - absc)
-    v9 = f(centr + absc)
     fsum = u9 + v9
     resk += _WGK9 * fsum
     resabs += _WGK9 * (abs(u9) + abs(v9))
@@ -290,6 +281,9 @@ def _qelg(n, epstab, res3la, nres):
 
 def qagse(f, a, b, epsabs, epsrel, limit):
     """integral_a^b f to max(epsabs, epsrel |integral|): `dqagse`.
+
+    f is a panel function, called once per 21-node Kronrod panel (see
+    `qk21`), so a run makes neval / 21 calls.
 
     Returns (result, abserr, neval, ier), with QUADPACK's ier: 0 success,
     1 `limit` subintervals used, 2 roundoff stops the requested accuracy,

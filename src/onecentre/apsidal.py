@@ -17,7 +17,8 @@ endpoint zeros are extracted -- plus the calibration identity
 
     integral_1^xi dx / (x sqrt((x-1)(1-x/xi))) = pi      for every xi > 1,
 
-which exercises the quadrature engine against an exact value.
+which exercises the quadrature engine against an exact value: it is the
+apsidal angle of a Kepler orbit.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 from numpy.random import default_rng
 
 from .potentials import PotentialSpec, SmoothedPotential
-from .quadrature import sqrt_endpoint_quad
-from .radial import Case, RadialProblem, _radicand, case_anchor, turning_points
+from .quadrature import Integrand, sqrt_endpoint_quad
+from .radial import Case, RadialProblem, case_anchor, turning_points
 from .tables import ConvergenceTable, LimitVerdict, limit_verdict
 
 
@@ -64,7 +65,7 @@ def apsidal_angle(rp: RadialProblem, safe_radius: float = math.inf) -> ApsidalAn
     beta = min(safe_radius, turning.apocenter)
     upper_singular = beta == turning.apocenter
 
-    res = sqrt_endpoint_quad(lambda r: l / r, turning.pericenter, beta, _radicand(rp),
+    res = sqrt_endpoint_quad(rp.integrand(angle=True), turning.pericenter, beta,
                              lower_singular=True, upper_singular=upper_singular)
     return ApsidalAngle(res.value, turning.pericenter, beta,
                         res.lower_part, res.upper_part, res.error)
@@ -73,16 +74,17 @@ def apsidal_angle(rp: RadialProblem, safe_radius: float = math.inf) -> ApsidalAn
 def calibration_integral(xi: float) -> float:
     """Exact-pi self test of the quadrature engine, for any xi > 1.
 
-    The reduced weight of (x-1)(1-x/xi) is the constant 1/xi, so the engine
-    runs at machine precision even for nearly degenerate intervals.
+    The integral is the apsidal angle of the Kepler orbit V = k / r with
+    l = 1, E = -1/(2 xi) and k = (1 + xi)/(2 xi), whose apsides are 1 and xi:
+    its radicand 2 r^2 (E + k/r) - 1 is (r-1)(1-r/xi).  Its reduced weight is
+    the constant 1/xi, so the engine runs at machine precision even for
+    nearly degenerate intervals.
     """
     if xi <= 1.0:
         raise ValueError("xi must exceed 1")
-    res = sqrt_endpoint_quad(
-        lambda x: 1.0 / x, 1.0, xi,
-        lambda x: (x - 1.0) * (1.0 - x / xi),
-        reduced=lambda x: 1.0 / xi)
-    return res.value
+    k = 0.5 * (1.0 + xi) / xi
+    kepler = Integrand(lambda h: k / h, -0.5 / xi, 0.0, 1.0, True, 1.0 / xi)
+    return sqrt_endpoint_quad(kepler, 1.0, xi).value
 
 
 def integrand_envelope(potential: PotentialSpec, eps: float,

@@ -24,7 +24,7 @@ from . import __version__
 from .apsidal import (bounds_audit, calibration_integral, convergence_sweep,
                       default_paths)
 from .flow import (continuity_experiment, diagonal_cells, extended_flow,
-                   poincare_section)
+                   poincare_section, section_at)
 from .potentials import classify, from_config
 from .radial import DropFromRest, InwardCrossing, case_anchor, fall_time
 from .simulator import make_initial_data, oracle_crosscheck, oracle_energy_cap
@@ -110,6 +110,8 @@ def _potential(cfg: dict):
     """The potential of cfg["potential"]; an unknown family or a missing or
     bad parameter is a ConfigError."""
     spec = cfg["potential"]
+    if isinstance(spec, dict) and spec.get("family") == "homogeneous":
+        _number(cfg, "potential.alpha")
     try:
         return from_config(spec)
     except KeyError as exc:
@@ -300,9 +302,10 @@ def cmd_poincare_section(args, out: Path) -> bool:
                 "a number in (1, 2)") * fall_time(case, potential)
     tau_devs, trace_devs, found = [], [], []
     samples = _count(cfg, "samples")
-    for j, delta in enumerate(_numbers(cfg, "deltas", _positive, "positive numbers")):
-        table = poincare_section(potential, case, T, delta, sample_count=samples,
-                                 seed=args.seed)
+    deltas = _numbers(cfg, "deltas", _positive, "positive numbers")
+    section = section_at(potential, case, T)
+    for j, delta in enumerate(deltas):
+        table = poincare_section(section, delta, sample_count=samples, seed=args.seed)
         table.write_csv(out_path(out, f"poincare_section_delta{j}.csv"))
         tau_devs.append(table.meta["max_tau_dev"])
         trace_devs.append(table.meta["max_trace_dev"])

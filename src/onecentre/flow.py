@@ -15,6 +15,9 @@ of a non-collision datum and the transmission path of a collision datum, and
 its `state_at(T)` is the extended time-T map.  That map is continuous in
 (datum, smoothing) at every T != T0 -- the experiments in this module measure
 that continuity and the induced Poincare section with its hitting-time map.
+A `Section` (from `section_at`) holds the collision datum's path and the
+section plane, computed once for all the neighbourhoods `poincare_section`
+samples around it.
 """
 
 from __future__ import annotations
@@ -263,31 +266,57 @@ def _sample_cloud(delta: float, count: int,
     return cells
 
 
-def poincare_section(potential: PotentialSpec, case: Case, T: float,
-                     delta: float, sample_count: int = 50,
-                     seed: int = 0) -> ConvergenceTable:
-    """Hitting times and section traces for samples near the collision datum.
+@dataclass(frozen=True)
+class Section:
+    """The Poincare section at time T of a collision case.
 
-    The section is the plane through y1 = extended flow at time T of the
-    collision datum, normal to the flow direction there; its transversality
-    margin |field(y1)|^2 must exceed 1e-10.  For each sample the
-    crossing time tau solves H(y, t) = (flow(y, t) - y1) . normal = 0 by
-    bracketing around T (bracket half-width halved from 0.1 T until the signs
-    differ) and root refinement; H is increasing along the flow near the
-    section, which the bracket search relies on.  Sample 0 is the collision
-    datum itself, so its orbit is the reference orbit, not integrated again.
+    It is the plane through the anchor y1 = extended flow at time T of the
+    collision datum, normal to the flow direction there (`normal`, the
+    phase field at y1); its transversality margin |normal|^2 exceeds 1e-10.
+    `path` is the collision datum's transmission path.
     """
-    rng = default_rng(seed)
-    ref_path = extended_flow(make_initial_data(case, potential), 0.0, potential,
-                             T, case.ball_radius)
-    if not (ref_path.collision_time < T < 2.0 * ref_path.collision_time):
+
+    potential: PotentialSpec
+    case: Case
+    T: float
+    path: TransmissionPath
+    anchor: PhaseState
+    normal: np.ndarray
+    margin: float
+
+
+def section_at(potential: PotentialSpec, case: Case, T: float) -> Section:
+    """The section at time T, which must lie strictly between the collision
+    time T0 of the case's collision datum and 2 T0."""
+    path = extended_flow(make_initial_data(case, potential), 0.0, potential,
+                         T, case.ball_radius)
+    if not (path.collision_time < T < 2.0 * path.collision_time):
         raise ValueError("T must lie strictly between the collision time and twice it")
-    y1 = ref_path.state_at(T)
-    y1v = y1.as_vector()
-    normal = phase_field(y1, potential)
+    anchor = path.state_at(T)
+    normal = phase_field(anchor, potential)
     margin = float(np.dot(normal, normal))
     if margin <= 1e-10:
         raise ValueError(f"section not transversal: margin {margin!r}")
+    return Section(potential, case, T, path, anchor, normal, margin)
+
+
+def poincare_section(section: Section, delta: float, sample_count: int = 50,
+                     seed: int = 0) -> ConvergenceTable:
+    """Hitting times and section traces for samples near the collision datum.
+
+    The samples are drawn in the delta-neighbourhood of the datum by a
+    generator seeded with `seed`, so every delta of one section draws from
+    its own stream.  For each sample the crossing time tau solves
+    H(y, t) = (flow(y, t) - y1) . normal = 0 by bracketing around T (bracket
+    half-width halved from 0.1 T until the signs differ) and root
+    refinement; H is increasing along the flow near the section, which the
+    bracket search relies on.  Sample 0 is the collision datum itself, so its
+    orbit is the section's transmission path, not integrated again.
+    """
+    potential, case, T = section.potential, section.case, section.T
+    y1, normal = section.anchor, section.normal
+    y1v = y1.as_vector()
+    rng = default_rng(seed)
 
     xi0 = 0.1 * T
     t_hi = T + xi0
@@ -296,14 +325,14 @@ def poincare_section(potential: PotentialSpec, case: Case, T: float,
         ("sample_id", "q0x", "q0y", "v0x", "v0y", "epsilon", "l",
          "tau", "Sx", "Sy", "Svx", "Svy", "bracket_xi"),
         meta={"T": T, "delta": delta, "anchor": y1v.tolist(),
-              "transversality_margin": margin})
+              "transversality_margin": section.margin})
 
     cells = [(0.0, Perturbation())] + _sample_cloud(delta, sample_count - 1, rng)
     tau_devs, trace_devs = [], []
     for i, (eps, pert) in enumerate(cells):
         y0 = make_initial_data(case, potential, pert)
         try:
-            orbit = (_covering(ref_path, t_hi) if i == 0 else
+            orbit = (_covering(section.path, t_hi) if i == 0 else
                      extended_flow(y0, eps, potential, t_hi, case.ball_radius))
             flow_at = orbit.state_at
 

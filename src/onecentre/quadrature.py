@@ -1,28 +1,35 @@
-"""Adaptive quadrature for integrands with inverse-square-root endpoint zeros.
+"""Adaptive quadrature of the radial problem's inverse-square-root integrals.
 
 All the singular integrals in this package (apsidal angles, flight times,
 the fall to the centre) go through one engine and have the form
 
-    integral_a^b  g(r) / sqrt(w(r)) dr
+    integral_a^b  num(r) / sqrt(w(r)) dr,   0 <= a < b,
 
-where the radicand w is positive inside (a, b) and has a simple zero at one or
-both endpoints (turning points of the radial motion), or a double zero at
-a = 0 where g vanishes like r (the radial fall, w = 2 r^2 (E + V), g = r).
-The substitution r = a + s^2 (resp. r = b - t^2) turns the endpoint behaviour
-into a smooth integrand, which is then fed to adaptive Gauss-Kronrod
-quadrature (QUADPACK's `dqagse`, ported in `_quadpack`); the fall's lower
-leg becomes 2 s / sqrt(2 (E + V(s^2))).
+with the radial radicand w(r) = 2 r^2 (E + V(sqrt(r^2 + eps^2))) - l^2 of a
+base potential V, and the numerator num(r) = l / r for an apsidal angle and
+num(r) = r for a flight time.  w is positive inside (a, b) and has a simple
+zero at one or both endpoints (turning points of the radial motion), or a
+double zero at a = 0 where num vanishes like r (the radial fall, l = 0).
+The substitution r = a + s^2 (resp. r = b - t^2) turns the endpoint
+behaviour into a smooth integrand, which is then fed to adaptive
+Gauss-Kronrod quadrature (QUADPACK's `dqagse`, ported in `_quadpack`); the
+fall's lower leg becomes 2 s / sqrt(2 (E + V(s^2))).
 
 Evaluating w near its zero by subtraction is noisy; the engine therefore works
 with the *reduced weight*
 
     omega(r) = w(r) / ((r - a)^[lower] (b - r)^[upper])
 
-which extends continuously to the endpoints.  Callers that know a closed
-smooth form for omega can pass it (`reduced`) and get machine-precision
-results even on nearly degenerate intervals; otherwise omega is built from w
-with a guard that never divides by an offset below the floating-point noise
-floor.
+which extends continuously to the endpoints.  It is built from w with a guard
+that never divides by an offset below the floating-point noise floor.  An
+integrand whose omega is a known constant (the Kepler radicand of the
+calibration) can state it, and then gets machine-precision results even on
+nearly degenerate intervals.
+
+`_quadpack` hands each leg a whole 21-node Kronrod panel at a time, and the
+leg computes everything for a node in one loop: the substitution, the
+radicand with its one call of V, the guarded reduced weight and the
+numerator.
 """
 
 from __future__ import annotations
@@ -46,16 +53,44 @@ class QuadratureError(RuntimeError):
     pass
 
 
-def _leg(fn: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """(value, error estimate) of integral_lo^hi fn to DEFAULT_TOL.
+def _leg(panel: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """(value, error estimate) of integral_lo^hi to DEFAULT_TOL, where panel
+    maps a Kronrod panel's abscissae to the integrand's values there.
 
     Near machine precision QUADPACK may report (ier) that roundoff stops it
     short of the requested tolerance; the returned error estimate is still
-    trustworthy, so the caller judges by it and ier is dropped.  The values
-    are floats even where fn returns numpy scalars.
+    trustworthy, so the caller judges by it and ier is dropped.
     """
-    value, error, _, _ = qagse(fn, lo, hi, 0.0, DEFAULT_TOL, _LIMIT)
+    value, error, _, _ = qagse(panel, lo, hi, 0.0, DEFAULT_TOL, _LIMIT)
     return float(value), float(error)
+
+
+@dataclass(frozen=True)
+class Integrand:
+    """num(r) / sqrt(w(r)) of the radial problem (V, E, eps, l):
+
+        w(r) = 2 r^2 (E + V(sqrt(r^2 + eps^2))) - l^2,
+
+    V the base potential (one call per node, at a Python float), the
+    constants Python floats, so every node is evaluated in float arithmetic,
+    and num(r) = l / r when `angle`, else r.  `reduced` is None, or the constant
+    reduced weight omega of w on the interval, which the singular legs then
+    use in place of the guarded one.
+    """
+
+    V: Callable[[float], float]
+    energy: float
+    eps: float
+    l: float
+    angle: bool
+    reduced: float | None
+
+    def radicand(self, x: float) -> float:
+        """w(x), with one call of V; x = 0 needs eps > 0."""
+        h = math.hypot(x, self.eps)
+        if not h:
+            raise ValueError("x = 0 requires eps > 0")
+        return 2.0 * x * x * (self.energy + self.V(h)) - self.l * self.l
 
 
 @dataclass(frozen=True)
@@ -66,96 +101,112 @@ class QuadResult:
     upper_part: float     # contribution of [split, b]
 
 
-def sqrt_endpoint_quad(g: Callable, a: float, b: float, w: Callable, *,
-                       lower_singular: bool = True, upper_singular: bool = True,
-                       reduced: Callable | None = None) -> QuadResult:
-    """integral_a^b g(r)/sqrt(w(r)) dr with simple w-zeros at flagged endpoints,
-    to relative tolerance DEFAULT_TOL.
+def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
+                       lower_singular: bool = True,
+                       upper_singular: bool = True) -> QuadResult:
+    """integral_a^b of the integrand, with simple zeros of w at the flagged
+    endpoints, to relative tolerance DEFAULT_TOL.
 
     The interval is split at the geometric mean of the endpoints when a > 0
     (which resolves the multi-scale structure of near-collision integrals,
     whether or not the lower end is a turning point), else at the midpoint.
-    reduced: optional smooth omega(r) = w(r)/((r-a)^La (b-r)^Lb).
     Both ends must be finite: QUADPACK's `dqagse` integrates over a finite
-    interval, so an unbounded orbit needs a finite cutoff.
+    interval, so an unbounded orbit needs a finite cutoff.  With a >= 0
+    the legs evaluate w only at r > 0; only a backed-off offset can reach
+    r = 0, where eps = 0 leaves V undefined.
     """
-    if not (b > a):
-        raise ValueError("need b > a")
-    if not (math.isfinite(a) and math.isfinite(b)):
+    if not 0.0 <= a < b:
+        raise ValueError("need 0 <= a < b")
+    if not math.isfinite(b):
         raise QuadratureError(
             f"infinite interval [{a!r}, {b!r}]: the quadrature needs finite ends")
     span = b - a
     guard = 64.0 * _EPS * max(abs(a), abs(b), 1e-300)
     La = 1 if lower_singular else 0
     Lb = 1 if upper_singular else 0
+    V, energy, eps, l, angle, reduced = (integrand.V, integrand.energy, integrand.eps,
+                                         integrand.l, integrand.angle, integrand.reduced)
+    l2 = l * l
+    hypot, sqrt, inf = math.hypot, math.sqrt, math.inf
 
-    # The legs compute the reduced weight at a node's first offsets inline,
-    # which saves a Python call per node; a node whose value there is not
-    # positive and finite continues in backed_off.
     def backed_off(dl: float, du: float, r: float) -> float:
         """omega after the offsets (dl, du) gave rounding noise at the zero:
         back the offsets away by 4x, at most 8 offsets in all."""
         for _ in range(7):
             dl *= 4.0
             du *= 4.0
-            val = w(a + dl if La else b - du)
+            val = integrand.radicand(a + dl if La else b - du)
             if La:
                 val /= dl
             if Lb:
                 val /= du
-            if 0.0 < val < math.inf:
+            if 0.0 < val < inf:
                 return val
         raise QuadratureError(
             f"radicand not positive near r={r!r} (interval [{a!r}, {b!r}])")
 
-    def leg_lower(s: float) -> float:
-        d = s * s
-        e = span - d
-        if reduced is not None:
-            om = reduced(a + d)
-        else:
-            dl = d if d > guard else guard
-            du = e if e > guard else guard
-            om = w(a + dl) / dl
-            if Lb:
+    # Each leg maps a panel of abscissae to integrand values.  A node takes
+    # its first offsets straight; only a reduced weight there that is not
+    # positive and finite continues in backed_off.
+    def lower_leg(panel):
+        values = []
+        for s in panel:
+            d = s * s
+            e = span - d
+            if reduced is None:
+                dl = d if d > guard else guard
+                du = e if e > guard else guard
+                x = a + dl
+                om = (2.0 * x * x * (energy + V(hypot(x, eps))) - l2) / dl
+                if Lb:
+                    om /= du
+                if not 0.0 < om < inf:
+                    om = backed_off(dl, du, a + d)
+            else:
+                om = reduced
+            x = a + d
+            values.append(2.0 * (l / x if angle else x) / sqrt(om * e if Lb else om))
+        return values
+
+    def upper_leg(panel):
+        values = []
+        for t in panel:
+            d = t * t
+            e = span - d
+            if reduced is None:
+                dl = e if e > guard else guard
+                du = d if d > guard else guard
+                x = a + dl if La else b - du
+                om = 2.0 * x * x * (energy + V(hypot(x, eps))) - l2
+                if La:
+                    om /= dl
                 om /= du
-            if not 0.0 < om < math.inf:
-                om = backed_off(dl, du, a + d)
-        rad = om * e if Lb else om
-        return 2.0 * g(a + d) / math.sqrt(rad)
+                if not 0.0 < om < inf:
+                    om = backed_off(dl, du, a + e)
+            else:
+                om = reduced
+            x = b - d
+            values.append(2.0 * (l / x if angle else x) / sqrt(om * e if La else om))
+        return values
 
-    def leg_upper(t: float) -> float:
-        d = t * t
-        e = span - d
-        if reduced is not None:
-            om = reduced(a + e)
-        else:
-            dl = e if e > guard else guard
-            du = d if d > guard else guard
-            om = w(a + dl if La else b - du)
-            if La:
-                om /= dl
-            om /= du
-            if not 0.0 < om < math.inf:
-                om = backed_off(dl, du, a + e)
-        rad = om * e if La else om
-        return 2.0 * g(b - d) / math.sqrt(rad)
-
-    def leg_plain(r: float) -> float:
-        val = w(r)
-        if val <= 0.0:
-            raise QuadratureError(f"radicand negative at r={r!r} inside [{a!r}, {b!r}]")
-        return g(r) / math.sqrt(val)
+    def plain_leg(panel):
+        values = []
+        for x in panel:
+            val = 2.0 * x * x * (energy + V(hypot(x, eps))) - l2
+            if val <= 0.0:
+                raise QuadratureError(f"radicand negative at r={x!r} inside [{a!r}, {b!r}]")
+            values.append((l / x if angle else x) / sqrt(val))
+        return values
 
     split = math.sqrt(a * b) if a > 0 else 0.5 * (a + b)
     if La:
-        I1, e1 = _leg(leg_lower, 0.0, math.sqrt(split - a))
+        I1, e1 = _leg(lower_leg, 0.0, math.sqrt(split - a))
     else:
-        I1, e1 = _leg(leg_plain, a, split)
+        I1, e1 = _leg(plain_leg, a, split)
     if Lb:
-        I2, e2 = _leg(leg_upper, 0.0, math.sqrt(b - split))
+        I2, e2 = _leg(upper_leg, 0.0, math.sqrt(b - split))
     else:
-        I2, e2 = _leg(leg_plain, split, b)
+        I2, e2 = _leg(plain_leg, split, b)
     value = I1 + I2
     err = e1 + e2
     if not math.isfinite(value) or err > 1e4 * DEFAULT_TOL * max(abs(value), 1e-12):
@@ -163,4 +214,3 @@ def sqrt_endpoint_quad(g: Callable, a: float, b: float, w: Callable, *,
             f"quadrature did not converge on [{a!r}, {b!r}]: value {value!r}, "
             f"error estimate {err!r}")
     return QuadResult(value, err, I1, I2)
-

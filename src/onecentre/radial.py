@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ._brent import brentq, minimize_bounded
 from .potentials import PotentialSpec, SmoothedPotential
-from .quadrature import sqrt_endpoint_quad
+from .quadrature import Integrand, sqrt_endpoint_quad
 
 #: roots closer than this (relative to the peak of f) count as a double root
 DEGENERATE_TOL = 1e-12
@@ -47,31 +46,19 @@ class RadialProblem:
 
     def f(self, r: np.ndarray) -> np.ndarray:
         """f(r) = 2 r^2 (E + V_eps(r)) on a grid of radii; motion needs
-        f(r) >= l^2.  Scalar evaluations of f - l^2 use `_radicand`."""
+        f(r) >= l^2.  Scalar evaluations of f - l^2 use
+        `integrand(...).radicand`."""
         r = np.asarray(r, float)
         return 2.0 * r * r * (self.energy + self.potential.value(r))
 
-
-def _radicand(rp: RadialProblem) -> Callable[[float], float]:
-    """w(r) = f(r) - l^2 at a scalar r, with one base-potential call per node.
-
-    The turning-point refinement and every singular quadrature evaluate it.
-    It keeps the operation order of `RadialProblem.f(r) - l^2`, which serves
-    the grids.  The constants are bound as floats (the energy often arrives
-    as a numpy scalar), so every node is evaluated in float arithmetic.
-    """
-    V = rp.potential.base.value
-    energy, eps = float(rp.energy), rp.potential.epsilon
-    l = rp.ang_momentum
-    l2 = float(l * l)
-
-    def w(r: float) -> float:
-        h = math.hypot(r, eps)
-        if not h:
-            raise ValueError("x = 0 requires eps > 0")
-        return 2.0 * r * r * (energy + V(h)) - l2
-
-    return w
+    def integrand(self, angle: bool) -> Integrand:
+        """The quadrature engine's integrand of this orbit: the apsidal
+        angle's l / (r sqrt(f - l^2)) when `angle`, else the flight time's
+        r / sqrt(f - l^2).  Its `radicand` is f - l^2 at a scalar r, in the
+        operation order of `f`, which serves the grids; the constants are
+        bound as floats (the energy often arrives as a numpy scalar)."""
+        return Integrand(self.potential.base.value, float(self.energy),
+                         self.potential.epsilon, float(self.ang_momentum), angle, None)
 
 
 @dataclass(frozen=True)
@@ -184,7 +171,7 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
             raise ValueError("no orbit: energy below the smoothed core potential")
         return TurningPoints(0.0, P, P)
 
-    w = _radicand(rp)
+    w = rp.integrand(angle=False).radicand
     hi = P if math.isfinite(P) else max(1e3, 10.0 * safe_radius if math.isfinite(safe_radius) else 0.0)
     grid = np.geomspace(1e-12, hi * (1.0 - 1e-12), SCAN_POINTS)
     with np.errstate(all="ignore"):
@@ -253,7 +240,7 @@ def time_of_flight(rp: RadialProblem, r_a: float, r_b: float,
         r_b, turning.apocenter, rel_tol=1e-12, abs_tol=0.0)
 
     # integrand 1/sqrt(radicand) = r/sqrt(f - l^2)
-    res = sqrt_endpoint_quad(lambda r: r, r_a, r_b, _radicand(rp),
+    res = sqrt_endpoint_quad(rp.integrand(angle=False), r_a, r_b,
                              lower_singular=lower_sing, upper_singular=upper_sing)
     return res.value
 

@@ -13,7 +13,8 @@ import pytest
 from onecentre.apsidal import (apsidal_angle, bounds_audit,
                                calibration_integral, convergence_sweep,
                                default_paths)
-from onecentre.flow import continuity_experiment, diagonal_cells, poincare_section
+from onecentre.flow import (continuity_experiment, diagonal_cells, poincare_section,
+                            section_at)
 from onecentre.potentials import (SmoothedPotential, check_slowly_varying,
                                   check_admissible, homogeneous, logarithmic,
                                   weak_singularity_check)
@@ -222,9 +223,9 @@ def test_criterion_08_poincare_section():
     T = 1.5 * T0_LOG
     tau_devs, trace_devs = [], []
     all_found = True
+    section = section_at(logarithmic(), case, T)
     for delta in (1e-2, 1e-3, 1e-4):
-        table = poincare_section(logarithmic(), case, T, delta,
-                                 sample_count=50, seed=808)
+        table = poincare_section(section, delta, sample_count=50, seed=808)
         all_found &= table.meta["crossings_found"] == table.meta["samples"]
         tau_devs.append(table.meta["max_tau_dev"])
         trace_devs.append(table.meta["max_trace_dev"])

@@ -222,11 +222,13 @@ _NO_REST = "drop case needs the rest radius inf inside the ball inf"
     ("variational-probe", {"deltas": [1e-2, -math.inf]},
      "'deltas' must be a non-empty list of numbers, got [0.01, -inf]"),
     ("check-potential", {"potential": {"family": "homogeneous", "alpha": math.nan}},
-     "'potential' {'family': 'homogeneous', 'alpha': nan}: alpha must be a positive "
-     "finite number, got nan"),
+     "'potential.alpha' must be a number, got nan"),
     ("check-potential", {"potential": {"family": "homogeneous", "alpha": 10 ** 400}},
-     f"'potential' {{'family': 'homogeneous', 'alpha': {10 ** 400}}}: int too large to "
-     "convert to float"),
+     f"'potential.alpha' must be a number, got {10 ** 400}"),
+    ("check-potential", {"potential": {"family": "homogeneous", "alpha": True}},
+     "'potential.alpha' must be a number, got True"),
+    ("apsidal-sweep", {"potential": {"family": "homogeneous", "alpha": "0.5"}},
+     "'potential.alpha' must be a number, got '0.5'"),
 ], ids=["n_cells-not-divisible-by-4", "probe-no-rest-radius", "continuity-no-rest-radius",
         "demo-no-rest-radius", "sweep-no-rest-radius", "section-rest-outside-ball",
         "demo-entry-inside-rest-radius", "oracle-no-bound-energy",
@@ -239,7 +241,7 @@ _NO_REST = "drop case needs the rest radius inf inside the ball inf"
         "variational-probe-unknown-key", "oracle-crosscheck-unknown-key",
         "sweep-nan-energy", "sweep-nan-exponent", "strong_tol-nan", "audit-nan-energy",
         "samples-beyond-float", "drop-infinite-ball", "probe-infinite-delta", "alpha-nan",
-        "alpha-beyond-float"])
+        "alpha-beyond-float", "alpha-bool", "alpha-string"])
 def test_config_error_impossible_config(tmp_path, capsys, subcommand, cfg, message):
     # a key the subcommand does not read, a value the library would reject (a
     # bool or string posing as a number among them, and NaN, the infinities
@@ -448,3 +450,47 @@ def test_variational_probe_bytes_pinned(tmp_path, name):
     digests = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                for f in ("variational_probe.csv", "variational_probe_summary.json")]
     assert digests == [csv_digest, summary_digest]
+
+
+# sha256 of the outputs of small orbit-side runs at seed 0, recorded before
+# the section reference was computed once per run: CSVs first, then the
+# summary
+_ORBIT_DIGESTS = {
+    "poincare-continuity": (None, [
+        ("poincare_continuity.csv",
+         "b3f2518b560fe4e1ab5133849cfa40128d5b21a507fcfa7dd07b93d91dc853ee"),
+        ("poincare_continuity_summary.json",
+         "e652439d3b30b3c32d0f729d29e7a4437994f8ee6f8017c467c4511ab3969341")]),
+    "transmission-demo": (None, [
+        ("transmission_path.csv",
+         "0a3d6c1eaf21971ed7c120ec393639f13680cd21617b3b5dd87038ecbab5993e"),
+        ("transmission_demo_summary.json",
+         "e3ffb5f96c2a8b75e1147077c52a91eeee9ef8988307f726d9a61a01dd36bdd0")]),
+    "oracle-crosscheck": ({"orbits": 5}, [
+        ("oracle_crosscheck.csv",
+         "077244e004435652775c745a6fd51ae7ecdda1db5fc563da3a6304f1ce7cceea"),
+        ("oracle_crosscheck_summary.json",
+         "f8112469f8a920f3b8901af2aba15c7dfdf92dea056f570fa14c0f718f92612b")]),
+    "poincare-section": ({"samples": 4}, [
+        ("poincare_section_delta0.csv",
+         "ef9d6909197641b5e7e3340f66ff18952fa9b490c79e927623fbaff45ce950c8"),
+        ("poincare_section_delta1.csv",
+         "0f49659c11721d6a49267f8e773adffcc3894d2384868f63db2433d845756d94"),
+        ("poincare_section_delta2.csv",
+         "ee5726ec61c434cf7fbfe48b764ff681512eeeda419f642c627d7a828efd2b8e"),
+        ("poincare_section_summary.json",
+         "89ec69096b0b942c31b80f4e8e03d61e78e99d1be58732873f7834b1e4e1442a")]),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_ORBIT_DIGESTS))
+def test_orbit_output_bytes_pinned(tmp_path, subcommand):
+    config, files = _ORBIT_DIGESTS[subcommand]
+    args = [subcommand, "--seed", "0", "--out", str(tmp_path)]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    assert run_cli(args) == 0
+    assert [(name, hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+            for name, _ in files] == files

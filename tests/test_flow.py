@@ -5,7 +5,7 @@ import pytest
 
 from onecentre.flow import (ExitedBall, TransmissionPath, continuity_experiment,
                             diagonal_cells, extended_flow, phase_field,
-                            poincare_section, transmission_extend)
+                            poincare_section, section_at, transmission_extend)
 from onecentre.potentials import SmoothedPotential, logarithmic
 from onecentre.radial import DropFromRest, InwardCrossing, fall_time
 from onecentre.simulator import PhaseState, Perturbation, integrate, make_initial_data
@@ -205,7 +205,7 @@ def _entry_T0():
 def test_section_anchor_hits_exactly():
     case = DropFromRest(0.0)
     T = 1.5 * T0_LOG
-    table = poincare_section(logarithmic(), case, T, delta=1e-3,
+    table = poincare_section(section_at(logarithmic(), case, T), delta=1e-3,
                              sample_count=6, seed=3)
     row0 = table.rows[0]   # the unperturbed datum
     tau0 = row0[7]
@@ -216,7 +216,7 @@ def test_section_anchor_hits_exactly():
 
 def test_section_transversality_margin_is_field_norm():
     # the section is normal to the flow at its anchor: the margin is |field|^2
-    table = poincare_section(logarithmic(), DropFromRest(0.0), 1.5 * T0_LOG,
+    table = poincare_section(section_at(logarithmic(), DropFromRest(0.0), 1.5 * T0_LOG),
                              delta=1e-3, sample_count=2, seed=0)
     anchor = table.meta["anchor"]
     f = phase_field(PhaseState(anchor[:2], anchor[2:]), logarithmic())
@@ -228,9 +228,9 @@ def test_section_crossings_and_shrinking_neighbourhood():
     case = DropFromRest(0.0)
     T = 1.5 * T0_LOG
     taus, traces = [], []
+    section = section_at(logarithmic(), case, T)
     for delta in (1e-2, 1e-3):
-        table = poincare_section(logarithmic(), case, T, delta=delta,
-                                 sample_count=14, seed=11)
+        table = poincare_section(section, delta=delta, sample_count=14, seed=11)
         assert table.meta["crossings_found"] == table.meta["samples"]
         taus.append(table.meta["max_tau_dev"])
         traces.append(table.meta["max_trace_dev"])
@@ -245,7 +245,7 @@ def test_section_offset_monotone_through_crossing():
     y0 = make_initial_data(case, logarithmic(), Perturbation(l=1e-3))
     sm = SmoothedPotential(logarithmic(), 1e-3)
     traj = integrate(y0, sm, horizon=1.2 * T)
-    ref = poincare_section(logarithmic(), case, T, delta=1e-3,
+    ref = poincare_section(section_at(logarithmic(), case, T), delta=1e-3,
                            sample_count=2, seed=0)
     anchor = np.array(ref.meta["anchor"])
     normal = phase_field(PhaseState(anchor[:2], anchor[2:]), logarithmic())
@@ -267,7 +267,8 @@ def test_section_sample_zero_reuses_the_reference_orbit():
     assert ref.collision_time == own.collision_time
     # beyond 2 T0 the reused orbit fails like every other collision sample
     T = 1.95 * T0_LOG
-    table = poincare_section(logarithmic(), case, T, delta=1e-3, sample_count=2, seed=0)
+    table = poincare_section(section_at(logarithmic(), case, T), delta=1e-3,
+                             sample_count=2, seed=0)
     failed = dict(table.meta["failed_samples"])
     assert sorted(failed) == [0, 1]
     assert failed[0] == (f"T={T + 0.1 * T!r} beyond the transmission domain "

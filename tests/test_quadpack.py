@@ -1,4 +1,9 @@
-"""`_quadpack.qagse` against `scipy.integrate.quad`, bit for bit."""
+"""`_quadpack.qagse` against `scipy.integrate.quad`, bit for bit.
+
+qagse takes a panel function, which receives the 21 abscissae of a Kronrod
+panel at once; quad takes a scalar integrand.  `_panel` turns the scalar
+integrands below into panel functions.
+"""
 
 import math
 import warnings
@@ -46,6 +51,11 @@ LIMITS = (1, 2, 5, 50, 200, 1000)
 TOLERANCES = ((0.0, 1e-10), (1.49e-8, 1.49e-8), (0.0, 1e-13))
 
 
+def _panel(f):
+    """The panel function of a scalar integrand f."""
+    return lambda xs: [f(x) for x in xs]
+
+
 def scipy_qagse(f, a, b, epsabs, epsrel, limit):
     """(result, abserr, neval, ier) of scipy's quad on [a, b]."""
     with warnings.catch_warnings():
@@ -65,12 +75,36 @@ def test_qagse_equals_quad(name):
     f, a, b = INTEGRANDS[name]
     for limit in LIMITS:
         for epsabs, epsrel in TOLERANCES:
-            assert qagse(f, a, b, epsabs, epsrel, limit) == \
+            assert qagse(_panel(f), a, b, epsabs, epsrel, limit) == \
                 scipy_qagse(f, a, b, epsabs, epsrel, limit), (limit, epsabs, epsrel)
 
 
+@pytest.mark.parametrize("name", list(INTEGRANDS))
+def test_panels_hold_the_points_quad_evaluates(name):
+    # the abscissae of all panels of one run, joined, are the points quad
+    # evaluates, in its order; each panel is 21 of them
+    f, a, b = INTEGRANDS[name]
+    for limit in LIMITS:
+        for epsabs, epsrel in TOLERANCES:
+            panels, points = [], []
+
+            def panel(xs):
+                panels.append(xs)
+                return [f(x) for x in xs]
+
+            def scalar(x):
+                points.append(x)
+                return f(x)
+
+            neval = qagse(panel, a, b, epsabs, epsrel, limit)[2]
+            scipy_qagse(scalar, a, b, epsabs, epsrel, limit)
+            assert [x for xs in panels for x in xs] == points, (limit, epsabs, epsrel)
+            assert all(len(xs) == 21 for xs in panels)
+            assert neval == 21 * len(panels)
+
+
 def test_the_grid_reaches_every_ier():
-    seen = {qagse(f, a, b, epsabs, epsrel, limit)[3]
+    seen = {qagse(_panel(f), a, b, epsabs, epsrel, limit)[3]
             for f, a, b in INTEGRANDS.values()
             for limit in LIMITS for epsabs, epsrel in TOLERANCES}
     assert seen == {0, 1, 2, 3, 4, 5}
@@ -78,7 +112,7 @@ def test_the_grid_reaches_every_ier():
 
 def test_invalid_tolerances_are_ier_6():
     f, a, b = INTEGRANDS["gauss"]
-    assert qagse(f, a, b, 0.0, 1e-15, 50)[3] == 6
+    assert qagse(_panel(f), a, b, 0.0, 1e-15, 50)[3] == 6
     with pytest.raises(ValueError):
         integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-15, limit=50)
 
@@ -90,7 +124,7 @@ def test_integrand_exception_propagates():
         return x
 
     with pytest.raises(ZeroDivisionError, match="boom"):
-        qagse(f, 0.0, 1.0, 0.0, 1e-10, 50)
+        qagse(_panel(f), 0.0, 1.0, 0.0, 1e-10, 50)
 
 
 @pytest.mark.parametrize("spec, case, k", [
@@ -104,12 +138,13 @@ def test_engine_legs_replay_bitwise(monkeypatch, spec, case, k):
     # every leg the engine integrates for the angle of the 40-digit reference
     # cells of tests/test_apsidal.py (and of the pinned homogeneous cells)
     # and for the case's fall time, against scipy's quad on the same
-    # integrand, interval and options
+    # integrand, interval and options; quad calls the leg's panel function
+    # one node at a time
     legs = []
 
-    def both(f, a, b, epsabs, epsrel, limit):
-        got = qagse(f, a, b, epsabs, epsrel, limit)
-        assert got == scipy_qagse(f, a, b, epsabs, epsrel, limit)
+    def both(panel, a, b, epsabs, epsrel, limit):
+        got = qagse(panel, a, b, epsabs, epsrel, limit)
+        assert got == scipy_qagse(lambda x: panel((x,))[0], a, b, epsabs, epsrel, limit)
         legs.append(got)
         return got
 

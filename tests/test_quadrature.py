@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,59 +6,77 @@ import pytest
 
 from onecentre import apsidal, radial
 from onecentre.apsidal import apsidal_angle, convergence_sweep, default_paths
-from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
+from onecentre.potentials import PotentialSpec, SmoothedPotential, homogeneous, logarithmic
 from onecentre.quadrature import QuadratureError, sqrt_endpoint_quad
 from onecentre.radial import (DropFromRest, RadialProblem, case_anchor, fall_time,
                               time_of_flight, turning_points)
 
 
+def _integrand(value, energy: float, l: float, angle: bool):
+    """The engine's integrand of the orbit (energy, l) in the test-local
+    potential V = value, unsmoothed: num(r) / sqrt(2 r^2 (E + V(r)) - l^2)
+    with num(r) = l / r (angle) or r."""
+    spec = PotentialSpec("test", value, None, None)
+    return RadialProblem(SmoothedPotential(spec, 0.0), energy, l).integrand(angle)
+
+
+def _time(value):
+    """The flight-time integrand r / sqrt(2 r^2 V(r)) at E = 0, l = 0."""
+    return _integrand(value, 0.0, 0.0, False)
+
+
+def _kepler(xi: float):
+    """The apsidal-angle integrand of the Kepler orbit V = k / r with l = 1 and
+    apsides 1 and xi: its radicand is (r - 1)(1 - r/xi)."""
+    k = 0.5 * (1.0 + xi) / xi
+    return _integrand(lambda h: k / h, -0.5 / xi, 1.0, True)
+
+
 def test_arcsine_integral_both_endpoints():
-    # int_0^1 dx/sqrt(x(1-x)) = pi
-    res = sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0, lambda x: x * (1.0 - x))
+    # int_0^1 r dr/sqrt(r^3 (1-r)) = int_0^1 dr/sqrt(r(1-r)) = pi
+    res = sqrt_endpoint_quad(_time(lambda h: 0.5 * h * (1.0 - h)), 0.0, 1.0)
     assert res.value == pytest.approx(math.pi, abs=1e-12)
     assert res.lower_part + res.upper_part == pytest.approx(res.value)
 
 
 def test_shifted_arcsine_with_reduced_weight():
-    # int_2^5 dx/sqrt((x-2)(5-x)) = pi, reduced weight identically 1
-    res = sqrt_endpoint_quad(lambda x: 1.0, 2.0, 5.0,
-                             lambda x: (x - 2.0) * (5.0 - x),
-                             reduced=lambda x: 1.0)
-    assert res.value == pytest.approx(math.pi, abs=1e-14)
+    # int_2^5 r dr/sqrt((r-2)(5-r)) = 7 pi / 2, reduced weight identically 1
+    integrand = _time(lambda h: 0.5 * (h - 2.0) * (5.0 - h) / (h * h))
+    res = sqrt_endpoint_quad(dataclasses.replace(integrand, reduced=1.0), 2.0, 5.0)
+    assert res.value == pytest.approx(3.5 * math.pi, abs=1e-14)
 
 
 @pytest.mark.parametrize("xi", [1.5, 2.0, 10.0, 1e6])
 def test_calibration_pi_through_the_guarded_reduced_weight(xi):
     # the calibration integral without its closed-form reduced weight: omega
     # comes from the radicand, as for every apsidal angle and flight time
-    res = sqrt_endpoint_quad(lambda x: 1.0 / x, 1.0, xi,
-                             lambda x: (x - 1.0) * (1.0 - x / xi))
+    res = sqrt_endpoint_quad(_kepler(xi), 1.0, xi)
     assert res.value == pytest.approx(math.pi, rel=1e-10, abs=0.0)
     assert _hexes(res) == _CALIBRATION_GOLDEN[xi]
 
 
 def test_one_sided_singularity():
-    # int_0^1 dx/sqrt(x) = 2
-    res = sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0, lambda x: x,
-                             upper_singular=False)
+    # int_0^1 r dr/sqrt(r^3) = 2 and int_0^1 r dr/sqrt(r^2 (1-r)) = 2
+    res = sqrt_endpoint_quad(_time(lambda h: 0.5 * h), 0.0, 1.0, upper_singular=False)
     assert res.value == pytest.approx(2.0, abs=1e-12)
-    res = sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0, lambda x: 1.0 - x,
+    res = sqrt_endpoint_quad(_time(lambda h: 0.5 * (1.0 - h)), 0.0, 1.0,
                              lower_singular=False)
     assert res.value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_no_singularity_plain_quadrature():
-    res = sqrt_endpoint_quad(lambda x: x, 1.0, 2.0, lambda x: x * x,
+    # int_1^2 r dr/sqrt(r^2) = 1
+    res = sqrt_endpoint_quad(_time(lambda h: 0.5), 1.0, 2.0,
                              lower_singular=False, upper_singular=False)
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_elliptic_oracle():
-    # int_{-1}^{1} dx / sqrt((1-x^2)(2-x)) agrees with a dense-midpoint oracle
-    def w(x):
-        return (1.0 - x * x) * (2.0 - x)
-
-    res = sqrt_endpoint_quad(lambda x: 1.0, -1.0, 1.0, w)
+    # int_1^3 r dr / sqrt(r^2 (r-1)(3-r)(4-r)), which is
+    # int_{-1}^{1} dx / sqrt((1-x^2)(2-x)) at x = r - 2, agrees with a
+    # dense-midpoint oracle
+    res = sqrt_endpoint_quad(_time(lambda h: 0.5 * (h - 1.0) * (3.0 - h) * (4.0 - h)),
+                             1.0, 3.0)
 
     # oracle: substitution x = -cos(phi) makes the integrand smooth; use a
     # very fine trapezoid on it
@@ -69,17 +88,16 @@ def test_elliptic_oracle():
 
 
 def test_negative_radicand_rejected():
-    with pytest.raises(QuadratureError):
-        sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0,
-                           lambda x: -1.0 + 0.0 * x,
+    with pytest.raises(QuadratureError, match="radicand negative"):
+        sqrt_endpoint_quad(_integrand(lambda h: 0.0, -1.0, 0.0, False), 0.0, 1.0,
                            lower_singular=False, upper_singular=False)
 
 
 def test_lower_zero_of_order_three_halves_with_vanishing_g():
     # int_0^1 r/sqrt(r^1.5) dr = int_0^1 r^(1/4) dr = 4/5: w vanishes faster
-    # than simply at a = 0 and g like r, as in the fall to the centre; the
-    # integrand has an unbounded derivative at 0
-    res = sqrt_endpoint_quad(lambda r: r, 0.0, 1.0, lambda r: r ** 1.5,
+    # than simply at a = 0 and the numerator like r, as in the fall to the
+    # centre; the integrand has an unbounded derivative at 0
+    res = sqrt_endpoint_quad(_time(lambda h: 0.5 * h ** -0.5), 0.0, 1.0,
                              upper_singular=False)
     assert res.value == pytest.approx(0.8, abs=1e-12)
 
@@ -90,26 +108,26 @@ def test_reduced_weight_backs_away_from_a_zero_at_the_first_offset():
     # fails its first offset and must be backed away before it counts
     zeros = []
 
-    def w(r):
-        if r < 1e-5:
-            zeros.append(r)
+    def V(h):
+        if h < 1e-5:
+            zeros.append(h)
             return 0.0
-        return r
+        return 0.5 / h
 
-    res = sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0, w, upper_singular=False)
+    res = sqrt_endpoint_quad(_time(V), 0.0, 1.0, upper_singular=False)
     assert zeros
-    assert res.value == pytest.approx(2.0, abs=1e-12)
+    assert res.value == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_reduced_weight_gives_up_after_eight_offsets():
     offsets = []
 
-    def w(r):
-        offsets.append(r)
+    def V(h):
+        offsets.append(h)
         return 0.0
 
     with pytest.raises(QuadratureError, match=r"radicand not positive near r="):
-        sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0, w, upper_singular=False)
+        sqrt_endpoint_quad(_time(V), 0.0, 1.0, upper_singular=False)
     assert len(offsets) == 8
     assert all(b == 4.0 * a for a, b in zip(offsets, offsets[1:]))
 
@@ -117,8 +135,13 @@ def test_reduced_weight_gives_up_after_eight_offsets():
 def test_infinite_interval_rejected():
     # an unbounded orbit's integral to r = inf: rejected before any node
     with pytest.raises(QuadratureError, match="infinite interval"):
-        sqrt_endpoint_quad(lambda r: 1.0 / (r * r), 1.0, math.inf,
-                           lambda r: 1.0 - 1.0 / (r * r), upper_singular=False)
+        sqrt_endpoint_quad(_time(lambda h: 0.5), 1.0, math.inf, upper_singular=False)
+
+
+def test_interval_below_zero_rejected():
+    # radial integrals live on r >= 0
+    with pytest.raises(ValueError, match="need 0 <= a < b"):
+        sqrt_endpoint_quad(_time(lambda h: 0.5), -1.0, 1.0)
 
 
 # --- bitwise goldens ---------------------------------------------------------
@@ -166,15 +189,18 @@ _SWEEP_GOLDEN = {
         "0x1.aa844a84c0f3ep+0 0x1.8badc96cb56c6p-45 0x1.65acf286a350ep-2 0x1.51190de3181fap+0",
     ],
 }
+# the calibration integral as the Kepler apsidal angle of `_kepler`, recorded
+# by running that integrand through the engine as it was before the legs took
+# whole Kronrod panels (numerator l / r, the radicand as a scalar callable)
 _CALIBRATION_GOLDEN = {
     1.5:
-        "0x1.921fb54442e5ap+1 0x1.7faa3ccf1934ap-39 0x1.ac0780435c96ap+0 0x1.7837ea4529349p+0",
+        "0x1.921fb54442773p+1 0x1.80d17f5ecc5c6p-39 0x1.ac0780435bd09p+0 0x1.7837ea45291ddp+0",
     2.0:
-        "0x1.921fb54442e2cp+1 0x1.733a34bf691cdp-36 0x1.be43d1796b201p+0 0x1.65fb990f1aa56p+0",
+        "0x1.921fb544429cbp+1 0x1.72ccd09eb22f3p-36 0x1.be43d1796ad25p+0 0x1.65fb990f1a671p+0",
     10.0:
-        "0x1.921fb54442d6ep+1 0x1.7e4919ef52615p-41 0x1.0efba70435cecp+1 0x1.06481c801a104p+0",
+        "0x1.921fb54442ad1p+1 0x1.7b3bfa70e5abcp-41 0x1.0efba70435b25p+1 0x1.06481c8019f58p+0",
     1000000.0:
-        "0x1.921fb54442ce3p+1 0x1.2b3558cc06ea0p-35 0x1.8a07f7dabbec8p+1 0x1.02f7ad30dc359p-4",
+        "0x1.921fb54442d35p+1 0x1.2b3d5badf4270p-35 0x1.8a07f7dabbf1ap+1 0x1.02f7ad30dc365p-4",
 }
 _ONE_SIDED_FLAGS = [(True, False), (True, False), (False, True), (False, False)]
 _ONE_SIDED_GOLDEN = {
@@ -191,11 +217,18 @@ _ONE_SIDED_GOLDEN = {
         "0x1.c99bfee28fac1p-3 0x1.6581df21003e6p-49 0x1.4bd7a88e1ecfep-4 0x1.23b02a9b80442p-3",
     ],
 }
+# the flight-time integrands of `_BACKED_OFF_POTENTIALS`, recorded the same way
 _BACKED_OFF_GOLDEN = {
     (True, False):
-        "0x1.0000000000000p+1 0x1.9000000000000p-46 0x1.6a09e667f3bcdp+0 0x1.2bec333018866p-1",
+        "0x1.5555555555556p-1 0x1.0aaaaaaaaaaabp-47 0x1.e2b7dddfefa68p-3 0x1.b94ebbbab2d78p-2",
     (False, True):
-        "0x1.ffffffffffff0p+0 0x1.8fffffffffff4p-46 0x1.2bec333018866p-1 0x1.6a09e667f3bbdp+0",
+        "0x1.5555555555546p+0 0x1.0aaaaaaaaaa9ep-46 0x1.3d13554afc6adp-3 0x1.2db2eaabf5c70p+0",
+}
+#: potentials whose radicand 2 r^2 V is r (resp. 1 - r) but reads 0 within
+#: 1e-5 of the singular end
+_BACKED_OFF_POTENTIALS = {
+    (True, False): lambda h: 0.0 if h < 1e-5 else 0.5 / h,
+    (False, True): lambda h: 0.0 if 1.0 - h < 1e-5 else 0.5 * (1.0 - h) / (h * h),
 }
 
 
@@ -257,13 +290,10 @@ def test_one_sided_and_plain_legs_bitwise(recorded, name):
 @pytest.mark.parametrize("flags", sorted(_BACKED_OFF_GOLDEN))
 def test_backed_off_offsets_bitwise(flags):
     # the radicand reads 0 within 1e-5 of the singular end, so the nodes there
-    # take the backed-off offsets
+    # take the backed-off offsets; int_0^1 r dr / sqrt(r) = 2/3 and
+    # int_0^1 r dr / sqrt(1 - r) = 4/3
     lower, upper = flags
-
-    def w(r):
-        x = r if lower else 1.0 - r
-        return 0.0 if x < 1e-5 else x
-
-    res = sqrt_endpoint_quad(lambda x: 1.0, 0.0, 1.0, w,
+    res = sqrt_endpoint_quad(_time(_BACKED_OFF_POTENTIALS[flags]), 0.0, 1.0,
                              lower_singular=lower, upper_singular=upper)
+    assert res.value == pytest.approx(2.0 / 3.0 if lower else 4.0 / 3.0, abs=1e-14)
     assert _hexes(res) == _BACKED_OFF_GOLDEN[flags]

@@ -5,7 +5,7 @@ import pytest
 
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem,
-                              _radicand, case_anchor, collision_time, fall_time,
+                              case_anchor, collision_time, fall_time,
                               first_zero, time_of_flight, turning_points)
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -61,7 +61,7 @@ def test_float_radicand_matches_array_f(spec, eps, l, E):
     # points, E + V = 0) that bounds the difference by the largest term, not
     # by the result.
     rp = RadialProblem(SmoothedPotential(spec, eps), E, l)
-    w = _radicand(rp)
+    w = rp.integrand(angle=False).radicand
     l2 = l * l
     for r in np.geomspace(1e-9, 10.0, 2000):
         r = float(r)
@@ -75,10 +75,11 @@ def test_float_radicand_matches_array_f(spec, eps, l, E):
 
 @pytest.mark.parametrize("spec", [logarithmic(), homogeneous(0.5)], ids=["log", "hom"])
 def test_float_radicand_rejects_zero_radius_without_smoothing(spec):
-    w = _radicand(RadialProblem(SmoothedPotential(spec, 0.0), 0.5, 0.2))
+    w = RadialProblem(SmoothedPotential(spec, 0.0), 0.5, 0.2).integrand(angle=False).radicand
     with pytest.raises(ValueError, match="eps > 0"):
         w(0.0)
-    assert math.isfinite(_radicand(RadialProblem(SmoothedPotential(spec, 1e-3), 0.5, 0.2))(0.0))
+    rp = RadialProblem(SmoothedPotential(spec, 1e-3), 0.5, 0.2)
+    assert math.isfinite(rp.integrand(angle=False).radicand(0.0))
 
 
 def test_zero_angular_momentum_is_collision_orbit():

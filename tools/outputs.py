@@ -1,0 +1,72 @@
+"""Write every output the program makes for a fixed set of inputs.
+
+    python3 tools/outputs.py OUT
+
+Run from anywhere; the program is imported from this checkout's ``src/``.
+OUT receives two sets of outputs:
+
+* ``OUT/defaults/<subcommand>/``: every CLI subcommand at its default
+  configuration and seed;
+* ``OUT/workloads/<workload>/seed<k>/<experiment>/``: every experiment of
+  ``perfbench/workloads.py`` at seeds 0 to 3, with the configs it defines
+  (written to ``OUT/inputs/``).
+
+The exit codes go to ``OUT/exit_codes.json``.  Two checkouts that should
+compute the same numbers are compared with
+
+    python3 tools/outputs.py /tmp/a   # in the first checkout
+    python3 tools/outputs.py /tmp/b   # in the second
+    diff -r /tmp/a /tmp/b
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+
+from onecentre.cli import COMMANDS, main  # noqa: E402
+
+#: the seeds of the workload experiments
+SEEDS = range(4)
+
+
+def run(argv: list[str]) -> int:
+    """cli.main(argv) with its standard output and error discarded."""
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null), \
+            contextlib.redirect_stderr(null):
+        return main(argv)
+
+
+def write_outputs(out: Path) -> dict[str, int]:
+    """Run every subcommand and workload experiment into `out`; the exit
+    code of each run, keyed by its output directory relative to `out`."""
+    codes = {}
+    for sub in sorted(COMMANDS):
+        target = out / "defaults" / sub
+        codes[str(target.relative_to(out))] = run([sub, "--out", str(target)])
+    for workload in workloads.WORKLOADS:
+        for exp in workloads.experiments(workload):
+            cfg = out / "inputs" / workload / f"{exp.name}.json"
+            cfg.parent.mkdir(parents=True, exist_ok=True)
+            cfg.write_text(json.dumps(exp.config, sort_keys=True))
+            for seed in SEEDS:
+                target = out / "workloads" / workload / f"seed{seed}" / exp.name
+                codes[str(target.relative_to(out))] = run(exp.argv(seed, str(cfg), str(target)))
+    return codes
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    dest = Path(sys.argv[1])
+    dest.mkdir(parents=True, exist_ok=True)
+    exit_codes = write_outputs(dest)
+    (dest / "exit_codes.json").write_text(json.dumps(exit_codes, indent=1, sort_keys=True))
