@@ -9,7 +9,7 @@ from .potentials import (ClassReport, PotentialSpec, SmoothedPotential,
                          check_admissible, check_slowly_varying, classify,
                          from_config, homogeneous, logarithmic,
                          weak_singularity_check)
-from .radial import (Case, DropFromRest, InwardCrossing, RadialProblem,
+from .radial import (Anchor, Case, DropFromRest, InwardCrossing, RadialProblem,
                      TurningPoints, case_anchor, collision_time, fall_time,
                      first_zero, time_of_flight, turning_points)
 from .apsidal import (ApsidalAngle, SweepPath, apsidal_angle, bounds_audit,

@@ -10,6 +10,9 @@ apocenter).  The value is reported together with the split at the geometric
 mean of the endpoints: the outer part decays like (R-/beta)^(1/4) as the orbit
 approaches collision, while the inner part carries the limit.
 
+The convergence sweeps take a solved case (`radial.Anchor`) and give each
+(eps, l) cell the energy of the case's datum perturbed by l and eps.
+
 The module also evaluates two auxiliary functions used to bound the angle
 integrand uniformly in the smoothing parameter -- an envelope built from
 smoothed potential increments, and the desingularized factor left after the
@@ -31,7 +34,7 @@ from numpy.random import default_rng
 
 from .potentials import PotentialSpec, SmoothedPotential
 from .quadrature import Integrand, sqrt_endpoint_quad
-from .radial import Case, RadialProblem, case_anchor, turning_points
+from .radial import Anchor, RadialProblem, turning_points
 from .tables import ConvergenceTable, LimitVerdict, limit_verdict
 
 
@@ -186,64 +189,51 @@ def default_paths(exponents=range(2, 7)) -> list[SweepPath]:
             SweepPath("l_first", l_first)]
 
 
-def _sweep_cell(potential: PotentialSpec, case: Case, anchor: float, v1_bar: float,
-                eps: float, l: float) -> ApsidalAngle:
+def _sweep_cell(anchor: Anchor, eps: float, l: float) -> ApsidalAngle:
     """One sweep cell: the angle of the orbit at the initial-data-consistent
     energy.
 
-    The cell energy is the energy of the perturbed datum (the case's anchor
-    and radial speed v1_bar from `case_anchor`, angular momentum l,
-    smoothing eps), which tends to the case energy as the schedule refines.
+    The cell energy is the energy of the perturbed datum (the solved case's
+    radius and radial speed, angular momentum l, smoothing eps), which tends
+    to the case energy as the schedule refines.
     """
-    sm = SmoothedPotential(potential, eps)
-    energy = 0.5 * v1_bar * v1_bar + 0.5 * l * l / (anchor * anchor) - sm.value(anchor)
-    return apsidal_angle(RadialProblem(sm, energy, l), case.ball_radius)
+    sm = SmoothedPotential(anchor.potential, eps)
+    r, v1_bar = anchor.radius, anchor.speed
+    energy = 0.5 * v1_bar * v1_bar + 0.5 * l * l / (r * r) - sm.value(r)
+    return apsidal_angle(RadialProblem(sm, energy, l), anchor.case.ball_radius)
 
 
-def convergence_sweep(potential: PotentialSpec, case: Case,
-                      paths: list[SweepPath] | None = None) -> ConvergenceTable:
-    """Apsidal angles over (eps, l) schedules, with per-path limit verdicts
-    against pi/2.
+def convergence_sweep(anchor: Anchor, paths: list[SweepPath] | None = None) -> ConvergenceTable:
+    """Apsidal angles of a solved case over (eps, l) schedules, with per-path
+    limit verdicts against pi/2.
 
-    The case is solved once, by `case_anchor`; a case the potential cannot
-    realise fails every cell.  Individual cell failures are recorded in the
-    table (angle = nan) and the sweep continues.  meta carries, per path, the
-    Aitken limit estimate and the convergence verdict, plus a uniformity
-    verdict: all path estimates within 1e-2 of each other.
+    Individual cell failures are recorded in the table (angle = nan) and the
+    sweep continues.  meta carries, per path, the Aitken limit estimate and
+    the convergence verdict, plus a uniformity verdict: all path estimates
+    within 1e-2 of each other.
     """
     if paths is None:
         paths = default_paths()
+    case = anchor.case
     table = ConvergenceTable(
         ("path_id", "k", "epsilon", "l", "R_minus", "beta", "delta_theta",
          "quad_err", "I1", "I2"),
         meta={"case": type(case).__name__, "energy": case.energy,
               "ball_radius": case.ball_radius, "target": math.pi / 2.0})
 
-    case_error = None
-    try:
-        anchor, v1_bar = case_anchor(case, potential)
-    except (ValueError, RuntimeError) as exc:
-        case_error = str(exc)
     estimates: dict[str, LimitVerdict] = {}
-    angles_by_path: dict[str, list[float]] = {p.path_id: [] for p in paths}
     for path in paths:
+        angles = []
         for k, (eps, l) in enumerate(path.cells):
-            error = case_error
-            if error is None:
-                try:
-                    ang = _sweep_cell(potential, case, anchor, v1_bar, eps, l)
-                except (ValueError, RuntimeError) as exc:
-                    error = str(exc)
-            if error is not None:
+            try:
+                ang = _sweep_cell(anchor, eps, l)
+            except (ValueError, RuntimeError) as exc:
                 table.add(path.path_id, k, eps, l, *(math.nan,) * 6)
-                table.meta.setdefault("cell_errors", []).append((path.path_id, k, error))
+                table.meta.setdefault("cell_errors", []).append((path.path_id, k, str(exc)))
                 continue
             table.add(path.path_id, k, eps, l, ang.pericenter, ang.cutoff, ang.angle,
                       ang.quad_error, ang.inner_part, ang.outer_part)
-            angles_by_path[path.path_id].append(ang.angle)
-
-    for path in paths:
-        angles = angles_by_path[path.path_id]
+            angles.append(ang.angle)
         if len(angles) >= 3:
             estimates[path.path_id] = limit_verdict(angles, target=math.pi / 2.0)
 

@@ -26,7 +26,7 @@ from .apsidal import (bounds_audit, calibration_integral, convergence_sweep,
 from .flow import (continuity_experiment, diagonal_cells, extended_flow,
                    poincare_section, section_at)
 from .potentials import classify, from_config
-from .radial import DropFromRest, InwardCrossing, case_anchor, fall_time
+from .radial import Anchor, DropFromRest, InwardCrossing, case_anchor, fall_time
 from .simulator import make_initial_data, oracle_crosscheck, oracle_energy_cap
 from .tables import ConvergenceTable, format_value, is_decreasing
 from .variational import MAX_DEPTH, delta_action
@@ -120,30 +120,27 @@ def _potential(cfg: dict):
         raise ConfigError(f"'potential' {spec!r}: {exc}") from None
 
 
-def _case_from(cfg: dict, potential):
-    """The collision case of cfg["case"], which `potential` must realise."""
-    c = cfg["case"]
-    if not isinstance(c, dict):
+def _case_from(cfg: dict, potential, key: str = "case") -> Anchor:
+    """The collision case of cfg[key] solved in `potential`: the case object
+    at "case", the drop from rest at the energy at "energy".  A case the
+    potential cannot realise is a ConfigError naming `key`."""
+    c = cfg[key]
+    if key == "energy":
+        case = DropFromRest(_number(cfg, key))
+    elif not isinstance(c, dict):
         raise ConfigError(f"'case' must be an object, got {c!r}")
-    kind = c.get("type", "drop")
-    if kind == "drop":
+    elif c.get("type", "drop") == "drop":
         case = DropFromRest(_number(cfg, "case.energy"),
                             _number(cfg, "case.ball_radius") if "ball_radius" in c
                             else math.inf)
-    elif kind == "entry":
+    elif c["type"] == "entry":
         case = InwardCrossing(_number(cfg, "case.energy"), _number(cfg, "case.ball_radius"))
     else:
-        raise ConfigError(f"unknown case type {kind!r} (use 'drop' or 'entry')")
-    return _anchored(case, potential, cfg, "case")
-
-
-def _anchored(case, potential, cfg: dict, key: str):
-    """case, if `case_anchor` accepts it, else a ConfigError naming `key`."""
+        raise ConfigError(f"unknown case type {c['type']!r} (use 'drop' or 'entry')")
     try:
-        case_anchor(case, potential)
+        return case_anchor(case, potential)
     except ValueError as exc:
-        raise ConfigError(f"{key!r} {cfg[key]!r}: {exc}") from None
-    return case
+        raise ConfigError(f"{key!r} {c!r}: {exc}") from None
 
 
 def _emit(out: Path, name: str, claim: str, verdict: bool, evidence: dict,
@@ -223,11 +220,10 @@ def cmd_apsidal_sweep(args, out: Path) -> bool:
         "exponents": [2, 3, 4, 5, 6],
         "strong_tol": 1e-2,
     })
-    potential = _potential(cfg)
-    case = _case_from(cfg, potential)
+    anchor = _case_from(cfg, _potential(cfg))
     paths = default_paths(_numbers(cfg, "exponents"))
     strong_tol = _number(cfg, "strong_tol")
-    table = convergence_sweep(potential, case, paths)
+    table = convergence_sweep(anchor, paths)
     table.write_csv(out_path(out, "apsidal_sweep.csv"))
     limits = table.meta.get("path_limits", {})
     est = {pid: v["estimate"] for pid, v in limits.items()}
@@ -269,12 +265,11 @@ def cmd_poincare_continuity(args, out: Path) -> bool:
         "T_factor": 1.5,
         "exponents": [2, 3, 4, 5, 6],
     })
-    potential = _potential(cfg)
-    case = _case_from(cfg, potential)
+    anchor = _case_from(cfg, _potential(cfg))
     T = _number(cfg, "T_factor", lambda v: 0 < v < 2,
-                "a number in (0, 2)") * fall_time(case, potential)
+                "a number in (0, 2)") * fall_time(anchor)
     cells = diagonal_cells(_numbers(cfg, "exponents"))
-    table = continuity_experiment(potential, case, T, cells)
+    table = continuity_experiment(anchor, T, cells)
     table.write_csv(out_path(out, "poincare_continuity.csv"))
     meta = table.meta
     verdict = bool(meta.get("nonincreasing")) and bool(meta.get("theta_converged")) \
@@ -296,14 +291,13 @@ def cmd_poincare_section(args, out: Path) -> bool:
         "deltas": [1e-2, 1e-3, 1e-4],
         "samples": 50,
     })
-    potential = _potential(cfg)
-    case = _case_from(cfg, potential)
+    anchor = _case_from(cfg, _potential(cfg))
     T = _number(cfg, "T_factor", lambda v: 1 < v < 2,
-                "a number in (1, 2)") * fall_time(case, potential)
+                "a number in (1, 2)") * fall_time(anchor)
     tau_devs, trace_devs, found = [], [], []
     samples = _count(cfg, "samples")
     deltas = _numbers(cfg, "deltas", _positive, "positive numbers")
-    section = section_at(potential, case, T)
+    section = section_at(anchor, T)
     for j, delta in enumerate(deltas):
         table = poincare_section(section, delta, sample_count=samples, seed=args.seed)
         table.write_csv(out_path(out, f"poincare_section_delta{j}.csv"))
@@ -326,11 +320,10 @@ def cmd_transmission_demo(args, out: Path) -> bool:
         "potential": {"family": "logarithmic"},
         "case": {"type": "drop", "energy": 0.0},
     })
-    potential = _potential(cfg)
-    case = _case_from(cfg, potential)
-    y0 = make_initial_data(case, potential)
-    path = extended_flow(y0, 0.0, potential, fall_time(case, potential),
-                         case.ball_radius)
+    anchor = _case_from(cfg, _potential(cfg))
+    y0 = make_initial_data(anchor)
+    path = extended_flow(y0, 0.0, anchor.potential, fall_time(anchor),
+                         anchor.case.ball_radius)
     T0 = path.collision_time
     end = path.state_at(2.0 * T0)
     table = ConvergenceTable(("t", "x", "y", "vx", "vy", "r"))
@@ -341,8 +334,8 @@ def cmd_transmission_demo(args, out: Path) -> bool:
         table.add(t, *st.as_vector().tolist(), st.r)
     table.write_csv(out_path(out, "transmission_path.csv"))
     end_ok = float(np.linalg.norm(end.position + y0.position)) < 1e-6 and \
-        float(np.linalg.norm(end.velocity + y0.velocity)) < 1e-6 if isinstance(case, DropFromRest) \
-        else True
+        float(np.linalg.norm(end.velocity + y0.velocity)) < 1e-6 \
+        if isinstance(anchor.case, DropFromRest) else True
     sym = []
     for s in np.linspace(0.1 * T0, 0.9 * T0, 7):
         sym.append(abs(path.state_at(T0 + s).r - path.state_at(T0 - s).r))
@@ -364,11 +357,11 @@ def cmd_variational_probe(args, out: Path) -> bool:
     potential = _potential(cfg)
     deltas = _numbers(cfg, "deltas", _positive, "positive numbers")
     T1_factor = _number(cfg, "T1_factor", lambda v: 0 < v < 1, "a number in (0, 1)")
-    case = _anchored(DropFromRest(_number(cfg, "energy")), potential, cfg, "energy")
+    anchor = _case_from(cfg, potential, "energy")
     n_cells = _count(cfg, "n_cells")
     if n_cells % 4:
         raise ConfigError(f"'n_cells' must be divisible by 4, got {cfg['n_cells']!r}")
-    table = delta_action(potential, case.energy, deltas, T1_factor, n_cells)
+    table = delta_action(anchor, deltas, T1_factor, n_cells)
     table.write_csv(out_path(out, "variational_probe.csv"))
     meta = table.meta
     ratios = meta["dV_over_delta_sq"]

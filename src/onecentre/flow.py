@@ -15,9 +15,10 @@ of a non-collision datum and the transmission path of a collision datum, and
 its `state_at(T)` is the extended time-T map.  That map is continuous in
 (datum, smoothing) at every T != T0 -- the experiments in this module measure
 that continuity and the induced Poincare section with its hitting-time map.
-A `Section` (from `section_at`) holds the collision datum's path and the
-section plane, computed once for all the neighbourhoods `poincare_section`
-samples around it.
+The experiments take a solved case (`radial.Anchor`), whose collision datum
+`make_initial_data` places.  A `Section` (from `section_at`) holds that
+datum's path and the section plane, computed once for all the
+neighbourhoods `poincare_section` samples around it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from numpy.random import default_rng
 
 from ._brent import brentq
 from .potentials import PotentialSpec, SmoothedPotential
-from .radial import Case, RadialProblem, collision_time
+from .radial import Anchor, RadialProblem, collision_time
 from .simulator import (COLLISION, EXIT_BALL, PhaseState, Perturbation,
                         Trajectory, integrate, make_initial_data)
 from .tables import ConvergenceTable, is_decreasing, limit_verdict
@@ -135,21 +136,18 @@ def transmission_extend(pre: Trajectory) -> TransmissionPath:
     )
 
 
-def is_collision_datum(state: PhaseState, eps: float) -> bool:
-    return eps == 0.0 and abs(state.ang_momentum) <= COLLISION_L_TOL
-
-
 def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
                   horizon: float, ball_radius: float = math.inf) -> Trajectory | TransmissionPath:
     """The orbit of the extended flow from `state`, valid on [0, horizon].
 
-    A collision datum (eps = 0, l = 0) gets its transmission path: the fall
-    is integrated for up to 4 horizon + 10 until its collision event; leaving
-    the ball on the way raises ExitedBall, and 2 T0 < horizon ValueError.
+    A collision datum (eps = 0, |l| <= COLLISION_L_TOL) gets its
+    transmission path: the fall is integrated for up to 4 horizon + 10 until
+    its collision event; leaving the ball on the way raises ExitedBall, and
+    2 T0 < horizon ValueError.
     Any other datum is integrated plainly up to the horizon; leaving the ball
     before it raises ExitedBall, stopping short of it RuntimeError.
     """
-    collision = is_collision_datum(state, eps)
+    collision = eps == 0.0 and abs(state.ang_momentum) <= COLLISION_L_TOL
     orbit = integrate(state, SmoothedPotential(potential, eps),
                       horizon=4.0 * horizon + 10.0 if collision else horizon,
                       ball_radius=ball_radius)
@@ -179,22 +177,23 @@ def diagonal_cells(exponents=range(2, 7)) -> list[tuple[float, Perturbation]]:
             for k in exponents]
 
 
-def continuity_experiment(potential: PotentialSpec, case: Case, T: float,
+def continuity_experiment(anchor: Anchor, T: float,
                           cells: list[tuple[float, Perturbation]] | None = None
                           ) -> ConvergenceTable:
     """Distance at time T between the extended flow of perturbed data and the
-    transmission path, along a schedule of (eps, perturbation) cells tending
-    to zero.
+    transmission path of a solved case, along a schedule of (eps,
+    perturbation) cells tending to zero.
 
-    Cells whose orbit leaves the ball before T are marked (nan distances), not
-    failed.  meta records the reference state, whether the distances are
-    nonincreasing, the first/last distance ratio, and the extrapolated
-    angular increment (the transmission value is exactly pi).
+    Cells whose orbit leaves the ball before T are marked (nan distances);
+    any other failure names its cell (k, eps, l), keeping its type.  meta
+    records the reference state, whether the distances are nonincreasing,
+    the first/last distance ratio, and the extrapolated angular increment
+    (the transmission value is exactly pi).
     """
     if cells is None:
         cells = diagonal_cells()
-    ref_path = extended_flow(make_initial_data(case, potential), 0.0, potential,
-                             T, case.ball_radius)
+    potential, ball_radius = anchor.potential, anchor.case.ball_radius
+    ref_path = extended_flow(make_initial_data(anchor), 0.0, potential, T, ball_radius)
     T0 = ref_path.collision_time
     ref = ref_path.state_at(T)
     ref_speed = float(np.linalg.norm(ref.velocity))
@@ -210,14 +209,17 @@ def continuity_experiment(potential: PotentialSpec, case: Case, T: float,
 
     dists, thetas = [], []
     for k, (eps, pert) in enumerate(cells):
-        y_k = make_initial_data(case, potential, pert)
         try:
-            orbit = extended_flow(y_k, eps, potential, T, case.ball_radius)
+            orbit = extended_flow(make_initial_data(anchor, pert), eps, potential, T,
+                                  ball_radius)
         except ExitedBall as exc:
             table.add(k, eps, pert.l, math.hypot(*pert.dq), pert.dv1,
                       math.nan, math.nan, math.nan, math.nan)
             table.meta.setdefault("marked_cells", []).append((k, str(exc)))
             continue
+        except (RuntimeError, ValueError) as exc:
+            raise type(exc)(f"continuity cell k={k} (eps={eps!r}, l={pert.l!r}): "
+                            f"{exc}") from exc
         st = orbit.state_at(T)
         d_pos = float(np.linalg.norm(st.position - ref.position))
         d_vel = float(np.linalg.norm(st.velocity - ref.velocity))
@@ -268,36 +270,34 @@ def _sample_cloud(delta: float, count: int,
 
 @dataclass(frozen=True)
 class Section:
-    """The Poincare section at time T of a collision case.
+    """The Poincare section at time T of a solved collision case.
 
-    It is the plane through the anchor y1 = extended flow at time T of the
-    collision datum, normal to the flow direction there (`normal`, the
-    phase field at y1); its transversality margin |normal|^2 exceeds 1e-10.
-    `path` is the collision datum's transmission path.
+    It is the plane through y1 = extended flow at time T of the collision
+    datum, normal to the flow direction there (`normal`, the phase field at
+    y1); its transversality margin |normal|^2 exceeds 1e-10.  `path` is the
+    collision datum's transmission path.
     """
 
-    potential: PotentialSpec
-    case: Case
+    anchor: Anchor
     T: float
     path: TransmissionPath
-    anchor: PhaseState
+    y1: PhaseState
     normal: np.ndarray
-    margin: float
 
 
-def section_at(potential: PotentialSpec, case: Case, T: float) -> Section:
+def section_at(anchor: Anchor, T: float) -> Section:
     """The section at time T, which must lie strictly between the collision
-    time T0 of the case's collision datum and 2 T0."""
-    path = extended_flow(make_initial_data(case, potential), 0.0, potential,
-                         T, case.ball_radius)
+    time T0 of the solved case's collision datum and 2 T0."""
+    path = extended_flow(make_initial_data(anchor), 0.0, anchor.potential,
+                         T, anchor.case.ball_radius)
     if not (path.collision_time < T < 2.0 * path.collision_time):
         raise ValueError("T must lie strictly between the collision time and twice it")
-    anchor = path.state_at(T)
-    normal = phase_field(anchor, potential)
+    y1 = path.state_at(T)
+    normal = phase_field(y1, anchor.potential)
     margin = float(np.dot(normal, normal))
     if margin <= 1e-10:
         raise ValueError(f"section not transversal: margin {margin!r}")
-    return Section(potential, case, T, path, anchor, normal, margin)
+    return Section(anchor, T, path, y1, normal)
 
 
 def poincare_section(section: Section, delta: float, sample_count: int = 50,
@@ -313,8 +313,8 @@ def poincare_section(section: Section, delta: float, sample_count: int = 50,
     bracket search relies on.  Sample 0 is the collision datum itself, so its
     orbit is the section's transmission path, not integrated again.
     """
-    potential, case, T = section.potential, section.case, section.T
-    y1, normal = section.anchor, section.normal
+    anchor, T, y1, normal = section.anchor, section.T, section.y1, section.normal
+    potential, ball_radius = anchor.potential, anchor.case.ball_radius
     y1v = y1.as_vector()
     rng = default_rng(seed)
 
@@ -325,15 +325,15 @@ def poincare_section(section: Section, delta: float, sample_count: int = 50,
         ("sample_id", "q0x", "q0y", "v0x", "v0y", "epsilon", "l",
          "tau", "Sx", "Sy", "Svx", "Svy", "bracket_xi"),
         meta={"T": T, "delta": delta, "anchor": y1v.tolist(),
-              "transversality_margin": section.margin})
+              "transversality_margin": float(np.dot(normal, normal))})
 
     cells = [(0.0, Perturbation())] + _sample_cloud(delta, sample_count - 1, rng)
     tau_devs, trace_devs = [], []
     for i, (eps, pert) in enumerate(cells):
-        y0 = make_initial_data(case, potential, pert)
+        y0 = make_initial_data(anchor, pert)
         try:
             orbit = (_covering(section.path, t_hi) if i == 0 else
-                     extended_flow(y0, eps, potential, t_hi, case.ball_radius))
+                     extended_flow(y0, eps, potential, t_hi, ball_radius))
             flow_at = orbit.state_at
 
             def H(t):

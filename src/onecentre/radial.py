@@ -13,6 +13,8 @@ positive zero of f, and evaluates the singular time-of-flight integrals
 
 with turning-point-aware quadrature.  For zero angular momentum and a weak
 singularity the fall reaches the origin in finite time (collision_time).
+`case_anchor` is the one solve of a collision case: its `Anchor` carries the
+collision datum every experiment starts from, and `fall_time` its fall.
 """
 
 from __future__ import annotations
@@ -98,21 +100,33 @@ class InwardCrossing:
 Case = DropFromRest | InwardCrossing
 
 
-def case_anchor(case: Case, potential: PotentialSpec) -> tuple[float, float]:
-    """Nominal initial radius and signed radial speed for a collision case.
+@dataclass(frozen=True)
+class Anchor:
+    """A solved collision case, made only by `case_anchor`: the nominal
+    initial radius and signed radial speed of the case's collision datum."""
 
-    Drop case: (rest radius, 0); crossing case: (ball radius, -sqrt(2(E+V))).
-    Raises when the case preconditions fail (rest radius outside/inside the
-    ball as appropriate, or imaginary boundary speed).
+    case: Case
+    potential: PotentialSpec
+    radius: float
+    speed: float
+
+
+def case_anchor(case: Case, potential: PotentialSpec) -> Anchor:
+    """The one solve of a collision case: (rest radius, 0) for a drop,
+    (ball radius, -sqrt(2(E+V))) for a crossing.  Raises when the case
+    preconditions fail (no rest radius above 1e-14, rest radius outside/inside
+    the ball as appropriate, or imaginary boundary speed).
     """
     bare = SmoothedPotential(potential, 0.0)
     rest_radius = first_zero(RadialProblem(bare, case.energy, 0.0))
+    if not rest_radius > 0.0:
+        raise ValueError(f"energy {case.energy!r} leaves no rest radius above 1e-14")
     if isinstance(case, DropFromRest):
         if not rest_radius < case.ball_radius:
             raise ValueError(
                 f"drop case needs the rest radius {rest_radius!r} inside the ball "
                 f"{case.ball_radius!r}")
-        return rest_radius, 0.0
+        return Anchor(case, potential, rest_radius, 0.0)
     if not rest_radius >= case.ball_radius:
         raise ValueError(
             f"crossing case needs the rest radius {rest_radius!r} at or beyond the "
@@ -120,14 +134,15 @@ def case_anchor(case: Case, potential: PotentialSpec) -> tuple[float, float]:
     speed_sq = 2.0 * (case.energy + bare.value(case.ball_radius))
     if speed_sq < 0:
         raise ValueError("boundary speed is imaginary: energy too low for the ball radius")
-    return case.ball_radius, -math.sqrt(speed_sq)
+    return Anchor(case, potential, case.ball_radius, -math.sqrt(speed_sq))
 
 
 def first_zero(rp: RadialProblem) -> float:
     """First positive zero of f, i.e. the radius where E + V_eps = 0.
 
     Since E + V_eps decreases in r, a doubling scan from r = 1 locates the
-    sign change; +inf when none exists below 1e9.  A NaN energy is a
+    sign change; +inf when none exists below 1e9, and 0.0 when E + V_eps
+    stays nonpositive down to 1e-14 (no resolvable zero).  A NaN energy is a
     ValueError.
     """
     if math.isnan(rp.energy):
@@ -261,10 +276,9 @@ def collision_time(rp: RadialProblem, r0: float) -> float:
     return time_of_flight(rp, 0.0, r0, tp)
 
 
-def fall_time(case: Case, potential: PotentialSpec) -> float:
-    """Collision time of the case's nominal orbit in the bare potential, at
-    the energy of its anchor (radius and radial speed of case_anchor)."""
-    anchor, v1 = case_anchor(case, potential)
-    bare = SmoothedPotential(potential, 0.0)
-    energy = 0.5 * v1 * v1 - bare.value(anchor)
-    return collision_time(RadialProblem(bare, energy, 0.0), anchor)
+def fall_time(anchor: Anchor) -> float:
+    """Collision time of the solved case's nominal orbit in the bare
+    potential, at the energy of its datum (radius and radial speed)."""
+    bare = SmoothedPotential(anchor.potential, 0.0)
+    energy = 0.5 * anchor.speed * anchor.speed - bare.value(anchor.radius)
+    return collision_time(RadialProblem(bare, energy, 0.0), anchor.radius)

@@ -10,7 +10,8 @@ interpolant of each accepted step as dense output.  Each step keeps only its
 stages; its interpolant is built when something reads it.  Pericentre,
 apocentre, ball-exit and near-collision events are found step by step, by
 root finding on the interpolant of a step where an event function changes
-sign.  scipy's integrators serve only as test oracles.
+sign.  scipy's integrators serve only as test oracles.  `make_initial_data`
+places the (perturbed) collision datum of a solved case (`radial.Anchor`).
 
 Energy E = |u'|^2/2 - V_eps(|u|) and l = u x u' are conserved by the dynamics;
 their numerical drift is monitored, never corrected.
@@ -28,8 +29,7 @@ from numpy.random import default_rng
 from . import _dop853
 from ._brent import brentq
 from .potentials import PotentialSpec, SmoothedPotential
-from .radial import (Case, RadialProblem, case_anchor, time_of_flight,
-                     turning_points)
+from .radial import Anchor, RadialProblem, time_of_flight, turning_points
 from .tables import ConvergenceTable
 
 #: ODE solver tolerances; the drift budget of the experiments assumes these
@@ -285,22 +285,21 @@ class Perturbation:
     dv1: float = 0.0
 
 
-def make_initial_data(case: Case, potential: PotentialSpec,
+def make_initial_data(anchor: Anchor,
                       perturbation: Perturbation | None = None) -> PhaseState:
-    """Initial datum of a (possibly perturbed) collision orbit.
+    """Initial datum of a (possibly perturbed) collision orbit of a solved case.
 
-    The nominal datum sits on the positive x axis: at rest at the outer rest
-    radius (drop case), or on the ball boundary moving inward (crossing case).
-    A perturbation shifts the position by dq and decomposes the velocity as
-    (v1_nominal + dv1) along the shifted radius plus l/|q0| across it.
+    The nominal datum sits on the positive x axis at the anchor's radius,
+    moving with its radial speed.  A perturbation shifts the position by dq
+    and decomposes the velocity as (v1_nominal + dv1) along the shifted
+    radius plus l/|q0| across it.
     """
     pert = perturbation or Perturbation()
-    anchor, v1_bar = case_anchor(case, potential)
-    q0 = np.array([anchor + pert.dq[0], pert.dq[1]])
+    q0 = np.array([anchor.radius + pert.dq[0], pert.dq[1]])
     r0 = math.hypot(q0[0], q0[1])
     if r0 == 0.0:
         raise ValueError("perturbed position collides with the centre")
     u_r = q0 / r0
     u_t = np.array([-u_r[1], u_r[0]])
-    v = (v1_bar + pert.dv1) * u_r + (pert.l / r0) * u_t
+    v = (anchor.speed + pert.dv1) * u_r + (pert.l / r0) * u_t
     return PhaseState(q0, v)

@@ -1,9 +1,9 @@
 """The non-minimality probe: the action of the drop's transmission path against
 its plateau displacements.
 
-The transmission path of the rest-to-rest drop is sampled on a uniform grid
-over [-T0, T0] and read as a piecewise-linear path with fixed endpoints; the
-action is
+The transmission path of a solved drop from rest (`radial.Anchor`) is
+sampled on a uniform grid over [-T0, T0] and read as a piecewise-linear
+path with fixed endpoints; the action is
 
     A(u) = integral ( |u'|^2 / 2 + V(|u|) ) dt,
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .potentials import PotentialSpec
-from .radial import DropFromRest, fall_time
+from .radial import Anchor, DropFromRest, fall_time
 from .simulator import make_initial_data
 from .flow import extended_flow
 from .tables import ConvergenceTable
@@ -85,11 +85,12 @@ def potential_action(values: np.ndarray, dt: float,
     return total, depth
 
 
-def delta_action(potential: PotentialSpec, energy: float, deltas, T1_factor: float,
+def delta_action(anchor: Anchor, deltas, T1_factor: float,
                  n_cells: int = DEFAULT_CELLS) -> ConvergenceTable:
     """The probe's table: A(u0) - A(u1), split into kinetic and potential
-    parts, one row per delta, for the transmission path u0 of the drop from
-    rest at `energy` and its plateau displacements u1.
+    parts, one row per delta, for the transmission path u0 of a solved drop
+    from rest (any other case is a ValueError) and its plateau displacements
+    u1.
 
     u0 is sampled at n_cells + 1 uniform times on [-T0, T0], from rest at the
     outer rest radius through the collision at t = 0 (a node, exactly 0) to
@@ -109,9 +110,11 @@ def delta_action(potential: PotentialSpec, energy: float, deltas, T1_factor: flo
         raise ValueError("n_cells must be divisible by 4")
     if not 0.0 < T1_factor < 1.0:
         raise ValueError("need 0 < T1_factor < 1")
-    case = DropFromRest(energy)
-    path = extended_flow(make_initial_data(case, potential), 0.0, potential,
-                         fall_time(case, potential), case.ball_radius)
+    if not isinstance(anchor.case, DropFromRest):
+        raise ValueError(f"the probe needs a drop from rest, got {anchor.case!r}")
+    potential = anchor.potential
+    path = extended_flow(make_initial_data(anchor), 0.0, potential, fall_time(anchor),
+                         anchor.case.ball_radius)
     T0 = path.collision_time
     times = np.linspace(-T0, T0, n_cells + 1)
     values = path.symmetric_positions(T0 + times[:n_cells // 2])

@@ -18,7 +18,7 @@ from onecentre.flow import (continuity_experiment, diagonal_cells, poincare_sect
 from onecentre.potentials import (SmoothedPotential, check_slowly_varying,
                                   check_admissible, homogeneous, logarithmic,
                                   weak_singularity_check)
-from onecentre.radial import DropFromRest, RadialProblem
+from onecentre.radial import DropFromRest, RadialProblem, case_anchor
 from onecentre.simulator import (PhaseState, conserved_drift, integrate,
                                  oracle_crosscheck)
 from onecentre.tables import aitken_limit, is_decreasing
@@ -95,7 +95,7 @@ def test_criterion_03_homogeneous_limit():
 
 def test_criterion_04_smoothing_limit_desk_scale():
     t0 = time.time()
-    table = convergence_sweep(logarithmic(), DropFromRest(0.0),
+    table = convergence_sweep(case_anchor(DropFromRest(0.0), logarithmic()),
                               default_paths(range(2, 7)))
     diag = [row for row in table.rows if row[0] == "diagonal"]
     scales = [row[2] for row in diag]
@@ -185,9 +185,9 @@ def test_criterion_06_conservation_and_oracle_equivalence():
 
 def test_criterion_07_extended_flow_continuity():
     t0 = time.time()
-    case = DropFromRest(0.0)
+    anchor = case_anchor(DropFromRest(0.0), logarithmic())
     T = 1.5 * T0_LOG
-    table = continuity_experiment(logarithmic(), case, T, diagonal_cells(range(2, 7)))
+    table = continuity_experiment(anchor, T, diagonal_cells(range(2, 7)))
     ref = table.meta["reference"]
     ref_speed = math.hypot(ref[2], ref[3])
     d = table.column("dist_total")
@@ -219,11 +219,11 @@ def test_criterion_07_extended_flow_continuity():
 
 def test_criterion_08_poincare_section():
     t0 = time.time()
-    case = DropFromRest(0.0)
+    anchor = case_anchor(DropFromRest(0.0), logarithmic())
     T = 1.5 * T0_LOG
     tau_devs, trace_devs = [], []
     all_found = True
-    section = section_at(logarithmic(), case, T)
+    section = section_at(anchor, T)
     for delta in (1e-2, 1e-3, 1e-4):
         table = poincare_section(section, delta, sample_count=50, seed=808)
         all_found &= table.meta["crossings_found"] == table.meta["samples"]
@@ -244,7 +244,8 @@ def test_criterion_08_poincare_section():
 
 def test_criterion_09_variational_non_minimality():
     t0 = time.time()
-    meta = delta_action(logarithmic(), 0.0, (1e-2, 1e-3, 1e-4), 0.5).meta   # 2^14 cells
+    anchor = case_anchor(DropFromRest(0.0), logarithmic())
+    meta = delta_action(anchor, (1e-2, 1e-3, 1e-4), 0.5).meta   # 2^14 cells
     elapsed = time.time() - t0
     all_positive = all(dA > 0 for dA in meta["dA"])
     kinetic_mismatch = meta["kinetic_mismatch"]

@@ -193,7 +193,7 @@ def test_desingularized_factor_domain():
 
 
 def test_convergence_sweep_logarithmic_drop():
-    table = convergence_sweep(logarithmic(), DropFromRest(0.0),
+    table = convergence_sweep(case_anchor(DropFromRest(0.0), logarithmic()),
                               default_paths(range(2, 6)))
     limits = table.meta["path_limits"]
     assert set(limits) == {"diagonal", "eps_first", "l_first"}
@@ -233,7 +233,7 @@ def test_convergence_sweep_diagonal_matches_40_digit_quadrature():
     # the two cells whose ratio criterion 4 compares; the references are the
     # published 40-digit values (README, "Convergence rates")
     mp = pytest.importorskip("mpmath")
-    table = convergence_sweep(logarithmic(), DropFromRest(0.0),
+    table = convergence_sweep(case_anchor(DropFromRest(0.0), logarithmic()),
                               default_paths(range(2, 7)))
     diag = [row for row in table.rows if row[0] == "diagonal"]
     for row, k, published in ((diag[0], 2, 1.6476056032022661),
@@ -261,14 +261,13 @@ def test_sweep_cell_quadrature_nodes_pinned(spec, case, k, angle, value_calls):
         return spec.value(x)
 
     counting = dataclasses.replace(spec, value=value)
-    anchor, v1_bar = case_anchor(case, counting)
-    ang = _sweep_cell(counting, case, anchor, v1_bar, 10.0 ** -k, 10.0 ** -k)
+    ang = _sweep_cell(case_anchor(case, counting), 10.0 ** -k, 10.0 ** -k)
     assert ang.angle == angle
     assert calls == value_calls
 
 
 def test_convergence_sweep_case2_entry():
-    table = convergence_sweep(logarithmic(), InwardCrossing(1.0, 1.0),
+    table = convergence_sweep(case_anchor(InwardCrossing(1.0, 1.0), logarithmic()),
                               default_paths(range(2, 6)))
     # integrals clamp at the ball radius
     betas = [row[5] for row in table.rows if math.isfinite(row[5])]
@@ -284,27 +283,18 @@ def test_convergence_sweep_homogeneous_not_strongly_regularizable():
     from onecentre.apsidal import SweepPath
     bare = SweepPath("bare_l", tuple((0.0, 2.0 ** -k) for k in range(4, 11)))
     diag = SweepPath("diagonal", tuple((10.0 ** -k, 10.0 ** -k) for k in range(2, 6)))
-    table = convergence_sweep(homogeneous(0.5), DropFromRest(-0.5), [bare, diag])
+    table = convergence_sweep(case_anchor(DropFromRest(-0.5), homogeneous(0.5)),
+                              [bare, diag])
     est_bare = table.meta["path_limits"]["bare_l"]["estimate"]
     assert abs(est_bare - math.pi / 1.5) < 1e-2   # pi/(2-alpha) = 2pi/3
     assert table.meta["uniform"] is False or \
         abs(table.meta["path_limits"]["diagonal"]["estimate"] - est_bare) > 0.05
 
 
-def test_convergence_sweep_records_cell_errors_and_continues():
-    # drop case with the ball radius below the rest radius fails in every
-    # cell; the sweep records the failures instead of raising
-    table = convergence_sweep(logarithmic(), DropFromRest(0.0, ball_radius=0.5),
-                              default_paths(range(2, 4)))
-    assert len(table.meta["cell_errors"]) == len(table.rows)
-    assert all(math.isnan(row[6]) for row in table.rows)
-    assert table.meta["path_limits"] == {}
-
-
 def test_convergence_sweep_records_nan_cells_and_continues():
     # 10^-nan makes a NaN eps or l, hence a NaN cell energy: those cells
     # fail with a ValueError from first_zero, the finite cells are swept
-    table = convergence_sweep(logarithmic(), DropFromRest(0.0),
+    table = convergence_sweep(case_anchor(DropFromRest(0.0), logarithmic()),
                               default_paths([2, 3, math.nan]))
     errors = table.meta["cell_errors"]
     assert [(pid, k) for pid, k, _ in errors] == [

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import onecentre
+from onecentre import apsidal, cli, flow, radial, simulator, variational
 from onecentre.cli import main
 from onecentre.potentials import logarithmic
+from onecentre.radial import DropFromRest, case_anchor
 from onecentre.variational import MAX_DEPTH, delta_action
 
 
@@ -166,6 +168,7 @@ def test_config_error_empty_or_nonintegral(tmp_path, capsys, subcommand, cfg, me
 
 _HOM = {"family": "homogeneous", "alpha": 0.5}
 _NO_REST = "drop case needs the rest radius inf inside the ball inf"
+_NO_ZERO = "energy %r leaves no rest radius above 1e-14"
 
 
 @pytest.mark.parametrize("subcommand, cfg, message", [
@@ -229,6 +232,14 @@ _NO_REST = "drop case needs the rest radius inf inside the ball inf"
      "'potential.alpha' must be a number, got True"),
     ("apsidal-sweep", {"potential": {"family": "homogeneous", "alpha": "0.5"}},
      "'potential.alpha' must be a number, got '0.5'"),
+    # -log r = E + V has its zero below 1e-14, where first_zero stops looking
+    ("apsidal-sweep", {"case": {"type": "drop", "energy": -33.0}},
+     f"'case' {{'type': 'drop', 'energy': -33.0}}: {_NO_ZERO % -33.0}"),
+    ("transmission-demo", {"case": {"type": "drop", "energy": -40.0}},
+     f"'case' {{'type': 'drop', 'energy': -40.0}}: {_NO_ZERO % -40.0}"),
+    ("poincare-continuity", {"case": {"type": "drop", "energy": -40.0}},
+     f"'case' {{'type': 'drop', 'energy': -40.0}}: {_NO_ZERO % -40.0}"),
+    ("variational-probe", {"energy": -40.0}, f"'energy' -40.0: {_NO_ZERO % -40.0}"),
 ], ids=["n_cells-not-divisible-by-4", "probe-no-rest-radius", "continuity-no-rest-radius",
         "demo-no-rest-radius", "sweep-no-rest-radius", "section-rest-outside-ball",
         "demo-entry-inside-rest-radius", "oracle-no-bound-energy",
@@ -241,7 +252,9 @@ _NO_REST = "drop case needs the rest radius inf inside the ball inf"
         "variational-probe-unknown-key", "oracle-crosscheck-unknown-key",
         "sweep-nan-energy", "sweep-nan-exponent", "strong_tol-nan", "audit-nan-energy",
         "samples-beyond-float", "drop-infinite-ball", "probe-infinite-delta", "alpha-nan",
-        "alpha-beyond-float", "alpha-bool", "alpha-string"])
+        "alpha-beyond-float", "alpha-bool", "alpha-string", "sweep-rest-radius-below-floor",
+        "demo-rest-radius-below-floor", "continuity-rest-radius-below-floor",
+        "probe-rest-radius-below-floor"])
 def test_config_error_impossible_config(tmp_path, capsys, subcommand, cfg, message):
     # a key the subcommand does not read, a value the library would reject (a
     # bool or string posing as a number among them, and NaN, the infinities
@@ -286,7 +299,8 @@ def test_variational_probe_command(tmp_path):
     assert all(d > 0 for d in s["evidence"]["dA"])
     assert s["evidence"]["kinetic_mismatch"] < 1e-10
     # the evidence is the meta of the library call, not a second computation
-    meta = delta_action(logarithmic(), 0.0, [1e-2, 1e-3], 0.5, 4096).meta
+    meta = delta_action(case_anchor(DropFromRest(0.0), logarithmic()), [1e-2, 1e-3], 0.5,
+                        4096).meta
     assert s["evidence"] == {k: meta[k] for k in ("dA", "kinetic_mismatch", "dV_over_delta_sq")}
 
 
@@ -349,6 +363,47 @@ def test_poincare_continuity_command(tmp_path):
     assert s["evidence"]["nonincreasing"] is True
     header = (tmp_path / "poincare_continuity.csv").read_text().splitlines()[0]
     assert header == "k,epsilon,l,dq,dv1,dist_total,dist_pos,dist_vel,theta_increment"
+
+
+#: the subcommands that take a case, each at a small config
+_CASE_RUNS = {
+    "apsidal-sweep": {"exponents": [2, 3, 4]},
+    "poincare-continuity": {"exponents": [2, 3, 4]},
+    "poincare-section": {"deltas": [1e-2], "samples": 6},
+    "transmission-demo": {},
+    "variational-probe": {"deltas": [1e-2], "n_cells": 64},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_CASE_RUNS))
+def test_each_run_solves_its_case_once(tmp_path, monkeypatch, subcommand):
+    # case_anchor is the one solve of a case, made once per run at config
+    # time; the bare l = 0 rest radius is found again only by the collision
+    # times (turning_points) of the fall and of each transmission path
+    calls = {"case_anchor": 0, "first_zero": 0}
+
+    def counting(name, fn, bare_only):
+        def wrapper(*args):
+            rp = args[0]
+            if not bare_only or (rp.potential.epsilon == 0.0 and rp.ang_momentum == 0.0):
+                calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, bare_only in (("case_anchor", False), ("first_zero", True)):
+        original = getattr(radial, name)
+        wrapped = counting(name, original, bare_only)
+        for module in (onecentre, radial, simulator, apsidal, flow, variational, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CASE_RUNS[subcommand]))
+    assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert calls["case_anchor"] == 1
+    # case_anchor's solve, plus the collision times: none for the sweep, the
+    # fall and its transmission path for the others, and the collision sample
+    # of the section's cloud (sample 5 of 6)
+    assert calls["first_zero"] == {"apsidal-sweep": 1, "poincare-section": 4}.get(subcommand, 3)
 
 
 def test_poincare_section_command(tmp_path):

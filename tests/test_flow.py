@@ -7,11 +7,13 @@ from onecentre.flow import (ExitedBall, TransmissionPath, continuity_experiment,
                             diagonal_cells, extended_flow, phase_field,
                             poincare_section, section_at, transmission_extend)
 from onecentre.potentials import SmoothedPotential, logarithmic
-from onecentre.radial import DropFromRest, InwardCrossing, fall_time
+from onecentre.radial import DropFromRest, InwardCrossing, case_anchor, fall_time
 from onecentre.simulator import PhaseState, Perturbation, integrate, make_initial_data
 
 BARE_LOG = SmoothedPotential(logarithmic(), 0.0)
 T0_LOG = math.sqrt(math.pi / 2.0)   # fall time of the unit drop, E = 0
+#: the unit drop, solved
+DROP0 = case_anchor(DropFromRest(0.0), logarithmic())
 
 
 @pytest.fixture(scope="module")
@@ -135,9 +137,8 @@ def test_extended_map_reports_ball_exit():
 
 
 def test_continuity_distances_decrease():
-    case = DropFromRest(0.0)
     T = 1.5 * T0_LOG
-    table = continuity_experiment(logarithmic(), case, T, diagonal_cells(range(2, 6)))
+    table = continuity_experiment(DROP0, T, diagonal_cells(range(2, 6)))
     d = table.column("dist_total")
     assert table.meta["nonincreasing"]
     assert all(b < a for a, b in zip(d, d[1:]))
@@ -148,26 +149,31 @@ def test_continuity_distances_decrease():
 
 def test_continuity_control_before_collision():
     # T < T0: classical smooth dependence, distances collapse fast
-    case = DropFromRest(0.0)
     T = 0.5 * T0_LOG
-    table = continuity_experiment(logarithmic(), case, T, diagonal_cells(range(2, 5)))
+    table = continuity_experiment(DROP0, T, diagonal_cells(range(2, 5)))
     d = table.column("dist_total")
     assert d[-1] < 1e-3
     assert d[-1] < d[0] / 50.0
 
 
+def test_continuity_failure_names_its_cell():
+    # the eps = l = 1e-12 cell grazes the centre and the stepper gives up; its
+    # RuntimeError comes back naming the cell
+    with pytest.raises(RuntimeError, match=r"^continuity cell k=1 \(eps=1e-12, l=1e-12\): "
+                       "integration failed: required step size"):
+        continuity_experiment(DROP0, 1.5 * T0_LOG, diagonal_cells([2, 12]))
+
+
 def test_continuity_collision_cells_follow_the_extended_map():
     # eps = 0, l = 0 cells are collision data: transported by their own
     # transmission paths, not read off an integration aborted at collision
-    case = DropFromRest(0.0)
     T = 1.5 * T0_LOG
     cells = [(0.0, Perturbation(dq=(s, 0.0))) for s in (1e-2, 1e-3, 1e-4)]
-    table = continuity_experiment(logarithmic(), case, T, cells)
-    ref = extended_flow(make_initial_data(case, logarithmic()), 0.0, logarithmic(),
-                        T).state_at(T)
+    table = continuity_experiment(DROP0, T, cells)
+    ref = extended_flow(make_initial_data(DROP0), 0.0, logarithmic(), T).state_at(T)
     for (_, pert), d, theta in zip(cells, table.column("dist_total"),
                                    table.column("theta_increment")):
-        st = extended_flow(make_initial_data(case, logarithmic(), pert), 0.0,
+        st = extended_flow(make_initial_data(DROP0, pert), 0.0,
                            logarithmic(), T).state_at(T)
         assert d == pytest.approx(st.distance(ref), abs=1e-10)
         assert theta == math.pi
@@ -190,22 +196,17 @@ def test_extended_flow_covers_the_horizon():
 
 def test_continuity_marks_exiting_cells():
     # entry case with a tight ball: a strong outward kick leaves the ball
-    case = InwardCrossing(1.0, 1.0)
-    T = 1.2 * _entry_T0()
+    entry = case_anchor(InwardCrossing(1.0, 1.0), logarithmic())
+    T = 1.2 * fall_time(entry)   # E = 1: |p|^2 = 2
     cells = [(1e-2, Perturbation(dv1=2.5))]
-    table = continuity_experiment(logarithmic(), case, T, cells)
+    table = continuity_experiment(entry, T, cells)
     assert "marked_cells" in table.meta
     assert math.isnan(table.rows[0][5])
 
 
-def _entry_T0():
-    return fall_time(InwardCrossing(1.0, 1.0), logarithmic())   # E = 1: |p|^2 = 2
-
-
 def test_section_anchor_hits_exactly():
-    case = DropFromRest(0.0)
     T = 1.5 * T0_LOG
-    table = poincare_section(section_at(logarithmic(), case, T), delta=1e-3,
+    table = poincare_section(section_at(DROP0, T), delta=1e-3,
                              sample_count=6, seed=3)
     row0 = table.rows[0]   # the unperturbed datum
     tau0 = row0[7]
@@ -216,7 +217,7 @@ def test_section_anchor_hits_exactly():
 
 def test_section_transversality_margin_is_field_norm():
     # the section is normal to the flow at its anchor: the margin is |field|^2
-    table = poincare_section(section_at(logarithmic(), DropFromRest(0.0), 1.5 * T0_LOG),
+    table = poincare_section(section_at(DROP0, 1.5 * T0_LOG),
                              delta=1e-3, sample_count=2, seed=0)
     anchor = table.meta["anchor"]
     f = phase_field(PhaseState(anchor[:2], anchor[2:]), logarithmic())
@@ -225,10 +226,9 @@ def test_section_transversality_margin_is_field_norm():
 
 
 def test_section_crossings_and_shrinking_neighbourhood():
-    case = DropFromRest(0.0)
     T = 1.5 * T0_LOG
     taus, traces = [], []
-    section = section_at(logarithmic(), case, T)
+    section = section_at(DROP0, T)
     for delta in (1e-2, 1e-3):
         table = poincare_section(section, delta=delta, sample_count=14, seed=11)
         assert table.meta["crossings_found"] == table.meta["samples"]
@@ -240,13 +240,11 @@ def test_section_crossings_and_shrinking_neighbourhood():
 
 def test_section_offset_monotone_through_crossing():
     # H(y, t) increases through the located crossing
-    case = DropFromRest(0.0)
     T = 1.5 * T0_LOG
-    y0 = make_initial_data(case, logarithmic(), Perturbation(l=1e-3))
+    y0 = make_initial_data(DROP0, Perturbation(l=1e-3))
     sm = SmoothedPotential(logarithmic(), 1e-3)
     traj = integrate(y0, sm, horizon=1.2 * T)
-    ref = poincare_section(section_at(logarithmic(), case, T), delta=1e-3,
-                           sample_count=2, seed=0)
+    ref = poincare_section(section_at(DROP0, T), delta=1e-3, sample_count=2, seed=0)
     anchor = np.array(ref.meta["anchor"])
     normal = phase_field(PhaseState(anchor[:2], anchor[2:]), logarithmic())
     hs = [float(np.dot(traj.state_at(t).as_vector() - anchor, normal))
@@ -257,18 +255,16 @@ def test_section_offset_monotone_through_crossing():
 def test_section_sample_zero_reuses_the_reference_orbit():
     # sample 0 is the collision datum itself; its fall ends at the collision
     # event, long before either horizon, so it does not depend on the horizon
-    case = DropFromRest(0.0)
     T = 1.5 * T0_LOG
-    y0 = make_initial_data(case, logarithmic())
-    ref = extended_flow(y0, 0.0, logarithmic(), T, case.ball_radius)
-    own = extended_flow(y0, 0.0, logarithmic(), 1.1 * T, case.ball_radius)
+    y0 = make_initial_data(DROP0)
+    ref = extended_flow(y0, 0.0, logarithmic(), T)
+    own = extended_flow(y0, 0.0, logarithmic(), 1.1 * T)
     assert np.array_equal(ref.pre.times, own.pre.times)
     assert np.array_equal(ref.pre.states, own.pre.states)
     assert ref.collision_time == own.collision_time
     # beyond 2 T0 the reused orbit fails like every other collision sample
     T = 1.95 * T0_LOG
-    table = poincare_section(section_at(logarithmic(), case, T), delta=1e-3,
-                             sample_count=2, seed=0)
+    table = poincare_section(section_at(DROP0, T), delta=1e-3, sample_count=2, seed=0)
     failed = dict(table.meta["failed_samples"])
     assert sorted(failed) == [0, 1]
     assert failed[0] == (f"T={T + 0.1 * T!r} beyond the transmission domain "

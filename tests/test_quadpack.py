@@ -149,6 +149,7 @@ def test_engine_legs_replay_bitwise(monkeypatch, spec, case, k):
         return got
 
     monkeypatch.setattr(quadrature, "qagse", both)
-    _sweep_cell(spec, case, *case_anchor(case, spec), 10.0 ** -k, 10.0 ** -k)
-    fall_time(case, spec)
+    anchor = case_anchor(case, spec)
+    _sweep_cell(anchor, 10.0 ** -k, 10.0 ** -k)
+    fall_time(anchor)
     assert len(legs) == 4  # the angle and the fall time, two legs each

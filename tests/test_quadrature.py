@@ -261,9 +261,9 @@ def recorded(monkeypatch):
 def test_sweep_cells_and_collision_time_bitwise(recorded, name):
     # every apsidal_angle cell of the three default paths, in schedule order,
     # then the collision time of the drop
-    potential, case = _GOLDEN_CASES[name]
-    convergence_sweep(potential, case, default_paths(range(2, 7)))
-    fall_time(case, potential)
+    anchor = case_anchor(*_GOLDEN_CASES[name][::-1])
+    convergence_sweep(anchor, default_paths(range(2, 7)))
+    fall_time(anchor)
     assert [flags for flags, _ in recorded] == [(True, True)] * 16
     assert [h for _, h in recorded] == _SWEEP_GOLDEN[name]
 
@@ -273,7 +273,7 @@ def test_one_sided_and_plain_legs_bitwise(recorded, name):
     # an angle cut off inside the orbit, flights from the pericentre and to
     # the apocentre, and a flight between two inner radii
     potential, case = _GOLDEN_CASES[name]
-    anchor, _ = case_anchor(case, potential)
+    anchor = case_anchor(case, potential).radius
     sm = SmoothedPotential(potential, 1e-3)
     l = 1e-2
     rp = RadialProblem(sm, 0.5 * l * l / (anchor * anchor) - sm.value(anchor), l)

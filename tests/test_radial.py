@@ -172,7 +172,7 @@ def test_collision_time_homogeneous_closed_form():
 @pytest.mark.parametrize("E", [-1.0, -0.5, 0.0, 0.5])
 def test_fall_time_at_rest_log_closed_form(E):
     # rho = e^E x turns T0 into e^E int_0^1 dx/sqrt(-2 log x) = e^E sqrt(pi/2)
-    assert fall_time(DropFromRest(E), logarithmic()) == pytest.approx(
+    assert fall_time(case_anchor(DropFromRest(E), logarithmic())) == pytest.approx(
         math.exp(E) * SQRT_HALF_PI, rel=1e-12)
 
 
@@ -183,7 +183,7 @@ def test_fall_time_at_rest_homogeneous_closed_form(alpha, E):
     P = (-E) ** (-1.0 / alpha)
     a, b = 0.5 + 1.0 / alpha, 0.5
     beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    assert fall_time(DropFromRest(E), homogeneous(alpha)) == pytest.approx(
+    assert fall_time(case_anchor(DropFromRest(E), homogeneous(alpha))) == pytest.approx(
         P / math.sqrt(-2.0 * E) * beta / alpha, rel=1e-12)
 
 
@@ -240,17 +240,24 @@ def test_time_of_flight_continuity_near_collision_datum():
 
 
 def test_case_anchor_drop():
-    anchor, v1 = case_anchor(DropFromRest(0.0), logarithmic())
-    assert anchor == pytest.approx(1.0, abs=1e-14)
-    assert v1 == 0.0
-    with pytest.raises(ValueError):
+    case, potential = DropFromRest(0.0), logarithmic()
+    anchor = case_anchor(case, potential)
+    assert anchor.case is case and anchor.potential is potential
+    assert anchor.radius == pytest.approx(1.0, abs=1e-14)
+    assert anchor.speed == 0.0
+    # an unrealisable case is rejected here, so no sweep or flow ever sees one
+    with pytest.raises(ValueError, match="inside the ball 0.5"):
         case_anchor(DropFromRest(0.0, ball_radius=0.5), logarithmic())
+    # below 1e-14 first_zero gives up and returns 0.0, which is no rest radius
+    assert first_zero(log_problem(-40.0, 0.0)) == 0.0
+    with pytest.raises(ValueError, match="no rest radius above 1e-14"):
+        case_anchor(DropFromRest(-40.0), logarithmic())
 
 
 def test_case_anchor_entry():
     # E = 1, ball 1: rest radius e > 1; boundary speed sqrt(2(1+0)) = sqrt 2
-    anchor, v1 = case_anchor(InwardCrossing(1.0, 1.0), logarithmic())
-    assert anchor == 1.0
-    assert v1 == pytest.approx(-math.sqrt(2.0), rel=1e-14)
+    anchor = case_anchor(InwardCrossing(1.0, 1.0), logarithmic())
+    assert anchor.radius == 1.0
+    assert anchor.speed == pytest.approx(-math.sqrt(2.0), rel=1e-14)
     with pytest.raises(ValueError):
         case_anchor(InwardCrossing(0.0, 2.0), logarithmic())

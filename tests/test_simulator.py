@@ -7,7 +7,7 @@ from scipy.integrate import DOP853, solve_ivp
 from onecentre import _dop853
 from onecentre.flow import diagonal_cells
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
-from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem,
+from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem, case_anchor,
                               time_of_flight, turning_points)
 from onecentre.simulator import (APOCENTER, COLLISION, COLLISION_RADIUS,
                                  DEFAULT_ATOL, DEFAULT_RTOL, EXIT_BALL,
@@ -135,14 +135,14 @@ def test_time_reversal_symmetry_of_drift():
 
 
 def test_make_initial_data_drop_case():
-    st = make_initial_data(DropFromRest(0.0), logarithmic())
+    st = make_initial_data(case_anchor(DropFromRest(0.0), logarithmic()))
     assert st.position == pytest.approx([1.0, 0.0])
     assert st.velocity == pytest.approx([0.0, 0.0])
     assert st.ang_momentum == 0.0
 
 
 def test_make_initial_data_entry_case():
-    st = make_initial_data(InwardCrossing(1.0, 1.0), logarithmic())
+    st = make_initial_data(case_anchor(InwardCrossing(1.0, 1.0), logarithmic()))
     assert st.position == pytest.approx([1.0, 0.0])
     # |p|^2 = 2 (E + V(1)) = 2, directed toward the centre
     assert st.velocity == pytest.approx([-math.sqrt(2.0), 0.0])
@@ -150,7 +150,7 @@ def test_make_initial_data_entry_case():
 
 def test_make_initial_data_perturbation_decomposition():
     pert = Perturbation(dq=(0.01, -0.02), l=0.05, dv1=0.03)
-    st = make_initial_data(DropFromRest(0.0), logarithmic(), pert)
+    st = make_initial_data(case_anchor(DropFromRest(0.0), logarithmic()), pert)
     assert st.position == pytest.approx([1.01, -0.02])
     assert st.ang_momentum == pytest.approx(0.05, abs=1e-15)
     u_r = st.position / st.r
@@ -158,7 +158,7 @@ def test_make_initial_data_perturbation_decomposition():
 
 
 def test_zero_perturbation_keeps_l_exactly_zero():
-    st = make_initial_data(DropFromRest(0.0), logarithmic(), Perturbation())
+    st = make_initial_data(case_anchor(DropFromRest(0.0), logarithmic()), Perturbation())
     assert st.ang_momentum == 0.0
 
 
@@ -331,7 +331,7 @@ def test_step_too_small_raises():
     # the eps = l = 1e-12 diagonal continuity cell of the unit drop: the
     # orbit grazes the centre and the step size falls below 10 ulp(t)
     (eps, pert), = diagonal_cells([12])
-    state = make_initial_data(DropFromRest(0.0), logarithmic(), pert)
+    state = make_initial_data(case_anchor(DropFromRest(0.0), logarithmic()), pert)
     with pytest.raises(RuntimeError, match="step size"):
         integrate(state, SmoothedPotential(logarithmic(), eps), horizon=2.0)
 

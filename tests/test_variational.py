@@ -6,7 +6,7 @@ import pytest
 from onecentre import variational
 from onecentre.flow import transmission_extend
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
-from onecentre.radial import DropFromRest, case_anchor, fall_time
+from onecentre.radial import DropFromRest, InwardCrossing, case_anchor, fall_time
 from onecentre.simulator import PhaseState, integrate
 from onecentre.variational import delta_action, kinetic_action, potential_action
 
@@ -29,7 +29,8 @@ def probe(potential, energy, deltas, n_cells=2 ** 12):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(variational, "potential_action", recording)
-        table = delta_action(potential, energy, deltas, 0.5, n_cells)
+        table = delta_action(case_anchor(DropFromRest(energy), potential), deltas, 0.5,
+                             n_cells)
     return table, paths
 
 
@@ -136,13 +137,16 @@ def test_varied_action_finite_for_all_deltas(log_probe):
 
 
 def test_delta_action_rejects_bad_arguments():
+    drop = case_anchor(DropFromRest(0.0), logarithmic())
     with pytest.raises(ValueError, match="divisible by 4"):
-        delta_action(logarithmic(), 0.0, [1e-3], 0.5, 66)
+        delta_action(drop, [1e-3], 0.5, 66)
     for T1_factor in (0.0, 1.0):
         with pytest.raises(ValueError, match="T1_factor"):
-            delta_action(logarithmic(), 0.0, [1e-3], T1_factor, 64)
+            delta_action(drop, [1e-3], T1_factor, 64)
     with pytest.raises(ValueError, match="delta must be positive"):
-        delta_action(logarithmic(), 0.0, [1e-3, 0.0], 0.5, 64)
+        delta_action(drop, [1e-3, 0.0], 0.5, 64)
+    with pytest.raises(ValueError, match="needs a drop from rest"):
+        delta_action(case_anchor(InwardCrossing(1.0, 1.0), logarithmic()), [1e-3], 0.5, 64)
 
 
 # --- level-wise refinement against the per-cell recursion -------------------
@@ -209,7 +213,8 @@ def test_delta_action_matches_scalar_recursion(probe_case):
 
 def test_delta_action_refines_the_unvaried_path_once(log_probe):
     deltas = [1e-2, 1e-3, 1e-4]
-    singles = [delta_action(logarithmic(), 0.0, [d], 0.5, 2 ** 12).rows[0] for d in deltas]
+    drop = case_anchor(DropFromRest(0.0), logarithmic())
+    singles = [delta_action(drop, [d], 0.5, 2 ** 12).rows[0] for d in deltas]
     table, paths = log_probe
     # one unvaried refinement plus one per displaced path; only the first
     # passes through the centre
@@ -231,11 +236,10 @@ def test_refinement_stops_at_max_depth(monkeypatch, log_path):
 
 def _log_transmission(energy=0.0):
     pot = logarithmic()
-    case = DropFromRest(energy)
-    anchor, _ = case_anchor(case, pot)
-    horizon = 10.0 * fall_time(case, pot)
-    pre = integrate(PhaseState((anchor, 0.0), (0.0, 0.0)), SmoothedPotential(pot, 0.0),
-                    horizon=horizon)
+    anchor = case_anchor(DropFromRest(energy), pot)
+    horizon = 10.0 * fall_time(anchor)
+    pre = integrate(PhaseState((anchor.radius, 0.0), (0.0, 0.0)),
+                    SmoothedPotential(pot, 0.0), horizon=horizon)
     return transmission_extend(pre)
 
 

@@ -1,0 +1,91 @@
+"""Print the size of the program's surface: lines, parameters, fields and
+config keys.
+
+    python3 tools/surface.py
+
+Run from anywhere; it reads this checkout's ``src/onecentre`` with ``ast``
+and imports nothing from it.  The report is deterministic:
+
+* the line count of each module (as ``wc -l`` counts them) and their total;
+* the parameters of the module-level functions of each module, in total and
+  those with a default;
+* the fields of each dataclass, by class;
+* the config keys of each CLI subcommand (the defaults of its
+  ``_load_config`` call and its optional keys).
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "onecentre"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _parameters(fn: ast.FunctionDef) -> tuple[int, int]:
+    """(parameters, parameters with a default) of one function."""
+    a = fn.args
+    total = len(a.posonlyargs) + len(a.args) + len(a.kwonlyargs) + \
+        (a.vararg is not None) + (a.kwarg is not None)
+    defaults = len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+    return total, defaults
+
+
+def _config_keys(fn: ast.FunctionDef) -> list[str] | None:
+    """The keys of the `_load_config` call in fn, or None without one."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_load_config":
+            keys = [k.value for k in node.args[1].keys]
+            for kw in node.keywords:
+                if kw.arg == "optional":
+                    keys += [e.value for e in kw.value.elts]
+            return keys
+    return None
+
+
+def main() -> None:
+    lines = params = with_default = fields = 0
+    print("module lines, module-level function parameters (with defaults):")
+    rows, classes, commands = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        n_lines = text.count("\n")
+        p = d = 0
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                np_, nd = _parameters(node)
+                p, d = p + np_, d + nd
+                if path.name == "cli.py" and node.name.startswith("cmd_"):
+                    keys = _config_keys(node)
+                    if keys is not None:
+                        commands.append((node.name[4:].replace("_", "-"), keys))
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                names = [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+                classes.append((f"{path.stem}.{node.name}", names))
+        rows.append((path.name, n_lines, p, d))
+        lines, params, with_default = lines + n_lines, params + p, with_default + d
+    for name, n_lines, p, d in rows:
+        print(f"  {name:<16} {n_lines:>5} lines {p:>4} parameters ({d})")
+    print(f"  {'total':<16} {lines:>5} lines {params:>4} parameters ({with_default})")
+    print("dataclass fields:")
+    for name, names in classes:
+        fields += len(names)
+        print(f"  {name} ({len(names)}): {', '.join(names)}")
+    print(f"  total {fields} fields in {len(classes)} dataclasses")
+    print("config keys:")
+    for name, keys in commands:
+        print(f"  {name} ({len(keys)}): {', '.join(keys)}")
+    print(f"  total {sum(len(k) for _, k in commands)} keys in {len(commands)} subcommands")
+
+
+if __name__ == "__main__":
+    main()
