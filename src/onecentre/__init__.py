@@ -11,7 +11,7 @@ from .potentials import (ClassReport, PotentialSpec, SmoothedPotential,
                          weak_singularity_check)
 from .radial import (Anchor, Case, DropFromRest, InwardCrossing, RadialProblem,
                      TurningPoints, case_anchor, collision_time, fall_time,
-                     first_zero, time_of_flight, turning_points)
+                     first_zero, turning_points)
 from .apsidal import (ApsidalAngle, SweepPath, apsidal_angle, bounds_audit,
                       calibration_integral, convergence_sweep, default_paths,
                       desingularized_factor, integrand_envelope)

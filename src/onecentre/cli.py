@@ -272,8 +272,8 @@ def cmd_poincare_continuity(args, out: Path) -> bool:
     table = continuity_experiment(anchor, T, cells)
     table.write_csv(out_path(out, "poincare_continuity.csv"))
     meta = table.meta
-    verdict = bool(meta.get("nonincreasing")) and bool(meta.get("theta_converged")) \
-        and meta.get("decay_ratio", math.inf) < 1.0
+    verdict = not meta.get("cell_failed") and bool(meta.get("nonincreasing")) \
+        and bool(meta.get("theta_converged")) and meta.get("decay_ratio", math.inf) < 1.0
     evidence = {k: meta[k] for k in
                 ("T", "collision_time", "nonincreasing", "decay_ratio",
                  "theta_limit", "theta_converged") if k in meta}

@@ -15,6 +15,9 @@ of a non-collision datum and the transmission path of a collision datum, and
 its `state_at(T)` is the extended time-T map.  That map is continuous in
 (datum, smoothing) at every T != T0 -- the experiments in this module measure
 that continuity and the induced Poincare section with its hitting-time map.
+A `TransmissionPath` holds its integrated fall, which ends at the collision
+threshold and carries the energy, and adds the fall's quadrature tail from
+there (`radial.collision_time`).
 The experiments take a solved case (`radial.Anchor`), whose collision datum
 `make_initial_data` places.  A `Section` (from `section_at`) holds that
 datum's path and the section plane, computed once for all the
@@ -52,22 +55,20 @@ class ExitedBall(RuntimeError):
 class TransmissionPath:
     """A collision orbit extended by point reflection, on [0, 2 T0].
 
-    The pre-collision leg is an integrated trajectory aborted at the collision
-    threshold; the remaining fall time to the centre is added by quadrature.
-    Inside the sub-threshold window the radius is interpolated linearly in
-    time (the window is ~1e-9 long and the radius below 1e-8, far beneath
-    every tolerance used by the experiments) with the speed restored from the
-    energy.  The collision instant itself is excluded: the position there is 0
-    but the velocity is unbounded.
+    The pre-collision leg `pre` is an integrated trajectory aborted at the
+    collision threshold, at its end time `pre.t_end`; the remaining fall time
+    to the centre is added by quadrature.  Inside the sub-threshold window
+    the radius is interpolated linearly in time (the window is ~1e-9 long and
+    the radius below 1e-8, far beneath every tolerance used by the
+    experiments) with the speed restored from the leg's energy
+    `pre.energy0`.  The collision instant itself is excluded: the position
+    there is 0 but the velocity is unbounded.
     """
 
     pre: Trajectory
     collision_time: float
-    abort_time: float
     abort_radius: float
     direction: np.ndarray      # unit vector of the fall line
-    energy: float
-    theta0: float
 
     def state_at(self, t: float) -> PhaseState:
         T0 = self.collision_time
@@ -78,23 +79,23 @@ class TransmissionPath:
         if t > T0:
             mirror = self.state_at(2.0 * T0 - t)
             return PhaseState(-mirror.position, mirror.velocity)
-        if t <= self.abort_time:
+        if t <= self.pre.t_end:
             return self.pre.state_at(t)
         r = self._window_radius(t)
-        speed = math.sqrt(2.0 * (self.energy + self.pre.potential.value(r)))
+        speed = math.sqrt(2.0 * (self.pre.energy0 + self.pre.potential.value(r)))
         return PhaseState(r * self.direction, -speed * self.direction)
 
     def _window_radius(self, t):
         """Radius at times t (scalar or array) in the sub-threshold window."""
         T0 = self.collision_time
-        return self.abort_radius * (T0 - t) / (T0 - self.abort_time)
+        return self.abort_radius * (T0 - t) / (T0 - self.pre.t_end)
 
     def symmetric_positions(self, t: np.ndarray) -> np.ndarray:
         """Positions at the ascending pre-collision times t (0 <= t < T0), then
         at T0 (the origin), then at the reflected times 2 T0 - t in ascending
         order: a (2 len(t) + 1, 2) array, exactly antisymmetric about its
         middle row.  One dense-output evaluation covers the integrated leg."""
-        inside = t <= self.abort_time
+        inside = t <= self.pre.t_end
         before = np.concatenate([self.pre.dense(t[inside])[0:2].T,
                                  np.outer(self._window_radius(t[~inside]), self.direction)])
         return np.concatenate([before, np.zeros((1, 2)), -before[::-1]])
@@ -103,14 +104,16 @@ class TransmissionPath:
         """Continuous angular lift: constant on each leg, +pi across collision."""
         if t == self.collision_time:
             raise ValueError("angle undefined at the collision point")
-        return self.theta0 if t < self.collision_time else self.theta0 + math.pi
+        theta0 = math.atan2(self.direction[1], self.direction[0])
+        return theta0 if t < self.collision_time else theta0 + math.pi
 
 
 def transmission_extend(pre: Trajectory) -> TransmissionPath:
     """Extend a collision leg through the origin by reflection.
 
     `pre` must be an eps = 0 trajectory whose angular momentum vanishes (within
-    tolerance) and which ends with a collision event.
+    tolerance) and which ends with a collision event; the event is terminal,
+    so the leg ends at its time.
     """
     if pre.potential.epsilon != 0.0:
         raise ValueError("transmission extension applies to the unsmoothed system")
@@ -123,17 +126,9 @@ def transmission_extend(pre: Trajectory) -> TransmissionPath:
     end = pre.state_at(ev.time)
     r_abort = end.r
     direction = end.position / r_abort
-    rp = RadialProblem(pre.potential, pre.energy0, 0.0)
-    tail = collision_time(rp, r_abort)
-    return TransmissionPath(
-        pre=pre,
-        collision_time=ev.time + tail,
-        abort_time=ev.time,
-        abort_radius=r_abort,
-        direction=direction,
-        energy=pre.energy0,
-        theta0=math.atan2(direction[1], direction[0]),
-    )
+    tail = collision_time(RadialProblem(pre.potential, pre.energy0, 0.0), r_abort)
+    return TransmissionPath(pre=pre, collision_time=ev.time + tail,
+                            abort_radius=r_abort, direction=direction)
 
 
 def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
@@ -184,11 +179,13 @@ def continuity_experiment(anchor: Anchor, T: float,
     transmission path of a solved case, along a schedule of (eps,
     perturbation) cells tending to zero.
 
-    Cells whose orbit leaves the ball before T are marked (nan distances);
-    any other failure names its cell (k, eps, l), keeping its type.  meta
-    records the reference state, whether the distances are nonincreasing,
-    the first/last distance ratio, and the extrapolated angular increment
-    (the transmission value is exactly pi).
+    A cell whose orbit leaves the ball before T, or whose integration fails
+    (RuntimeError or ValueError), gets a nan row and an entry (k, message)
+    in meta["marked_cells"]; a failure's message names its eps and l, and
+    sets meta["cell_failed"].  meta records the reference state, whether
+    the distances of the other cells are nonincreasing, the first/last
+    distance ratio, and the extrapolated angular increment (the
+    transmission value is exactly pi).
     """
     if cells is None:
         cells = diagonal_cells()
@@ -212,14 +209,15 @@ def continuity_experiment(anchor: Anchor, T: float,
         try:
             orbit = extended_flow(make_initial_data(anchor, pert), eps, potential, T,
                                   ball_radius)
-        except ExitedBall as exc:
+        except (RuntimeError, ValueError) as exc:
+            message = str(exc)
+            if not isinstance(exc, ExitedBall):
+                message = f"eps={eps!r}, l={pert.l!r}: {message}"
+                table.meta["cell_failed"] = True
             table.add(k, eps, pert.l, math.hypot(*pert.dq), pert.dv1,
                       math.nan, math.nan, math.nan, math.nan)
-            table.meta.setdefault("marked_cells", []).append((k, str(exc)))
+            table.meta.setdefault("marked_cells", []).append((k, message))
             continue
-        except (RuntimeError, ValueError) as exc:
-            raise type(exc)(f"continuity cell k={k} (eps={eps!r}, l={pert.l!r}): "
-                            f"{exc}") from exc
         st = orbit.state_at(T)
         d_pos = float(np.linalg.norm(st.position - ref.position))
         d_vel = float(np.linalg.norm(st.velocity - ref.velocity))

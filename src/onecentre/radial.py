@@ -6,15 +6,14 @@ potential, the radial coordinate is governed by
     rdot^2 = 2 (E + V_eps(r)) - l^2 / r^2,
 
 and motion is possible where f(r) = 2 r^2 (E + V_eps(r)) >= l^2.  This module
-finds the turning points (pericentre/apocentre) of f(r) = l^2, the first
-positive zero of f, and evaluates the singular time-of-flight integrals
-
-    T(r_a, r_b) = integral  drho / sqrt(2 (E + V_eps(rho)) - l^2/rho^2)
-
-with turning-point-aware quadrature.  For zero angular momentum and a weak
-singularity the fall reaches the origin in finite time (collision_time).
+finds the first positive zero of f and, for l > 0, the turning points
+(pericentre/apocentre) of f(r) = l^2.  For zero angular momentum and a weak
+singularity the fall reaches the origin in finite time: `collision_time` is
+the fall of a datum moving at r0, `fall_time` the fall of a solved case.
+Each flight time is one call of the quadrature engine, and its caller, which
+knows which ends are turning points, sets the engine's endpoint flags.
 `case_anchor` is the one solve of a collision case: its `Anchor` carries the
-collision datum every experiment starts from, and `fall_time` its fall.
+collision datum every experiment starts from.
 """
 
 from __future__ import annotations
@@ -65,17 +64,15 @@ class RadialProblem:
 
 @dataclass(frozen=True)
 class TurningPoints:
-    """Apsidal data of one orbit.
+    """Apsidal data of one orbit with l > 0.
 
-    pericenter: smallest radius (0 for collision orbits, i.e. l = 0, eps = 0).
+    pericenter: smallest radius.
     apocenter: largest radius (+inf for unbounded orbits).
-    first_zero: first positive zero of f (+inf when f stays positive).
     degenerate: True for circular orbits (double root).
     """
 
     pericenter: float
     apocenter: float
-    first_zero: float
     degenerate: bool = False
 
 
@@ -165,26 +162,25 @@ def first_zero(rp: RadialProblem) -> float:
 
 
 def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningPoints:
-    """Locate pericentre and apocentre by bracket scan plus root refinement.
+    """Locate pericentre and apocentre of an orbit with l > 0 by bracket scan
+    plus root refinement.
 
     The pericentre is the smallest positive root of f(r) = l^2 crossed with f
-    increasing (convention 0 when there is none, e.g. l = 0 with eps = 0); the
-    apocenter is the next root crossed with f decreasing (convention +inf).
-    Raises when l^2 exceeds the maximum of f on the scan range (no orbit).
-    For an unbounded orbit (no zero of f) the scan ends at
-    max(1e3, 10 safe_radius); safe_radius has no other use here.
+    increasing (convention 0 when there is none); the apocenter is the next
+    root crossed with f decreasing (convention +inf).  Raises when l^2
+    exceeds the maximum of f on the scan range, or f has no zero above 1e-14
+    (no orbit).  For an unbounded orbit (no zero of f) the scan ends at
+    max(1e3, 10 safe_radius); safe_radius has no other use here.  A zero l
+    is a ValueError: that orbit is a fall (`collision_time`, `fall_time`).
     """
     l = rp.ang_momentum
+    if l == 0.0:
+        raise ValueError("turning points need l > 0; a zero-l orbit is a fall to the centre")
     l2 = l * l
     P = first_zero(rp)
-
-    if l == 0.0:
-        # collision orbit for eps = 0 and weak singularity; for eps > 0 the
-        # centre is regular and reached whenever E + V_eps(0) > 0 -- and since
-        # V_eps decreases, an energy below the core value admits no motion.
-        if rp.potential.epsilon > 0.0 and rp.energy + rp.potential.value(0.0) <= 0.0:
-            raise ValueError("no orbit: energy below the smoothed core potential")
-        return TurningPoints(0.0, P, P)
+    if P == 0.0:
+        raise ValueError(f"no orbit: E + V_eps has no zero above 1e-14 "
+                         f"(E = {rp.energy!r}, eps = {rp.potential.epsilon!r})")
 
     w = rp.integrand(angle=False).radicand
     hi = P if math.isfinite(P) else max(1e3, 10.0 * safe_radius if math.isfinite(safe_radius) else 0.0)
@@ -208,7 +204,7 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
     if f_peak < -DEGENERATE_TOL:
         raise ValueError(f"no orbit: l^2 = {l2!r} exceeds max f = {f_peak + l2!r} on the scan range")
     if f_peak < DEGENERATE_TOL:
-        return TurningPoints(r_peak, r_peak, P, degenerate=True)
+        return TurningPoints(r_peak, r_peak, degenerate=True)
 
     def refine(lo: float, hi_: float) -> float:
         return brentq(w, lo, hi_, xtol=1e-15, rtol=8.9e-16)
@@ -229,56 +225,37 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
     else:
         apocenter = math.inf
 
-    return TurningPoints(pericenter, apocenter, P)
-
-
-def time_of_flight(rp: RadialProblem, r_a: float, r_b: float,
-                   turning: TurningPoints | None = None) -> float:
-    """Time for the radial coordinate to move from r_a to r_b (monotonically).
-
-    Endpoints equal to the pericentre/apocenter carry inverse-square-root
-    singularities, removed by the quadratic substitutions of the engine.  The
-    fall to the centre (l = 0, pericentre 0) is no special case: the factor r
-    of the integrand cancels the double zero of f at 0.
-    """
-    if not (0.0 <= r_a <= r_b):
-        raise ValueError("need 0 <= r_a <= r_b")
-    if math.isclose(r_a, r_b, rel_tol=1e-12):
-        return 0.0
-    if turning is None:
-        turning = turning_points(rp)
-    if turning.degenerate:
-        raise ValueError("circular orbit: no radial motion between distinct radii")
-
-    lower_sing = math.isclose(r_a, turning.pericenter, rel_tol=1e-12, abs_tol=1e-300)
-    upper_sing = math.isfinite(turning.apocenter) and math.isclose(
-        r_b, turning.apocenter, rel_tol=1e-12, abs_tol=0.0)
-
-    # integrand 1/sqrt(radicand) = r/sqrt(f - l^2)
-    res = sqrt_endpoint_quad(rp.integrand(angle=False), r_a, r_b,
-                             lower_singular=lower_sing, upper_singular=upper_sing)
-    return res.value
+    return TurningPoints(pericenter, apocenter)
 
 
 def collision_time(rp: RadialProblem, r0: float) -> float:
-    """Time to fall from r0 into the origin on a zero-angular-momentum orbit.
+    """Time to fall into the origin from r0 on a zero-angular-momentum orbit
+    that is moving at r0 (E + V(r0) > 0), as a transmission path's tail is.
 
-    T0 = integral_0^r0 drho / sqrt(2 (E + V(rho))), finite whenever the
-    singularity is weak: the flight time from pericentre 0.  When r0 is the
-    first zero of f the start is at rest and the upper endpoint is a turning
-    point.
+    T0 = integral_0^r0 dr / sqrt(2 (E + V(r))), finite whenever the
+    singularity is weak.  The engine's lower substitution takes the centre,
+    where the factor r of the integrand cancels the double zero of f; the
+    upper end is regular.  A fall from rest is `fall_time`'s.
     """
     if rp.ang_momentum != 0.0:
         raise ValueError("collision time is defined for zero angular momentum")
-    tp = turning_points(rp)
-    if r0 > tp.first_zero * (1.0 + 1e-12):
-        raise ValueError(f"r0={r0!r} is beyond the zero-velocity radius {tp.first_zero!r}")
-    return time_of_flight(rp, 0.0, r0, tp)
+    if not r0 > 0.0:
+        raise ValueError(f"collision time needs r0 > 0, got {r0!r}")
+    if not rp.energy + rp.potential.value(r0) > 0.0:
+        raise ValueError(f"collision time needs a datum moving at r0={r0!r}: "
+                         "E + V(r0) is not positive")
+    return sqrt_endpoint_quad(rp.integrand(angle=False), 0.0, r0,
+                              lower_singular=True, upper_singular=False).value
 
 
 def fall_time(anchor: Anchor) -> float:
     """Collision time of the solved case's nominal orbit in the bare
-    potential, at the energy of its datum (radius and radial speed)."""
+    potential, at the energy of its datum (radius and radial speed).  A datum
+    at rest (a drop) starts at a turning point, the upper end of the fall."""
     bare = SmoothedPotential(anchor.potential, 0.0)
     energy = 0.5 * anchor.speed * anchor.speed - bare.value(anchor.radius)
-    return collision_time(RadialProblem(bare, energy, 0.0), anchor.radius)
+    rp = RadialProblem(bare, energy, 0.0)
+    if anchor.speed != 0.0:
+        return collision_time(rp, anchor.radius)
+    return sqrt_endpoint_quad(rp.integrand(angle=False), 0.0, anchor.radius,
+                              lower_singular=True, upper_singular=True).value

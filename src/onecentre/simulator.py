@@ -12,6 +12,8 @@ apocentre, ball-exit and near-collision events are found step by step, by
 root finding on the interpolant of a step where an event function changes
 sign.  scipy's integrators serve only as test oracles.  `make_initial_data`
 places the (perturbed) collision datum of a solved case (`radial.Anchor`).
+`oracle_crosscheck` checks the stepper's periods against half periods from
+the quadrature engine, taken between the turning points.
 
 Energy E = |u'|^2/2 - V_eps(|u|) and l = u x u' are conserved by the dynamics;
 their numerical drift is monitored, never corrected.
@@ -29,7 +31,8 @@ from numpy.random import default_rng
 from . import _dop853
 from ._brent import brentq
 from .potentials import PotentialSpec, SmoothedPotential
-from .radial import Anchor, RadialProblem, time_of_flight, turning_points
+from .quadrature import sqrt_endpoint_quad
+from .radial import Anchor, RadialProblem, turning_points
 from .tables import ConvergenceTable
 
 #: ODE solver tolerances; the drift budget of the experiments assumes these
@@ -234,7 +237,8 @@ def oracle_energy_cap(potential: PotentialSpec) -> float:
 
 def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> ConvergenceTable:
     """Pericentre-to-pericentre periods of seeded eps = 0 orbits against twice
-    the radial quadrature flight time, with conservation drift.
+    the radial flight time from pericentre to apocentre (one engine call,
+    both ends singular), with conservation drift.
 
     Each orbit draws E in [-0.5, `oracle_energy_cap`) and l in [0.2, 0.9]
     times the largest admissible l (max of f on a grid up to
@@ -257,7 +261,8 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> Conve
         l = math.sqrt(fmax) * rng.uniform(0.2, 0.9)
         rp = RadialProblem(sm, E, l)
         tp = turning_points(rp)
-        half = time_of_flight(rp, tp.pericenter, tp.apocenter, tp)
+        half = sqrt_endpoint_quad(rp.integrand(angle=False), tp.pericenter, tp.apocenter,
+                                  lower_singular=True, upper_singular=True).value
         state = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
         traj = integrate(state, sm, horizon=4.1 * half)
         peri = traj.events_of(PERICENTER)

@@ -290,6 +290,19 @@ def test_bounds_audit_command(tmp_path):
     assert s["evidence"]["violations"] == []
 
 
+def test_bounds_audit_without_orbit_says_so(tmp_path, capsys):
+    # at E = -40 + eps^2/2 the zero of E + V_eps lies below first_zero's 1e-14
+    # floor, so the orbit l = eps does not exist; the run says so instead of
+    # failing inside the turning-point scan
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"energy": -40.0}))
+    rc = run_cli(["bounds-audit", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "numerical failure: no orbit: E + V_eps has no zero above 1e-14 "
+        "(E = -39.99995, eps = 0.01)\n")
+
+
 def test_variational_probe_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"deltas": [1e-2, 1e-3], "n_cells": 4096}))
@@ -378,32 +391,30 @@ _CASE_RUNS = {
 @pytest.mark.parametrize("subcommand", sorted(_CASE_RUNS))
 def test_each_run_solves_its_case_once(tmp_path, monkeypatch, subcommand):
     # case_anchor is the one solve of a case, made once per run at config
-    # time; the bare l = 0 rest radius is found again only by the collision
-    # times (turning_points) of the fall and of each transmission path
-    calls = {"case_anchor": 0, "first_zero": 0}
+    # time; the flight times take their turning points from their callers,
+    # so the bare l = 0 rest radius is never found again, and turning_points
+    # never sees l = 0
+    counts = {"case_anchor": lambda case: True,
+              "first_zero": lambda rp: rp.potential.epsilon == 0.0 and rp.ang_momentum == 0.0,
+              "turning_points": lambda rp: rp.ang_momentum == 0.0}
+    calls = dict.fromkeys(counts, 0)
 
-    def counting(name, fn, bare_only):
+    def counting(name, fn):
         def wrapper(*args):
-            rp = args[0]
-            if not bare_only or (rp.potential.epsilon == 0.0 and rp.ang_momentum == 0.0):
-                calls[name] += 1
+            calls[name] += counts[name](args[0])
             return fn(*args)
         return wrapper
 
-    for name, bare_only in (("case_anchor", False), ("first_zero", True)):
+    for name in counts:
         original = getattr(radial, name)
-        wrapped = counting(name, original, bare_only)
+        wrapped = counting(name, original)
         for module in (onecentre, radial, simulator, apsidal, flow, variational, cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapped)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(_CASE_RUNS[subcommand]))
     assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert calls["case_anchor"] == 1
-    # case_anchor's solve, plus the collision times: none for the sweep, the
-    # fall and its transmission path for the others, and the collision sample
-    # of the section's cloud (sample 5 of 6)
-    assert calls["first_zero"] == {"apsidal-sweep": 1, "poincare-section": 4}.get(subcommand, 3)
+    assert calls == {"case_anchor": 1, "first_zero": 1, "turning_points": 0}
 
 
 def test_poincare_section_command(tmp_path):

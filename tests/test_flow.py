@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from onecentre.cli import main
 from onecentre.flow import (ExitedBall, TransmissionPath, continuity_experiment,
                             diagonal_cells, extended_flow, phase_field,
                             poincare_section, section_at, transmission_extend)
@@ -46,7 +48,7 @@ def test_transmission_energy_preserved(drop_path):
     T0 = drop_path.collision_time
     for t in np.linspace(0.1, 1.9, 13) * T0:
         st = drop_path.state_at(t)
-        assert st.energy(BARE_LOG) == pytest.approx(drop_path.energy, abs=1e-8)
+        assert st.energy(BARE_LOG) == pytest.approx(drop_path.pre.energy0, abs=1e-8)
 
 
 def test_transmission_collision_instant_excluded(drop_path):
@@ -156,12 +158,23 @@ def test_continuity_control_before_collision():
     assert d[-1] < d[0] / 50.0
 
 
-def test_continuity_failure_names_its_cell():
-    # the eps = l = 1e-12 cell grazes the centre and the stepper gives up; its
-    # RuntimeError comes back naming the cell
-    with pytest.raises(RuntimeError, match=r"^continuity cell k=1 \(eps=1e-12, l=1e-12\): "
-                       "integration failed: required step size"):
-        continuity_experiment(DROP0, 1.5 * T0_LOG, diagonal_cells([2, 12]))
+def test_continuity_failure_names_its_cell(tmp_path):
+    # the eps = l = 1e-12 cell grazes the centre and the stepper gives up: the
+    # cell gets a nan row and a marked entry naming it, the other rows stay,
+    # and the run writes its table and a false verdict
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exponents": [2, 12]}))
+    assert main(["poincare-continuity", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    with open(tmp_path / "poincare_continuity_summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["verdict"] is False
+    [(k, message)] = summary["evidence"]["marked_cells"]
+    assert k == 1
+    assert message.startswith("eps=1e-12, l=1e-12: integration failed: required step size")
+    rows = (tmp_path / "poincare_continuity.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+    assert not math.isnan(float(rows[0].split(",")[5]))
+    assert all(math.isnan(float(v)) for v in rows[1].split(",")[5:])
 
 
 def test_continuity_collision_cells_follow_the_extended_map():

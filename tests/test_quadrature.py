@@ -9,7 +9,7 @@ from onecentre.apsidal import apsidal_angle, convergence_sweep, default_paths
 from onecentre.potentials import PotentialSpec, SmoothedPotential, homogeneous, logarithmic
 from onecentre.quadrature import QuadratureError, sqrt_endpoint_quad
 from onecentre.radial import (DropFromRest, RadialProblem, case_anchor, fall_time,
-                              time_of_flight, turning_points)
+                              turning_points)
 
 
 def _integrand(value, energy: float, l: float, angle: bool):
@@ -280,9 +280,11 @@ def test_one_sided_and_plain_legs_bitwise(recorded, name):
     tp = turning_points(rp)
     mid = 0.5 * (tp.pericenter + tp.apocenter)
     apsidal_angle(rp, mid)
-    time_of_flight(rp, tp.pericenter, mid, tp)
-    time_of_flight(rp, mid, tp.apocenter, tp)
-    time_of_flight(rp, 0.5 * (tp.pericenter + mid), mid, tp)
+    w = rp.integrand(angle=False)
+    radial.sqrt_endpoint_quad(w, tp.pericenter, mid, lower_singular=True, upper_singular=False)
+    radial.sqrt_endpoint_quad(w, mid, tp.apocenter, lower_singular=False, upper_singular=True)
+    radial.sqrt_endpoint_quad(w, 0.5 * (tp.pericenter + mid), mid,
+                              lower_singular=False, upper_singular=False)
     assert [flags for flags, _ in recorded] == _ONE_SIDED_FLAGS
     assert [h for _, h in recorded] == _ONE_SIDED_GOLDEN[name]
 

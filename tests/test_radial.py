@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
+from onecentre.quadrature import sqrt_endpoint_quad
 from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem,
                               case_anchor, collision_time, fall_time,
-                              first_zero, time_of_flight, turning_points)
+                              first_zero, turning_points)
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -17,6 +18,12 @@ def log_problem(E, l, eps=0.0):
 
 def kepler_problem(E, l):
     return RadialProblem(SmoothedPotential(homogeneous(1.0), 0.0), E, l)
+
+
+def flight(rp, a, b, lower, upper):
+    """Flight time from a to b, with turning points at the flagged ends."""
+    return sqrt_endpoint_quad(rp.integrand(angle=False), a, b,
+                              lower_singular=lower, upper_singular=upper).value
 
 
 def test_f_vanishes_at_one_for_zero_energy_log():
@@ -82,11 +89,23 @@ def test_float_radicand_rejects_zero_radius_without_smoothing(spec):
     assert math.isfinite(rp.integrand(angle=False).radicand(0.0))
 
 
-def test_zero_angular_momentum_is_collision_orbit():
-    tp = turning_points(log_problem(0.0, 0.0))
-    assert tp.pericenter == 0.0
-    assert tp.apocenter == pytest.approx(1.0, abs=1e-14)
-    assert tp.first_zero == pytest.approx(1.0, abs=1e-14)
+def test_turning_points_reject_zero_angular_momentum():
+    # a zero-l orbit is a fall to the centre, timed by collision_time and
+    # fall_time; turning_points serves only l > 0
+    for eps in (0.0, 0.5):
+        with pytest.raises(ValueError, match="need l > 0"):
+            turning_points(log_problem(0.0, 0.0, eps))
+
+
+def test_no_orbit_without_a_zero_of_f():
+    # E + V_eps stays nonpositive down to first_zero's 1e-14 floor: below the
+    # smoothed core value, or a bare logarithm whose zero e^E lies below it
+    for rp, named in ((log_problem(-1.0, 0.1, eps=0.5), "E = -1.0, eps = 0.5"),
+                      (log_problem(-40.0, 1e-2, eps=1e-2), "E = -40.0, eps = 0.01")):
+        assert first_zero(rp) == 0.0
+        with pytest.raises(ValueError) as info:
+            turning_points(rp)
+        assert str(info.value) == f"no orbit: E + V_eps has no zero above 1e-14 ({named})"
 
 
 @pytest.mark.parametrize("l", [1e-1, 1e-2, 1e-3])
@@ -113,7 +132,6 @@ def test_circular_orbit_detected_as_degenerate():
     assert tp.degenerate
     assert tp.pericenter == pytest.approx(math.exp(-0.5), rel=1e-9)
     assert tp.apocenter == tp.pericenter
-    assert time_of_flight(rp, tp.pericenter, tp.apocenter, tp) == 0.0
 
 
 def test_no_orbit_when_l_exceeds_peak():
@@ -135,32 +153,22 @@ def test_unbounded_orbit_has_infinite_apocenter():
     rp = RadialProblem(SmoothedPotential(homogeneous(0.5), 0.0), 0.5, 0.3)
     tp = turning_points(rp)
     assert tp.apocenter == math.inf
-    assert tp.first_zero == math.inf
-
-
-def test_smoothed_zero_l_pericentre_depends_on_core_energy():
-    # E + V_eps(0) > 0: the orbit passes through the centre (pericentre 0)
-    tp = turning_points(log_problem(0.0, 0.0, eps=0.5))
-    assert tp.pericenter == 0.0
-    # the smoothed potential peaks at the centre, so an energy below the core
-    # value admits no motion at all
-    with pytest.raises(ValueError, match="no orbit"):
-        turning_points(log_problem(-1.0, 0.0, eps=0.5))
+    assert first_zero(rp) == math.inf
 
 
 def test_collision_time_log_drop_closed_form():
     # T0 = int_0^1 drho/sqrt(-2 log rho) = sqrt(pi/2), via rho = exp(-u^2/2)
-    rp = log_problem(0.0, 0.0)
-    assert collision_time(rp, 1.0) == pytest.approx(SQRT_HALF_PI, abs=1e-10)
+    assert fall_time(case_anchor(DropFromRest(0.0), logarithmic())) == pytest.approx(
+        SQRT_HALF_PI, abs=1e-10)
 
 
 def test_collision_time_dual_quadrature_oracle():
     # same integral by an independent plain quadrature on the substituted form
     from scipy.integrate import quad
-    rp = log_problem(0.0, 0.0)
     oracle, _ = quad(lambda u: math.exp(-u * u / 2.0), 0.0, 12.0,
                      epsabs=1e-12, epsrel=1e-12, limit=200)
-    assert collision_time(rp, 1.0) == pytest.approx(oracle, abs=1e-8)
+    assert fall_time(case_anchor(DropFromRest(0.0), logarithmic())) == pytest.approx(
+        oracle, abs=1e-8)
 
 
 def test_collision_time_homogeneous_closed_form():
@@ -187,17 +195,37 @@ def test_fall_time_at_rest_homogeneous_closed_form(alpha, E):
         P / math.sqrt(-2.0 * E) * beta / alpha, rel=1e-12)
 
 
+@pytest.mark.parametrize("E", [-10.0, -20.0, -25.0, -30.0, -31.5])
+def test_fall_time_at_solved_radius_log_closed_form(E):
+    # deep drops: first_zero's absolute xtol leaves the solved rest radius r0
+    # off e^E (by 7e-4 relative at E = -30), so the closed form is taken at
+    # r0, where the fall from rest is r0 sqrt(pi/2)
+    anchor = case_anchor(DropFromRest(E), logarithmic())
+    assert fall_time(anchor) == pytest.approx(anchor.radius * SQRT_HALF_PI, rel=1e-11, abs=0.0)
+
+
+def test_fall_time_at_solved_radius_homogeneous_closed_form():
+    # V = r^-alpha at rest at r0: T0 = r0^(1 + alpha/2) / sqrt 2 B(1/alpha + 1/2, 1/2) / alpha
+    alpha = 0.5
+    anchor = case_anchor(DropFromRest(-1e6), homogeneous(alpha))
+    a, b = 1.0 / alpha + 0.5, 0.5
+    beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    assert fall_time(anchor) == pytest.approx(
+        anchor.radius ** (1.0 + 0.5 * alpha) / math.sqrt(2.0) * beta / alpha, rel=1e-11, abs=0.0)
+
+
 @pytest.mark.parametrize("potential, E", [(logarithmic(), 0.0), (homogeneous(0.5), -1.0)],
                          ids=["log", "hom"])
 @pytest.mark.parametrize("where", ["1e-8", "1e-3", "half"])
 def test_time_of_flight_additivity_from_the_centre(potential, E, where):
-    # the fall splits at m into a leg from pericentre 0 and a leg at rest
+    # the fall splits at m into the fall of a datum moving at m and a leg
+    # that ends at rest
+    anchor = case_anchor(DropFromRest(E), potential)
     rp = RadialProblem(SmoothedPotential(potential, 0.0), E, 0.0)
-    tp = turning_points(rp)
-    P = tp.apocenter
+    P = anchor.radius
     m = 0.5 * P if where == "half" else float(where)
-    parts = time_of_flight(rp, 0.0, m, tp) + time_of_flight(rp, m, P, tp)
-    assert parts == pytest.approx(collision_time(rp, P), rel=1e-12)
+    parts = collision_time(rp, m) + flight(rp, m, P, False, True)
+    assert parts == pytest.approx(fall_time(anchor), rel=1e-12)
 
 
 def test_collision_time_decreases_with_energy():
@@ -211,13 +239,25 @@ def test_collision_time_requires_zero_l():
         collision_time(log_problem(0.0, 0.1), 0.5)
 
 
+def test_collision_time_requires_a_moving_datum():
+    # at rest (E + V(r0) = 0) or beyond the rest radius the fall is
+    # fall_time's or none at all
+    rp = log_problem(0.0, 0.0)
+    for r0 in (1.0, 2.0):
+        with pytest.raises(ValueError, match="E \\+ V\\(r0\\) is not positive"):
+            collision_time(rp, r0)
+    for r0 in (0.0, -0.5):
+        with pytest.raises(ValueError, match="r0 > 0"):
+            collision_time(rp, r0)
+
+
 def test_time_of_flight_additivity():
     rp = log_problem(0.2, 0.3)
     tp = turning_points(rp)
     a, b = tp.pericenter, tp.apocenter
     m = 0.5 * (a + b)
-    whole = time_of_flight(rp, a, b, tp)
-    parts = time_of_flight(rp, a, m, tp) + time_of_flight(rp, m, b, tp)
+    whole = flight(rp, a, b, True, True)
+    parts = flight(rp, a, m, True, False) + flight(rp, m, b, False, True)
     assert whole == pytest.approx(parts, abs=1e-9)
 
 
@@ -225,7 +265,7 @@ def test_time_of_flight_strictly_increasing_in_upper_limit():
     rp = log_problem(0.2, 0.3)
     tp = turning_points(rp)
     rs = np.linspace(tp.pericenter, tp.apocenter, 12)[1:-1]
-    times = [time_of_flight(rp, tp.pericenter, r, tp) for r in rs]
+    times = [flight(rp, tp.pericenter, r, True, False) for r in rs]
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
@@ -235,7 +275,7 @@ def test_time_of_flight_continuity_near_collision_datum():
     d = 1e-6
     rp = RadialProblem(SmoothedPotential(logarithmic(), d), 0.0 + d, d)
     tp = turning_points(rp)
-    perturbed = time_of_flight(rp, tp.pericenter, 0.9 + d, tp)
+    perturbed = flight(rp, tp.pericenter, 0.9 + d, True, False)
     assert abs(perturbed - base) < 1e-3
 
 

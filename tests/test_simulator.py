@@ -7,8 +7,9 @@ from scipy.integrate import DOP853, solve_ivp
 from onecentre import _dop853
 from onecentre.flow import diagonal_cells
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
+from onecentre.quadrature import sqrt_endpoint_quad
 from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem, case_anchor,
-                              time_of_flight, turning_points)
+                              collision_time, fall_time, turning_points)
 from onecentre.simulator import (APOCENTER, COLLISION, COLLISION_RADIUS,
                                  DEFAULT_ATOL, DEFAULT_RTOL, EXIT_BALL,
                                  PERICENTER, Perturbation, PhaseState,
@@ -46,21 +47,22 @@ def test_drift_of_single_sample_is_zero():
 
 
 def test_radial_drop_matches_quadrature_time():
-    # time to reach the collision threshold vs the radial fall-time integral
-    st = PhaseState((1.0, 0.0), (0.0, 0.0))
-    traj = integrate(st, BARE_LOG, horizon=5.0)
+    # time to reach the collision threshold vs the radial fall-time integrals:
+    # the whole fall less the fall from the threshold
+    anchor = case_anchor(DropFromRest(0.0), logarithmic())
+    traj = integrate(make_initial_data(anchor), BARE_LOG, horizon=5.0)
     ev = traj.first_event(COLLISION)
     assert ev is not None
     rp = RadialProblem(BARE_LOG, 0.0, 0.0)
-    t_quad = time_of_flight(rp, traj.state_at(ev.time).r, 1.0,
-                            turning_points(rp))
+    t_quad = fall_time(anchor) - collision_time(rp, traj.state_at(ev.time).r)
     assert ev.time == pytest.approx(t_quad, abs=1e-6)
 
 
 def test_pericentre_period_matches_radial_oracle():
     rp = RadialProblem(BARE_LOG, 0.2, 0.4)
     tp = turning_points(rp)
-    half = time_of_flight(rp, tp.pericenter, tp.apocenter, tp)
+    half = sqrt_endpoint_quad(rp.integrand(angle=False), tp.pericenter, tp.apocenter,
+                              lower_singular=True, upper_singular=True).value
     st = PhaseState((tp.apocenter, 0.0), (0.0, 0.4 / tp.apocenter))
     traj = integrate(st, BARE_LOG, horizon=4.5 * half)
     peri = traj.events_of(PERICENTER)

@@ -259,7 +259,7 @@ def test_symmetric_positions_inside_collision_window():
     # grid nodes never fall in the ~1e-9 window below the abort radius;
     # sample it directly, both halves, against the scalar state
     tpath = _log_transmission()
-    T0, ta = tpath.collision_time, tpath.abort_time
+    T0, ta = tpath.collision_time, tpath.pre.t_end
     t = np.array([0.0, 0.5 * ta, ta, ta + 0.25 * (T0 - ta), ta + 0.75 * (T0 - ta)])
     pos = tpath.symmetric_positions(t)
     assert pos.shape == (11, 2)
