@@ -27,7 +27,7 @@ from .flow import (continuity_experiment, diagonal_cells, extended_flow,
                    poincare_section, section_at)
 from .potentials import classify, from_config
 from .radial import Anchor, DropFromRest, InwardCrossing, case_anchor, fall_time
-from .simulator import make_initial_data, oracle_crosscheck, oracle_energy_cap
+from .simulator import COLLISION_RADIUS, make_initial_data, oracle_crosscheck, oracle_energy_cap
 from .tables import ConvergenceTable, format_value, is_decreasing
 from .variational import MAX_DEPTH, delta_action
 
@@ -141,6 +141,16 @@ def _case_from(cfg: dict, potential, key: str = "case") -> Anchor:
         return case_anchor(case, potential)
     except ValueError as exc:
         raise ConfigError(f"{key!r} {c!r}: {exc}") from None
+
+
+def _flow_case(cfg: dict, potential, key: str = "case") -> Anchor:
+    """`_case_from` for a subcommand that integrates from the collision datum:
+    one inside `COLLISION_RADIUS`, where no integration starts, is rejected."""
+    anchor = _case_from(cfg, potential, key)
+    if anchor.radius <= COLLISION_RADIUS:
+        raise ConfigError(f"{key!r} {cfg[key]!r}: the collision datum at radius {anchor.radius!r} "
+                          f"lies inside the collision threshold {COLLISION_RADIUS!r}")
+    return anchor
 
 
 def _emit(out: Path, name: str, claim: str, verdict: bool, evidence: dict,
@@ -265,7 +275,7 @@ def cmd_poincare_continuity(args, out: Path) -> bool:
         "T_factor": 1.5,
         "exponents": [2, 3, 4, 5, 6],
     })
-    anchor = _case_from(cfg, _potential(cfg))
+    anchor = _flow_case(cfg, _potential(cfg))
     T = _number(cfg, "T_factor", lambda v: 0 < v < 2,
                 "a number in (0, 2)") * fall_time(anchor)
     cells = diagonal_cells(_numbers(cfg, "exponents"))
@@ -291,7 +301,7 @@ def cmd_poincare_section(args, out: Path) -> bool:
         "deltas": [1e-2, 1e-3, 1e-4],
         "samples": 50,
     })
-    anchor = _case_from(cfg, _potential(cfg))
+    anchor = _flow_case(cfg, _potential(cfg))
     T = _number(cfg, "T_factor", lambda v: 1 < v < 2,
                 "a number in (1, 2)") * fall_time(anchor)
     tau_devs, trace_devs, found = [], [], []
@@ -320,7 +330,7 @@ def cmd_transmission_demo(args, out: Path) -> bool:
         "potential": {"family": "logarithmic"},
         "case": {"type": "drop", "energy": 0.0},
     })
-    anchor = _case_from(cfg, _potential(cfg))
+    anchor = _flow_case(cfg, _potential(cfg))
     y0 = make_initial_data(anchor)
     path = extended_flow(y0, 0.0, anchor.potential, fall_time(anchor),
                          anchor.case.ball_radius)
@@ -357,7 +367,7 @@ def cmd_variational_probe(args, out: Path) -> bool:
     potential = _potential(cfg)
     deltas = _numbers(cfg, "deltas", _positive, "positive numbers")
     T1_factor = _number(cfg, "T1_factor", lambda v: 0 < v < 1, "a number in (0, 1)")
-    anchor = _case_from(cfg, potential, "energy")
+    anchor = _flow_case(cfg, potential, "energy")
     n_cells = _count(cfg, "n_cells")
     if n_cells % 4:
         raise ConfigError(f"'n_cells' must be divisible by 4, got {cfg['n_cells']!r}")

@@ -7,11 +7,12 @@ potential, the radial coordinate is governed by
 
 and motion is possible where f(r) = 2 r^2 (E + V_eps(r)) >= l^2.  This module
 finds the first positive zero of f and, for l > 0, the turning points
-(pericentre/apocentre) of f(r) = l^2.  For zero angular momentum and a weak
-singularity the fall reaches the origin in finite time: `collision_time` is
-the fall of a datum moving at r0, `fall_time` the fall of a solved case.
-Each flight time is one call of the quadrature engine, and its caller, which
-knows which ends are turning points, sets the engine's endpoint flags.
+(pericentre/apocentre) of f(r) = l^2, scanning a grid sparsely.  For zero
+angular momentum and a weak singularity the fall reaches the origin in
+finite time: `collision_time` is the fall of a datum moving at r0,
+`fall_time` the fall of a solved case.  Each flight time is one call of the
+quadrature engine, and its caller, which knows which ends are turning
+points, sets the engine's endpoint flags.
 `case_anchor` is the one solve of a collision case: its `Anchor` carries the
 collision datum every experiment starts from.
 """
@@ -29,8 +30,10 @@ from .quadrature import Integrand, sqrt_endpoint_quad
 
 #: roots closer than this (relative to the peak of f) count as a double root
 DEGENERATE_TOL = 1e-12
-#: number of points in the bracket scan for turning points
+#: number of points of the geometric grid that brackets the turning points
 SCAN_POINTS = 10_000
+#: stride of the coarse pass of `_one_peak_scan`
+_SCAN_STRIDE = 100
 
 
 @dataclass(frozen=True)
@@ -161,9 +164,45 @@ def first_zero(rp: RadialProblem) -> float:
     return brentq(g, x_prev, x, xtol=1e-15, rtol=8.9e-16)
 
 
+def _one_peak_scan(g, start: float, stop: float, num: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points of `np.geomspace(start, stop, num)`, bit for bit and in grid
+    order, near the peak of g and its sign changes on either side, with g
+    there: every `_SCAN_STRIDE`-th point and the last one, and every point
+    between the coarse neighbours of the coarse peak (never a non-finite
+    value), of the last coarse negative at or before it and of the first at
+    or after it.  Where g has one peak and changes sign at most once between
+    coarse points, a search on them reads what the full grid holds.
+    """
+    log_start, log_stop = np.log10(start), np.log10(stop)
+    step = (log_stop - log_start) / (num - 1)
+
+    def grid(i):
+        # np.geomspace's arithmetic: a linspace of the logs, exact ends
+        r = np.power(10.0, i * step + log_start)
+        r[i == 0], r[i == num - 1] = start, stop
+        return r
+
+    coarse = np.arange(0, num - 1 + _SCAN_STRIDE, _SCAN_STRIDE)
+    coarse[-1] = num - 1
+    g_coarse = g(grid(coarse))
+    finite = np.isfinite(g_coarse)
+    peak = int(np.argmax(np.where(finite, g_coarse, -np.inf)))
+    below = np.flatnonzero(finite & (g_coarse < 0))
+    read = np.zeros(num, bool)
+    read[coarse] = True
+    for c in (peak, *below[below <= peak][-1:], *below[below >= peak][:1]):
+        read[coarse[max(c - 1, 0)]:coarse[min(c + 1, len(coarse) - 1)] + 1] = True
+    r = grid(np.flatnonzero(read))
+    return r, g(r)
+
+
 def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningPoints:
     """Locate pericentre and apocentre of an orbit with l > 0 by bracket scan
     plus root refinement.
+
+    The brackets are those of f - l^2 on `SCAN_POINTS` geometric points from
+    1e-12, read by `_one_peak_scan`: exact while f has one peak, as for -log,
+    homogeneous(alpha <= 2), and alpha > 2 at E <= 0 (README).
 
     The pericentre is the smallest positive root of f(r) = l^2 crossed with f
     increasing (convention 0 when there is none); the apocenter is the next
@@ -184,9 +223,9 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
 
     w = rp.integrand(angle=False).radicand
     hi = P if math.isfinite(P) else max(1e3, 10.0 * safe_radius if math.isfinite(safe_radius) else 0.0)
-    grid = np.geomspace(1e-12, hi * (1.0 - 1e-12), SCAN_POINTS)
     with np.errstate(all="ignore"):
-        fvals = rp.f(grid) - l2
+        grid, fvals = _one_peak_scan(lambda r: rp.f(r) - l2, 1e-12, hi * (1.0 - 1e-12),
+                                     SCAN_POINTS)
     finite = np.isfinite(fvals)
     if not finite.all():
         grid, fvals = grid[finite], fvals[finite]

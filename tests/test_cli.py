@@ -169,6 +169,10 @@ def test_config_error_empty_or_nonintegral(tmp_path, capsys, subcommand, cfg, me
 _HOM = {"family": "homogeneous", "alpha": 0.5}
 _NO_REST = "drop case needs the rest radius inf inside the ball inf"
 _NO_ZERO = "energy %r leaves no rest radius above 1e-14"
+_INSIDE = "the collision datum at radius %r lies inside the collision threshold 1e-08"
+# the rest radius of the logarithmic drop at E = -25: e^-25 to first_zero's
+# absolute tolerance
+_E25 = 1.3887948585624163e-11
 
 
 @pytest.mark.parametrize("subcommand, cfg, message", [
@@ -240,6 +244,17 @@ _NO_ZERO = "energy %r leaves no rest radius above 1e-14"
     ("poincare-continuity", {"case": {"type": "drop", "energy": -40.0}},
      f"'case' {{'type': 'drop', 'energy': -40.0}}: {_NO_ZERO % -40.0}"),
     ("variational-probe", {"energy": -40.0}, f"'energy' -40.0: {_NO_ZERO % -40.0}"),
+    # the rest radius e^-25 lies inside COLLISION_RADIUS, where the integrator
+    # refuses to start; the sweep, which does not integrate, takes it
+    ("transmission-demo", {"case": {"type": "drop", "energy": -25.0}},
+     f"'case' {{'type': 'drop', 'energy': -25.0}}: {_INSIDE % _E25}"),
+    ("poincare-continuity", {"case": {"type": "drop", "energy": -25.0}},
+     f"'case' {{'type': 'drop', 'energy': -25.0}}: {_INSIDE % _E25}"),
+    ("poincare-section", {"case": {"type": "drop", "energy": -25.0}},
+     f"'case' {{'type': 'drop', 'energy': -25.0}}: {_INSIDE % _E25}"),
+    ("variational-probe", {"energy": -25.0}, f"'energy' -25.0: {_INSIDE % _E25}"),
+    ("transmission-demo", {"case": {"type": "entry", "energy": 0.0, "ball_radius": 1e-9}},
+     f"'case' {{'type': 'entry', 'energy': 0.0, 'ball_radius': 1e-09}}: {_INSIDE % 1e-9}"),
 ], ids=["n_cells-not-divisible-by-4", "probe-no-rest-radius", "continuity-no-rest-radius",
         "demo-no-rest-radius", "sweep-no-rest-radius", "section-rest-outside-ball",
         "demo-entry-inside-rest-radius", "oracle-no-bound-energy",
@@ -254,7 +269,9 @@ _NO_ZERO = "energy %r leaves no rest radius above 1e-14"
         "samples-beyond-float", "drop-infinite-ball", "probe-infinite-delta", "alpha-nan",
         "alpha-beyond-float", "alpha-bool", "alpha-string", "sweep-rest-radius-below-floor",
         "demo-rest-radius-below-floor", "continuity-rest-radius-below-floor",
-        "probe-rest-radius-below-floor"])
+        "probe-rest-radius-below-floor", "demo-datum-inside-collision-radius",
+        "continuity-datum-inside-collision-radius", "section-datum-inside-collision-radius",
+        "probe-datum-inside-collision-radius", "demo-entry-inside-collision-radius"])
 def test_config_error_impossible_config(tmp_path, capsys, subcommand, cfg, message):
     # a key the subcommand does not read, a value the library would reject (a
     # bool or string posing as a number among them, and NaN, the infinities
@@ -468,29 +485,44 @@ def test_cli_import_loads_no_scipy():
 
 # sha256 of the CSVs of small seeded runs, recorded before the reduced weight
 # was inlined into the quadrature legs: a change meant to leave the numbers
-# alone must leave every byte of these files alone
+# alone must leave every byte of these files alone.  The two sweeps of the
+# benchmark's sweeps workload (33 quarter-decade exponents down to 1e-10,
+# where the turning points' brackets lie deepest) were recorded before the
+# turning-point scan read its grid sparsely; they exit 1 on their known
+# failing cells
+_WORKLOAD_EXPONENTS = [2 + 0.25 * i for i in range(33)]
 _CSV_DIGESTS = {
     "apsidal-sweep-log": ("apsidal-sweep", {
         "potential": {"family": "logarithmic"},
         "case": {"type": "drop", "energy": 0.0}, "exponents": [2, 3, 4, 6]},
-        "apsidal_sweep.csv",
+        "apsidal_sweep.csv", 0,
         "38b0a42897aab861a904284ecd645d96db5f8bab86e10f7995bd21a50748795e"),
     "apsidal-sweep-hom": ("apsidal-sweep", {
         "potential": {"family": "homogeneous", "alpha": 0.5},
         "case": {"type": "drop", "energy": -1.0}, "exponents": [2, 3, 4, 6]},
-        "apsidal_sweep.csv",
+        "apsidal_sweep.csv", 0,
         "89ca4b2d89e66094cfddc5d96a736f566db37f55ef2523656ff65d470a3b7a82"),
-    "bounds-audit": ("bounds-audit", {"samples": 50}, "bounds_audit.csv",
+    "apsidal-sweep-log-workload": ("apsidal-sweep", {
+        "potential": {"family": "logarithmic"},
+        "case": {"type": "drop", "energy": 0.0}, "exponents": _WORKLOAD_EXPONENTS},
+        "apsidal_sweep.csv", 1,
+        "5f42e6f59971923a8a1e112aaf47df8e130269f2805c113ae3641c8cba54a04c"),
+    "apsidal-sweep-hom-workload": ("apsidal-sweep", {
+        "potential": {"family": "homogeneous", "alpha": 0.5},
+        "case": {"type": "drop", "energy": -1.0}, "exponents": _WORKLOAD_EXPONENTS},
+        "apsidal_sweep.csv", 1,
+        "6d290bedfcfae32fb3d26473bfa8ca77edede1864b63ddea8183f2d222c88c41"),
+    "bounds-audit": ("bounds-audit", {"samples": 50}, "bounds_audit.csv", 0,
                      "260209592a1b75a31f56baf9675090b1ab1cc7f2e044f5f272fba12a634d5b94"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CSV_DIGESTS))
 def test_csv_bytes_pinned(tmp_path, name):
-    subcommand, config, csv_name, digest = _CSV_DIGESTS[name]
+    subcommand, config, csv_name, rc, digest = _CSV_DIGESTS[name]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == rc
     assert hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest() == digest
 
 

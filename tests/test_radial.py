@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from onecentre import radial
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.quadrature import sqrt_endpoint_quad
 from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem,
@@ -154,6 +156,144 @@ def test_unbounded_orbit_has_infinite_apocenter():
     tp = turning_points(rp)
     assert tp.apocenter == math.inf
     assert first_zero(rp) == math.inf
+
+
+def _full_scan_turning_points(rp, safe_radius=math.inf):
+    """`turning_points` as it was before the scan went sparse: f - l^2 on
+    every point of the 10,000-point geometric grid."""
+    l = rp.ang_momentum
+    if l == 0.0:
+        raise ValueError("turning points need l > 0; a zero-l orbit is a fall to the centre")
+    l2 = l * l
+    P = first_zero(rp)
+    if P == 0.0:
+        raise ValueError(f"no orbit: E + V_eps has no zero above 1e-14 "
+                         f"(E = {rp.energy!r}, eps = {rp.potential.epsilon!r})")
+    w = rp.integrand(angle=False).radicand
+    hi = P if math.isfinite(P) else max(1e3, 10.0 * safe_radius if math.isfinite(safe_radius) else 0.0)
+    grid = np.geomspace(1e-12, hi * (1.0 - 1e-12), radial.SCAN_POINTS)
+    with np.errstate(all="ignore"):
+        fvals = rp.f(grid) - l2
+    finite = np.isfinite(fvals)
+    if not finite.all():
+        grid, fvals = grid[finite], fvals[finite]
+    i_max = int(np.argmax(fvals))
+    if 0 < i_max < len(grid) - 1:
+        r_peak, f_low = radial.minimize_bounded(lambda r: -w(r), grid[i_max - 1],
+                                                grid[i_max + 1], xatol=1e-14)
+        f_peak = float(-f_low)
+    else:
+        r_peak, f_peak = float(grid[i_max]), float(fvals[i_max])
+    if f_peak < -radial.DEGENERATE_TOL:
+        raise ValueError(f"no orbit: l^2 = {l2!r} exceeds max f = {f_peak + l2!r} on the scan range")
+    if f_peak < radial.DEGENERATE_TOL:
+        return radial.TurningPoints(r_peak, r_peak, degenerate=True)
+
+    def refine(lo, hi_):
+        return radial.brentq(w, lo, hi_, xtol=1e-15, rtol=8.9e-16)
+
+    below_left = np.where(fvals[:i_max + 1] < 0)[0]
+    pericenter = 0.0 if len(below_left) == 0 else refine(grid[below_left[-1]], r_peak)
+    below_right = np.where(fvals[i_max:] < 0)[0]
+    if len(below_right) > 0:
+        apocenter = refine(r_peak, grid[i_max + below_right[0]])
+    elif math.isfinite(P):
+        apocenter = refine(max(r_peak, grid[-1]), P)
+    else:
+        apocenter = math.inf
+    return radial.TurningPoints(pericenter, apocenter)
+
+
+def _outcome(find, rp, safe_radius):
+    try:
+        return find(rp, safe_radius)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("alphas, energies", [
+    ((None,), (-3.0, 3.0)),
+    ((0.3, 0.5, 1.0, 1.5, 1.9), (-3.0, 3.0)),
+    ((2.5, 3.0, 30.0), (-3.0, 0.0)),
+], ids=["log", "homogeneous-alpha-le-2", "homogeneous-alpha-gt-2"])
+def test_turning_points_match_the_full_scan(alphas, energies):
+    # f has one peak for -log at every E, for homogeneous(alpha <= 2) at
+    # every E and for alpha > 2 at E <= 0: there the sparse scan reads the
+    # brackets of the full grid, so every answer and error is the same.
+    # l is drawn up to just above the peak of f, so some orbits are
+    # near-circular and some do not exist
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        alpha = alphas[rng.integers(len(alphas))]
+        spec = logarithmic() if alpha is None else homogeneous(alpha)
+        eps = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-10, 0)
+        sm = SmoothedPotential(spec, eps)
+        energy = rng.uniform(*energies)
+        safe_radius = math.inf if rng.random() < 0.5 else rng.uniform(0.1, 500.0)
+        with np.errstate(all="ignore"):
+            f = RadialProblem(sm, energy, 0.0).f(np.geomspace(1e-12, 1e3, 2000))
+        f_max = max(float(np.max(f[np.isfinite(f) & (f > 0)], initial=1e-300)), 1e-300)
+        l = math.sqrt(f_max) * (10.0 ** rng.uniform(-8, 0.005) if rng.random() < 0.9
+                                else 1.0 - 10.0 ** rng.uniform(-14, -6))
+        rp = RadialProblem(sm, energy, l)
+        assert _outcome(turning_points, rp, safe_radius) == \
+            _outcome(_full_scan_turning_points, rp, safe_radius), (spec.name, energy, l, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-20])
+def test_turning_points_match_the_full_scan_past_a_non_finite_prefix(eps):
+    # V = r^-30 overflows below about 1e-10.3 (at eps = 1e-20 too), so the
+    # grid starts with non-finite values that both scans drop
+    rp = RadialProblem(SmoothedPotential(homogeneous(30.0), eps), -1.0, 1.0)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(rp.f(np.array([1e-12])))[0]
+    for l in (1e-3, 0.5, 1.0, 1.3):
+        rp = RadialProblem(rp.potential, -1.0, l)
+        assert _outcome(turning_points, rp, math.inf) == \
+            _outcome(_full_scan_turning_points, rp, math.inf)
+
+
+@pytest.mark.parametrize("rp", [
+    log_problem(0.0, 1e-3, 1e-3),
+    log_problem(0.0, 1e-9, 1e-9),
+    log_problem(-1.0, 0.2),
+    RadialProblem(SmoothedPotential(homogeneous(0.5), 1e-6), -1.0, 1e-6),
+    RadialProblem(SmoothedPotential(homogeneous(0.5), 0.0), 0.5, 0.3),
+], ids=["log-3", "log-9", "log-bare", "hom-6", "hom-unbounded"])
+def test_turning_points_read_few_grid_points(rp):
+    # the full scan evaluated all 10,000 grid points; the coarse pass reads
+    # 101 and the window pass at most three windows of 201
+    sizes = []
+    value = rp.potential.base.value
+
+    def counting(x):
+        if isinstance(x, np.ndarray):
+            sizes.append(x.size)
+        return value(x)
+
+    spec = dataclasses.replace(rp.potential.base, value=counting)
+    turning_points(RadialProblem(SmoothedPotential(spec, rp.potential.epsilon),
+                                 rp.energy, rp.ang_momentum))
+    assert len(sizes) == 2 and sizes[0] == 101
+    assert sum(sizes) <= 1000
+
+
+@pytest.mark.parametrize("start, stop, num", [
+    (1e-12, 1.0 - 1e-12, 10_000), (1e-12, 3.7e7, 10_000), (1e-12, 5e-13, 10_000),
+    (1e-6, 50.0, 4000)])
+def test_one_peak_scan_reads_geomspace_points(start, stop, num):
+    # every point read is the geometric grid's own, bit for bit, in grid
+    # order; the peak of a one-peak function is the grid's
+    def g(r):
+        return -np.log(r) * r * r
+
+    r, values = radial._one_peak_scan(g, start, stop, num)
+    full = np.geomspace(start, stop, num)
+    index = np.flatnonzero(np.isin(full, r))
+    assert np.array_equal(full[index], r) and len(index) == len(r)
+    assert index[0] == 0 and index[-1] == num - 1
+    assert np.array_equal(values, g(r))
+    assert np.max(values) == np.max(g(full))
 
 
 def test_collision_time_log_drop_closed_form():
