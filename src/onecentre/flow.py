@@ -12,7 +12,9 @@ by exactly pi at the collision instant.
 
 `extended_flow` is the one flow primitive: it returns the plain integration
 of a non-collision datum and the transmission path of a collision datum, and
-its `state_at(T)` is the extended time-T map.  That map is continuous in
+its `state_at(T)` is the extended time-T map.  It tells the cases apart by
+how the integration stopped (`Trajectory.stop`): at the collision threshold,
+on leaving the ball, or at the horizon.  The time-T map is continuous in
 (datum, smoothing) at every T != T0 -- the experiments in this module measure
 that continuity and the induced Poincare section with its hitting-time map.
 A `TransmissionPath` holds its integrated fall, which ends at the collision
@@ -35,8 +37,8 @@ from numpy.random import default_rng
 from ._brent import brentq
 from .potentials import PotentialSpec, SmoothedPotential
 from .radial import Anchor, RadialProblem, collision_time
-from .simulator import (COLLISION, EXIT_BALL, PhaseState, Perturbation,
-                        Trajectory, integrate, make_initial_data)
+from .simulator import (COLLISION, COLLISION_RADIUS, EXIT_BALL, PhaseState,
+                        Perturbation, Trajectory, integrate, make_initial_data)
 from .tables import ConvergenceTable, is_decreasing, limit_verdict
 
 #: |l| below which a datum counts as a collision datum
@@ -112,22 +114,21 @@ def transmission_extend(pre: Trajectory) -> TransmissionPath:
     """Extend a collision leg through the origin by reflection.
 
     `pre` must be an eps = 0 trajectory whose angular momentum vanishes (within
-    tolerance) and which ends with a collision event; the event is terminal,
-    so the leg ends at its time.
+    tolerance) and which stopped at the collision threshold, so the leg ends
+    at its stop time.
     """
     if pre.potential.epsilon != 0.0:
         raise ValueError("transmission extension applies to the unsmoothed system")
     if abs(pre.ang_momentum0) > COLLISION_L_TOL:
         raise ValueError(f"not a collision orbit: |l| = {abs(pre.ang_momentum0)!r}")
-    ev = pre.first_event(COLLISION)
-    if ev is None:
-        raise ValueError("trajectory does not end in a collision event")
+    if pre.stop != COLLISION:
+        raise ValueError("trajectory does not stop at the collision threshold")
 
-    end = pre.state_at(ev.time)
+    end = pre.state_at(pre.t_end)
     r_abort = end.r
     direction = end.position / r_abort
     tail = collision_time(RadialProblem(pre.potential, pre.energy0, 0.0), r_abort)
-    return TransmissionPath(pre=pre, collision_time=ev.time + tail,
+    return TransmissionPath(pre=pre, collision_time=pre.t_end + tail,
                             abort_radius=r_abort, direction=direction)
 
 
@@ -137,22 +138,24 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
 
     A collision datum (eps = 0, |l| <= COLLISION_L_TOL) gets its
     transmission path: the fall is integrated for up to 4 horizon + 10 until
-    its collision event; leaving the ball on the way raises ExitedBall, and
-    2 T0 < horizon ValueError.
+    it stops at the collision threshold; leaving the ball on the way raises
+    ExitedBall, and 2 T0 < horizon ValueError.
     Any other datum is integrated plainly up to the horizon; leaving the ball
-    before it raises ExitedBall, stopping short of it RuntimeError.
+    before it raises ExitedBall, and an eps = 0 orbit whose |l| is too large
+    for transmission that reaches the collision threshold first RuntimeError.
     """
     collision = eps == 0.0 and abs(state.ang_momentum) <= COLLISION_L_TOL
     orbit = integrate(state, SmoothedPotential(potential, eps),
                       horizon=4.0 * horizon + 10.0 if collision else horizon,
                       ball_radius=ball_radius)
-    exit_ev = orbit.first_event(EXIT_BALL)
-    if exit_ev is not None and (collision or exit_ev.time < horizon):
-        raise ExitedBall(exit_ev.time)
+    if orbit.stop == EXIT_BALL and (collision or orbit.t_end < horizon):
+        raise ExitedBall(orbit.t_end)
     if not collision:
-        if orbit.t_end < horizon:
+        if orbit.t_end < horizon:   # the only stop left is the collision threshold
             raise RuntimeError(
-                f"integration stopped at t={orbit.t_end!r} before T={horizon!r}")
+                f"integration stopped at t={orbit.t_end!r} before T={horizon!r} at the collision "
+                f"threshold r = {COLLISION_RADIUS!r}: eps = 0 and |l| = "
+                f"{abs(state.ang_momentum)!r} > COLLISION_L_TOL = {COLLISION_L_TOL!r}")
         return orbit
     return _covering(transmission_extend(orbit), horizon)
 

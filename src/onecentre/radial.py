@@ -171,7 +171,8 @@ def _one_peak_scan(g, start: float, stop: float, num: int) -> tuple[np.ndarray, 
     between the coarse neighbours of the coarse peak (never a non-finite
     value), of the last coarse negative at or before it and of the first at
     or after it.  Where g has one peak and changes sign at most once between
-    coarse points, a search on them reads what the full grid holds.
+    coarse points, a search on them reads what the full grid holds; finite
+    coarse values with an interior strict minimum (a valley) read every point.
     """
     log_start, log_stop = np.log10(start), np.log10(stop)
     step = (log_stop - log_start) / (num - 1)
@@ -186,6 +187,10 @@ def _one_peak_scan(g, start: float, stop: float, num: int) -> tuple[np.ndarray, 
     coarse[-1] = num - 1
     g_coarse = g(grid(coarse))
     finite = np.isfinite(g_coarse)
+    v = g_coarse[finite]
+    if np.any((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])):
+        r = grid(np.arange(num))
+        return r, g(r)
     peak = int(np.argmax(np.where(finite, g_coarse, -np.inf)))
     below = np.flatnonzero(finite & (g_coarse < 0))
     read = np.zeros(num, bool)
@@ -202,7 +207,8 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
 
     The brackets are those of f - l^2 on `SCAN_POINTS` geometric points from
     1e-12, read by `_one_peak_scan`: exact while f has one peak, as for -log,
-    homogeneous(alpha <= 2), and alpha > 2 at E <= 0 (README).
+    homogeneous(alpha <= 2), and alpha > 2 at E <= 0, or a valley that the
+    coarse points show, as for alpha > 2 at eps = 0 (README).
 
     The pericentre is the smallest positive root of f(r) = l^2 crossed with f
     increasing (convention 0 when there is none); the apocenter is the next

@@ -1,4 +1,4 @@
-"""Planar integration of the smoothed one-centre system, with event detection.
+"""Planar integration of the smoothed one-centre system, with its two stops.
 
 The equations of motion are  u'' = grad V_eps(|u|)  in the plane.  The state
 carries a fifth component, the continuous angular lift theta with
@@ -7,11 +7,13 @@ swept angles are available without unwrapping.  The stepper is the in-house
 DOP853 of `_dop853`: the Dormand-Prince 8(5,3) pair with scipy's tableau and
 scipy's step-size control, written out over Python floats, with the 7th-order
 interpolant of each accepted step as dense output.  Each step keeps only its
-stages; its interpolant is built when something reads it.  Pericentre,
-apocentre, ball-exit and near-collision events are found step by step, by
-root finding on the interpolant of a step where an event function changes
-sign.  scipy's integrators serve only as test oracles.  `make_initial_data`
-places the (perturbed) collision datum of a solved case (`radial.Anchor`).
+stages; its interpolant is built when something reads it.  A run stops at the
+collision threshold (eps = 0) or on leaving a finite ball, at the root of
+the stop rule on the interpolant of the step where it changes sign; a
+`Trajectory` records which stop ended it.  Pericentre passages are a query on
+the finished trajectory (`Trajectory.pericenter_times`).  scipy's
+integrators serve only as test oracles.  `make_initial_data` places the
+(perturbed) collision datum of a solved case (`radial.Anchor`).
 `oracle_crosscheck` checks the stepper's periods against half periods from
 the quadrature engine, taken between the turning points.
 
@@ -38,15 +40,14 @@ from .tables import ConvergenceTable
 #: ODE solver tolerances; the drift budget of the experiments assumes these
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
-#: radius below which an eps = 0 run is aborted with a collision event
+#: radius below which an eps = 0 run stops with `COLLISION`
 COLLISION_RADIUS = 1e-8
 #: upper end of the radius grid on which `oracle_crosscheck` bounds l
 ORACLE_RADIUS = 50.0
-#: absolute and relative tolerance of event roots on the dense output
+#: absolute and relative tolerance of stop and pericentre roots on the dense output
 _ROOT_TOL = 4 * np.finfo(float).eps
 
-PERICENTER = "pericenter"
-APOCENTER = "apocenter"
+#: how a run stopped before its horizon (`Trajectory.stop`)
 COLLISION = "collision"
 EXIT_BALL = "exit_ball"
 
@@ -82,20 +83,20 @@ class PhaseState:
         return float(np.linalg.norm(self.as_vector() - other.as_vector()))
 
 
-@dataclass(frozen=True)
-class Event:
-    time: float
-    kind: str
+def _radial_rate(s) -> float:
+    """r rdot of a state: negative falling, positive rising."""
+    return s[0] * s[2] + s[1] * s[3]
 
 
 @dataclass
 class Trajectory:
-    """Time-stamped solution samples with dense output and event annotations."""
+    """Time-stamped solution samples with dense output and the stop that
+    ended the run (`COLLISION`, `EXIT_BALL`, or None at the horizon)."""
 
     potential: SmoothedPotential
     times: np.ndarray
     states: np.ndarray            # shape (n, 5): x, y, vx, vy, theta
-    events: list[Event]
+    stop: str | None
     energy0: float
     ang_momentum0: float
     dense: _dop853.DenseOutput = field(repr=False, default=None)
@@ -111,14 +112,18 @@ class Trajectory:
     def theta_at(self, t: float) -> float:
         return float(self.dense(t)[4])
 
-    def first_event(self, kind: str) -> Event | None:
-        for ev in self.events:
-            if ev.kind == kind:
-                return ev
-        return None
-
-    def events_of(self, kind: str) -> list[Event]:
-        return [ev for ev in self.events if ev.kind == kind]
+    def pericenter_times(self) -> list[float]:
+        """The times of the pericentre passages, in order: each upward zero of
+        r rdot between stored states, refined on the interpolant of its step."""
+        s = self.states
+        g = _radial_rate(s.T)
+        found = []
+        for i in np.flatnonzero((g[:-1] <= 0.0) & (g[1:] >= 0.0)).tolist():
+            seg = self.dense.segment(i)
+            found.append(brentq(lambda t: _radial_rate(_dop853.interpolate(seg, t)),
+                                self.times[i], self.times[i + 1],
+                                xtol=_ROOT_TOL, rtol=_ROOT_TOL))
+        return found
 
 
 def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
@@ -126,13 +131,12 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     """Integrate the smoothed system from `state` for `horizon` time units.
 
     eps = 0 runs are legitimate while the orbit stays away from the origin
-    (l != 0 keeps it away; radial runs stop at the collision event).  A finite
-    ball radius makes leaving the ball a terminal event.  Events are located
-    as each step is taken, on the interpolant of a step where an event
-    function changes sign, which is the only interpolant built here; the
-    dense output builds any other step's on its first read.  A terminal event
-    truncates the run at its time.  A step size below 10 ulp(t) raises
-    RuntimeError.
+    (l != 0 keeps it away; radial runs stop at the collision threshold).  A
+    finite ball radius makes leaving the ball a stop.  A stop is located on
+    the interpolant of the step where its rule changes sign, the only
+    interpolant built here (the dense output builds any other step's on its
+    first read), and the run ends at its time.  A step size below 10 ulp(t)
+    raises RuntimeError.
     """
     eps = potential.epsilon
     l0 = state.ang_momentum
@@ -150,13 +154,13 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
         scale = Vp(h) / h
         return scale * x, scale * y, l0 / r2
 
-    # (g, direction, kind): a kind marks a terminal event, None the radial
-    # turning points (zeros of r rdot), classified when found
-    events = [(lambda s: s[0] * s[2] + s[1] * s[3], 0, None)]
+    # (g, direction, stop): the run stops where g crosses zero in direction; one
+    # step never crosses both (r_old <= ball_radius <= r_new <= COLLISION_RADIUS < r_old)
+    rules = []
     if eps == 0.0:
-        events.append((lambda s: math.hypot(s[0], s[1]) - COLLISION_RADIUS, -1, COLLISION))
+        rules.append((lambda s: math.hypot(s[0], s[1]) - COLLISION_RADIUS, -1, COLLISION))
     if math.isfinite(ball_radius):
-        events.append((lambda s: math.hypot(s[0], s[1]) - ball_radius, 1, EXIT_BALL))
+        rules.append((lambda s: math.hypot(s[0], s[1]) - ball_radius, 1, EXIT_BALL))
 
     t = 0.0
     y = (float(state.position[0]), float(state.position[1]),
@@ -164,52 +168,37 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     f = (y[2], y[3], *rhs(y[0], y[1]))
     h_abs = _dop853.initial_step(rhs, y, f, horizon, DEFAULT_RTOL, DEFAULT_ATOL)
     # records: every step's stages; built: step index -> interpolant
-    times, states, records, built, found = [t], array("d", y), array("d"), {}, []
-    g = [ev(y) for ev, _, _ in events]
+    times, states, records, built = [t], array("d", y), array("d"), {}
+    g = [rule(y) for rule, _, _ in rules]
+    stop = None
     while t < horizon:
         t_old = t
         t, y, f, h_abs, rec = _dop853.step(rhs, t, y, f, h_abs, horizon,
                                            DEFAULT_RTOL, DEFAULT_ATOL)
         records.extend(rec)
-        g_new = [ev(y) for ev, _, _ in events]
-        hits = []
-        seg = None
-        for (ev, direction, kind), a, b in zip(events, g, g_new):
-            if (direction >= 0 and a <= 0.0 <= b) or (direction <= 0 and a >= 0.0 >= b):
-                if seg is None:
-                    seg = built[len(times) - 1] = _dop853.segment(rhs, rec)
-                t_ev = brentq(lambda s: ev(_dop853.interpolate(seg, s)), t_old, t,
-                              xtol=_ROOT_TOL, rtol=_ROOT_TOL)
-                hits.append((t_ev, kind))
-        g = g_new
-        stop = None
-        # in time order, up to the first terminal event of the step
-        for t_ev, kind in sorted(hits, key=lambda hit: hit[0]):
-            if kind is None:
-                s = _dop853.interpolate(seg, t_ev)
-                r2 = s[0] ** 2 + s[1] ** 2
-                h = math.sqrt(r2 + eps * eps)
-                # d/dt (r rdot) = |v|^2 + u.a ; minimum of r when positive
-                curv = s[2] ** 2 + s[3] ** 2 + Vp(h) / h * r2
-                found.append(Event(t_ev, PERICENTER if curv > 0 else APOCENTER))
-            else:
-                found.append(Event(t_ev, kind))
-                stop = t_ev
+        g_new = [rule(y) for rule, _, _ in rules]
+        for (rule, direction, kind), a, b in zip(rules, g, g_new):
+            if (a <= 0.0 <= b) if direction > 0 else (a >= 0.0 >= b):
+                stop = kind
                 break
+        g = g_new
         if stop is not None:
-            if stop == t_old:
+            seg = built[len(times) - 1] = _dop853.segment(rhs, rec)
+            t_stop = brentq(lambda s: rule(_dop853.interpolate(seg, s)), t_old, t,
+                            xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+            if t_stop == t_old:
                 del records[-_dop853.STAGES:]
                 del built[len(times) - 1]
             else:
-                times.append(stop)
-                states.extend(_dop853.interpolate(seg, stop))
+                times.append(t_stop)
+                states.extend(_dop853.interpolate(seg, t_stop))
             break
         times.append(t)
         states.extend(y)
 
     return Trajectory(potential=potential, times=np.array(times),
                       states=np.frombuffer(states).reshape(-1, 5),
-                      events=found, energy0=E0, ang_momentum0=l0,
+                      stop=stop, energy0=E0, ang_momentum0=l0,
                       dense=_dop853.DenseOutput(rhs, times, records, built))
 
 
@@ -265,11 +254,11 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> Conve
                                   lower_singular=True, upper_singular=True).value
         state = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
         traj = integrate(state, sm, horizon=4.1 * half)
-        peri = traj.events_of(PERICENTER)
+        peri = traj.pericenter_times()
         if len(peri) < 2:
             failing = (i, "fewer than two pericentre passages")
             continue
-        period_ode = peri[1].time - peri[0].time
+        period_ode = peri[1] - peri[0]
         mism = abs(period_ode - 2.0 * half)
         dE, dl = conserved_drift(traj)
         table.add(i, E, l, period_ode, 2.0 * half, mism, dE, dl)

@@ -207,6 +207,18 @@ def test_extended_flow_covers_the_horizon():
                       1.5 * T0_LOG)
 
 
+def test_extended_flow_names_the_collision_threshold():
+    # l = 1e-10 is above COLLISION_L_TOL, so the datum is integrated plainly;
+    # with eps = 0 it falls to the collision threshold, which stops the run
+    y0 = make_initial_data(DROP0, Perturbation(l=1e-10))
+    with pytest.raises(RuntimeError) as exc:
+        extended_flow(y0, 0.0, logarithmic(), 1.5 * fall_time(DROP0))
+    message = str(exc.value)
+    assert "collision threshold r = 1e-08" in message
+    assert f"|l| = {abs(y0.ang_momentum)!r}" in message
+    assert "COLLISION_L_TOL = 1e-12" in message
+
+
 def test_continuity_marks_exiting_cells():
     # entry case with a tight ball: a strong outward kick leaves the ball
     entry = case_anchor(InwardCrossing(1.0, 1.0), logarithmic())
@@ -266,8 +278,8 @@ def test_section_offset_monotone_through_crossing():
 
 
 def test_section_sample_zero_reuses_the_reference_orbit():
-    # sample 0 is the collision datum itself; its fall ends at the collision
-    # event, long before either horizon, so it does not depend on the horizon
+    # sample 0 is the collision datum itself; its fall stops at the collision
+    # threshold, long before either horizon, so it does not depend on the horizon
     T = 1.5 * T0_LOG
     y0 = make_initial_data(DROP0)
     ref = extended_flow(y0, 0.0, logarithmic(), T)

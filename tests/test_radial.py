@@ -211,33 +211,55 @@ def _outcome(find, rp, safe_radius):
         return str(exc)
 
 
-@pytest.mark.parametrize("alphas, energies", [
-    ((None,), (-3.0, 3.0)),
-    ((0.3, 0.5, 1.0, 1.5, 1.9), (-3.0, 3.0)),
-    ((2.5, 3.0, 30.0), (-3.0, 0.0)),
-], ids=["log", "homogeneous-alpha-le-2", "homogeneous-alpha-gt-2"])
-def test_turning_points_match_the_full_scan(alphas, energies):
+@pytest.mark.parametrize("alphas, energies, valley", [
+    ((None,), (-3.0, 3.0), False),
+    ((0.3, 0.5, 1.0, 1.5, 1.9), (-3.0, 3.0), False),
+    ((2.5, 3.0, 30.0), (-3.0, 0.0), False),
+    ((2.5, 3.0, 30.0), (0.0, 3.0), True),
+], ids=["log", "homogeneous-alpha-le-2", "homogeneous-alpha-gt-2",
+        "homogeneous-alpha-gt-2-valley"])
+def test_turning_points_match_the_full_scan(alphas, energies, valley):
     # f has one peak for -log at every E, for homogeneous(alpha <= 2) at
     # every E and for alpha > 2 at E <= 0: there the sparse scan reads the
     # brackets of the full grid, so every answer and error is the same.
     # l is drawn up to just above the peak of f, so some orbits are
-    # near-circular and some do not exist
+    # near-circular and some do not exist.
+    # For alpha > 2 at E > 0, f has a valley, and l^2 is drawn just above its
+    # floor, so f - l^2 dips below zero between two coarse points.  The
+    # valley spans coarse points, which show its minimum, and the scan reads
+    # the full grid.  eps <= 1e-2 keeps the core's bump of f, near r ~ eps,
+    # coarse steps below the valley (README, "Library sketch")
     rng = np.random.default_rng(11)
     for _ in range(150):
         alpha = alphas[rng.integers(len(alphas))]
         spec = logarithmic() if alpha is None else homogeneous(alpha)
-        eps = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-10, 0)
+        eps = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-10, -2 if valley else 0)
         sm = SmoothedPotential(spec, eps)
         energy = rng.uniform(*energies)
         safe_radius = math.inf if rng.random() < 0.5 else rng.uniform(0.1, 500.0)
         with np.errstate(all="ignore"):
             f = RadialProblem(sm, energy, 0.0).f(np.geomspace(1e-12, 1e3, 2000))
-        f_max = max(float(np.max(f[np.isfinite(f) & (f > 0)], initial=1e-300)), 1e-300)
-        l = math.sqrt(f_max) * (10.0 ** rng.uniform(-8, 0.005) if rng.random() < 0.9
-                                else 1.0 - 10.0 ** rng.uniform(-14, -6))
+        if valley:
+            floor = float(np.min(f[1:-1][(f[1:-1] < f[:-2]) & (f[1:-1] < f[2:])]))
+            l = math.sqrt(floor * (1.0 + 10.0 ** rng.uniform(-6, 0)))
+        else:
+            f_max = max(float(np.max(f[np.isfinite(f) & (f > 0)], initial=1e-300)), 1e-300)
+            l = math.sqrt(f_max) * (10.0 ** rng.uniform(-8, 0.005) if rng.random() < 0.9
+                                    else 1.0 - 10.0 ** rng.uniform(-14, -6))
         rp = RadialProblem(sm, energy, l)
         assert _outcome(turning_points, rp, safe_radius) == \
             _outcome(_full_scan_turning_points, rp, safe_radius), (spec.name, energy, l, eps)
+
+
+def test_turning_points_find_the_apocentre_across_a_valley():
+    # f = 2 E r^2 + 2/r has a valley at r = (2 E)^(-1/3), and l^2 sits just
+    # above its floor: the orbit turns where f - l^2 first falls below zero
+    rp = RadialProblem(SmoothedPotential(homogeneous(3.0), 0.0), 2.652163216421772,
+                       2.29004434475413)
+    tp = turning_points(rp)
+    assert (tp.pericenter, tp.degenerate) == (0.0, False)
+    assert tp.apocenter == pytest.approx(0.54600561005, rel=1e-10)
+    assert tp == _full_scan_turning_points(rp)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-20])

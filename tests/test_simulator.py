@@ -10,9 +10,8 @@ from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.quadrature import sqrt_endpoint_quad
 from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem, case_anchor,
                               collision_time, fall_time, turning_points)
-from onecentre.simulator import (APOCENTER, COLLISION, COLLISION_RADIUS,
-                                 DEFAULT_ATOL, DEFAULT_RTOL, EXIT_BALL,
-                                 PERICENTER, Perturbation, PhaseState,
+from onecentre.simulator import (COLLISION, COLLISION_RADIUS, DEFAULT_ATOL,
+                                 DEFAULT_RTOL, EXIT_BALL, Perturbation, PhaseState,
                                  conserved_drift, integrate, make_initial_data)
 
 BARE_LOG = SmoothedPotential(logarithmic(), 0.0)
@@ -51,11 +50,10 @@ def test_radial_drop_matches_quadrature_time():
     # the whole fall less the fall from the threshold
     anchor = case_anchor(DropFromRest(0.0), logarithmic())
     traj = integrate(make_initial_data(anchor), BARE_LOG, horizon=5.0)
-    ev = traj.first_event(COLLISION)
-    assert ev is not None
+    assert traj.stop == COLLISION
     rp = RadialProblem(BARE_LOG, 0.0, 0.0)
-    t_quad = fall_time(anchor) - collision_time(rp, traj.state_at(ev.time).r)
-    assert ev.time == pytest.approx(t_quad, abs=1e-6)
+    t_quad = fall_time(anchor) - collision_time(rp, traj.state_at(traj.t_end).r)
+    assert traj.t_end == pytest.approx(t_quad, abs=1e-6)
 
 
 def test_pericentre_period_matches_radial_oracle():
@@ -65,9 +63,9 @@ def test_pericentre_period_matches_radial_oracle():
                               lower_singular=True, upper_singular=True).value
     st = PhaseState((tp.apocenter, 0.0), (0.0, 0.4 / tp.apocenter))
     traj = integrate(st, BARE_LOG, horizon=4.5 * half)
-    peri = traj.events_of(PERICENTER)
+    peri = traj.pericenter_times()
     assert len(peri) >= 2
-    assert peri[1].time - peri[0].time == pytest.approx(2.0 * half, abs=1e-6)
+    assert peri[1] - peri[0] == pytest.approx(2.0 * half, abs=1e-6)
 
 
 def test_apsidal_angle_crosscheck_with_theta_lift():
@@ -76,8 +74,7 @@ def test_apsidal_angle_crosscheck_with_theta_lift():
     tp = turning_points(rp)
     st = PhaseState((tp.apocenter, 0.0), (0.0, 0.4 / tp.apocenter))
     traj = integrate(st, BARE_LOG, horizon=5.0)
-    peri = traj.first_event(PERICENTER)
-    swept = traj.theta_at(peri.time)
+    swept = traj.theta_at(traj.pericenter_times()[0])
     assert swept == pytest.approx(apsidal_angle(rp).angle, abs=1e-6)
 
 
@@ -108,7 +105,7 @@ def test_smoothed_run_passes_through_centre():
     sm = SmoothedPotential(logarithmic(), 1e-2)
     st = PhaseState((1.0, 0.0), (0.0, 0.0))
     traj = integrate(st, sm, horizon=3.0)
-    assert traj.first_event(COLLISION) is None
+    assert traj.stop is None and traj.t_end == 3.0
     r = np.hypot(traj.states[:, 0], traj.states[:, 1])
     assert np.min(r) < 1e-3   # dives through the smoothed core
     dE, _ = conserved_drift(traj)
@@ -120,10 +117,8 @@ def test_exit_ball_event_terminal():
     # the ball of radius 1.3, so the orbit exits and the run stops there
     st = PhaseState((1.0, 0.0), (0.9, 0.0))
     traj = integrate(st, BARE_LOG, horizon=50.0, ball_radius=1.3)
-    ev = traj.first_event("exit_ball")
-    assert ev is not None
-    assert traj.state_at(ev.time).r == pytest.approx(1.3, abs=1e-9)
-    assert traj.t_end == pytest.approx(ev.time)
+    assert traj.stop == EXIT_BALL
+    assert traj.state_at(traj.t_end).r == pytest.approx(1.3, abs=1e-9)
 
 
 def test_time_reversal_symmetry_of_drift():
@@ -173,9 +168,10 @@ def test_trajectory_sample_and_event_invariants():
     st = PhaseState((1.0, 0.0), (0.0, 0.3))
     traj = integrate(st, BARE_LOG, horizon=8.0)
     assert np.all(np.diff(traj.times) > 0)
-    assert traj.events, "a bounded orbit passes apsides within the horizon"
-    for ev in traj.events:
-        assert traj.times[0] <= ev.time <= traj.times[-1]
+    assert traj.stop is None and traj.t_end == 8.0
+    peri = traj.pericenter_times()
+    assert peri, "a bounded orbit passes its pericentre within the horizon"
+    assert traj.times[0] <= peri[0] and np.all(np.diff(peri) > 0) and peri[-1] <= traj.t_end
 
 
 # --- the DOP853 kernel against scipy ------------------------------------------
@@ -271,12 +267,13 @@ def test_kernel_steps_equal_scipy_dop853(monkeypatch, potential, eps, y0):
 
 
 def _solve_ivp_oracle(state, potential, horizon, ball_radius=math.inf):
-    """(times, event kinds, event times, dense) of the same run by solve_ivp."""
-    eps = potential.epsilon
+    """The same run by solve_ivp: its solution, whose t_events[0] are the
+    upward zeros of r rdot and t_events[1:] the times of the stop rules."""
     rhs = _field(potential, state.ang_momentum)
 
     def radial_turn(t, y):
         return y[0] * y[2] + y[1] * y[3]
+    radial_turn.direction = 1.0
 
     def near_collision(t, y):
         return math.hypot(y[0], y[1]) - COLLISION_RADIUS
@@ -286,47 +283,44 @@ def _solve_ivp_oracle(state, potential, horizon, ball_radius=math.inf):
         return math.hypot(y[0], y[1]) - ball_radius
     exit_ball.terminal, exit_ball.direction = True, 1.0
 
-    terminal = []
-    if eps == 0.0:
-        terminal.append((near_collision, COLLISION))
+    events = [radial_turn]
+    if potential.epsilon == 0.0:
+        events.append(near_collision)
     if math.isfinite(ball_radius):
-        terminal.append((exit_ball, EXIT_BALL))
-    sol = solve_ivp(lambda t, y: (y[2], y[3], *rhs(y[0], y[1])), (0.0, horizon),
-                    [*state.position, *state.velocity, 0.0], method="DOP853",
-                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, dense_output=True,
-                    events=[radial_turn] + [g for g, _ in terminal])
-    found = []
-    for t_ev, y_ev in zip(sol.t_events[0], sol.y_events[0]):
-        r2 = y_ev[0] ** 2 + y_ev[1] ** 2
-        h = math.sqrt(r2 + eps * eps)
-        curv = y_ev[2] ** 2 + y_ev[3] ** 2 + potential.base.deriv(h) / h * r2
-        found.append((t_ev, PERICENTER if curv > 0 else APOCENTER))
-    for (_, kind), times in zip(terminal, sol.t_events[1:]):
-        found += [(t_ev, kind) for t_ev in times]
-    found.sort()
-    return sol.t, [k for _, k in found], np.array([t for t, _ in found]), sol.sol
+        events.append(exit_ball)
+    return solve_ivp(lambda t, y: (y[2], y[3], *rhs(y[0], y[1])), (0.0, horizon),
+                     [*state.position, *state.velocity, 0.0], method="DOP853",
+                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, dense_output=True,
+                     events=events)
 
 
 @pytest.mark.parametrize("potential", [logarithmic(), homogeneous(0.5)], ids=["log", "hom"])
-@pytest.mark.parametrize("eps, state, horizon, ball, last_kind", [
+@pytest.mark.parametrize("eps, state, horizon, ball, stop", [
     (0.0, PhaseState((1.2, 0.0), (0.0, 0.7)), 20.0, math.inf, None),
     (1e-2, PhaseState((1.0, 0.0), (0.0, 0.0)), 3.0, math.inf, None),
     (0.0, PhaseState((1.0, 0.0), (0.0, 0.0)), 5.0, math.inf, COLLISION),
     (0.0, PhaseState((1.0, 0.0), (0.9, 0.0)), 50.0, 1.3, EXIT_BALL),
 ], ids=["eps0-l", "eps-drop", "collision-drop", "ball"])
-def test_integrate_matches_solve_ivp(potential, eps, state, horizon, ball, last_kind):
+def test_integrate_matches_solve_ivp(potential, eps, state, horizon, ball, stop):
     sm = SmoothedPotential(potential, eps)
     traj = integrate(state, sm, horizon, ball_radius=ball)
-    times, kinds, event_times, dense = _solve_ivp_oracle(state, sm, horizon, ball)
-    assert [ev.kind for ev in traj.events] == kinds
-    # each case ends as it claims to: at its terminal event or at an apsis
-    assert kinds[-1] == last_kind or (last_kind is None and kinds[-1] in (PERICENTER, APOCENTER))
-    assert np.max(np.abs([ev.time for ev in traj.events] - event_times)) <= 1e-12
-    assert abs(len(traj.times) - len(times)) <= 2
+    sol = _solve_ivp_oracle(state, sm, horizon, ball)
+    # each case ends as it claims to: at its stop, where a terminal event ends
+    # solve_ivp's run, or at the horizon
+    assert traj.stop == stop
+    if stop is None:
+        assert sol.status == 0 and traj.t_end == sol.t[-1] == horizon
+    else:
+        t_stop, = np.concatenate(sol.t_events[1:])
+        assert sol.status == 1 and abs(traj.t_end - t_stop) <= 1e-12
+    peri = traj.pericenter_times()
+    assert len(peri) == len(sol.t_events[0])
+    assert np.max(np.abs(np.subtract(peri, sol.t_events[0])), initial=0.0) <= 1e-12
+    assert abs(len(traj.times) - len(sol.t)) <= 2
     # up to 0.9 t_end: at the collision threshold the acceleration is ~1/r =
-    # 1e8, so a rounding-level shift of the abort time moves the velocity by 1e-8
+    # 1e8, so a rounding-level shift of the stop time moves the velocity by 1e-8
     for t in np.linspace(0.0, 0.9 * traj.t_end, 10):
-        assert np.max(np.abs(traj.dense(t) - dense(t))) <= 1e-10
+        assert np.max(np.abs(traj.dense(t) - sol.sol(t))) <= 1e-10
 
 
 def test_step_too_small_raises():
@@ -339,9 +333,9 @@ def test_step_too_small_raises():
 
 
 def test_interpolants_are_built_only_where_read(monkeypatch):
-    # integrate builds a step's interpolant only where an event function
-    # changes sign; the dense output builds another one per step it reads,
-    # once
+    # integrate builds an interpolant only on the step where the run stops;
+    # the dense output and the pericentre query build one per step they
+    # read, once
     built = []
     segment = _dop853.segment
 
@@ -350,31 +344,37 @@ def test_interpolants_are_built_only_where_read(monkeypatch):
         return segment(field, record)
 
     monkeypatch.setattr(_dop853, "segment", counting)
+    traj = integrate(PhaseState((1.0, 0.0), (0.0, 0.0)), BARE_LOG, horizon=50.0)
+    assert traj.stop == COLLISION and len(built) == 1
+    built.clear()
     traj = integrate(PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, horizon=20.0)
+    assert traj.stop is None and built == []
+    peri = traj.pericenter_times()
     s = traj.states
     g = s[:, 0] * s[:, 2] + s[:, 1] * s[:, 3]
-    sign_changes = sum((a <= 0.0 <= b) or (a >= 0.0 >= b) for a, b in zip(g, g[1:]))
-    assert len(built) == sign_changes == len(traj.events) > 0
+    upward = sum(a <= 0.0 <= b for a, b in zip(g, g[1:]))
+    assert len(built) == upward == len(peri) > 0
     assert len(built) * 10 < len(traj.times)
+    assert traj.pericenter_times() == peri and len(built) == len(peri)
     i = next(i for i, t in enumerate(traj.times) if t not in built)
     t = 0.5 * (traj.times[i] + traj.times[i + 1])
     traj.dense(t)
-    assert built[-1] == traj.times[i] and len(built) == sign_changes + 1
+    assert built[-1] == traj.times[i] and len(built) == len(peri) + 1
     traj.dense(t)
     traj.state_at(traj.times[i + 1])
-    traj.theta_at(traj.events[0].time)
-    assert len(built) == sign_changes + 1
+    traj.theta_at(peri[0])
+    assert len(built) == len(peri) + 1
 
 
 def test_dense_array_equals_scalar_calls():
     def run():
         return integrate(PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, horizon=10.0)
 
+    # step boundaries, interior points, both ends and the pericentre times,
+    # unsorted
+    peri = run().pericenter_times()
     traj = run()
-    # step boundaries, interior points, both ends and the event times (whose
-    # steps' interpolants integrate built), unsorted
-    t = np.concatenate([traj.times[::7], np.linspace(0.0, 10.0, 101)[::-1],
-                        [ev.time for ev in traj.events]])
+    t = np.concatenate([traj.times[::7], np.linspace(0.0, 10.0, 101)[::-1], peri])
 
     def scalars(tr):
         return np.array([tr.dense(s) for s in t]).T
@@ -401,5 +401,5 @@ def test_dense_array_equals_scalar_calls():
 ])
 def test_terminal_run_ends_at_its_event(state, ball, kind):
     traj = integrate(state, BARE_LOG, horizon=50.0, ball_radius=ball)
-    assert traj.events[-1].kind == kind and traj.events[-1].time == traj.t_end
+    assert traj.stop == kind and traj.t_end < 50.0
     assert np.array_equal(traj.dense(traj.t_end), traj.states[-1])

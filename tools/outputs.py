@@ -9,7 +9,11 @@ OUT receives two sets of outputs:
   configuration and seed;
 * ``OUT/workloads/<workload>/seed<k>/<experiment>/``: every experiment of
   ``perfbench/workloads.py`` at seeds 0 to 3, with the configs it defines
-  (written to ``OUT/inputs/``).
+  (written to ``OUT/inputs/``);
+* ``OUT/extra/seed<k>/<name>/``: the fixed non-default configs of
+  ``EXTRA`` at seeds 0 to 3 (configs in ``OUT/inputs/extra/``), which reach
+  paths no default or workload run does: the entry case, the
+  ``homogeneous(0.5)`` drop, a ball exit in the continuity schedule.
 
 The exit codes go to ``OUT/exit_codes.json``.  Two checkouts that should
 compute the same numbers are compared with
@@ -34,8 +38,27 @@ import workloads  # noqa: E402
 
 from onecentre.cli import COMMANDS, main  # noqa: E402
 
-#: the seeds of the workload experiments
+#: the seeds of the workload experiments and the extra configs
 SEEDS = range(4)
+
+_HOM = {"family": "homogeneous", "alpha": 0.5}
+_HOM_DROP = {"type": "drop", "energy": -1.0}
+_ENTRY = {"type": "entry", "energy": 1.0, "ball_radius": 1.0}
+
+#: name -> (subcommand, config): non-default configs; the keys not given
+#: keep their defaults
+EXTRA = {
+    "oracle-crosscheck-hom": ("oracle-crosscheck", {"potential": _HOM}),
+    "transmission-demo-entry": ("transmission-demo", {"case": _ENTRY}),
+    "transmission-demo-hom": ("transmission-demo", {"potential": _HOM, "case": _HOM_DROP}),
+    # cell 0 of the diagonal leaves this ball; the other cells stay inside
+    "poincare-continuity-ball": ("poincare-continuity", {
+        "case": {"type": "drop", "energy": 0.0, "ball_radius": 1.01002}}),
+    "poincare-continuity-hom": ("poincare-continuity", {"potential": _HOM, "case": _HOM_DROP}),
+    "poincare-section-entry": ("poincare-section", {"case": _ENTRY, "samples": 6}),
+    "apsidal-sweep-entry": ("apsidal-sweep", {"case": _ENTRY}),
+    "bounds-audit-hom": ("bounds-audit", {"potential": _HOM, "energy": -1.0, "samples": 200}),
+}
 
 
 def run(argv: list[str]) -> int:
@@ -46,8 +69,9 @@ def run(argv: list[str]) -> int:
 
 
 def write_outputs(out: Path) -> dict[str, int]:
-    """Run every subcommand and workload experiment into `out`; the exit
-    code of each run, keyed by its output directory relative to `out`."""
+    """Run every subcommand, workload experiment and extra config into
+    `out`; the exit code of each run, keyed by its output directory relative
+    to `out`."""
     codes = {}
     for sub in sorted(COMMANDS):
         target = out / "defaults" / sub
@@ -60,6 +84,14 @@ def write_outputs(out: Path) -> dict[str, int]:
             for seed in SEEDS:
                 target = out / "workloads" / workload / f"seed{seed}" / exp.name
                 codes[str(target.relative_to(out))] = run(exp.argv(seed, str(cfg), str(target)))
+    for name, (sub, config) in EXTRA.items():
+        cfg = out / "inputs" / "extra" / f"{name}.json"
+        cfg.parent.mkdir(parents=True, exist_ok=True)
+        cfg.write_text(json.dumps(config, sort_keys=True))
+        for seed in SEEDS:
+            target = out / "extra" / f"seed{seed}" / name
+            codes[str(target.relative_to(out))] = run(
+                [sub, "--config", str(cfg), "--seed", str(seed), "--out", str(target)])
     return codes
 
 
