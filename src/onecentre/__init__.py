@@ -19,7 +19,7 @@ from .simulator import (PhaseState, Perturbation, Trajectory, conserved_drift,
                         integrate, make_initial_data, oracle_crosscheck)
 from .flow import (ExitedBall, Section, TransmissionPath, continuity_experiment,
                    diagonal_cells, extended_flow, phase_field,
-                   poincare_section, section_at, transmission_extend)
+                   poincare_section, section_at)
 from .variational import delta_action, kinetic_action, potential_action
 from .tables import ConvergenceTable, aitken_limit, limit_verdict
 

@@ -79,7 +79,10 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) 
                 # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)
+                # brentq.c divides by an underflowed 0 to +-inf or nan, which
+                # fails the step test below: the step is a bisection
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             bound = 3 * abs(sbis) - delta
             if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
                 # good short step

@@ -134,7 +134,7 @@ def desingularized_factor(sm: SmoothedPotential, rm: float, beta: float,
 
 
 def bounds_audit(potential: PotentialSpec, eps_values, samples: int, seed: int,
-                 energy: float = 0.0, violation_tol: float = 1e-9) -> ConvergenceTable:
+                 energy: float, violation_tol: float) -> ConvergenceTable:
     """Seeded audit of both integrand bounds, per eps in `eps_values`.
 
     `samples` envelope draws 0 < y < x < r_outer <= 1 (rows "envelope", p =
@@ -177,7 +177,7 @@ class SweepPath:
     cells: tuple[tuple[float, float], ...]   # (eps, l) per cell, schedule order
 
 
-def default_paths(exponents=range(2, 7)) -> list[SweepPath]:
+def default_paths(exponents) -> list[SweepPath]:
     """Diagonal plus the two axis-first paths through the (eps, l) grid."""
     ks = list(exponents)
     fine = 10.0 ** -ks[-1]
@@ -203,7 +203,7 @@ def _sweep_cell(anchor: Anchor, eps: float, l: float) -> ApsidalAngle:
     return apsidal_angle(RadialProblem(sm, energy, l), anchor.case.ball_radius)
 
 
-def convergence_sweep(anchor: Anchor, paths: list[SweepPath] | None = None) -> ConvergenceTable:
+def convergence_sweep(anchor: Anchor, paths: list[SweepPath]) -> ConvergenceTable:
     """Apsidal angles of a solved case over (eps, l) schedules, with per-path
     limit verdicts against pi/2.
 
@@ -212,8 +212,6 @@ def convergence_sweep(anchor: Anchor, paths: list[SweepPath] | None = None) -> C
     the convergence verdict, plus a uniformity verdict: all path estimates
     within 1e-2 of each other.
     """
-    if paths is None:
-        paths = default_paths()
     case = anchor.case
     table = ConvergenceTable(
         ("path_id", "k", "epsilon", "l", "R_minus", "beta", "delta_theta",

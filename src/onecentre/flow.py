@@ -110,28 +110,6 @@ class TransmissionPath:
         return theta0 if t < self.collision_time else theta0 + math.pi
 
 
-def transmission_extend(pre: Trajectory) -> TransmissionPath:
-    """Extend a collision leg through the origin by reflection.
-
-    `pre` must be an eps = 0 trajectory whose angular momentum vanishes (within
-    tolerance) and which stopped at the collision threshold, so the leg ends
-    at its stop time.
-    """
-    if pre.potential.epsilon != 0.0:
-        raise ValueError("transmission extension applies to the unsmoothed system")
-    if abs(pre.ang_momentum0) > COLLISION_L_TOL:
-        raise ValueError(f"not a collision orbit: |l| = {abs(pre.ang_momentum0)!r}")
-    if pre.stop != COLLISION:
-        raise ValueError("trajectory does not stop at the collision threshold")
-
-    end = pre.state_at(pre.t_end)
-    r_abort = end.r
-    direction = end.position / r_abort
-    tail = collision_time(RadialProblem(pre.potential, pre.energy0, 0.0), r_abort)
-    return TransmissionPath(pre=pre, collision_time=pre.t_end + tail,
-                            abort_radius=r_abort, direction=direction)
-
-
 def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
                   horizon: float, ball_radius: float = math.inf) -> Trajectory | TransmissionPath:
     """The orbit of the extended flow from `state`, valid on [0, horizon].
@@ -139,7 +117,9 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
     A collision datum (eps = 0, |l| <= COLLISION_L_TOL) gets its
     transmission path: the fall is integrated for up to 4 horizon + 10 until
     it stops at the collision threshold; leaving the ball on the way raises
-    ExitedBall, and 2 T0 < horizon ValueError.
+    ExitedBall, reaching 4 horizon + 10 first (a radial datum that never
+    falls to the threshold) ValueError, and 2 T0 < horizon ValueError.
+    This is the only place a `TransmissionPath` is built.
     Any other datum is integrated plainly up to the horizon; leaving the ball
     before it raises ExitedBall, and an eps = 0 orbit whose |l| is too large
     for transmission that reaches the collision threshold first RuntimeError.
@@ -157,7 +137,12 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
                 f"threshold r = {COLLISION_RADIUS!r}: eps = 0 and |l| = "
                 f"{abs(state.ang_momentum)!r} > COLLISION_L_TOL = {COLLISION_L_TOL!r}")
         return orbit
-    return _covering(transmission_extend(orbit), horizon)
+    if orbit.stop != COLLISION:
+        raise ValueError("trajectory does not stop at the collision threshold")
+    end = orbit.state_at(orbit.t_end)
+    tail = collision_time(RadialProblem(orbit.potential, orbit.energy0, 0.0), end.r)
+    return _covering(TransmissionPath(orbit, orbit.t_end + tail, end.r, end.position / end.r),
+                     horizon)
 
 
 def _covering(path: TransmissionPath, horizon: float) -> TransmissionPath:
@@ -168,7 +153,7 @@ def _covering(path: TransmissionPath, horizon: float) -> TransmissionPath:
     return path
 
 
-def diagonal_cells(exponents=range(2, 7)) -> list[tuple[float, Perturbation]]:
+def diagonal_cells(exponents) -> list[tuple[float, Perturbation]]:
     """Schedule cells perturbing (eps, l, dq, dv1) all at scale 10^-k."""
     return [(10.0 ** -k, Perturbation(dq=(10.0 ** -k, 0.0), l=10.0 ** -k,
                                       dv1=10.0 ** -k))
@@ -176,8 +161,7 @@ def diagonal_cells(exponents=range(2, 7)) -> list[tuple[float, Perturbation]]:
 
 
 def continuity_experiment(anchor: Anchor, T: float,
-                          cells: list[tuple[float, Perturbation]] | None = None
-                          ) -> ConvergenceTable:
+                          cells: list[tuple[float, Perturbation]]) -> ConvergenceTable:
     """Distance at time T between the extended flow of perturbed data and the
     transmission path of a solved case, along a schedule of (eps,
     perturbation) cells tending to zero.
@@ -190,8 +174,6 @@ def continuity_experiment(anchor: Anchor, T: float,
     distance ratio, and the extrapolated angular increment (the
     transmission value is exactly pi).
     """
-    if cells is None:
-        cells = diagonal_cells()
     potential, ball_radius = anchor.potential, anchor.case.ball_radius
     ref_path = extended_flow(make_initial_data(anchor), 0.0, potential, T, ball_radius)
     T0 = ref_path.collision_time
@@ -301,8 +283,8 @@ def section_at(anchor: Anchor, T: float) -> Section:
     return Section(anchor, T, path, y1, normal)
 
 
-def poincare_section(section: Section, delta: float, sample_count: int = 50,
-                     seed: int = 0) -> ConvergenceTable:
+def poincare_section(section: Section, delta: float, sample_count: int,
+                     seed: int) -> ConvergenceTable:
     """Hitting times and section traces for samples near the collision datum.
 
     The samples are drawn in the delta-neighbourhood of the datum by a
@@ -350,7 +332,7 @@ def poincare_section(section: Section, delta: float, sample_count: int = 50,
                     f"no sign change of the section offset in [T-xi, T+xi] down to xi={xi!r}")
             tau = brentq(H, T - xi, T + xi, xtol=1e-12, rtol=8.9e-16)
             trace = flow_at(tau)
-        except (ExitedBall, RuntimeError, ValueError) as exc:
+        except (RuntimeError, ValueError) as exc:
             table.meta.setdefault("failed_samples", []).append((i, str(exc)))
             table.add(i, *np.concatenate([y0.position, y0.velocity]).tolist(),
                       eps, pert.l, math.nan, math.nan, math.nan, math.nan,

@@ -34,7 +34,7 @@ from . import _dop853
 from ._brent import brentq
 from .potentials import PotentialSpec, SmoothedPotential
 from .quadrature import sqrt_endpoint_quad
-from .radial import Anchor, RadialProblem, _one_peak_scan, turning_points
+from .radial import Anchor, RadialProblem, turning_points
 from .tables import ConvergenceTable
 
 #: ODE solver tolerances; the drift budget of the experiments assumes these
@@ -245,8 +245,7 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> Conve
     failing = None
     for i in range(orbits):
         E = rng.uniform(-0.5, cap)
-        fmax = float(np.max(_one_peak_scan(RadialProblem(sm, E, 0.0).f, 1e-6, ORACLE_RADIUS,
-                                           4000)[1]))
+        fmax = float(np.max(RadialProblem(sm, E, 0.0).f(np.geomspace(1e-6, ORACLE_RADIUS, 4000))))
         l = math.sqrt(fmax) * rng.uniform(0.2, 0.9)
         rp = RadialProblem(sm, E, l)
         tp = turning_points(rp)

@@ -39,8 +39,6 @@ from .tables import ConvergenceTable
 #: per-cell refinement tolerance of the potential quadrature
 REFINE_TOL = 1e-10
 MAX_DEPTH = 48
-#: default number of cells of the uniform grid
-DEFAULT_CELLS = 2 ** 14
 
 
 def kinetic_action(values: np.ndarray, dt: float) -> float:
@@ -86,7 +84,7 @@ def potential_action(values: np.ndarray, dt: float,
 
 
 def delta_action(anchor: Anchor, deltas, T1_factor: float,
-                 n_cells: int = DEFAULT_CELLS) -> ConvergenceTable:
+                 n_cells: int) -> ConvergenceTable:
     """The probe's table: A(u0) - A(u1), split into kinetic and potential
     parts, one row per delta, for the transmission path u0 of a solved drop
     from rest (any other case is a ValueError) and its plateau displacements

@@ -149,7 +149,7 @@ def test_criterion_04_smoothing_limit_desk_scale():
 def test_criterion_05_bound_audits():
     t0 = time.time()
     table = bounds_audit(logarithmic(), (1e-2, 1e-4), 1000, seed=777,
-                         violation_tol=1e-9)
+                         energy=0.0, violation_tol=1e-9)
     violations = len(table.meta["violations"])
     worst_env = min(row[6] for row in table.rows if row[0] == "envelope")
     # the factor rows' margin is beta - factor
@@ -245,7 +245,7 @@ def test_criterion_08_poincare_section():
 def test_criterion_09_variational_non_minimality():
     t0 = time.time()
     anchor = case_anchor(DropFromRest(0.0), logarithmic())
-    meta = delta_action(anchor, (1e-2, 1e-3, 1e-4), 0.5).meta   # 2^14 cells
+    meta = delta_action(anchor, (1e-2, 1e-3, 1e-4), 0.5, 2 ** 14).meta
     elapsed = time.time() - t0
     all_positive = all(dA > 0 for dA in meta["dA"])
     kinetic_mismatch = meta["kinetic_mismatch"]

@@ -70,6 +70,19 @@ def test_brentq_messages_are_scipys():
         == (RuntimeError, "Failed to converge after 2 iterations.")
 
 
+@pytest.mark.parametrize("k", [80, 90, 100, 110, 120, 130, 140, 150])
+def test_brentq_underflowed_extrapolation_equals_scipy(k):
+    # near r = s the radicand's differences underflow, so the extrapolation's
+    # denominator is 0: brentq.c bisects (a root at s <= 1e-100, then
+    # non-convergence from 1e-110 on), where a Python division would raise
+    s = 10.0 ** -k
+    sm = SmoothedPotential(logarithmic(), s)
+    w = RadialProblem(sm, 0.5 * s * s - sm.value(1.0), s).integrand(angle=False).radicand
+    got = outcome(lambda: _brent.brentq(w, 1e-3 * s, s, 1e-300, 8.9e-16))
+    assert got == outcome(lambda: optimize.brentq(w, 1e-3 * s, s, xtol=1e-300, rtol=8.9e-16))
+    assert isinstance(got, float) == (k <= 100)
+
+
 def test_minimize_bounded_equals_scipy():
     rng = np.random.default_rng(4)
     shapes = [

@@ -7,8 +7,8 @@ import pytest
 from onecentre.cli import main
 from onecentre.flow import (ExitedBall, TransmissionPath, continuity_experiment,
                             diagonal_cells, extended_flow, phase_field,
-                            poincare_section, section_at, transmission_extend)
-from onecentre.potentials import SmoothedPotential, logarithmic
+                            poincare_section, section_at)
+from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.radial import DropFromRest, InwardCrossing, case_anchor, fall_time
 from onecentre.simulator import PhaseState, Perturbation, integrate, make_initial_data
 
@@ -20,8 +20,7 @@ DROP0 = case_anchor(DropFromRest(0.0), logarithmic())
 
 @pytest.fixture(scope="module")
 def drop_path():
-    pre = integrate(PhaseState((1.0, 0.0), (0.0, 0.0)), BARE_LOG, horizon=5.0)
-    return transmission_extend(pre)
+    return extended_flow(PhaseState((1.0, 0.0), (0.0, 0.0)), 0.0, logarithmic(), T0_LOG)
 
 
 def test_collision_time_closed_form(drop_path):
@@ -69,8 +68,8 @@ def test_transmission_involution(drop_path):
     # new extension reproduces the original pre-leg samples
     T0 = drop_path.collision_time
     start = drop_path.state_at(2.0 * T0 - 1e-3)
-    pre2 = integrate(PhaseState(start.position, -start.velocity), BARE_LOG, horizon=5.0)
-    path2 = transmission_extend(pre2)
+    path2 = extended_flow(PhaseState(start.position, -start.velocity), 0.0, logarithmic(),
+                          T0_LOG)
     T02 = path2.collision_time
     for s in np.linspace(0.1, 0.9, 7) * min(T0, T02):
         a = drop_path.state_at(T0 - s)
@@ -79,17 +78,12 @@ def test_transmission_involution(drop_path):
         assert b.velocity == pytest.approx(-a.velocity, abs=1e-8)
 
 
-def test_transmission_rejects_nonradial():
-    tr = integrate(PhaseState((1.0, 0.0), (0.0, 0.5)), BARE_LOG, horizon=3.0)
-    with pytest.raises(ValueError):
-        transmission_extend(tr)
-
-
-def test_transmission_rejects_smoothed():
-    sm = SmoothedPotential(logarithmic(), 1e-3)
-    tr = integrate(PhaseState((1.0, 0.0), (0.0, 0.0)), sm, horizon=3.0)
-    with pytest.raises(ValueError):
-        transmission_extend(tr)
+def test_collision_datum_that_never_falls_has_no_path():
+    # a radial datum escaping outward never reaches the collision threshold,
+    # so there is no fall to extend by a quadrature tail
+    y0 = PhaseState((1.0, 0.0), (5.0, 0.0))
+    with pytest.raises(ValueError, match="does not stop at the collision threshold"):
+        extended_flow(y0, 0.0, homogeneous(0.5), 1.0)
 
 
 def test_extended_map_before_collision_is_plain_integration(drop_path):

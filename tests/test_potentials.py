@@ -199,3 +199,29 @@ def test_finite_witness_names_first_nonfinite_derivative():
     grid = default_probe_grid()
     assert not rep.admissible
     assert rep.witness == ("finite", float(grid[grid < 1e-3][0]))
+
+
+def test_admissible_radii_finite_for_log_plus_harmonic():
+    # V = -log x + x^2: V' = -1/x + 2x, V'' = 1/x^2 + 2.  V'/V'' decreases
+    # below x* = sqrt((sqrt(80) - 8)/8) only, and V'/V'' + x/2 changes sign
+    # at 1/sqrt(6), so both radii are finite
+    def value(x):
+        x = np.asarray(x, float)
+        return -np.log(x) + x * x
+
+    def deriv(x):
+        x = np.asarray(x, float)
+        return -1.0 / x + 2.0 * x
+
+    def deriv2(x):
+        x = np.asarray(x, float)
+        return 1.0 / (x * x) + 2.0
+
+    rep = check_admissible(PotentialSpec("log-plus-harmonic", value, deriv, deriv2))
+    assert rep.admissible
+    assert rep.ratio_radius == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-12)
+    # the first grid point below which every check holds: within one probe
+    # grid step above x*
+    x_star = math.sqrt((math.sqrt(80.0) - 8.0) / 8.0)
+    assert x_star < rep.monotone_radius <= x_star * 10.0 ** (9.0 / 511.0)
+    assert rep.safe_radius == rep.monotone_radius

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from onecentre import variational
-from onecentre.flow import transmission_extend
-from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
+from onecentre.flow import extended_flow
+from onecentre.potentials import homogeneous, logarithmic
 from onecentre.radial import DropFromRest, InwardCrossing, case_anchor, fall_time
-from onecentre.simulator import PhaseState, integrate
+from onecentre.simulator import PhaseState
 from onecentre.variational import delta_action, kinetic_action, potential_action
 
 T0_LOG = math.sqrt(math.pi / 2.0)
@@ -237,10 +237,8 @@ def test_refinement_stops_at_max_depth(monkeypatch, log_path):
 def _log_transmission(energy=0.0):
     pot = logarithmic()
     anchor = case_anchor(DropFromRest(energy), pot)
-    horizon = 10.0 * fall_time(anchor)
-    pre = integrate(PhaseState((anchor.radius, 0.0), (0.0, 0.0)),
-                    SmoothedPotential(pot, 0.0), horizon=horizon)
-    return transmission_extend(pre)
+    return extended_flow(PhaseState((anchor.radius, 0.0), (0.0, 0.0)), 0.0, pot,
+                         fall_time(anchor))
 
 
 def test_transmission_path_matches_per_node_states(log_path):
