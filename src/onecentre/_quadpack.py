@@ -8,12 +8,15 @@ extrapolate over the intervals that stay the smallest.  It is the routine
 behind `scipy.integrate.quad` on a finite interval.  Each routine is a
 line-by-line port: the same branches, the same operation order, the rule's
 constants as QUADPACK states them, and `d1mach` as the IEEE double limits.
+It serves the quadrature engine's one request: absolute tolerance 0, at
+most `LIMIT` subintervals, only the value and error estimate back; what
+serves only `dqagse`'s returned `ier` and evaluation count is left out.
 One interface differs: the integrand is a panel function, which `qk21`
 calls once with a panel's 21 abscissae, in the order `dqk21` evaluates
 them, so a caller can compute a whole panel in one loop.
-tests/test_quadpack.py checks value, error estimate, evaluation count and
-`ier` bitwise against `scipy.integrate.quad`, and the abscissae against the
-points quad evaluates.
+tests/test_quadpack.py checks value and error estimate bitwise against
+`scipy.integrate.quad` with the same options, the abscissae and their count
+against the points quad evaluates, and that its grid reaches every `ier`.
 
 The lists keep QUADPACK's 1-based indices (entry 0 unused), so the
 translation can be read against the Fortran.
@@ -21,14 +24,14 @@ translation can be read against the Fortran.
 
 from __future__ import annotations
 
-import math
-
 #: d1mach(4), d1mach(1), d1mach(2): spacing at 1, smallest normal, largest
 _EPMACH = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
 _OFLOW = 1.7976931348623157e308
 #: most elements of the epsilon table
 LIMEXP = 50
+#: most subintervals of one `qagse` run
+LIMIT = 200
 
 # dqk21: abscissae xgk of the 21-point Kronrod rule (even indices are the
 # 10-point Gauss nodes), Kronrod weights wgk and Gauss weights wg
@@ -154,7 +157,7 @@ def qk21(f, a, b):
     return result, abserr, resabs, resasc
 
 
-def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
+def _qpsrt(last, maxerr, elist, iord, nrmax):
     """`dqpsrt`: keep iord descending in elist after a bisection, and return
     the interval to bisect next, (maxerr, errmax, nrmax)."""
     if last <= 2:
@@ -171,8 +174,8 @@ def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
             nrmax -= 1
         # only the jupbn largest errors are kept in order
         jupbn = last
-        if last > limit // 2 + 2:
-            jupbn = limit + 3 - last
+        if last > LIMIT // 2 + 2:
+            jupbn = LIMIT + 3 - last
         errmin = elist[last]
         jbnd = jupbn - 1
         for i in range(nrmax + 1, jbnd + 1):
@@ -279,38 +282,30 @@ def _qelg(n, epstab, res3la, nres):
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
-def qagse(f, a, b, epsabs, epsrel, limit):
-    """integral_a^b f to max(epsabs, epsrel |integral|): `dqagse`.
+def qagse(f, a, b, epsrel):
+    """(result, abserr): `dqagse` for integral_a^b f at absolute tolerance
+    0 (the 0.0 of each error bound), relative tolerance epsrel and at most
+    `LIMIT` subintervals.
 
     f is a panel function, called once per 21-node Kronrod panel (see
-    `qk21`), so a run makes neval / 21 calls.
-
-    Returns (result, abserr, neval, ier), with QUADPACK's ier: 0 success,
-    1 `limit` subintervals used, 2 roundoff stops the requested accuracy,
-    3 bad integrand behaviour, 4 the extrapolation does not converge,
-    5 the integral is probably divergent, 6 invalid tolerances.
-    Needs limit >= 1.  An exception raised by f propagates.
+    `qk21`).  An exception raised by f propagates.  QUADPACK's ier still
+    picks the exits (1 `LIMIT` subintervals used, 2 roundoff, 4 the
+    extrapolation does not converge, 5 probably divergent); it is not
+    returned.
     """
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
-        return 0.0, 0.0, 0, 6
-    ier = 0
-    ierro = 0
     result, abserr, defabs, resabs = qk21(f, a, b)
     dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    last = 1
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if limit == 1:
-        ier = 1
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return result, abserr, 21, ier
+    errbnd = max(0.0, epsrel * dres)
+    # roundoff already stops the requested accuracy (ier 2), or converged
+    if ((abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd)
+            or (abserr <= errbnd and abserr != resabs) or abserr == 0.0):
+        return result, abserr
 
-    alist = [0.0, a] + [0.0] * (limit - 1)
-    blist = [0.0, b] + [0.0] * (limit - 1)
-    rlist = [0.0, result] + [0.0] * (limit - 1)
-    elist = [0.0, abserr] + [0.0] * (limit - 1)
-    iord = [0, 1] + [0] * limit
+    alist = [0.0, a] + [0.0] * (LIMIT - 1)
+    blist = [0.0, b] + [0.0] * (LIMIT - 1)
+    rlist = [0.0, result] + [0.0] * (LIMIT - 1)
+    elist = [0.0, abserr] + [0.0] * (LIMIT - 1)
+    iord = [0, 1] + [0] * LIMIT
     rlist2 = [0.0] * (LIMEXP + 3)
     res3la = [0.0] * 4
     rlist2[1] = result
@@ -325,13 +320,12 @@ def qagse(f, a, b, epsabs, epsrel, limit):
     ktmin = 0
     extrap = False
     noext = False
+    ier = 0
+    ierro = 0
     iroff1 = iroff2 = iroff3 = 0
     small = erlarg = ertest = correc = 0.0
-    ksgn = -1
-    if dres >= (1.0 - 50.0 * _EPMACH) * defabs:
-        ksgn = 1
 
-    for last in range(2, limit + 1):
+    for last in range(2, LIMIT + 1):
         # bisect the interval with the nrmax-th largest error estimate
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
@@ -355,12 +349,12 @@ def qagse(f, a, b, epsabs, epsrel, limit):
                 iroff3 += 1
         rlist[maxerr] = area1
         rlist[last] = area2
-        errbnd = max(epsabs, epsrel * abs(area))
+        errbnd = max(0.0, epsrel * abs(area))
         if iroff1 + iroff2 >= 10 or iroff3 >= 20:
             ier = 2
         if iroff2 >= 5:
             ierro = 3
-        if last == limit:
+        if last == LIMIT:
             ier = 1
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
             ier = 4
@@ -378,9 +372,9 @@ def qagse(f, a, b, epsabs, epsrel, limit):
             blist[last] = b2
             elist[maxerr] = error1
             elist[last] = error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        maxerr, errmax, nrmax = _qpsrt(last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
-            return _sum_of_intervals(rlist, last, errsum, ier)
+            return _sum_of_intervals(rlist, last, errsum)
         if ier != 0:
             break
         if last == 2:
@@ -404,8 +398,8 @@ def qagse(f, a, b, epsabs, epsrel, limit):
             # the smallest interval has the largest error: bisect the
             # larger intervals first, while their errors exceed ertest
             jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
+            if last > 2 + LIMIT // 2:
+                jupbnd = LIMIT + 3 - last
             larger = False
             for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax]
@@ -428,7 +422,7 @@ def qagse(f, a, b, epsabs, epsrel, limit):
             abserr = abseps
             result = reseps
             correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
+            ertest = max(0.0, epsrel * abs(reseps))
             if abserr <= ertest:
                 break
         # prepare the bisection of the smallest interval
@@ -444,41 +438,22 @@ def qagse(f, a, b, epsabs, epsrel, limit):
         erlarg = errsum
 
     # set the final result and error estimate
-    neval = 42 * last - 21
     if abserr == _OFLOW:
-        return _sum_of_intervals(rlist, last, errsum, ier)
+        return _sum_of_intervals(rlist, last, errsum)
     if ier + ierro != 0:
         if ierro == 3:
             abserr = abserr + correc
-        if ier == 0:
-            ier = 3
         if result != 0.0 and area != 0.0:
             if abserr / abs(result) > errsum / abs(area):
-                return _sum_of_intervals(rlist, last, errsum, ier)
+                return _sum_of_intervals(rlist, last, errsum)
         elif abserr > errsum:
-            return _sum_of_intervals(rlist, last, errsum, ier)
-        elif area == 0.0:
-            return result, abserr, neval, ier - 1 if ier > 2 else ier
-    # test on divergence
-    if not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
-        ratio = _ratio(result, area)
-        if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
-            ier = 6
-    return result, abserr, neval, ier - 1 if ier > 2 else ier
+            return _sum_of_intervals(rlist, last, errsum)
+    return result, abserr
 
 
-def _sum_of_intervals(rlist, last, errsum, ier):
+def _sum_of_intervals(rlist, last, errsum):
     """The exit that sums the interval contributions, left to right."""
     result = 0.0
     for k in range(1, last + 1):
         result = result + rlist[k]
-    return result, errsum, 42 * last - 21, ier - 1 if ier > 2 else ier
-
-
-def _ratio(x, y):
-    """x / y with IEEE semantics at y = 0."""
-    if y != 0.0:
-        return x / y
-    if x != x or x == 0.0:
-        return math.nan
-    return math.copysign(math.inf, x) * math.copysign(1.0, y)
+    return result, errsum

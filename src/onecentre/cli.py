@@ -286,7 +286,7 @@ def cmd_poincare_continuity(args, out: Path) -> bool:
         and bool(meta.get("theta_converged")) and meta.get("decay_ratio", math.inf) < 1.0
     evidence = {k: meta[k] for k in
                 ("T", "collision_time", "nonincreasing", "decay_ratio",
-                 "theta_limit", "theta_converged") if k in meta}
+                 "theta_limit", "theta_converged", "skipped") if k in meta}
     evidence["marked_cells"] = meta.get("marked_cells", [])
     return _emit(out, "poincare_continuity",
                  "the extended time-T map is continuous at the collision datum",

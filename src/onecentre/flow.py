@@ -103,11 +103,11 @@ class TransmissionPath:
         return np.concatenate([before, np.zeros((1, 2)), -before[::-1]])
 
     def theta_at(self, t: float) -> float:
-        """Continuous angular lift: constant on each leg, +pi across collision."""
+        """Angle swept since t = 0, as `Trajectory.theta_at`: 0 on the fall,
+        pi after the collision."""
         if t == self.collision_time:
             raise ValueError("angle undefined at the collision point")
-        theta0 = math.atan2(self.direction[1], self.direction[0])
-        return theta0 if t < self.collision_time else theta0 + math.pi
+        return 0.0 if t < self.collision_time else math.pi
 
 
 def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
@@ -206,8 +206,7 @@ def continuity_experiment(anchor: Anchor, T: float,
         st = orbit.state_at(T)
         d_pos = float(np.linalg.norm(st.position - ref.position))
         d_vel = float(np.linalg.norm(st.velocity - ref.velocity))
-        # a transmission path's angle is absolute, a trajectory's lift starts at 0
-        theta_inc = orbit.theta_at(T) - orbit.theta_at(0.0)
+        theta_inc = orbit.theta_at(T)
         table.add(k, eps, pert.l, math.hypot(*pert.dq), pert.dv1,
                   math.hypot(d_pos, d_vel), d_pos, d_vel, theta_inc)
         dists.append(math.hypot(d_pos, d_vel))

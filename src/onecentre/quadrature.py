@@ -45,24 +45,10 @@ _EPS = sys.float_info.epsilon
 
 #: relative tolerance of all singular quadratures
 DEFAULT_TOL = 1e-10
-#: most subintervals of one adaptive quadrature
-_LIMIT = 200
 
 
 class QuadratureError(RuntimeError):
     pass
-
-
-def _leg(panel: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """(value, error estimate) of integral_lo^hi to DEFAULT_TOL, where panel
-    maps a Kronrod panel's abscissae to the integrand's values there.
-
-    Near machine precision QUADPACK may report (ier) that roundoff stops it
-    short of the requested tolerance; the returned error estimate is still
-    trustworthy, so the caller judges by it and ier is dropped.
-    """
-    value, error, _, _ = qagse(panel, lo, hi, 0.0, DEFAULT_TOL, _LIMIT)
-    return float(value), float(error)
 
 
 @dataclass(frozen=True)
@@ -200,15 +186,17 @@ def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
 
     split = math.sqrt(a * b) if a > 0 else 0.5 * (a + b)
     if La:
-        I1, e1 = _leg(lower_leg, 0.0, math.sqrt(split - a))
+        I1, e1 = qagse(lower_leg, 0.0, math.sqrt(split - a), DEFAULT_TOL)
     else:
-        I1, e1 = _leg(plain_leg, a, split)
+        I1, e1 = qagse(plain_leg, a, split, DEFAULT_TOL)
     if Lb:
-        I2, e2 = _leg(upper_leg, 0.0, math.sqrt(b - split))
+        I2, e2 = qagse(upper_leg, 0.0, math.sqrt(b - split), DEFAULT_TOL)
     else:
-        I2, e2 = _leg(plain_leg, split, b)
+        I2, e2 = qagse(plain_leg, split, b, DEFAULT_TOL)
     value = I1 + I2
     err = e1 + e2
+    # judged by the error estimate, which stays trustworthy where roundoff
+    # stopped QUADPACK short of DEFAULT_TOL
     if not math.isfinite(value) or err > 1e4 * DEFAULT_TOL * max(abs(value), 1e-12):
         raise QuadratureError(
             f"quadrature did not converge on [{a!r}, {b!r}]: value {value!r}, "

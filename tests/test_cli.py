@@ -395,6 +395,20 @@ def test_poincare_continuity_command(tmp_path):
     assert header == "k,epsilon,l,dq,dv1,dist_total,dist_pos,dist_vel,theta_increment"
 
 
+def test_poincare_continuity_at_rest_says_why(tmp_path):
+    # just before 2 T0 the unit drop is back at rest at its start, where
+    # continuity is not claimed: the failed verdict names that cause
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T_factor": 1.999999999}))
+    rc = run_cli(["poincare-continuity", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    s = read_summary(tmp_path, "poincare_continuity")
+    assert s["verdict"] is False
+    assert s["evidence"]["skipped"].startswith("|velocity(T)| = ")
+    assert s["evidence"]["skipped"].endswith(" below 1e-8")
+    assert s["evidence"]["marked_cells"] == []
+
+
 #: the subcommands that take a case, each at a small config
 _CASE_RUNS = {
     "apsidal-sweep": {"exponents": [2, 3, 4]},

@@ -63,6 +63,19 @@ def test_transmission_theta_jump(drop_path):
     assert drop_path.theta_at(1.5 * T0) == pytest.approx(math.pi)
 
 
+def test_transmission_theta_is_swept_angle_off_axis():
+    # as a trajectory's theta_at: the angle swept since t = 0, whatever the
+    # direction of the fall line
+    path = extended_flow(make_initial_data(DROP0, Perturbation(dq=(0.0, 0.1))), 0.0,
+                         logarithmic(), T0_LOG)
+    assert isinstance(path, TransmissionPath)
+    T0 = path.collision_time
+    assert path.theta_at(0.0) == path.theta_at(0.5 * T0) == 0.0
+    assert path.theta_at(1.5 * T0) == math.pi
+    with pytest.raises(ValueError):
+        path.theta_at(T0)
+
+
 def test_transmission_involution(drop_path):
     # run the reflected post-leg backward as a fresh collision problem: the
     # new extension reproduces the original pre-leg samples

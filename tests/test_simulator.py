@@ -6,7 +6,7 @@ from scipy.integrate import DOP853, solve_ivp
 
 from onecentre import _dop853
 from onecentre.flow import diagonal_cells
-from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
+from onecentre.potentials import PotentialSpec, SmoothedPotential, homogeneous, logarithmic
 from onecentre.quadrature import sqrt_endpoint_quad
 from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem, case_anchor,
                               collision_time, fall_time, turning_points)
@@ -231,20 +231,30 @@ class _KernelOrderDOP853(DOP853):
                          *(h * _in_kernel_order(d, K) for d in self.D)])
 
 
+#: V = 0: no force
+_NO_FORCE = PotentialSpec(name="zero", value=lambda x: 0.0, deriv=lambda x: 0.0,
+                          deriv2=lambda x: 0.0)
+
+
 @pytest.mark.parametrize("potential, eps, y0", [
     (logarithmic(), 0.0, (1.2, 0.1, -0.05, 0.7, 0.0)),
     (homogeneous(0.5), 1e-2, (1.0, 0.0, 0.0, 0.3, 0.0)),
+    # at rest with no force: the small-derivative first step, then steps
+    # whose error estimate is 0, each 10 times the last (1e-6 ... 1)
+    (_NO_FORCE, 0.0, (1.0, 0.5, 0.0, 0.0, 0.0)),
 ])
 def test_kernel_steps_equal_scipy_dop853(monkeypatch, potential, eps, y0):
-    # the first 20 accepted steps from a fixed state, against scipy's stepper
-    # summing in the kernel's order: step sizes, proposals, states and
-    # interpolants agree bitwise, which pins every tableau entry it uses and the
-    # control law.  (In numpy's summation order the sizes differ by ~1e-8
-    # relative at rtol 1e-12: the error estimate cancels O(|K|) terms down
-    # to the tolerance, so rounding noise reaches the step-size proposals.)
+    # the first accepted steps (20, or 6 at rest) from a fixed state, against
+    # scipy's stepper summing in the kernel's order: step sizes, proposals,
+    # states and interpolants agree bitwise, which pins every tableau entry it
+    # uses and the control law.  (In numpy's summation order the sizes differ
+    # by ~1e-8 relative at rtol 1e-12: the error estimate cancels O(|K|)
+    # terms down to the tolerance, so rounding noise reaches the step-size
+    # proposals.)
     import scipy.integrate._ivp.rk as rk
     monkeypatch.setattr(rk, "rk_step", _rk_step_in_kernel_order)
     rhs = _field(SmoothedPotential(potential, eps), y0[0] * y0[3] - y0[1] * y0[2])
+    steps = 6 if potential is _NO_FORCE else 20
     t, y = 0.0, y0
     f = (y[2], y[3], *rhs(y[0], y[1]))
     h_abs = _dop853.initial_step(rhs, y, f, 100.0, DEFAULT_RTOL, DEFAULT_ATOL)
@@ -257,7 +267,7 @@ def test_kernel_steps_equal_scipy_dop853(monkeypatch, potential, eps, y0):
         rel=1e-14)
     ref = _KernelOrderDOP853(fun, 0.0, np.array(y0), 100.0, rtol=DEFAULT_RTOL,
                              atol=DEFAULT_ATOL, first_step=h_abs)
-    for _ in range(20):
+    for _ in range(steps):
         t, y, f, h_abs, rec = _dop853.step(rhs, t, y, f, h_abs, 100.0,
                                            DEFAULT_RTOL, DEFAULT_ATOL)
         ref.step()

@@ -13,7 +13,8 @@ OUT receives two sets of outputs:
 * ``OUT/extra/seed<k>/<name>/``: the fixed non-default configs of
   ``EXTRA`` at seeds 0 to 3 (configs in ``OUT/inputs/extra/``), which reach
   paths no default or workload run does: the entry case, the
-  ``homogeneous(0.5)`` drop, a ball exit in the continuity schedule.
+  ``homogeneous(0.5)`` drop, a ball exit in the continuity schedule, a
+  continuity run skipped because its reference is at rest.
 
 The exit codes go to ``OUT/exit_codes.json``.  Two checkouts that should
 compute the same numbers are compared with
@@ -55,6 +56,8 @@ EXTRA = {
     "poincare-continuity-ball": ("poincare-continuity", {
         "case": {"type": "drop", "energy": 0.0, "ball_radius": 1.01002}}),
     "poincare-continuity-hom": ("poincare-continuity", {"potential": _HOM, "case": _HOM_DROP}),
+    # just before 2 T0 the reference is back at rest: the run is skipped
+    "poincare-continuity-rest": ("poincare-continuity", {"T_factor": 1.999999999}),
     "poincare-section-entry": ("poincare-section", {"case": _ENTRY, "samples": 6}),
     "apsidal-sweep-entry": ("apsidal-sweep", {"case": _ENTRY}),
     "bounds-audit-hom": ("bounds-audit", {"potential": _HOM, "energy": -1.0, "samples": 200}),
