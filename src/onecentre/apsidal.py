@@ -69,7 +69,7 @@ def apsidal_angle(rp: RadialProblem, safe_radius: float = math.inf) -> ApsidalAn
     upper_singular = beta == turning.apocenter
 
     res = sqrt_endpoint_quad(rp.integrand(angle=True), turning.pericenter, beta,
-                             lower_singular=True, upper_singular=upper_singular)
+                             upper_singular=upper_singular)
     return ApsidalAngle(res.value, turning.pericenter, beta,
                         res.lower_part, res.upper_part, res.error)
 
@@ -87,7 +87,7 @@ def calibration_integral(xi: float) -> float:
         raise ValueError("xi must exceed 1")
     k = 0.5 * (1.0 + xi) / xi
     kepler = Integrand(lambda h: k / h, -0.5 / xi, 0.0, 1.0, True, 1.0 / xi)
-    return sqrt_endpoint_quad(kepler, 1.0, xi).value
+    return sqrt_endpoint_quad(kepler, 1.0, xi, upper_singular=True).value
 
 
 def integrand_envelope(potential: PotentialSpec, eps: float,

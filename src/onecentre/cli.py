@@ -29,7 +29,7 @@ from .potentials import classify, from_config
 from .radial import Anchor, DropFromRest, InwardCrossing, case_anchor, fall_time
 from .simulator import COLLISION_RADIUS, make_initial_data, oracle_crosscheck, oracle_energy_cap
 from .tables import ConvergenceTable, format_value, is_decreasing
-from .variational import MAX_DEPTH, delta_action
+from .variational import delta_action
 
 
 class ConfigError(Exception):
@@ -304,7 +304,7 @@ def cmd_poincare_section(args, out: Path) -> bool:
     anchor = _flow_case(cfg, _potential(cfg))
     T = _number(cfg, "T_factor", lambda v: 1 < v < 2,
                 "a number in (1, 2)") * fall_time(anchor)
-    tau_devs, trace_devs, found = [], [], []
+    tau_devs, trace_devs, found, failed = [], [], [], []
     samples = _count(cfg, "samples")
     deltas = _numbers(cfg, "deltas", _positive, "positive numbers")
     section = section_at(anchor, T)
@@ -314,15 +314,17 @@ def cmd_poincare_section(args, out: Path) -> bool:
         tau_devs.append(table.meta["max_tau_dev"])
         trace_devs.append(table.meta["max_trace_dev"])
         found.append((table.meta["crossings_found"], table.meta["samples"]))
+        failed += [(j, i, msg) for i, msg in table.meta.get("failed_samples", [])]
     all_found = all(f == s for f, s in found)
     verdict = all_found and is_decreasing(tau_devs) and is_decreasing(trace_devs)
+    evidence = {"deltas": cfg["deltas"], "max_tau_dev": tau_devs,
+                "max_trace_dev": trace_devs, "crossings": found, "seed": args.seed}
+    if failed:
+        evidence["failed_samples"] = failed
     return _emit(out, "poincare_section",
                  "every nearby datum crosses the section, with hitting data "
                  "shrinking toward the anchor as the neighbourhood shrinks",
-                 verdict,
-                 {"deltas": cfg["deltas"], "max_tau_dev": tau_devs,
-                  "max_trace_dev": trace_devs, "crossings": found,
-                  "seed": args.seed}, cfg)
+                 verdict, evidence, cfg)
 
 
 def cmd_transmission_demo(args, out: Path) -> bool:
@@ -376,13 +378,12 @@ def cmd_variational_probe(args, out: Path) -> bool:
     meta = table.meta
     ratios = meta["dV_over_delta_sq"]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
-    # a cell still unsettled at MAX_DEPTH adds its coarse value: not converged
-    for delta in meta["unsettled"]:
-        print(f"collision cell unsettled: delta={delta!r} reached refinement "
-              f"depth {MAX_DEPTH} (MAX_DEPTH)", file=sys.stderr)
     verdict = all(dA > 0 for dA in meta["dA"]) and meta["kinetic_mismatch"] < 1e-10 \
         and increasing and not meta["unsettled"]
     evidence = {k: meta[k] for k in ("dA", "kinetic_mismatch", "dV_over_delta_sq")}
+    # a cell still unsettled at MAX_DEPTH adds its coarse value: not converged
+    if meta["unsettled"]:
+        evidence["unsettled"] = meta["unsettled"]
     return _emit(out, "variational_probe",
                  "the transmission path is not a local action minimizer",
                  verdict, evidence, cfg)

@@ -7,9 +7,10 @@ the fall to the centre) go through one engine and have the form
 
 with the radial radicand w(r) = 2 r^2 (E + V(sqrt(r^2 + eps^2))) - l^2 of a
 base potential V, and the numerator num(r) = l / r for an apsidal angle and
-num(r) = r for a flight time.  w is positive inside (a, b) and has a simple
-zero at one or both endpoints (turning points of the radial motion), or a
-double zero at a = 0 where num vanishes like r (the radial fall, l = 0).
+num(r) = r for a flight time.  w is positive inside (a, b).  Its lower end
+is a simple zero (a turning point of the radial motion) or the double zero
+at a = 0, where num vanishes like r (the radial fall, l = 0); its upper end
+is a simple zero or, as the caller states, a regular point.
 The substitution r = a + s^2 (resp. r = b - t^2) turns the endpoint
 behaviour into a smooth integrand, which is then fed to adaptive
 Gauss-Kronrod quadrature (QUADPACK's `dqagse`, ported in `_quadpack`); the
@@ -18,7 +19,7 @@ fall's lower leg becomes 2 s / sqrt(2 (E + V(s^2))).
 Evaluating w near its zero by subtraction is noisy; the engine therefore works
 with the *reduced weight*
 
-    omega(r) = w(r) / ((r - a)^[lower] (b - r)^[upper])
+    omega(r) = w(r) / ((r - a) (b - r)^[upper])
 
 which extends continuously to the endpoints.  It is built from w with a guard
 that never divides by an offset below the floating-point noise floor.  An
@@ -88,14 +89,13 @@ class QuadResult:
 
 
 def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
-                       lower_singular: bool = True,
-                       upper_singular: bool = True) -> QuadResult:
-    """integral_a^b of the integrand, with simple zeros of w at the flagged
-    endpoints, to relative tolerance DEFAULT_TOL.
+                       upper_singular: bool) -> QuadResult:
+    """integral_a^b of the integrand, to relative tolerance DEFAULT_TOL.
 
-    The interval is split at the geometric mean of the endpoints when a > 0
-    (which resolves the multi-scale structure of near-collision integrals,
-    whether or not the lower end is a turning point), else at the midpoint.
+    a is a zero of w; b is a simple zero when `upper_singular`, else a
+    regular point.  The interval is split at the geometric mean of the
+    endpoints when a > 0 (which resolves the multi-scale structure of
+    near-collision integrals), else at the midpoint.
     Both ends must be finite: QUADPACK's `dqagse` integrates over a finite
     interval, so an unbounded orbit needs a finite cutoff.  With a >= 0
     the legs evaluate w only at r > 0; only a backed-off offset can reach
@@ -107,9 +107,7 @@ def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
         raise QuadratureError(
             f"infinite interval [{a!r}, {b!r}]: the quadrature needs finite ends")
     span = b - a
-    guard = 64.0 * _EPS * max(abs(a), abs(b), 1e-300)
-    La = 1 if lower_singular else 0
-    Lb = 1 if upper_singular else 0
+    guard = 64.0 * _EPS * max(b, 1e-300)
     V, energy, eps, l, angle, reduced = (integrand.V, integrand.energy, integrand.eps,
                                          integrand.l, integrand.angle, integrand.reduced)
     l2 = l * l
@@ -121,10 +119,8 @@ def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
         for _ in range(7):
             dl *= 4.0
             du *= 4.0
-            val = integrand.radicand(a + dl if La else b - du)
-            if La:
-                val /= dl
-            if Lb:
+            val = integrand.radicand(a + dl) / dl
+            if upper_singular:
                 val /= du
             if 0.0 < val < inf:
                 return val
@@ -144,14 +140,14 @@ def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
                 du = e if e > guard else guard
                 x = a + dl
                 om = (2.0 * x * x * (energy + V(hypot(x, eps))) - l2) / dl
-                if Lb:
+                if upper_singular:
                     om /= du
                 if not 0.0 < om < inf:
                     om = backed_off(dl, du, a + d)
             else:
                 om = reduced
             x = a + d
-            values.append(2.0 * (l / x if angle else x) / sqrt(om * e if Lb else om))
+            values.append(2.0 * (l / x if angle else x) / sqrt(om * e if upper_singular else om))
         return values
 
     def upper_leg(panel):
@@ -162,17 +158,15 @@ def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
             if reduced is None:
                 dl = e if e > guard else guard
                 du = d if d > guard else guard
-                x = a + dl if La else b - du
-                om = 2.0 * x * x * (energy + V(hypot(x, eps))) - l2
-                if La:
-                    om /= dl
+                x = a + dl
+                om = (2.0 * x * x * (energy + V(hypot(x, eps))) - l2) / dl
                 om /= du
                 if not 0.0 < om < inf:
                     om = backed_off(dl, du, a + e)
             else:
                 om = reduced
             x = b - d
-            values.append(2.0 * (l / x if angle else x) / sqrt(om * e if La else om))
+            values.append(2.0 * (l / x if angle else x) / sqrt(om * e))
         return values
 
     def plain_leg(panel):
@@ -185,11 +179,8 @@ def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
         return values
 
     split = math.sqrt(a * b) if a > 0 else 0.5 * (a + b)
-    if La:
-        I1, e1 = qagse(lower_leg, 0.0, math.sqrt(split - a), DEFAULT_TOL)
-    else:
-        I1, e1 = qagse(plain_leg, a, split, DEFAULT_TOL)
-    if Lb:
+    I1, e1 = qagse(lower_leg, 0.0, math.sqrt(split - a), DEFAULT_TOL)
+    if upper_singular:
         I2, e2 = qagse(upper_leg, 0.0, math.sqrt(b - split), DEFAULT_TOL)
     else:
         I2, e2 = qagse(plain_leg, split, b, DEFAULT_TOL)

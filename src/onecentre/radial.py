@@ -289,8 +289,7 @@ def collision_time(rp: RadialProblem, r0: float) -> float:
     if not rp.energy + rp.potential.value(r0) > 0.0:
         raise ValueError(f"collision time needs a datum moving at r0={r0!r}: "
                          "E + V(r0) is not positive")
-    return sqrt_endpoint_quad(rp.integrand(angle=False), 0.0, r0,
-                              lower_singular=True, upper_singular=False).value
+    return sqrt_endpoint_quad(rp.integrand(angle=False), 0.0, r0, upper_singular=False).value
 
 
 def fall_time(anchor: Anchor) -> float:
@@ -303,4 +302,4 @@ def fall_time(anchor: Anchor) -> float:
     if anchor.speed != 0.0:
         return collision_time(rp, anchor.radius)
     return sqrt_endpoint_quad(rp.integrand(angle=False), 0.0, anchor.radius,
-                              lower_singular=True, upper_singular=True).value
+                              upper_singular=True).value

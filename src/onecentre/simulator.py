@@ -250,7 +250,7 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> Conve
         rp = RadialProblem(sm, E, l)
         tp = turning_points(rp)
         half = sqrt_endpoint_quad(rp.integrand(angle=False), tp.pericenter, tp.apocenter,
-                                  lower_singular=True, upper_singular=True).value
+                                  upper_singular=True).value
         state = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
         traj = integrate(state, sm, horizon=4.1 * half)
         peri = traj.pericenter_times()

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -334,21 +335,21 @@ def test_variational_probe_command(tmp_path):
     assert s["evidence"] == {k: meta[k] for k in ("dA", "kinetic_mismatch", "dV_over_delta_sq")}
 
 
-def test_variational_probe_fails_on_unsettled_collision_cell(tmp_path, capsys):
+def test_variational_probe_fails_on_unsettled_collision_cell(tmp_path):
     # homogeneous(0.5) at 2^12 cells: the collision cell reaches MAX_DEPTH
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"potential": {"family": "homogeneous", "alpha": 0.5},
                                "energy": -1.0, "n_cells": 4096}))
     rc = run_cli(["variational-probe", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 1
-    assert read_summary(tmp_path, "variational_probe")["verdict"] is False
-    # the summary evidence passes its own tests; stderr names the cause
+    s = read_summary(tmp_path, "variational_probe")
+    assert s["verdict"] is False
+    # the other evidence passes its own tests; "unsettled" names the cause
     depths = (tmp_path / "variational_probe.csv").read_text().splitlines()[1:]
-    unsettled = [row.split(",")[0] for row in depths if int(row.split(",")[-1]) >= MAX_DEPTH]
-    assert unsettled
-    assert capsys.readouterr().err.splitlines() == [
-        f"collision cell unsettled: delta={d} reached refinement depth {MAX_DEPTH} "
-        f"(MAX_DEPTH)" for d in unsettled]
+    unsettled = [float(row.split(",")[0]) for row in depths
+                 if int(row.split(",")[-1]) >= MAX_DEPTH]
+    assert unsettled == [1e-2, 1e-3, 1e-4]
+    assert s["evidence"]["unsettled"] == unsettled
 
 
 def test_transmission_demo_command(tmp_path):
@@ -456,7 +457,24 @@ def test_poincare_section_command(tmp_path):
     assert rc == 0
     s = read_summary(tmp_path, "poincare_section")
     assert s["evidence"]["crossings"][0][0] == 8
+    assert "failed_samples" not in s["evidence"]
     assert (tmp_path / "poincare_section_delta0.csv").exists()
+
+
+def test_poincare_section_names_its_failed_samples(tmp_path):
+    # at T_factor 1.85 the first bracket T + 0.1 T lies beyond 2 T0 of the
+    # collision datum and of one nearby sample, at each delta
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T_factor": 1.85, "samples": 6, "deltas": [1e-2, 1e-3]}))
+    assert run_cli(["poincare-section", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    ev = read_summary(tmp_path, "poincare_section")["evidence"]
+    assert ev["crossings"] == [[4, 6], [4, 6]]
+    assert [entry[:2] for entry in ev["failed_samples"]] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    for _, _, message in ev["failed_samples"]:
+        t_hi, twice_t0 = re.fullmatch(
+            r"T=(\S+) beyond the transmission domain \(2 T0 = (\S+)\)", message).groups()
+        assert float(t_hi) == pytest.approx(1.1 * 1.85 * math.sqrt(math.pi / 2.0))
+        assert float(t_hi) > float(twice_t0)
 
 
 @pytest.mark.parametrize("subcommand, cfg, csv_names", [
@@ -542,14 +560,15 @@ def test_csv_bytes_pinned(tmp_path, name):
 
 # sha256 of the variational-probe CSV and summary at 2^12 cells, recorded
 # before the probe's general-path layer was folded into delta_action: the
-# homogeneous run's collision cell reaches MAX_DEPTH, so it exits 1
+# homogeneous run's collision cell reaches MAX_DEPTH, so it exits 1 (its
+# summary digest re-recorded when the evidence gained "unsettled")
 _PROBE_DIGESTS = {
     "log": ({"n_cells": 4096}, 0,
             "6fc157aa271fc391b84723ed523f9ece06a83319a2db801f2e971a5e41d7df24",
             "3e9206180abdf49d2b637bfcdcacb0451521537bccf1baa08d0240332ad7de8c"),
     "hom": ({"potential": _HOM, "energy": -1.0, "n_cells": 4096}, 1,
             "f6db8c11052e00b3d250c5eb6c9131406941e55e713d71bd8e78aba0b79f35b2",
-            "dfbd054d20c0536da1f4b0fdc23faa09266934dbfb3db1c2fbaeedff0b344a49"),
+            "df66fe227eb70b34f3760e3fc5fad83ada9862fff02bf6a452b65df6aa1b3311"),
 }
 
 

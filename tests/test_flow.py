@@ -270,6 +270,23 @@ def test_section_crossings_and_shrinking_neighbourhood():
     assert traces[1] < traces[0]
 
 
+def test_section_bracket_halves_until_the_offset_changes_sign():
+    # just past the fall of the homogeneous(0.25) drop the first bracket
+    # T +- 0.1 T is too wide: two halvings find the sign change at delta 1e-2;
+    # at delta 0.1 the nearby samples never change sign, down to 25 halvings
+    anchor = case_anchor(DropFromRest(-1.0), homogeneous(0.25))
+    section = section_at(anchor, 1.02 * fall_time(anchor))
+    xi0 = 0.1 * section.T
+    table = poincare_section(section, delta=1e-2, sample_count=3, seed=1)
+    assert "failed_samples" not in table.meta
+    assert [row[-1] for row in table.rows] == [0.25 * xi0] * 3
+    table = poincare_section(section, delta=0.1, sample_count=4, seed=1)
+    assert table.rows[0][-1] == 0.25 * xi0
+    assert table.meta["failed_samples"] == [
+        (i, f"no sign change of the section offset in [T-xi, T+xi] down to xi={xi0 / 2**25!r}")
+        for i in (1, 2, 3)]
+
+
 def test_section_offset_monotone_through_crossing():
     # H(y, t) increases through the located crossing
     T = 1.5 * T0_LOG

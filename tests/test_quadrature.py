@@ -34,7 +34,8 @@ def _kepler(xi: float):
 
 def test_arcsine_integral_both_endpoints():
     # int_0^1 r dr/sqrt(r^3 (1-r)) = int_0^1 dr/sqrt(r(1-r)) = pi
-    res = sqrt_endpoint_quad(_time(lambda h: 0.5 * h * (1.0 - h)), 0.0, 1.0)
+    res = sqrt_endpoint_quad(_time(lambda h: 0.5 * h * (1.0 - h)), 0.0, 1.0,
+                             upper_singular=True)
     assert res.value == pytest.approx(math.pi, abs=1e-12)
     assert res.lower_part + res.upper_part == pytest.approx(res.value)
 
@@ -42,7 +43,8 @@ def test_arcsine_integral_both_endpoints():
 def test_shifted_arcsine_with_reduced_weight():
     # int_2^5 r dr/sqrt((r-2)(5-r)) = 7 pi / 2, reduced weight identically 1
     integrand = _time(lambda h: 0.5 * (h - 2.0) * (5.0 - h) / (h * h))
-    res = sqrt_endpoint_quad(dataclasses.replace(integrand, reduced=1.0), 2.0, 5.0)
+    res = sqrt_endpoint_quad(dataclasses.replace(integrand, reduced=1.0), 2.0, 5.0,
+                             upper_singular=True)
     assert res.value == pytest.approx(3.5 * math.pi, abs=1e-14)
 
 
@@ -50,25 +52,15 @@ def test_shifted_arcsine_with_reduced_weight():
 def test_calibration_pi_through_the_guarded_reduced_weight(xi):
     # the calibration integral without its closed-form reduced weight: omega
     # comes from the radicand, as for every apsidal angle and flight time
-    res = sqrt_endpoint_quad(_kepler(xi), 1.0, xi)
+    res = sqrt_endpoint_quad(_kepler(xi), 1.0, xi, upper_singular=True)
     assert res.value == pytest.approx(math.pi, rel=1e-10, abs=0.0)
     assert _hexes(res) == _CALIBRATION_GOLDEN[xi]
 
 
 def test_one_sided_singularity():
-    # int_0^1 r dr/sqrt(r^3) = 2 and int_0^1 r dr/sqrt(r^2 (1-r)) = 2
+    # int_0^1 r dr/sqrt(r^3) = 2
     res = sqrt_endpoint_quad(_time(lambda h: 0.5 * h), 0.0, 1.0, upper_singular=False)
     assert res.value == pytest.approx(2.0, abs=1e-12)
-    res = sqrt_endpoint_quad(_time(lambda h: 0.5 * (1.0 - h)), 0.0, 1.0,
-                             lower_singular=False)
-    assert res.value == pytest.approx(2.0, abs=1e-12)
-
-
-def test_no_singularity_plain_quadrature():
-    # int_1^2 r dr/sqrt(r^2) = 1
-    res = sqrt_endpoint_quad(_time(lambda h: 0.5), 1.0, 2.0,
-                             lower_singular=False, upper_singular=False)
-    assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_elliptic_oracle():
@@ -76,7 +68,7 @@ def test_elliptic_oracle():
     # int_{-1}^{1} dx / sqrt((1-x^2)(2-x)) at x = r - 2, agrees with a
     # dense-midpoint oracle
     res = sqrt_endpoint_quad(_time(lambda h: 0.5 * (h - 1.0) * (3.0 - h) * (4.0 - h)),
-                             1.0, 3.0)
+                             1.0, 3.0, upper_singular=True)
 
     # oracle: substitution x = -cos(phi) makes the integrand smooth; use a
     # very fine trapezoid on it
@@ -88,9 +80,11 @@ def test_elliptic_oracle():
 
 
 def test_negative_radicand_rejected():
+    # w = r^2 (1 - 2 r) turns negative beyond r = 1/2, inside the regular
+    # upper leg [1/2, 1]
     with pytest.raises(QuadratureError, match="radicand negative"):
-        sqrt_endpoint_quad(_integrand(lambda h: 0.0, -1.0, 0.0, False), 0.0, 1.0,
-                           lower_singular=False, upper_singular=False)
+        sqrt_endpoint_quad(_time(lambda h: 0.5 * (1.0 - 2.0 * h)), 0.0, 1.0,
+                           upper_singular=False)
 
 
 def test_lower_zero_of_order_three_halves_with_vanishing_g():
@@ -141,7 +135,7 @@ def test_infinite_interval_rejected():
 def test_interval_below_zero_rejected():
     # radial integrals live on r >= 0
     with pytest.raises(ValueError, match="need 0 <= a < b"):
-        sqrt_endpoint_quad(_time(lambda h: 0.5), -1.0, 1.0)
+        sqrt_endpoint_quad(_time(lambda h: 0.5), -1.0, 1.0, upper_singular=True)
 
 
 # --- bitwise goldens ---------------------------------------------------------
@@ -202,34 +196,25 @@ _CALIBRATION_GOLDEN = {
     1000000.0:
         "0x1.921fb54442d35p+1 0x1.2b3d5badf4270p-35 0x1.8a07f7dabbf1ap+1 0x1.02f7ad30dc365p-4",
 }
-_ONE_SIDED_FLAGS = [(True, False), (True, False), (False, True), (False, False)]
 _ONE_SIDED_GOLDEN = {
     "logarithmic": [
         "0x1.bb0682e793108p+0 0x1.07ab0b3d7a284p-35 0x1.9e48a8f230208p+0 0x1.cbdd9f562effep-4",
         "0x1.3463be6eede63p-2 0x1.4cda51a03d53bp-36 0x1.bce5e49c36dd8p-7 0x1.267c8f4a0c2f4p-2",
-        "0x1.e7b381151c49ap-1 0x1.7d043cd87e198p-47 0x1.aa4957a1c4d94p-3 0x1.7d212b2cab135p-1",
-        "0x1.6f50abd487784p-3 0x1.1ef7063e09d5fp-49 0x1.12afe9156c066p-4 0x1.cbf16e93a2ea2p-4",
     ],
     "homogeneous": [
         "0x1.03244573ea547p+1 0x1.2cef933c2d700p-34 0x1.dfc7256713d08p+0 0x1.340b2c0606c2dp-3",
         "0x1.66ebf534db8dep-2 0x1.a79f42ca4bcc8p-43 0x1.c41d562e112e6p-8 0x1.5fdb7fdc23492p-2",
-        "0x1.50edbaf72b15cp+0 0x1.0739ba1119a90p-46 0x1.1addca1741086p-2 0x1.0a3648715ad3ap+0",
-        "0x1.c99bfee28fac1p-3 0x1.6581df21003e6p-49 0x1.4bd7a88e1ecfep-4 0x1.23b02a9b80442p-3",
     ],
 }
-# the flight-time integrands of `_BACKED_OFF_POTENTIALS`, recorded the same way
-_BACKED_OFF_GOLDEN = {
-    (True, False):
-        "0x1.5555555555556p-1 0x1.0aaaaaaaaaaabp-47 0x1.e2b7dddfefa68p-3 0x1.b94ebbbab2d78p-2",
-    (False, True):
-        "0x1.5555555555546p+0 0x1.0aaaaaaaaaa9ep-46 0x1.3d13554afc6adp-3 0x1.2db2eaabf5c70p+0",
-}
-#: potentials whose radicand 2 r^2 V is r (resp. 1 - r) but reads 0 within
-#: 1e-5 of the singular end
-_BACKED_OFF_POTENTIALS = {
-    (True, False): lambda h: 0.0 if h < 1e-5 else 0.5 / h,
-    (False, True): lambda h: 0.0 if 1.0 - h < 1e-5 else 0.5 * (1.0 - h) / (h * h),
-}
+# the flight-time integrand of `_backed_off_potential`, recorded the same way
+_BACKED_OFF_GOLDEN = (
+    "0x1.5555555555556p-1 0x1.0aaaaaaaaaaabp-47 0x1.e2b7dddfefa68p-3 0x1.b94ebbbab2d78p-2")
+
+
+def _backed_off_potential(h):
+    """A potential whose radicand 2 r^2 V is r but reads 0 within 1e-5 of
+    the singular end r = 0."""
+    return 0.0 if h < 1e-5 else 0.5 / h
 
 
 _GOLDEN_CASES = {
@@ -244,12 +229,12 @@ def _hexes(res) -> str:
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """(flags, hexes) of every engine call made by apsidal and radial."""
+    """(upper_singular, hexes) of every engine call made by apsidal and radial."""
     calls = []
 
     def recording(*args, **kwargs):
         res = sqrt_endpoint_quad(*args, **kwargs)
-        calls.append(((kwargs["lower_singular"], kwargs["upper_singular"]), _hexes(res)))
+        calls.append((kwargs["upper_singular"], _hexes(res)))
         return res
 
     monkeypatch.setattr(apsidal, "sqrt_endpoint_quad", recording)
@@ -264,14 +249,14 @@ def test_sweep_cells_and_collision_time_bitwise(recorded, name):
     anchor = case_anchor(*_GOLDEN_CASES[name][::-1])
     convergence_sweep(anchor, default_paths(range(2, 7)))
     fall_time(anchor)
-    assert [flags for flags, _ in recorded] == [(True, True)] * 16
+    assert [flag for flag, _ in recorded] == [True] * 16
     assert [h for _, h in recorded] == _SWEEP_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_CASES))
 def test_one_sided_and_plain_legs_bitwise(recorded, name):
-    # an angle cut off inside the orbit, flights from the pericentre and to
-    # the apocentre, and a flight between two inner radii
+    # an angle cut off inside the orbit and a flight from the pericentre to
+    # a regular radius
     potential, case = _GOLDEN_CASES[name]
     anchor = case_anchor(case, potential).radius
     sm = SmoothedPotential(potential, 1e-3)
@@ -281,21 +266,14 @@ def test_one_sided_and_plain_legs_bitwise(recorded, name):
     mid = 0.5 * (tp.pericenter + tp.apocenter)
     apsidal_angle(rp, mid)
     w = rp.integrand(angle=False)
-    radial.sqrt_endpoint_quad(w, tp.pericenter, mid, lower_singular=True, upper_singular=False)
-    radial.sqrt_endpoint_quad(w, mid, tp.apocenter, lower_singular=False, upper_singular=True)
-    radial.sqrt_endpoint_quad(w, 0.5 * (tp.pericenter + mid), mid,
-                              lower_singular=False, upper_singular=False)
-    assert [flags for flags, _ in recorded] == _ONE_SIDED_FLAGS
+    radial.sqrt_endpoint_quad(w, tp.pericenter, mid, upper_singular=False)
+    assert [flag for flag, _ in recorded] == [False, False]
     assert [h for _, h in recorded] == _ONE_SIDED_GOLDEN[name]
 
 
-@pytest.mark.parametrize("flags", sorted(_BACKED_OFF_GOLDEN))
-def test_backed_off_offsets_bitwise(flags):
+def test_backed_off_offsets_bitwise():
     # the radicand reads 0 within 1e-5 of the singular end, so the nodes there
-    # take the backed-off offsets; int_0^1 r dr / sqrt(r) = 2/3 and
-    # int_0^1 r dr / sqrt(1 - r) = 4/3
-    lower, upper = flags
-    res = sqrt_endpoint_quad(_time(_BACKED_OFF_POTENTIALS[flags]), 0.0, 1.0,
-                             lower_singular=lower, upper_singular=upper)
-    assert res.value == pytest.approx(2.0 / 3.0 if lower else 4.0 / 3.0, abs=1e-14)
-    assert _hexes(res) == _BACKED_OFF_GOLDEN[flags]
+    # take the backed-off offsets; int_0^1 r dr / sqrt(r) = 2/3
+    res = sqrt_endpoint_quad(_time(_backed_off_potential), 0.0, 1.0, upper_singular=False)
+    assert res.value == pytest.approx(2.0 / 3.0, abs=1e-14)
+    assert _hexes(res) == _BACKED_OFF_GOLDEN

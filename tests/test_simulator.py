@@ -60,7 +60,7 @@ def test_pericentre_period_matches_radial_oracle():
     rp = RadialProblem(BARE_LOG, 0.2, 0.4)
     tp = turning_points(rp)
     half = sqrt_endpoint_quad(rp.integrand(angle=False), tp.pericenter, tp.apocenter,
-                              lower_singular=True, upper_singular=True).value
+                              upper_singular=True).value
     st = PhaseState((tp.apocenter, 0.0), (0.0, 0.4 / tp.apocenter))
     traj = integrate(st, BARE_LOG, horizon=4.5 * half)
     peri = traj.pericenter_times()

@@ -14,7 +14,9 @@ OUT receives two sets of outputs:
   ``EXTRA`` at seeds 0 to 3 (configs in ``OUT/inputs/extra/``), which reach
   paths no default or workload run does: the entry case, the
   ``homogeneous(0.5)`` drop, a ball exit in the continuity schedule, a
-  continuity run skipped because its reference is at rest.
+  continuity run skipped because its reference is at rest, a variational
+  probe failing on unsettled collision cells, section samples failing
+  beyond the transmission domain, and section brackets that halve.
 
 The exit codes go to ``OUT/exit_codes.json``.  Two checkouts that should
 compute the same numbers are compared with
@@ -61,6 +63,16 @@ EXTRA = {
     "poincare-section-entry": ("poincare-section", {"case": _ENTRY, "samples": 6}),
     "apsidal-sweep-entry": ("apsidal-sweep", {"case": _ENTRY}),
     "bounds-audit-hom": ("bounds-audit", {"potential": _HOM, "energy": -1.0, "samples": 200}),
+    # every collision cell reaches MAX_DEPTH
+    "variational-probe-unsettled": ("variational-probe", {
+        "potential": _HOM, "energy": -1.0, "n_cells": 4096}),
+    # the first bracket T + 0.1 T lies beyond 2 T0: collision samples fail
+    "poincare-section-late": ("poincare-section", {
+        "T_factor": 1.85, "samples": 6, "deltas": [1e-2, 1e-3]}),
+    # just past the fall the first bracket is too wide and halves
+    "poincare-section-halving": ("poincare-section", {
+        "potential": {"family": "homogeneous", "alpha": 0.25}, "case": _HOM_DROP,
+        "T_factor": 1.02, "samples": 6, "deltas": [1e-2, 1e-3]}),
 }
 
 
