@@ -212,12 +212,9 @@ def convergence_sweep(anchor: Anchor, paths: list[SweepPath]) -> ConvergenceTabl
     the convergence verdict, plus a uniformity verdict: all path estimates
     within 1e-2 of each other.
     """
-    case = anchor.case
     table = ConvergenceTable(
         ("path_id", "k", "epsilon", "l", "R_minus", "beta", "delta_theta",
-         "quad_err", "I1", "I2"),
-        meta={"case": type(case).__name__, "energy": case.energy,
-              "ball_radius": case.ball_radius, "target": math.pi / 2.0})
+         "quad_err", "I1", "I2"))
 
     estimates: dict[str, LimitVerdict] = {}
     for path in paths:

@@ -165,17 +165,9 @@ def _emit(out: Path, name: str, claim: str, verdict: bool, evidence: dict,
     }
     out.mkdir(parents=True, exist_ok=True)
     with open(out / f"{name}_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_jsonable)
-    print(json.dumps(summary, indent=2, sort_keys=True, default=_jsonable))
+        json.dump(summary, fh, indent=2, sort_keys=True)
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return verdict
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return str(v)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -337,9 +329,9 @@ def cmd_transmission_demo(args, out: Path) -> bool:
     path = extended_flow(y0, 0.0, anchor.potential, fall_time(anchor),
                          anchor.case.ball_radius)
     T0 = path.collision_time
-    end = path.state_at(2.0 * T0)
+    end = path.state_at(path.t_end)
     table = ConvergenceTable(("t", "x", "y", "vx", "vy", "r"))
-    for t in np.linspace(0.0, 2.0 * T0, 201):
+    for t in np.linspace(0.0, path.t_end, 201):
         if abs(t - T0) < 1e-9:
             continue
         st = path.state_at(t)

@@ -72,10 +72,14 @@ class TransmissionPath:
     abort_radius: float
     direction: np.ndarray      # unit vector of the fall line
 
+    @property
+    def t_end(self) -> float:
+        return 2.0 * self.collision_time
+
     def state_at(self, t: float) -> PhaseState:
         T0 = self.collision_time
-        if not (0.0 <= t <= 2.0 * T0):
-            raise ValueError(f"t={t!r} outside the transmission domain [0, {2*T0!r}]")
+        if not (0.0 <= t <= self.t_end):
+            raise ValueError(f"t={t!r} outside the transmission domain [0, {self.t_end!r}]")
         if t == T0:
             raise ValueError("velocity is unbounded at the collision instant")
         if t > T0:
@@ -112,17 +116,19 @@ class TransmissionPath:
 
 def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
                   horizon: float, ball_radius: float = math.inf) -> Trajectory | TransmissionPath:
-    """The orbit of the extended flow from `state`, valid on [0, horizon].
+    """The orbit of the extended flow from `state`, valid on [0, its t_end].
 
     A collision datum (eps = 0, |l| <= COLLISION_L_TOL) gets its
-    transmission path: the fall is integrated for up to 4 horizon + 10 until
-    it stops at the collision threshold; leaving the ball on the way raises
-    ExitedBall, reaching 4 horizon + 10 first (a radial datum that never
-    falls to the threshold) ValueError, and 2 T0 < horizon ValueError.
+    transmission path, valid on [0, t_end] = [0, 2 T0] whatever the horizon.
+    The horizon only bounds its fall integration: the fall is integrated for
+    up to 4 horizon + 10 until it stops at the collision threshold; leaving
+    the ball on the way raises ExitedBall, and reaching 4 horizon + 10 first
+    (a radial datum that never falls to the threshold) ValueError.
     This is the only place a `TransmissionPath` is built.
-    Any other datum is integrated plainly up to the horizon; leaving the ball
-    before it raises ExitedBall, and an eps = 0 orbit whose |l| is too large
-    for transmission that reaches the collision threshold first RuntimeError.
+    Any other datum is integrated plainly, and its `Trajectory` is valid on
+    [0, horizon]; leaving the ball before the horizon raises ExitedBall, and
+    an eps = 0 orbit whose |l| is too large for transmission that reaches the
+    collision threshold first RuntimeError.
     """
     collision = eps == 0.0 and abs(state.ang_momentum) <= COLLISION_L_TOL
     orbit = integrate(state, SmoothedPotential(potential, eps),
@@ -141,16 +147,7 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
         raise ValueError("trajectory does not stop at the collision threshold")
     end = orbit.state_at(orbit.t_end)
     tail = collision_time(RadialProblem(orbit.potential, orbit.energy0, 0.0), end.r)
-    return _covering(TransmissionPath(orbit, orbit.t_end + tail, end.r, end.position / end.r),
-                     horizon)
-
-
-def _covering(path: TransmissionPath, horizon: float) -> TransmissionPath:
-    """`path`, after checking that its domain [0, 2 T0] covers the horizon."""
-    if horizon > 2.0 * path.collision_time:
-        raise ValueError(f"T={horizon!r} beyond the transmission domain "
-                         f"(2 T0 = {2.0 * path.collision_time!r})")
-    return path
+    return TransmissionPath(orbit, orbit.t_end + tail, end.r, end.position / end.r)
 
 
 def diagonal_cells(exponents) -> list[tuple[float, Perturbation]]:
@@ -194,6 +191,8 @@ def continuity_experiment(anchor: Anchor, T: float,
         try:
             orbit = extended_flow(make_initial_data(anchor, pert), eps, potential, T,
                                   ball_radius)
+            st = orbit.state_at(T)
+            theta_inc = orbit.theta_at(T)
         except (RuntimeError, ValueError) as exc:
             message = str(exc)
             if not isinstance(exc, ExitedBall):
@@ -203,10 +202,8 @@ def continuity_experiment(anchor: Anchor, T: float,
                       math.nan, math.nan, math.nan, math.nan)
             table.meta.setdefault("marked_cells", []).append((k, message))
             continue
-        st = orbit.state_at(T)
         d_pos = float(np.linalg.norm(st.position - ref.position))
         d_vel = float(np.linalg.norm(st.velocity - ref.velocity))
-        theta_inc = orbit.theta_at(T)
         table.add(k, eps, pert.l, math.hypot(*pert.dq), pert.dv1,
                   math.hypot(d_pos, d_vel), d_pos, d_vel, theta_inc)
         dists.append(math.hypot(d_pos, d_vel))
@@ -272,7 +269,7 @@ def section_at(anchor: Anchor, T: float) -> Section:
     time T0 of the solved case's collision datum and 2 T0."""
     path = extended_flow(make_initial_data(anchor), 0.0, anchor.potential,
                          T, anchor.case.ball_radius)
-    if not (path.collision_time < T < 2.0 * path.collision_time):
+    if not (path.collision_time < T < path.t_end):
         raise ValueError("T must lie strictly between the collision time and twice it")
     y1 = path.state_at(T)
     normal = phase_field(y1, anchor.potential)
@@ -290,10 +287,11 @@ def poincare_section(section: Section, delta: float, sample_count: int,
     generator seeded with `seed`, so every delta of one section draws from
     its own stream.  For each sample the crossing time tau solves
     H(y, t) = (flow(y, t) - y1) . normal = 0 by bracketing around T (bracket
-    half-width halved from 0.1 T until the signs differ) and root
-    refinement; H is increasing along the flow near the section, which the
-    bracket search relies on.  Sample 0 is the collision datum itself, so its
-    orbit is the section's transmission path, not integrated again.
+    half-width xi halved from 0.1 T until T + xi <= the orbit's t_end and the
+    signs differ) and root refinement; H is increasing along the flow near
+    the section, which the bracket search relies on.  Sample 0 is the
+    collision datum itself, so its orbit is the section's transmission path,
+    not integrated again.
     """
     anchor, T, y1, normal = section.anchor, section.T, section.y1, section.normal
     potential, ball_radius = anchor.potential, anchor.case.ball_radius
@@ -314,7 +312,7 @@ def poincare_section(section: Section, delta: float, sample_count: int,
     for i, (eps, pert) in enumerate(cells):
         y0 = make_initial_data(anchor, pert)
         try:
-            orbit = (_covering(section.path, t_hi) if i == 0 else
+            orbit = (section.path if i == 0 else
                      extended_flow(y0, eps, potential, t_hi, ball_radius))
             flow_at = orbit.state_at
 
@@ -323,7 +321,7 @@ def poincare_section(section: Section, delta: float, sample_count: int,
 
             xi = xi0
             for _ in range(25):
-                if H(T - xi) < 0.0 < H(T + xi):
+                if T + xi <= orbit.t_end and H(T - xi) < 0.0 < H(T + xi):
                     break
                 xi *= 0.5
             else:

@@ -28,7 +28,8 @@ from ._brent import brentq, minimize_bounded
 from .potentials import PotentialSpec, SmoothedPotential
 from .quadrature import Integrand, sqrt_endpoint_quad
 
-#: roots closer than this (relative to the peak of f) count as a double root
+#: a peak of f - l^2 below this absolute bound (not relative to f) counts as a
+#: double root, so deep drops, whose f - l^2 peaks below it, read as circular
 DEGENERATE_TOL = 1e-12
 #: number of points of the geometric grid that brackets the turning points
 SCAN_POINTS = 10_000

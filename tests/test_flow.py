@@ -203,8 +203,11 @@ def test_extended_flow_covers_the_horizon():
     y0 = PhaseState((1.0, 0.0), (0.0, 0.0))
     path = extended_flow(y0, 0.0, logarithmic(), 1.5 * T0_LOG)
     assert isinstance(path, TransmissionPath)
-    with pytest.raises(ValueError, match="beyond the transmission domain"):
-        extended_flow(y0, 0.0, logarithmic(), 2.5 * T0_LOG)
+    # a transmission path owns its domain [0, 2 T0], whatever the horizon
+    path = extended_flow(y0, 0.0, logarithmic(), 2.5 * T0_LOG)
+    assert path.t_end == 2.0 * path.collision_time
+    with pytest.raises(ValueError, match="outside the transmission domain"):
+        path.state_at(2.5 * T0_LOG)
     traj = extended_flow(y0, 1e-3, logarithmic(), 1.5 * T0_LOG)
     assert traj.t_end == 1.5 * T0_LOG
     # l = 1e-11 is no collision datum, but its pericentre lies below the
@@ -311,10 +314,25 @@ def test_section_sample_zero_reuses_the_reference_orbit():
     assert np.array_equal(ref.pre.times, own.pre.times)
     assert np.array_equal(ref.pre.states, own.pre.states)
     assert ref.collision_time == own.collision_time
-    # beyond 2 T0 the reused orbit fails like every other collision sample
+    # near 2 T0 the reused orbit, like every other collision sample, halves
+    # its bracket until it lies inside the domain
     T = 1.95 * T0_LOG
     table = poincare_section(section_at(DROP0, T), delta=1e-3, sample_count=2, seed=0)
-    failed = dict(table.meta["failed_samples"])
-    assert sorted(failed) == [0, 1]
-    assert failed[0] == (f"T={T + 0.1 * T!r} beyond the transmission domain "
-                         f"(2 T0 = {2.0 * ref.collision_time!r})")
+    assert "failed_samples" not in table.meta
+    assert table.column("bracket_xi") == [0.25 * (0.1 * T)] * 2
+
+
+def test_continuity_marks_cells_whose_domain_ends_before_T():
+    # the collision cell's kick shortens its fall, so its 2 T0 lies before
+    # T = 1.99 T0 of the reference: a marked nan row, and the other cells stay
+    T = 1.99 * fall_time(DROP0)
+    table = continuity_experiment(DROP0, T, [(0.0, Perturbation(dv1=-1e-2)),
+                                             (0.0, Perturbation(dv1=1e-2)),
+                                             (1e-3, Perturbation(l=1e-3))])
+    [(k, message)] = table.meta["marked_cells"]
+    assert k == 0
+    assert "outside the transmission domain" in message
+    assert table.meta["cell_failed"] is True
+    d = table.column("dist_total")
+    assert math.isnan(d[0])
+    assert d[1:] == [0.010126956891200817, 0.0750741401117159]

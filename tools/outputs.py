@@ -15,8 +15,9 @@ OUT receives two sets of outputs:
   paths no default or workload run does: the entry case, the
   ``homogeneous(0.5)`` drop, a ball exit in the continuity schedule, a
   continuity run skipped because its reference is at rest, a variational
-  probe failing on unsettled collision cells, section samples failing
-  beyond the transmission domain, and section brackets that halve.
+  probe failing on unsettled collision cells, late section brackets that
+  halve to stay inside 2 T0, section brackets that halve, and section
+  samples that find no crossing.
 
 The exit codes go to ``OUT/exit_codes.json``.  Two checkouts that should
 compute the same numbers are compared with
@@ -45,6 +46,7 @@ from onecentre.cli import COMMANDS, main  # noqa: E402
 SEEDS = range(4)
 
 _HOM = {"family": "homogeneous", "alpha": 0.5}
+_HOM_QUARTER = {"family": "homogeneous", "alpha": 0.25}
 _HOM_DROP = {"type": "drop", "energy": -1.0}
 _ENTRY = {"type": "entry", "energy": 1.0, "ball_radius": 1.0}
 
@@ -66,13 +68,17 @@ EXTRA = {
     # every collision cell reaches MAX_DEPTH
     "variational-probe-unsettled": ("variational-probe", {
         "potential": _HOM, "energy": -1.0, "n_cells": 4096}),
-    # the first bracket T + 0.1 T lies beyond 2 T0: collision samples fail
+    # the first bracket T + 0.1 T lies beyond 2 T0: collision samples halve it
     "poincare-section-late": ("poincare-section", {
         "T_factor": 1.85, "samples": 6, "deltas": [1e-2, 1e-3]}),
     # just past the fall the first bracket is too wide and halves
     "poincare-section-halving": ("poincare-section", {
-        "potential": {"family": "homogeneous", "alpha": 0.25}, "case": _HOM_DROP,
+        "potential": _HOM_QUARTER, "case": _HOM_DROP,
         "T_factor": 1.02, "samples": 6, "deltas": [1e-2, 1e-3]}),
+    # samples 1-3 find no sign change of the section offset
+    "poincare-section-no-crossing": ("poincare-section", {
+        "potential": _HOM_QUARTER, "case": _HOM_DROP,
+        "T_factor": 1.02, "samples": 4, "deltas": [0.1]}),
 }
 
 
