@@ -18,8 +18,9 @@ on leaving the ball, or at the horizon.  The time-T map is continuous in
 (datum, smoothing) at every T != T0 -- the experiments in this module measure
 that continuity and the induced Poincare section with its hitting-time map.
 A `TransmissionPath` holds its integrated fall, which ends at the collision
-threshold and carries the energy, and adds the fall's quadrature tail from
-there (`radial.collision_time`).
+threshold (`TRANSMISSION_FRACTION` of the starting radius) and carries the
+energy, and adds the fall's quadrature tail from there
+(`radial.collision_time`), which it inverts to read the radius below it.
 The experiments take a solved case (`radial.Anchor`), whose collision datum
 `make_initial_data` places.  A `Section` (from `section_at`) holds that
 datum's path and the section plane, computed once for all the
@@ -29,20 +30,19 @@ neighbourhoods `poincare_section` samples around it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
 
-from ._brent import brentq
+from ._brent import RTOL_MIN, brentq
 from .potentials import PotentialSpec, SmoothedPotential
 from .radial import Anchor, RadialProblem, collision_time
-from .simulator import (COLLISION, COLLISION_RADIUS, EXIT_BALL, PhaseState,
-                        Perturbation, Trajectory, integrate, make_initial_data)
+from .simulator import (COLLISION, COLLISION_L_TOL, COLLISION_RADIUS, EXIT_BALL,
+                        PhaseState, Perturbation, Trajectory, integrate,
+                        is_collision_datum, make_initial_data)
 from .tables import ConvergenceTable, is_decreasing, limit_verdict
-
-#: |l| below which a datum counts as a collision datum
-COLLISION_L_TOL = 1e-12
 
 
 class ExitedBall(RuntimeError):
@@ -58,13 +58,13 @@ class TransmissionPath:
     """A collision orbit extended by point reflection, on [0, 2 T0].
 
     The pre-collision leg `pre` is an integrated trajectory aborted at the
-    collision threshold, at its end time `pre.t_end`; the remaining fall time
-    to the centre is added by quadrature.  Inside the sub-threshold window
-    the radius is interpolated linearly in time (the window is ~1e-9 long and
-    the radius below 1e-8, far beneath every tolerance used by the
-    experiments) with the speed restored from the leg's energy
-    `pre.energy0`.  The collision instant itself is excluded: the position
-    there is 0 but the velocity is unbounded.
+    collision threshold `abort_radius`, at its end time `pre.t_end`; the
+    remaining fall time to the centre is added by quadrature.  Inside the
+    window (pre.t_end, T0) below the threshold the radius is the root of that
+    quadrature, the fall time from r equal to T0 - t, with the speed
+    restored from the leg's energy `pre.energy0`.  The collision instant
+    itself is excluded: the position there is 0 but the velocity is
+    unbounded.
     """
 
     pre: Trajectory
@@ -91,10 +91,24 @@ class TransmissionPath:
         speed = math.sqrt(2.0 * (self.pre.energy0 + self.pre.potential.value(r)))
         return PhaseState(r * self.direction, -speed * self.direction)
 
-    def _window_radius(self, t):
-        """Radius at times t (scalar or array) in the sub-threshold window."""
-        T0 = self.collision_time
-        return self.abort_radius * (T0 - t) / (T0 - self.pre.t_end)
+    def _window_radius(self, t: float) -> float:
+        """Radius at a time t in the window (pre.t_end, T0): the root r in
+        (0, abort_radius] of collision_time(r) = T0 - t.  The bracket ends
+        take their known offsets, t - T0 at the centre and t - pre.t_end at
+        the abort radius (its fall time is the path's tail), so the
+        quadrature never runs at r = 0, where its radicand underflows."""
+        T0, r_abort = self.collision_time, self.abort_radius
+        rp = RadialProblem(self.pre.potential, self.pre.energy0, 0.0)
+
+        def offset(r):
+            if r == 0.0:
+                return t - T0
+            if r == r_abort:
+                return t - self.pre.t_end
+            return collision_time(rp, r) - (T0 - t)
+
+        # a relative tolerance only: xtol is the smallest normal float
+        return brentq(offset, 0.0, r_abort, xtol=sys.float_info.min, rtol=RTOL_MIN)
 
     def symmetric_positions(self, t: np.ndarray) -> np.ndarray:
         """Positions at the ascending pre-collision times t (0 <= t < T0), then
@@ -102,8 +116,9 @@ class TransmissionPath:
         order: a (2 len(t) + 1, 2) array, exactly antisymmetric about its
         middle row.  One dense-output evaluation covers the integrated leg."""
         inside = t <= self.pre.t_end
+        window = [self._window_radius(s) for s in t[~inside].tolist()]
         before = np.concatenate([self.pre.dense(t[inside])[0:2].T,
-                                 np.outer(self._window_radius(t[~inside]), self.direction)])
+                                 np.outer(window, self.direction)])
         return np.concatenate([before, np.zeros((1, 2)), -before[::-1]])
 
     def theta_at(self, t: float) -> float:
@@ -130,7 +145,7 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
     an eps = 0 orbit whose |l| is too large for transmission that reaches the
     collision threshold first RuntimeError.
     """
-    collision = eps == 0.0 and abs(state.ang_momentum) <= COLLISION_L_TOL
+    collision = is_collision_datum(state, eps)
     orbit = integrate(state, SmoothedPotential(potential, eps),
                       horizon=4.0 * horizon + 10.0 if collision else horizon,
                       ball_radius=ball_radius)

@@ -8,7 +8,8 @@ DOP853 of `_dop853`: the Dormand-Prince 8(5,3) pair with scipy's tableau and
 scipy's step-size control, written out over Python floats, with the 7th-order
 interpolant of each accepted step as dense output.  Each step keeps only its
 stages; its interpolant is built when something reads it.  A run stops at the
-collision threshold (eps = 0) or on leaving a finite ball, at the root of
+collision threshold (eps = 0; a collision datum's is `TRANSMISSION_FRACTION`
+of its starting radius) or on leaving a finite ball, at the root of
 the stop rule on the interpolant of the step where it changes sign; a
 `Trajectory` records which stop ended it.  Pericentre passages are a query on
 the finished trajectory (`Trajectory.pericenter_times`).  scipy's
@@ -42,6 +43,12 @@ DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
 #: radius below which an eps = 0 run stops with `COLLISION`
 COLLISION_RADIUS = 1e-8
+#: |l| up to which an eps = 0 datum is radial: a collision datum
+COLLISION_L_TOL = 1e-12
+#: a collision datum's run stops with `COLLISION` at this fraction of its
+#: starting radius, or at COLLISION_RADIUS if that is larger; the rest of its
+#: fall is quadrature at `quadrature.DEFAULT_TOL`, so this sets cost, not accuracy
+TRANSMISSION_FRACTION = 1e-4
 #: upper end of the radius grid on which `oracle_crosscheck` bounds l
 ORACLE_RADIUS = 50.0
 #: absolute and relative tolerance of stop and pericentre roots on the dense output
@@ -83,6 +90,11 @@ class PhaseState:
         return float(np.linalg.norm(self.as_vector() - other.as_vector()))
 
 
+def is_collision_datum(state: PhaseState, eps: float) -> bool:
+    """Whether a datum falls into the centre: eps = 0 and |l| <= COLLISION_L_TOL."""
+    return eps == 0.0 and abs(state.ang_momentum) <= COLLISION_L_TOL
+
+
 def _radial_rate(s) -> float:
     """r rdot of a state: negative falling, positive rising."""
     return s[0] * s[2] + s[1] * s[3]
@@ -106,11 +118,18 @@ class Trajectory:
         return float(self.times[-1])
 
     def state_at(self, t: float) -> PhaseState:
-        y = self.dense(t)
+        y = self._dense_at(t)
         return PhaseState(y[0:2], y[2:4])
 
     def theta_at(self, t: float) -> float:
-        return float(self.dense(t)[4])
+        return float(self._dense_at(t)[4])
+
+    def _dense_at(self, t: float) -> np.ndarray:
+        """The dense output at t, which must lie in [0, t_end]: the
+        interpolant would extrapolate past either end."""
+        if not (0.0 <= t <= self.t_end):
+            raise ValueError(f"t={t!r} outside the trajectory domain [0, {self.t_end!r}]")
+        return self.dense(t)
 
     def pericenter_times(self) -> list[float]:
         """The times of the pericentre passages, in order: each upward zero of
@@ -131,7 +150,9 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     """Integrate the smoothed system from `state` for `horizon` time units.
 
     eps = 0 runs are legitimate while the orbit stays away from the origin
-    (l != 0 keeps it away; radial runs stop at the collision threshold).  A
+    (l != 0 keeps it away) and stop at the collision threshold: for a
+    collision datum the larger of TRANSMISSION_FRACTION r0 and
+    COLLISION_RADIUS, r0 its starting radius, else COLLISION_RADIUS.  A
     finite ball radius makes leaving the ball a stop.  A stop is located on
     the interpolant of the step where its rule changes sign, the only
     interpolant built here (the dense output builds any other step's on its
@@ -155,10 +176,12 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
         return scale * x, scale * y, l0 / r2
 
     # (g, direction, stop): the run stops where g crosses zero in direction; one
-    # step never crosses both (r_old <= ball_radius <= r_new <= COLLISION_RADIUS < r_old)
+    # step never crosses both (r_old <= ball_radius <= r_new <= r_stop < r_old)
     rules = []
     if eps == 0.0:
-        rules.append((lambda s: math.hypot(s[0], s[1]) - COLLISION_RADIUS, -1, COLLISION))
+        r_stop = (max(TRANSMISSION_FRACTION * state.r, COLLISION_RADIUS)
+                  if is_collision_datum(state, eps) else COLLISION_RADIUS)
+        rules.append((lambda s: math.hypot(s[0], s[1]) - r_stop, -1, COLLISION))
     if math.isfinite(ball_radius):
         rules.append((lambda s: math.hypot(s[0], s[1]) - ball_radius, 1, EXIT_BALL))
 

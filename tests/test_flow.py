@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from onecentre.cli import main
 from onecentre.flow import (ExitedBall, TransmissionPath, continuity_experiment,
                             diagonal_cells, extended_flow, phase_field,
                             poincare_section, section_at)
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
-from onecentre.radial import DropFromRest, InwardCrossing, case_anchor, fall_time
-from onecentre.simulator import PhaseState, Perturbation, integrate, make_initial_data
+from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem, case_anchor,
+                              collision_time, fall_time)
+from onecentre.simulator import (COLLISION_RADIUS, DEFAULT_ATOL, DEFAULT_RTOL,
+                                 TRANSMISSION_FRACTION, PhaseState, Perturbation,
+                                 integrate, make_initial_data)
 
 BARE_LOG = SmoothedPotential(logarithmic(), 0.0)
 T0_LOG = math.sqrt(math.pi / 2.0)   # fall time of the unit drop, E = 0
@@ -215,6 +219,77 @@ def test_extended_flow_covers_the_horizon():
     with pytest.raises(RuntimeError, match="stopped"):
         extended_flow(PhaseState((1.0, 0.0), (0.0, 1e-11)), 0.0, logarithmic(),
                       1.5 * T0_LOG)
+
+
+def test_trajectory_owns_its_domain():
+    # as a transmission path: the dense output would extrapolate the last
+    # step past t_end (to position (7.8e3, 4.5e6) at t = 3)
+    traj = extended_flow(PhaseState((1.0, 0.0), (0.0, 0.3)), 1e-3, logarithmic(), 1.0)
+    assert traj.t_end == 1.0
+    for t in (3.0, -0.1):
+        with pytest.raises(ValueError, match="outside the trajectory domain"):
+            traj.state_at(t)
+        with pytest.raises(ValueError, match="outside the trajectory domain"):
+            traj.theta_at(t)
+    traj.state_at(1.0)
+
+
+def _drop_path(potential, energy):
+    anchor = case_anchor(DropFromRest(energy), potential)
+    return anchor, extended_flow(make_initial_data(anchor), 0.0, potential,
+                                 fall_time(anchor))
+
+
+def test_radial_stop_is_a_fraction_of_the_starting_radius():
+    # log drops differ only by the scale R of their rest radius, so a stop at
+    # TRANSMISSION_FRACTION R takes the same steps at every energy, until
+    # the floor COLLISION_RADIUS ends deep drops (R = 6.1e-6 at E = -12)
+    legs = []
+    for energy in (0.0, -1.0, -5.0, -12.0, -17.0):
+        anchor, path = _drop_path(logarithmic(), energy)
+        R = anchor.radius
+        stop = max(TRANSMISSION_FRACTION * R, COLLISION_RADIUS)
+        assert path.abort_radius == pytest.approx(stop, rel=1e-10)
+        assert (stop == COLLISION_RADIUS) == (energy <= -12.0)
+        # the closed form of the log fall from rest
+        assert path.collision_time == pytest.approx(R * math.sqrt(math.pi / 2.0), rel=2e-13)
+        legs.append(len(path.pre.times))
+    # DEFAULT_ATOL is absolute: at R = 6.7e-3 (E = -5) it sizes the first
+    # step differently, which costs one more step
+    assert legs[0] == legs[1] and abs(legs[2] - legs[0]) <= 1
+
+
+@pytest.mark.parametrize("potential", [logarithmic(), homogeneous(0.5)], ids=["log", "hom"])
+def test_window_radius_inverts_the_fall_time(potential):
+    # below the radial stop the radius is read off the fall-time quadrature;
+    # an ODE fall from the abort radius, at the path's energy, agrees.  Its
+    # clock starts at the abort radius, tail = collision_time(abort_radius)
+    # before the collision, so it reads time t at tail - (T0 - t); a fall
+    # timed from t = 0 would carry the rounding of T0 times the speed, up to
+    # 1e-10 of these radii
+    _, path = _drop_path(potential, -1.0)
+    T0, ta, ra = path.collision_time, path.pre.t_end, path.abort_radius
+    rp = RadialProblem(path.pre.potential, path.pre.energy0, 0.0)
+    tail = collision_time(rp, ra)
+    speed = math.sqrt(2.0 * (path.pre.energy0 + potential.value(ra)))
+
+    def fall(s, y):
+        r = math.hypot(y[0], y[1])
+        scale = potential.deriv(r) / r
+        return y[2], y[3], scale * y[0], scale * y[1]
+
+    def near_centre(s, y):
+        return math.hypot(y[0], y[1]) - 1e-2 * ra
+    near_centre.terminal = True
+    sol = solve_ivp(fall, (0.0, tail), [*(ra * path.direction), *(-speed * path.direction)],
+                    method="DOP853", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+                    dense_output=True, events=near_centre)
+    assert sol.status == 1
+    for t in ta + np.linspace(0.1, 0.9, 5) * (T0 - ta):
+        r = path.state_at(t).r
+        assert r < ra
+        assert r == pytest.approx(math.hypot(*sol.sol(tail - (T0 - t))[:2]), rel=1e-12)
+        assert collision_time(rp, r) == pytest.approx(T0 - t, rel=1e-14)
 
 
 def test_extended_flow_names_the_collision_threshold():

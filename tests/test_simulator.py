@@ -11,8 +11,9 @@ from onecentre.quadrature import sqrt_endpoint_quad
 from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem, case_anchor,
                               collision_time, fall_time, turning_points)
 from onecentre.simulator import (COLLISION, COLLISION_RADIUS, DEFAULT_ATOL,
-                                 DEFAULT_RTOL, EXIT_BALL, Perturbation, PhaseState,
-                                 conserved_drift, integrate, make_initial_data)
+                                 DEFAULT_RTOL, EXIT_BALL, TRANSMISSION_FRACTION,
+                                 Perturbation, PhaseState, conserved_drift, integrate,
+                                 is_collision_datum, make_initial_data)
 
 BARE_LOG = SmoothedPotential(logarithmic(), 0.0)
 
@@ -278,15 +279,19 @@ def test_kernel_steps_equal_scipy_dop853(monkeypatch, potential, eps, y0):
 
 def _solve_ivp_oracle(state, potential, horizon, ball_radius=math.inf):
     """The same run by solve_ivp: its solution, whose t_events[0] are the
-    upward zeros of r rdot and t_events[1:] the times of the stop rules."""
+    upward zeros of r rdot and t_events[1:] the times of the stop rules.  A
+    radial datum's collision threshold is TRANSMISSION_FRACTION of its
+    starting radius (1e-4 for r0 = 1), any other's COLLISION_RADIUS."""
     rhs = _field(potential, state.ang_momentum)
+    r_stop = (max(TRANSMISSION_FRACTION * state.r, COLLISION_RADIUS)
+              if is_collision_datum(state, potential.epsilon) else COLLISION_RADIUS)
 
     def radial_turn(t, y):
         return y[0] * y[2] + y[1] * y[3]
     radial_turn.direction = 1.0
 
     def near_collision(t, y):
-        return math.hypot(y[0], y[1]) - COLLISION_RADIUS
+        return math.hypot(y[0], y[1]) - r_stop
     near_collision.terminal, near_collision.direction = True, -1.0
 
     def exit_ball(t, y):
@@ -327,8 +332,9 @@ def test_integrate_matches_solve_ivp(potential, eps, state, horizon, ball, stop)
     assert len(peri) == len(sol.t_events[0])
     assert np.max(np.abs(np.subtract(peri, sol.t_events[0])), initial=0.0) <= 1e-12
     assert abs(len(traj.times) - len(sol.t)) <= 2
-    # up to 0.9 t_end: at the collision threshold the acceleration is ~1/r =
-    # 1e8, so a rounding-level shift of the stop time moves the velocity by 1e-8
+    # up to 0.9 t_end: at the collision threshold the acceleration is ~1/r,
+    # 1e4 at the radial stop and 1e8 at COLLISION_RADIUS, so a rounding-level
+    # shift of the stop time moves the velocity there far more than elsewhere
     for t in np.linspace(0.0, 0.9 * traj.t_end, 10):
         assert np.max(np.abs(traj.dense(t) - sol.sol(t))) <= 1e-10
 

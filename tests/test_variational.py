@@ -254,8 +254,9 @@ def test_transmission_path_matches_per_node_states(log_path):
 
 
 def test_symmetric_positions_inside_collision_window():
-    # grid nodes never fall in the ~1e-9 window below the abort radius;
-    # sample it directly, both halves, against the scalar state
+    # grid nodes of the default probe never fall in the window below the
+    # abort radius (1e-4 of the rest radius, about 2e-5 of T0); sample it
+    # directly, both halves, against the scalar state
     tpath = _log_transmission()
     T0, ta = tpath.collision_time, tpath.pre.t_end
     t = np.array([0.0, 0.5 * ta, ta, ta + 0.25 * (T0 - ta), ta + 0.75 * (T0 - ta)])

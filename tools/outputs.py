@@ -15,7 +15,9 @@ OUT receives two sets of outputs:
   paths no default or workload run does: the entry case, the
   ``homogeneous(0.5)`` drop, a ball exit in the continuity schedule, a
   continuity run skipped because its reference is at rest, a variational
-  probe failing on unsettled collision cells, late section brackets that
+  probe failing on unsettled collision cells, a variational probe whose
+  grid reads the transmission path below its abort radius (the inversion
+  of the fall time), late section brackets that
   halve to stay inside 2 T0, section brackets that halve, and section
   samples that find no crossing.
 
@@ -68,6 +70,8 @@ EXTRA = {
     # every collision cell reaches MAX_DEPTH
     "variational-probe-unsettled": ("variational-probe", {
         "potential": _HOM, "energy": -1.0, "n_cells": 4096}),
+    # two grid nodes fall in the window below the abort radius
+    "variational-probe-window": ("variational-probe", {"energy": -1.0, "n_cells": 262144}),
     # the first bracket T + 0.1 T lies beyond 2 T0: collision samples halve it
     "poincare-section-late": ("poincare-section", {
         "T_factor": 1.85, "samples": 6, "deltas": [1e-2, 1e-3]}),
