@@ -142,30 +142,32 @@ def bounds_audit(potential: PotentialSpec, eps_values, samples: int, seed: int,
     of rho for the orbit with l = eps at energy + l^2/2, cut off at its
     apocenter beta (rows "factor", p = (rho, R-, beta), margin = beta -
     factor).  meta["violations"] lists the samples with margin < -violation_tol.
+    The factor draws of one eps are one cell: a failed one is recorded by
+    `ConvergenceTable.attempt` in meta["failed_cells"] as (eps, message).
     """
     rng = default_rng(seed)
     table = ConvergenceTable(("kind", "epsilon", "p1", "p2", "p3", "value", "margin"))
-    violations = []
+
+    def factor_rows(eps, draws):
+        rp = RadialProblem(SmoothedPotential(potential, eps), energy + 0.5 * eps * eps, eps)
+        tp = turning_points(rp)
+        rm, beta = tp.pericenter, tp.apocenter
+        rhos = 1.0 + (beta / rm - 1.0) * draws
+        for rho, val in zip(rhos, desingularized_factor(rp.potential, rm, beta, 0.0, rhos)):
+            table.add("factor", eps, rho, rm, beta, val, beta - val)
+
     for eps in eps_values:
         for _ in range(samples):
             r_outer = rng.uniform(0.05, 1.0)
             y = rng.uniform(1e-3, 0.999 * r_outer)
             x = rng.uniform(y * (1 + 1e-7), r_outer * (1 - 1e-7))
             val = integrand_envelope(potential, eps, y, x, r_outer)
-            margin = val - r_outer
-            table.add("envelope", eps, y, x, r_outer, val, margin)
-            if margin < -violation_tol:
-                violations.append(("envelope", eps, y, x, r_outer, margin))
-        rp = RadialProblem(SmoothedPotential(potential, eps), energy + 0.5 * eps * eps, eps)
-        tp = turning_points(rp)
-        rm, beta = tp.pericenter, tp.apocenter
-        rhos = 1.0 + (beta / rm - 1.0) * rng.uniform(1e-9, 1.0 - 1e-9, size=samples)
-        for rho, val in zip(rhos, desingularized_factor(rp.potential, rm, beta, 0.0, rhos)):
-            margin = beta - val
-            table.add("factor", eps, rho, rm, beta, val, margin)
-            if margin < -violation_tol:
-                violations.append(("factor", eps, rho, margin))
-    table.meta["violations"] = violations
+            table.add("envelope", eps, y, x, r_outer, val, val - r_outer)
+        draws = rng.uniform(1e-9, 1.0 - 1e-9, size=samples)
+        table.attempt("failed_cells", (eps,), ("factor", eps), lambda: factor_rows(eps, draws))
+    # a violation is (kind, eps, the draw's p's, margin); a factor draw is rho alone
+    table.meta["violations"] = [(*row[:3 if row[0] == "factor" else 5], row[6])
+                                for row in table.rows if row[6] < -violation_tol]
     return table
 
 
@@ -207,28 +209,27 @@ def convergence_sweep(anchor: Anchor, paths: list[SweepPath]) -> ConvergenceTabl
     """Apsidal angles of a solved case over (eps, l) schedules, with per-path
     limit verdicts against pi/2.
 
-    Individual cell failures are recorded in the table (angle = nan) and the
-    sweep continues.  meta carries, per path, the Aitken limit estimate and
-    the convergence verdict, plus a uniformity verdict: all path estimates
-    within 1e-2 of each other.
+    A failed cell is recorded by `ConvergenceTable.attempt` in
+    meta["cell_errors"] as (path_id, k, message).  meta carries, per path,
+    the Aitken limit estimate and the convergence verdict, plus a uniformity
+    verdict: all path estimates within 1e-2 of each other.
     """
     table = ConvergenceTable(
         ("path_id", "k", "epsilon", "l", "R_minus", "beta", "delta_theta",
          "quad_err", "I1", "I2"))
 
+    def cell(prefix, angles):
+        ang = _sweep_cell(anchor, *prefix[2:])
+        table.add(*prefix, ang.pericenter, ang.cutoff, ang.angle, ang.quad_error,
+                  ang.inner_part, ang.outer_part)
+        angles.append(ang.angle)
+
     estimates: dict[str, LimitVerdict] = {}
     for path in paths:
         angles = []
         for k, (eps, l) in enumerate(path.cells):
-            try:
-                ang = _sweep_cell(anchor, eps, l)
-            except (ValueError, RuntimeError) as exc:
-                table.add(path.path_id, k, eps, l, *(math.nan,) * 6)
-                table.meta.setdefault("cell_errors", []).append((path.path_id, k, str(exc)))
-                continue
-            table.add(path.path_id, k, eps, l, ang.pericenter, ang.cutoff, ang.angle,
-                      ang.quad_error, ang.inner_part, ang.outer_part)
-            angles.append(ang.angle)
+            prefix = (path.path_id, k, eps, l)
+            table.attempt("cell_errors", prefix[:2], prefix, lambda: cell(prefix, angles))
         if len(angles) >= 3:
             estimates[path.path_id] = limit_verdict(angles, target=math.pi / 2.0)
 

@@ -255,9 +255,8 @@ def cmd_bounds_audit(args, out: Path) -> bool:
     table.write_csv(out_path(out, "bounds_audit.csv"))
     return _emit(out, "bounds_audit",
                  "envelope >= r_outer and factor <= beta on seeded samples",
-                 not table.meta["violations"],
-                 {"violations": table.meta["violations"], "samples_per_audit": cfg["samples"],
-                  "seed": args.seed}, cfg)
+                 not table.meta["violations"] and "failed_cells" not in table.meta,
+                 {**table.meta, "samples_per_audit": cfg["samples"], "seed": args.seed}, cfg)
 
 
 def cmd_poincare_continuity(args, out: Path) -> bool:

@@ -178,13 +178,12 @@ def continuity_experiment(anchor: Anchor, T: float,
     transmission path of a solved case, along a schedule of (eps,
     perturbation) cells tending to zero.
 
-    A cell whose orbit leaves the ball before T, or whose integration fails
-    (RuntimeError or ValueError), gets a nan row and an entry (k, message)
-    in meta["marked_cells"]; a failure's message names its eps and l, and
-    sets meta["cell_failed"].  meta records the reference state, whether
-    the distances of the other cells are nonincreasing, the first/last
-    distance ratio, and the extrapolated angular increment (the
-    transmission value is exactly pi).
+    A failed cell is recorded by `ConvergenceTable.attempt` in
+    meta["marked_cells"]; one that fails other than by leaving the ball
+    before T names its eps and l, and sets meta["cell_failed"].  meta
+    records the reference state, whether the distances of the other cells
+    are nonincreasing, the first/last distance ratio, and the extrapolated
+    angular increment (the transmission value is exactly pi).
     """
     potential, ball_radius = anchor.potential, anchor.case.ball_radius
     ref_path = extended_flow(make_initial_data(anchor), 0.0, potential, T, ball_radius)
@@ -201,28 +200,27 @@ def continuity_experiment(anchor: Anchor, T: float,
         table.meta["skipped"] = f"|velocity(T)| = {ref_speed!r} below 1e-8"
         return table
 
-    dists, thetas = [], []
-    for k, (eps, pert) in enumerate(cells):
+    def cell(prefix, eps, pert):
         try:
             orbit = extended_flow(make_initial_data(anchor, pert), eps, potential, T,
                                   ball_radius)
             st = orbit.state_at(T)
             theta_inc = orbit.theta_at(T)
+        except ExitedBall:
+            raise
         except (RuntimeError, ValueError) as exc:
-            message = str(exc)
-            if not isinstance(exc, ExitedBall):
-                message = f"eps={eps!r}, l={pert.l!r}: {message}"
-                table.meta["cell_failed"] = True
-            table.add(k, eps, pert.l, math.hypot(*pert.dq), pert.dv1,
-                      math.nan, math.nan, math.nan, math.nan)
-            table.meta.setdefault("marked_cells", []).append((k, message))
-            continue
+            table.meta["cell_failed"] = True
+            raise RuntimeError(f"eps={eps!r}, l={pert.l!r}: {exc}") from exc
         d_pos = float(np.linalg.norm(st.position - ref.position))
         d_vel = float(np.linalg.norm(st.velocity - ref.velocity))
-        table.add(k, eps, pert.l, math.hypot(*pert.dq), pert.dv1,
-                  math.hypot(d_pos, d_vel), d_pos, d_vel, theta_inc)
+        table.add(*prefix, math.hypot(d_pos, d_vel), d_pos, d_vel, theta_inc)
         dists.append(math.hypot(d_pos, d_vel))
         thetas.append(theta_inc)
+
+    dists, thetas = [], []
+    for k, (eps, pert) in enumerate(cells):
+        prefix = (k, eps, pert.l, math.hypot(*pert.dq), pert.dv1)
+        table.attempt("marked_cells", (k,), prefix, lambda: cell(prefix, eps, pert))
 
     if len(dists) >= 3:
         table.meta["nonincreasing"] = is_decreasing(dists)
@@ -322,38 +320,34 @@ def poincare_section(section: Section, delta: float, sample_count: int,
         meta={"T": T, "delta": delta, "anchor": y1v.tolist(),
               "transversality_margin": float(np.dot(normal, normal))})
 
+    def crossing(i, y0, eps, prefix):
+        orbit = (section.path if i == 0 else
+                 extended_flow(y0, eps, potential, t_hi, ball_radius))
+        flow_at = orbit.state_at
+
+        def H(t):
+            return float(np.dot(flow_at(t).as_vector() - y1v, normal))
+
+        xi = xi0
+        for _ in range(25):
+            if T + xi <= orbit.t_end and H(T - xi) < 0.0 < H(T + xi):
+                break
+            xi *= 0.5
+        else:
+            raise RuntimeError(
+                f"no sign change of the section offset in [T-xi, T+xi] down to xi={xi!r}")
+        tau = brentq(H, T - xi, T + xi, xtol=1e-12, rtol=8.9e-16)
+        trace = flow_at(tau)
+        table.add(*prefix, tau, *trace.as_vector().tolist(), xi)
+        tau_devs.append(abs(tau - T))
+        trace_devs.append(trace.distance(y1))
+
     cells = [(0.0, Perturbation())] + _sample_cloud(delta, sample_count - 1, rng)
     tau_devs, trace_devs = [], []
     for i, (eps, pert) in enumerate(cells):
         y0 = make_initial_data(anchor, pert)
-        try:
-            orbit = (section.path if i == 0 else
-                     extended_flow(y0, eps, potential, t_hi, ball_radius))
-            flow_at = orbit.state_at
-
-            def H(t):
-                return float(np.dot(flow_at(t).as_vector() - y1v, normal))
-
-            xi = xi0
-            for _ in range(25):
-                if T + xi <= orbit.t_end and H(T - xi) < 0.0 < H(T + xi):
-                    break
-                xi *= 0.5
-            else:
-                raise RuntimeError(
-                    f"no sign change of the section offset in [T-xi, T+xi] down to xi={xi!r}")
-            tau = brentq(H, T - xi, T + xi, xtol=1e-12, rtol=8.9e-16)
-            trace = flow_at(tau)
-        except (RuntimeError, ValueError) as exc:
-            table.meta.setdefault("failed_samples", []).append((i, str(exc)))
-            table.add(i, *np.concatenate([y0.position, y0.velocity]).tolist(),
-                      eps, pert.l, math.nan, math.nan, math.nan, math.nan,
-                      math.nan, math.nan)
-            continue
-        table.add(i, *np.concatenate([y0.position, y0.velocity]).tolist(),
-                  eps, pert.l, tau, *trace.as_vector().tolist(), xi)
-        tau_devs.append(abs(tau - T))
-        trace_devs.append(trace.distance(y1))
+        prefix = (i, *np.concatenate([y0.position, y0.velocity]).tolist(), eps, pert.l)
+        table.attempt("failed_samples", (i,), prefix, lambda: crossing(i, y0, eps, prefix))
 
     table.meta["crossings_found"] = len(tau_devs)
     table.meta["samples"] = len(cells)

@@ -255,21 +255,17 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> Conve
     Each orbit draws E in [-0.5, `oracle_energy_cap`) and l in [0.2, 0.9]
     times the largest admissible l (max of f on a grid up to
     `ORACLE_RADIUS`), starts at its apocenter and runs for 4.1 half periods.
-    meta carries worst_period_mismatch, worst_drift and failing: (orbit,
-    reason) of the last orbit with fewer than two pericentre passages, or
-    None.
+    Each orbit is a cell; one with fewer than two pericentre passages fails.
+    meta carries worst_period_mismatch, worst_drift and failing: the
+    (orbit, message) records of `ConvergenceTable.attempt`, or None.
     """
     cap = oracle_energy_cap(potential)
     rng = default_rng(seed)
     sm = SmoothedPotential(potential, 0.0)
     table = ConvergenceTable(("orbit", "E", "l", "period_ode", "period_quad",
                               "mismatch", "dE", "dl"))
-    worst_period, worst_drift = 0.0, 0.0
-    failing = None
-    for i in range(orbits):
-        E = rng.uniform(-0.5, cap)
-        fmax = float(np.max(RadialProblem(sm, E, 0.0).f(np.geomspace(1e-6, ORACLE_RADIUS, 4000))))
-        l = math.sqrt(fmax) * rng.uniform(0.2, 0.9)
+
+    def orbit(i, E, l):
         rp = RadialProblem(sm, E, l)
         tp = turning_points(rp)
         half = sqrt_endpoint_quad(rp.integrand(angle=False), tp.pericenter, tp.apocenter,
@@ -278,16 +274,22 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> Conve
         traj = integrate(state, sm, horizon=4.1 * half)
         peri = traj.pericenter_times()
         if len(peri) < 2:
-            failing = (i, "fewer than two pericentre passages")
-            continue
+            raise RuntimeError("fewer than two pericentre passages")
         period_ode = peri[1] - peri[0]
         mism = abs(period_ode - 2.0 * half)
         dE, dl = conserved_drift(traj)
         table.add(i, E, l, period_ode, 2.0 * half, mism, dE, dl)
-        worst_period = max(worst_period, mism)
-        worst_drift = max(worst_drift, dE, dl)
-    table.meta.update(worst_period_mismatch=worst_period, worst_drift=worst_drift,
-                      failing=failing)
+        mismatches.append(mism)
+        drifts.extend((dE, dl))
+
+    mismatches, drifts = [], []
+    for i in range(orbits):
+        E = rng.uniform(-0.5, cap)
+        fmax = float(np.max(RadialProblem(sm, E, 0.0).f(np.geomspace(1e-6, ORACLE_RADIUS, 4000))))
+        l = math.sqrt(fmax) * rng.uniform(0.2, 0.9)
+        table.attempt("failing", (i,), (i, E, l), lambda: orbit(i, E, l))
+    table.meta.update(worst_period_mismatch=max([0.0, *mismatches]),
+                      worst_drift=max([0.0, *drifts]), failing=table.meta.get("failing"))
     return table
 
 

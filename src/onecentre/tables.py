@@ -2,14 +2,15 @@
 
 Every sweep in this package reports its cells through a :class:`ConvergenceTable`
 so that CSV output is deterministic (fixed column order, round-trip float
-formatting) and limit verdicts are produced by one shared rule.
+formatting), and limit verdicts and failed cells each have one shared rule.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 def format_value(v) -> str:
@@ -37,6 +38,16 @@ class ConvergenceTable:
         if len(values) != len(self.columns):
             raise ValueError(f"expected {len(self.columns)} values, got {len(values)}")
         self.rows.append(tuple(values))
+
+    def attempt(self, record: str, key: tuple, prefix: tuple, compute: Callable):
+        """Run compute(), which adds one schedule cell's rows.  If it raises
+        ValueError or RuntimeError, add instead the row `prefix` padded with
+        nan and append (*key, message) to meta[record]; the schedule goes on."""
+        try:
+            return compute()
+        except (ValueError, RuntimeError) as exc:
+            self.add(*prefix, *(math.nan,) * (len(self.columns) - len(prefix)))
+            self.meta.setdefault(record, []).append((*key, str(exc)))
 
     def column(self, name: str) -> list:
         i = self.columns.index(name)

@@ -309,15 +309,21 @@ def test_bounds_audit_command(tmp_path):
 
 def test_bounds_audit_without_orbit_says_so(tmp_path, capsys):
     # at E = -40 + eps^2/2 the zero of E + V_eps lies below first_zero's 1e-14
-    # floor, so the orbit l = eps does not exist; the run says so instead of
-    # failing inside the turning-point scan
+    # floor, so the orbit l = eps does not exist: each eps keeps its envelope
+    # rows, gets one nan factor row, and is named in failed_cells
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"energy": -40.0}))
+    cfg.write_text(json.dumps({"energy": -40.0, "samples": 5}))
     rc = run_cli(["bounds-audit", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 1
-    assert capsys.readouterr().err == (
-        "numerical failure: no orbit: E + V_eps has no zero above 1e-14 "
-        "(E = -39.99995, eps = 0.01)\n")
+    assert capsys.readouterr().err == ""
+    s = read_summary(tmp_path, "bounds_audit")
+    assert s["verdict"] is False
+    assert s["evidence"]["failed_cells"] == [
+        [0.01, "no orbit: E + V_eps has no zero above 1e-14 (E = -39.99995, eps = 0.01)"],
+        [0.0001, "no orbit: E + V_eps has no zero above 1e-14 (E = -39.999999995, eps = 0.0001)"]]
+    rows = (tmp_path / "bounds_audit.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == (["envelope"] * 5 + ["factor"]) * 2
+    assert rows[5] == "factor,0.01,nan,nan,nan,nan,nan"
 
 
 def test_variational_probe_command(tmp_path):
@@ -382,6 +388,30 @@ def test_oracle_crosscheck_command(tmp_path):
         assert rc == 0, (potential, seed)
         s = read_summary(tmp_path, "oracle_crosscheck")
         assert s["evidence"]["worst_period_mismatch"] < 1e-6, (potential, seed)
+
+
+@pytest.mark.parametrize("alpha, failing, finite_rows, message", [
+    (1.9, [0, 1, 5, 6, 7, 9, 10, 12, 15, 17, 19], 9,
+     "integration failed: required step size is less than spacing between numbers"),
+    (2.5, list(range(20)), 0, "fewer than two pericentre passages"),
+])
+def test_oracle_crosscheck_names_every_failed_orbit(tmp_path, capsys, alpha, failing,
+                                                    finite_rows, message):
+    # a failed orbit is a nan row and an entry of failing, and the run goes on
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": {"family": "homogeneous", "alpha": alpha}}))
+    rc = run_cli(["oracle-crosscheck", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == ""
+    s = read_summary(tmp_path, "oracle_crosscheck")
+    assert s["verdict"] is False
+    assert [orbit for orbit, _ in s["evidence"]["failing"]] == failing
+    assert all(m.startswith(message) for _, m in s["evidence"]["failing"])
+    rows = [row.split(",") for row in
+            (tmp_path / "oracle_crosscheck.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(20))
+    assert sum(row[3] != "nan" for row in rows) == finite_rows
+    assert all(row[3:] == ["nan"] * 5 for row in rows if int(row[0]) in failing)
 
 
 def test_poincare_continuity_command(tmp_path):

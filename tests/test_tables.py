@@ -3,6 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from onecentre import apsidal, flow, simulator
+from onecentre.apsidal import bounds_audit, convergence_sweep, default_paths
+from onecentre.flow import continuity_experiment, diagonal_cells, poincare_section, section_at
+from onecentre.potentials import logarithmic
+from onecentre.radial import DropFromRest, case_anchor, fall_time
+from onecentre.simulator import oracle_crosscheck
 from onecentre.tables import (ConvergenceTable, aitken_limit, format_value,
                               is_decreasing, limit_verdict)
 
@@ -90,3 +96,60 @@ def test_numpy_floats_written_as_plain_numbers(tmp_path):
     path = tmp_path / "t.csv"
     t.write_csv(path)
     assert path.read_text().splitlines()[1] == "3,0.1"
+
+
+# --- one failure rule for every experiment cell ------------------------------
+
+_ANCHOR = case_anchor(DropFromRest(0.0), logarithmic())
+_T = 1.5 * fall_time(_ANCHOR)
+_MESSAGE = "injected failure"
+
+#: experiment -> (run, module, primitive, the call that raises, record,
+#: (first, end) of the cell's rows in the unpatched table, prefix length,
+#: the record's entry)
+_CELL_FAILURES = {
+    # call 1 of the sweep is diagonal cell k = 1
+    "convergence_sweep": (
+        lambda: convergence_sweep(_ANCHOR, default_paths([2, 3, 4])),
+        apsidal, "_sweep_cell", 1, "cell_errors", (1, 2), 4, ("diagonal", 1, _MESSAGE)),
+    # call 0 is the reference path, call 2 cell k = 1
+    "continuity_experiment": (
+        lambda: continuity_experiment(_ANCHOR, _T, diagonal_cells([2, 3, 4])),
+        flow, "extended_flow", 2, "marked_cells", (1, 2), 5,
+        (1, f"eps=0.001, l=0.001: {_MESSAGE}")),
+    # call 0 is section_at's path; sample 0 reuses it, so call 2 is sample 2
+    "poincare_section": (
+        lambda: poincare_section(section_at(_ANCHOR, _T), 1e-2, 4, 0),
+        flow, "extended_flow", 2, "failed_samples", (2, 3), 7, (2, _MESSAGE)),
+    "oracle_crosscheck": (
+        lambda: oracle_crosscheck(logarithmic(), 4, 0),
+        simulator, "integrate", 1, "failing", (1, 2), 3, (1, _MESSAGE)),
+    # the second eps's 5 factor rows follow its 5 envelope rows
+    "bounds_audit": (
+        lambda: bounds_audit(logarithmic(), [1e-2, 1e-4], 5, 0, 0.0, 1e-9),
+        apsidal, "turning_points", 1, "failed_cells", (15, 20), 2, (1e-4, _MESSAGE)),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_CELL_FAILURES))
+def test_a_failed_cell_is_one_nan_row_and_one_record(monkeypatch, experiment):
+    run, module, name, call, record, (first, end), width, entry = _CELL_FAILURES[experiment]
+    base = run()
+    original, calls = getattr(module, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == call + 1:
+            raise RuntimeError(_MESSAGE)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+    table = run()
+
+    def text(rows):
+        return [[format_value(v) for v in row] for row in rows]
+
+    nan_row = (*base.rows[first][:width], *[math.nan] * (len(base.columns) - width))
+    assert text(table.rows) == text(base.rows[:first] + [nan_row] + base.rows[end:])
+    assert table.meta[record] == [entry]
+    assert record not in base.meta or base.meta[record] is None

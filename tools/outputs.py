@@ -18,8 +18,9 @@ OUT receives two sets of outputs:
   probe failing on unsettled collision cells, a variational probe whose
   grid reads the transmission path below its abort radius (the inversion
   of the fall time), late section brackets that
-  halve to stay inside 2 T0, section brackets that halve, and section
-  samples that find no crossing.
+  halve to stay inside 2 T0, section brackets that halve, section
+  samples that find no crossing, oracle orbits that fail, and a bounds
+  audit whose second eps has no orbit.
 
 The exit codes go to ``OUT/exit_codes.json``.  Two checkouts that should
 compute the same numbers are compared with
@@ -83,6 +84,11 @@ EXTRA = {
     "poincare-section-no-crossing": ("poincare-section", {
         "potential": _HOM_QUARTER, "case": _HOM_DROP,
         "T_factor": 1.02, "samples": 4, "deltas": [0.1]}),
+    # 11 of the 20 orbits fail in the stepper near the centre
+    "oracle-crosscheck-failing": ("oracle-crosscheck", {
+        "potential": {"family": "homogeneous", "alpha": 1.9}}),
+    # at eps = 1 the orbit l = eps does not exist
+    "bounds-audit-no-orbit": ("bounds-audit", {"eps": [1e-2, 1.0]}),
 }
 
 
