@@ -1,10 +1,12 @@
 """Experiment runner: dispatches the package's sweeps from a declarative
 configuration and writes CSV tables plus JSON verdict summaries.
 
-Every experiment emits a summary ``{claim, verdict, evidence, config,
-config_hash, version}``; the process exits 0 iff all verdicts pass, 1 on a
-failed verdict or numerical failure (with the failing cell identified), and 2
-on configuration errors.  Outputs are deterministic for a fixed configuration:
+Each subcommand is a function of its configuration and seed that returns its
+verdict, evidence and tables; `main` alone writes the tables and the summary
+``{claim, verdict, evidence, config, config_hash, version}``.  The process
+exits 0 iff the verdict passes, 1 on a failed verdict or numerical failure
+(with the failing cell identified), and 2 on configuration errors; a run that
+raises writes no file.  Outputs are deterministic for a fixed configuration:
 sampling is seeded, rows are written in schedule order, and floats are
 formatted to round-trip.
 """
@@ -36,7 +38,7 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path: str | None, defaults: dict, optional: tuple = ()) -> dict:
+def _load_config(path: str | None, defaults: dict, optional: tuple) -> dict:
     """The defaults updated by the JSON object at `path`.  A key that is
     neither a default nor `optional` is a ConfigError naming it."""
     cfg = dict(defaults)
@@ -153,28 +155,9 @@ def _flow_case(cfg: dict, potential, key: str = "case") -> Anchor:
     return anchor
 
 
-def _emit(out: Path, name: str, claim: str, verdict: bool, evidence: dict,
-          cfg: dict) -> bool:
-    summary = {
-        "claim": claim,
-        "verdict": bool(verdict),
-        "evidence": evidence,
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
-        "version": __version__,
-    }
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"{name}_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return verdict
+# --- subcommands: each maps (config, seed) to (verdict, evidence, tables) ---
 
-
-# --- subcommands -------------------------------------------------------------
-
-def cmd_check_potential(args, out: Path) -> bool:
-    cfg = _load_config(args.config, {"potential": {"family": "logarithmic"}},
-                       optional=("expect",))
+def cmd_check_potential(cfg: dict, seed: int) -> tuple:
     report = classify(_potential(cfg))
     evidence = {
         "admissible": report.admissible,
@@ -192,13 +175,10 @@ def cmd_check_potential(args, out: Path) -> bool:
     if expect:
         verdict = all(evidence.get(k) == v for k, v in expect.items())
         evidence["expect"] = expect
-    return _emit(out, "check_potential", "potential class certification",
-                 verdict, evidence, cfg)
+    return verdict, evidence, {}
 
 
-def cmd_pi_identity(args, out: Path) -> bool:
-    cfg = _load_config(args.config, {"xi": [1.0001, 1.5, 2.0, 10.0, 1e6],
-                                     "tol": 1e-8})
+def cmd_pi_identity(cfg: dict, seed: int) -> tuple:
     xis = _numbers(cfg, "xi", lambda v: v > 1, "numbers above 1")
     tol = _number(cfg, "tol")
     table = ConvergenceTable(("xi", "value", "abs_error"))
@@ -208,25 +188,15 @@ def cmd_pi_identity(args, out: Path) -> bool:
         err = abs(val - math.pi)
         worst = max(worst, err)
         table.add(xi, val, err)
-    table.write_csv(out_path(out, "pi_identity.csv"))
-    return _emit(out, "pi_identity",
-                 "the calibration integral equals pi for every xi > 1",
-                 worst <= tol, {"worst_abs_error": worst, "tol": tol,
-                                "cells": len(xis)}, cfg)
+    return worst <= tol, {"worst_abs_error": worst, "tol": tol, "cells": len(xis)}, \
+        {"pi_identity.csv": table}
 
 
-def cmd_apsidal_sweep(args, out: Path) -> bool:
-    cfg = _load_config(args.config, {
-        "potential": {"family": "logarithmic"},
-        "case": {"type": "drop", "energy": 0.0},
-        "exponents": [2, 3, 4, 5, 6],
-        "strong_tol": 1e-2,
-    })
+def cmd_apsidal_sweep(cfg: dict, seed: int) -> tuple:
     anchor = _case_from(cfg, _potential(cfg))
     paths = default_paths(_numbers(cfg, "exponents"))
     strong_tol = _number(cfg, "strong_tol")
     table = convergence_sweep(anchor, paths)
-    table.write_csv(out_path(out, "apsidal_sweep.csv"))
     limits = table.meta.get("path_limits", {})
     est = {pid: v["estimate"] for pid, v in limits.items()}
     converged = all(v["converged"] for v in limits.values()) and bool(limits)
@@ -235,43 +205,26 @@ def cmd_apsidal_sweep(args, out: Path) -> bool:
     evidence = {"path_limits": limits, "uniform": table.meta.get("uniform"),
                 "strong_regularizable": strong,
                 "cell_errors": table.meta.get("cell_errors", [])}
-    return _emit(out, "apsidal_sweep",
-                 "the apsidal angle converges along every (eps, l) path",
-                 converged and not table.meta.get("cell_errors"), evidence, cfg)
+    return converged and not table.meta.get("cell_errors"), evidence, \
+        {"apsidal_sweep.csv": table}
 
 
-def cmd_bounds_audit(args, out: Path) -> bool:
-    cfg = _load_config(args.config, {
-        "potential": {"family": "logarithmic"},
-        "eps": [1e-2, 1e-4],
-        "samples": 1000,
-        "violation_tol": 1e-9,
-        "energy": 0.0,
-    })
+def cmd_bounds_audit(cfg: dict, seed: int) -> tuple:
     table = bounds_audit(_potential(cfg),
                          _numbers(cfg, "eps", _positive, "positive numbers"),
-                         _count(cfg, "samples"), args.seed,
+                         _count(cfg, "samples"), seed,
                          _number(cfg, "energy"), _number(cfg, "violation_tol"))
-    table.write_csv(out_path(out, "bounds_audit.csv"))
-    return _emit(out, "bounds_audit",
-                 "envelope >= r_outer and factor <= beta on seeded samples",
-                 not table.meta["violations"] and "failed_cells" not in table.meta,
-                 {**table.meta, "samples_per_audit": cfg["samples"], "seed": args.seed}, cfg)
+    return not table.meta["violations"] and "failed_cells" not in table.meta, \
+        {**table.meta, "samples_per_audit": cfg["samples"], "seed": seed}, \
+        {"bounds_audit.csv": table}
 
 
-def cmd_poincare_continuity(args, out: Path) -> bool:
-    cfg = _load_config(args.config, {
-        "potential": {"family": "logarithmic"},
-        "case": {"type": "drop", "energy": 0.0},
-        "T_factor": 1.5,
-        "exponents": [2, 3, 4, 5, 6],
-    })
+def cmd_poincare_continuity(cfg: dict, seed: int) -> tuple:
     anchor = _flow_case(cfg, _potential(cfg))
     T = _number(cfg, "T_factor", lambda v: 0 < v < 2,
                 "a number in (0, 2)") * fall_time(anchor)
     cells = diagonal_cells(_numbers(cfg, "exponents"))
     table = continuity_experiment(anchor, T, cells)
-    table.write_csv(out_path(out, "poincare_continuity.csv"))
     meta = table.meta
     verdict = not meta.get("cell_failed") and bool(meta.get("nonincreasing")) \
         and bool(meta.get("theta_converged")) and meta.get("decay_ratio", math.inf) < 1.0
@@ -279,29 +232,20 @@ def cmd_poincare_continuity(args, out: Path) -> bool:
                 ("T", "collision_time", "nonincreasing", "decay_ratio",
                  "theta_limit", "theta_converged", "skipped") if k in meta}
     evidence["marked_cells"] = meta.get("marked_cells", [])
-    return _emit(out, "poincare_continuity",
-                 "the extended time-T map is continuous at the collision datum",
-                 verdict, evidence, cfg)
+    return verdict, evidence, {"poincare_continuity.csv": table}
 
 
-def cmd_poincare_section(args, out: Path) -> bool:
-    cfg = _load_config(args.config, {
-        "potential": {"family": "logarithmic"},
-        "case": {"type": "drop", "energy": 0.0},
-        "T_factor": 1.5,
-        "deltas": [1e-2, 1e-3, 1e-4],
-        "samples": 50,
-    })
+def cmd_poincare_section(cfg: dict, seed: int) -> tuple:
     anchor = _flow_case(cfg, _potential(cfg))
     T = _number(cfg, "T_factor", lambda v: 1 < v < 2,
                 "a number in (1, 2)") * fall_time(anchor)
-    tau_devs, trace_devs, found, failed = [], [], [], []
+    tau_devs, trace_devs, found, failed, tables = [], [], [], [], {}
     samples = _count(cfg, "samples")
     deltas = _numbers(cfg, "deltas", _positive, "positive numbers")
     section = section_at(anchor, T)
     for j, delta in enumerate(deltas):
-        table = poincare_section(section, delta, sample_count=samples, seed=args.seed)
-        table.write_csv(out_path(out, f"poincare_section_delta{j}.csv"))
+        table = poincare_section(section, delta, sample_count=samples, seed=seed)
+        tables[f"poincare_section_delta{j}.csv"] = table
         tau_devs.append(table.meta["max_tau_dev"])
         trace_devs.append(table.meta["max_trace_dev"])
         found.append((table.meta["crossings_found"], table.meta["samples"]))
@@ -309,20 +253,13 @@ def cmd_poincare_section(args, out: Path) -> bool:
     all_found = all(f == s for f, s in found)
     verdict = all_found and is_decreasing(tau_devs) and is_decreasing(trace_devs)
     evidence = {"deltas": cfg["deltas"], "max_tau_dev": tau_devs,
-                "max_trace_dev": trace_devs, "crossings": found, "seed": args.seed}
+                "max_trace_dev": trace_devs, "crossings": found, "seed": seed}
     if failed:
         evidence["failed_samples"] = failed
-    return _emit(out, "poincare_section",
-                 "every nearby datum crosses the section, with hitting data "
-                 "shrinking toward the anchor as the neighbourhood shrinks",
-                 verdict, evidence, cfg)
+    return verdict, evidence, tables
 
 
-def cmd_transmission_demo(args, out: Path) -> bool:
-    cfg = _load_config(args.config, {
-        "potential": {"family": "logarithmic"},
-        "case": {"type": "drop", "energy": 0.0},
-    })
+def cmd_transmission_demo(cfg: dict, seed: int) -> tuple:
     anchor = _flow_case(cfg, _potential(cfg))
     y0 = make_initial_data(anchor)
     path = extended_flow(y0, 0.0, anchor.potential, fall_time(anchor),
@@ -335,7 +272,6 @@ def cmd_transmission_demo(args, out: Path) -> bool:
             continue
         st = path.state_at(t)
         table.add(t, *st.as_vector().tolist(), st.r)
-    table.write_csv(out_path(out, "transmission_path.csv"))
     end_ok = float(np.linalg.norm(end.position + y0.position)) < 1e-6 and \
         float(np.linalg.norm(end.velocity + y0.velocity)) < 1e-6 \
         if isinstance(anchor.case, DropFromRest) else True
@@ -343,20 +279,11 @@ def cmd_transmission_demo(args, out: Path) -> bool:
     for s in np.linspace(0.1 * T0, 0.9 * T0, 7):
         sym.append(abs(path.state_at(T0 + s).r - path.state_at(T0 - s).r))
     verdict = end_ok and max(sym) < 1e-9
-    return _emit(out, "transmission_demo",
-                 "the transmission path reflects the fall through the centre",
-                 verdict, {"collision_time": T0, "endpoint_reflected": end_ok,
-                           "max_radius_asymmetry": max(sym)}, cfg)
+    return verdict, {"collision_time": T0, "endpoint_reflected": end_ok,
+                     "max_radius_asymmetry": max(sym)}, {"transmission_path.csv": table}
 
 
-def cmd_variational_probe(args, out: Path) -> bool:
-    cfg = _load_config(args.config, {
-        "potential": {"family": "logarithmic"},
-        "energy": 0.0,
-        "deltas": [1e-2, 1e-3, 1e-4],
-        "T1_factor": 0.5,
-        "n_cells": 2 ** 14,
-    })
+def cmd_variational_probe(cfg: dict, seed: int) -> tuple:
     potential = _potential(cfg)
     deltas = _numbers(cfg, "deltas", _positive, "positive numbers")
     T1_factor = _number(cfg, "T1_factor", lambda v: 0 < v < 1, "a number in (0, 1)")
@@ -365,7 +292,6 @@ def cmd_variational_probe(args, out: Path) -> bool:
     if n_cells % 4:
         raise ConfigError(f"'n_cells' must be divisible by 4, got {cfg['n_cells']!r}")
     table = delta_action(anchor, deltas, T1_factor, n_cells)
-    table.write_csv(out_path(out, "variational_probe.csv"))
     meta = table.meta
     ratios = meta["dV_over_delta_sq"]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -375,49 +301,60 @@ def cmd_variational_probe(args, out: Path) -> bool:
     # a cell still unsettled at MAX_DEPTH adds its coarse value: not converged
     if meta["unsettled"]:
         evidence["unsettled"] = meta["unsettled"]
-    return _emit(out, "variational_probe",
-                 "the transmission path is not a local action minimizer",
-                 verdict, evidence, cfg)
+    return verdict, evidence, {"variational_probe.csv": table}
 
 
-def cmd_oracle_crosscheck(args, out: Path) -> bool:
-    cfg = _load_config(args.config, {
-        "potential": {"family": "logarithmic"},
-        "orbits": 20,
-        "period_tol": 1e-6,
-        "drift_budget": 1e-8,
-    })
+def cmd_oracle_crosscheck(cfg: dict, seed: int) -> tuple:
     period_tol, drift_budget = _number(cfg, "period_tol"), _number(cfg, "drift_budget")
     potential = _potential(cfg)
     try:
         oracle_energy_cap(potential)
     except ValueError as exc:
         raise ConfigError(f"'potential' {cfg['potential']!r}: {exc}") from None
-    table = oracle_crosscheck(potential, _count(cfg, "orbits"), args.seed)
-    table.write_csv(out_path(out, "oracle_crosscheck.csv"))
+    table = oracle_crosscheck(potential, _count(cfg, "orbits"), seed)
     meta = table.meta
     verdict = meta["failing"] is None and meta["worst_period_mismatch"] <= period_tol \
         and meta["worst_drift"] <= drift_budget
-    return _emit(out, "oracle_crosscheck",
-                 "radial quadrature and plane integration agree on orbit periods",
-                 verdict, {**meta, "seed": args.seed}, cfg)
+    return verdict, {**meta, "seed": seed}, {"oracle_crosscheck.csv": table}
 
 
-def out_path(out: Path, name: str) -> Path:
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
+_LOG = {"family": "logarithmic"}
+_DROP0 = {"type": "drop", "energy": 0.0}
 
-
+#: subcommand -> (its function, claim, default config, optional config keys)
 COMMANDS = {
-    "check-potential": cmd_check_potential,
-    "pi-identity": cmd_pi_identity,
-    "apsidal-sweep": cmd_apsidal_sweep,
-    "bounds-audit": cmd_bounds_audit,
-    "poincare-continuity": cmd_poincare_continuity,
-    "poincare-section": cmd_poincare_section,
-    "transmission-demo": cmd_transmission_demo,
-    "variational-probe": cmd_variational_probe,
-    "oracle-crosscheck": cmd_oracle_crosscheck,
+    "check-potential": (cmd_check_potential, "potential class certification",
+                        {"potential": _LOG}, ("expect",)),
+    "pi-identity": (cmd_pi_identity, "the calibration integral equals pi for every xi > 1",
+                    {"xi": [1.0001, 1.5, 2.0, 10.0, 1e6], "tol": 1e-8}, ()),
+    "apsidal-sweep": (cmd_apsidal_sweep,
+                      "the apsidal angle converges along every (eps, l) path",
+                      {"potential": _LOG, "case": _DROP0, "exponents": [2, 3, 4, 5, 6],
+                       "strong_tol": 1e-2}, ()),
+    "bounds-audit": (cmd_bounds_audit,
+                     "envelope >= r_outer and factor <= beta on seeded samples",
+                     {"potential": _LOG, "eps": [1e-2, 1e-4], "samples": 1000,
+                      "violation_tol": 1e-9, "energy": 0.0}, ()),
+    "poincare-continuity": (cmd_poincare_continuity,
+                            "the extended time-T map is continuous at the collision datum",
+                            {"potential": _LOG, "case": _DROP0, "T_factor": 1.5,
+                             "exponents": [2, 3, 4, 5, 6]}, ()),
+    "poincare-section": (cmd_poincare_section,
+                         "every nearby datum crosses the section, with hitting data "
+                         "shrinking toward the anchor as the neighbourhood shrinks",
+                         {"potential": _LOG, "case": _DROP0, "T_factor": 1.5,
+                          "deltas": [1e-2, 1e-3, 1e-4], "samples": 50}, ()),
+    "transmission-demo": (cmd_transmission_demo,
+                          "the transmission path reflects the fall through the centre",
+                          {"potential": _LOG, "case": _DROP0}, ()),
+    "variational-probe": (cmd_variational_probe,
+                          "the transmission path is not a local action minimizer",
+                          {"potential": _LOG, "energy": 0.0, "deltas": [1e-2, 1e-3, 1e-4],
+                           "T1_factor": 0.5, "n_cells": 2 ** 14}, ()),
+    "oracle-crosscheck": (cmd_oracle_crosscheck,
+                          "radial quadrature and plane integration agree on orbit periods",
+                          {"potential": _LOG, "orbits": 20, "period_tol": 1e-6,
+                           "drift_budget": 1e-8}, ()),
 }
 
 
@@ -431,15 +368,26 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
+    run, claim, defaults, optional = COMMANDS[args.subcommand]
     try:
-        ok = COMMANDS[args.subcommand](args, Path(args.out))
+        cfg = _load_config(args.config, defaults, optional)
+        verdict, evidence, tables = run(cfg, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    return 0 if ok else 1
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, table in tables.items():
+        table.write_csv(out / name)
+    summary = json.dumps({"claim": claim, "verdict": bool(verdict), "evidence": evidence,
+                          "config": cfg, "config_hash": _config_hash(cfg),
+                          "version": __version__}, indent=2, sort_keys=True)
+    (out / f"{args.subcommand.replace('-', '_')}_summary.json").write_text(summary)
+    print(summary)
+    return 0 if verdict else 1
 
 
 if __name__ == "__main__":

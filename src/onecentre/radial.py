@@ -9,10 +9,11 @@ and motion is possible where f(r) = 2 r^2 (E + V_eps(r)) >= l^2.  This module
 finds the first positive zero of f and, for l > 0, the turning points
 (pericentre/apocentre) of f(r) = l^2, scanning a grid sparsely.  For zero
 angular momentum and a weak singularity the fall reaches the origin in
-finite time: `collision_time` is the fall of a datum moving at r0,
-`fall_time` the fall of a solved case.  Each flight time is one call of the
-quadrature engine, and its caller, which knows which ends are turning
-points, sets the engine's endpoint flags.
+finite time: `collision_time` is the fall of a datum moving or at rest at
+r0, `fall_time` the fall of a solved case.  Each flight time is one call of
+the quadrature engine; `collision_time` decides from E + V(r0) whether its
+upper end is a turning point, and the apsidal integrals' callers, which know
+their turning points, set the engine's endpoint flags.
 `case_anchor` is the one solve of a collision case: its `Anchor` carries the
 collision datum every experiment starts from.
 """
@@ -276,31 +277,30 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
 
 def collision_time(rp: RadialProblem, r0: float) -> float:
     """Time to fall into the origin from r0 on a zero-angular-momentum orbit
-    that is moving at r0 (E + V(r0) > 0), as a transmission path's tail is.
+    that is moving at r0 (E + V(r0) > 0), as a transmission path's tail is,
+    or at rest there (E + V(r0) == 0), as a drop is.
 
     T0 = integral_0^r0 dr / sqrt(2 (E + V(r))), finite whenever the
     singularity is weak.  The engine's lower substitution takes the centre,
     where the factor r of the integrand cancels the double zero of f; the
-    upper end is regular.  A fall from rest is `fall_time`'s.
+    upper end is singular exactly when the datum is at rest, a turning point.
     """
     if rp.ang_momentum != 0.0:
         raise ValueError("collision time is defined for zero angular momentum")
     if not r0 > 0.0:
         raise ValueError(f"collision time needs r0 > 0, got {r0!r}")
-    if not rp.energy + rp.potential.value(r0) > 0.0:
-        raise ValueError(f"collision time needs a datum moving at r0={r0!r}: "
-                         "E + V(r0) is not positive")
-    return sqrt_endpoint_quad(rp.integrand(angle=False), 0.0, r0, upper_singular=False).value
+    kinetic = rp.energy + rp.potential.value(r0)
+    if not kinetic >= 0.0:
+        raise ValueError(f"collision time needs a datum moving or at rest at r0={r0!r}: "
+                         "E + V(r0) is negative")
+    return sqrt_endpoint_quad(rp.integrand(angle=False), 0.0, r0,
+                              upper_singular=kinetic == 0.0).value
 
 
 def fall_time(anchor: Anchor) -> float:
     """Collision time of the solved case's nominal orbit in the bare
-    potential, at the energy of its datum (radius and radial speed).  A datum
-    at rest (a drop) starts at a turning point, the upper end of the fall."""
+    potential, at the energy of its datum (radius and radial speed); a drop's
+    energy is -V(radius), so its datum is at rest."""
     bare = SmoothedPotential(anchor.potential, 0.0)
     energy = 0.5 * anchor.speed * anchor.speed - bare.value(anchor.radius)
-    rp = RadialProblem(bare, energy, 0.0)
-    if anchor.speed != 0.0:
-        return collision_time(rp, anchor.radius)
-    return sqrt_endpoint_quad(rp.integrand(angle=False), 0.0, anchor.radius,
-                              upper_singular=True).value
+    return collision_time(RadialProblem(bare, energy, 0.0), anchor.radius)

@@ -517,6 +517,30 @@ def test_poincare_section_brackets_late_sections_inside_the_domain(tmp_path):
     assert "failed_samples" not in ev
 
 
+def test_a_run_that_raises_writes_no_file(tmp_path, monkeypatch, capsys):
+    # main writes the tables and the summary only after the whole run: a
+    # failure outside every cell, here the second delta's section, leaves
+    # --out empty, although the first delta's table was complete
+    section = cli.poincare_section
+    calls = []
+
+    def failing_second(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 2:
+            raise RuntimeError("no section at this delta")
+        return section(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "poincare_section", failing_second)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"deltas": [1e-2, 1e-3], "samples": 4}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["poincare-section", "--config", str(cfg), "--out", str(out)]) == 1
+    assert calls == [1e-2, 1e-3]
+    assert capsys.readouterr().err == "numerical failure: no section at this delta\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("subcommand, cfg, csv_names", [
     ("apsidal-sweep", {"exponents": [2, 3, 4]}, ["apsidal_sweep.csv"]),
     ("bounds-audit", None, ["bounds_audit.csv"]),

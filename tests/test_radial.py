@@ -415,13 +415,14 @@ def test_collision_time_requires_zero_l():
         collision_time(log_problem(0.0, 0.1), 0.5)
 
 
-def test_collision_time_requires_a_moving_datum():
-    # at rest (E + V(r0) = 0) or beyond the rest radius the fall is
-    # fall_time's or none at all
+def test_collision_time_requires_a_moving_or_resting_datum():
+    # at rest (E + V(r0) = 0) the fall is the drop's, bit for bit; beyond
+    # the rest radius there is none
     rp = log_problem(0.0, 0.0)
-    for r0 in (1.0, 2.0):
-        with pytest.raises(ValueError, match="E \\+ V\\(r0\\) is not positive"):
-            collision_time(rp, r0)
+    drop = fall_time(case_anchor(DropFromRest(0.0), logarithmic()))
+    assert collision_time(rp, 1.0) == drop
+    with pytest.raises(ValueError, match="E \\+ V\\(r0\\) is negative"):
+        collision_time(rp, 2.0)
     for r0 in (0.0, -0.5):
         with pytest.raises(ValueError, match="r0 > 0"):
             collision_time(rp, r0)

@@ -10,8 +10,8 @@ and imports nothing from it.  The report is deterministic:
 * the parameters of the module-level functions of each module, in total and
   those with a default;
 * the fields of each dataclass, by class;
-* the config keys of each CLI subcommand (the defaults of its
-  ``_load_config`` call and its optional keys).
+* the config keys of each CLI subcommand (the keys of its defaults and
+  its optional keys in ``cli.COMMANDS``).
 """
 
 from __future__ import annotations
@@ -39,16 +39,15 @@ def _parameters(fn: ast.FunctionDef) -> tuple[int, int]:
     return total, defaults
 
 
-def _config_keys(fn: ast.FunctionDef) -> list[str] | None:
-    """The keys of the `_load_config` call in fn, or None without one."""
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_load_config":
-            keys = [k.value for k in node.args[1].keys]
-            for kw in node.keywords:
-                if kw.arg == "optional":
-                    keys += [e.value for e in kw.value.elts]
-            return keys
-    return None
+def _config_keys(tree: ast.Module) -> list[tuple[str, list[str]]]:
+    """(subcommand, config keys) for each entry of cli's `COMMANDS` literal,
+    whose values are (function, claim, defaults, optional keys)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "COMMANDS":
+            return [(name.value, [k.value for k in entry.elts[2].keys] +
+                     [e.value for e in entry.elts[3].elts])
+                    for name, entry in zip(node.value.keys, node.value.values)]
+    return []
 
 
 def main() -> None:
@@ -64,13 +63,11 @@ def main() -> None:
             if isinstance(node, ast.FunctionDef):
                 np_, nd = _parameters(node)
                 p, d = p + np_, d + nd
-                if path.name == "cli.py" and node.name.startswith("cmd_"):
-                    keys = _config_keys(node)
-                    if keys is not None:
-                        commands.append((node.name[4:].replace("_", "-"), keys))
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 names = [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
                 classes.append((f"{path.stem}.{node.name}", names))
+        if path.name == "cli.py":
+            commands = _config_keys(tree)
         rows.append((path.name, n_lines, p, d))
         lines, params, with_default = lines + n_lines, params + p, with_default + d
     for name, n_lines, p, d in rows:
