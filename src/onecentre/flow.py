@@ -10,11 +10,17 @@ which is the pointwise limit of the smoothed orbits as the smoothing length
 and the angular momentum vanish together.  The continuous angular lift jumps
 by exactly pi at the collision instant.
 
-`extended_flow` is the one flow primitive: it returns the plain integration
-of a non-collision datum and the transmission path of a collision datum, and
-its `state_at(T)` is the extended time-T map.  It tells the cases apart by
-how the integration stopped (`Trajectory.stop`): at the collision threshold,
-on leaving the ball, or at the horizon.  The time-T map is continuous in
+`extended_flow` is the one flow primitive: it returns the transmission path
+of a collision datum and the orbit of any other datum, and its `state_at(T)`
+is the extended time-T map.  It tells the cases apart by how the integration
+stopped (`Trajectory.stop`): at the collision threshold, on leaving the
+ball, at the apse, or at the horizon.  A non-collision orbit is integrated
+only up to its first pericentre t_p when 2 t_p reaches the horizon, and a
+`MirroredOrbit` reads its outgoing half by the apsidal mirror: an orbit of a
+central potential is symmetric about its apsidal line, and as (eps, l) -> 0
+that mirror tends to the point reflection of the transmission.  An orbit
+whose first pericentre comes earlier is integrated plainly to the horizon
+(the continuation branch).  The time-T map is continuous in
 (datum, smoothing) at every T != T0 -- the experiments in this module measure
 that continuity and the induced Poincare section with its hitting-time map.
 A `TransmissionPath` holds its integrated fall, which ends at the collision
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import default_rng
@@ -39,7 +45,7 @@ from numpy.random import default_rng
 from ._brent import RTOL_MIN, brentq
 from .potentials import PotentialSpec, SmoothedPotential
 from .radial import Anchor, RadialProblem, collision_time
-from .simulator import (COLLISION, COLLISION_L_TOL, COLLISION_RADIUS, EXIT_BALL,
+from .simulator import (APSE, COLLISION, COLLISION_L_TOL, COLLISION_RADIUS, EXIT_BALL,
                         PhaseState, Perturbation, Trajectory, integrate,
                         is_collision_datum, make_initial_data)
 from .tables import ConvergenceTable, is_decreasing, limit_verdict
@@ -129,8 +135,56 @@ class TransmissionPath:
         return 0.0 if t < self.collision_time else math.pi
 
 
+@dataclass(frozen=True)
+class MirroredOrbit:
+    """A non-collision orbit on [0, t_end], integrated only up to its first
+    pericentre t_p and read past it by the apsidal mirror.
+
+    `half` is the run stopped at the apse (`APSE`): t_p = half.t_end, and its
+    last state is the apse, solved in the apse step's own variable.  An orbit
+    of a central potential is symmetric about its apsidal line, so at
+    t_p < t <= t_end <= 2 t_p, with s = 2 t_p - t,
+
+        x(t) = R x(s),   v(t) = -R v(s),   theta(t) = 2 theta_p - theta(s),
+
+    where R (`reflection`) reflects across the line through the origin
+    perpendicular to the apse velocity v_p.  That line, not the one through
+    the apse position, stays the apsidal line at l = 0, eps > 0, where the
+    apse is the centre and the orbit passes through it: there R x = -x and
+    -R v = v, the transmission.
+    """
+
+    half: Trajectory
+    t_end: float
+    reflection: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        v_p = self.half.states[-1, 2:4]
+        n = v_p / np.linalg.norm(v_p)
+        object.__setattr__(self, "reflection", np.eye(2) - 2.0 * np.outer(n, n))
+
+    def state_at(self, t: float) -> PhaseState:
+        if t <= self.half.t_end:
+            return self.half.state_at(t)
+        source = self.half.state_at(self._mirror_time(t))
+        return PhaseState(self.reflection @ source.position,
+                          -(self.reflection @ source.velocity))
+
+    def theta_at(self, t: float) -> float:
+        if t <= self.half.t_end:
+            return self.half.theta_at(t)
+        return 2.0 * float(self.half.states[-1, 4]) - self.half.theta_at(self._mirror_time(t))
+
+    def _mirror_time(self, t: float) -> float:
+        """s = 2 t_p - t, the time whose state the mirror reads for t in (t_p, t_end]."""
+        if t > self.t_end:
+            raise ValueError(f"t={t!r} outside the trajectory domain [0, {self.t_end!r}]")
+        return 2.0 * self.half.t_end - t
+
+
 def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
-                  horizon: float, ball_radius: float = math.inf) -> Trajectory | TransmissionPath:
+                  horizon: float,
+                  ball_radius: float = math.inf) -> Trajectory | MirroredOrbit | TransmissionPath:
     """The orbit of the extended flow from `state`, valid on [0, its t_end].
 
     A collision datum (eps = 0, |l| <= COLLISION_L_TOL) gets its
@@ -140,18 +194,22 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
     the ball on the way raises ExitedBall, and reaching 4 horizon + 10 first
     (a radial datum that never falls to the threshold) ValueError.
     This is the only place a `TransmissionPath` is built.
-    Any other datum is integrated plainly, and its `Trajectory` is valid on
-    [0, horizon]; leaving the ball before the horizon raises ExitedBall, and
-    an eps = 0 orbit whose |l| is too large for transmission that reaches the
-    collision threshold first RuntimeError.
+    Any other datum is valid on [0, horizon].  It is integrated up to its
+    first pericentre t_p when 2 t_p >= horizon, and read on by the mirror
+    (a `MirroredOrbit`); otherwise it is integrated plainly to the horizon
+    (a `Trajectory`).  Leaving the ball before the horizon raises
+    ExitedBall, and an eps = 0 orbit whose |l| is too large for transmission
+    that reaches the collision threshold first RuntimeError.
     """
     collision = is_collision_datum(state, eps)
     orbit = integrate(state, SmoothedPotential(potential, eps),
                       horizon=4.0 * horizon + 10.0 if collision else horizon,
-                      ball_radius=ball_radius)
+                      ball_radius=ball_radius, apse=not collision)
     if orbit.stop == EXIT_BALL and (collision or orbit.t_end < horizon):
         raise ExitedBall(orbit.t_end)
     if not collision:
+        if orbit.stop == APSE:
+            return MirroredOrbit(orbit, horizon)
         if orbit.t_end < horizon:   # the only stop left is the collision threshold
             raise RuntimeError(
                 f"integration stopped at t={orbit.t_end!r} before T={horizon!r} at the collision "

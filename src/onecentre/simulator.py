@@ -1,4 +1,4 @@
-"""Planar integration of the smoothed one-centre system, with its two stops.
+"""Planar integration of the smoothed one-centre system, with its three stops.
 
 The equations of motion are  u'' = grad V_eps(|u|)  in the plane.  The state
 carries a fifth component, the continuous angular lift theta with
@@ -9,9 +9,12 @@ scipy's step-size control, written out over Python floats, with the 7th-order
 interpolant of each accepted step as dense output.  Each step keeps only its
 stages; its interpolant is built when something reads it.  A run stops at the
 collision threshold (eps = 0; a collision datum's is `TRANSMISSION_FRACTION`
-of its starting radius) or on leaving a finite ball, at the root of
-the stop rule on the interpolant of the step where it changes sign; a
-`Trajectory` records which stop ended it.  Pericentre passages are a query on
+of its starting radius), on leaving a finite ball, or, when asked, at its
+first pericentre t_p if 2 t_p reaches the horizon (the apse from which the
+extended flow reads the rest of the orbit by the apsidal mirror), at the root
+of the stop rule on the interpolant of the step where it changes sign; a
+`Trajectory` records which stop ended it.  The apse is solved in that step's
+own variable, not in absolute time.  Pericentre passages are a query on
 the finished trajectory (`Trajectory.pericenter_times`).  scipy's
 integrators serve only as test oracles.  `make_initial_data` places the
 (perturbed) collision datum of a solved case (`radial.Anchor`).
@@ -57,6 +60,7 @@ _ROOT_TOL = 4 * np.finfo(float).eps
 #: how a run stopped before its horizon (`Trajectory.stop`)
 COLLISION = "collision"
 EXIT_BALL = "exit_ball"
+APSE = "apse"
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,8 @@ def _radial_rate(s) -> float:
 @dataclass
 class Trajectory:
     """Time-stamped solution samples with dense output and the stop that
-    ended the run (`COLLISION`, `EXIT_BALL`, or None at the horizon)."""
+    ended the run (`COLLISION`, `EXIT_BALL`, `APSE`, or None at the
+    horizon)."""
 
     potential: SmoothedPotential
     times: np.ndarray
@@ -146,18 +151,24 @@ class Trajectory:
 
 
 def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
-              ball_radius: float = math.inf) -> Trajectory:
+              ball_radius: float = math.inf, apse: bool = False) -> Trajectory:
     """Integrate the smoothed system from `state` for `horizon` time units.
 
     eps = 0 runs are legitimate while the orbit stays away from the origin
     (l != 0 keeps it away) and stop at the collision threshold: for a
     collision datum the larger of TRANSMISSION_FRACTION r0 and
     COLLISION_RADIUS, r0 its starting radius, else COLLISION_RADIUS.  A
-    finite ball radius makes leaving the ball a stop.  A stop is located on
-    the interpolant of the step where its rule changes sign, the only
-    interpolant built here (the dense output builds any other step's on its
-    first read), and the run ends at its time.  A step size below 10 ulp(t)
-    raises RuntimeError.
+    finite ball radius makes leaving the ball a stop.  With `apse`, the
+    first pericentre t_p (the upward zero of r rdot) stops the run with
+    `APSE` when 2 t_p >= horizon, so the run's mirror about its apse covers
+    the horizon; an earlier first pericentre leaves the run as without
+    `apse`.  A stop is located on the interpolant of the step where its
+    rule changes sign, the only interpolant built here (the dense output
+    builds any other step's on its first read), and the run ends at its
+    time.  The apse is solved in the step's own variable
+    (`_dop853.interpolate_step`), and its state taken there: at a deep apse
+    theta' = l / r^2 is large, and a root in absolute t would misplace theta
+    by theta' ulp(t).  A step size below 10 ulp(t) raises RuntimeError.
     """
     eps = potential.epsilon
     l0 = state.ang_momentum
@@ -184,6 +195,8 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
         rules.append((lambda s: math.hypot(s[0], s[1]) - r_stop, -1, COLLISION))
     if math.isfinite(ball_radius):
         rules.append((lambda s: math.hypot(s[0], s[1]) - ball_radius, 1, EXIT_BALL))
+    if apse:
+        rules.append((_radial_rate, 1, APSE))
 
     t = 0.0
     y = (float(state.position[0]), float(state.position[1]),
@@ -205,16 +218,29 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
                 stop = kind
                 break
         g = g_new
+        if stop == APSE:
+            del rules[-1], g[-1]    # only the first pericentre is a candidate
+            if 2.0 * t < horizon:
+                stop = None
         if stop is not None:
             seg = built[len(times) - 1] = _dop853.segment(rhs, rec)
-            t_stop = brentq(lambda s: rule(_dop853.interpolate(seg, s)), t_old, t,
-                            xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+            if stop == APSE:
+                x = brentq(lambda x: _radial_rate(_dop853.interpolate_step(seg, x)), 0.0, 1.0,
+                           xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                t_stop, y_stop = t_old + x * seg[1], _dop853.interpolate_step(seg, x)
+                if 2.0 * t_stop < horizon:
+                    stop = None
+            else:
+                t_stop = brentq(lambda s: rule(_dop853.interpolate(seg, s)), t_old, t,
+                                xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                y_stop = _dop853.interpolate(seg, t_stop)
+        if stop is not None:
             if t_stop == t_old:
                 del records[-_dop853.STAGES:]
                 del built[len(times) - 1]
             else:
                 times.append(t_stop)
-                states.extend(_dop853.interpolate(seg, t_stop))
+                states.extend(y_stop)
             break
         times.append(t)
         states.extend(y)

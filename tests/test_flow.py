@@ -6,15 +6,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from onecentre.cli import main
-from onecentre.flow import (ExitedBall, TransmissionPath, continuity_experiment,
-                            diagonal_cells, extended_flow, phase_field,
-                            poincare_section, section_at)
+from onecentre.flow import (ExitedBall, MirroredOrbit, TransmissionPath,
+                            continuity_experiment, diagonal_cells, extended_flow,
+                            phase_field, poincare_section, section_at)
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem, case_anchor,
                               collision_time, fall_time)
 from onecentre.simulator import (COLLISION_RADIUS, DEFAULT_ATOL, DEFAULT_RTOL,
                                  TRANSMISSION_FRACTION, PhaseState, Perturbation,
-                                 integrate, make_initial_data)
+                                 Trajectory, integrate, make_initial_data)
 
 BARE_LOG = SmoothedPotential(logarithmic(), 0.0)
 T0_LOG = math.sqrt(math.pi / 2.0)   # fall time of the unit drop, E = 0
@@ -212,13 +212,68 @@ def test_extended_flow_covers_the_horizon():
     assert path.t_end == 2.0 * path.collision_time
     with pytest.raises(ValueError, match="outside the transmission domain"):
         path.state_at(2.5 * T0_LOG)
+    # past its pericentre near T0 a smoothed orbit is read by the mirror up
+    # to the horizon 1.5 T0 <= 2 t_p ...
     traj = extended_flow(y0, 1e-3, logarithmic(), 1.5 * T0_LOG)
-    assert traj.t_end == 1.5 * T0_LOG
+    assert isinstance(traj, MirroredOrbit) and traj.t_end == 1.5 * T0_LOG
+    with pytest.raises(ValueError, match="outside the trajectory domain"):
+        traj.state_at(1.6 * T0_LOG)
+    # ... and integrated on, plainly, to the horizon 2.5 T0 > 2 t_p
+    sm = SmoothedPotential(logarithmic(), 1e-3)
+    traj = extended_flow(y0, 1e-3, logarithmic(), 2.5 * T0_LOG)
+    plain = integrate(y0, sm, 2.5 * T0_LOG)
+    assert type(traj) is Trajectory and traj.stop is None and traj.t_end == 2.5 * T0_LOG
+    assert np.array_equal(traj.times, plain.times)
+    assert np.array_equal(traj.states, plain.states)
     # l = 1e-11 is no collision datum, but its pericentre lies below the
     # collision threshold, where the eps = 0 integration stops short
     with pytest.raises(RuntimeError, match="stopped"):
         extended_flow(PhaseState((1.0, 0.0), (0.0, 1e-11)), 0.0, logarithmic(),
                       1.5 * T0_LOG)
+
+
+def _tight_run(y0, sm, T):
+    """The state (x, y, vx, vy, theta) at T of scipy's DOP853 at rtol 3e-14,
+    atol 1e-22: an independent integration through the centre."""
+    l0, eps, Vp = y0.ang_momentum, sm.epsilon, sm.base.deriv
+
+    def rhs(t, s):
+        r2 = s[0] ** 2 + s[1] ** 2
+        h = math.sqrt(r2 + eps * eps)
+        return [s[2], s[3], Vp(h) / h * s[0], Vp(h) / h * s[1], l0 / r2]
+
+    sol = solve_ivp(rhs, (0.0, T), [*y0.position, *y0.velocity, 0.0], method="DOP853",
+                    rtol=3e-14, atol=1e-22)
+    return sol.y[:, -1]
+
+
+_MIRROR_CASES = [(10.0 ** -k, 10.0 ** -k) for k in range(2, 7)] + [(1e-3, 0.0), (0.0, 1e-3)]
+
+
+@pytest.mark.parametrize("potential, energy", [(logarithmic(), 0.0), (homogeneous(0.5), -1.0)],
+                         ids=["log", "hom"])
+@pytest.mark.parametrize("eps, l", _MIRROR_CASES,
+                         ids=[f"eps{e:g}-l{l:g}" for e, l in _MIRROR_CASES])
+def test_mirrored_flow_meets_a_tight_run_through_the_centre(potential, energy, eps, l):
+    anchor = case_anchor(DropFromRest(energy), potential)
+    T = 1.5 * fall_time(anchor)
+    y0 = make_initial_data(anchor, Perturbation(l=l))
+    sm = SmoothedPotential(potential, eps)
+    orbit = extended_flow(y0, eps, potential, T)
+    assert isinstance(orbit, MirroredOrbit) and orbit.half.t_end < T
+    got = orbit.state_at(T).as_vector()
+    ref = _tight_run(y0, sm, T)
+    plain = integrate(y0, sm, T).state_at(T).as_vector()
+    # check.py's ODE class against the tight run and the plain integration
+    for other in (ref[:4], plain):
+        assert np.all(np.abs(got - other) <= 1e-10 + 1e-10 * np.abs(other))
+    if eps == l == 1e-6:
+        # theta' = l / r_p^2 ~ 1e7 at the apse: an apse solved in absolute t
+        # would misplace theta by ~1e-9
+        assert abs(orbit.theta_at(T) - ref[4]) <= 1e-10
+    if l == 0.0:
+        # through the centre, not back: the mirror of the fall line is x -> -x
+        assert got[0] < 0.0 and got[1] == 0.0 and orbit.theta_at(T) == 0.0
 
 
 def test_trajectory_owns_its_domain():
@@ -410,4 +465,4 @@ def test_continuity_marks_cells_whose_domain_ends_before_T():
     assert table.meta["cell_failed"] is True
     d = table.column("dist_total")
     assert math.isnan(d[0])
-    assert d[1:] == [0.010126956891200817, 0.0750741401117159]
+    assert d[1:] == [0.010126956891200817, 0.07507414011174342]

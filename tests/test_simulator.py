@@ -10,7 +10,7 @@ from onecentre.potentials import PotentialSpec, SmoothedPotential, homogeneous, 
 from onecentre.quadrature import sqrt_endpoint_quad
 from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem, case_anchor,
                               collision_time, fall_time, turning_points)
-from onecentre.simulator import (COLLISION, COLLISION_RADIUS, DEFAULT_ATOL,
+from onecentre.simulator import (APSE, COLLISION, COLLISION_RADIUS, DEFAULT_ATOL,
                                  DEFAULT_RTOL, EXIT_BALL, TRANSMISSION_FRACTION,
                                  Perturbation, PhaseState, conserved_drift, integrate,
                                  is_collision_datum, make_initial_data)
@@ -419,3 +419,25 @@ def test_terminal_run_ends_at_its_event(state, ball, kind):
     traj = integrate(state, BARE_LOG, horizon=50.0, ball_radius=ball)
     assert traj.stop == kind and traj.t_end < 50.0
     assert np.array_equal(traj.dense(traj.t_end), traj.states[-1])
+
+
+def test_apse_stop_is_the_first_pericentre_when_its_mirror_covers_the_horizon():
+    state = PhaseState((1.2, 0.0), (0.0, 0.7))
+    plain = integrate(state, BARE_LOG, horizon=3.0)
+    t_p, = plain.pericenter_times()
+    assert t_p < 3.0 <= 2.0 * t_p
+    traj = integrate(state, BARE_LOG, horizon=3.0, apse=True)
+    assert traj.stop == APSE and abs(traj.t_end - t_p) <= 1e-12
+    # the same steps up to the apse, and the apse state is the pericentre
+    n = len(traj.times) - 1
+    assert np.array_equal(traj.times[:n], plain.times[:n])
+    assert np.array_equal(traj.states[:n], plain.states[:n])
+    x, y, vx, vy, _ = traj.states[-1]
+    assert abs(x * vx + y * vy) <= 1e-14
+    assert np.max(np.abs(traj.states[-1] - plain.dense(t_p))) <= 1e-12
+    # a first pericentre before half the horizon leaves the run as without the rule
+    with_rule = integrate(state, BARE_LOG, horizon=5.0, apse=True)
+    without = integrate(state, BARE_LOG, horizon=5.0)
+    assert with_rule.stop is None
+    assert np.array_equal(with_rule.times, without.times)
+    assert np.array_equal(with_rule.states, without.states)

@@ -18,7 +18,12 @@ OUT receives two sets of outputs:
   probe failing on unsettled collision cells, a variational probe whose
   grid reads the transmission path below its abort radius (the inversion
   of the fall time), late section brackets that
-  halve to stay inside 2 T0, section brackets that halve, section
+  halve to stay inside 2 T0, late section samples whose first pericentre
+  t_p lies before half the horizon (the extended flow's continuation
+  branch, integrated plainly past t_p; in every other section and
+  continuity run, including the entry, ``homogeneous(0.5)`` and ball-exit
+  configs here, a smoothed sample takes the mirrored path, read past its
+  apse by the apsidal mirror), section brackets that halve, section
   samples that find no crossing, oracle orbits that fail, and a bounds
   audit whose second eps has no orbit.
 
