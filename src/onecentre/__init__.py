@@ -17,7 +17,7 @@ from .apsidal import (ApsidalAngle, SweepPath, apsidal_angle, bounds_audit,
                       desingularized_factor, integrand_envelope)
 from .simulator import (PhaseState, Perturbation, Trajectory, conserved_drift,
                         integrate, make_initial_data, oracle_crosscheck)
-from .flow import (ExitedBall, MirroredOrbit, Section, TransmissionPath,
+from .flow import (ExitedBall, Fall, MirroredOrbit, Section,
                    continuity_experiment, diagonal_cells, extended_flow,
                    phase_field, poincare_section, section_at)
 from .variational import delta_action, kinetic_action, potential_action

@@ -264,12 +264,11 @@ def cmd_transmission_demo(cfg: dict, seed: int) -> tuple:
     y0 = make_initial_data(anchor)
     path = extended_flow(y0, 0.0, anchor.potential, fall_time(anchor),
                          anchor.case.ball_radius)
-    T0 = path.collision_time
+    T0 = path.half.t_end
     end = path.state_at(path.t_end)
     table = ConvergenceTable(("t", "x", "y", "vx", "vy", "r"))
-    for t in np.linspace(0.0, path.t_end, 201):
-        if abs(t - T0) < 1e-9:
-            continue
+    # the middle one of the 201 samples is the collision instant
+    for t in np.delete(np.linspace(0.0, path.t_end, 201), 100):
         st = path.state_at(t)
         table.add(t, *st.as_vector().tolist(), st.r)
     end_ok = float(np.linalg.norm(end.position + y0.position)) < 1e-6 and \

@@ -10,23 +10,24 @@ which is the pointwise limit of the smoothed orbits as the smoothing length
 and the angular momentum vanish together.  The continuous angular lift jumps
 by exactly pi at the collision instant.
 
-`extended_flow` is the one flow primitive: it returns the transmission path
-of a collision datum and the orbit of any other datum, and its `state_at(T)`
-is the extended time-T map.  It tells the cases apart by how the integration
-stopped (`Trajectory.stop`): at the collision threshold, on leaving the
-ball, at the apse, or at the horizon.  A non-collision orbit is integrated
-only up to its first pericentre t_p when 2 t_p reaches the horizon, and a
-`MirroredOrbit` reads its outgoing half by the apsidal mirror: an orbit of a
-central potential is symmetric about its apsidal line, and as (eps, l) -> 0
-that mirror tends to the point reflection of the transmission.  An orbit
-whose first pericentre comes earlier is integrated plainly to the horizon
-(the continuation branch).  The time-T map is continuous in
+`extended_flow` is the one flow primitive: it returns the orbit of any datum,
+and its `state_at(T)` is the extended time-T map.  It tells the cases apart
+by how the integration stopped (`Trajectory.stop`): at the collision
+threshold, on leaving the ball, at the apse, or at the horizon.  Every orbit
+read past an apse is one `MirroredOrbit`, by one rule: an orbit of a central
+potential is symmetric about its apsidal line.  A non-collision orbit is
+integrated only up to its first pericentre t_p when 2 t_p reaches the
+horizon, and mirrored across its apsidal line; an orbit whose first
+pericentre comes earlier is integrated plainly to the horizon (the
+continuation branch).  A collision datum's orbit is the mirror of its `Fall`
+at the collision instant T0, by the apsidal limit of the smoothed orbits as
+(eps, l) -> 0: the point reflection, with the apsidal angle pi/2.  The
+`Fall` holds the integrated leg, which ends at the collision threshold
+(`TRANSMISSION_FRACTION` of the starting radius) and carries the energy, and
+adds the fall's quadrature tail from there (`radial.collision_time`), which
+it inverts to read the radius below it.  The time-T map is continuous in
 (datum, smoothing) at every T != T0 -- the experiments in this module measure
 that continuity and the induced Poincare section with its hitting-time map.
-A `TransmissionPath` holds its integrated fall, which ends at the collision
-threshold (`TRANSMISSION_FRACTION` of the starting radius) and carries the
-energy, and adds the fall's quadrature tail from there
-(`radial.collision_time`), which it inverts to read the radius below it.
 The experiments take a solved case (`radial.Anchor`), whose collision datum
 `make_initial_data` places.  A `Section` (from `section_at`) holds that
 datum's path and the section plane, computed once for all the
@@ -60,50 +61,45 @@ class ExitedBall(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TransmissionPath:
-    """A collision orbit extended by point reflection, on [0, 2 T0].
+class Fall:
+    """The fall of a collision datum into the centre, on [0, t_end), t_end = T0.
 
-    The pre-collision leg `pre` is an integrated trajectory aborted at the
-    collision threshold `abort_radius`, at its end time `pre.t_end`; the
-    remaining fall time to the centre is added by quadrature.  Inside the
-    window (pre.t_end, T0) below the threshold the radius is the root of that
-    quadrature, the fall time from r equal to T0 - t, with the speed
-    restored from the leg's energy `pre.energy0`.  The collision instant
-    itself is excluded: the position there is 0 but the velocity is
-    unbounded.
+    The integrated leg `pre` is aborted at the collision threshold
+    `abort_radius`, at its end time `pre.t_end`; the remaining fall time to
+    the centre is added by quadrature.  Inside the window (pre.t_end, T0)
+    below the threshold the radius is the root of that quadrature, the fall
+    time from r equal to T0 - t, with the speed restored from the leg's
+    energy `pre.energy0`.  The collision instant T0 itself is excluded: the
+    position there is 0 but the velocity is unbounded.  The fall sweeps no
+    angle.
     """
 
     pre: Trajectory
-    collision_time: float
+    t_end: float
     abort_radius: float
     direction: np.ndarray      # unit vector of the fall line
 
-    @property
-    def t_end(self) -> float:
-        return 2.0 * self.collision_time
-
     def state_at(self, t: float) -> PhaseState:
-        T0 = self.collision_time
-        if not (0.0 <= t <= self.t_end):
-            raise ValueError(f"t={t!r} outside the transmission domain [0, {self.t_end!r}]")
-        if t == T0:
+        if t == self.t_end:
             raise ValueError("velocity is unbounded at the collision instant")
-        if t > T0:
-            mirror = self.state_at(2.0 * T0 - t)
-            return PhaseState(-mirror.position, mirror.velocity)
         if t <= self.pre.t_end:
             return self.pre.state_at(t)
         r = self._window_radius(t)
         speed = math.sqrt(2.0 * (self.pre.energy0 + self.pre.potential.value(r)))
         return PhaseState(r * self.direction, -speed * self.direction)
 
+    def theta_at(self, t: float) -> float:
+        if t == self.t_end:
+            raise ValueError("angle undefined at the collision point")
+        return 0.0
+
     def _window_radius(self, t: float) -> float:
         """Radius at a time t in the window (pre.t_end, T0): the root r in
         (0, abort_radius] of collision_time(r) = T0 - t.  The bracket ends
         take their known offsets, t - T0 at the centre and t - pre.t_end at
-        the abort radius (its fall time is the path's tail), so the
+        the abort radius (its fall time is the fall's tail), so the
         quadrature never runs at r = 0, where its radicand underflows."""
-        T0, r_abort = self.collision_time, self.abort_radius
+        T0, r_abort = self.t_end, self.abort_radius
         rp = RadialProblem(self.pre.potential, self.pre.energy0, 0.0)
 
         def offset(r):
@@ -116,90 +112,77 @@ class TransmissionPath:
         # a relative tolerance only: xtol is the smallest normal float
         return brentq(offset, 0.0, r_abort, xtol=sys.float_info.min, rtol=RTOL_MIN)
 
-    def symmetric_positions(self, t: np.ndarray) -> np.ndarray:
-        """Positions at the ascending pre-collision times t (0 <= t < T0), then
-        at T0 (the origin), then at the reflected times 2 T0 - t in ascending
-        order: a (2 len(t) + 1, 2) array, exactly antisymmetric about its
-        middle row.  One dense-output evaluation covers the integrated leg."""
+    def positions(self, t: np.ndarray) -> np.ndarray:
+        """Positions at the ascending times t in [0, T0), a (len(t), 2)
+        array.  One dense-output evaluation covers the integrated leg."""
         inside = t <= self.pre.t_end
         window = [self._window_radius(s) for s in t[~inside].tolist()]
-        before = np.concatenate([self.pre.dense(t[inside])[0:2].T,
-                                 np.outer(window, self.direction)])
-        return np.concatenate([before, np.zeros((1, 2)), -before[::-1]])
-
-    def theta_at(self, t: float) -> float:
-        """Angle swept since t = 0, as `Trajectory.theta_at`: 0 on the fall,
-        pi after the collision."""
-        if t == self.collision_time:
-            raise ValueError("angle undefined at the collision point")
-        return 0.0 if t < self.collision_time else math.pi
+        return np.concatenate([self.pre.dense(t[inside])[0:2].T,
+                               np.outer(window, self.direction)])
 
 
 @dataclass(frozen=True)
 class MirroredOrbit:
-    """A non-collision orbit on [0, t_end], integrated only up to its first
-    pericentre t_p and read past it by the apsidal mirror.
+    """An orbit on [0, t_end], integrated only up to its apse t_p =
+    half.t_end and read past it by the apsidal mirror.
 
-    `half` is the run stopped at the apse (`APSE`): t_p = half.t_end, and its
-    last state is the apse, solved in the apse step's own variable.  An orbit
-    of a central potential is symmetric about its apsidal line, so at
-    t_p < t <= t_end <= 2 t_p, with s = 2 t_p - t,
+    An orbit of a central potential is symmetric about its apsidal line, so
+    at t_p < t <= t_end <= 2 t_p, with s = 2 t_p - t,
 
         x(t) = R x(s),   v(t) = -R v(s),   theta(t) = 2 theta_p - theta(s),
 
-    where R (`reflection`) reflects across the line through the origin
-    perpendicular to the apse velocity v_p.  That line, not the one through
-    the apse position, stays the apsidal line at l = 0, eps > 0, where the
-    apse is the centre and the orbit passes through it: there R x = -x and
-    -R v = v, the transmission.
+    with R = `reflection` and theta_p = `theta_p`, both set by
+    `extended_flow`.  `half` is either a run stopped at its first pericentre
+    (a `Trajectory` with stop `APSE`), or a collision datum's `Fall`, whose
+    apse is the collision instant and whose mirror is the transmission.
     """
 
-    half: Trajectory
+    half: Trajectory | Fall
     t_end: float
-    reflection: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        v_p = self.half.states[-1, 2:4]
-        n = v_p / np.linalg.norm(v_p)
-        object.__setattr__(self, "reflection", np.eye(2) - 2.0 * np.outer(n, n))
+    reflection: np.ndarray = field(repr=False)
+    theta_p: float
 
     def state_at(self, t: float) -> PhaseState:
-        if t <= self.half.t_end:
+        if self._in_half(t):
             return self.half.state_at(t)
-        source = self.half.state_at(self._mirror_time(t))
+        source = self.half.state_at(2.0 * self.half.t_end - t)
         return PhaseState(self.reflection @ source.position,
-                          -(self.reflection @ source.velocity))
+                          (-self.reflection) @ source.velocity)
 
     def theta_at(self, t: float) -> float:
-        if t <= self.half.t_end:
+        if self._in_half(t):
             return self.half.theta_at(t)
-        return 2.0 * float(self.half.states[-1, 4]) - self.half.theta_at(self._mirror_time(t))
+        return 2.0 * self.theta_p - self.half.theta_at(2.0 * self.half.t_end - t)
 
-    def _mirror_time(self, t: float) -> float:
-        """s = 2 t_p - t, the time whose state the mirror reads for t in (t_p, t_end]."""
-        if t > self.t_end:
+    def _in_half(self, t: float) -> bool:
+        """Whether t, which must lie in [0, t_end], lies in the half [0, t_p]."""
+        if not (0.0 <= t <= self.t_end):
             raise ValueError(f"t={t!r} outside the trajectory domain [0, {self.t_end!r}]")
-        return 2.0 * self.half.t_end - t
+        return t <= self.half.t_end
 
 
 def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
                   horizon: float,
-                  ball_radius: float = math.inf) -> Trajectory | MirroredOrbit | TransmissionPath:
+                  ball_radius: float = math.inf) -> Trajectory | MirroredOrbit:
     """The orbit of the extended flow from `state`, valid on [0, its t_end].
 
     A collision datum (eps = 0, |l| <= COLLISION_L_TOL) gets its
-    transmission path, valid on [0, t_end] = [0, 2 T0] whatever the horizon.
+    transmission path, the mirror of its `Fall` to the centre at T0, valid on
+    [0, t_end] = [0, 2 T0] whatever the horizon.  Its mirror is the apsidal
+    limit of the smoothed orbits: R = -I, x(T0 + s) = -x(T0 - s) and
+    v(T0 + s) = v(T0 - s), and theta_p = pi/2, so the crossing sweeps pi.
     The horizon only bounds its fall integration: the fall is integrated for
     up to 4 horizon + 10 until it stops at the collision threshold; leaving
     the ball on the way raises ExitedBall, and reaching 4 horizon + 10 first
     (a radial datum that never falls to the threshold) ValueError.
-    This is the only place a `TransmissionPath` is built.
     Any other datum is valid on [0, horizon].  It is integrated up to its
     first pericentre t_p when 2 t_p >= horizon, and read on by the mirror
-    (a `MirroredOrbit`); otherwise it is integrated plainly to the horizon
-    (a `Trajectory`).  Leaving the ball before the horizon raises
-    ExitedBall, and an eps = 0 orbit whose |l| is too large for transmission
-    that reaches the collision threshold first RuntimeError.
+    across the line through the origin perpendicular to the pericentre
+    velocity, R = I - 2 n n^T with n along that velocity, and theta_p the
+    angle there; otherwise it is integrated plainly to the horizon (a
+    `Trajectory`).  Leaving the ball before the horizon raises ExitedBall,
+    and an eps = 0 orbit whose |l| is too large for transmission that
+    reaches the collision threshold first RuntimeError.
     """
     collision = is_collision_datum(state, eps)
     orbit = integrate(state, SmoothedPotential(potential, eps),
@@ -207,20 +190,27 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
                       ball_radius=ball_radius, apse=not collision)
     if orbit.stop == EXIT_BALL and (collision or orbit.t_end < horizon):
         raise ExitedBall(orbit.t_end)
-    if not collision:
-        if orbit.stop == APSE:
-            return MirroredOrbit(orbit, horizon)
-        if orbit.t_end < horizon:   # the only stop left is the collision threshold
-            raise RuntimeError(
-                f"integration stopped at t={orbit.t_end!r} before T={horizon!r} at the collision "
-                f"threshold r = {COLLISION_RADIUS!r}: eps = 0 and |l| = "
-                f"{abs(state.ang_momentum)!r} > COLLISION_L_TOL = {COLLISION_L_TOL!r}")
-        return orbit
-    if orbit.stop != COLLISION:
-        raise ValueError("trajectory does not stop at the collision threshold")
-    end = orbit.state_at(orbit.t_end)
-    tail = collision_time(RadialProblem(orbit.potential, orbit.energy0, 0.0), end.r)
-    return TransmissionPath(orbit, orbit.t_end + tail, end.r, end.position / end.r)
+    if collision:
+        if orbit.stop != COLLISION:
+            raise ValueError("trajectory does not stop at the collision threshold")
+        end = orbit.state_at(orbit.t_end)
+        tail = collision_time(RadialProblem(orbit.potential, orbit.energy0, 0.0), end.r)
+        fall = Fall(orbit, orbit.t_end + tail, end.r, end.position / end.r)
+        return MirroredOrbit(fall, 2.0 * fall.t_end, -np.eye(2), 0.5 * math.pi)
+    if orbit.stop == APSE:
+        # the last state is the apse, solved in its step's own variable; the
+        # line perpendicular to v_p, not the one through the apse position,
+        # stays the apsidal line at l = 0, eps > 0, where the apse is the centre
+        v_p = orbit.states[-1, 2:4]
+        n = v_p / np.linalg.norm(v_p)
+        return MirroredOrbit(orbit, horizon, np.eye(2) - 2.0 * np.outer(n, n),
+                             float(orbit.states[-1, 4]))
+    if orbit.t_end < horizon:   # the only stop left is the collision threshold
+        raise RuntimeError(
+            f"integration stopped at t={orbit.t_end!r} before T={horizon!r} at the collision "
+            f"threshold r = {COLLISION_RADIUS!r}: eps = 0 and |l| = "
+            f"{abs(state.ang_momentum)!r} > COLLISION_L_TOL = {COLLISION_L_TOL!r}")
+    return orbit
 
 
 def diagonal_cells(exponents) -> list[tuple[float, Perturbation]]:
@@ -245,7 +235,7 @@ def continuity_experiment(anchor: Anchor, T: float,
     """
     potential, ball_radius = anchor.potential, anchor.case.ball_radius
     ref_path = extended_flow(make_initial_data(anchor), 0.0, potential, T, ball_radius)
-    T0 = ref_path.collision_time
+    T0 = ref_path.half.t_end
     ref = ref_path.state_at(T)
     ref_speed = float(np.linalg.norm(ref.velocity))
     table = ConvergenceTable(
@@ -330,7 +320,7 @@ class Section:
 
     anchor: Anchor
     T: float
-    path: TransmissionPath
+    path: MirroredOrbit
     y1: PhaseState
     normal: np.ndarray
 
@@ -340,7 +330,7 @@ def section_at(anchor: Anchor, T: float) -> Section:
     time T0 of the solved case's collision datum and 2 T0."""
     path = extended_flow(make_initial_data(anchor), 0.0, anchor.potential,
                          T, anchor.case.ball_radius)
-    if not (path.collision_time < T < path.t_end):
+    if not (path.half.t_end < T < path.t_end):
         raise ValueError("T must lie strictly between the collision time and twice it")
     y1 = path.state_at(T)
     normal = phase_field(y1, anchor.potential)

@@ -113,12 +113,14 @@ def delta_action(anchor: Anchor, deltas, T1_factor: float,
     potential = anchor.potential
     path = extended_flow(make_initial_data(anchor), 0.0, potential, fall_time(anchor),
                          anchor.case.ball_radius)
-    T0 = path.collision_time
+    fall = path.half
+    T0 = fall.t_end
     times = np.linspace(-T0, T0, n_cells + 1)
-    values = path.symmetric_positions(T0 + times[:n_cells // 2])
+    values = fall.positions(T0 + times[:n_cells // 2])
+    values = np.concatenate([values, np.zeros((1, 2)), -values[::-1]])
     dt = float(times[1] - times[0])
     T1 = float(times[int(np.argmin(np.abs(times - T1_factor * T0)))])
-    normal = np.array([-path.direction[1], path.direction[0]])
+    normal = np.array([-fall.direction[1], fall.direction[0]])
     a = np.abs(times)
     kin0 = kinetic_action(values, dt)
     pot0, depth0 = potential_action(values, dt, potential)

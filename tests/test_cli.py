@@ -378,6 +378,18 @@ def test_transmission_demo_long_fall(tmp_path):
     assert T0 == pytest.approx(math.exp(5.0) * math.sqrt(math.pi / 2), rel=1e-9)
 
 
+def test_transmission_demo_deep_fall_writes_every_sample(tmp_path):
+    # rest radius 1e-8, T0 ~ 1.25e-8: only the middle of the 201 samples is
+    # the collision instant, however close the others lie to it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": {"type": "drop", "energy": -18.420680743952367}}))
+    assert run_cli(["transmission-demo", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "transmission_path.csv").read_text().splitlines()[1:]
+    assert len(rows) == 200
+    T0 = float(read_summary(tmp_path, "transmission_demo")["evidence"]["collision_time"])
+    assert T0 == pytest.approx(1e-8 * math.sqrt(math.pi / 2), rel=1e-6)
+
+
 def test_oracle_crosscheck_command(tmp_path):
     # a positive potential has bounded orbits only below -V: the draws stay there
     for potential, seed in [({"family": "logarithmic"}, 3), *((_HOM, s) for s in range(4))]:
@@ -650,7 +662,10 @@ def test_variational_probe_bytes_pinned(tmp_path, name):
 # sha256 of the outputs of small orbit-side runs at seed 0, recorded before
 # the section reference was computed once per run (the continuity and
 # section digests again once the extended flow read smoothed orbits past
-# their apse by the mirror): CSVs first, then the summary
+# their apse by the mirror, and the section and transmission CSVs once the
+# transmission became the mirror R = -I, whose matrix product writes y = 0.0
+# past the collision where the negation wrote -0.0): CSVs first, then the
+# summary
 _ORBIT_DIGESTS = {
     "poincare-continuity": (None, [
         ("poincare_continuity.csv",
@@ -659,7 +674,7 @@ _ORBIT_DIGESTS = {
          "d80fd5e00d39582087425f684836451a6bf20119077c853a7fa98611bd9f488e")]),
     "transmission-demo": (None, [
         ("transmission_path.csv",
-         "0a3d6c1eaf21971ed7c120ec393639f13680cd21617b3b5dd87038ecbab5993e"),
+         "96c26edad1849003602fb441690b5fda8291284771077f142a57512a65ef5270"),
         ("transmission_demo_summary.json",
          "e3ffb5f96c2a8b75e1147077c52a91eeee9ef8988307f726d9a61a01dd36bdd0")]),
     "oracle-crosscheck": ({"orbits": 5}, [
@@ -669,11 +684,11 @@ _ORBIT_DIGESTS = {
          "f8112469f8a920f3b8901af2aba15c7dfdf92dea056f570fa14c0f718f92612b")]),
     "poincare-section": ({"samples": 4}, [
         ("poincare_section_delta0.csv",
-         "53fe061f7f75ddb5e004d141262ace3ca06712996282eab7c1ae8d5861b0220b"),
+         "888889e70b6638a58ce6206f005bcdbd5592fc921aca4eff70a38f96c81a6239"),
         ("poincare_section_delta1.csv",
-         "708319d844573eb6a8f18ba1b6a6a6e701c3eac9f9583d8c5dce23ee3cf3c269"),
+         "39ba8cdf509bc8bc71986bc349315b714b20f908899dd565317f55c81a527323"),
         ("poincare_section_delta2.csv",
-         "5b15dd255b7875a73625a43a3d2446da2ac89b4467523065b1de04011d481ae2"),
+         "78963cc234935ae8fbf1c88154b912ee57ec0f6853ebad9a407509c751777a35"),
         ("poincare_section_summary.json",
          "205bec0994f11ae90c4d80695062425b1dba4d640e04056c72aeb8c38f2e902a")]),
 }

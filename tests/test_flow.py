@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from onecentre.cli import main
-from onecentre.flow import (ExitedBall, MirroredOrbit, TransmissionPath,
+from onecentre.flow import (ExitedBall, Fall, MirroredOrbit,
                             continuity_experiment, diagonal_cells, extended_flow,
                             phase_field, poincare_section, section_at)
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
@@ -28,17 +28,17 @@ def drop_path():
 
 
 def test_collision_time_closed_form(drop_path):
-    assert drop_path.collision_time == pytest.approx(T0_LOG, abs=1e-9)
+    assert drop_path.half.t_end == pytest.approx(T0_LOG, abs=1e-9)
 
 
 def test_transmission_endpoint_reflected(drop_path):
-    end = drop_path.state_at(2.0 * drop_path.collision_time)
+    end = drop_path.state_at(2.0 * drop_path.half.t_end)
     assert end.position == pytest.approx([-1.0, 0.0], abs=1e-9)
     assert end.velocity == pytest.approx([0.0, 0.0], abs=1e-7)
 
 
 def test_transmission_radial_symmetry(drop_path):
-    T0 = drop_path.collision_time
+    T0 = drop_path.half.t_end
     for s in np.linspace(0.05, 0.95, 9) * T0:
         pre = drop_path.state_at(T0 - s)
         post = drop_path.state_at(T0 + s)
@@ -48,21 +48,21 @@ def test_transmission_radial_symmetry(drop_path):
 
 
 def test_transmission_energy_preserved(drop_path):
-    T0 = drop_path.collision_time
+    T0 = drop_path.half.t_end
     for t in np.linspace(0.1, 1.9, 13) * T0:
         st = drop_path.state_at(t)
-        assert st.energy(BARE_LOG) == pytest.approx(drop_path.pre.energy0, abs=1e-8)
+        assert st.energy(BARE_LOG) == pytest.approx(drop_path.half.pre.energy0, abs=1e-8)
 
 
 def test_transmission_collision_instant_excluded(drop_path):
     with pytest.raises(ValueError):
-        drop_path.state_at(drop_path.collision_time)
+        drop_path.state_at(drop_path.half.t_end)
     with pytest.raises(ValueError):
         drop_path.state_at(-0.1)
 
 
 def test_transmission_theta_jump(drop_path):
-    T0 = drop_path.collision_time
+    T0 = drop_path.half.t_end
     assert drop_path.theta_at(0.5 * T0) == pytest.approx(0.0)
     assert drop_path.theta_at(1.5 * T0) == pytest.approx(math.pi)
 
@@ -72,22 +72,31 @@ def test_transmission_theta_is_swept_angle_off_axis():
     # direction of the fall line
     path = extended_flow(make_initial_data(DROP0, Perturbation(dq=(0.0, 0.1))), 0.0,
                          logarithmic(), T0_LOG)
-    assert isinstance(path, TransmissionPath)
-    T0 = path.collision_time
+    assert isinstance(path, MirroredOrbit) and isinstance(path.half, Fall)
+    T0 = path.half.t_end
     assert path.theta_at(0.0) == path.theta_at(0.5 * T0) == 0.0
     assert path.theta_at(1.5 * T0) == math.pi
     with pytest.raises(ValueError):
         path.theta_at(T0)
+    # the transmission is the mirror R = -I with theta_p = pi/2, exactly: at
+    # t = T0 + s it reads the fall at 2 T0 - t (T0 - s up to the rounding of
+    # t); the fall line drifts off the axis in the last bits, where a mirror
+    # I - 2 n n^T along it would not give -x
+    for t in T0 + np.array([1e-6, 0.1, 0.5, 0.9, 1.0]) * T0:
+        post, pre = path.state_at(t), path.state_at(2.0 * T0 - t)
+        assert np.all(post.position == -pre.position)
+        assert np.all(post.velocity == pre.velocity)
+        assert path.theta_at(t) == math.pi
 
 
 def test_transmission_involution(drop_path):
     # run the reflected post-leg backward as a fresh collision problem: the
     # new extension reproduces the original pre-leg samples
-    T0 = drop_path.collision_time
+    T0 = drop_path.half.t_end
     start = drop_path.state_at(2.0 * T0 - 1e-3)
     path2 = extended_flow(PhaseState(start.position, -start.velocity), 0.0, logarithmic(),
                           T0_LOG)
-    T02 = path2.collision_time
+    T02 = path2.half.t_end
     for s in np.linspace(0.1, 0.9, 7) * min(T0, T02):
         a = drop_path.state_at(T0 - s)
         b = path2.state_at(T02 + s)
@@ -113,14 +122,14 @@ def test_extended_map_before_collision_is_plain_integration(drop_path):
 
 def test_extended_map_at_double_collision_time(drop_path):
     y0 = PhaseState((1.0, 0.0), (0.0, 0.0))
-    T = 2.0 * drop_path.collision_time
+    T = 2.0 * drop_path.half.t_end
     st = extended_flow(y0, 0.0, logarithmic(), T).state_at(T)
     assert st.position == pytest.approx([-1.0, 0.0], abs=1e-9)
     assert st.velocity == pytest.approx([0.0, 0.0], abs=1e-7)
 
 
 def test_extended_map_mid_transmission_radius(drop_path):
-    T0 = drop_path.collision_time
+    T0 = drop_path.half.t_end
     y0 = PhaseState((1.0, 0.0), (0.0, 0.0))
     st = extended_flow(y0, 0.0, logarithmic(), 1.5 * T0).state_at(1.5 * T0)
     assert st.r == pytest.approx(drop_path.state_at(0.5 * T0).r, abs=1e-10)
@@ -128,9 +137,9 @@ def test_extended_map_mid_transmission_radius(drop_path):
 
 
 def test_extended_map_rejects_collision_instant(drop_path):
-    T0 = drop_path.collision_time
+    T0 = drop_path.half.t_end
     path = extended_flow(PhaseState((1.0, 0.0), (0.0, 0.0)), 0.0, logarithmic(), T0)
-    assert path.collision_time == T0
+    assert path.half.t_end == T0
     with pytest.raises(ValueError, match="unbounded"):
         path.state_at(T0)
 
@@ -206,11 +215,11 @@ def test_continuity_collision_cells_follow_the_extended_map():
 def test_extended_flow_covers_the_horizon():
     y0 = PhaseState((1.0, 0.0), (0.0, 0.0))
     path = extended_flow(y0, 0.0, logarithmic(), 1.5 * T0_LOG)
-    assert isinstance(path, TransmissionPath)
+    assert isinstance(path, MirroredOrbit) and isinstance(path.half, Fall)
     # a transmission path owns its domain [0, 2 T0], whatever the horizon
     path = extended_flow(y0, 0.0, logarithmic(), 2.5 * T0_LOG)
-    assert path.t_end == 2.0 * path.collision_time
-    with pytest.raises(ValueError, match="outside the transmission domain"):
+    assert path.t_end == 2.0 * path.half.t_end
+    with pytest.raises(ValueError, match="outside the trajectory domain"):
         path.state_at(2.5 * T0_LOG)
     # past its pericentre near T0 a smoothed orbit is read by the mirror up
     # to the horizon 1.5 T0 <= 2 t_p ...
@@ -304,11 +313,11 @@ def test_radial_stop_is_a_fraction_of_the_starting_radius():
         anchor, path = _drop_path(logarithmic(), energy)
         R = anchor.radius
         stop = max(TRANSMISSION_FRACTION * R, COLLISION_RADIUS)
-        assert path.abort_radius == pytest.approx(stop, rel=1e-10)
+        assert path.half.abort_radius == pytest.approx(stop, rel=1e-10)
         assert (stop == COLLISION_RADIUS) == (energy <= -12.0)
         # the closed form of the log fall from rest
-        assert path.collision_time == pytest.approx(R * math.sqrt(math.pi / 2.0), rel=2e-13)
-        legs.append(len(path.pre.times))
+        assert path.half.t_end == pytest.approx(R * math.sqrt(math.pi / 2.0), rel=2e-13)
+        legs.append(len(path.half.pre.times))
     # DEFAULT_ATOL is absolute: at R = 6.7e-3 (E = -5) it sizes the first
     # step differently, which costs one more step
     assert legs[0] == legs[1] and abs(legs[2] - legs[0]) <= 1
@@ -323,10 +332,11 @@ def test_window_radius_inverts_the_fall_time(potential):
     # timed from t = 0 would carry the rounding of T0 times the speed, up to
     # 1e-10 of these radii
     _, path = _drop_path(potential, -1.0)
-    T0, ta, ra = path.collision_time, path.pre.t_end, path.abort_radius
-    rp = RadialProblem(path.pre.potential, path.pre.energy0, 0.0)
+    half = path.half
+    T0, ta, ra = half.t_end, half.pre.t_end, half.abort_radius
+    rp = RadialProblem(half.pre.potential, half.pre.energy0, 0.0)
     tail = collision_time(rp, ra)
-    speed = math.sqrt(2.0 * (path.pre.energy0 + potential.value(ra)))
+    speed = math.sqrt(2.0 * (half.pre.energy0 + potential.value(ra)))
 
     def fall(s, y):
         r = math.hypot(y[0], y[1])
@@ -336,7 +346,7 @@ def test_window_radius_inverts_the_fall_time(potential):
     def near_centre(s, y):
         return math.hypot(y[0], y[1]) - 1e-2 * ra
     near_centre.terminal = True
-    sol = solve_ivp(fall, (0.0, tail), [*(ra * path.direction), *(-speed * path.direction)],
+    sol = solve_ivp(fall, (0.0, tail), [*(ra * half.direction), *(-speed * half.direction)],
                     method="DOP853", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                     dense_output=True, events=near_centre)
     assert sol.status == 1
@@ -441,9 +451,9 @@ def test_section_sample_zero_reuses_the_reference_orbit():
     y0 = make_initial_data(DROP0)
     ref = extended_flow(y0, 0.0, logarithmic(), T)
     own = extended_flow(y0, 0.0, logarithmic(), 1.1 * T)
-    assert np.array_equal(ref.pre.times, own.pre.times)
-    assert np.array_equal(ref.pre.states, own.pre.states)
-    assert ref.collision_time == own.collision_time
+    assert np.array_equal(ref.half.pre.times, own.half.pre.times)
+    assert np.array_equal(ref.half.pre.states, own.half.pre.states)
+    assert ref.half.t_end == own.half.t_end
     # near 2 T0 the reused orbit, like every other collision sample, halves
     # its bracket until it lies inside the domain
     T = 1.95 * T0_LOG
@@ -461,7 +471,7 @@ def test_continuity_marks_cells_whose_domain_ends_before_T():
                                              (1e-3, Perturbation(l=1e-3))])
     [(k, message)] = table.meta["marked_cells"]
     assert k == 0
-    assert "outside the transmission domain" in message
+    assert "outside the trajectory domain" in message
     assert table.meta["cell_failed"] is True
     d = table.column("dist_total")
     assert math.isnan(d[0])

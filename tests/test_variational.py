@@ -243,7 +243,7 @@ def _log_transmission(energy=0.0):
 
 def test_transmission_path_matches_per_node_states(log_path):
     tpath = _log_transmission()
-    T0 = tpath.collision_time
+    T0 = tpath.half.t_end
     values, _ = log_path
     n = len(values) - 1
     assert np.all(values[n // 2] == 0.0)
@@ -253,18 +253,20 @@ def test_transmission_path_matches_per_node_states(log_path):
             assert np.max(np.abs(values[i] - tpath.state_at(T0 + t).position)) <= 1e-12
 
 
-def test_symmetric_positions_inside_collision_window():
+def test_fall_positions_inside_collision_window():
     # grid nodes of the default probe never fall in the window below the
     # abort radius (1e-4 of the rest radius, about 2e-5 of T0); sample it
-    # directly, both halves, against the scalar state
+    # directly, both halves, against the scalar state.  Each time t is
+    # rounded to 2 T0 - u for a time u after the collision, so the mirror
+    # reads the fall at u at exactly t
     tpath = _log_transmission()
-    T0, ta = tpath.collision_time, tpath.pre.t_end
-    t = np.array([0.0, 0.5 * ta, ta, ta + 0.25 * (T0 - ta), ta + 0.75 * (T0 - ta)])
-    pos = tpath.symmetric_positions(t)
-    assert pos.shape == (11, 2)
-    assert np.all(pos[5] == 0.0)
+    fall = tpath.half
+    T0, ta = fall.t_end, fall.pre.t_end
+    u = 2.0 * T0 - np.array([0.0, 0.5 * ta, ta, ta + 0.25 * (T0 - ta), ta + 0.75 * (T0 - ta)])
+    t = 2.0 * T0 - u
+    pos = fall.positions(t)
+    assert pos.shape == (5, 2)
+    assert np.sum(t > ta) == 2
     for k, tk in enumerate(t):
         assert np.array_equal(pos[k], tpath.state_at(tk).position)
-        assert np.array_equal(pos[10 - k], -pos[k])
-        # 2 T0 - tk reflects back to tk only up to rounding
-        assert np.max(np.abs(pos[10 - k] - tpath.state_at(2.0 * T0 - tk).position)) <= 1e-12
+        assert np.array_equal(tpath.state_at(u[k]).position, -pos[k])

@@ -42,6 +42,10 @@ from run import cpu_model  # noqa: E402
 STALE = {
     "flow.transmission_calls": "counts calls of transmission_extend, a function "
                                "folded into extended_flow, so it reads 0",
+    "simulator.dense_evals": "counts Trajectory.state_at calls only: the variational "
+                             "probe reads its fall at every grid node through "
+                             "Fall.positions, one pre.dense call on an array of times, "
+                             "so `action` reads 2",
 }
 
 

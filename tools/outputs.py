@@ -17,7 +17,10 @@ OUT receives two sets of outputs:
   continuity run skipped because its reference is at rest, a variational
   probe failing on unsettled collision cells, a variational probe whose
   grid reads the transmission path below its abort radius (the inversion
-  of the fall time), late section brackets that
+  of the fall time), a transmission demo of a drop from rest radius 1e-8,
+  whose integrated fall ends at once at the ``COLLISION_RADIUS`` floor, so
+  that every sample but the first and last reads that inversion, some within
+  1e-9 of the collision instant, late section brackets that
   halve to stay inside 2 T0, late section samples whose first pericentre
   t_p lies before half the horizon (the extended flow's continuation
   branch, integrated plainly past t_p; in every other section and
@@ -63,6 +66,10 @@ _ENTRY = {"type": "entry", "energy": 1.0, "ball_radius": 1.0}
 EXTRA = {
     "oracle-crosscheck-hom": ("oracle-crosscheck", {"potential": _HOM}),
     "transmission-demo-entry": ("transmission-demo", {"case": _ENTRY}),
+    # rest radius 1e-8: the fall reaches the COLLISION_RADIUS floor at once,
+    # and the 199 inner samples, 1.25e-10 apart, read the window below it
+    "transmission-demo-deep": ("transmission-demo", {
+        "case": {"type": "drop", "energy": -18.420680743952367}}),
     "transmission-demo-hom": ("transmission-demo", {"potential": _HOM, "case": _HOM_DROP}),
     # cell 0 of the diagonal leaves this ball; the other cells stay inside
     "poincare-continuity-ball": ("poincare-continuity", {
