@@ -351,7 +351,8 @@ COMMANDS = {
                           {"potential": _LOG, "energy": 0.0, "deltas": [1e-2, 1e-3, 1e-4],
                            "T1_factor": 0.5, "n_cells": 2 ** 14}, ()),
     "oracle-crosscheck": (cmd_oracle_crosscheck,
-                          "radial quadrature and plane integration agree on orbit periods",
+                          "radial quadrature and plane integration agree on orbit periods "
+                          "to the relative period_tol",
                           {"potential": _LOG, "orbits": 20, "period_tol": 1e-6,
                            "drift_budget": 1e-8}, ()),
 }

@@ -14,12 +14,13 @@ first pericentre t_p if 2 t_p reaches the horizon (the apse from which the
 extended flow reads the rest of the orbit by the apsidal mirror), at the root
 of the stop rule on the interpolant of the step where it changes sign; a
 `Trajectory` records which stop ended it.  The apse is solved in that step's
-own variable, not in absolute time.  Pericentre passages are a query on
-the finished trajectory (`Trajectory.pericenter_times`).  scipy's
+own variable, not in absolute time.  Pericentres and apocentres are one
+query on the finished trajectory (`Trajectory.apse_times`).  scipy's
 integrators serve only as test oracles.  `make_initial_data` places the
 (perturbed) collision datum of a solved case (`radial.Anchor`).
-`oracle_crosscheck` checks the stepper's periods against half periods from
-the quadrature engine, taken between the turning points.
+`oracle_crosscheck` checks the stepper's periods, apocentre to apocentre
+over one period, against half periods from the quadrature engine, taken
+between the turning points.
 
 Energy E = |u'|^2/2 - V_eps(|u|) and l = u x u' are conserved by the dynamics;
 their numerical drift is monitored, never corrected.
@@ -54,7 +55,7 @@ COLLISION_L_TOL = 1e-12
 TRANSMISSION_FRACTION = 1e-4
 #: upper end of the radius grid on which `oracle_crosscheck` bounds l
 ORACLE_RADIUS = 50.0
-#: absolute and relative tolerance of stop and pericentre roots on the dense output
+#: absolute and relative tolerance of stop and apse roots on the dense output
 _ROOT_TOL = 4 * np.finfo(float).eps
 
 #: how a run stopped before its horizon (`Trajectory.stop`)
@@ -136,11 +137,13 @@ class Trajectory:
             raise ValueError(f"t={t!r} outside the trajectory domain [0, {self.t_end!r}]")
         return self.dense(t)
 
-    def pericenter_times(self) -> list[float]:
-        """The times of the pericentre passages, in order: each upward zero of
-        r rdot between stored states, refined on the interpolant of its step."""
-        s = self.states
-        g = _radial_rate(s.T)
+    def apse_times(self, direction: int) -> list[float]:
+        """The times of the apses of one kind, in order: each zero of r rdot
+        that crosses in `direction` (1 upward, the pericentres; -1 downward,
+        the apocentres) between stored states, a zero at a stored state
+        included (a datum at an apse counts at t = 0), refined on the
+        interpolant of its step."""
+        g = direction * _radial_rate(self.states.T)
         found = []
         for i in np.flatnonzero((g[:-1] <= 0.0) & (g[1:] >= 0.0)).tolist():
             seg = self.dense.segment(i)
@@ -274,14 +277,17 @@ def oracle_energy_cap(potential: PotentialSpec) -> float:
 
 
 def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> ConvergenceTable:
-    """Pericentre-to-pericentre periods of seeded eps = 0 orbits against twice
+    """Apocentre-to-apocentre periods of seeded eps = 0 orbits against twice
     the radial flight time from pericentre to apocentre (one engine call,
     both ends singular), with conservation drift.
 
     Each orbit draws E in [-0.5, `oracle_energy_cap`) and l in [0.2, 0.9]
     times the largest admissible l (max of f on a grid up to
-    `ORACLE_RADIUS`), starts at its apocenter and runs for 4.1 half periods.
-    Each orbit is a cell; one with fewer than two pericentre passages fails.
+    `ORACLE_RADIUS`), starts at its apocenter and runs for 2.1 half periods:
+    one period, with one pericentre passage.  Its period is the time from
+    the starting apocentre (t = 0) to the next, and its mismatch is relative
+    to the quadrature's period.  Each orbit is a cell; one with fewer than
+    two apocentres in its run fails, naming the stop that ended the run.
     meta carries worst_period_mismatch, worst_drift and failing: the
     (orbit, message) records of `ConvergenceTable.attempt`, or None.
     """
@@ -297,14 +303,15 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> Conve
         half = sqrt_endpoint_quad(rp.integrand(angle=False), tp.pericenter, tp.apocenter,
                                   upper_singular=True).value
         state = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
-        traj = integrate(state, sm, horizon=4.1 * half)
-        peri = traj.pericenter_times()
-        if len(peri) < 2:
-            raise RuntimeError("fewer than two pericentre passages")
-        period_ode = peri[1] - peri[0]
-        mism = abs(period_ode - 2.0 * half)
+        traj = integrate(state, sm, horizon=2.1 * half)
+        apo = traj.apse_times(-1)
+        if len(apo) < 2:
+            raise RuntimeError(f"fewer than two apocentres: the run stopped at "
+                               f"{traj.stop or 'its horizon'}, t = {traj.t_end!r}")
+        period_ode, period_quad = apo[1] - apo[0], 2.0 * half
+        mism = abs(period_ode - period_quad) / period_quad
         dE, dl = conserved_drift(traj)
-        table.add(i, E, l, period_ode, 2.0 * half, mism, dE, dl)
+        table.add(i, E, l, period_ode, period_quad, mism, dE, dl)
         mismatches.append(mism)
         drifts.extend((dE, dl))
 

@@ -169,7 +169,7 @@ def test_criterion_06_conservation_and_oracle_equivalence():
     # drift over horizon 100 at tol 1e-12
     traj = integrate(PhaseState((1.2, 0.0), (0.0, 0.7)), bare, horizon=100.0)
     dE, dl = conserved_drift(traj)
-    # pericentre-to-pericentre vs twice the radial flight time, 20 orbits
+    # apocentre-to-apocentre vs twice the radial flight time, relative, 20 orbits
     oracle = oracle_crosscheck(logarithmic(), 20, seed=42)
     assert oracle.meta["failing"] is None
     worst_period = oracle.meta["worst_period_mismatch"]
@@ -177,7 +177,7 @@ def test_criterion_06_conservation_and_oracle_equivalence():
     ok = dE < 1e-8 and dl < 1e-8 and worst_period < 1e-6 and elapsed < 60.0
     report(6, ok, elapsed,
            f"drift (dE, dl) = ({dE:.1e}, {dl:.1e}); "
-           f"worst period mismatch = {worst_period:.1e} over 20 orbits")
+           f"worst relative period mismatch = {worst_period:.1e} over 20 orbits")
     assert dE < 1e-8 and dl < 1e-8
     assert worst_period < 1e-6
     assert elapsed < 60.0

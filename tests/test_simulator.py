@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
 
-from onecentre import _dop853
+from onecentre import _dop853, simulator
 from onecentre.flow import diagonal_cells
 from onecentre.potentials import PotentialSpec, SmoothedPotential, homogeneous, logarithmic
 from onecentre.quadrature import sqrt_endpoint_quad
@@ -13,7 +13,7 @@ from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem, case_
 from onecentre.simulator import (APSE, COLLISION, COLLISION_RADIUS, DEFAULT_ATOL,
                                  DEFAULT_RTOL, EXIT_BALL, TRANSMISSION_FRACTION,
                                  Perturbation, PhaseState, conserved_drift, integrate,
-                                 is_collision_datum, make_initial_data)
+                                 is_collision_datum, make_initial_data, oracle_crosscheck)
 
 BARE_LOG = SmoothedPotential(logarithmic(), 0.0)
 
@@ -64,7 +64,7 @@ def test_pericentre_period_matches_radial_oracle():
                               upper_singular=True).value
     st = PhaseState((tp.apocenter, 0.0), (0.0, 0.4 / tp.apocenter))
     traj = integrate(st, BARE_LOG, horizon=4.5 * half)
-    peri = traj.pericenter_times()
+    peri = traj.apse_times(1)
     assert len(peri) >= 2
     assert peri[1] - peri[0] == pytest.approx(2.0 * half, abs=1e-6)
 
@@ -75,7 +75,7 @@ def test_apsidal_angle_crosscheck_with_theta_lift():
     tp = turning_points(rp)
     st = PhaseState((tp.apocenter, 0.0), (0.0, 0.4 / tp.apocenter))
     traj = integrate(st, BARE_LOG, horizon=5.0)
-    swept = traj.theta_at(traj.pericenter_times()[0])
+    swept = traj.theta_at(traj.apse_times(1)[0])
     assert swept == pytest.approx(apsidal_angle(rp).angle, abs=1e-6)
 
 
@@ -170,7 +170,7 @@ def test_trajectory_sample_and_event_invariants():
     traj = integrate(st, BARE_LOG, horizon=8.0)
     assert np.all(np.diff(traj.times) > 0)
     assert traj.stop is None and traj.t_end == 8.0
-    peri = traj.pericenter_times()
+    peri = traj.apse_times(1)
     assert peri, "a bounded orbit passes its pericentre within the horizon"
     assert traj.times[0] <= peri[0] and np.all(np.diff(peri) > 0) and peri[-1] <= traj.t_end
 
@@ -328,7 +328,7 @@ def test_integrate_matches_solve_ivp(potential, eps, state, horizon, ball, stop)
     else:
         t_stop, = np.concatenate(sol.t_events[1:])
         assert sol.status == 1 and abs(traj.t_end - t_stop) <= 1e-12
-    peri = traj.pericenter_times()
+    peri = traj.apse_times(1)
     assert len(peri) == len(sol.t_events[0])
     assert np.max(np.abs(np.subtract(peri, sol.t_events[0])), initial=0.0) <= 1e-12
     assert abs(len(traj.times) - len(sol.t)) <= 2
@@ -365,13 +365,13 @@ def test_interpolants_are_built_only_where_read(monkeypatch):
     built.clear()
     traj = integrate(PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, horizon=20.0)
     assert traj.stop is None and built == []
-    peri = traj.pericenter_times()
+    peri = traj.apse_times(1)
     s = traj.states
     g = s[:, 0] * s[:, 2] + s[:, 1] * s[:, 3]
     upward = sum(a <= 0.0 <= b for a, b in zip(g, g[1:]))
     assert len(built) == upward == len(peri) > 0
     assert len(built) * 10 < len(traj.times)
-    assert traj.pericenter_times() == peri and len(built) == len(peri)
+    assert traj.apse_times(1) == peri and len(built) == len(peri)
     i = next(i for i, t in enumerate(traj.times) if t not in built)
     t = 0.5 * (traj.times[i] + traj.times[i + 1])
     traj.dense(t)
@@ -388,7 +388,7 @@ def test_dense_array_equals_scalar_calls():
 
     # step boundaries, interior points, both ends and the pericentre times,
     # unsorted
-    peri = run().pericenter_times()
+    peri = run().apse_times(1)
     traj = run()
     t = np.concatenate([traj.times[::7], np.linspace(0.0, 10.0, 101)[::-1], peri])
 
@@ -424,7 +424,7 @@ def test_terminal_run_ends_at_its_event(state, ball, kind):
 def test_apse_stop_is_the_first_pericentre_when_its_mirror_covers_the_horizon():
     state = PhaseState((1.2, 0.0), (0.0, 0.7))
     plain = integrate(state, BARE_LOG, horizon=3.0)
-    t_p, = plain.pericenter_times()
+    t_p, = plain.apse_times(1)
     assert t_p < 3.0 <= 2.0 * t_p
     traj = integrate(state, BARE_LOG, horizon=3.0, apse=True)
     assert traj.stop == APSE and abs(traj.t_end - t_p) <= 1e-12
@@ -441,3 +441,54 @@ def test_apse_stop_is_the_first_pericentre_when_its_mirror_covers_the_horizon():
     assert with_rule.stop is None
     assert np.array_equal(with_rule.times, without.times)
     assert np.array_equal(with_rule.states, without.states)
+
+
+# --- the oracle's period, apocentre to apocentre -------------------------------
+
+def test_apocentre_query_counts_a_datum_at_rest_radially_at_zero():
+    traj = integrate(PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, horizon=10.0)
+    apo, peri = traj.apse_times(-1), traj.apse_times(1)
+    assert apo[0] == 0.0 and len(apo) >= 2
+    # apocentres and pericentres alternate
+    assert all(a < p < b for a, p, b in zip(apo, peri, apo[1:]))
+
+
+def test_oracle_integrates_one_period(monkeypatch):
+    horizons = []
+
+    def spy(state, potential, horizon, *args, **kwargs):
+        horizons.append(horizon)
+        return integrate(state, potential, horizon, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "integrate", spy)
+    # one period and a little more: no second pericentre passage is run
+    table = oracle_crosscheck(logarithmic(), 4, 0)
+    assert table.meta["failing"] is None and len(horizons) == len(table.rows) == 4
+    assert all(h <= 2.1 * (row[4] / 2.0) for h, row in zip(horizons, table.rows))
+
+
+@pytest.mark.parametrize("potential", [logarithmic(), homogeneous(0.5)], ids=["log", "hom"])
+def test_oracle_period_matches_solve_ivp_apocentre_event(potential):
+    sm = SmoothedPotential(potential, 0.0)
+    table = oracle_crosscheck(potential, 4, 0)
+    assert table.meta["failing"] is None
+    # each row's apocentre datum, as oracle_crosscheck builds it from E and l
+    for _, E, l, period_ode, period_quad, *_ in table.rows:
+        tp = turning_points(RadialProblem(sm, E, l))
+        state = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
+        rhs = _field(sm, state.ang_momentum)
+
+        def apocentre(t, y):
+            return y[0] * y[2] + y[1] * y[3]
+        # the datum's own apocentre at t = 0 is the first occurrence
+        apocentre.terminal, apocentre.direction = 2, -1.0
+
+        sol = solve_ivp(lambda t, y: (y[2], y[3], *rhs(y[0], y[1])),
+                        (0.0, 2.1 * (period_quad / 2.0)),
+                        [*state.position, *state.velocity, 0.0], method="DOP853",
+                        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, events=[apocentre])
+        # relative: solve_ivp's first step differs from the kernel's in the
+        # last bits, and over a period of ~80 the two runs part by ~1e-13
+        assert sol.status == 1
+        t0, t1 = sol.t_events[0]
+        assert t0 == 0.0 and abs(period_ode - t1) <= 1e-12 * t1

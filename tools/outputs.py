@@ -96,7 +96,7 @@ EXTRA = {
     "poincare-section-no-crossing": ("poincare-section", {
         "potential": _HOM_QUARTER, "case": _HOM_DROP,
         "T_factor": 1.02, "samples": 4, "deltas": [0.1]}),
-    # 11 of the 20 orbits fail in the stepper near the centre
+    # 10 of the 20 orbits fail in the stepper near the centre
     "oracle-crosscheck-failing": ("oracle-crosscheck", {
         "potential": {"family": "homogeneous", "alpha": 1.9}}),
     # at eps = 1 the orbit l = eps does not exist
