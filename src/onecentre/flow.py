@@ -16,18 +16,19 @@ by how the integration stopped (`Trajectory.stop`): at the collision
 threshold, on leaving the ball, at the apse, or at the horizon.  Every orbit
 read past an apse is one `MirroredOrbit`, by one rule: an orbit of a central
 potential is symmetric about its apsidal line.  A non-collision orbit is
-integrated only up to its first pericentre t_p when 2 t_p reaches the
-horizon, and mirrored across its apsidal line; an orbit whose first
-pericentre comes earlier is integrated plainly to the horizon (the
-continuation branch).  A collision datum's orbit is the mirror of its `Fall`
-at the collision instant T0, by the apsidal limit of the smoothed orbits as
-(eps, l) -> 0: the point reflection, with the apsidal angle pi/2.  The
-`Fall` holds the integrated leg, which ends at the collision threshold
-(`TRANSMISSION_FRACTION` of the starting radius) and carries the energy, and
-adds the fall's quadrature tail from there (`radial.collision_time`), which
-it inverts to read the radius below it.  The time-T map is continuous in
-(datum, smoothing) at every T != T0 -- the experiments in this module measure
-that continuity and the induced Poincare section with its hitting-time map.
+integrated only up to its first pericentre t_p, and mirrored across its
+apsidal line up to 2 t_p.  A collision datum's orbit is the mirror of its
+`Fall` at the collision instant T0 up to 2 T0, by the apsidal limit of the
+smoothed orbits as (eps, l) -> 0: the point reflection, with the apsidal
+angle pi/2.  Where the mirror ends before the horizon, the orbit goes on as
+the extended flow of the mirrored state there, so the flow is defined for
+every T and its time-T maps compose.  The `Fall` holds the integrated leg,
+which ends at the collision threshold (`TRANSMISSION_FRACTION` of the
+starting radius) and carries the energy, and adds the fall's quadrature tail
+from there (`radial.collision_time`), which it inverts to read the radius
+below it.  The time-T map is continuous in (datum, smoothing) at every T off
+the collision instants -- the experiments in this module measure that
+continuity and the induced Poincare section with its hitting-time map.
 The experiments take a solved case (`radial.Anchor`), whose collision datum
 `make_initial_data` places.  A `Section` (from `section_at`) holds that
 datum's path and the section plane, computed once for all the
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.random import default_rng
@@ -124,10 +125,11 @@ class Fall:
 @dataclass(frozen=True)
 class MirroredOrbit:
     """An orbit on [0, t_end], integrated only up to its apse t_p =
-    half.t_end and read past it by the apsidal mirror.
+    half.t_end, read past it by the apsidal mirror up to 2 t_p, and past
+    that by the orbit `rest` of the mirrored state at 2 t_p.
 
     An orbit of a central potential is symmetric about its apsidal line, so
-    at t_p < t <= t_end <= 2 t_p, with s = 2 t_p - t,
+    at t_p < t <= 2 t_p, with s = 2 t_p - t,
 
         x(t) = R x(s),   v(t) = -R v(s),   theta(t) = 2 theta_p - theta(s),
 
@@ -135,54 +137,68 @@ class MirroredOrbit:
     `extended_flow`.  `half` is either a run stopped at its first pericentre
     (a `Trajectory` with stop `APSE`), or a collision datum's `Fall`, whose
     apse is the collision instant and whose mirror is the transmission.
+    `rest` is None when the mirror reaches the horizon, else the extended
+    flow from the state at 2 t_p, read at t - 2 t_p, its angle added to
+    theta(2 t_p) = 2 theta_p.
     """
 
     half: Trajectory | Fall
-    t_end: float
     reflection: np.ndarray = field(repr=False)
     theta_p: float
+    rest: Trajectory | MirroredOrbit | None
+
+    @property
+    def t_end(self) -> float:
+        return 2.0 * self.half.t_end + (0.0 if self.rest is None else self.rest.t_end)
 
     def state_at(self, t: float) -> PhaseState:
-        if self._in_half(t):
-            return self.half.state_at(t)
-        source = self.half.state_at(2.0 * self.half.t_end - t)
+        part, s = self._part(t)
+        if part is not None:
+            return part.state_at(s)
+        source = self.half.state_at(s)
         return PhaseState(self.reflection @ source.position,
                           (-self.reflection) @ source.velocity)
 
     def theta_at(self, t: float) -> float:
-        if self._in_half(t):
-            return self.half.theta_at(t)
-        return 2.0 * self.theta_p - self.half.theta_at(2.0 * self.half.t_end - t)
+        part, s = self._part(t)
+        if part is self.half:
+            return self.half.theta_at(s)
+        return 2.0 * self.theta_p + (-self.half.theta_at(s) if part is None else part.theta_at(s))
 
-    def _in_half(self, t: float) -> bool:
-        """Whether t, which must lie in [0, t_end], lies in the half [0, t_p]."""
-        if not (0.0 <= t <= self.t_end):
+    def _part(self, t: float) -> tuple[Trajectory | Fall | MirroredOrbit | None, float]:
+        """(part, s): the half or the rest and the time s at which it reads
+        t, or (None, 2 t_p - t) on the mirror.  t must lie in [0, t_end]."""
+        t_m = 2.0 * self.half.t_end
+        if self.rest is not None and t > t_m:
+            return self.rest, t - t_m
+        if not (0.0 <= t <= t_m):
             raise ValueError(f"t={t!r} outside the trajectory domain [0, {self.t_end!r}]")
-        return t <= self.half.t_end
+        return (self.half, t) if t <= self.half.t_end else (None, t_m - t)
 
 
 def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
                   horizon: float,
                   ball_radius: float = math.inf) -> Trajectory | MirroredOrbit:
-    """The orbit of the extended flow from `state`, valid on [0, its t_end].
+    """The orbit of the extended flow from `state`, valid on [0, its t_end],
+    t_end >= horizon.
 
-    A collision datum (eps = 0, |l| <= COLLISION_L_TOL) gets its
-    transmission path, the mirror of its `Fall` to the centre at T0, valid on
-    [0, t_end] = [0, 2 T0] whatever the horizon.  Its mirror is the apsidal
-    limit of the smoothed orbits: R = -I, x(T0 + s) = -x(T0 - s) and
+    A collision datum (eps = 0, |l| <= COLLISION_L_TOL) falls to the centre
+    (its `Fall`), and is mirrored there at T0: the transmission, the apsidal
+    limit of the smoothed orbits, R = -I, x(T0 + s) = -x(T0 - s) and
     v(T0 + s) = v(T0 - s), and theta_p = pi/2, so the crossing sweeps pi.
-    The horizon only bounds its fall integration: the fall is integrated for
-    up to 4 horizon + 10 until it stops at the collision threshold; leaving
-    the ball on the way raises ExitedBall, and reaching 4 horizon + 10 first
-    (a radial datum that never falls to the threshold) ValueError.
-    Any other datum is valid on [0, horizon].  It is integrated up to its
-    first pericentre t_p when 2 t_p >= horizon, and read on by the mirror
-    across the line through the origin perpendicular to the pericentre
-    velocity, R = I - 2 n n^T with n along that velocity, and theta_p the
-    angle there; otherwise it is integrated plainly to the horizon (a
-    `Trajectory`).  Leaving the ball before the horizon raises ExitedBall,
-    and an eps = 0 orbit whose |l| is too large for transmission that
-    reaches the collision threshold first RuntimeError.
+    Its fall is integrated for up to 4 horizon + 10 until it stops at the
+    collision threshold; leaving the ball on the way raises ExitedBall, and
+    reaching 4 horizon + 10 first (a radial datum that never falls to the
+    threshold) ValueError.  Any other datum is integrated up to its first
+    pericentre t_p > 0 (a `Trajectory` if the horizon comes first), and
+    mirrored there across the line through the origin perpendicular to the
+    pericentre velocity, R = I - 2 n n^T with n along that velocity, and
+    theta_p the angle there.  Where the mirror, to 2 T0 or 2 t_p, ends
+    before the horizon, the orbit goes on as the extended flow of the
+    mirrored state at that end (`MirroredOrbit.rest`), so the time-T maps
+    compose.  Leaving the ball before the horizon raises ExitedBall, at the
+    time since `state`, and an eps = 0 orbit whose |l| is too large for
+    transmission that reaches the collision threshold first RuntimeError.
     """
     collision = is_collision_datum(state, eps)
     orbit = integrate(state, SmoothedPotential(potential, eps),
@@ -196,21 +212,29 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
         end = orbit.state_at(orbit.t_end)
         tail = collision_time(RadialProblem(orbit.potential, orbit.energy0, 0.0), end.r)
         fall = Fall(orbit, orbit.t_end + tail, end.r, end.position / end.r)
-        return MirroredOrbit(fall, 2.0 * fall.t_end, -np.eye(2), 0.5 * math.pi)
-    if orbit.stop == APSE:
+        mirror = MirroredOrbit(fall, -np.eye(2), 0.5 * math.pi, None)
+    elif orbit.stop == APSE:
         # the last state is the apse, solved in its step's own variable; the
         # line perpendicular to v_p, not the one through the apse position,
         # stays the apsidal line at l = 0, eps > 0, where the apse is the centre
         v_p = orbit.states[-1, 2:4]
         n = v_p / np.linalg.norm(v_p)
-        return MirroredOrbit(orbit, horizon, np.eye(2) - 2.0 * np.outer(n, n),
-                             float(orbit.states[-1, 4]))
-    if orbit.t_end < horizon:   # the only stop left is the collision threshold
+        mirror = MirroredOrbit(orbit, np.eye(2) - 2.0 * np.outer(n, n),
+                               float(orbit.states[-1, 4]), None)
+    elif orbit.t_end < horizon:   # the only stop left is the collision threshold
         raise RuntimeError(
             f"integration stopped at t={orbit.t_end!r} before T={horizon!r} at the collision "
             f"threshold r = {COLLISION_RADIUS!r}: eps = 0 and |l| = "
             f"{abs(state.ang_momentum)!r} > COLLISION_L_TOL = {COLLISION_L_TOL!r}")
-    return orbit
+    else:
+        return orbit
+    t_m = 2.0 * mirror.half.t_end
+    try:
+        rest = (extended_flow(mirror.state_at(t_m), eps, potential, horizon - t_m, ball_radius)
+                if t_m < horizon else None)
+    except ExitedBall as exc:
+        raise ExitedBall(t_m + exc.exit_time) from None
+    return mirror if rest is None else replace(mirror, rest=rest)
 
 
 def diagonal_cells(exponents) -> list[tuple[float, Perturbation]]:
@@ -315,29 +339,31 @@ class Section:
     It is the plane through y1 = extended flow at time T of the collision
     datum, normal to the flow direction there (`normal`, the phase field at
     y1); its transversality margin |normal|^2 exceeds 1e-10.  `path` is the
-    collision datum's transmission path.
+    collision datum's orbit, which reads y1 at T.  xi0 = 0.1 T is the first
+    half-width of the crossing bracket: every sample's orbit, `path` too,
+    runs to T + xi0.
     """
 
     anchor: Anchor
     T: float
+    xi0: float
     path: MirroredOrbit
-    y1: PhaseState
     normal: np.ndarray
 
 
 def section_at(anchor: Anchor, T: float) -> Section:
-    """The section at time T, which must lie strictly between the collision
-    time T0 of the solved case's collision datum and 2 T0."""
+    """The section at time T, which must lie after the collision time T0 of
+    the solved case's collision datum."""
+    xi0 = 0.1 * T
     path = extended_flow(make_initial_data(anchor), 0.0, anchor.potential,
-                         T, anchor.case.ball_radius)
-    if not (path.half.t_end < T < path.t_end):
-        raise ValueError("T must lie strictly between the collision time and twice it")
-    y1 = path.state_at(T)
-    normal = phase_field(y1, anchor.potential)
+                         T + xi0, anchor.case.ball_radius)
+    if not path.half.t_end < T:
+        raise ValueError("T must lie strictly after the collision time")
+    normal = phase_field(path.state_at(T), anchor.potential)
     margin = float(np.dot(normal, normal))
     if margin <= 1e-10:
         raise ValueError(f"section not transversal: margin {margin!r}")
-    return Section(anchor, T, path, y1, normal)
+    return Section(anchor, T, xi0, path, normal)
 
 
 def poincare_section(section: Section, delta: float, sample_count: int,
@@ -348,19 +374,16 @@ def poincare_section(section: Section, delta: float, sample_count: int,
     generator seeded with `seed`, so every delta of one section draws from
     its own stream.  For each sample the crossing time tau solves
     H(y, t) = (flow(y, t) - y1) . normal = 0 by bracketing around T (bracket
-    half-width xi halved from 0.1 T until T + xi <= the orbit's t_end and the
-    signs differ) and root refinement; H is increasing along the flow near
+    half-width xi halved from the section's xi0 = 0.1 T until the signs
+    differ) and root refinement; H is increasing along the flow near
     the section, which the bracket search relies on.  Sample 0 is the
     collision datum itself, so its orbit is the section's transmission path,
     not integrated again.
     """
-    anchor, T, y1, normal = section.anchor, section.T, section.y1, section.normal
+    anchor, T, xi0, normal = section.anchor, section.T, section.xi0, section.normal
     potential, ball_radius = anchor.potential, anchor.case.ball_radius
-    y1v = y1.as_vector()
-    rng = default_rng(seed)
-
-    xi0 = 0.1 * T
-    t_hi = T + xi0
+    y1 = section.path.state_at(T)
+    y1v, rng = y1.as_vector(), default_rng(seed)
 
     table = ConvergenceTable(
         ("sample_id", "q0x", "q0y", "v0x", "v0y", "epsilon", "l",
@@ -370,7 +393,7 @@ def poincare_section(section: Section, delta: float, sample_count: int,
 
     def crossing(i, y0, eps, prefix):
         orbit = (section.path if i == 0 else
-                 extended_flow(y0, eps, potential, t_hi, ball_radius))
+                 extended_flow(y0, eps, potential, T + xi0, ball_radius))
         flow_at = orbit.state_at
 
         def H(t):
@@ -378,7 +401,7 @@ def poincare_section(section: Section, delta: float, sample_count: int,
 
         xi = xi0
         for _ in range(25):
-            if T + xi <= orbit.t_end and H(T - xi) < 0.0 < H(T + xi):
+            if H(T - xi) < 0.0 < H(T + xi):
                 break
             xi *= 0.5
         else:

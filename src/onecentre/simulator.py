@@ -10,10 +10,10 @@ interpolant of each accepted step as dense output.  Each step keeps only its
 stages; its interpolant is built when something reads it.  A run stops at the
 collision threshold (eps = 0; a collision datum's is `TRANSMISSION_FRACTION`
 of its starting radius), on leaving a finite ball, or, when asked, at its
-first pericentre t_p if 2 t_p reaches the horizon (the apse from which the
-extended flow reads the rest of the orbit by the apsidal mirror), at the root
-of the stop rule on the interpolant of the step where it changes sign; a
-`Trajectory` records which stop ended it.  The apse is solved in that step's
+first pericentre t_p > 0 (the apse past which the extended flow reads the
+orbit by the apsidal mirror), whatever the horizon, at the root of the stop
+rule on the interpolant of the step where it changes sign; a `Trajectory`
+records which stop ended it.  The apse is solved in that step's
 own variable, not in absolute time.  Pericentres and apocentres are one
 query on the finished trajectory (`Trajectory.apse_times`).  scipy's
 integrators serve only as test oracles.  `make_initial_data` places the
@@ -162,16 +162,15 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     collision datum the larger of TRANSMISSION_FRACTION r0 and
     COLLISION_RADIUS, r0 its starting radius, else COLLISION_RADIUS.  A
     finite ball radius makes leaving the ball a stop.  With `apse`, the
-    first pericentre t_p (the upward zero of r rdot) stops the run with
-    `APSE` when 2 t_p >= horizon, so the run's mirror about its apse covers
-    the horizon; an earlier first pericentre leaves the run as without
-    `apse`.  A stop is located on the interpolant of the step where its
-    rule changes sign, the only interpolant built here (the dense output
-    builds any other step's on its first read), and the run ends at its
-    time.  The apse is solved in the step's own variable
-    (`_dop853.interpolate_step`), and its state taken there: at a deep apse
-    theta' = l / r^2 is large, and a root in absolute t would misplace theta
-    by theta' ulp(t).  A step size below 10 ulp(t) raises RuntimeError.
+    first pericentre t_p > 0 (the upward zero of r rdot) stops the run with
+    `APSE`, whatever the horizon; a datum at its own pericentre (r rdot = 0
+    and rising at t = 0) runs on to the next one.  A stop is located on the
+    interpolant of the step where its rule changes sign, the only
+    interpolant built here (the dense output builds any other step's on its
+    first read), and the run ends at its time.  The apse is solved in the
+    step's own variable (`_dop853.interpolate_step`), and its state taken
+    there: at a deep apse theta' = l / r^2 is large, and a root in absolute
+    t would misplace theta by theta' ulp(t).  A step size below 10 ulp(t) raises RuntimeError.
     """
     eps = potential.epsilon
     l0 = state.ang_momentum
@@ -209,6 +208,8 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     # records: every step's stages; built: step index -> interpolant
     times, states, records, built = [t], array("d", y), array("d"), {}
     g = [rule(y) for rule, _, _ in rules]
+    if apse and g[-1] == 0.0:
+        g[-1] = 1.0     # an apse at t = 0 is no stop: t_p > 0
     stop = None
     while t < horizon:
         t_old = t
@@ -221,23 +222,16 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
                 stop = kind
                 break
         g = g_new
-        if stop == APSE:
-            del rules[-1], g[-1]    # only the first pericentre is a candidate
-            if 2.0 * t < horizon:
-                stop = None
         if stop is not None:
             seg = built[len(times) - 1] = _dop853.segment(rhs, rec)
             if stop == APSE:
                 x = brentq(lambda x: _radial_rate(_dop853.interpolate_step(seg, x)), 0.0, 1.0,
                            xtol=_ROOT_TOL, rtol=_ROOT_TOL)
                 t_stop, y_stop = t_old + x * seg[1], _dop853.interpolate_step(seg, x)
-                if 2.0 * t_stop < horizon:
-                    stop = None
             else:
                 t_stop = brentq(lambda s: rule(_dop853.interpolate(seg, s)), t_old, t,
                                 xtol=_ROOT_TOL, rtol=_ROOT_TOL)
                 y_stop = _dop853.interpolate(seg, t_stop)
-        if stop is not None:
             if t_stop == t_old:
                 del records[-_dop853.STAGES:]
                 del built[len(times) - 1]

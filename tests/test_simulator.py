@@ -421,7 +421,7 @@ def test_terminal_run_ends_at_its_event(state, ball, kind):
     assert np.array_equal(traj.dense(traj.t_end), traj.states[-1])
 
 
-def test_apse_stop_is_the_first_pericentre_when_its_mirror_covers_the_horizon():
+def test_apse_stop_is_the_first_pericentre_whatever_the_horizon():
     state = PhaseState((1.2, 0.0), (0.0, 0.7))
     plain = integrate(state, BARE_LOG, horizon=3.0)
     t_p, = plain.apse_times(1)
@@ -435,12 +435,24 @@ def test_apse_stop_is_the_first_pericentre_when_its_mirror_covers_the_horizon():
     x, y, vx, vy, _ = traj.states[-1]
     assert abs(x * vx + y * vy) <= 1e-14
     assert np.max(np.abs(traj.states[-1] - plain.dense(t_p))) <= 1e-12
-    # a first pericentre before half the horizon leaves the run as without the rule
-    with_rule = integrate(state, BARE_LOG, horizon=5.0, apse=True)
-    without = integrate(state, BARE_LOG, horizon=5.0)
-    assert with_rule.stop is None
-    assert np.array_equal(with_rule.times, without.times)
-    assert np.array_equal(with_rule.states, without.states)
+    # a first pericentre before half the horizon stops the run all the same:
+    # the rule does not read the horizon
+    longer = integrate(state, BARE_LOG, horizon=5.0, apse=True)
+    assert longer.stop == APSE and 2.0 * longer.t_end < 5.0
+    assert np.array_equal(longer.times, traj.times)
+    assert np.array_equal(longer.states, traj.states)
+
+
+def test_apse_stop_skips_a_pericentre_at_the_start():
+    # started tangentially above circular speed (1 for the logarithm), the
+    # datum is at its own pericentre, r rdot = 0 and rising: the run stops at
+    # the next pericentre, a period later, not at t = 0
+    state = PhaseState((1.0, 0.0), (0.0, 1.5))
+    plain = integrate(state, BARE_LOG, horizon=10.0)
+    peri = plain.apse_times(1)
+    assert peri[0] == 0.0 and 0.0 < peri[1] < 10.0
+    traj = integrate(state, BARE_LOG, horizon=10.0, apse=True)
+    assert traj.stop == APSE and abs(traj.t_end - peri[1]) <= 1e-12
 
 
 # --- the oracle's period, apocentre to apocentre -------------------------------

@@ -20,15 +20,14 @@ OUT receives two sets of outputs:
   of the fall time), a transmission demo of a drop from rest radius 1e-8,
   whose integrated fall ends at once at the ``COLLISION_RADIUS`` floor, so
   that every sample but the first and last reads that inversion, some within
-  1e-9 of the collision instant, late section brackets that
-  halve to stay inside 2 T0, late section samples whose first pericentre
-  t_p lies before half the horizon (the extended flow's continuation
-  branch, integrated plainly past t_p; in every other section and
-  continuity run, including the entry, ``homogeneous(0.5)`` and ball-exit
-  configs here, a smoothed sample takes the mirrored path, read past its
-  apse by the apsidal mirror), section brackets that halve, section
-  samples that find no crossing, oracle orbits that fail, and a bounds
-  audit whose second eps has no orbit.
+  1e-9 of the collision instant, a late section whose orbits run past
+  their first mirror (2 T0 for the collision samples, 2 t_p for the
+  others) and go on as the extended flow of the mirrored state there (in
+  every other section and continuity run, including the entry,
+  ``homogeneous(0.5)`` and ball-exit configs here, one mirror covers the
+  horizon), section brackets that halve, section samples that find no
+  crossing, oracle orbits that fail, and a bounds audit whose second eps
+  has no orbit.
 
 The exit codes go to ``OUT/exit_codes.json``.  Two checkouts that should
 compute the same numbers are compared with
@@ -85,7 +84,8 @@ EXTRA = {
         "potential": _HOM, "energy": -1.0, "n_cells": 4096}),
     # two grid nodes fall in the window below the abort radius
     "variational-probe-window": ("variational-probe", {"energy": -1.0, "n_cells": 262144}),
-    # the first bracket T + 0.1 T lies beyond 2 T0: collision samples halve it
+    # the samples' horizon T + 0.1 T lies beyond 2 T0 and every 2 t_p: each
+    # orbit goes on past its first mirror, and the first bracket holds
     "poincare-section-late": ("poincare-section", {
         "T_factor": 1.85, "samples": 6, "deltas": [1e-2, 1e-3]}),
     # just past the fall the first bracket is too wide and halves
