@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.random import default_rng
@@ -147,7 +148,7 @@ class MirroredOrbit:
     theta_p: float
     rest: Trajectory | MirroredOrbit | None
 
-    @property
+    @cached_property
     def t_end(self) -> float:
         return 2.0 * self.half.t_end + (0.0 if self.rest is None else self.rest.t_end)
 
@@ -167,13 +168,14 @@ class MirroredOrbit:
 
     def _part(self, t: float) -> tuple[Trajectory | Fall | MirroredOrbit | None, float]:
         """(part, s): the half or the rest and the time s at which it reads
-        t, or (None, 2 t_p - t) on the mirror.  t must lie in [0, t_end]."""
+        t, or (None, 2 t_p - t) on the mirror; ValueError off [0, t_end]."""
         t_m = 2.0 * self.half.t_end
         if self.rest is not None and t > t_m:
-            return self.rest, t - t_m
-        if not (0.0 <= t <= t_m):
-            raise ValueError(f"t={t!r} outside the trajectory domain [0, {self.t_end!r}]")
-        return (self.half, t) if t <= self.half.t_end else (None, t_m - t)
+            if t - t_m <= self.rest.t_end:
+                return self.rest, t - t_m
+        elif 0.0 <= t <= t_m:
+            return (self.half, t) if t <= self.half.t_end else (None, t_m - t)
+        raise ValueError(f"t={t!r} outside the trajectory domain [0, {self.t_end!r}]")
 
 
 def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,

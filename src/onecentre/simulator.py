@@ -29,7 +29,6 @@ their numerical drift is monitored, never corrected.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,8 +204,8 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
          float(state.velocity[0]), float(state.velocity[1]), 0.0)
     f = (y[2], y[3], *rhs(y[0], y[1]))
     h_abs = _dop853.initial_step(rhs, y, f, horizon, DEFAULT_RTOL, DEFAULT_ATOL)
-    # records: every step's stages; built: step index -> interpolant
-    times, states, records, built = [t], array("d", y), array("d"), {}
+    # records: each step's stage record, as `step` returns it; built: index -> interpolant
+    times, states, records, built = [t], [y], [], {}
     g = [rule(y) for rule, _, _ in rules]
     if apse and g[-1] == 0.0:
         g[-1] = 1.0     # an apse at t = 0 is no stop: t_p > 0
@@ -215,7 +214,7 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
         t_old = t
         t, y, f, h_abs, rec = _dop853.step(rhs, t, y, f, h_abs, horizon,
                                            DEFAULT_RTOL, DEFAULT_ATOL)
-        records.extend(rec)
+        records.append(rec)
         g_new = [rule(y) for rule, _, _ in rules]
         for (rule, direction, kind), a, b in zip(rules, g, g_new):
             if (a <= 0.0 <= b) if direction > 0 else (a >= 0.0 >= b):
@@ -233,17 +232,17 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
                                 xtol=_ROOT_TOL, rtol=_ROOT_TOL)
                 y_stop = _dop853.interpolate(seg, t_stop)
             if t_stop == t_old:
-                del records[-_dop853.STAGES:]
+                records.pop()
                 del built[len(times) - 1]
             else:
                 times.append(t_stop)
-                states.extend(y_stop)
+                states.append(y_stop)
             break
         times.append(t)
-        states.extend(y)
+        states.append(y)
 
     return Trajectory(potential=potential, times=np.array(times),
-                      states=np.frombuffer(states).reshape(-1, 5),
+                      states=np.array(states),
                       stop=stop, energy0=E0, ang_momentum0=l0,
                       dense=_dop853.DenseOutput(rhs, times, records, built))
 

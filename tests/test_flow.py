@@ -383,6 +383,29 @@ def test_trajectory_owns_its_domain():
     traj.state_at(1.0)
 
 
+@pytest.mark.parametrize("state, eps", [
+    (PhaseState((1.0, 0.0), (0.0, 0.0)), 1e-3),   # three mirrors of a smoothed drop
+    (PhaseState((1.0, 0.0), (0.0, 0.0)), 0.0),    # two transmissions
+], ids=["apse", "transmission"])
+def test_chained_orbit_names_its_own_domain(state, eps):
+    # a t past the end of a chain is refused in the whole orbit's time and
+    # domain, not in those of the last part it would have gone to
+    orbit = extended_flow(state, eps, logarithmic(), 7.0)
+    assert isinstance(orbit.rest, MirroredOrbit)
+    for t in (orbit.t_end + 1.0, orbit.t_end * (1.0 + 1e-15), -0.5):
+        message = rf"t={t!r} outside the trajectory domain \[0, {orbit.t_end!r}\]"
+        with pytest.raises(ValueError, match=message):
+            orbit.state_at(t)
+        with pytest.raises(ValueError, match=message):
+            orbit.theta_at(t)
+    # a t inside the chain reads its part, as before
+    t_m = 2.0 * orbit.half.t_end
+    for t in (t_m + 0.3, 6.5, orbit.t_end):
+        assert np.array_equal(orbit.state_at(t).as_vector(),
+                              orbit.rest.state_at(t - t_m).as_vector())
+        assert orbit.theta_at(t) == 2.0 * orbit.theta_p + orbit.rest.theta_at(t - t_m)
+
+
 def _drop_path(potential, energy):
     anchor = case_anchor(DropFromRest(energy), potential)
     return anchor, extended_flow(make_initial_data(anchor), 0.0, potential,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -409,6 +410,57 @@ def test_dense_array_equals_scalar_calls():
         traj.dense(s)
     assert np.array_equal(traj.dense(t), many)
     assert traj.dense(float(t[3])).shape == (5,)
+
+
+# sha256 of Trajectory.states of runs ending at each stop, recorded while the
+# states were gathered in an array('d'); "on_ball" starts on the ball and
+# moving out, so its stop falls at the start of its only step, which is dropped
+_RECORD_RUNS = {
+    "horizon": (PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, 10.0, math.inf, False,
+                None, 112, "20ccb3bb79739b1dd4f7f38dde736e5f8ef1945c12cf801410f129f6582ed327"),
+    "apse": (PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, 3.0, math.inf, True,
+             APSE, 25, "6ca405a19ea523d07e1368a3870240ef739a7c537603f246f5012738529fb40a"),
+    "smoothed_apse": (PhaseState((1.0, 0.0), (0.0, 1e-3)),
+                      SmoothedPotential(homogeneous(0.5), 1e-3), 4.0, math.inf, True,
+                      APSE, 126, "517821537734467badcb41aae6cc317058cbf9400380b31c1e01cf931880afb6"),
+    "collision": (PhaseState((1.0, 0.0), (0.0, 0.0)), BARE_LOG, 50.0, math.inf, False,
+                  COLLISION, 85, "bd19640961644c086951ea8304b8a006dbbdf9ff994b883c95d56e83aa033652"),
+    "exit_ball": (PhaseState((1.0, 0.0), (0.9, 0.0)), BARE_LOG, 50.0, 1.3, False,
+                  EXIT_BALL, 7, "dd5c30a5aa8794cc0c80b4f3d331e4df3f35de79839400f857c020c9c3280c4e"),
+    "on_ball": (PhaseState((1.3, 0.0), (0.9, 0.0)), BARE_LOG, 50.0, 1.3, False,
+                EXIT_BALL, 1, "345958564ea1bff8654b557662cb205979d0411c0ad0f89e2408776c53a1ce06"),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORD_RUNS))
+def test_records_are_the_tuples_step_returns(monkeypatch, name):
+    # one record per stored step, each the tuple `step` returned, not a copy;
+    # every interpolant is the one built from its record, and the states are
+    # the same, bit for bit, as when they were gathered in an array('d')
+    state, potential, horizon, ball, apse, stop, n, digest = _RECORD_RUNS[name]
+    returned = []
+    step = _dop853.step
+
+    def keeping(*args):
+        out = step(*args)
+        returned.append(out[-1])
+        return out
+
+    monkeypatch.setattr(_dop853, "step", keeping)
+    traj = integrate(state, potential, horizon, ball_radius=ball, apse=apse)
+    records = traj.dense._records
+    assert traj.stop == stop and len(traj.times) == n
+    assert len(records) == len(traj.times) - 1
+    # a stop at the start of the last step drops that step's record
+    assert len(returned) == len(records) + (name == "on_ball")
+    assert all(rec is ret for rec, ret in zip(records, returned))
+    assert all(type(rec) is tuple and len(rec) == _dop853.STAGES for rec in records)
+    for i, rec in enumerate(records):
+        got = np.array(traj.dense.segment(i))
+        want = np.array(_dop853.segment(traj.dense._field, rec))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert traj.states.dtype == np.float64 and traj.states.shape == (n, 5)
+    assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("state, ball, kind", [
