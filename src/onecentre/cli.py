@@ -171,7 +171,12 @@ def cmd_check_potential(cfg: dict, seed: int) -> tuple:
         "notes": report.notes,
     }
     verdict = True
-    expect = cfg.get("expect")
+    expect = cfg.get("expect", {})
+    if not isinstance(expect, dict):
+        raise ConfigError(f"'expect' must be an object, got {expect!r}")
+    for key in expect:
+        if key not in evidence:
+            raise ConfigError(f"unknown key 'expect.{key}'")
     if expect:
         verdict = all(evidence.get(k) == v for k, v in expect.items())
         evidence["expect"] = expect

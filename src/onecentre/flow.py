@@ -22,7 +22,9 @@ apsidal line up to 2 t_p.  A collision datum's orbit is the mirror of its
 smoothed orbits as (eps, l) -> 0: the point reflection, with the apsidal
 angle pi/2.  Where the mirror ends before the horizon, the orbit goes on as
 the extended flow of the mirrored state there, so the flow is defined for
-every T and its time-T maps compose.  The `Fall` holds the integrated leg,
+every T and its time-T maps compose: one loop builds the orbit leg by leg,
+apse to apse, and holds the legs past the first in one flat tuple, which
+its reads walk.  The `Fall` holds the integrated leg,
 which ends at the collision threshold (`TRANSMISSION_FRACTION` of the
 starting radius) and carries the energy, and adds the fall's quadrature tail
 from there (`radial.collision_time`), which it inverts to read the radius
@@ -40,7 +42,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from numpy.random import default_rng
@@ -127,7 +128,7 @@ class Fall:
 class MirroredOrbit:
     """An orbit on [0, t_end], integrated only up to its apse t_p =
     half.t_end, read past it by the apsidal mirror up to 2 t_p, and past
-    that by the orbit `rest` of the mirrored state at 2 t_p.
+    that by its later `legs`.
 
     An orbit of a central potential is symmetric about its apsidal line, so
     at t_p < t <= 2 t_p, with s = 2 t_p - t,
@@ -138,105 +139,118 @@ class MirroredOrbit:
     `extended_flow`.  `half` is either a run stopped at its first pericentre
     (a `Trajectory` with stop `APSE`), or a collision datum's `Fall`, whose
     apse is the collision instant and whose mirror is the transmission.
-    `rest` is None when the mirror reaches the horizon, else the extended
-    flow from the state at 2 t_p, read at t - 2 t_p, its angle added to
-    theta(2 t_p) = 2 theta_p.
+    `legs` is empty when the mirror reaches the horizon (t_end = 2 t_p);
+    else it holds, in order, the orbit's later legs, each the extended flow
+    from the state where the leg before it ends: a `MirroredOrbit` with no
+    legs of its own, or, last, the plain `Trajectory` that ends at the
+    horizon.  A leg reads on its own clock, from its start, and its angle
+    is added to the angle swept before it, 2 theta_p per mirror.
     """
 
     half: Trajectory | Fall
     reflection: np.ndarray = field(repr=False)
     theta_p: float
-    rest: Trajectory | MirroredOrbit | None
-
-    @cached_property
-    def t_end(self) -> float:
-        return 2.0 * self.half.t_end + (0.0 if self.rest is None else self.rest.t_end)
+    t_end: float
+    legs: tuple[MirroredOrbit | Trajectory, ...] = ()
 
     def state_at(self, t: float) -> PhaseState:
-        part, s = self._part(t)
-        if part is not None:
-            return part.state_at(s)
-        source = self.half.state_at(s)
-        return PhaseState(self.reflection @ source.position,
-                          (-self.reflection) @ source.velocity)
+        part, s, mirror, _ = self._part(t)
+        source = part.state_at(s)
+        return source if mirror is None else PhaseState(mirror.reflection @ source.position,
+                                                        (-mirror.reflection) @ source.velocity)
 
     def theta_at(self, t: float) -> float:
-        part, s = self._part(t)
-        if part is self.half:
-            return self.half.theta_at(s)
-        return 2.0 * self.theta_p + (-self.half.theta_at(s) if part is None else part.theta_at(s))
+        part, s, mirror, swept = self._part(t)
+        theta = part.theta_at(s)
+        return swept + (theta if mirror is None else 2.0 * mirror.theta_p - theta)
 
-    def _part(self, t: float) -> tuple[Trajectory | Fall | MirroredOrbit | None, float]:
-        """(part, s): the half or the rest and the time s at which it reads
-        t, or (None, 2 t_p - t) on the mirror; ValueError off [0, t_end]."""
-        t_m = 2.0 * self.half.t_end
-        if self.rest is not None and t > t_m:
-            if t - t_m <= self.rest.t_end:
-                return self.rest, t - t_m
-        elif 0.0 <= t <= t_m:
-            return (self.half, t) if t <= self.half.t_end else (None, t_m - t)
-        raise ValueError(f"t={t!r} outside the trajectory domain [0, {self.t_end!r}]")
+    def _part(self, t: float) -> tuple[Trajectory | Fall, float, MirroredOrbit | None, float]:
+        """(part, s, mirror, swept): the half or plain leg that reads t at
+        its time s, the leg whose mirror maps that read (None for a direct
+        read), and the angle swept by the legs before; ValueError off
+        [0, t_end]."""
+        if not 0.0 <= t <= self.t_end:
+            raise ValueError(f"t={t!r} outside the trajectory domain [0, {self.t_end!r}]")
+        leg, swept = self, 0.0
+        for later in self.legs:
+            span = 2.0 * leg.half.t_end
+            if t <= span:
+                break
+            t, swept, leg = t - span, swept + 2.0 * leg.theta_p, later
+        # the walk subtracts the spans that t_end adds up: the two may round
+        # apart, by ulps, past the last leg's end
+        t = min(t, leg.t_end)
+        if isinstance(leg, Trajectory):     # the plain last leg
+            return leg, t, None, swept
+        t_p = leg.half.t_end
+        return (leg.half, t, None, swept) if t <= t_p else (leg.half, 2.0 * t_p - t, leg, swept)
 
 
 def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
                   horizon: float,
                   ball_radius: float = math.inf) -> Trajectory | MirroredOrbit:
     """The orbit of the extended flow from `state`, valid on [0, its t_end],
-    t_end >= horizon.
+    t_end >= horizon: the end of the mirror that covers the horizon, or the
+    horizon itself, where a plain leg ends.
 
-    A collision datum (eps = 0, |l| <= COLLISION_L_TOL) falls to the centre
-    (its `Fall`), and is mirrored there at T0: the transmission, the apsidal
-    limit of the smoothed orbits, R = -I, x(T0 + s) = -x(T0 - s) and
-    v(T0 + s) = v(T0 - s), and theta_p = pi/2, so the crossing sweeps pi.
-    Its fall is integrated for up to 4 horizon + 10 until it stops at the
-    collision threshold; leaving the ball on the way raises ExitedBall, and
-    reaching 4 horizon + 10 first (a radial datum that never falls to the
-    threshold) ValueError.  Any other datum is integrated up to its first
-    pericentre t_p > 0 (a `Trajectory` if the horizon comes first), and
-    mirrored there across the line through the origin perpendicular to the
-    pericentre velocity, R = I - 2 n n^T with n along that velocity, and
-    theta_p the angle there.  Where the mirror, to 2 T0 or 2 t_p, ends
-    before the horizon, the orbit goes on as the extended flow of the
-    mirrored state at that end (`MirroredOrbit.rest`), so the time-T maps
-    compose.  Leaving the ball before the horizon raises ExitedBall, at the
-    time since `state`, and an eps = 0 orbit whose |l| is too large for
-    transmission that reaches the collision threshold first RuntimeError.
+    The orbit is built leg by leg, each from the state where the one before
+    it ends, for the horizon left.  A collision datum (eps = 0, |l| <=
+    COLLISION_L_TOL) falls to the centre (its `Fall`), and is mirrored there
+    at T0: the transmission, the apsidal limit of the smoothed orbits,
+    R = -I, x(T0 + s) = -x(T0 - s) and v(T0 + s) = v(T0 - s), and
+    theta_p = pi/2, so the crossing sweeps pi.  Its fall is integrated for
+    up to 4 times the horizon left + 10 until it stops at the collision
+    threshold; leaving the ball on the way raises ExitedBall, and reaching
+    that bound first (a radial datum that never falls to the threshold)
+    ValueError.  Any other datum is integrated up to its first pericentre
+    t_p > 0, and mirrored there across the line through the origin
+    perpendicular to the pericentre velocity, R = I - 2 n n^T with n along
+    that velocity, and theta_p the angle there; a leg whose horizon comes
+    first is a plain `Trajectory`, and is the last.  The legs end where one
+    covers the horizon: the orbit is the first leg, with the later ones as
+    its `MirroredOrbit.legs`, so the time-T maps compose.  Leaving the ball
+    before the horizon raises ExitedBall, at the time since `state`, and an
+    eps = 0 orbit whose |l| is too large for transmission that reaches the
+    collision threshold first RuntimeError.
     """
-    collision = is_collision_datum(state, eps)
-    orbit = integrate(state, SmoothedPotential(potential, eps),
-                      horizon=4.0 * horizon + 10.0 if collision else horizon,
-                      ball_radius=ball_radius, apse=not collision)
-    if orbit.stop == EXIT_BALL and (collision or orbit.t_end < horizon):
-        raise ExitedBall(orbit.t_end)
-    if collision:
-        if orbit.stop != COLLISION:
-            raise ValueError("trajectory does not stop at the collision threshold")
-        end = orbit.state_at(orbit.t_end)
-        tail = collision_time(RadialProblem(orbit.potential, orbit.energy0, 0.0), end.r)
-        fall = Fall(orbit, orbit.t_end + tail, end.r, end.position / end.r)
-        mirror = MirroredOrbit(fall, -np.eye(2), 0.5 * math.pi, None)
-    elif orbit.stop == APSE:
-        # the last state is the apse, solved in its step's own variable; the
-        # line perpendicular to v_p, not the one through the apse position,
-        # stays the apsidal line at l = 0, eps > 0, where the apse is the centre
-        v_p = orbit.states[-1, 2:4]
-        n = v_p / np.linalg.norm(v_p)
-        mirror = MirroredOrbit(orbit, np.eye(2) - 2.0 * np.outer(n, n),
-                               float(orbit.states[-1, 4]), None)
-    elif orbit.t_end < horizon:   # the only stop left is the collision threshold
-        raise RuntimeError(
-            f"integration stopped at t={orbit.t_end!r} before T={horizon!r} at the collision "
-            f"threshold r = {COLLISION_RADIUS!r}: eps = 0 and |l| = "
-            f"{abs(state.ang_momentum)!r} > COLLISION_L_TOL = {COLLISION_L_TOL!r}")
-    else:
-        return orbit
-    t_m = 2.0 * mirror.half.t_end
-    try:
-        rest = (extended_flow(mirror.state_at(t_m), eps, potential, horizon - t_m, ball_radius)
-                if t_m < horizon else None)
-    except ExitedBall as exc:
-        raise ExitedBall(t_m + exc.exit_time) from None
-    return mirror if rest is None else replace(mirror, rest=rest)
+    legs, elapsed = [], 0.0
+    while not legs or elapsed < horizon:   # `integrate` rejects a horizon <= 0
+        left = horizon - elapsed
+        collision = is_collision_datum(state, eps)
+        orbit = integrate(state, SmoothedPotential(potential, eps),
+                          horizon=4.0 * left + 10.0 if collision else left,
+                          ball_radius=ball_radius, apse=not collision)
+        if orbit.stop == EXIT_BALL and (collision or orbit.t_end < left):
+            raise ExitedBall(elapsed + orbit.t_end)
+        if collision:
+            if orbit.stop != COLLISION:
+                raise ValueError("trajectory does not stop at the collision threshold")
+            end = orbit.state_at(orbit.t_end)
+            tail = collision_time(RadialProblem(orbit.potential, orbit.energy0, 0.0), end.r)
+            fall = Fall(orbit, orbit.t_end + tail, end.r, end.position / end.r)
+            leg = MirroredOrbit(fall, -np.eye(2), 0.5 * math.pi, 2.0 * fall.t_end)
+        elif orbit.stop == APSE:
+            # the last state is the apse, solved in its step's own variable; the
+            # line perpendicular to v_p, not the one through the apse position,
+            # stays the apsidal line at l = 0, eps > 0, where the apse is the centre
+            v_p = orbit.states[-1, 2:4]
+            n = v_p / np.linalg.norm(v_p)
+            leg = MirroredOrbit(orbit, np.eye(2) - 2.0 * np.outer(n, n),
+                                float(orbit.states[-1, 4]), 2.0 * orbit.t_end)
+        elif orbit.t_end < left:   # the only stop left is the collision threshold
+            raise RuntimeError(
+                f"integration stopped at t={elapsed + orbit.t_end!r} before T={horizon!r} at "
+                f"the collision threshold r = {COLLISION_RADIUS!r}: eps = 0 and |l| = "
+                f"{abs(state.ang_momentum)!r} > COLLISION_L_TOL = {COLLISION_L_TOL!r}")
+        else:   # the horizon comes first: the last leg, which ends there
+            legs.append(orbit)
+            break
+        legs.append(leg)
+        elapsed += leg.t_end
+        if elapsed < horizon:
+            state = leg.state_at(leg.t_end)
+    return legs[0] if len(legs) == 1 else replace(legs[0], t_end=max(elapsed, horizon),
+                                                  legs=tuple(legs[1:]))
 
 
 def diagonal_cells(exponents) -> list[tuple[float, Perturbation]]:

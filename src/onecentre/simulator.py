@@ -231,10 +231,7 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
                 t_stop = brentq(lambda s: rule(_dop853.interpolate(seg, s)), t_old, t,
                                 xtol=_ROOT_TOL, rtol=_ROOT_TOL)
                 y_stop = _dop853.interpolate(seg, t_stop)
-            if t_stop == t_old:
-                records.pop()
-                del built[len(times) - 1]
-            else:
+            if t_stop > t_old:
                 times.append(t_stop)
                 states.append(y_stop)
             break

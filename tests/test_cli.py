@@ -207,6 +207,9 @@ _E25 = 1.3887948585624163e-11
     ("pi-identity", {"xi": ["2.0"]}, "'xi' must be a non-empty list of numbers, got ['2.0']"),
     ("pi-identity", {"tol": "1e-8"}, "'tol' must be a number, got '1e-8'"),
     ("check-potential", {"expected": {"admissible": True}}, "unknown key 'expected'"),
+    ("check-potential", {"expect": [1]}, "'expect' must be an object, got [1]"),
+    ("check-potential", {"expect": {"admissible": True, "bogus": 1}},
+     "unknown key 'expect.bogus'"),
     ("pi-identity", {"xis": [2.0]}, "unknown key 'xis'"),
     ("apsidal-sweep", {"exponent": [2, 3]}, "unknown key 'exponent'"),
     ("bounds-audit", {"samples": 10, "seed": 3}, "unknown key 'seed'"),
@@ -261,7 +264,8 @@ _E25 = 1.3887948585624163e-11
         "section-negative-delta", "audit-negative-eps", "audit-zero-eps", "xi-below-1",
         "probe-negative-delta", "T1_factor-above-1", "continuity-T_factor-above-2",
         "section-T_factor-below-1", "samples-bool", "xi-string", "tol-string",
-        "check-potential-unknown-key", "pi-identity-unknown-key", "apsidal-sweep-unknown-key",
+        "check-potential-unknown-key", "expect-not-object", "expect-unknown-key",
+        "pi-identity-unknown-key", "apsidal-sweep-unknown-key",
         "bounds-audit-unknown-key", "poincare-continuity-unknown-key",
         "poincare-section-unknown-key", "transmission-demo-unknown-key",
         "variational-probe-unknown-key", "oracle-crosscheck-unknown-key",

@@ -216,24 +216,25 @@ def test_extended_flow_covers_the_horizon():
     y0 = PhaseState((1.0, 0.0), (0.0, 0.0))
     path = extended_flow(y0, 0.0, logarithmic(), 1.5 * T0_LOG)
     assert isinstance(path, MirroredOrbit) and isinstance(path.half, Fall)
-    assert path.rest is None and path.t_end == 2.0 * path.half.t_end
+    assert path.legs == () and path.t_end == 2.0 * path.half.t_end
     # past 2 T0 the transmission path goes on as the extended flow of its
-    # state there, the same drop from the far side
+    # state there, the same drop from the far side: one leg per fall, each
+    # a mirror with no legs of its own
     path = extended_flow(y0, 0.0, logarithmic(), 5.5 * T0_LOG)
-    assert isinstance(path.rest, MirroredOrbit) and isinstance(path.rest.half, Fall)
+    assert len(path.legs) == 2
+    assert all(isinstance(leg, MirroredOrbit) and isinstance(leg.half, Fall) and leg.legs == ()
+               for leg in path.legs)
     assert path.t_end >= 5.5 * T0_LOG
     # a smoothed orbit is read past its pericentre near T0 by the mirror, up
     # to 2 t_p, and on by the mirrors of the orbits that follow: never by a
     # plain integration past a pericentre
     traj = extended_flow(y0, 1e-3, logarithmic(), 1.5 * T0_LOG)
-    assert isinstance(traj, MirroredOrbit) and traj.rest is None
+    assert isinstance(traj, MirroredOrbit) and traj.legs == ()
     assert traj.t_end == 2.0 * traj.half.t_end >= 1.5 * T0_LOG
     traj = extended_flow(y0, 1e-3, logarithmic(), 5.5 * T0_LOG)
-    chain = [traj]
-    while isinstance(chain[-1], MirroredOrbit):
-        assert chain[-1].half.stop == APSE
-        chain.append(chain[-1].rest)
-    assert len(chain) == 4 and chain[-1] is None
+    assert len(traj.legs) == 2 and all(leg.legs == () for leg in traj.legs)
+    for leg in (traj, *traj.legs):
+        assert isinstance(leg, MirroredOrbit) and leg.half.stop == APSE
     # every t up to the horizon reads (this grid misses the collision
     # instants, odd multiples of T0)
     for orbit in (path, traj):
@@ -289,6 +290,33 @@ def test_extended_flow_composes(potential, energy, eps, pert, f1, f2):
     direct = extended_flow(y0, eps, potential, T1 + T2).state_at(T1 + T2).as_vector()
     mid = extended_flow(y0, eps, potential, T1).state_at(T1)
     composed = extended_flow(mid, eps, potential, T2).state_at(T2).as_vector()
+    assert np.all(np.abs(composed - direct) <= 1e-10 + 1e-10 * np.abs(direct))
+
+
+def test_chained_orbit_reads_at_its_horizon_and_its_end():
+    # the horizon and t_end >= horizon both read, whatever the rounding of
+    # the legs' spans: a walk that subtracts them and a t_end that sums
+    # them differ by ulps (at H = 90 a nested sum gave t_end < H)
+    y0 = PhaseState((1.0, 0.0), (0.0, 0.9))
+    for H in 10.0 * np.arange(1, 121):
+        orbit = extended_flow(y0, 0.0, logarithmic(), H)
+        assert isinstance(orbit, MirroredOrbit) and orbit.t_end >= H, H
+        for t in (H, orbit.t_end):
+            orbit.state_at(t), orbit.theta_at(t)
+
+
+def test_long_chain_builds_reads_and_composes():
+    # 1,239 legs: 1,238 apses past the first, where a chain built and read
+    # by recursion ended between 900 and 1,100.  The composed flow meets the
+    # direct one in check.py's ODE class (measured: 0.15 of it).  The gap
+    # grows with T2, by the ODE error of the legs the two flows integrate
+    # apart: 3.5 classes at T2 = 500
+    y0, T1, T2 = PhaseState((1.0, 0.0), (0.0, 0.9)), 4900.0, 100.0
+    orbit = extended_flow(y0, 0.0, logarithmic(), T1 + T2)
+    assert len(orbit.legs) == 1238 and orbit.t_end >= T1 + T2
+    direct = orbit.state_at(T1 + T2).as_vector()
+    mid = extended_flow(y0, 0.0, logarithmic(), T1).state_at(T1)
+    composed = extended_flow(mid, 0.0, logarithmic(), T2).state_at(T2).as_vector()
     assert np.all(np.abs(composed - direct) <= 1e-10 + 1e-10 * np.abs(direct))
 
 
@@ -370,6 +398,12 @@ def test_mirrored_flow_meets_a_tight_run_through_the_centre(potential, energy, e
             assert got[1] == 0.0 and orbit.theta_at(T) == 0.0
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+def test_extended_flow_rejects_a_horizon_that_is_not_positive(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        extended_flow(PhaseState((1.0, 0.0), (0.0, 0.3)), 0.0, logarithmic(), horizon)
+
+
 def test_trajectory_owns_its_domain():
     # as a transmission path: the dense output would extrapolate the last
     # step past t_end (to position (7.8e3, 4.5e6) at t = 3)
@@ -389,21 +423,33 @@ def test_trajectory_owns_its_domain():
 ], ids=["apse", "transmission"])
 def test_chained_orbit_names_its_own_domain(state, eps):
     # a t past the end of a chain is refused in the whole orbit's time and
-    # domain, not in those of the last part it would have gone to
+    # domain, not in those of the last leg it would have gone to
     orbit = extended_flow(state, eps, logarithmic(), 7.0)
-    assert isinstance(orbit.rest, MirroredOrbit)
+    assert len(orbit.legs) == 2 and all(isinstance(leg, MirroredOrbit) for leg in orbit.legs)
     for t in (orbit.t_end + 1.0, orbit.t_end * (1.0 + 1e-15), -0.5):
         message = rf"t={t!r} outside the trajectory domain \[0, {orbit.t_end!r}\]"
         with pytest.raises(ValueError, match=message):
             orbit.state_at(t)
         with pytest.raises(ValueError, match=message):
             orbit.theta_at(t)
-    # a t inside the chain reads its part, as before
+    # a t inside the chain reads its leg on the leg's own clock, from the
+    # leg's start, with the angle swept before it added
+    start, swept = 0.0, 0.0
+    for before, leg in zip((orbit, *orbit.legs), orbit.legs):
+        start += 2.0 * before.half.t_end
+        swept += 2.0 * before.theta_p
+        for s in (0.3 * leg.t_end, leg.half.t_end + 0.1, min(leg.t_end, orbit.t_end - start)):
+            got = orbit.state_at(start + s).as_vector()
+            assert np.allclose(got, leg.state_at(s).as_vector(), rtol=1e-13, atol=1e-13)
+            assert orbit.theta_at(start + s) == pytest.approx(swept + leg.theta_at(s),
+                                                              rel=1e-13, abs=1e-13)
+    orbit.state_at(orbit.t_end), orbit.theta_at(orbit.t_end)
+    # the second leg starts at the first's 2 t_p, and reads bit for bit there
     t_m = 2.0 * orbit.half.t_end
-    for t in (t_m + 0.3, 6.5, orbit.t_end):
-        assert np.array_equal(orbit.state_at(t).as_vector(),
-                              orbit.rest.state_at(t - t_m).as_vector())
-        assert orbit.theta_at(t) == 2.0 * orbit.theta_p + orbit.rest.theta_at(t - t_m)
+    t = t_m + 0.3
+    assert np.array_equal(orbit.state_at(t).as_vector(),
+                          orbit.legs[0].state_at(t - t_m).as_vector())
+    assert orbit.theta_at(t) == 2.0 * orbit.theta_p + orbit.legs[0].theta_at(t - t_m)
 
 
 def _drop_path(potential, energy):
@@ -566,7 +612,7 @@ def test_section_sample_zero_reuses_the_reference_orbit():
     # past 2 T0 to the samples' horizon T + 0.1 T, and its first bracket holds
     T = 1.95 * T0_LOG
     section = section_at(DROP0, T)
-    assert section.path.rest is not None and section.path.t_end >= T + section.xi0
+    assert section.path.legs != () and section.path.t_end >= T + section.xi0
     table = poincare_section(section, delta=1e-3, sample_count=2, seed=0)
     assert "failed_samples" not in table.meta
     assert table.column("bracket_xi") == [0.1 * T] * 2

@@ -450,9 +450,9 @@ def test_records_are_the_tuples_step_returns(monkeypatch, name):
     traj = integrate(state, potential, horizon, ball_radius=ball, apse=apse)
     records = traj.dense._records
     assert traj.stop == stop and len(traj.times) == n
-    assert len(records) == len(traj.times) - 1
-    # a stop at the start of the last step drops that step's record
-    assert len(returned) == len(records) + (name == "on_ball")
+    # every step `step` returned keeps its record; a stop at the start of
+    # its step stores no time, and that step's interpolant reads its start
+    assert len(records) == len(returned) == len(traj.times) - (name != "on_ball")
     assert all(rec is ret for rec, ret in zip(records, returned))
     assert all(type(rec) is tuple and len(rec) == _dop853.STAGES for rec in records)
     for i, rec in enumerate(records):
@@ -461,6 +461,16 @@ def test_records_are_the_tuples_step_returns(monkeypatch, name):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert traj.states.dtype == np.float64 and traj.states.shape == (n, 5)
     assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
+
+
+def test_run_stopped_at_its_start_reads_its_datum():
+    # a datum on its ball moving out stops at t = 0, at the start of its
+    # first step: the run has no step past the datum, and reads it back
+    state = PhaseState((1.3, 0.0), (0.9, 0.0))
+    traj = integrate(state, BARE_LOG, 50.0, ball_radius=1.3)
+    assert traj.stop == EXIT_BALL and traj.t_end == 0.0
+    assert np.array_equal(traj.state_at(0.0).as_vector(), state.as_vector())
+    assert traj.theta_at(0.0) == 0.0
 
 
 @pytest.mark.parametrize("state, ball, kind", [
