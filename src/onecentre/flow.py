@@ -11,9 +11,10 @@ and the angular momentum vanish together.  The continuous angular lift jumps
 by exactly pi at the collision instant.
 
 `extended_flow` is the one flow primitive: it returns the orbit of any datum,
-and its `state_at(T)` is the extended time-T map.  It tells the cases apart
-by how the integration stopped (`Trajectory.stop`): at the collision
-threshold, on leaving the ball, at the apse, or at the horizon.  Every orbit
+and its `state_at(T)` is the extended time-T map.  Every leg is one
+integration, for the horizon left, with the apse stop, and the cases differ
+only by how it stopped (`Trajectory.stop`): at the collision threshold, on
+leaving the ball, at the apse, or at the horizon.  Every orbit
 read past an apse is one `MirroredOrbit`, by one rule: an orbit of a central
 potential is symmetric about its apsidal line.  A non-collision orbit is
 integrated only up to its first pericentre t_p, and mirrored across its
@@ -48,7 +49,7 @@ from numpy.random import default_rng
 
 from ._brent import RTOL_MIN, brentq
 from .potentials import PotentialSpec, SmoothedPotential
-from .radial import Anchor, RadialProblem, collision_time
+from .radial import Anchor, RadialProblem, collision_time, fall_time
 from .simulator import (APSE, COLLISION, COLLISION_L_TOL, COLLISION_RADIUS, EXIT_BALL,
                         PhaseState, Perturbation, Trajectory, integrate,
                         is_collision_datum, make_initial_data)
@@ -194,37 +195,30 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
     horizon itself, where a plain leg ends.
 
     The orbit is built leg by leg, each from the state where the one before
-    it ends, for the horizon left.  A collision datum (eps = 0, |l| <=
-    COLLISION_L_TOL) falls to the centre (its `Fall`), and is mirrored there
-    at T0: the transmission, the apsidal limit of the smoothed orbits,
-    R = -I, x(T0 + s) = -x(T0 - s) and v(T0 + s) = v(T0 - s), and
-    theta_p = pi/2, so the crossing sweeps pi.  Its fall is integrated for
-    up to 4 times the horizon left + 10 until it stops at the collision
-    threshold; leaving the ball on the way raises ExitedBall, and reaching
-    that bound first (a radial datum that never falls to the threshold)
-    ValueError.  Any other datum is integrated up to its first pericentre
-    t_p > 0, and mirrored there across the line through the origin
-    perpendicular to the pericentre velocity, R = I - 2 n n^T with n along
-    that velocity, and theta_p the angle there; a leg whose horizon comes
-    first is a plain `Trajectory`, and is the last.  The legs end where one
-    covers the horizon: the orbit is the first leg, with the later ones as
-    its `MirroredOrbit.legs`, so the time-T maps compose.  Leaving the ball
+    it ends.  Every leg is `integrate` for the horizon left, with its apse
+    stop, and is read by how it stopped.  A collision datum (eps = 0, |l| <=
+    COLLISION_L_TOL) stopped at the collision threshold falls on to the
+    centre (its `Fall`), and is mirrored there at T0: the transmission, the
+    apsidal limit of the smoothed orbits, R = -I, x(T0 + s) = -x(T0 - s)
+    and v(T0 + s) = v(T0 - s), and theta_p = pi/2, so the crossing sweeps
+    pi.  A leg stopped at its first pericentre t_p > 0 is mirrored there
+    across the line through the origin perpendicular to the pericentre
+    velocity, R = I - 2 n n^T with n along that velocity, and theta_p the
+    angle there.  A leg that the horizon ends first is a plain
+    `Trajectory`, and is the last: a fall cut by the horizon, or a radial
+    datum that never falls, too.  The legs end where one covers the
+    horizon: the orbit is the first leg, with the later ones as its
+    `MirroredOrbit.legs`, so the time-T maps compose.  Leaving the ball
     before the horizon raises ExitedBall, at the time since `state`, and an
     eps = 0 orbit whose |l| is too large for transmission that reaches the
-    collision threshold first RuntimeError.
+    collision threshold RuntimeError.
     """
     legs, elapsed = [], 0.0
     while not legs or elapsed < horizon:   # `integrate` rejects a horizon <= 0
         left = horizon - elapsed
-        collision = is_collision_datum(state, eps)
-        orbit = integrate(state, SmoothedPotential(potential, eps),
-                          horizon=4.0 * left + 10.0 if collision else left,
-                          ball_radius=ball_radius, apse=not collision)
-        if orbit.stop == EXIT_BALL and (collision or orbit.t_end < left):
-            raise ExitedBall(elapsed + orbit.t_end)
-        if collision:
-            if orbit.stop != COLLISION:
-                raise ValueError("trajectory does not stop at the collision threshold")
+        orbit = integrate(state, SmoothedPotential(potential, eps), horizon=left,
+                          ball_radius=ball_radius, apse=True)
+        if orbit.stop == COLLISION and is_collision_datum(state, eps):
             end = orbit.state_at(orbit.t_end)
             tail = collision_time(RadialProblem(orbit.potential, orbit.energy0, 0.0), end.r)
             fall = Fall(orbit, orbit.t_end + tail, end.r, end.position / end.r)
@@ -237,11 +231,13 @@ def extended_flow(state: PhaseState, eps: float, potential: PotentialSpec,
             n = v_p / np.linalg.norm(v_p)
             leg = MirroredOrbit(orbit, np.eye(2) - 2.0 * np.outer(n, n),
                                 float(orbit.states[-1, 4]), 2.0 * orbit.t_end)
-        elif orbit.t_end < left:   # the only stop left is the collision threshold
+        elif orbit.stop == COLLISION:
             raise RuntimeError(
                 f"integration stopped at t={elapsed + orbit.t_end!r} before T={horizon!r} at "
                 f"the collision threshold r = {COLLISION_RADIUS!r}: eps = 0 and |l| = "
                 f"{abs(state.ang_momentum)!r} > COLLISION_L_TOL = {COLLISION_L_TOL!r}")
+        elif orbit.stop == EXIT_BALL and orbit.t_end < left:
+            raise ExitedBall(elapsed + orbit.t_end)
         else:   # the horizon comes first: the last leg, which ends there
             legs.append(orbit)
             break
@@ -269,19 +265,19 @@ def continuity_experiment(anchor: Anchor, T: float,
     A failed cell is recorded by `ConvergenceTable.attempt` in
     meta["marked_cells"]; one that fails other than by leaving the ball
     before T names its eps and l, and sets meta["cell_failed"].  meta
-    records the reference state, whether the distances of the other cells
-    are nonincreasing, the first/last distance ratio, and the extrapolated
-    angular increment (the transmission value is exactly pi).
+    records the collision time T0 of the solved case, `radial.fall_time`
+    (the reference is a plain run when T < T0), the reference state,
+    whether the distances of the other cells are nonincreasing, the
+    first/last distance ratio, and the extrapolated angular increment (the
+    transmission value is exactly pi).
     """
     potential, ball_radius = anchor.potential, anchor.case.ball_radius
-    ref_path = extended_flow(make_initial_data(anchor), 0.0, potential, T, ball_radius)
-    T0 = ref_path.half.t_end
-    ref = ref_path.state_at(T)
+    ref = extended_flow(make_initial_data(anchor), 0.0, potential, T, ball_radius).state_at(T)
     ref_speed = float(np.linalg.norm(ref.velocity))
     table = ConvergenceTable(
         ("k", "epsilon", "l", "dq", "dv1", "dist_total", "dist_pos",
          "dist_vel", "theta_increment"),
-        meta={"T": T, "collision_time": T0,
+        meta={"T": T, "collision_time": fall_time(anchor),
               "reference": ref.as_vector().tolist()})
     if ref_speed <= 1e-8:
         # rest point on the extended path: continuity is not claimed there
@@ -368,13 +364,14 @@ class Section:
 
 
 def section_at(anchor: Anchor, T: float) -> Section:
-    """The section at time T, which must lie after the collision time T0 of
-    the solved case's collision datum."""
+    """The section at time T, which must lie after the collision time T0 =
+    `radial.fall_time(anchor)` of the solved case's collision datum:
+    ValueError otherwise, before any integration."""
+    if not fall_time(anchor) < T:
+        raise ValueError("T must lie strictly after the collision time")
     xi0 = 0.1 * T
     path = extended_flow(make_initial_data(anchor), 0.0, anchor.potential,
                          T + xi0, anchor.case.ball_radius)
-    if not path.half.t_end < T:
-        raise ValueError("T must lie strictly after the collision time")
     normal = phase_field(path.state_at(T), anchor.potential)
     margin = float(np.dot(normal, normal))
     if margin <= 1e-10:

@@ -98,8 +98,9 @@ def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
     near-collision integrals), else at the midpoint.
     Both ends must be finite: QUADPACK's `dqagse` integrates over a finite
     interval, so an unbounded orbit needs a finite cutoff.  With a >= 0
-    the legs evaluate w only at r > 0; only a backed-off offset can reach
-    r = 0, where eps = 0 leaves V undefined.
+    the legs evaluate w only at r > 0, never at r = 0, where eps = 0 leaves
+    V undefined.  A node whose reduced weight is not positive and finite
+    raises QuadratureError.
     """
     if not 0.0 <= a < b:
         raise ValueError("need 0 <= a < b")
@@ -113,23 +114,8 @@ def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
     l2 = l * l
     hypot, sqrt, inf = math.hypot, math.sqrt, math.inf
 
-    def backed_off(dl: float, du: float, r: float) -> float:
-        """omega after the offsets (dl, du) gave rounding noise at the zero:
-        back the offsets away by 4x, at most 8 offsets in all."""
-        for _ in range(7):
-            dl *= 4.0
-            du *= 4.0
-            val = integrand.radicand(a + dl) / dl
-            if upper_singular:
-                val /= du
-            if 0.0 < val < inf:
-                return val
-        raise QuadratureError(
-            f"radicand not positive near r={r!r} (interval [{a!r}, {b!r}])")
-
-    # Each leg maps a panel of abscissae to integrand values.  A node takes
-    # its first offsets straight; only a reduced weight there that is not
-    # positive and finite continues in backed_off.
+    # Each leg maps a panel of abscissae to integrand values.  A node whose
+    # reduced weight is not positive and finite ends the quadrature.
     def lower_leg(panel):
         values = []
         for s in panel:
@@ -143,7 +129,8 @@ def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
                 if upper_singular:
                     om /= du
                 if not 0.0 < om < inf:
-                    om = backed_off(dl, du, a + d)
+                    raise QuadratureError(f"radicand not positive near r={a + d!r} "
+                                          f"(interval [{a!r}, {b!r}])")
             else:
                 om = reduced
             x = a + d
@@ -162,7 +149,8 @@ def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
                 om = (2.0 * x * x * (energy + V(hypot(x, eps))) - l2) / dl
                 om /= du
                 if not 0.0 < om < inf:
-                    om = backed_off(dl, du, a + e)
+                    raise QuadratureError(f"radicand not positive near r={a + e!r} "
+                                          f"(interval [{a!r}, {b!r}])")
             else:
                 om = reduced
             x = b - d

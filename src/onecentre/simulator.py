@@ -14,13 +14,12 @@ first pericentre t_p > 0 (the apse past which the extended flow reads the
 orbit by the apsidal mirror), whatever the horizon, at the root of the stop
 rule on the interpolant of the step where it changes sign; a `Trajectory`
 records which stop ended it.  The apse is solved in that step's
-own variable, not in absolute time.  Pericentres and apocentres are one
-query on the finished trajectory (`Trajectory.apse_times`).  scipy's
-integrators serve only as test oracles.  `make_initial_data` places the
-(perturbed) collision datum of a solved case (`radial.Anchor`).
-`oracle_crosscheck` checks the stepper's periods, apocentre to apocentre
-over one period, against half periods from the quadrature engine, taken
-between the turning points.
+own variable, not in absolute time, and it is the program's one apse
+locator.  scipy's integrators serve only as test oracles.
+`make_initial_data` places the (perturbed) collision datum of a solved
+case (`radial.Anchor`).  `oracle_crosscheck` checks the stepper's half
+periods, from an apocentre to the apse stop, against those of the
+quadrature engine, taken between the turning points.
 
 Energy E = |u'|^2/2 - V_eps(|u|) and l = u x u' are conserved by the dynamics;
 their numerical drift is monitored, never corrected.
@@ -135,21 +134,6 @@ class Trajectory:
         if not (0.0 <= t <= self.t_end):
             raise ValueError(f"t={t!r} outside the trajectory domain [0, {self.t_end!r}]")
         return self.dense(t)
-
-    def apse_times(self, direction: int) -> list[float]:
-        """The times of the apses of one kind, in order: each zero of r rdot
-        that crosses in `direction` (1 upward, the pericentres; -1 downward,
-        the apocentres) between stored states, a zero at a stored state
-        included (a datum at an apse counts at t = 0), refined on the
-        interpolant of its step."""
-        g = direction * _radial_rate(self.states.T)
-        found = []
-        for i in np.flatnonzero((g[:-1] <= 0.0) & (g[1:] >= 0.0)).tolist():
-            seg = self.dense.segment(i)
-            found.append(brentq(lambda t: _radial_rate(_dop853.interpolate(seg, t)),
-                                self.times[i], self.times[i + 1],
-                                xtol=_ROOT_TOL, rtol=_ROOT_TOL))
-        return found
 
 
 def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
@@ -267,17 +251,18 @@ def oracle_energy_cap(potential: PotentialSpec) -> float:
 
 
 def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> ConvergenceTable:
-    """Apocentre-to-apocentre periods of seeded eps = 0 orbits against twice
-    the radial flight time from pericentre to apocentre (one engine call,
-    both ends singular), with conservation drift.
+    """Periods of seeded eps = 0 orbits, twice the run from an apocentre to
+    the pericentre, against twice the radial flight time from pericentre to
+    apocentre (one engine call, both ends singular), with conservation drift.
 
     Each orbit draws E in [-0.5, `oracle_energy_cap`) and l in [0.2, 0.9]
     times the largest admissible l (max of f on a grid up to
-    `ORACLE_RADIUS`), starts at its apocenter and runs for 2.1 half periods:
-    one period, with one pericentre passage.  Its period is the time from
-    the starting apocentre (t = 0) to the next, and its mismatch is relative
-    to the quadrature's period.  Each orbit is a cell; one with fewer than
-    two apocentres in its run fails, naming the stop that ended the run.
+    `ORACLE_RADIUS`), starts at its apocenter and runs with the apse stop,
+    on a horizon of 2.1 half periods, to its first pericentre.  An orbit of
+    a central potential is symmetric about its apsidal line, so its period
+    is twice that run's t_end; its mismatch is relative to the quadrature's
+    period, and its drift is the run's.  Each orbit is a cell; one whose run
+    does not stop at the apse fails, naming the stop that ended it.
     meta carries worst_period_mismatch, worst_drift and failing: the
     (orbit, message) records of `ConvergenceTable.attempt`, or None.
     """
@@ -293,12 +278,11 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> Conve
         half = sqrt_endpoint_quad(rp.integrand(angle=False), tp.pericenter, tp.apocenter,
                                   upper_singular=True).value
         state = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
-        traj = integrate(state, sm, horizon=2.1 * half)
-        apo = traj.apse_times(-1)
-        if len(apo) < 2:
-            raise RuntimeError(f"fewer than two apocentres: the run stopped at "
+        traj = integrate(state, sm, horizon=2.1 * half, apse=True)
+        if traj.stop != APSE:
+            raise RuntimeError(f"no pericentre: the run stopped at "
                                f"{traj.stop or 'its horizon'}, t = {traj.t_end!r}")
-        period_ode, period_quad = apo[1] - apo[0], 2.0 * half
+        period_ode, period_quad = 2.0 * traj.t_end, 2.0 * half
         mism = abs(period_ode - period_quad) / period_quad
         dE, dl = conserved_drift(traj)
         table.add(i, E, l, period_ode, period_quad, mism, dE, dl)

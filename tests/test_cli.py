@@ -409,7 +409,7 @@ def test_oracle_crosscheck_command(tmp_path):
 @pytest.mark.parametrize("alpha, failing, finite_rows, message", [
     (1.9, [0, 1, 5, 6, 7, 10, 12, 15, 17, 19], 10,
      "integration failed: required step size is less than spacing between numbers"),
-    (2.5, list(range(20)), 0, "fewer than two apocentres: the run stopped at collision"),
+    (2.5, list(range(20)), 0, "no pericentre: the run stopped at collision"),
 ], ids=["alpha-1.9", "alpha-2.5"])
 def test_oracle_crosscheck_names_every_failed_orbit(tmp_path, capsys, alpha, failing,
                                                     finite_rows, message):
@@ -668,16 +668,19 @@ def test_variational_probe_bytes_pinned(tmp_path, name):
 # section digests again once the extended flow read smoothed orbits past
 # their apse by the mirror, and the section and transmission CSVs once the
 # transmission became the mirror R = -I, whose matrix product writes y = 0.0
-# past the collision where the negation wrote -0.0), and the oracle's once
-# it measured its period apocentre to apocentre over one period, with a
+# past the collision where the negation wrote -0.0), the oracle's once it
+# measured its period apocentre to apocentre over one period, with a
 # relative mismatch (period_ode moved by at most 0.24% of check.py's ODE
-# class, 1e-10 + 1e-10 |period|): CSVs first, then the summary
+# class, 1e-10 + 1e-10 |period|), and again once it took the period as twice
+# its run from the apocentre to the APSE stop, and the continuity summary
+# once its collision_time became `radial.fall_time`: CSVs first, then the
+# summary
 _ORBIT_DIGESTS = {
     "poincare-continuity": (None, [
         ("poincare_continuity.csv",
          "1fb6429118e962a177d9ee5a0df454995fcd84bca1edca001d5c452b335f114b"),
         ("poincare_continuity_summary.json",
-         "d80fd5e00d39582087425f684836451a6bf20119077c853a7fa98611bd9f488e")]),
+         "2e93dd2a8f24562762ec91de75d3fd12ca004da62569b81ba37703148c8e84f4")]),
     "transmission-demo": (None, [
         ("transmission_path.csv",
          "96c26edad1849003602fb441690b5fda8291284771077f142a57512a65ef5270"),
@@ -685,9 +688,9 @@ _ORBIT_DIGESTS = {
          "e3ffb5f96c2a8b75e1147077c52a91eeee9ef8988307f726d9a61a01dd36bdd0")]),
     "oracle-crosscheck": ({"orbits": 5}, [
         ("oracle_crosscheck.csv",
-         "5f240caa91447f2ebc72b9574540d3c8272228cc890fb226e7a0834098766cc7"),
+         "627b5b22b222b39c547015d4167295e580a1cb9e15195ec04f2fc522daf9fc57"),
         ("oracle_crosscheck_summary.json",
-         "a9543d0870ce35031e62ff0f7d762b62df8d55f4e0a0513f5900f3a8a4dbcc80")]),
+         "9e02af18e61a27b7fe14a5d5a6507ded71194e9365c41998aea232f2d1ee09a8")]),
     "poincare-section": ({"samples": 4}, [
         ("poincare_section_delta0.csv",
          "888889e70b6638a58ce6206f005bcdbd5592fc921aca4eff70a38f96c81a6239"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from onecentre import flow
 from onecentre.cli import main
 from onecentre.flow import (ExitedBall, Fall, MirroredOrbit,
                             continuity_experiment, diagonal_cells, extended_flow,
@@ -14,7 +15,7 @@ from onecentre.radial import (DropFromRest, InwardCrossing, RadialProblem, case_
                               collision_time, fall_time)
 from onecentre.simulator import (APSE, COLLISION_RADIUS, DEFAULT_ATOL, DEFAULT_RTOL,
                                  TRANSMISSION_FRACTION, PhaseState, Perturbation,
-                                 integrate, make_initial_data)
+                                 Trajectory, integrate, make_initial_data)
 
 BARE_LOG = SmoothedPotential(logarithmic(), 0.0)
 T0_LOG = math.sqrt(math.pi / 2.0)   # fall time of the unit drop, E = 0
@@ -70,8 +71,9 @@ def test_transmission_theta_jump(drop_path):
 def test_transmission_theta_is_swept_angle_off_axis():
     # as a trajectory's theta_at: the angle swept since t = 0, whatever the
     # direction of the fall line
+    # its r0 = 1.005 takes it past T0_LOG to its own collision threshold
     path = extended_flow(make_initial_data(DROP0, Perturbation(dq=(0.0, 0.1))), 0.0,
-                         logarithmic(), T0_LOG)
+                         logarithmic(), 1.5 * T0_LOG)
     assert isinstance(path, MirroredOrbit) and isinstance(path.half, Fall)
     T0 = path.half.t_end
     assert path.theta_at(0.0) == path.theta_at(0.5 * T0) == 0.0
@@ -105,11 +107,38 @@ def test_transmission_involution(drop_path):
 
 
 def test_collision_datum_that_never_falls_has_no_path():
-    # a radial datum escaping outward never reaches the collision threshold,
-    # so there is no fall to extend by a quadrature tail
+    # a radial datum escaping outward never reaches the collision threshold:
+    # no fall, no mirror, and its orbit is the plain leg to the horizon
     y0 = PhaseState((1.0, 0.0), (5.0, 0.0))
-    with pytest.raises(ValueError, match="does not stop at the collision threshold"):
-        extended_flow(y0, 0.0, homogeneous(0.5), 1.0)
+    for horizon, r in ((0.1, 1.4980), (1.0, 5.9156)):
+        orbit = extended_flow(y0, 0.0, homogeneous(0.5), horizon)
+        plain = integrate(y0, SmoothedPotential(homogeneous(0.5), 0.0), horizon)
+        assert isinstance(orbit, Trajectory) and orbit.stop is None and orbit.t_end == horizon
+        assert np.array_equal(orbit.states, plain.states)
+        assert orbit.state_at(horizon).r == pytest.approx(r, abs=1e-4)
+
+
+def test_fall_cut_by_the_horizon_is_a_plain_leg(drop_path):
+    # a drop read before its collision threshold integrates to the horizon
+    # only, and reads there as the whole fall does
+    orbit = extended_flow(PhaseState((1.0, 0.0), (0.0, 0.0)), 0.0, logarithmic(), 0.5)
+    assert isinstance(orbit, Trajectory) and orbit.stop is None and len(orbit.times) == 8
+    assert len(drop_path.half.pre.times) > 10 * len(orbit.times)
+    np.testing.assert_allclose(orbit.state_at(0.5).as_vector(),
+                               drop_path.state_at(0.5).as_vector(), rtol=1e-15, atol=1e-16)
+
+
+def test_ball_exit_after_the_horizon_is_no_exit():
+    # thrown outward from r = 1 at 0.3, the datum leaves the ball r = 1.02 at
+    # t = 0.076, after the horizon 0.01: the orbit ends at the horizon
+    orbit = extended_flow(PhaseState((1.0, 0.0), (0.3, 0.0)), 0.0, logarithmic(), 0.01,
+                          ball_radius=1.02)
+    assert isinstance(orbit, Trajectory) and orbit.stop is None and orbit.t_end == 0.01
+    assert orbit.state_at(0.01).r == pytest.approx(1.00295, abs=1e-5)
+    with pytest.raises(ExitedBall) as exc:
+        extended_flow(PhaseState((1.0, 0.0), (0.3, 0.0)), 0.0, logarithmic(), 0.1,
+                      ball_radius=1.02)
+    assert exc.value.exit_time == pytest.approx(0.0763, abs=1e-4)
 
 
 def test_extended_map_before_collision_is_plain_integration(drop_path):
@@ -552,6 +581,16 @@ def test_section_transversality_margin_is_field_norm():
     f = phase_field(PhaseState(anchor[:2], anchor[2:]), logarithmic())
     assert table.meta["transversality_margin"] == float(np.dot(f, f))
     assert table.meta["transversality_margin"] > 1e-10
+
+
+def test_section_at_or_before_the_collision_is_refused_unintegrated(monkeypatch):
+    # T0 is the quadrature's fall time, so T is checked before any orbit runs
+    runs = []
+    monkeypatch.setattr(flow, "integrate", lambda *args, **kwargs: runs.append(args))
+    for T in (0.5 * T0_LOG, fall_time(DROP0)):
+        with pytest.raises(ValueError, match="strictly after the collision time"):
+            section_at(DROP0, T)
+    assert runs == []
 
 
 def test_section_crossings_and_shrinking_neighbourhood():

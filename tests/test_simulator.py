@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import DOP853, solve_ivp
 
 from onecentre import _dop853, simulator
+from onecentre._brent import brentq
 from onecentre.flow import diagonal_cells
 from onecentre.potentials import PotentialSpec, SmoothedPotential, homogeneous, logarithmic
 from onecentre.quadrature import sqrt_endpoint_quad
@@ -17,6 +18,23 @@ from onecentre.simulator import (APSE, COLLISION, COLLISION_RADIUS, DEFAULT_ATOL
                                  is_collision_datum, make_initial_data, oracle_crosscheck)
 
 BARE_LOG = SmoothedPotential(logarithmic(), 0.0)
+
+
+def _apse_times(traj, direction):
+    """The times of one kind of apse of a finished run, in order, found
+    after the run and in absolute time, apart from `integrate`'s APSE stop:
+    each zero of r rdot that crosses in `direction` (1 upward, the
+    pericentres; -1 downward, the apocentres) between stored states, a zero
+    at a stored state included (a datum at an apse counts at t = 0), refined
+    on the interpolant of its step."""
+    radial_rate, tol = simulator._radial_rate, simulator._ROOT_TOL
+    g = direction * radial_rate(traj.states.T)
+    found = []
+    for i in np.flatnonzero((g[:-1] <= 0.0) & (g[1:] >= 0.0)).tolist():
+        seg = traj.dense.segment(i)
+        found.append(brentq(lambda t: radial_rate(_dop853.interpolate(seg, t)),
+                            traj.times[i], traj.times[i + 1], xtol=tol, rtol=tol))
+    return found
 
 
 def test_phase_state_polar_accessors():
@@ -65,7 +83,7 @@ def test_pericentre_period_matches_radial_oracle():
                               upper_singular=True).value
     st = PhaseState((tp.apocenter, 0.0), (0.0, 0.4 / tp.apocenter))
     traj = integrate(st, BARE_LOG, horizon=4.5 * half)
-    peri = traj.apse_times(1)
+    peri = _apse_times(traj, 1)
     assert len(peri) >= 2
     assert peri[1] - peri[0] == pytest.approx(2.0 * half, abs=1e-6)
 
@@ -76,7 +94,7 @@ def test_apsidal_angle_crosscheck_with_theta_lift():
     tp = turning_points(rp)
     st = PhaseState((tp.apocenter, 0.0), (0.0, 0.4 / tp.apocenter))
     traj = integrate(st, BARE_LOG, horizon=5.0)
-    swept = traj.theta_at(traj.apse_times(1)[0])
+    swept = traj.theta_at(_apse_times(traj, 1)[0])
     assert swept == pytest.approx(apsidal_angle(rp).angle, abs=1e-6)
 
 
@@ -171,7 +189,7 @@ def test_trajectory_sample_and_event_invariants():
     traj = integrate(st, BARE_LOG, horizon=8.0)
     assert np.all(np.diff(traj.times) > 0)
     assert traj.stop is None and traj.t_end == 8.0
-    peri = traj.apse_times(1)
+    peri = _apse_times(traj, 1)
     assert peri, "a bounded orbit passes its pericentre within the horizon"
     assert traj.times[0] <= peri[0] and np.all(np.diff(peri) > 0) and peri[-1] <= traj.t_end
 
@@ -329,7 +347,7 @@ def test_integrate_matches_solve_ivp(potential, eps, state, horizon, ball, stop)
     else:
         t_stop, = np.concatenate(sol.t_events[1:])
         assert sol.status == 1 and abs(traj.t_end - t_stop) <= 1e-12
-    peri = traj.apse_times(1)
+    peri = _apse_times(traj, 1)
     assert len(peri) == len(sol.t_events[0])
     assert np.max(np.abs(np.subtract(peri, sol.t_events[0])), initial=0.0) <= 1e-12
     assert abs(len(traj.times) - len(sol.t)) <= 2
@@ -366,13 +384,13 @@ def test_interpolants_are_built_only_where_read(monkeypatch):
     built.clear()
     traj = integrate(PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, horizon=20.0)
     assert traj.stop is None and built == []
-    peri = traj.apse_times(1)
+    peri = _apse_times(traj, 1)
     s = traj.states
     g = s[:, 0] * s[:, 2] + s[:, 1] * s[:, 3]
     upward = sum(a <= 0.0 <= b for a, b in zip(g, g[1:]))
     assert len(built) == upward == len(peri) > 0
     assert len(built) * 10 < len(traj.times)
-    assert traj.apse_times(1) == peri and len(built) == len(peri)
+    assert _apse_times(traj, 1) == peri and len(built) == len(peri)
     i = next(i for i, t in enumerate(traj.times) if t not in built)
     t = 0.5 * (traj.times[i] + traj.times[i + 1])
     traj.dense(t)
@@ -389,7 +407,7 @@ def test_dense_array_equals_scalar_calls():
 
     # step boundaries, interior points, both ends and the pericentre times,
     # unsorted
-    peri = run().apse_times(1)
+    peri = _apse_times(run(), 1)
     traj = run()
     t = np.concatenate([traj.times[::7], np.linspace(0.0, 10.0, 101)[::-1], peri])
 
@@ -486,7 +504,7 @@ def test_terminal_run_ends_at_its_event(state, ball, kind):
 def test_apse_stop_is_the_first_pericentre_whatever_the_horizon():
     state = PhaseState((1.2, 0.0), (0.0, 0.7))
     plain = integrate(state, BARE_LOG, horizon=3.0)
-    t_p, = plain.apse_times(1)
+    t_p, = _apse_times(plain, 1)
     assert t_p < 3.0 <= 2.0 * t_p
     traj = integrate(state, BARE_LOG, horizon=3.0, apse=True)
     assert traj.stop == APSE and abs(traj.t_end - t_p) <= 1e-12
@@ -511,38 +529,43 @@ def test_apse_stop_skips_a_pericentre_at_the_start():
     # the next pericentre, a period later, not at t = 0
     state = PhaseState((1.0, 0.0), (0.0, 1.5))
     plain = integrate(state, BARE_LOG, horizon=10.0)
-    peri = plain.apse_times(1)
+    peri = _apse_times(plain, 1)
     assert peri[0] == 0.0 and 0.0 < peri[1] < 10.0
     traj = integrate(state, BARE_LOG, horizon=10.0, apse=True)
     assert traj.stop == APSE and abs(traj.t_end - peri[1]) <= 1e-12
 
 
-# --- the oracle's period, apocentre to apocentre -------------------------------
+# --- the oracle's period, twice apocentre to pericentre -----------------------
 
 def test_apocentre_query_counts_a_datum_at_rest_radially_at_zero():
+    # the test-local locator, which the checks above compare with the APSE
+    # stop, counts an apse at the datum
     traj = integrate(PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, horizon=10.0)
-    apo, peri = traj.apse_times(-1), traj.apse_times(1)
+    apo, peri = _apse_times(traj, -1), _apse_times(traj, 1)
     assert apo[0] == 0.0 and len(apo) >= 2
     # apocentres and pericentres alternate
     assert all(a < p < b for a, p, b in zip(apo, peri, apo[1:]))
 
 
 def test_oracle_integrates_one_period(monkeypatch):
-    horizons = []
+    runs = []
 
     def spy(state, potential, horizon, *args, **kwargs):
-        horizons.append(horizon)
-        return integrate(state, potential, horizon, *args, **kwargs)
+        runs.append((horizon, integrate(state, potential, horizon, *args, **kwargs)))
+        return runs[-1][1]
 
     monkeypatch.setattr(simulator, "integrate", spy)
-    # one period and a little more: no second pericentre passage is run
+    # a horizon of one period and a little more, and a run that stops at the
+    # pericentre, half a period in: its period is twice the run
     table = oracle_crosscheck(logarithmic(), 4, 0)
-    assert table.meta["failing"] is None and len(horizons) == len(table.rows) == 4
-    assert all(h <= 2.1 * (row[4] / 2.0) for h, row in zip(horizons, table.rows))
+    assert table.meta["failing"] is None and len(runs) == len(table.rows) == 4
+    for (h, traj), row in zip(runs, table.rows):
+        assert h <= 2.1 * (row[4] / 2.0)
+        assert traj.stop == APSE and row[3] == 2.0 * traj.t_end
 
 
 @pytest.mark.parametrize("potential", [logarithmic(), homogeneous(0.5)], ids=["log", "hom"])
-def test_oracle_period_matches_solve_ivp_apocentre_event(potential):
+def test_oracle_period_is_twice_the_solve_ivp_pericentre_event(potential):
     sm = SmoothedPotential(potential, 0.0)
     table = oracle_crosscheck(potential, 4, 0)
     assert table.meta["failing"] is None
@@ -552,17 +575,16 @@ def test_oracle_period_matches_solve_ivp_apocentre_event(potential):
         state = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
         rhs = _field(sm, state.ang_momentum)
 
-        def apocentre(t, y):
+        def pericentre(t, y):
             return y[0] * y[2] + y[1] * y[3]
-        # the datum's own apocentre at t = 0 is the first occurrence
-        apocentre.terminal, apocentre.direction = 2, -1.0
+        pericentre.terminal, pericentre.direction = True, 1.0
 
         sol = solve_ivp(lambda t, y: (y[2], y[3], *rhs(y[0], y[1])),
                         (0.0, 2.1 * (period_quad / 2.0)),
                         [*state.position, *state.velocity, 0.0], method="DOP853",
-                        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, events=[apocentre])
+                        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, events=[pericentre])
         # relative: solve_ivp's first step differs from the kernel's in the
-        # last bits, and over a period of ~80 the two runs part by ~1e-13
+        # last bits, and the two runs part by ~1e-13 of a period
         assert sol.status == 1
-        t0, t1 = sol.t_events[0]
-        assert t0 == 0.0 and abs(period_ode - t1) <= 1e-12 * t1
+        t_p, = sol.t_events[0]
+        assert abs(period_ode - 2.0 * t_p) <= 1e-12 * 2.0 * t_p
