@@ -50,11 +50,17 @@ def _load_config(path: str | None, defaults: dict, optional: tuple) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be an object")
-        for key in user:
-            if key not in defaults and key not in optional:
-                raise ConfigError(f"unknown key {key!r}")
+        _known_keys(user, (*defaults, *optional))
         cfg.update(user)
     return cfg
+
+
+def _known_keys(obj: dict, allowed, prefix: str = "") -> None:
+    """A key of `obj` not in `allowed` is a ConfigError naming it, after
+    `prefix` ("case.", "potential.", "expect.") for a nested object."""
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {prefix + key!r}")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -112,8 +118,11 @@ def _potential(cfg: dict):
     """The potential of cfg["potential"]; an unknown family or a missing or
     bad parameter is a ConfigError."""
     spec = cfg["potential"]
-    if isinstance(spec, dict) and spec.get("family") == "homogeneous":
-        _number(cfg, "potential.alpha")
+    if isinstance(spec, dict):
+        homogeneous = spec.get("family") == "homogeneous"
+        _known_keys(spec, ("family", "alpha") if homogeneous else ("family",), "potential.")
+        if homogeneous:
+            _number(cfg, "potential.alpha")
     try:
         return from_config(spec)
     except KeyError as exc:
@@ -127,6 +136,8 @@ def _case_from(cfg: dict, potential, key: str = "case") -> Anchor:
     at "case", the drop from rest at the energy at "energy".  A case the
     potential cannot realise is a ConfigError naming `key`."""
     c = cfg[key]
+    if key == "case" and isinstance(c, dict):
+        _known_keys(c, ("type", "energy", "ball_radius"), "case.")
     if key == "energy":
         case = DropFromRest(_number(cfg, key))
     elif not isinstance(c, dict):
@@ -174,11 +185,10 @@ def cmd_check_potential(cfg: dict, seed: int) -> tuple:
     expect = cfg.get("expect", {})
     if not isinstance(expect, dict):
         raise ConfigError(f"'expect' must be an object, got {expect!r}")
-    for key in expect:
-        if key not in evidence:
-            raise ConfigError(f"unknown key 'expect.{key}'")
+    _known_keys(expect, evidence, "expect.")
     if expect:
-        verdict = all(evidence.get(k) == v for k, v in expect.items())
+        # compared as the summary writes them: JSON holds lists, not tuples
+        verdict = all(json.loads(json.dumps(evidence[k])) == v for k, v in expect.items())
         evidence["expect"] = expect
     return verdict, evidence, {}
 
@@ -363,6 +373,13 @@ COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """The --seed argument: a non-negative integer, or a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="onecentre",
@@ -370,7 +387,7 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     args = parser.parse_args(argv)
 
     run, claim, defaults, optional = COMMANDS[args.subcommand]

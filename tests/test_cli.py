@@ -55,6 +55,19 @@ def test_check_potential_with_expectations(tmp_path):
     assert run_cli(["check-potential", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
+def test_check_potential_expects_values_as_the_summary_writes_them(tmp_path):
+    # the evidence holds tuples, which JSON writes and reads as lists
+    for potential, expect in (({"family": "logarithmic"}, {"notes": []}),
+                              ({"family": "homogeneous", "alpha": 2.0},
+                               {"witness": ["slope", 1e-08]})):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": potential, "expect": expect}))
+        assert run_cli(["check-potential", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        summary = read_summary(tmp_path, "check_potential")
+        assert summary["verdict"] is True
+        assert all(summary["evidence"][k] == v for k, v in expect.items())
+
+
 def test_pi_identity_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"xi": [2.0]}))
@@ -219,6 +232,10 @@ _E25 = 1.3887948585624163e-11
     ("variational-probe", {"n_cells": 4096, "case": {"type": "drop", "energy": 0.0}},
      "unknown key 'case'"),
     ("oracle-crosscheck", {"orbits": 2, "orbit": 4}, "unknown key 'orbit'"),
+    ("poincare-continuity", {"case": {"type": "drop", "energy": 0.0, "ball_raduis": 1.01}},
+     "unknown key 'case.ball_raduis'"),
+    ("check-potential", {"potential": {"family": "logarithmic", "alpha": 0.5}},
+     "unknown key 'potential.alpha'"),
     ("apsidal-sweep", {"case": {"type": "drop", "energy": math.nan}},
      "'case.energy' must be a number, got nan"),
     ("apsidal-sweep", {"exponents": [2, 3, math.nan]},
@@ -269,6 +286,7 @@ _E25 = 1.3887948585624163e-11
         "bounds-audit-unknown-key", "poincare-continuity-unknown-key",
         "poincare-section-unknown-key", "transmission-demo-unknown-key",
         "variational-probe-unknown-key", "oracle-crosscheck-unknown-key",
+        "case-unknown-key", "potential-unknown-key",
         "sweep-nan-energy", "sweep-nan-exponent", "strong_tol-nan", "audit-nan-energy",
         "samples-beyond-float", "drop-infinite-ball", "probe-infinite-delta", "alpha-nan",
         "alpha-beyond-float", "alpha-bool", "alpha-string", "sweep-rest-radius-below-floor",
@@ -286,6 +304,16 @@ def test_config_error_impossible_config(tmp_path, capsys, subcommand, cfg, messa
     assert rc == 2
     assert err == f"config error: {message}"
     assert not (tmp_path / f"{subcommand.replace('-', '_')}_summary.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["bounds-audit", "apsidal-sweep"])
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, subcommand):
+    # a usage error, caught before any computation
+    with pytest.raises(SystemExit) as exc:
+        run_cli([subcommand, "--out", str(tmp_path), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_apsidal_sweep_command(tmp_path):

@@ -3,7 +3,7 @@
     python3 tools/outputs.py OUT
 
 Run from anywhere; the program is imported from this checkout's ``src/``.
-OUT receives two sets of outputs:
+OUT receives three sets of outputs:
 
 * ``OUT/defaults/<subcommand>/``: every CLI subcommand at its default
   configuration and seed;
