@@ -9,10 +9,10 @@ from .potentials import (ClassReport, PotentialSpec, SmoothedPotential,
                          check_admissible, check_slowly_varying, classify,
                          from_config, homogeneous, logarithmic,
                          weak_singularity_check)
-from .radial import (Anchor, Case, DropFromRest, InwardCrossing, RadialProblem,
-                     TurningPoints, case_anchor, collision_time, fall_time,
-                     first_zero, turning_points)
-from .apsidal import (ApsidalAngle, SweepPath, apsidal_angle, bounds_audit,
+from .radial import (Anchor, Case, DropFromRest, InwardCrossing, PericentreIntegral,
+                     RadialProblem, TurningPoints, case_anchor, collision_time,
+                     fall_time, first_zero, pericentre_integral, turning_points)
+from .apsidal import (SweepPath, apsidal_angle, bounds_audit,
                       calibration_integral, convergence_sweep, default_paths,
                       desingularized_factor, integrand_envelope)
 from .simulator import (PhaseState, Perturbation, Trajectory, conserved_drift,

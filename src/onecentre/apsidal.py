@@ -1,4 +1,4 @@
-"""Apsidal angle quadrature, integrand bound functions, and convergence sweeps.
+"""Apsidal angles, integrand bound functions, and convergence sweeps.
 
 The apsidal angle of an orbit with angular momentum l > 0 between its
 pericentre and the integration cutoff beta = min(safe radius, apocenter) is
@@ -6,9 +6,10 @@ pericentre and the integration cutoff beta = min(safe radius, apocenter) is
     angle = integral_{R-}^{beta}  l dr / (r sqrt(f(r) - l^2)),
 
 with inverse-square-root endpoint zeros (both ends when beta is the
-apocenter).  The value is reported together with the split at the geometric
-mean of the endpoints: the outer part decays like (R-/beta)^(1/4) as the orbit
-approaches collision, while the inner part carries the limit.
+apocenter), as `radial.pericentre_integral` takes it.  The value comes with
+the split at the geometric mean of the endpoints: the outer part decays like
+(R-/beta)^(1/4) as the orbit approaches collision; the inner part carries
+the limit.
 
 The convergence sweeps take a solved case (`radial.Anchor`) and give each
 (eps, l) cell the energy of the case's datum perturbed by l and eps.
@@ -20,8 +21,8 @@ endpoint zeros are extracted -- plus the calibration identity
 
     integral_1^xi dx / (x sqrt((x-1)(1-x/xi))) = pi      for every xi > 1,
 
-which exercises the quadrature engine against an exact value: it is the
-apsidal angle of a Kepler orbit.
+which exercises the quadrature engine (its one caller outside `radial`)
+against an exact value: it is the apsidal angle of a Kepler orbit.
 """
 
 from __future__ import annotations
@@ -33,45 +34,14 @@ import numpy as np
 from numpy.random import default_rng
 
 from .potentials import PotentialSpec, SmoothedPotential
-from .quadrature import Integrand, sqrt_endpoint_quad
-from .radial import Anchor, RadialProblem, turning_points
+from .quadrature import sqrt_endpoint_quad
+from .radial import Anchor, PericentreIntegral, RadialProblem, pericentre_integral, turning_points
 from .tables import ConvergenceTable, LimitVerdict, limit_verdict
 
 
-@dataclass(frozen=True)
-class ApsidalAngle:
-    """Apsidal angle with its quadrature split and error estimate."""
-
-    angle: float
-    pericenter: float
-    cutoff: float
-    inner_part: float     # [R-, sqrt(R- * beta)]
-    outer_part: float     # [sqrt(R- * beta), beta]
-    quad_error: float
-
-
-def apsidal_angle(rp: RadialProblem, safe_radius: float = math.inf) -> ApsidalAngle:
-    """Apsidal angle of the orbit described by rp, integrated up to the cutoff.
-
-    Requires l > 0 and a positive pericentre; circular orbits are rejected
-    (the angle formula degenerates on a double root).
-    """
-    l = rp.ang_momentum
-    if l <= 0:
-        raise ValueError("apsidal angle needs positive angular momentum")
-    turning = turning_points(rp, safe_radius)
-    if turning.degenerate:
-        raise ValueError("circular orbit: apsidal angle undefined by the turning-point formula")
-    if turning.pericenter <= 0:
-        raise ValueError("pericentre is not positive")
-
-    beta = min(safe_radius, turning.apocenter)
-    upper_singular = beta == turning.apocenter
-
-    res = sqrt_endpoint_quad(rp.integrand(angle=True), turning.pericenter, beta,
-                             upper_singular=upper_singular)
-    return ApsidalAngle(res.value, turning.pericenter, beta,
-                        res.lower_part, res.upper_part, res.error)
+def apsidal_angle(rp: RadialProblem, safe_radius: float = math.inf) -> PericentreIntegral:
+    """Apsidal angle of the orbit rp up to the cutoff (`pericentre_integral`)."""
+    return pericentre_integral(rp, safe_radius, angle=True)
 
 
 def calibration_integral(xi: float) -> float:
@@ -86,8 +56,10 @@ def calibration_integral(xi: float) -> float:
     if xi <= 1.0:
         raise ValueError("xi must exceed 1")
     k = 0.5 * (1.0 + xi) / xi
-    kepler = Integrand(lambda h: k / h, -0.5 / xi, 0.0, 1.0, True, 1.0 / xi)
-    return sqrt_endpoint_quad(kepler, 1.0, xi, upper_singular=True).value
+    V = PotentialSpec("kepler", lambda h: k / h, lambda h: -k / (h * h), lambda h: 2.0 * k / h**3)
+    kepler = RadialProblem(SmoothedPotential(V, 0.0), -0.5 / xi, 1.0)
+    return sqrt_endpoint_quad(kepler, 1.0, xi, angle=True, upper_singular=True,
+                              reduced=1.0 / xi).value
 
 
 def integrand_envelope(potential: PotentialSpec, eps: float,
@@ -191,7 +163,7 @@ def default_paths(exponents) -> list[SweepPath]:
             SweepPath("l_first", l_first)]
 
 
-def _sweep_cell(anchor: Anchor, eps: float, l: float) -> ApsidalAngle:
+def _sweep_cell(anchor: Anchor, eps: float, l: float) -> PericentreIntegral:
     """One sweep cell: the angle of the orbit at the initial-data-consistent
     energy.
 
@@ -220,9 +192,9 @@ def convergence_sweep(anchor: Anchor, paths: list[SweepPath]) -> ConvergenceTabl
 
     def cell(prefix, angles):
         ang = _sweep_cell(anchor, *prefix[2:])
-        table.add(*prefix, ang.pericenter, ang.cutoff, ang.angle, ang.quad_error,
+        table.add(*prefix, ang.pericenter, ang.cutoff, ang.value, ang.quad_error,
                   ang.inner_part, ang.outer_part)
-        angles.append(ang.angle)
+        angles.append(ang.value)
 
     estimates: dict[str, LimitVerdict] = {}
     for path in paths:

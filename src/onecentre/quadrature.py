@@ -1,13 +1,14 @@
 """Adaptive quadrature of the radial problem's inverse-square-root integrals.
 
 All the singular integrals in this package (apsidal angles, flight times,
-the fall to the centre) go through one engine and have the form
+the fall to the centre) go through one engine, which integrates an orbit's
+`radial.RadialProblem` (V, E, eps, l):
 
     integral_a^b  num(r) / sqrt(w(r)) dr,   0 <= a < b,
 
-with the radial radicand w(r) = 2 r^2 (E + V(sqrt(r^2 + eps^2))) - l^2 of a
-base potential V, and the numerator num(r) = l / r for an apsidal angle and
-num(r) = r for a flight time.  w is positive inside (a, b).  Its lower end
+with the radial radicand w(r) = 2 r^2 (E + V(sqrt(r^2 + eps^2))) - l^2 of
+its base potential V, and the numerator num(r) = l / r for an apsidal angle
+and num(r) = r for a flight time.  w is positive inside (a, b).  Its lower end
 is a simple zero (a turning point of the radial motion) or the double zero
 at a = 0, where num vanishes like r (the radial fall, l = 0); its upper end
 is a simple zero or, as the caller states, a regular point.
@@ -22,15 +23,17 @@ with the *reduced weight*
     omega(r) = w(r) / ((r - a) (b - r)^[upper])
 
 which extends continuously to the endpoints.  It is built from w with a guard
-that never divides by an offset below the floating-point noise floor.  An
-integrand whose omega is a known constant (the Kepler radicand of the
+that never divides by an offset below the floating-point noise floor.  A
+caller that knows omega as a constant (the Kepler radicand of the
 calibration) can state it, and then gets machine-precision results even on
 nearly degenerate intervals.
 
 `_quadpack` hands each leg a whole 21-node Kronrod panel at a time, and the
 leg computes everything for a node in one loop: the substitution, the
 radicand with its one call of V, the guarded reduced weight and the
-numerator.
+numerator.  The orbit's `RadialProblem.terms` (V, and E, eps and l as
+Python floats) are bound once per call, so every node is evaluated in float
+arithmetic.
 """
 
 from __future__ import annotations
@@ -38,9 +41,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
 from ._quadpack import qagse
+
+if TYPE_CHECKING:
+    from .radial import RadialProblem
 
 _EPS = sys.float_info.epsilon
 
@@ -53,34 +59,6 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Integrand:
-    """num(r) / sqrt(w(r)) of the radial problem (V, E, eps, l):
-
-        w(r) = 2 r^2 (E + V(sqrt(r^2 + eps^2))) - l^2,
-
-    V the base potential (one call per node, at a Python float), the
-    constants Python floats, so every node is evaluated in float arithmetic,
-    and num(r) = l / r when `angle`, else r.  `reduced` is None, or the constant
-    reduced weight omega of w on the interval, which the singular legs then
-    use in place of the guarded one.
-    """
-
-    V: Callable[[float], float]
-    energy: float
-    eps: float
-    l: float
-    angle: bool
-    reduced: float | None
-
-    def radicand(self, x: float) -> float:
-        """w(x), with one call of V; x = 0 needs eps > 0."""
-        h = math.hypot(x, self.eps)
-        if not h:
-            raise ValueError("x = 0 requires eps > 0")
-        return 2.0 * x * x * (self.energy + self.V(h)) - self.l * self.l
-
-
-@dataclass(frozen=True)
 class QuadResult:
     value: float
     error: float          # quadrature error estimate (sum over legs)
@@ -88,12 +66,15 @@ class QuadResult:
     upper_part: float     # contribution of [split, b]
 
 
-def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
-                       upper_singular: bool) -> QuadResult:
-    """integral_a^b of the integrand, to relative tolerance DEFAULT_TOL.
+def sqrt_endpoint_quad(rp: RadialProblem, a: float, b: float, *, angle: bool,
+                       upper_singular: bool, reduced: float | None = None) -> QuadResult:
+    """integral_a^b of num(r) / sqrt(w(r)) for the orbit rp, to relative
+    tolerance DEFAULT_TOL, with num(r) = l / r when `angle`, else r.
 
     a is a zero of w; b is a simple zero when `upper_singular`, else a
-    regular point.  The interval is split at the geometric mean of the
+    regular point.  `reduced` is None, or the constant reduced weight omega
+    of w on [a, b], which the singular legs then use in place of the
+    guarded one.  The interval is split at the geometric mean of the
     endpoints when a > 0 (which resolves the multi-scale structure of
     near-collision integrals), else at the midpoint.
     Both ends must be finite: QUADPACK's `dqagse` integrates over a finite
@@ -109,8 +90,7 @@ def sqrt_endpoint_quad(integrand: Integrand, a: float, b: float, *,
             f"infinite interval [{a!r}, {b!r}]: the quadrature needs finite ends")
     span = b - a
     guard = 64.0 * _EPS * max(b, 1e-300)
-    V, energy, eps, l, angle, reduced = (integrand.V, integrand.energy, integrand.eps,
-                                         integrand.l, integrand.angle, integrand.reduced)
+    V, energy, eps, l = rp.terms
     l2 = l * l
     hypot, sqrt, inf = math.hypot, math.sqrt, math.inf
 

@@ -10,10 +10,11 @@ finds the first positive zero of f and, for l > 0, the turning points
 (pericentre/apocentre) of f(r) = l^2, scanning a grid sparsely.  For zero
 angular momentum and a weak singularity the fall reaches the origin in
 finite time: `collision_time` is the fall of a datum moving or at rest at
-r0, `fall_time` the fall of a solved case.  Each flight time is one call of
-the quadrature engine; `collision_time` decides from E + V(r0) whether its
-upper end is a turning point, and the apsidal integrals' callers, which know
-their turning points, set the engine's endpoint flags.
+r0, `fall_time` the fall of a solved case.  The quadrature engine integrates
+a `RadialProblem`, and its callers are here, one engine call per integral:
+`pericentre_integral` (l > 0) from the pericentre to a cutoff, singular there
+when it is the apocentre, and `collision_time`, which decides that from
+E + V(r0).
 `case_anchor` is the one solve of a collision case: its `Anchor` carries the
 collision datum every experiment starts from.
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 from ._brent import brentq, minimize_bounded
 from .potentials import PotentialSpec, SmoothedPotential
-from .quadrature import Integrand, sqrt_endpoint_quad
+from .quadrature import sqrt_endpoint_quad
 
 #: a peak of f - l^2 below this absolute bound (not relative to f) counts as a
 #: double root, so deep drops, whose f - l^2 peaks below it, read as circular
@@ -49,22 +50,25 @@ class RadialProblem:
     def __post_init__(self):
         if self.ang_momentum < 0:
             raise ValueError("angular momentum magnitude must be nonnegative")
+        # (V, E, eps, l) of `radicand` and the engine's nodes, bound once: the
+        # constants as Python floats (the energy often arrives as a numpy scalar)
+        object.__setattr__(self, "terms", (self.potential.base.value, float(self.energy),
+                                           self.potential.epsilon, float(self.ang_momentum)))
 
     def f(self, r: np.ndarray) -> np.ndarray:
         """f(r) = 2 r^2 (E + V_eps(r)) on a grid of radii; motion needs
-        f(r) >= l^2.  Scalar evaluations of f - l^2 use
-        `integrand(...).radicand`."""
+        f(r) >= l^2.  Scalar evaluations of f - l^2 use `radicand`."""
         r = np.asarray(r, float)
         return 2.0 * r * r * (self.energy + self.potential.value(r))
 
-    def integrand(self, angle: bool) -> Integrand:
-        """The quadrature engine's integrand of this orbit: the apsidal
-        angle's l / (r sqrt(f - l^2)) when `angle`, else the flight time's
-        r / sqrt(f - l^2).  Its `radicand` is f - l^2 at a scalar r, in the
-        operation order of `f`, which serves the grids; the constants are
-        bound as floats (the energy often arrives as a numpy scalar)."""
-        return Integrand(self.potential.base.value, float(self.energy),
-                         self.potential.epsilon, float(self.ang_momentum), angle, None)
+    def radicand(self, x: float) -> float:
+        """f(x) - l^2 at a scalar x, in the operation order of `f`, with one
+        call of V; x = 0 needs eps > 0."""
+        V, energy, eps, l = self.terms
+        h = math.hypot(x, eps)
+        if not h:
+            raise ValueError("x = 0 requires eps > 0")
+        return 2.0 * x * x * (energy + V(h)) - l * l
 
 
 @dataclass(frozen=True)
@@ -229,7 +233,7 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
         raise ValueError(f"no orbit: E + V_eps has no zero above 1e-14 "
                          f"(E = {rp.energy!r}, eps = {rp.potential.epsilon!r})")
 
-    w = rp.integrand(angle=False).radicand
+    w = rp.radicand
     hi = P if math.isfinite(P) else max(1e3, 10.0 * safe_radius if math.isfinite(safe_radius) else 0.0)
     with np.errstate(all="ignore"):
         grid, fvals = _one_peak_scan(lambda r: rp.f(r) - l2, 1e-12, hi * (1.0 - 1e-12),
@@ -275,6 +279,38 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
     return TurningPoints(pericenter, apocenter)
 
 
+@dataclass(frozen=True)
+class PericentreIntegral:
+    """An angle or flight time from R- to beta, with its split and error."""
+
+    value: float
+    pericenter: float
+    cutoff: float
+    inner_part: float     # [R-, sqrt(R- * beta)]
+    outer_part: float     # [sqrt(R- * beta), beta]
+    quad_error: float
+
+
+def pericentre_integral(rp: RadialProblem, safe_radius: float, *,
+                        angle: bool) -> PericentreIntegral:
+    """The apsidal angle (`angle`) or flight time of rp from its pericentre to
+    beta = min(safe_radius, apocentre), singular at beta when it is the
+    apocentre.  Requires l > 0, no circular orbit (a double root) and a
+    positive pericentre, not `turning_points`' 0.0 for one below its scan."""
+    if rp.ang_momentum <= 0:
+        raise ValueError("apsidal angle needs positive angular momentum")
+    turning = turning_points(rp, safe_radius)
+    if turning.degenerate:
+        raise ValueError("circular orbit: apsidal angle undefined by the turning-point formula")
+    if turning.pericenter <= 0:
+        raise ValueError("pericentre is not positive")
+    beta = min(safe_radius, turning.apocenter)
+    res = sqrt_endpoint_quad(rp, turning.pericenter, beta, angle=angle,
+                             upper_singular=beta == turning.apocenter)
+    return PericentreIntegral(res.value, turning.pericenter, beta,
+                              res.lower_part, res.upper_part, res.error)
+
+
 def collision_time(rp: RadialProblem, r0: float) -> float:
     """Time to fall into the origin from r0 on a zero-angular-momentum orbit
     that is moving at r0 (E + V(r0) > 0), as a transmission path's tail is,
@@ -293,8 +329,7 @@ def collision_time(rp: RadialProblem, r0: float) -> float:
     if not kinetic >= 0.0:
         raise ValueError(f"collision time needs a datum moving or at rest at r0={r0!r}: "
                          "E + V(r0) is negative")
-    return sqrt_endpoint_quad(rp.integrand(angle=False), 0.0, r0,
-                              upper_singular=kinetic == 0.0).value
+    return sqrt_endpoint_quad(rp, 0.0, r0, angle=False, upper_singular=kinetic == 0.0).value
 
 
 def fall_time(anchor: Anchor) -> float:

@@ -18,8 +18,9 @@ own variable, not in absolute time, and it is the program's one apse
 locator.  scipy's integrators serve only as test oracles.
 `make_initial_data` places the (perturbed) collision datum of a solved
 case (`radial.Anchor`).  `oracle_crosscheck` checks the stepper's half
-periods, from an apocentre to the apse stop, against those of the
-quadrature engine, taken between the turning points.
+periods, from an apocentre to the apse stop, against the flight times of
+`radial.pericentre_integral`, taken by quadrature between the turning
+points.
 
 Energy E = |u'|^2/2 - V_eps(|u|) and l = u x u' are conserved by the dynamics;
 their numerical drift is monitored, never corrected.
@@ -36,8 +37,7 @@ from numpy.random import default_rng
 from . import _dop853
 from ._brent import brentq
 from .potentials import PotentialSpec, SmoothedPotential
-from .quadrature import sqrt_endpoint_quad
-from .radial import Anchor, RadialProblem, turning_points
+from .radial import Anchor, RadialProblem, pericentre_integral
 from .tables import ConvergenceTable
 
 #: ODE solver tolerances; the drift budget of the experiments assumes these
@@ -253,7 +253,8 @@ def oracle_energy_cap(potential: PotentialSpec) -> float:
 def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> ConvergenceTable:
     """Periods of seeded eps = 0 orbits, twice the run from an apocentre to
     the pericentre, against twice the radial flight time from pericentre to
-    apocentre (one engine call, both ends singular), with conservation drift.
+    apocentre (`radial.pericentre_integral`, both ends singular), with
+    conservation drift.
 
     Each orbit draws E in [-0.5, `oracle_energy_cap`) and l in [0.2, 0.9]
     times the largest admissible l (max of f on a grid up to
@@ -261,8 +262,10 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> Conve
     on a horizon of 2.1 half periods, to its first pericentre.  An orbit of
     a central potential is symmetric about its apsidal line, so its period
     is twice that run's t_end; its mismatch is relative to the quadrature's
-    period, and its drift is the run's.  Each orbit is a cell; one whose run
-    does not stop at the apse fails, naming the stop that ended it.
+    period, and its drift is the run's.  Each orbit is a cell; one whose
+    pericentre is not resolved (below `turning_points`' scan) fails before
+    it runs, and one whose run does not stop at the apse fails, naming the
+    stop that ended it.
     meta carries worst_period_mismatch, worst_drift and failing: the
     (orbit, message) records of `ConvergenceTable.attempt`, or None.
     """
@@ -273,11 +276,9 @@ def oracle_crosscheck(potential: PotentialSpec, orbits: int, seed: int) -> Conve
                               "mismatch", "dE", "dl"))
 
     def orbit(i, E, l):
-        rp = RadialProblem(sm, E, l)
-        tp = turning_points(rp)
-        half = sqrt_endpoint_quad(rp.integrand(angle=False), tp.pericenter, tp.apocenter,
-                                  upper_singular=True).value
-        state = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
+        flight = pericentre_integral(RadialProblem(sm, E, l), math.inf, angle=False)
+        half, apocenter = flight.value, flight.cutoff
+        state = PhaseState((apocenter, 0.0), (0.0, l / apocenter))
         traj = integrate(state, sm, horizon=2.1 * half, apse=True)
         if traj.stop != APSE:
             raise RuntimeError(f"no pericentre: the run stopped at "

@@ -65,7 +65,7 @@ def test_criterion_02_kepler_oracle():
         E = rng.uniform(-0.6, -0.25)
         l = rng.uniform(0.2, 0.95) / math.sqrt(-2.0 * E)
         rp = RadialProblem(SmoothedPotential(homogeneous(1.0), 0.0), E, l)
-        worst = max(worst, abs(apsidal_angle(rp).angle - PI))
+        worst = max(worst, abs(apsidal_angle(rp).value - PI))
     elapsed = time.time() - t0
     ok = worst <= 1e-6 and elapsed < 5.0
     report(2, ok, elapsed, f"worst |angle - pi| = {worst:.2e} on 5 elliptic orbits")
@@ -82,7 +82,7 @@ def test_criterion_03_homogeneous_limit():
         for k in range(4, 15):
             rp = RadialProblem(SmoothedPotential(homogeneous(alpha), 0.0),
                                -0.5, 2.0 ** -k)
-            angles.append(apsidal_angle(rp).angle)
+            angles.append(apsidal_angle(rp).value)
         devs[alpha] = abs(aitken_limit(angles) - target)
     elapsed = time.time() - t0
     ok = max(devs.values()) <= 1e-3 and elapsed < 30.0
@@ -384,7 +384,7 @@ def collision_law_ratios(potential, energy: float, exponents) -> np.ndarray:
         y0 = make_initial_data(anchor, pert)
         orbit = extended_flow(y0, eps, potential, Ts[-1])
         sm = SmoothedPotential(potential, eps)
-        excess = apsidal_angle(RadialProblem(sm, y0.energy(sm), abs(y0.ang_momentum))).angle \
+        excess = apsidal_angle(RadialProblem(sm, y0.energy(sm), abs(y0.ang_momentum))).value \
             - PI / 2
         rows.append([orbit.state_at(T).distance(path.state_at(T))
                      / (n * np.linalg.norm(path.state_at(T).as_vector()) * 2 * excess)

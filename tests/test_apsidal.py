@@ -36,7 +36,7 @@ def test_kepler_apsidal_angle_is_pi():
         l = rng.uniform(0.2, 0.95) / math.sqrt(-2.0 * E)  # l^2 < -1/(2E)
         rp = RadialProblem(SmoothedPotential(homogeneous(1.0), 0.0), E, l)
         res = apsidal_angle(rp)
-        assert res.angle == pytest.approx(math.pi, abs=1e-6)
+        assert res.value == pytest.approx(math.pi, abs=1e-6)
 
 
 def test_apsidal_angle_matches_ode_checked_values():
@@ -47,7 +47,7 @@ def test_apsidal_angle_matches_ode_checked_values():
         s = 10.0 ** -k
         rp = log_problem(0.0, s, s)
         res = apsidal_angle(rp)
-        assert res.angle == pytest.approx(ref, abs=2e-9)
+        assert res.value == pytest.approx(ref, abs=2e-9)
 
 
 def test_apsidal_split_parts_sum_and_outer_decay():
@@ -55,7 +55,7 @@ def test_apsidal_split_parts_sum_and_outer_decay():
         s = 10.0 ** -k
         rp = log_problem(0.0, s, s)
         res = apsidal_angle(rp)
-        assert res.inner_part + res.outer_part == pytest.approx(res.angle, abs=1e-12)
+        assert res.inner_part + res.outer_part == pytest.approx(res.value, abs=1e-12)
         # the outer part is capped by 2 (R-/beta)^(1/4)
         assert res.outer_part <= 2.0 * (res.pericenter / res.cutoff) ** 0.25 * (1 + 1e-9)
 
@@ -64,7 +64,7 @@ def test_apsidal_angle_below_pi_near_limit():
     for k in (3, 4, 5):
         s = 10.0 ** -k
         res = apsidal_angle(log_problem(0.0, s, s))
-        assert res.angle <= math.pi + 1e-6
+        assert res.value <= math.pi + 1e-6
 
 
 def test_apsidal_angle_rejects_circular_and_zero_l():
@@ -90,7 +90,7 @@ def test_homogeneous_small_l_limit():
         angles = []
         for k in range(6, 13):
             rp = RadialProblem(SmoothedPotential(homogeneous(alpha), 0.0), -0.5, 2.0 ** -k)
-            angles.append(apsidal_angle(rp).angle)
+            angles.append(apsidal_angle(rp).value)
         assert aitken_limit(angles) == pytest.approx(target, abs=1e-4)
 
 
@@ -262,7 +262,7 @@ def test_sweep_cell_quadrature_nodes_pinned(spec, case, k, angle, scalar_calls):
 
     counting = dataclasses.replace(spec, value=value)
     ang = _sweep_cell(case_anchor(case, counting), 10.0 ** -k, 10.0 ** -k)
-    assert ang.angle == angle
+    assert ang.value == angle
     assert calls == {"scalar": scalar_calls, "array": 2}
 
 

@@ -77,7 +77,7 @@ def test_brentq_underflowed_extrapolation_equals_scipy(k):
     # non-convergence from 1e-110 on), where a Python division would raise
     s = 10.0 ** -k
     sm = SmoothedPotential(logarithmic(), s)
-    w = RadialProblem(sm, 0.5 * s * s - sm.value(1.0), s).integrand(angle=False).radicand
+    w = RadialProblem(sm, 0.5 * s * s - sm.value(1.0), s).radicand
     got = outcome(lambda: _brent.brentq(w, 1e-3 * s, s, 1e-300, 8.9e-16))
     assert got == outcome(lambda: optimize.brentq(w, 1e-3 * s, s, xtol=1e-300, rtol=8.9e-16))
     assert isinstance(got, float) == (k <= 100)

@@ -434,14 +434,21 @@ def test_oracle_crosscheck_command(tmp_path):
         assert s["evidence"]["worst_period_mismatch"] < 1e-6, (potential, seed)
 
 
-@pytest.mark.parametrize("alpha, failing, finite_rows, message", [
-    (1.9, [0, 1, 5, 6, 7, 10, 12, 15, 17, 19], 10,
-     "integration failed: required step size is less than spacing between numbers"),
-    (2.5, list(range(20)), 0, "no pericentre: the run stopped at collision"),
+_STEP_FAILED = "integration failed: required step size is less than spacing between numbers"
+_NO_PERICENTRE = "pericentre is not positive"
+
+
+@pytest.mark.parametrize("alpha, failing, finite_rows", [
+    (1.9, {0: _STEP_FAILED, 1: _NO_PERICENTRE, 5: _NO_PERICENTRE, 6: _NO_PERICENTRE,
+           7: _STEP_FAILED, 10: _STEP_FAILED, 12: _STEP_FAILED, 15: _STEP_FAILED,
+           17: _STEP_FAILED, 19: _STEP_FAILED}, 10),
+    (2.5, dict.fromkeys(range(20), _NO_PERICENTRE), 0),
 ], ids=["alpha-1.9", "alpha-2.5"])
 def test_oracle_crosscheck_names_every_failed_orbit(tmp_path, capsys, alpha, failing,
-                                                    finite_rows, message):
-    # a failed orbit is a nan row and an entry of failing, and the run goes on
+                                                    finite_rows):
+    # a failed orbit is a nan row and an entry of failing, and the run goes on;
+    # an orbit whose pericentre the turning-point scan does not resolve (every
+    # orbit at alpha > 2 reads 0.0) is refused before it integrates
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"potential": {"family": "homogeneous", "alpha": alpha}}))
     rc = run_cli(["oracle-crosscheck", "--config", str(cfg), "--out", str(tmp_path)])
@@ -449,8 +456,8 @@ def test_oracle_crosscheck_names_every_failed_orbit(tmp_path, capsys, alpha, fai
     assert capsys.readouterr().err == ""
     s = read_summary(tmp_path, "oracle_crosscheck")
     assert s["verdict"] is False
-    assert [orbit for orbit, _ in s["evidence"]["failing"]] == failing
-    assert all(m.startswith(message) for _, m in s["evidence"]["failing"])
+    assert [orbit for orbit, _ in s["evidence"]["failing"]] == list(failing)
+    assert all(m.startswith(failing[orbit]) for orbit, m in s["evidence"]["failing"])
     rows = [row.split(",") for row in
             (tmp_path / "oracle_crosscheck.csv").read_text().splitlines()[1:]]
     assert [int(row[0]) for row in rows] == list(range(20))
@@ -731,14 +738,53 @@ _ORBIT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("subcommand", sorted(_ORBIT_DIGESTS))
-def test_orbit_output_bytes_pinned(tmp_path, subcommand):
-    config, files = _ORBIT_DIGESTS[subcommand]
+def _seed0_digests(tmp_path, subcommand, config, rc, files):
+    """(name, sha256) of `files` after a seed-0 run of `subcommand`, which
+    must exit with rc."""
     args = [subcommand, "--seed", "0", "--out", str(tmp_path)]
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         args += ["--config", str(cfg)]
-    assert run_cli(args) == 0
-    assert [(name, hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
-            for name, _ in files] == files
+    assert run_cli(args) == rc
+    return [(name, hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+            for name, _ in files]
+
+
+@pytest.mark.parametrize("subcommand", sorted(_ORBIT_DIGESTS))
+def test_orbit_output_bytes_pinned(tmp_path, subcommand):
+    config, files = _ORBIT_DIGESTS[subcommand]
+    assert _seed0_digests(tmp_path, subcommand, config, 0, files) == files
+
+
+# sha256 of seed-0 outputs that the radial problem's integrals feed and no
+# digest above covers, recorded before `RadialProblem` became the engine's one
+# orbit value: the pi-identity files, whose Kepler orbit is a `RadialProblem`,
+# and the summaries of the two workload sweeps, whose cell_errors carry the
+# pericentre checks' messages.  The summary of the homogeneous(1.9) oracle,
+# three of whose first eight orbits have a pericentre below the turning-point
+# scan, was recorded once the oracle refused such orbits before integrating.
+# name -> (subcommand, config, exit code, files)
+_RADIAL_DIGESTS = {
+    "pi-identity": ("pi-identity", None, 0, [
+        ("pi_identity.csv",
+         "184c1b5a1199435c25d488cd7e238182e37c94fb74523b0b77aa58d5867397c3"),
+        ("pi_identity_summary.json",
+         "cdf8a656a59f7d94f65b8c9fa88bd533cc1f8ddec0c4937524477792bf5dbc1d")]),
+    "apsidal-sweep-log-workload": (*_CSV_DIGESTS["apsidal-sweep-log-workload"][:2], 1, [
+        ("apsidal_sweep_summary.json",
+         "c91fe3d530ffb7ad83a17d3eb312a27faa3f82d42da483e7e365671e80b8cd0b")]),
+    "apsidal-sweep-hom-workload": (*_CSV_DIGESTS["apsidal-sweep-hom-workload"][:2], 1, [
+        ("apsidal_sweep_summary.json",
+         "953faad9f5d79986ad572435d2257c51b1738c132028fe15ffb0b264851e2096")]),
+    "oracle-crosscheck-hom-1.9": ("oracle-crosscheck", {
+        "potential": {"family": "homogeneous", "alpha": 1.9}}, 1, [
+        ("oracle_crosscheck_summary.json",
+         "8603f1a969b4886bd9197d8348267cd42439bd1090d2ec15bcf23574a25af978")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RADIAL_DIGESTS))
+def test_radial_output_bytes_pinned(tmp_path, name):
+    subcommand, config, rc, files = _RADIAL_DIGESTS[name]
+    assert _seed0_digests(tmp_path, subcommand, config, rc, files) == files

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -12,39 +11,39 @@ from onecentre.radial import (DropFromRest, RadialProblem, case_anchor, fall_tim
                               turning_points)
 
 
-def _integrand(value, energy: float, l: float, angle: bool):
-    """The engine's integrand of the orbit (energy, l) in the test-local
-    potential V = value, unsmoothed: num(r) / sqrt(2 r^2 (E + V(r)) - l^2)
+def _orbit(value, energy: float, l: float) -> RadialProblem:
+    """The orbit (energy, l) in the test-local potential V = value,
+    unsmoothed: the engine integrates num(r) / sqrt(2 r^2 (E + V(r)) - l^2)
     with num(r) = l / r (angle) or r."""
     spec = PotentialSpec("test", value, None, None)
-    return RadialProblem(SmoothedPotential(spec, 0.0), energy, l).integrand(angle)
+    return RadialProblem(SmoothedPotential(spec, 0.0), energy, l)
 
 
-def _time(value):
-    """The flight-time integrand r / sqrt(2 r^2 V(r)) at E = 0, l = 0."""
-    return _integrand(value, 0.0, 0.0, False)
+def _time(value) -> RadialProblem:
+    """The orbit at E = 0, l = 0, whose flight-time integrand is
+    r / sqrt(2 r^2 V(r))."""
+    return _orbit(value, 0.0, 0.0)
 
 
-def _kepler(xi: float):
-    """The apsidal-angle integrand of the Kepler orbit V = k / r with l = 1 and
-    apsides 1 and xi: its radicand is (r - 1)(1 - r/xi)."""
+def _kepler(xi: float) -> RadialProblem:
+    """The Kepler orbit V = k / r with l = 1 and apsides 1 and xi: its
+    radicand is (r - 1)(1 - r/xi)."""
     k = 0.5 * (1.0 + xi) / xi
-    return _integrand(lambda h: k / h, -0.5 / xi, 1.0, True)
+    return _orbit(lambda h: k / h, -0.5 / xi, 1.0)
 
 
 def test_arcsine_integral_both_endpoints():
     # int_0^1 r dr/sqrt(r^3 (1-r)) = int_0^1 dr/sqrt(r(1-r)) = pi
     res = sqrt_endpoint_quad(_time(lambda h: 0.5 * h * (1.0 - h)), 0.0, 1.0,
-                             upper_singular=True)
+                             angle=False, upper_singular=True)
     assert res.value == pytest.approx(math.pi, abs=1e-12)
     assert res.lower_part + res.upper_part == pytest.approx(res.value)
 
 
 def test_shifted_arcsine_with_reduced_weight():
     # int_2^5 r dr/sqrt((r-2)(5-r)) = 7 pi / 2, reduced weight identically 1
-    integrand = _time(lambda h: 0.5 * (h - 2.0) * (5.0 - h) / (h * h))
-    res = sqrt_endpoint_quad(dataclasses.replace(integrand, reduced=1.0), 2.0, 5.0,
-                             upper_singular=True)
+    res = sqrt_endpoint_quad(_time(lambda h: 0.5 * (h - 2.0) * (5.0 - h) / (h * h)), 2.0, 5.0,
+                             angle=False, upper_singular=True, reduced=1.0)
     assert res.value == pytest.approx(3.5 * math.pi, abs=1e-14)
 
 
@@ -52,14 +51,14 @@ def test_shifted_arcsine_with_reduced_weight():
 def test_calibration_pi_through_the_guarded_reduced_weight(xi):
     # the calibration integral without its closed-form reduced weight: omega
     # comes from the radicand, as for every apsidal angle and flight time
-    res = sqrt_endpoint_quad(_kepler(xi), 1.0, xi, upper_singular=True)
+    res = sqrt_endpoint_quad(_kepler(xi), 1.0, xi, angle=True, upper_singular=True)
     assert res.value == pytest.approx(math.pi, rel=1e-10, abs=0.0)
     assert _hexes(res) == _CALIBRATION_GOLDEN[xi]
 
 
 def test_one_sided_singularity():
     # int_0^1 r dr/sqrt(r^3) = 2
-    res = sqrt_endpoint_quad(_time(lambda h: 0.5 * h), 0.0, 1.0, upper_singular=False)
+    res = sqrt_endpoint_quad(_time(lambda h: 0.5 * h), 0.0, 1.0, angle=False, upper_singular=False)
     assert res.value == pytest.approx(2.0, abs=1e-12)
 
 
@@ -68,7 +67,7 @@ def test_elliptic_oracle():
     # int_{-1}^{1} dx / sqrt((1-x^2)(2-x)) at x = r - 2, agrees with a
     # dense-midpoint oracle
     res = sqrt_endpoint_quad(_time(lambda h: 0.5 * (h - 1.0) * (3.0 - h) * (4.0 - h)),
-                             1.0, 3.0, upper_singular=True)
+                             1.0, 3.0, angle=False, upper_singular=True)
 
     # oracle: substitution x = -cos(phi) makes the integrand smooth; use a
     # very fine trapezoid on it
@@ -84,7 +83,7 @@ def test_negative_radicand_rejected():
     # upper leg [1/2, 1]
     with pytest.raises(QuadratureError, match="radicand negative"):
         sqrt_endpoint_quad(_time(lambda h: 0.5 * (1.0 - 2.0 * h)), 0.0, 1.0,
-                           upper_singular=False)
+                           angle=False, upper_singular=False)
 
 
 def test_lower_zero_of_order_three_halves_with_vanishing_g():
@@ -92,7 +91,7 @@ def test_lower_zero_of_order_three_halves_with_vanishing_g():
     # than simply at a = 0 and the numerator like r, as in the fall to the
     # centre; the integrand has an unbounded derivative at 0
     res = sqrt_endpoint_quad(_time(lambda h: 0.5 * h ** -0.5), 0.0, 1.0,
-                             upper_singular=False)
+                             angle=False, upper_singular=False)
     assert res.value == pytest.approx(0.8, abs=1e-12)
 
 
@@ -107,20 +106,20 @@ def test_reduced_weight_not_positive_at_a_node_raises():
         return 0.0 if h < 1e-5 else 0.5 / h
 
     with pytest.raises(QuadratureError, match=r"radicand not positive near r="):
-        sqrt_endpoint_quad(_time(V), 0.0, 1.0, upper_singular=False)
+        sqrt_endpoint_quad(_time(V), 0.0, 1.0, angle=False, upper_singular=False)
     assert calls[-1] < 1e-5 and all(h >= 1e-5 for h in calls[:-1])
 
 
 def test_infinite_interval_rejected():
     # an unbounded orbit's integral to r = inf: rejected before any node
     with pytest.raises(QuadratureError, match="infinite interval"):
-        sqrt_endpoint_quad(_time(lambda h: 0.5), 1.0, math.inf, upper_singular=False)
+        sqrt_endpoint_quad(_time(lambda h: 0.5), 1.0, math.inf, angle=False, upper_singular=False)
 
 
 def test_interval_below_zero_rejected():
     # radial integrals live on r >= 0
     with pytest.raises(ValueError, match="need 0 <= a < b"):
-        sqrt_endpoint_quad(_time(lambda h: 0.5), -1.0, 1.0, upper_singular=True)
+        sqrt_endpoint_quad(_time(lambda h: 0.5), -1.0, 1.0, angle=False, upper_singular=True)
 
 
 # --- bitwise goldens ---------------------------------------------------------
@@ -239,7 +238,6 @@ def test_one_sided_and_plain_legs_bitwise(recorded, name):
     tp = turning_points(rp)
     mid = 0.5 * (tp.pericenter + tp.apocenter)
     apsidal_angle(rp, mid)
-    w = rp.integrand(angle=False)
-    radial.sqrt_endpoint_quad(w, tp.pericenter, mid, upper_singular=False)
+    radial.sqrt_endpoint_quad(rp, tp.pericenter, mid, angle=False, upper_singular=False)
     assert [flag for flag, _ in recorded] == [False, False]
     assert [h for _, h in recorded] == _ONE_SIDED_GOLDEN[name]

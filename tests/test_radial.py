@@ -25,7 +25,7 @@ def kepler_problem(E, l):
 def flight(rp, a, b, upper):
     """Flight time from the turning point a to b, a turning point when
     `upper`."""
-    return sqrt_endpoint_quad(rp.integrand(angle=False), a, b, upper_singular=upper).value
+    return sqrt_endpoint_quad(rp, a, b, angle=False, upper_singular=upper).value
 
 
 def test_f_vanishes_at_one_for_zero_energy_log():
@@ -70,7 +70,7 @@ def test_float_radicand_matches_array_f(spec, eps, l, E):
     # points, E + V = 0) that bounds the difference by the largest term, not
     # by the result.
     rp = RadialProblem(SmoothedPotential(spec, eps), E, l)
-    w = rp.integrand(angle=False).radicand
+    w = rp.radicand
     l2 = l * l
     for r in np.geomspace(1e-9, 10.0, 2000):
         r = float(r)
@@ -84,11 +84,11 @@ def test_float_radicand_matches_array_f(spec, eps, l, E):
 
 @pytest.mark.parametrize("spec", [logarithmic(), homogeneous(0.5)], ids=["log", "hom"])
 def test_float_radicand_rejects_zero_radius_without_smoothing(spec):
-    w = RadialProblem(SmoothedPotential(spec, 0.0), 0.5, 0.2).integrand(angle=False).radicand
+    w = RadialProblem(SmoothedPotential(spec, 0.0), 0.5, 0.2).radicand
     with pytest.raises(ValueError, match="eps > 0"):
         w(0.0)
     rp = RadialProblem(SmoothedPotential(spec, 1e-3), 0.5, 0.2)
-    assert math.isfinite(rp.integrand(angle=False).radicand(0.0))
+    assert math.isfinite(rp.radicand(0.0))
 
 
 def test_turning_points_reject_zero_angular_momentum():
@@ -169,7 +169,7 @@ def _full_scan_turning_points(rp, safe_radius=math.inf):
     if P == 0.0:
         raise ValueError(f"no orbit: E + V_eps has no zero above 1e-14 "
                          f"(E = {rp.energy!r}, eps = {rp.potential.epsilon!r})")
-    w = rp.integrand(angle=False).radicand
+    w = rp.radicand
     hi = P if math.isfinite(P) else max(1e3, 10.0 * safe_radius if math.isfinite(safe_radius) else 0.0)
     grid = np.geomspace(1e-12, hi * (1.0 - 1e-12), radial.SCAN_POINTS)
     with np.errstate(all="ignore"):

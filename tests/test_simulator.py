@@ -79,7 +79,7 @@ def test_radial_drop_matches_quadrature_time():
 def test_pericentre_period_matches_radial_oracle():
     rp = RadialProblem(BARE_LOG, 0.2, 0.4)
     tp = turning_points(rp)
-    half = sqrt_endpoint_quad(rp.integrand(angle=False), tp.pericenter, tp.apocenter,
+    half = sqrt_endpoint_quad(rp, tp.pericenter, tp.apocenter, angle=False,
                               upper_singular=True).value
     st = PhaseState((tp.apocenter, 0.0), (0.0, 0.4 / tp.apocenter))
     traj = integrate(st, BARE_LOG, horizon=4.5 * half)
@@ -95,7 +95,7 @@ def test_apsidal_angle_crosscheck_with_theta_lift():
     st = PhaseState((tp.apocenter, 0.0), (0.0, 0.4 / tp.apocenter))
     traj = integrate(st, BARE_LOG, horizon=5.0)
     swept = traj.theta_at(_apse_times(traj, 1)[0])
-    assert swept == pytest.approx(apsidal_angle(rp).angle, abs=1e-6)
+    assert swept == pytest.approx(apsidal_angle(rp).value, abs=1e-6)
 
 
 def test_rotational_equivariance():
@@ -562,6 +562,39 @@ def test_oracle_integrates_one_period(monkeypatch):
     for (h, traj), row in zip(runs, table.rows):
         assert h <= 2.1 * (row[4] / 2.0)
         assert traj.stop == APSE and row[3] == 2.0 * traj.t_end
+
+
+def test_oracle_refuses_an_unresolved_pericentre_before_it_integrates(monkeypatch):
+    # orbits 1, 5 and 6 of this draw have true pericentres of 5.9e-15, 5.5e-15
+    # and 4.8e-14, below the turning-point scan, which reads 0.0 for them: no
+    # half period is taken from r = 0 and no run starts
+    runs = []
+
+    def spy(state, *args, **kwargs):
+        runs.append(state.ang_momentum)
+        return integrate(state, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "integrate", spy)
+    table = oracle_crosscheck(homogeneous(1.9), 8, 0)
+    refused = [i for i, msg in table.meta["failing"] if msg == "pericentre is not positive"]
+    assert refused == [1, 5, 6]
+    # every orbit's row carries its l, and each run starts with that l
+    ran = [row[0] for row in table.rows
+           if any(math.isclose(l, row[2], rel_tol=1e-12) for l in runs)]
+    assert len(runs) == 5 and ran == [0, 2, 3, 4, 7]
+
+
+def test_oracle_names_a_run_that_misses_its_pericentre(monkeypatch):
+    # runs cut to a tenth of their horizon end before the apse: each orbit
+    # fails, naming the stop that ended it
+    def short(state, potential, horizon, **kwargs):
+        return integrate(state, potential, 0.1 * horizon, **kwargs)
+
+    monkeypatch.setattr(simulator, "integrate", short)
+    table = oracle_crosscheck(logarithmic(), 2, 0)
+    assert [i for i, _ in table.meta["failing"]] == [0, 1]
+    assert all(msg.startswith("no pericentre: the run stopped at its horizon, t = ")
+               for _, msg in table.meta["failing"])
 
 
 @pytest.mark.parametrize("potential", [logarithmic(), homogeneous(0.5)], ids=["log", "hom"])
