@@ -6,12 +6,12 @@ variational non-minimality of transmission paths."""
 __version__ = "0.1.0"
 
 from .potentials import (ClassReport, PotentialSpec, SmoothedPotential,
-                         check_admissible, check_slowly_varying, classify,
-                         from_config, homogeneous, logarithmic,
-                         weak_singularity_check)
-from .radial import (Anchor, Case, DropFromRest, InwardCrossing, PericentreIntegral,
-                     RadialProblem, TurningPoints, case_anchor, collision_time,
-                     fall_time, first_zero, pericentre_integral, turning_points)
+                         check_slowly_varying, classify, from_config,
+                         homogeneous, logarithmic, weak_singularity_check)
+from .quadrature import PericentreIntegral
+from .radial import (Anchor, Case, DropFromRest, InwardCrossing, RadialProblem,
+                     TurningPoints, case_anchor, collision_time, fall_time,
+                     first_zero, pericentre_integral, turning_points)
 from .apsidal import (SweepPath, apsidal_angle, bounds_audit,
                       calibration_integral, convergence_sweep, default_paths,
                       desingularized_factor, integrand_envelope)

@@ -34,8 +34,8 @@ import numpy as np
 from numpy.random import default_rng
 
 from .potentials import PotentialSpec, SmoothedPotential
-from .quadrature import sqrt_endpoint_quad
-from .radial import Anchor, PericentreIntegral, RadialProblem, pericentre_integral, turning_points
+from .quadrature import PericentreIntegral, sqrt_endpoint_quad
+from .radial import Anchor, RadialProblem, pericentre_integral, turning_points
 from .tables import ConvergenceTable, LimitVerdict, limit_verdict
 
 
@@ -45,13 +45,15 @@ def apsidal_angle(rp: RadialProblem, safe_radius: float = math.inf) -> Pericentr
 
 
 def calibration_integral(xi: float) -> float:
-    """Exact-pi self test of the quadrature engine, for any xi > 1.
+    """Exact-pi self test of the quadrature engine at xi > 1.
 
     The integral is the apsidal angle of the Kepler orbit V = k / r with
     l = 1, E = -1/(2 xi) and k = (1 + xi)/(2 xi), whose apsides are 1 and xi:
     its radicand 2 r^2 (E + k/r) - 1 is (r-1)(1-r/xi).  Its reduced weight is
     the constant 1/xi, so the engine runs at machine precision even for
-    nearly degenerate intervals.
+    nearly degenerate intervals.  Measured on the decades: within 1.7e-13
+    of pi up to xi = 1e11, and 2.0e-3 off at xi = 1e12, where the error
+    estimate reads only 7.1e-8.
     """
     if xi <= 1.0:
         raise ValueError("xi must exceed 1")

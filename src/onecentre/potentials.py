@@ -6,7 +6,7 @@ the origin, given with its first two derivatives.  Built-in families:
 * ``logarithmic``:        V(x) = -log x
 * ``homogeneous(alpha)``: V(x) = x^(-alpha), alpha > 0
 
-The smoothing operator replaces V(x) by V(sqrt(x^2 + eps^2)), which is finite
+The smoothing operator takes V(x) to V(sqrt(x^2 + eps^2)), which is finite
 at x = 0 for eps > 0 and restores V exactly when eps = 0.
 
 Class certification is numerical, on geometric grids: a potential is
@@ -21,7 +21,7 @@ singularity the dynamics can reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -137,8 +137,9 @@ class ClassReport:
     ratio_radius: largest x with V'/V'' <= -x/2 on (0, x) (+inf when no sign
         change is found up to the scan cap).
     safe_radius: min(monotone_radius, ratio_radius).
+    slowly_varying: the verdict of `check_slowly_varying`, None when it is
+        inconclusive; False for a potential that is not admissible.
     witness: (property name, x) for the first violated property, if any.
-    slowly_varying: None until the slow-variation check has been run/merged.
     """
 
     admissible: bool
@@ -147,7 +148,7 @@ class ClassReport:
     ratio_radius: float
     safe_radius: float
     slope_at_origin: float
-    slowly_varying: bool | None = None
+    slowly_varying: bool | None
     witness: tuple[str, float] | None = None
     notes: tuple[str, ...] = ()
 
@@ -176,14 +177,17 @@ def _slope_at_origin(p: PotentialSpec, xs: np.ndarray) -> tuple[float, float]:
     return float(est), float(err)
 
 
-def check_admissible(p: PotentialSpec) -> ClassReport:
-    """Certify the admissibility properties of a potential on the probe grid.
+def classify(p: PotentialSpec) -> ClassReport:
+    """Full classification of a potential on the probe grid: admissibility,
+    weak singularity and slow variation.
 
     Checks, in order: blow-up of V at 0 (monotone increase toward 0 beyond a
     threshold index), V' < 0 and V'' > 0, V'/V'' decreasing, and the one-sided
     slope of V'/V'' at 0 strictly below -1/2.  Estimates the monotonicity and
-    ratio radii and their min.  Reports a witness instead of raising on
-    well-defined potentials.
+    ratio radii and their min.  Slow variation is only claimed within the
+    admissible class: `check_slowly_varying` runs for an admissible
+    potential, and any other reads False.  Reports a witness instead of
+    raising on well-defined potentials.
     """
     grid = default_probe_grid()
     vals = p.value(grid)
@@ -192,7 +196,7 @@ def check_admissible(p: PotentialSpec) -> ClassReport:
     finite = np.isfinite(vals) & np.isfinite(d1) & np.isfinite(d2)
     if not finite.all():
         # the witness is the largest grid point where V, V' or V'' is not finite
-        return ClassReport(False, False, 0.0, 0.0, 0.0, math.nan,
+        return ClassReport(False, False, 0.0, 0.0, 0.0, math.nan, False,
                            witness=("finite", float(grid[~finite][0])),
                            notes=("non-finite values on grid",))
 
@@ -276,6 +280,7 @@ def check_admissible(p: PotentialSpec) -> ClassReport:
         ratio_radius=ratio_radius,
         safe_radius=safe_radius,
         slope_at_origin=slope,
+        slowly_varying=check_slowly_varying(p)[0] if admissible else False,
         witness=witness,
         notes=tuple(notes),
     )
@@ -325,14 +330,3 @@ def check_slowly_varying(p: PotentialSpec) -> tuple[bool | None, ConvergenceTabl
         verdict = False
     table.meta["verdict"] = verdict
     return verdict, table
-
-
-def classify(p: PotentialSpec) -> ClassReport:
-    """Full classification: admissibility, weak singularity and slow variation."""
-    report = check_admissible(p)
-    sv: bool | None
-    if report.admissible:
-        sv, _ = check_slowly_varying(p)
-    else:
-        sv = False  # slow variation is only claimed within the admissible class
-    return replace(report, slowly_varying=sv)

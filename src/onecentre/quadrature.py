@@ -59,24 +59,31 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QuadResult:
+class PericentreIntegral:
+    """An angle or flight time from the pericentre R- to beta, with its split
+    and error."""
+
     value: float
-    error: float          # quadrature error estimate (sum over legs)
-    lower_part: float     # contribution of [a, split]
-    upper_part: float     # contribution of [split, b]
+    pericenter: float
+    cutoff: float
+    inner_part: float     # [R-, sqrt(R- * beta)], or [0, beta/2] for a fall
+    outer_part: float     # [sqrt(R- * beta), beta], or [beta/2, beta]
+    quad_error: float     # quadrature error estimate (sum over legs)
 
 
 def sqrt_endpoint_quad(rp: RadialProblem, a: float, b: float, *, angle: bool,
-                       upper_singular: bool, reduced: float | None = None) -> QuadResult:
+                       upper_singular: bool, reduced: float | None = None) -> PericentreIntegral:
     """integral_a^b of num(r) / sqrt(w(r)) for the orbit rp, to relative
     tolerance DEFAULT_TOL, with num(r) = l / r when `angle`, else r.
 
-    a is a zero of w; b is a simple zero when `upper_singular`, else a
-    regular point.  `reduced` is None, or the constant reduced weight omega
-    of w on [a, b], which the singular legs then use in place of the
-    guarded one.  The interval is split at the geometric mean of the
-    endpoints when a > 0 (which resolves the multi-scale structure of
-    near-collision integrals), else at the midpoint.
+    a is a zero of w, the orbit's pericentre (a turning point, or the
+    centre of a fall), so the result is the `PericentreIntegral` from a to
+    the cutoff b; b is a simple zero when `upper_singular`, else a regular
+    point.  `reduced` is None, or the constant reduced weight omega of w on
+    [a, b], which the singular legs then use in place of the guarded one.
+    The interval is split at the geometric mean of the endpoints when a > 0
+    (which resolves the multi-scale structure of near-collision integrals),
+    else at the midpoint; the two parts are its inner and outer parts.
     Both ends must be finite: QUADPACK's `dqagse` integrates over a finite
     interval, so an unbounded orbit needs a finite cutoff.  With a >= 0
     the legs evaluate w only at r > 0, never at r = 0, where eps = 0 leaves
@@ -160,4 +167,4 @@ def sqrt_endpoint_quad(rp: RadialProblem, a: float, b: float, *, angle: bool,
         raise QuadratureError(
             f"quadrature did not converge on [{a!r}, {b!r}]: value {value!r}, "
             f"error estimate {err!r}")
-    return QuadResult(value, err, I1, I2)
+    return PericentreIntegral(value, a, b, I1, I2, err)

@@ -28,10 +28,11 @@ import numpy as np
 
 from ._brent import brentq, minimize_bounded
 from .potentials import PotentialSpec, SmoothedPotential
-from .quadrature import sqrt_endpoint_quad
+from .quadrature import PericentreIntegral, sqrt_endpoint_quad
 
 #: a peak of f - l^2 below this absolute bound (not relative to f) counts as a
 #: double root, so deep drops, whose f - l^2 peaks below it, read as circular
+#: orbits, which `turning_points` refuses
 DEGENERATE_TOL = 1e-12
 #: number of points of the geometric grid that brackets the turning points
 SCAN_POINTS = 10_000
@@ -73,16 +74,14 @@ class RadialProblem:
 
 @dataclass(frozen=True)
 class TurningPoints:
-    """Apsidal data of one orbit with l > 0.
+    """Apsidal data of one non-circular orbit with l > 0.
 
     pericenter: smallest radius.
     apocenter: largest radius (+inf for unbounded orbits).
-    degenerate: True for circular orbits (double root).
     """
 
     pericenter: float
     apocenter: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,6 @@ def case_anchor(case: Case, potential: PotentialSpec) -> Anchor:
     """
     bare = SmoothedPotential(potential, 0.0)
     rest_radius = first_zero(RadialProblem(bare, case.energy, 0.0))
-    if not rest_radius > 0.0:
-        raise ValueError(f"energy {case.energy!r} leaves no rest radius above 1e-14")
     if isinstance(case, DropFromRest):
         if not rest_radius < case.ball_radius:
             raise ValueError(
@@ -147,9 +144,9 @@ def first_zero(rp: RadialProblem) -> float:
     """First positive zero of f, i.e. the radius where E + V_eps = 0.
 
     Since E + V_eps decreases in r, a doubling scan from r = 1 locates the
-    sign change; +inf when none exists below 1e9, and 0.0 when E + V_eps
-    stays nonpositive down to 1e-14 (no resolvable zero).  A NaN energy is a
-    ValueError.
+    sign change; +inf when none exists below 1e9.  When E + V_eps stays
+    nonpositive down to 1e-14 there is no orbit, and a ValueError says so;
+    a NaN energy is one too.
     """
     if math.isnan(rp.energy):
         raise ValueError("energy is NaN")
@@ -161,7 +158,8 @@ def first_zero(rp: RadialProblem) -> float:
     while g(x) <= 0:
         x *= 0.5
         if x < 1e-14:
-            return 0.0
+            raise ValueError(f"no orbit: E + V_eps has no zero above 1e-14 "
+                             f"(E = {rp.energy!r}, eps = {rp.potential.epsilon!r})")
     while g(x) > 0:
         x_prev = x
         x *= 2.0
@@ -220,19 +218,17 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
     increasing (convention 0 when there is none); the apocenter is the next
     root crossed with f decreasing (convention +inf).  Raises when l^2
     exceeds the maximum of f on the scan range, or f has no zero above 1e-14
-    (no orbit).  For an unbounded orbit (no zero of f) the scan ends at
-    max(1e3, 10 safe_radius); safe_radius has no other use here.  A zero l
-    is a ValueError: that orbit is a fall (`collision_time`, `fall_time`).
+    (no orbit, from `first_zero`), and when l^2 is that maximum to within
+    DEGENERATE_TOL (a circular orbit, a double root).  For an unbounded orbit
+    (no zero of f) the scan ends at max(1e3, 10 safe_radius); safe_radius has
+    no other use here.  A zero l is a ValueError: that orbit is a fall
+    (`collision_time`, `fall_time`).
     """
     l = rp.ang_momentum
     if l == 0.0:
         raise ValueError("turning points need l > 0; a zero-l orbit is a fall to the centre")
     l2 = l * l
     P = first_zero(rp)
-    if P == 0.0:
-        raise ValueError(f"no orbit: E + V_eps has no zero above 1e-14 "
-                         f"(E = {rp.energy!r}, eps = {rp.potential.epsilon!r})")
-
     w = rp.radicand
     hi = P if math.isfinite(P) else max(1e3, 10.0 * safe_radius if math.isfinite(safe_radius) else 0.0)
     with np.errstate(all="ignore"):
@@ -255,7 +251,7 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
     if f_peak < -DEGENERATE_TOL:
         raise ValueError(f"no orbit: l^2 = {l2!r} exceeds max f = {f_peak + l2!r} on the scan range")
     if f_peak < DEGENERATE_TOL:
-        return TurningPoints(r_peak, r_peak, degenerate=True)
+        raise ValueError("circular orbit: apsidal angle undefined by the turning-point formula")
 
     def refine(lo: float, hi_: float) -> float:
         return brentq(w, lo, hi_, xtol=1e-15, rtol=8.9e-16)
@@ -279,36 +275,18 @@ def turning_points(rp: RadialProblem, safe_radius: float = math.inf) -> TurningP
     return TurningPoints(pericenter, apocenter)
 
 
-@dataclass(frozen=True)
-class PericentreIntegral:
-    """An angle or flight time from R- to beta, with its split and error."""
-
-    value: float
-    pericenter: float
-    cutoff: float
-    inner_part: float     # [R-, sqrt(R- * beta)]
-    outer_part: float     # [sqrt(R- * beta), beta]
-    quad_error: float
-
-
 def pericentre_integral(rp: RadialProblem, safe_radius: float, *,
                         angle: bool) -> PericentreIntegral:
     """The apsidal angle (`angle`) or flight time of rp from its pericentre to
     beta = min(safe_radius, apocentre), singular at beta when it is the
-    apocentre.  Requires l > 0, no circular orbit (a double root) and a
-    positive pericentre, not `turning_points`' 0.0 for one below its scan."""
-    if rp.ang_momentum <= 0:
-        raise ValueError("apsidal angle needs positive angular momentum")
+    apocentre.  Requires a positive pericentre, not `turning_points`' 0.0
+    for one below its scan, which also refuses l = 0 and a circular orbit."""
     turning = turning_points(rp, safe_radius)
-    if turning.degenerate:
-        raise ValueError("circular orbit: apsidal angle undefined by the turning-point formula")
     if turning.pericenter <= 0:
         raise ValueError("pericentre is not positive")
     beta = min(safe_radius, turning.apocenter)
-    res = sqrt_endpoint_quad(rp, turning.pericenter, beta, angle=angle,
-                             upper_singular=beta == turning.apocenter)
-    return PericentreIntegral(res.value, turning.pericenter, beta,
-                              res.lower_part, res.upper_part, res.error)
+    return sqrt_endpoint_quad(rp, turning.pericenter, beta, angle=angle,
+                              upper_singular=beta == turning.apocenter)
 
 
 def collision_time(rp: RadialProblem, r0: float) -> float:

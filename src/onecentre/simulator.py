@@ -115,7 +115,7 @@ class Trajectory:
     stop: str | None
     energy0: float
     ang_momentum0: float
-    dense: _dop853.DenseOutput = field(repr=False, default=None)
+    dense: _dop853.DenseOutput = field(repr=False)
 
     @property
     def t_end(self) -> float:

@@ -16,7 +16,7 @@ from onecentre.apsidal import (apsidal_angle, bounds_audit,
 from onecentre.flow import (continuity_experiment, diagonal_cells, extended_flow,
                             poincare_section, section_at)
 from onecentre.potentials import (SmoothedPotential, check_slowly_varying,
-                                  check_admissible, homogeneous, logarithmic,
+                                  classify, homogeneous, logarithmic,
                                   weak_singularity_check)
 from onecentre.radial import DropFromRest, RadialProblem, case_anchor, fall_time
 from onecentre.simulator import (PhaseState, Perturbation, conserved_drift, integrate,
@@ -263,11 +263,11 @@ def test_criterion_09_variational_non_minimality():
 
 def test_criterion_10_class_discrimination():
     t0 = time.time()
-    log_rep = check_admissible(logarithmic())
+    log_rep = classify(logarithmic())
     log_sv, _ = check_slowly_varying(logarithmic())
-    half_rep = check_admissible(homogeneous(0.5))
+    half_rep = classify(homogeneous(0.5))
     half_sv, _ = check_slowly_varying(homogeneous(0.5))
-    one_rep = check_admissible(homogeneous(1.0))
+    one_rep = classify(homogeneous(1.0))
     two_weak = weak_singularity_check(homogeneous(2.0))
     elapsed = time.time() - t0
     checks = {

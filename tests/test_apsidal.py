@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from onecentre.apsidal import (_sweep_cell, apsidal_angle, calibration_integral,
-                               convergence_sweep, default_paths,
+from onecentre.apsidal import (_sweep_cell, apsidal_angle, bounds_audit,
+                               calibration_integral, convergence_sweep, default_paths,
                                desingularized_factor, integrand_envelope)
 from onecentre.potentials import SmoothedPotential, homogeneous, logarithmic
 from onecentre.radial import (DropFromRest, InwardCrossing,
@@ -181,6 +181,16 @@ def test_desingularized_factor_endpoints():
     near_inner = desingularized_factor(rp2.potential, tp2.pericenter, tp2.apocenter, 0.0,
                                         1.0 + 1e-9)
     assert 0.0 < near_inner <= tp2.apocenter
+
+
+def test_bounds_audit_refuses_a_circular_factor_orbit():
+    # at E = -20 the orbit l = eps = 1e-9 has f - l^2 peaking near 6e-19,
+    # below DEGENERATE_TOL: turning_points refuses it as circular, so no
+    # factor draw reads a pericentre equal to its apocentre
+    table = bounds_audit(logarithmic(), [1e-9], 3, 0, -20.0, 1e-9)
+    assert table.meta["failed_cells"] == [
+        (1e-9, "circular orbit: apsidal angle undefined by the turning-point formula")]
+    assert [row[0] for row in table.rows] == ["envelope"] * 3 + ["factor"]
 
 
 def test_desingularized_factor_domain():

@@ -40,6 +40,16 @@ def test_check_potential_logarithmic(tmp_path):
     assert s["version"]
 
 
+def test_check_potential_writes_an_inconclusive_slow_variation_as_null(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"potential": {"family": "homogeneous", "alpha": 0.1}}))
+    assert run_cli(["check-potential", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    ev = read_summary(tmp_path, "check_potential")["evidence"]
+    assert ev["admissible"] is True
+    assert ev["slowly_varying"] is None
+    assert '"slowly_varying": null' in (tmp_path / "check_potential_summary.json").read_text()
+
+
 def test_check_potential_with_expectations(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -181,7 +191,7 @@ def test_config_error_empty_or_nonintegral(tmp_path, capsys, subcommand, cfg, me
 
 _HOM = {"family": "homogeneous", "alpha": 0.5}
 _NO_REST = "drop case needs the rest radius inf inside the ball inf"
-_NO_ZERO = "energy %r leaves no rest radius above 1e-14"
+_NO_ZERO = "no orbit: E + V_eps has no zero above 1e-14 (E = %r, eps = 0.0)"
 _INSIDE = "the collision datum at radius %r lies inside the collision threshold 1e-08"
 # the rest radius of the logarithmic drop at E = -25: e^-25 to first_zero's
 # absolute tolerance

@@ -676,3 +676,28 @@ def test_continuity_reads_a_collision_cell_past_its_own_2T0():
     d = table.column("dist_total")
     assert d[0] == pytest.approx(composed.distance(ref), abs=1e-10)
     assert d[1:] == [0.010126956891200817, 0.07507414011174342]
+
+
+def test_extended_flow_is_not_differentiable_along_l():
+    # the transmission-extended flow of the unit drop at T = 1.5 T0 and eps = 0,
+    # perturbed along one direction at a time: along dv1 and the radial dq
+    # the datum stays a collision datum and d/delta settles to a derivative;
+    # along l it is integrated plainly round the centre and d/delta grows
+    # without bound, the same for +l and -l (a first check of ROADMAP item
+    # 10; the law with its next-order term waits for item 4)
+    T = 1.5 * fall_time(DROP0)
+    deltas = (1e-2, 1e-4, 1e-6, 1e-7)
+    directions = {"dv1": lambda d: Perturbation(dv1=d),
+                  "dq": lambda d: Perturbation(dq=(d, 0.0)),
+                  "+l": lambda d: Perturbation(l=d),
+                  "-l": lambda d: Perturbation(l=-d)}
+    dist, ratio = {}, {}
+    for name, perturb in directions.items():
+        table = continuity_experiment(DROP0, T, [(0.0, perturb(d)) for d in deltas])
+        assert "marked_cells" not in table.meta
+        dist[name] = table.column("dist_total")
+        ratio[name] = [x / d for x, d in zip(dist[name], deltas)]
+    for name in ("dv1", "dq"):
+        assert ratio[name][3] == pytest.approx(ratio[name][2], rel=1e-5, abs=0.0)
+    assert ratio["+l"][2] >= 50.0 * ratio["+l"][1]
+    assert [x.hex() for x in dist["+l"]] == [x.hex() for x in dist["-l"]]

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from onecentre.potentials import (PotentialSpec, SmoothedPotential,
-                                  check_admissible, check_slowly_varying,
-                                  classify, default_probe_grid, from_config,
+from onecentre.potentials import (SLOW_VARIATION_TOL, PotentialSpec, SmoothedPotential,
+                                  check_slowly_varying, classify,
+                                  default_probe_grid, from_config,
                                   homogeneous, logarithmic,
                                   weak_singularity_check)
 
@@ -79,7 +79,7 @@ def test_derivatives_consistent_second_order(p):
 
 
 def test_logarithmic_class_report():
-    rep = check_admissible(logarithmic())
+    rep = classify(logarithmic())
     assert rep.admissible
     assert rep.monotone_radius == math.inf
     assert rep.ratio_radius == math.inf
@@ -90,13 +90,13 @@ def test_logarithmic_class_report():
 
 def test_homogeneous_half_admissible_with_slope_two_thirds():
     # V'/V'' = -x/(alpha+1), slope -1/(alpha+1) = -2/3 < -1/2
-    rep = check_admissible(homogeneous(0.5))
+    rep = classify(homogeneous(0.5))
     assert rep.admissible
     assert rep.slope_at_origin == pytest.approx(-2.0 / 3.0, abs=1e-10)
 
 
 def test_homogeneous_one_fails_slope_condition():
-    rep = check_admissible(homogeneous(1.0))
+    rep = classify(homogeneous(1.0))
     assert not rep.admissible
     assert rep.witness is not None and rep.witness[0] == "slope"
     assert rep.slope_at_origin == pytest.approx(-0.5, abs=1e-12)
@@ -105,7 +105,7 @@ def test_homogeneous_one_fails_slope_condition():
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
 def test_homogeneous_at_least_one_not_admissible(alpha):
     # slope of V'/V'' at 0 is -1/(alpha+1) >= -1/2 for alpha >= 1
-    assert not check_admissible(homogeneous(alpha)).admissible
+    assert not classify(homogeneous(alpha)).admissible
 
 
 @pytest.mark.parametrize("alpha,expected", [(1.0, True), (1.9, False), (2.0, False)])
@@ -121,7 +121,7 @@ def test_weak_singularity_logarithmic():
 
 def test_every_admissible_sample_is_weak():
     for p in (logarithmic(), homogeneous(0.3), homogeneous(0.5), homogeneous(0.9)):
-        rep = check_admissible(p)
+        rep = classify(p)
         if rep.admissible:
             assert rep.weak_singularity
 
@@ -150,7 +150,7 @@ def test_slow_variation_constant_potential_trivially_true():
     verdict, _ = check_slowly_varying(flat)
     assert verdict is True
     # but it is not an admissible potential (no blow-up, V'' not positive)
-    assert not check_admissible(flat).admissible
+    assert not classify(flat).admissible
 
 
 def test_classify_merges_verdicts():
@@ -160,6 +160,19 @@ def test_classify_merges_verdicts():
     assert (rep.admissible, rep.slowly_varying) == (True, False)
     rep = classify(homogeneous(1.0))
     assert not rep.admissible
+
+
+def test_classify_reports_an_inconclusive_slow_variation_as_none():
+    # V(lam x)/V(lam) = x^(-0.1): the sup is the constant 1 - 10^(-0.1) ~ 0.206
+    # at every lam, below SLOW_VARIATION_TOL but not strictly decreasing
+    rep = classify(homogeneous(0.1))
+    assert rep.admissible
+    assert rep.slowly_varying is None
+    _, table = check_slowly_varying(homogeneous(0.1))
+    assert all(s == pytest.approx(1.0 - 10.0 ** -0.1, rel=1e-12) for s in table.column("sup_dev"))
+    assert max(table.column("sup_dev")) < SLOW_VARIATION_TOL
+    # outside the admissible class the verdict is False, never None
+    assert classify(homogeneous(2.5)).slowly_varying is False
 
 
 def test_linear_bound_near_origin():
@@ -195,7 +208,7 @@ def test_finite_witness_names_first_nonfinite_derivative():
 
     broken = PotentialSpec("nan-derivative", lambda x: -np.log(x), deriv,
                            lambda x: 1.0 / (np.asarray(x, float) ** 2))
-    rep = check_admissible(broken)
+    rep = classify(broken)
     grid = default_probe_grid()
     assert not rep.admissible
     assert rep.witness == ("finite", float(grid[grid < 1e-3][0]))
@@ -217,7 +230,7 @@ def test_admissible_radii_finite_for_log_plus_harmonic():
         x = np.asarray(x, float)
         return 1.0 / (x * x) + 2.0
 
-    rep = check_admissible(PotentialSpec("log-plus-harmonic", value, deriv, deriv2))
+    rep = classify(PotentialSpec("log-plus-harmonic", value, deriv, deriv2))
     assert rep.admissible
     assert rep.ratio_radius == pytest.approx(1.0 / math.sqrt(6.0), abs=1e-12)
     # the first grid point below which every check holds: within one probe

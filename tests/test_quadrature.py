@@ -37,7 +37,7 @@ def test_arcsine_integral_both_endpoints():
     res = sqrt_endpoint_quad(_time(lambda h: 0.5 * h * (1.0 - h)), 0.0, 1.0,
                              angle=False, upper_singular=True)
     assert res.value == pytest.approx(math.pi, abs=1e-12)
-    assert res.lower_part + res.upper_part == pytest.approx(res.value)
+    assert res.inner_part + res.outer_part == pytest.approx(res.value)
 
 
 def test_shifted_arcsine_with_reduced_weight():
@@ -123,7 +123,7 @@ def test_interval_below_zero_rejected():
 
 
 # --- bitwise goldens ---------------------------------------------------------
-# float.hex of (value, error, lower_part, upper_part) of every QuadResult, as
+# float.hex of (value, quad_error, inner_part, outer_part) of every result, as
 # recorded before the reduced weight was inlined into the legs: any change to
 # the order of operations of the engine moves at least one of these bits.
 
@@ -197,7 +197,7 @@ _GOLDEN_CASES = {
 
 
 def _hexes(res) -> str:
-    return " ".join(x.hex() for x in (res.value, res.error, res.lower_part, res.upper_part))
+    return " ".join(x.hex() for x in (res.value, res.quad_error, res.inner_part, res.outer_part))
 
 
 @pytest.fixture

@@ -101,13 +101,14 @@ def test_turning_points_reject_zero_angular_momentum():
 
 def test_no_orbit_without_a_zero_of_f():
     # E + V_eps stays nonpositive down to first_zero's 1e-14 floor: below the
-    # smoothed core value, or a bare logarithm whose zero e^E lies below it
+    # smoothed core value, or a bare logarithm whose zero e^E lies below it.
+    # first_zero says so, and turning_points passes its error on
     for rp, named in ((log_problem(-1.0, 0.1, eps=0.5), "E = -1.0, eps = 0.5"),
                       (log_problem(-40.0, 1e-2, eps=1e-2), "E = -40.0, eps = 0.01")):
-        assert first_zero(rp) == 0.0
-        with pytest.raises(ValueError) as info:
-            turning_points(rp)
-        assert str(info.value) == f"no orbit: E + V_eps has no zero above 1e-14 ({named})"
+        for find in (first_zero, turning_points):
+            with pytest.raises(ValueError) as info:
+                find(rp)
+            assert str(info.value) == f"no orbit: E + V_eps has no zero above 1e-14 ({named})"
 
 
 @pytest.mark.parametrize("l", [1e-1, 1e-2, 1e-3])
@@ -128,12 +129,10 @@ def test_turning_point_residuals_and_interior_positivity():
 
 
 def test_circular_orbit_detected_as_degenerate():
-    # max of f = -2 r^2 log r is e^(-1) at e^(-1/2): l^2 = e^(-1) is circular
-    rp = log_problem(0.0, math.exp(-0.5))
-    tp = turning_points(rp)
-    assert tp.degenerate
-    assert tp.pericenter == pytest.approx(math.exp(-0.5), rel=1e-9)
-    assert tp.apocenter == tp.pericenter
+    # max of f = -2 r^2 log r is e^(-1) at e^(-1/2): l^2 = e^(-1) is circular,
+    # a double root, which has no turning points to integrate between
+    with pytest.raises(ValueError, match="^circular orbit"):
+        turning_points(log_problem(0.0, math.exp(-0.5)))
 
 
 def test_no_orbit_when_l_exceeds_peak():
@@ -166,9 +165,6 @@ def _full_scan_turning_points(rp, safe_radius=math.inf):
         raise ValueError("turning points need l > 0; a zero-l orbit is a fall to the centre")
     l2 = l * l
     P = first_zero(rp)
-    if P == 0.0:
-        raise ValueError(f"no orbit: E + V_eps has no zero above 1e-14 "
-                         f"(E = {rp.energy!r}, eps = {rp.potential.epsilon!r})")
     w = rp.radicand
     hi = P if math.isfinite(P) else max(1e3, 10.0 * safe_radius if math.isfinite(safe_radius) else 0.0)
     grid = np.geomspace(1e-12, hi * (1.0 - 1e-12), radial.SCAN_POINTS)
@@ -187,7 +183,7 @@ def _full_scan_turning_points(rp, safe_radius=math.inf):
     if f_peak < -radial.DEGENERATE_TOL:
         raise ValueError(f"no orbit: l^2 = {l2!r} exceeds max f = {f_peak + l2!r} on the scan range")
     if f_peak < radial.DEGENERATE_TOL:
-        return radial.TurningPoints(r_peak, r_peak, degenerate=True)
+        raise ValueError("circular orbit: apsidal angle undefined by the turning-point formula")
 
     def refine(lo, hi_):
         return radial.brentq(w, lo, hi_, xtol=1e-15, rtol=8.9e-16)
@@ -257,7 +253,7 @@ def test_turning_points_find_the_apocentre_across_a_valley():
     rp = RadialProblem(SmoothedPotential(homogeneous(3.0), 0.0), 2.652163216421772,
                        2.29004434475413)
     tp = turning_points(rp)
-    assert (tp.pericenter, tp.degenerate) == (0.0, False)
+    assert tp.pericenter == 0.0
     assert tp.apocenter == pytest.approx(0.54600561005, rel=1e-10)
     assert tp == _full_scan_turning_points(rp)
 
@@ -455,10 +451,11 @@ def test_case_anchor_drop():
     # an unrealisable case is rejected here, so no sweep or flow ever sees one
     with pytest.raises(ValueError, match="inside the ball 0.5"):
         case_anchor(DropFromRest(0.0, ball_radius=0.5), logarithmic())
-    # below 1e-14 first_zero gives up and returns 0.0, which is no rest radius
-    assert first_zero(log_problem(-40.0, 0.0)) == 0.0
-    with pytest.raises(ValueError, match="no rest radius above 1e-14"):
+    # below 1e-14 first_zero gives up: there is no rest radius
+    with pytest.raises(ValueError) as info:
         case_anchor(DropFromRest(-40.0), logarithmic())
+    assert str(info.value) == \
+        "no orbit: E + V_eps has no zero above 1e-14 (E = -40.0, eps = 0.0)"
 
 
 def test_case_anchor_entry():

@@ -26,8 +26,13 @@ OUT receives three sets of outputs:
   every other section and continuity run, including the entry,
   ``homogeneous(0.5)`` and ball-exit configs here, one mirror covers the
   horizon), section brackets that halve, section samples that find no
-  crossing, oracle orbits that fail, and a bounds audit whose second eps
-  has no orbit.
+  crossing, oracle orbits that fail, a bounds audit whose second eps
+  has no orbit, a bounds audit whose every eps has no orbit (E + V_eps has
+  no zero above 1e-14, which `first_zero` reports through
+  `turning_points`), the class reports of an admissible potential whose
+  slow variation is inconclusive (``homogeneous(0.1)``) and of one that is
+  not admissible (``homogeneous(2.5)``, witness ``slope``), and an apsidal
+  sweep of a drop with no rest radius (a config error, exit 2).
 
 The exit codes go to ``OUT/exit_codes.json``.  Two checkouts that should
 compute the same numbers are compared with
@@ -101,6 +106,15 @@ EXTRA = {
         "potential": {"family": "homogeneous", "alpha": 1.9}}),
     # at eps = 1 the orbit l = eps does not exist
     "bounds-audit-no-orbit": ("bounds-audit", {"eps": [1e-2, 1.0]}),
+    # E + V_eps has no zero above 1e-14 at any eps of the schedule
+    "bounds-audit-no-zero": ("bounds-audit", {"energy": -40.0, "samples": 20}),
+    # the sup of |V(lam x)/V(lam) - 1| is constant, ~0.206: inconclusive
+    "check-potential-inconclusive": ("check-potential", {
+        "potential": {"family": "homogeneous", "alpha": 0.1}}),
+    "check-potential-not-admissible": ("check-potential", {
+        "potential": {"family": "homogeneous", "alpha": 2.5}}),
+    # the rest radius e^-40 lies below 1e-14: no case, exit 2
+    "apsidal-sweep-no-rest": ("apsidal-sweep", {"case": {"type": "drop", "energy": -40.0}}),
 }
 
 
