@@ -5,10 +5,14 @@ carries a fifth component, the continuous angular lift theta with
 theta' = l0 / r^2 (l0 the conserved angular momentum of the initial data), so
 swept angles are available without unwrapping.  The stepper is the in-house
 DOP853 of `_dop853`: the Dormand-Prince 8(5,3) pair with scipy's tableau and
-scipy's step-size control, written out over Python floats, with the 7th-order
-interpolant of each accepted step as dense output.  Each step keeps only its
-stages; its interpolant is built when something reads it.  A run stops at the
-collision threshold (eps = 0; a collision datum's is `TRANSMISSION_FRACTION`
+scipy's step-size control up to the run's first rejected attempt, and
+Gustafsson's predictive control (Gustafsson 1994; Hairer & Wanner,
+*Solving ODEs II*, Sec. IV.8) from there on, written out over Python
+floats, with the 7th-order interpolant of each accepted step as dense
+output.  The run carries the controller's memory from step to step.  Each
+step keeps only its stages; its interpolant is built when something reads
+it.  A run stops at the collision threshold (eps = 0; a collision datum's
+is `TRANSMISSION_FRACTION`
 of its starting radius), on leaving a finite ball, or, when asked, at its
 first pericentre t_p > 0 (the apse past which the extended flow reads the
 orbit by the apsidal mirror), whatever the horizon, at the root of the stop
@@ -190,14 +194,15 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     h_abs = _dop853.initial_step(rhs, y, f, horizon, DEFAULT_RTOL, DEFAULT_ATOL)
     # records: each step's stage record, as `step` returns it; built: index -> interpolant
     times, states, records, built = [t], [y], [], {}
+    memory = None
     g = [rule(y) for rule, _, _ in rules]
     if apse and g[-1] == 0.0:
         g[-1] = 1.0     # an apse at t = 0 is no stop: t_p > 0
     stop = None
     while t < horizon:
         t_old = t
-        t, y, f, h_abs, rec = _dop853.step(rhs, t, y, f, h_abs, horizon,
-                                           DEFAULT_RTOL, DEFAULT_ATOL)
+        t, y, f, h_abs, memory, rec = _dop853.step(rhs, t, y, f, h_abs, horizon,
+                                                   DEFAULT_RTOL, DEFAULT_ATOL, memory)
         records.append(rec)
         g_new = [rule(y) for rule, _, _ in rules]
         for (rule, direction, kind), a, b in zip(rules, g, g_new):

@@ -686,14 +686,17 @@ def test_csv_bytes_pinned(tmp_path, name):
 # sha256 of the variational-probe CSV and summary at 2^12 cells, recorded
 # before the probe's general-path layer was folded into delta_action: the
 # homogeneous run's collision cell reaches MAX_DEPTH, so it exits 1 (its
-# summary digest re-recorded when the evidence gained "unsettled")
+# summary digest re-recorded when the evidence gained "unsettled"); all four
+# re-recorded when the step-size control turned predictive after a run's
+# first rejection (dV_over_delta_sq moved by at most 0.03 of check.py's ODE
+# class)
 _PROBE_DIGESTS = {
     "log": ({"n_cells": 4096}, 0,
-            "6fc157aa271fc391b84723ed523f9ece06a83319a2db801f2e971a5e41d7df24",
-            "3e9206180abdf49d2b637bfcdcacb0451521537bccf1baa08d0240332ad7de8c"),
+            "8ab6d5867f9519a71b0ed3c6fb88a5023ccaf9ee09f7e5c9ac6144b99324b1d6",
+            "ce9e98e734ccb689daced06a099bc642813237f6550c1c2423f0b58531e06360"),
     "hom": ({"potential": _HOM, "energy": -1.0, "n_cells": 4096}, 1,
-            "f6db8c11052e00b3d250c5eb6c9131406941e55e713d71bd8e78aba0b79f35b2",
-            "df66fe227eb70b34f3760e3fc5fad83ada9862fff02bf6a452b65df6aa1b3311"),
+            "aee7b197370fa5d9e039b524dc691ba97801e18342fc70ad9f69069e5f63ae37",
+            "7cdfae86ead1d881b015544567a938f124937cdb6faa708f4af5d404becfb8a1"),
 }
 
 
@@ -718,33 +721,34 @@ def test_variational_probe_bytes_pinned(tmp_path, name):
 # relative mismatch (period_ode moved by at most 0.24% of check.py's ODE
 # class, 1e-10 + 1e-10 |period|), and again once it took the period as twice
 # its run from the apocentre to the APSE stop, and the continuity summary
-# once its collision_time became `radial.fall_time`: CSVs first, then the
-# summary
+# once its collision_time became `radial.fall_time`; all of them again when
+# the step-size control turned predictive after a run's first rejection
+# (every number within 0.025 of the ODE class): CSVs first, then the summary
 _ORBIT_DIGESTS = {
     "poincare-continuity": (None, [
         ("poincare_continuity.csv",
-         "1fb6429118e962a177d9ee5a0df454995fcd84bca1edca001d5c452b335f114b"),
+         "72963cf0170c44796eaf162d10ba0adce26d7ce92cce2f7f82400758f0e51dfd"),
         ("poincare_continuity_summary.json",
-         "2e93dd2a8f24562762ec91de75d3fd12ca004da62569b81ba37703148c8e84f4")]),
+         "39990f4887f61d6462bc27e9dde8ff7bf0f9770c859c5f238746f0a3156437d5")]),
     "transmission-demo": (None, [
         ("transmission_path.csv",
-         "96c26edad1849003602fb441690b5fda8291284771077f142a57512a65ef5270"),
+         "c8bf01609df29449f00c4edf47b9bf89bfcf8e77c263f2b7a852240ca19e76ca"),
         ("transmission_demo_summary.json",
-         "e3ffb5f96c2a8b75e1147077c52a91eeee9ef8988307f726d9a61a01dd36bdd0")]),
+         "6c80e99663d2235dfb90c9d00fea9dd4f0099216079c3d3f48da767a17b69a12")]),
     "oracle-crosscheck": ({"orbits": 5}, [
         ("oracle_crosscheck.csv",
-         "627b5b22b222b39c547015d4167295e580a1cb9e15195ec04f2fc522daf9fc57"),
+         "54805df10231bd91baf93319e8f2f4fbebc392f018cd8f18980dc0a60c835a76"),
         ("oracle_crosscheck_summary.json",
-         "9e02af18e61a27b7fe14a5d5a6507ded71194e9365c41998aea232f2d1ee09a8")]),
+         "fa88fcae2f81b52859c1655c45c61db43473f82e77867d8768000795a0a2925a")]),
     "poincare-section": ({"samples": 4}, [
         ("poincare_section_delta0.csv",
-         "888889e70b6638a58ce6206f005bcdbd5592fc921aca4eff70a38f96c81a6239"),
+         "d8a57d85eed85996b2e7f52b74a6ada7bbea433b7e71a7d7d185d36df6b76531"),
         ("poincare_section_delta1.csv",
-         "39ba8cdf509bc8bc71986bc349315b714b20f908899dd565317f55c81a527323"),
+         "8ba44deee75d62a54ad950c423461c6591f2f1e15279218a99954934455cb765"),
         ("poincare_section_delta2.csv",
-         "78963cc234935ae8fbf1c88154b912ee57ec0f6853ebad9a407509c751777a35"),
+         "1ed2fd3b48b6367c2eb310be77997ce6cb703847f4343a2e1c9e2d37f1875889"),
         ("poincare_section_summary.json",
-         "205bec0994f11ae90c4d80695062425b1dba4d640e04056c72aeb8c38f2e902a")]),
+         "84ceb5e9ac2b3a305c77535b08f03b6be69574d491a6cab5b4d97f7381f619fc")]),
 }
 
 
@@ -773,7 +777,10 @@ def test_orbit_output_bytes_pinned(tmp_path, subcommand):
 # and the summaries of the two workload sweeps, whose cell_errors carry the
 # pericentre checks' messages.  The summary of the homogeneous(1.9) oracle,
 # three of whose first eight orbits have a pericentre below the turning-point
-# scan, was recorded once the oracle refused such orbits before integrating.
+# scan, was recorded once the oracle refused such orbits before integrating,
+# and again when the step-size control turned predictive after a run's first
+# rejection (its periods moved by at most 0.0044 of the ODE class; its
+# worst_drift, an orbit far outside the drift budget either way, 44.3 -> 25.6).
 # name -> (subcommand, config, exit code, files)
 _RADIAL_DIGESTS = {
     "pi-identity": ("pi-identity", None, 0, [
@@ -790,7 +797,7 @@ _RADIAL_DIGESTS = {
     "oracle-crosscheck-hom-1.9": ("oracle-crosscheck", {
         "potential": {"family": "homogeneous", "alpha": 1.9}}, 1, [
         ("oracle_crosscheck_summary.json",
-         "8603f1a969b4886bd9197d8348267cd42439bd1090d2ec15bcf23574a25af978")]),
+         "287dc7cdad60e2244a3f0c8f8910e8767552a6f1bc7d6b58f254abeed8b04d98")]),
 }
 
 

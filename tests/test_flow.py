@@ -675,7 +675,9 @@ def test_continuity_reads_a_collision_cell_past_its_own_2T0():
     composed = extended_flow(mid, 0.0, logarithmic(), T - T1).state_at(T - T1)
     d = table.column("dist_total")
     assert d[0] == pytest.approx(composed.distance(ref), abs=1e-10)
-    assert d[1:] == [0.010126956891200817, 0.07507414011174342]
+    # recorded; re-recorded when the step-size control turned predictive
+    # after a run's first rejection (moves of 4.8e-4 and 7e-6 of the ODE class)
+    assert d[1:] == [0.010126956891152832, 0.07507414011174265]
 
 
 def test_extended_flow_is_not_differentiable_along_l():

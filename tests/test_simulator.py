@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate._ivp.rk as rk
 from scipy.integrate import DOP853, solve_ivp
 
 from onecentre import _dop853, simulator
@@ -228,9 +229,59 @@ def _rk_step_in_kernel_order(fun, t, y, f, h, A, B, C, K):
     return y_new, f_new
 
 
-class _KernelOrderDOP853(DOP853):
-    """scipy's DOP853 (tableau, control law, interpolant) with every tableau
-    sum taken in the kernel's order, so the two agree bitwise."""
+class _PredictiveDOP853(DOP853):
+    """scipy's DOP853 with the kernel's step-size control: scipy's law up to
+    the run's first rejected attempt, and from there on (that attempt's retry
+    included) Gustafsson's predictive factor, Hairer & Wanner's eq. (IV.8.25)
+    at order 8, from the last accepted step's size and error (floored at
+    1e-2), at most scipy's factor and at most 1 after a rejection."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # (h, max(error, 1e-2), predictive) of the last accepted step
+        self.memory = None
+
+    def _step_impl(self):
+        # scipy's RungeKutta._step_impl, forward in time with no max_step, and
+        # the factor of an accepted step predicted once the run has rejected
+        t, y = self.t, self.y
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        h_acc, err_acc, predictive = self.memory or (0.0, 0.0, False)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = rk.rk_step(self.fun, t, y, self.f, h, self.A, self.B, self.C,
+                                      self.K)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error = self._estimate_error_norm(self.K, h, scale)
+            if error < 1:
+                if error == 0:
+                    factor = rk.MAX_FACTOR
+                else:
+                    factor = min(rk.MAX_FACTOR, rk.SAFETY * error ** self.error_exponent)
+                    if predictive and self.memory is not None:
+                        factor = max(rk.MIN_FACTOR, min(factor, factor * (h_abs / h_acc) *
+                                                        (err_acc / error) ** (1 / 8)))
+                if rejected:
+                    factor = min(1, factor)
+                self.memory = (h_abs, max(error, 1e-2), predictive)
+                h_abs *= factor
+                break
+            h_abs *= max(rk.MIN_FACTOR, rk.SAFETY * error ** self.error_exponent)
+            rejected = predictive = True
+        self.h_previous, self.y_old, self.t, self.y = h, y, t_new, y_new
+        self.h_abs, self.f = h_abs, f_new
+        return True, None
+
+
+class _KernelOrderDOP853(_PredictiveDOP853):
+    """`_PredictiveDOP853` (tableau, control law, interpolant) with every
+    tableau sum taken in the kernel's order, so the two agree bitwise."""
 
     def _estimate_error_norm(self, K, h, scale):
         err5 = (_in_kernel_order(self.E5, K) / scale).tolist()
@@ -262,19 +313,21 @@ _NO_FORCE = PotentialSpec(name="zero", value=lambda x: 0.0, deriv=lambda x: 0.0,
     # at rest with no force: the small-derivative first step, then steps
     # whose error estimate is 0, each 10 times the last (1e-6 ... 1)
     (_NO_FORCE, 0.0, (1.0, 0.5, 0.0, 0.0, 0.0)),
+    # through the smoothed centre from rest: past it an accepted error falls
+    # below ERROR_FLOOR, and the factor of step 72 reads the floor
+    (logarithmic(), 1e-2, (1.0, 0.0, 0.0, 0.0, 0.0)),
 ])
 def test_kernel_steps_equal_scipy_dop853(monkeypatch, potential, eps, y0):
-    # the first accepted steps (20, or 6 at rest) from a fixed state, against
+    # the first accepted steps (75, or 6 at rest) from a fixed state, against
     # scipy's stepper summing in the kernel's order: step sizes, proposals,
     # states and interpolants agree bitwise, which pins every tableau entry it
     # uses and the control law.  (In numpy's summation order the sizes differ
     # by ~1e-8 relative at rtol 1e-12: the error estimate cancels O(|K|)
     # terms down to the tolerance, so rounding noise reaches the step-size
     # proposals.)
-    import scipy.integrate._ivp.rk as rk
     monkeypatch.setattr(rk, "rk_step", _rk_step_in_kernel_order)
     rhs = _field(SmoothedPotential(potential, eps), y0[0] * y0[3] - y0[1] * y0[2])
-    steps = 6 if potential is _NO_FORCE else 20
+    steps = 6 if potential is _NO_FORCE else 75
     t, y = 0.0, y0
     f = (y[2], y[3], *rhs(y[0], y[1]))
     h_abs = _dop853.initial_step(rhs, y, f, 100.0, DEFAULT_RTOL, DEFAULT_ATOL)
@@ -287,20 +340,26 @@ def test_kernel_steps_equal_scipy_dop853(monkeypatch, potential, eps, y0):
         rel=1e-14)
     ref = _KernelOrderDOP853(fun, 0.0, np.array(y0), 100.0, rtol=DEFAULT_RTOL,
                              atol=DEFAULT_ATOL, first_step=h_abs)
+    memory = None
     for _ in range(steps):
-        t, y, f, h_abs, rec = _dop853.step(rhs, t, y, f, h_abs, 100.0,
-                                           DEFAULT_RTOL, DEFAULT_ATOL)
+        t, y, f, h_abs, memory, rec = _dop853.step(rhs, t, y, f, h_abs, 100.0,
+                                                   DEFAULT_RTOL, DEFAULT_ATOL, memory)
         ref.step()
         assert (t, h_abs, rec[1]) == (ref.t, ref.h_abs, ref.t - ref.t_old)
         assert np.array_equal(y, ref.y) and np.array_equal(f, ref.f)
         assert np.array_equal(np.reshape(_dop853.segment(rhs, rec)[7:], (7, 5)), ref.rows())
+    # the runs with a force reject an attempt (at steps 7, 16 and 11), so the
+    # predictive law is pinned too; the run at rest never rejects
+    assert memory[2] is (potential is not _NO_FORCE)
 
 
-def _solve_ivp_oracle(state, potential, horizon, ball_radius=math.inf):
-    """The same run by solve_ivp: its solution, whose t_events[0] are the
-    upward zeros of r rdot and t_events[1:] the times of the stop rules.  A
-    radial datum's collision threshold is TRANSMISSION_FRACTION of its
-    starting radius (1e-4 for r0 = 1), any other's COLLISION_RADIUS."""
+def _solve_ivp_oracle(state, potential, horizon, ball_radius=math.inf,
+                      method=_PredictiveDOP853):
+    """The same run by solve_ivp, by default with the kernel's step-size
+    control: its solution, whose t_events[0] are the upward zeros of r rdot
+    and t_events[1:] the times of the stop rules.  A radial datum's collision
+    threshold is TRANSMISSION_FRACTION of its starting radius (1e-4 for
+    r0 = 1), any other's COLLISION_RADIUS."""
     rhs = _field(potential, state.ang_momentum)
     r_stop = (max(TRANSMISSION_FRACTION * state.r, COLLISION_RADIUS)
               if is_collision_datum(state, potential.epsilon) else COLLISION_RADIUS)
@@ -323,18 +382,24 @@ def _solve_ivp_oracle(state, potential, horizon, ball_radius=math.inf):
     if math.isfinite(ball_radius):
         events.append(exit_ball)
     return solve_ivp(lambda t, y: (y[2], y[3], *rhs(y[0], y[1])), (0.0, horizon),
-                     [*state.position, *state.velocity, 0.0], method="DOP853",
+                     [*state.position, *state.velocity, 0.0], method=method,
                      rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, dense_output=True,
                      events=events)
 
 
-@pytest.mark.parametrize("potential", [logarithmic(), homogeneous(0.5)], ids=["log", "hom"])
-@pytest.mark.parametrize("eps, state, horizon, ball, stop", [
+#: the runs `integrate` is checked on against solve_ivp
+_ORACLE_POTENTIALS = pytest.mark.parametrize(
+    "potential", [logarithmic(), homogeneous(0.5)], ids=["log", "hom"])
+_ORACLE_RUNS = pytest.mark.parametrize("eps, state, horizon, ball, stop", [
     (0.0, PhaseState((1.2, 0.0), (0.0, 0.7)), 20.0, math.inf, None),
     (1e-2, PhaseState((1.0, 0.0), (0.0, 0.0)), 3.0, math.inf, None),
     (0.0, PhaseState((1.0, 0.0), (0.0, 0.0)), 5.0, math.inf, COLLISION),
     (0.0, PhaseState((1.0, 0.0), (0.9, 0.0)), 50.0, 1.3, EXIT_BALL),
 ], ids=["eps0-l", "eps-drop", "collision-drop", "ball"])
+
+
+@_ORACLE_POTENTIALS
+@_ORACLE_RUNS
 def test_integrate_matches_solve_ivp(potential, eps, state, horizon, ball, stop):
     sm = SmoothedPotential(potential, eps)
     traj = integrate(state, sm, horizon, ball_radius=ball)
@@ -356,6 +421,21 @@ def test_integrate_matches_solve_ivp(potential, eps, state, horizon, ball, stop)
     # shift of the stop time moves the velocity there far more than elsewhere
     for t in np.linspace(0.0, 0.9 * traj.t_end, 10):
         assert np.max(np.abs(traj.dense(t) - sol.sol(t))) <= 1e-10
+
+
+@_ORACLE_POTENTIALS
+@_ORACLE_RUNS
+def test_integrate_stays_within_the_ode_class_of_stock_scipy(potential, eps, state,
+                                                               horizon, ball, stop):
+    # unmodified scipy DOP853, whose steps part from the kernel's at the run's
+    # first rejected attempt: the two runs agree within perfbench/check.py's
+    # ODE class, 1e-10 + 1e-10 |x|, up to 0.9 t_end
+    sm = SmoothedPotential(potential, eps)
+    traj = integrate(state, sm, horizon, ball_radius=ball)
+    sol = _solve_ivp_oracle(state, sm, horizon, ball, method="DOP853")
+    for t in np.linspace(0.0, 0.9 * traj.t_end, 50):
+        want = sol.sol(t)
+        assert np.all(np.abs(traj.dense(t) - want) <= 1e-10 + 1e-10 * np.abs(want))
 
 
 def test_step_too_small_raises():
@@ -430,19 +510,21 @@ def test_dense_array_equals_scalar_calls():
     assert traj.dense(float(t[3])).shape == (5,)
 
 
-# sha256 of Trajectory.states of runs ending at each stop, recorded while the
-# states were gathered in an array('d'); "on_ball" starts on the ball and
-# moving out, so its stop falls at the start of its only step, which is dropped
+# sha256 of Trajectory.states of runs ending at each stop.  "exit_ball" and
+# "on_ball" reject no attempt, so scipy's step-size law alone sets their
+# steps, and their digests predate the predictive control; the others were
+# recorded with it.  "on_ball" starts on the ball and moving out, so its stop
+# falls at the start of its only step, which is dropped
 _RECORD_RUNS = {
     "horizon": (PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, 10.0, math.inf, False,
-                None, 112, "20ccb3bb79739b1dd4f7f38dde736e5f8ef1945c12cf801410f129f6582ed327"),
+                None, 115, "a397c1eff3148bff65ca480981a03f6e2bdceec9ebd8bf2a843d833d8f09b949"),
     "apse": (PhaseState((1.2, 0.0), (0.0, 0.7)), BARE_LOG, 3.0, math.inf, True,
-             APSE, 25, "6ca405a19ea523d07e1368a3870240ef739a7c537603f246f5012738529fb40a"),
+             APSE, 25, "2486df53c102627a15cea37b782d909668860967f67962a2effb17ec8bbbd883"),
     "smoothed_apse": (PhaseState((1.0, 0.0), (0.0, 1e-3)),
                       SmoothedPotential(homogeneous(0.5), 1e-3), 4.0, math.inf, True,
-                      APSE, 126, "517821537734467badcb41aae6cc317058cbf9400380b31c1e01cf931880afb6"),
+                      APSE, 135, "628592cb7a30b3289bb48f3af49741c42783ff64fb6b8f97aa222b0de2a45ec2"),
     "collision": (PhaseState((1.0, 0.0), (0.0, 0.0)), BARE_LOG, 50.0, math.inf, False,
-                  COLLISION, 85, "bd19640961644c086951ea8304b8a006dbbdf9ff994b883c95d56e83aa033652"),
+                  COLLISION, 85, "237ec93ab0a318f7f1f4983f5f4459708b10b5d9380c539d93cd8de06836fb7a"),
     "exit_ball": (PhaseState((1.0, 0.0), (0.9, 0.0)), BARE_LOG, 50.0, 1.3, False,
                   EXIT_BALL, 7, "dd5c30a5aa8794cc0c80b4f3d331e4df3f35de79839400f857c020c9c3280c4e"),
     "on_ball": (PhaseState((1.3, 0.0), (0.9, 0.0)), BARE_LOG, 50.0, 1.3, False,
@@ -454,7 +536,7 @@ _RECORD_RUNS = {
 def test_records_are_the_tuples_step_returns(monkeypatch, name):
     # one record per stored step, each the tuple `step` returned, not a copy;
     # every interpolant is the one built from its record, and the states are
-    # the same, bit for bit, as when they were gathered in an array('d')
+    # the same, bit for bit, as recorded
     state, potential, horizon, ball, apse, stop, n, digest = _RECORD_RUNS[name]
     returned = []
     step = _dop853.step
@@ -479,6 +561,40 @@ def test_records_are_the_tuples_step_returns(monkeypatch, name):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert traj.states.dtype == np.float64 and traj.states.shape == (n, 5)
     assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
+
+
+def test_a_fall_to_the_centre_rejects_at_most_two_attempts(monkeypatch):
+    # below r ~ 0.58 the step the error allows shrinks by ~12% a step (h ~ r);
+    # under scipy's law, which keeps h after a rejection, every step of the
+    # log fall from rest there was rejected once (72 rejected of 156
+    # attempts, for 84 steps).  The predictive controller follows the
+    # shrinking step.  The runs that reject nothing keep scipy's steps, and
+    # so their recorded states.
+    attempts = []
+    step = _dop853.step
+
+    def counting(field, *args):
+        calls = []
+
+        def counted(x, y):
+            calls.append(None)
+            return field(x, y)
+
+        out = step(counted, *args)
+        # an attempt calls the field 12 times: 11 stages and f_new
+        assert len(calls) % 12 == 0
+        attempts.append(len(calls) // 12)
+        return out
+
+    monkeypatch.setattr(_dop853, "step", counting)
+    for name, most in [("collision", 2), ("exit_ball", 0), ("on_ball", 0)]:
+        state, potential, horizon, ball, apse, stop, n, digest = _RECORD_RUNS[name]
+        attempts.clear()
+        traj = integrate(state, potential, horizon, ball_radius=ball, apse=apse)
+        assert traj.stop == stop and len(traj.times) == n
+        assert sum(attempts) - len(attempts) <= most
+        if most == 0:
+            assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
 
 
 def test_run_stopped_at_its_start_reads_its_datum():
