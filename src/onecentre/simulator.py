@@ -151,13 +151,19 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     finite ball radius makes leaving the ball a stop.  With `apse`, the
     first pericentre t_p > 0 (the upward zero of r rdot) stops the run with
     `APSE`, whatever the horizon; a datum at its own pericentre (r rdot = 0
-    and rising at t = 0) runs on to the next one.  A stop is located on the
-    interpolant of the step where its rule changes sign, the only
-    interpolant built here (the dense output builds any other step's on its
-    first read), and the run ends at its time.  The apse is solved in the
-    step's own variable (`_dop853.interpolate_step`), and its state taken
-    there: at a deep apse theta' = l / r^2 is large, and a root in absolute
-    t would misplace theta by theta' ulp(t).  A step size below 10 ulp(t) raises RuntimeError.
+    and rising at t = 0) runs on to the next one.  Each step tests the stop
+    rules in place, and a stop is located on the interpolant of the step
+    where its rule changes sign, the only interpolant built here (the dense
+    output builds any other step's on its first read), and the run ends at
+    its time.  The apse is solved in the step's own variable
+    (`_dop853.interpolate_step`), and its state taken there: at a deep apse
+    theta' = l / r^2 is large, and a root in absolute t would misplace theta
+    by theta' ulp(t).  A step size below 10 ulp(t) raises RuntimeError.
+
+    The field goes to the kernel as data, its terms (V', eps^2, l0) bound
+    once for the run: `_dop853.step` writes the field of its stages out
+    inline, so an attempt calls V' 12 times and nothing else, and the run
+    calls V' twice more to start and 3 times for the interpolant of a stop.
     """
     eps = potential.epsilon
     l0 = state.ang_momentum
@@ -167,13 +173,8 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
 
-    Vp = potential.base.deriv
-
-    def rhs(x, y):
-        r2 = x * x + y * y
-        h = math.sqrt(r2 + eps * eps)
-        scale = Vp(h) / h
-        return scale * x, scale * y, l0 / r2
+    # the terms of `_dop853.field`
+    terms = (potential.base.deriv, eps * eps, l0)
 
     # (g, direction, stop): the run stops where g crosses zero in direction; one
     # step never crosses both (r_old <= ball_radius <= r_new <= r_stop < r_old)
@@ -190,8 +191,8 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     t = 0.0
     y = (float(state.position[0]), float(state.position[1]),
          float(state.velocity[0]), float(state.velocity[1]), 0.0)
-    f = (y[2], y[3], *rhs(y[0], y[1]))
-    h_abs = _dop853.initial_step(rhs, y, f, horizon, DEFAULT_RTOL, DEFAULT_ATOL)
+    f = (y[2], y[3], *_dop853.field(terms, y[0], y[1]))
+    h_abs = _dop853.initial_step(terms, y, f, horizon, DEFAULT_RTOL, DEFAULT_ATOL)
     # records: each step's stage record, as `step` returns it; built: index -> interpolant
     times, states, records, built = [t], [y], [], {}
     memory = None
@@ -201,17 +202,17 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     stop = None
     while t < horizon:
         t_old = t
-        t, y, f, h_abs, memory, rec = _dop853.step(rhs, t, y, f, h_abs, horizon,
+        t, y, f, h_abs, memory, rec = _dop853.step(terms, t, y, f, h_abs, horizon,
                                                    DEFAULT_RTOL, DEFAULT_ATOL, memory)
         records.append(rec)
-        g_new = [rule(y) for rule, _, _ in rules]
-        for (rule, direction, kind), a, b in zip(rules, g, g_new):
+        for i, (rule, direction, kind) in enumerate(rules):
+            a, b = g[i], rule(y)
+            g[i] = b
             if (a <= 0.0 <= b) if direction > 0 else (a >= 0.0 >= b):
                 stop = kind
                 break
-        g = g_new
         if stop is not None:
-            seg = built[len(times) - 1] = _dop853.segment(rhs, rec)
+            seg = built[len(times) - 1] = _dop853.segment(terms, rec)
             if stop == APSE:
                 x = brentq(lambda x: _radial_rate(_dop853.interpolate_step(seg, x)), 0.0, 1.0,
                            xtol=_ROOT_TOL, rtol=_ROOT_TOL)
@@ -230,7 +231,7 @@ def integrate(state: PhaseState, potential: SmoothedPotential, horizon: float,
     return Trajectory(potential=potential, times=np.array(times),
                       states=np.array(states),
                       stop=stop, energy0=E0, ang_momentum0=l0,
-                      dense=_dop853.DenseOutput(rhs, times, records, built))
+                      dense=_dop853.DenseOutput(terms, times, records, built))
 
 
 def conserved_drift(traj: Trajectory) -> tuple[float, float]:

@@ -55,3 +55,17 @@ def test_next_path_takes_the_first_free_number(tmp_path):
     for n in (1, 2, 4):
         (tmp_path / f"BENCH_{n}.json").write_text("{}\n")
     assert bench.next_path(tmp_path) == tmp_path / "BENCH_3.json"
+
+
+def test_copy_files_copies_the_listed_files_and_skips_missing_ones(tmp_path):
+    root, dest = tmp_path / "root", tmp_path / "dest"
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "a.py").write_text("a\n")
+    (root / "new.txt").write_text("new\n")
+    (root / "ignored.txt").write_text("ignored\n")
+    # a tracked file deleted from the checkout, and the empty name that
+    # follows the last NUL of `git ls-files -z`
+    bench.copy_files(root, ["src/pkg/a.py", "new.txt", "deleted.py", ""], dest)
+    assert sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file()) == [
+        "new.txt", "src/pkg/a.py"]
+    assert (dest / "src" / "pkg" / "a.py").read_text() == "a\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -197,13 +198,19 @@ def test_trajectory_sample_and_event_invariants():
 
 # --- the DOP853 kernel against scipy ------------------------------------------
 
-def _field(potential: SmoothedPotential, l0: float):
-    """(vx', vy', theta') at (x, y), as `integrate` builds it."""
-    Vp, eps = potential.base.deriv, potential.epsilon
+def _terms(potential: SmoothedPotential, l0: float) -> tuple:
+    """The field's terms (V', eps^2, l0), as `integrate` binds them."""
+    return potential.base.deriv, potential.epsilon * potential.epsilon, l0
+
+
+def _field(terms: tuple):
+    """(vx', vy', theta') at (x, y) under `terms`, written apart from the
+    kernel: the reference field of the oracles."""
+    Vp, eps2, l0 = terms
 
     def rhs(x, y):
         r2 = x * x + y * y
-        h = math.sqrt(r2 + eps * eps)
+        h = math.sqrt(r2 + eps2)
         scale = Vp(h) / h
         return scale * x, scale * y, l0 / r2
 
@@ -326,11 +333,12 @@ def test_kernel_steps_equal_scipy_dop853(monkeypatch, potential, eps, y0):
     # terms down to the tolerance, so rounding noise reaches the step-size
     # proposals.)
     monkeypatch.setattr(rk, "rk_step", _rk_step_in_kernel_order)
-    rhs = _field(SmoothedPotential(potential, eps), y0[0] * y0[3] - y0[1] * y0[2])
+    terms = _terms(SmoothedPotential(potential, eps), y0[0] * y0[3] - y0[1] * y0[2])
+    rhs = _field(terms)
     steps = 6 if potential is _NO_FORCE else 75
     t, y = 0.0, y0
     f = (y[2], y[3], *rhs(y[0], y[1]))
-    h_abs = _dop853.initial_step(rhs, y, f, 100.0, DEFAULT_RTOL, DEFAULT_ATOL)
+    h_abs = _dop853.initial_step(terms, y, f, 100.0, DEFAULT_RTOL, DEFAULT_ATOL)
 
     def fun(t, y):
         return np.array([y[2], y[3], *rhs(y[0], y[1])])
@@ -342,12 +350,12 @@ def test_kernel_steps_equal_scipy_dop853(monkeypatch, potential, eps, y0):
                              atol=DEFAULT_ATOL, first_step=h_abs)
     memory = None
     for _ in range(steps):
-        t, y, f, h_abs, memory, rec = _dop853.step(rhs, t, y, f, h_abs, 100.0,
+        t, y, f, h_abs, memory, rec = _dop853.step(terms, t, y, f, h_abs, 100.0,
                                                    DEFAULT_RTOL, DEFAULT_ATOL, memory)
         ref.step()
         assert (t, h_abs, rec[1]) == (ref.t, ref.h_abs, ref.t - ref.t_old)
         assert np.array_equal(y, ref.y) and np.array_equal(f, ref.f)
-        assert np.array_equal(np.reshape(_dop853.segment(rhs, rec)[7:], (7, 5)), ref.rows())
+        assert np.array_equal(np.reshape(_dop853.segment(terms, rec)[7:], (7, 5)), ref.rows())
     # the runs with a force reject an attempt (at steps 7, 16 and 11), so the
     # predictive law is pinned too; the run at rest never rejects
     assert memory[2] is (potential is not _NO_FORCE)
@@ -360,7 +368,7 @@ def _solve_ivp_oracle(state, potential, horizon, ball_radius=math.inf,
     and t_events[1:] the times of the stop rules.  A radial datum's collision
     threshold is TRANSMISSION_FRACTION of its starting radius (1e-4 for
     r0 = 1), any other's COLLISION_RADIUS."""
-    rhs = _field(potential, state.ang_momentum)
+    rhs = _field(_terms(potential, state.ang_momentum))
     r_stop = (max(TRANSMISSION_FRACTION * state.r, COLLISION_RADIUS)
               if is_collision_datum(state, potential.epsilon) else COLLISION_RADIUS)
 
@@ -454,9 +462,9 @@ def test_interpolants_are_built_only_where_read(monkeypatch):
     built = []
     segment = _dop853.segment
 
-    def counting(field, record):
+    def counting(terms, record):
         built.append(record[0])
-        return segment(field, record)
+        return segment(terms, record)
 
     monkeypatch.setattr(_dop853, "segment", counting)
     traj = integrate(PhaseState((1.0, 0.0), (0.0, 0.0)), BARE_LOG, horizon=50.0)
@@ -557,10 +565,40 @@ def test_records_are_the_tuples_step_returns(monkeypatch, name):
     assert all(type(rec) is tuple and len(rec) == _dop853.STAGES for rec in records)
     for i, rec in enumerate(records):
         got = np.array(traj.dense.segment(i))
-        want = np.array(_dop853.segment(traj.dense._field, rec))
+        want = np.array(_dop853.segment(traj.dense._terms, rec))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert traj.states.dtype == np.float64 and traj.states.shape == (n, 5)
     assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
+
+
+def _counting(potential: SmoothedPotential, calls: list) -> SmoothedPotential:
+    """`potential` with a V' that appends to `calls` on each call."""
+    deriv = potential.base.deriv
+
+    def counted(x):
+        calls.append(None)
+        return deriv(x)
+
+    return SmoothedPotential(dataclasses.replace(potential.base, deriv=counted),
+                             potential.epsilon)
+
+
+def _count_attempts(monkeypatch) -> tuple[list, list]:
+    """(calls, attempts): `_dop853.step` wrapped to append to attempts the
+    attempts of each step, counted by the V' calls a `_counting` potential
+    appends to calls inside it, 12 an attempt (11 stages and f_new)."""
+    calls, attempts = [], []
+    step = _dop853.step
+
+    def counting(*args):
+        before = len(calls)
+        out = step(*args)
+        assert (len(calls) - before) % 12 == 0
+        attempts.append((len(calls) - before) // 12)
+        return out
+
+    monkeypatch.setattr(_dop853, "step", counting)
+    return calls, attempts
 
 
 def test_a_fall_to_the_centre_rejects_at_most_two_attempts(monkeypatch):
@@ -570,31 +608,42 @@ def test_a_fall_to_the_centre_rejects_at_most_two_attempts(monkeypatch):
     # attempts, for 84 steps).  The predictive controller follows the
     # shrinking step.  The runs that reject nothing keep scipy's steps, and
     # so their recorded states.
-    attempts = []
-    step = _dop853.step
-
-    def counting(field, *args):
-        calls = []
-
-        def counted(x, y):
-            calls.append(None)
-            return field(x, y)
-
-        out = step(counted, *args)
-        # an attempt calls the field 12 times: 11 stages and f_new
-        assert len(calls) % 12 == 0
-        attempts.append(len(calls) // 12)
-        return out
-
-    monkeypatch.setattr(_dop853, "step", counting)
+    calls, attempts = _count_attempts(monkeypatch)
     for name, most in [("collision", 2), ("exit_ball", 0), ("on_ball", 0)]:
         state, potential, horizon, ball, apse, stop, n, digest = _RECORD_RUNS[name]
         attempts.clear()
-        traj = integrate(state, potential, horizon, ball_radius=ball, apse=apse)
+        traj = integrate(state, _counting(potential, calls), horizon, ball_radius=ball,
+                         apse=apse)
         assert traj.stop == stop and len(traj.times) == n
         assert sum(attempts) - len(attempts) <= most
         if most == 0:
             assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", list(_RECORD_RUNS))
+def test_the_inline_field_is_the_field_of_the_cold_callers(monkeypatch, name):
+    # `step` writes the field of its stages out inline, and the cold callers
+    # (`initial_step`, `segment` and the run's first derivative) call
+    # `_dop853.field`: each record's f_new is, bit for bit, both `field` and
+    # the reference field at the step's end state.  The run calls V' 12
+    # times an attempt, twice to start (the first derivative and
+    # `initial_step`) and 3 times for the interpolant of its stop
+    def bits(values):
+        return np.array(values, dtype=float).view(np.uint64).tolist()
+
+    state, potential, horizon, ball, apse, stop, n, digest = _RECORD_RUNS[name]
+    calls, attempts = _count_attempts(monkeypatch)
+    traj = integrate(state, _counting(potential, calls), horizon, ball_radius=ball,
+                     apse=apse)
+    assert traj.stop == stop and len(traj.times) == n
+    assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
+    assert len(traj.dense._built) == (stop is not None)
+    assert len(calls) == 12 * sum(attempts) + 2 + 3 * len(traj.dense._built)
+    terms = _terms(potential, state.ang_momentum)
+    for rec in traj.dense._records:
+        x, y, vx, vy = rec[7:11]
+        want = bits((vx, vy, *_dop853.field(terms, x, y)))
+        assert bits(rec[-5:]) == want == bits((vx, vy, *_field(terms)(x, y)))
 
 
 def test_run_stopped_at_its_start_reads_its_datum():
@@ -722,7 +771,7 @@ def test_oracle_period_is_twice_the_solve_ivp_pericentre_event(potential):
     for _, E, l, period_ode, period_quad, *_ in table.rows:
         tp = turning_points(RadialProblem(sm, E, l))
         state = PhaseState((tp.apocenter, 0.0), (0.0, l / tp.apocenter))
-        rhs = _field(sm, state.ang_momentum)
+        rhs = _field(_terms(sm, state.ang_momentum))
 
         def pericentre(t, y):
             return y[0] * y[2] + y[1] * y[3]

@@ -3,14 +3,14 @@ the next ``BENCH_<n>.json``.
 
     python3 tools/bench.py REV
 
-Run from anywhere.  It snapshots this checkout as it stands (uncommitted
-edits and new files included, ignored files left out) as a commit on HEAD,
-through a temporary index so the checkout's own index and branch do not
-move, and checks that snapshot (the change) and REV (the parent) out into
-two temporary ``git worktree`` directories, so both sides run from fresh
-checkouts without the run output (``perfbench/out/``) a working checkout
-collects.  On every workload W of ``BENCHMARK.json`` it runs ``PAIRS``
-pairs of
+Run from anywhere.  It builds both sides in two temporary directories
+and writes nothing under ``.git``: REV (the parent) from ``git archive``,
+and the change from a copy of this checkout's files as they stand, the
+ones ``git ls-files --cached --others --exclude-standard`` lists
+(uncommitted edits and new files included, ignored files and deleted
+ones left out).  So both sides run from fresh copies without the run
+output (``perfbench/out/``) a working checkout collects.  On every
+workload W of ``BENCHMARK.json`` it runs ``PAIRS`` pairs of
 
     python3 perfbench/run.py --workload W --seed k --seconds S
 
@@ -22,7 +22,7 @@ run is slower, so its line gives the counters and the split of time
 between layers, and seconds are compared only between untraced runs.  A
 run that exits 3 (a result, but the check found a problem) is recorded as
 ``"correct": false``; any other failure, or no result line, ends the tool.
-Both worktrees are removed at the end in every case.
+Both copies are removed at the end in every case.
 
 Per workload it prints, for every end-to-end metric, each side's median and
 quartiles and the change's wins: the pairs where the change is better in
@@ -36,12 +36,14 @@ a clean tree, measures the noise floor a claim has to clear.
 
 from __future__ import annotations
 
+import io
 import json
-import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -85,22 +87,28 @@ def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> d
         sys.exit(f"{' '.join(argv)} in {checkout} printed no result line")
 
 
-def git(*args: str, env: dict | None = None) -> str:
-    """The output of one git command in this checkout."""
-    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
+def git(*args: str, text: bool = True):
+    """The output of one git command in this checkout; no optional lock is
+    taken, so a status-like command does not rewrite the index."""
+    out = subprocess.run(["git", "--no-optional-locks", *args], cwd=ROOT, check=True,
+                         capture_output=True, text=text).stdout
+    return out.strip() if text else out
 
 
-def snapshot(tmp: Path) -> str:
-    """A commit on HEAD of this checkout's files as they stand: tracked and
-    new files, not ignored ones.  It is staged in an index of its own
-    under `tmp`, and no ref names it."""
-    env = {**os.environ, "GIT_INDEX_FILE": str(tmp / "index")}
-    git("read-tree", "HEAD", env=env)
-    git("add", "-A", env=env)
-    tree = git("write-tree", env=env)
-    return git("-c", "user.name=bench", "-c", "user.email=bench@localhost",
-               "commit-tree", "-p", "HEAD", "-m", "bench.py snapshot", tree)
+def export(rev: str, dest: Path) -> None:
+    """The files of commit `rev`, written under `dest` by ``git archive``."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev, text=False))) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def copy_files(root: Path, names: list[str], dest: Path) -> None:
+    """The files `names` (relative to `root`) copied under `dest`, those
+    missing from `root` left out."""
+    for name in names:
+        source = root / name
+        if source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def wins(parent: list[float], change: list[float], better: str) -> int:
@@ -168,9 +176,9 @@ def main() -> None:
     tmp = Path(tempfile.mkdtemp(prefix="bench-"))
     checkouts = {side: tmp / side for side in SIDES}
     try:
-        revs = {"parent": record["parent"], "change": snapshot(tmp)}
-        for side in SIDES:
-            git("worktree", "add", "--detach", str(checkouts[side]), revs[side])
+        export(record["parent"], checkouts["parent"])
+        names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+        copy_files(ROOT, names.split("\0"), checkouts["change"])
         for workload in (w["name"] for w in bench["workloads"]):
             lines = {side: [] for side in SIDES}
             for i in range(PAIRS):
@@ -186,11 +194,7 @@ def main() -> None:
             record["workloads"][workload] = summary
             print(table(workload, end_to_end, summary), flush=True)
     finally:
-        for checkout in checkouts.values():
-            if checkout.exists():
-                git("worktree", "remove", "--force", str(checkout))
-        (tmp / "index").unlink(missing_ok=True)
-        tmp.rmdir()
+        shutil.rmtree(tmp)
     path = next_path(ROOT)
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path.name}")
